@@ -12,18 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
-from .model import ProcessingReport, QualityFlag, VoyageDataset
+from .model import ProcessingReport, QualityFlag, VoyageDataset, add_flags
 
 
 class CleaningError(ValueError):
     pass
-
-
-def _candidate_groups(dataset: VoyageDataset, in_trip_only: bool) -> list[np.ndarray]:
-    ids = dataset.trip_ids
-    if in_trip_only and (ids >= 0).any():
-        return [np.nonzero(ids == t)[0] for t in sorted(set(ids[ids >= 0].tolist()))]
-    return [np.arange(len(dataset))]
 
 
 def contextual_filter(
@@ -47,11 +40,10 @@ def contextual_filter(
     entry = report.stage("clean:contextual") if report is not None else None
     dead_values = dead_values or {}
     flags: dict[int, set] = {}
-    counts = {"invalid_range": 0, "repeated_value": 0, "dropout": 0, "spike": 0}
+    groups = dataset.trip_groups() if in_trip_only else [np.arange(len(dataset))]
 
     def add(i: int, flag: QualityFlag, variable: str, observed) -> None:
         flags.setdefault(i, set()).add(flag)
-        counts[flag.value] += 1
         if entry is not None:
             entry.check(
                 flag.value,
@@ -72,7 +64,7 @@ def contextual_filter(
                 add(int(i), QualityFlag.INVALID_RANGE, spec.name, float(col_all[i]))
 
         dead = dead_values.get(spec.name, 0.0)
-        for idx in _candidate_groups(dataset, in_trip_only):
+        for idx in groups:
             col = col_all[idx]
             n = len(col)
             if (~np.isnan(col)).sum() < 3:
@@ -135,10 +127,8 @@ def contextual_filter(
                 if abs(up) > limit and abs(down) > limit and up * down < 0:
                     add(int(idx[m]), QualityFlag.SPIKE, spec.name, float(col[m]))
 
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     if entry is not None:
-        for name, c in counts.items():
-            entry.count_flag(QualityFlag(name), c)
         entry.summary["samples_flagged"] = len(flags)
     return out
 
@@ -169,16 +159,15 @@ def quasi_steady_filter(
 
     for name, params in passes:
         col = dataset.column(name)
-        for idx in _candidate_groups(dataset, in_trip_only=True):
+        for idx in dataset.trip_groups():
             res = steady_state_filter(ts[idx], col[idx], params)
             if res.warning and entry is not None:
                 entry.notes.append(f"{name}: {res.warning}")
             for local_i in np.nonzero(res.unsteady)[0]:
                 flags.setdefault(int(idx[local_i]), set()).add(QualityFlag.UNSTEADY)
 
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     if entry is not None:
-        entry.count_flag(QualityFlag.UNSTEADY, len(flags))
         entry.summary["variables"] = [name for name, _ in passes]
         for i in sorted(flags):
             entry.check(
@@ -267,9 +256,7 @@ def _complete_rows(
     cols = np.column_stack([dataset.column(f) for f in features])
     ok = ~np.isnan(cols).any(axis=1)
     if exclude_flagged:
-        for i, s in enumerate(dataset.samples):
-            if s.flags & _TRAINING_EXCLUDED:
-                ok[i] = False
+        ok &= ~dataset.flagged(*_TRAINING_EXCLUDED)
     return cols, ok
 
 
@@ -357,9 +344,8 @@ def pca_score(
                         expected=detector.threshold,
                         observed=float(errors[local]),
                     )
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     if entry is not None:
-        entry.count_flag(QualityFlag.CORRELATION_OUTLIER, len(flags))
         entry.summary["scored"] = int(ok.sum())
         entry.summary["skipped_incomplete"] = skipped
         entry.summary["threshold"] = detector.threshold

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .ingest import (
@@ -89,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.stages:
-            from dataclasses import replace
-
             config = replace(
                 config,
                 stages=tuple(s.strip() for s in args.stages.split(",") if s.strip()),

@@ -24,9 +24,10 @@ from .model import (
     ShipParticulars,
     VariableSpec,
     VoyageDataset,
+    add_flags,
 )
 from .tables import draft_ratio_reference, wetted_surface
-from .timeline import Trip
+from .timeline import Trip, _runs
 
 DRAFT_SENSORS = ("draft_fore", "draft_aft")
 
@@ -135,10 +136,7 @@ def fix_draft_simple(
                 f"{sensor}: {len(corrected)} in-trip values replaced "
                 f"(pre={pre}, post={post})"
             )
-    out = out.adding_flags({i: {QualityFlag.DRAFT_CORRECTED} for i in flagged})
-    if entry is not None:
-        entry.count_flag(QualityFlag.DRAFT_CORRECTED, len(flagged))
-    return out
+    return add_flags(out, {i: {QualityFlag.DRAFT_CORRECTED} for i in flagged}, entry)
 
 
 def _apply_draft(
@@ -254,10 +252,7 @@ def fix_draft_ramp(
                 f"{sensor}: ramp correction over {len(deltas)} event(s), "
                 f"base level {base}"
             )
-    out = out.adding_flags({i: {QualityFlag.DRAFT_CORRECTED} for i in flagged})
-    if entry is not None:
-        entry.count_flag(QualityFlag.DRAFT_CORRECTED, len(flagged))
-    return out
+    return add_flags(out, {i: {QualityFlag.DRAFT_CORRECTED} for i in flagged}, entry)
 
 
 def detect_draft_events(
@@ -280,17 +275,9 @@ def detect_draft_events(
             continue
         col = dataset.column(sensor)[idx]
         res = steady_state_filter(ts[idx].astype(float), col, params)
-        run_start = None
-        min_len = params.window / 2.0
-        marks = res.unsteady
-        for k in range(len(marks) + 1):
-            on = k < len(marks) and marks[k]
-            if on and run_start is None:
-                run_start = k
-            elif not on and run_start is not None:
-                if k - run_start >= min_len:
-                    spans.append((int(ts[idx[run_start]]), int(ts[idx[k - 1]])))
-                run_start = None
+        for a, b in _runs(res.unsteady):
+            if b - a + 1 >= params.window / 2.0:
+                spans.append((int(ts[idx[a]]), int(ts[idx[b]])))
 
     if not spans:
         return []
@@ -600,9 +587,7 @@ def resistance_components(
     ``res_<name>`` column; a model whose inputs never appear is skipped
     entirely, per-sample gaps stay missing and are counted."""
     entry = report.stage("resistance") if report is not None else None
-    in_trip = dataset.in_trip_mask()
-    if not in_trip.any():
-        in_trip = np.ones(len(dataset), dtype=bool)
+    in_trip = dataset.in_trip_or_all()
     wind_speed_name = (
         "rel_wind_speed_ref" if dataset.declares("rel_wind_speed_ref") else "rel_wind_speed"
     )

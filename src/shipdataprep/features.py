@@ -21,6 +21,7 @@ from .model import (
     ShipParticulars,
     VariableSpec,
     VoyageDataset,
+    add_flags,
 )
 from .tables import service_speed_range  # re-exported lookup  # noqa: F401
 
@@ -65,23 +66,6 @@ def wind_to_reference_height(v_wt: float, z_ref: float, z_a: float) -> float:
     return v_wt * (z_ref / z_a) ** (1.0 / 9.0)
 
 
-def _position_ok(dataset: VoyageDataset) -> np.ndarray:
-    lat = dataset.column("lat")
-    lon = dataset.column("lon")
-    ok = ~np.isnan(lat) & ~np.isnan(lon)
-    for i, s in enumerate(dataset.samples):
-        if QualityFlag.IRRATIONAL_POSITION in s.flags:
-            ok[i] = False
-    return ok
-
-
-def _groups(dataset: VoyageDataset) -> list[np.ndarray]:
-    ids = dataset.trip_ids
-    if (ids >= 0).any():
-        return [np.nonzero(ids == t)[0] for t in sorted(set(ids[ids >= 0].tolist()))]
-    return [np.arange(len(dataset))]
-
-
 def gps_heading(dataset: VoyageDataset) -> list[float | None]:
     """Per-sample heading estimated from consecutive GPS positions.
 
@@ -90,11 +74,9 @@ def gps_heading(dataset: VoyageDataset) -> list[float | None]:
     holds the previous bearing. Samples with flagged or missing positions
     get no value.
     """
-    lat = dataset.column("lat")
-    lon = dataset.column("lon")
-    ok = _position_ok(dataset)
+    lat, lon, ok = dataset.positions()
     out: list[float | None] = [None] * len(dataset)
-    for idx in _groups(dataset):
+    for idx in dataset.trip_groups():
         prev: float | None = None
         for k, i in enumerate(idx):
             if not ok[i]:
@@ -123,11 +105,9 @@ def add_leg_distance(dataset: VoyageDataset) -> VoyageDataset:
     """Distance in metres from the previous sample, per trip."""
     if not (dataset.has_data("lat") and dataset.has_data("lon")):
         return dataset
-    lat = dataset.column("lat")
-    lon = dataset.column("lon")
-    ok = _position_ok(dataset)
+    lat, lon, ok = dataset.positions()
     values: list[float | None] = [None] * len(dataset)
-    for idx in _groups(dataset):
+    for idx in dataset.trip_groups():
         for k in range(1, len(idx)):
             i, j = idx[k - 1], idx[k]
             if ok[i] and ok[j]:
@@ -207,12 +187,12 @@ def resolve_ship_frame(
         out = out.adding_variable(
             VariableSpec("rel_wind_long", "m/s", "linear",
                          role="operational_environment"),
-            [None if math.isnan(x) else float(x) for x in rel_long],
+            rel_long,
         )
         out = out.adding_variable(
             VariableSpec("rel_wind_trans", "m/s", "linear",
                          role="operational_environment"),
-            [None if math.isnan(x) else float(x) for x in rel_trans],
+            rel_trans,
         )
         added += ["rel_wind_long", "rel_wind_trans"]
 
@@ -222,7 +202,7 @@ def resolve_ship_frame(
         out = out.adding_variable(
             VariableSpec("rel_wave_dir", "deg", "angular",
                          role="operational_environment"),
-            [None if math.isnan(x) else float(x) for x in rel_wave],
+            rel_wave,
         )
         added.append("rel_wave_dir")
 
@@ -233,7 +213,7 @@ def resolve_ship_frame(
         stw_est = sog - current_long
         out = out.adding_variable(
             VariableSpec("stw_estimate", "m/s", "linear", role="operating_point"),
-            [None if math.isnan(x) else float(x) for x in stw_est],
+            stw_est,
         )
         added.append("stw_estimate")
 
@@ -270,11 +250,9 @@ def ais_speed_consistency(
             entry.notes.append("sog or positions absent; check skipped")
         return dataset
 
-    lat = dataset.column("lat")
-    lon = dataset.column("lon")
+    lat, lon, ok = dataset.positions()
     sog = dataset.column("sog")
     ts = dataset.timestamps.astype(float)
-    ok = _position_ok(dataset)
     n = len(dataset)
 
     # leg k joins sample k to k+1
@@ -347,10 +325,9 @@ def ais_speed_consistency(
             replacements[i] = candidate
 
     out = out.with_values("sog", replacements)
-    out = out.adding_flags({i: {QualityFlag.IRRATIONAL_SPEED} for i in flagged})
+    out = add_flags(out, {i: {QualityFlag.IRRATIONAL_SPEED} for i in flagged}, entry)
 
     if entry is not None:
-        entry.count_flag(QualityFlag.IRRATIONAL_SPEED, len(flagged))
         for i, observed, implied in details:
             entry.check(
                 "replaced" if replacements[i] is not None else "left_missing",
@@ -406,9 +383,8 @@ def ais_status_check(
             flags[i] = {QualityFlag.STALE_AIS_STATUS}
         elif st == 0 and sog[i] == 0.0 and has_trips and not in_trip[i]:
             flags[i] = {QualityFlag.STALE_AIS_STATUS}
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     if entry is not None:
-        entry.count_flag(QualityFlag.STALE_AIS_STATUS, len(flags))
         for i in sorted(flags):
             entry.check(
                 "stale_ais_status",

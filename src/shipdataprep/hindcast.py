@@ -19,6 +19,7 @@ from .model import (
     QualityFlag,
     VariableSpec,
     VoyageDataset,
+    add_flags,
 )
 
 
@@ -208,15 +209,6 @@ def steady_state_filter(
     return SteadyFilterResult(unsteady, stage1, retained)
 
 
-def _series_groups(dataset: VoyageDataset) -> list[np.ndarray]:
-    """Index groups the filters run over: one per trip when trips are
-    assigned, else the whole series."""
-    ids = dataset.trip_ids
-    if (ids >= 0).any():
-        return [np.nonzero(ids == t)[0] for t in sorted(set(ids[ids >= 0].tolist()))]
-    return [np.arange(len(dataset))]
-
-
 def clean_gps(
     dataset: VoyageDataset,
     params: SteadyFilterParams,
@@ -236,7 +228,7 @@ def clean_gps(
     lon = dataset.column("lon")
     flags: dict[int, set] = {}
     stage1_total = 0
-    for idx in _series_groups(dataset):
+    for idx in dataset.trip_groups():
         lat_g = lat[idx]
         lon_g = lon[idx].copy()
         ok = ~np.isnan(lon_g)
@@ -251,9 +243,8 @@ def clean_gps(
                 )
             if res.warning and entry is not None:
                 entry.notes.append(res.warning)
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     if entry is not None:
-        entry.count_flag(QualityFlag.IRRATIONAL_POSITION, len(flags))
         entry.summary["stage1_rejected"] = stage1_total
         for i in sorted(flags):
             s = out.samples[i]
@@ -437,17 +428,9 @@ def interpolate(
         raise ValueError(f"unknown mask policy {mask_policy!r}")
     entry = report.stage("interpolate") if report is not None else None
 
-    ids = dataset.trip_ids
-    candidates = (
-        np.nonzero(ids >= 0)[0] if (ids >= 0).any() else np.arange(len(dataset))
-    )
-    lat = dataset.column("lat") if dataset.declares("lat") else np.full(len(dataset), np.nan)
-    lon = dataset.column("lon") if dataset.declares("lon") else np.full(len(dataset), np.nan)
+    candidates = np.nonzero(dataset.in_trip_or_all())[0]
+    lat, lon, pos_ok = dataset.positions()
     ts = dataset.timestamps.astype(float)
-    pos_ok = ~np.isnan(lat) & ~np.isnan(lon)
-    for i, s in enumerate(dataset.samples):
-        if QualityFlag.IRRATIONAL_POSITION in s.flags:
-            pos_ok[i] = False
 
     out = dataset
     counts = {"no_position": 0, "outside": 0, "interpolated": 0, "masked_missing": 0}

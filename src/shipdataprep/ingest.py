@@ -10,8 +10,10 @@ the writers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .model import (
     KNOT,
     CalmWaterCurve,
     ProcessingReport,
+    QualityFlag,
     Sample,
     SchemaError,
     ShipParticulars,
@@ -26,6 +29,7 @@ from .model import (
     StageEntry,
     VariableSpec,
     VoyageDataset,
+    generated_header,
     iso_timestamp,
     new_dataset,
     parse_iso_timestamp,
@@ -192,9 +196,8 @@ def load_ship_csv(
             try:
                 v = float(cell) * factors.get(col, 1.0)
             except ValueError:
-                unparseable[col] = unparseable.get(col, 0) + 1
-                continue
-            if col == "lat" and not -90.0 <= v <= 90.0:
+                v = math.nan
+            if not math.isfinite(v) or (col == "lat" and not -90.0 <= v <= 90.0):
                 unparseable[col] = unparseable.get(col, 0) + 1
                 continue
             values[col] = v
@@ -221,6 +224,36 @@ def load_ship_csv(
     return new_dataset(schema, samples, source_kind=source_kind)
 
 
+def csv_cell(value: float | str | int | None) -> str:
+    """One written CSV cell: ``repr`` of a number (lossless round-trip),
+    text as-is, empty for a missing value."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def sample_cells(sample: Sample, names: list[str]) -> list[str]:
+    """A sample's timestamp and the cells of the named variables."""
+    values = sample.values
+    return [iso_timestamp(sample.timestamp)] + [csv_cell(values.get(n)) for n in names]
+
+
+def write_csv(
+    path: str | Path,
+    preamble: Iterable[str],
+    header: list[str],
+    rows: Iterable[list[str]],
+) -> None:
+    """Write ``preamble`` lines, then the header and ``rows`` as CSV; rows
+    are consumed one at a time, so a generator keeps memory flat."""
+    with Path(path).open("w", newline="") as fh:
+        for line in preamble:
+            fh.write(line + "\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_ship_csv(
     dataset: VoyageDataset,
     path: str | Path,
@@ -232,60 +265,44 @@ def write_ship_csv(
     Values are written with ``repr`` so a reload reproduces them bit-exact
     (when no unit conversion is applied).
     """
-    unit_map = dict(unit_map or {})
-    factors = {col: _unit_factor(u) for col, u in unit_map.items()}
+    factors = {col: _unit_factor(u) for col, u in (unit_map or {}).items()}
     names = [s.name for s in dataset.schema]
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if timestamp_header:
-            import datetime
+    scales = [(name, factors.get(name, 1.0)) for name in names]
 
-            now = datetime.datetime.now(datetime.timezone.utc)
-            fh.write(f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}\n")
-        w = csv.writer(fh)
-        w.writerow(["timestamp"] + names)
+    def rows():
         for s in dataset.samples:
             row = [iso_timestamp(s.timestamp)]
-            for name in names:
+            for name, f in scales:
                 v = s.values.get(name)
-                if v is None:
-                    row.append("")
-                elif isinstance(v, str):
-                    row.append(v)
-                else:
-                    row.append(repr(v / factors.get(name, 1.0)))
-            w.writerow(row)
+                row.append(csv_cell(v / f if isinstance(v, float) else v))
+            yield row
+
+    preamble = [generated_header()] if timestamp_header else []
+    write_csv(path, preamble, ["timestamp"] + names, rows())
 
 
 def save_dataset(dataset: VoyageDataset, path: str | Path) -> None:
     """Self-describing dump: schema header lines, then CSV with flags and
     trip ids. Round-trips exactly through :func:`load_dataset`."""
-    path = Path(path)
     names = [s.name for s in dataset.schema]
-    with path.open("w", newline="") as fh:
-        for s in dataset.schema:
-            vmin = "" if s.valid_min is None else repr(s.valid_min)
-            vmax = "" if s.valid_max is None else repr(s.valid_max)
-            fh.write(f"#schema {s.name};{s.unit};{s.kind};{s.role};{vmin};{vmax}\n")
-        fh.write(f"#source {dataset.source_kind}\n")
-        if dataset.sampling_interval is not None:
-            fh.write(f"#interval {dataset.sampling_interval}\n")
-        w = csv.writer(fh)
-        w.writerow(["timestamp"] + names + ["trip_id", "flags"])
-        for s in dataset.samples:
-            row = [iso_timestamp(s.timestamp)]
-            for name in names:
-                v = s.values.get(name)
-                row.append("" if v is None else (v if isinstance(v, str) else repr(v)))
-            row.append("" if s.trip_id is None else str(s.trip_id))
-            row.append("|".join(sorted(f.value for f in s.flags)))
-            w.writerow(row)
+    preamble = [
+        f"#schema {s.name};{s.unit};{s.kind};{s.role};"
+        f"{csv_cell(s.valid_min)};{csv_cell(s.valid_max)}"
+        for s in dataset.schema
+    ]
+    preamble.append(f"#source {dataset.source_kind}")
+    if dataset.sampling_interval is not None:
+        preamble.append(f"#interval {dataset.sampling_interval}")
+    rows = (
+        sample_cells(s, names)
+        + [csv_cell(s.trip_id), "|".join(sorted(f.value for f in s.flags))]
+        for s in dataset.samples
+    )
+    write_csv(path, preamble, ["timestamp"] + names + ["trip_id", "flags"], rows)
 
 
 def load_dataset(path: str | Path) -> VoyageDataset:
     """Reload a dataset written by :func:`save_dataset`."""
-    from .model import QualityFlag
-
     path = Path(path)
     schema: list[VariableSpec] = []
     source_kind = "in_service"
@@ -573,8 +590,7 @@ def load_particulars(
             wind_reference_height=fnum("wind_reference_height"),
             calm_water_curves=tuple(curves),
             envelope=envelope,
-            rpm_threshold=fnum("rpm_threshold") or 10.0,
-            sog_threshold=fnum("sog_threshold") or 3.0 * KNOT,
+            **{k: fnum(k) for k in ("rpm_threshold", "sog_threshold") if k in kv},
         )
     except SchemaError as exc:
         raise IngestError(f"{path}: {exc}") from None

@@ -19,6 +19,7 @@ Derived stages add ``hc_*`` (hindcast), ``raw_*`` (pre-correction originals),
 
 from __future__ import annotations
 
+import datetime
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -29,6 +30,11 @@ import numpy as np
 
 KNOT = 1852.0 / 3600.0
 """One international knot in m/s."""
+
+RPM_THRESHOLD = 10.0
+"""Default shaft speed (rpm) above which a sample counts as in-trip."""
+SOG_THRESHOLD = 3.0 * KNOT
+"""Default speed over ground (m/s) above which a sample counts as in-trip."""
 
 SOURCE_KINDS = ("in_service", "ais", "noon_report")
 VARIABLE_KINDS = ("linear", "angular", "text")
@@ -144,8 +150,6 @@ class Sample:
 
 def iso_timestamp(ts: int) -> str:
     """Epoch seconds -> ISO-8601 UTC string with Z suffix."""
-    import datetime
-
     return (
         datetime.datetime.fromtimestamp(int(ts), tz=datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -154,8 +158,6 @@ def iso_timestamp(ts: int) -> str:
 
 def parse_iso_timestamp(text: str) -> int:
     """ISO-8601 UTC string -> epoch seconds (1 s resolution)."""
-    import datetime
-
     cleaned = text.strip()
     if cleaned.endswith("Z"):
         cleaned = cleaned[:-1] + "+00:00"
@@ -163,6 +165,12 @@ def parse_iso_timestamp(text: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=datetime.timezone.utc)
     return int(dt.timestamp())
+
+
+def generated_header() -> str:
+    """The ``# generated <now>`` first line of written files (no newline)."""
+    now = datetime.datetime.now(datetime.timezone.utc)
+    return f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}"
 
 
 def _normalise_value(spec: VariableSpec, name: str, value: float | str):
@@ -278,6 +286,40 @@ class VoyageDataset:
     def trip_indices(self, trip_id: int) -> np.ndarray:
         return np.nonzero(self.trip_ids == trip_id)[0]
 
+    # -- row selection shared by the stages ---------------------------------
+
+    def in_trip_or_all(self) -> np.ndarray:
+        """In-trip rows, or every row when no trips are assigned."""
+        in_trip = self.in_trip_mask()
+        return in_trip if in_trip.any() else np.ones(len(self.samples), dtype=bool)
+
+    def trip_groups(self) -> list[np.ndarray]:
+        """Row indices per trip in trip-id order, or the whole series as one
+        group when no trips are assigned."""
+        ids = self.trip_ids
+        if (ids >= 0).any():
+            return [self.trip_indices(t) for t in np.unique(ids[ids >= 0])]
+        return [np.arange(len(self.samples))]
+
+    def flagged(self, *flags: QualityFlag) -> np.ndarray:
+        """Rows carrying at least one of ``flags``."""
+        wanted = frozenset(flags)
+        return np.fromiter(
+            (not wanted.isdisjoint(s.flags) for s in self.samples),
+            dtype=bool,
+            count=len(self.samples),
+        )
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Latitude and longitude columns (NaN where absent or undeclared) and
+        the mask of usable positions: both present and not flagged
+        ``irrational_position``."""
+        n = len(self.samples)
+        lat = self.column("lat") if self.declares("lat") else np.full(n, np.nan)
+        lon = self.column("lon") if self.declares("lon") else np.full(n, np.nan)
+        ok = ~np.isnan(lat) & ~np.isnan(lon) & ~self.flagged(QualityFlag.IRRATIONAL_POSITION)
+        return lat, lon, ok
+
     # -- functional updates -------------------------------------------------
 
     def _rebuild(self, samples: Iterable[Sample], schema=None, **kw) -> "VoyageDataset":
@@ -355,6 +397,22 @@ class VoyageDataset:
         return self._rebuild(self.samples, sampling_interval=seconds)
 
 
+def add_flags(
+    dataset: VoyageDataset,
+    flags_by_index: Mapping[int, Iterable[QualityFlag]],
+    entry: StageEntry | None,
+) -> VoyageDataset:
+    """``dataset.adding_flags(flags_by_index)``, counting in ``entry`` each
+    (sample, flag) pair that the sample did not carry yet, so a flag set
+    again by a later stage or loop iteration is counted once."""
+    if entry is not None:
+        samples = dataset.samples
+        for i, flags in flags_by_index.items():
+            for flag in frozenset(flags) - samples[i].flags:
+                entry.count_flag(flag)
+    return dataset.adding_flags(flags_by_index)
+
+
 def new_dataset(
     schema: Sequence[VariableSpec],
     samples: Iterable[Sample],
@@ -428,8 +486,8 @@ class ShipParticulars:
     wind_reference_height: float | None = None
     calm_water_curves: tuple[CalmWaterCurve, ...] = ()
     envelope: tuple[tuple[float, float], ...] | None = None
-    rpm_threshold: float = 10.0
-    sog_threshold: float = 3.0 * KNOT
+    rpm_threshold: float = RPM_THRESHOLD
+    sog_threshold: float = SOG_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.lwl is None and self.lpp is None:
@@ -537,16 +595,6 @@ class ProcessingReport:
         self.stage_entries.append(entry)
         return entry
 
-    def record_new_flags(
-        self, entry: StageEntry, before: VoyageDataset | None, after: VoyageDataset
-    ) -> None:
-        """Count and detail flags present in ``after`` but not ``before``."""
-        for i, s in enumerate(after.samples):
-            old = before.samples[i].flags if before is not None else frozenset()
-            for flag in sorted(s.flags - old, key=lambda f: f.value):
-                entry.count_flag(flag)
-                entry.check(flag.value, timestamp=s.timestamp, variable=None)
-
     def covers(self, dataset: VoyageDataset) -> bool:
         """True when every flagged sample has at least one report detail."""
         detailed = {
@@ -569,12 +617,7 @@ class ProcessingReport:
         return {"stages": [e.to_dict() for e in self.stage_entries]}
 
     def to_text(self, timestamp_header: bool = True) -> str:
-        import datetime
-
-        lines: list[str] = []
-        if timestamp_header:
-            now = datetime.datetime.now(datetime.timezone.utc)
-            lines.append(f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}")
+        lines: list[str] = [generated_header()] if timestamp_header else []
         lines.append("PROCESSING REPORT")
         for e in self.stage_entries:
             lines.append("")

@@ -17,15 +17,22 @@ from .ingest import (
     HindcastGrid,
     IngestError,
     PipelineConfig,
+    csv_cell,
     load_hindcast,
     load_particulars,
     load_ship_csv,
+    sample_cells,
+    write_csv,
 )
 from .model import (
+    RPM_THRESHOLD,
+    SOG_THRESHOLD,
     ProcessingReport,
     QualityFlag,
     ShipParticulars,
+    VariableSpec,
     VoyageDataset,
+    generated_header,
     iso_timestamp,
 )
 from .timeline import SegmentationError, TripIndex
@@ -77,10 +84,7 @@ def _carry_fixed(base: VoyageDataset, work: VoyageDataset) -> VoyageDataset:
     for spec in work.schema:
         if not spec.name.startswith("fixed_") or base.declares(spec.name):
             continue
-        col = work.column(spec.name)
-        base = base.adding_variable(
-            spec, [None if np.isnan(v) else float(v) for v in col]
-        )
+        base = base.adding_variable(spec, work.column(spec.name))
     return base
 
 
@@ -118,15 +122,11 @@ def _validate(
 ) -> tuple[VoyageDataset, dict]:
     work = validation.check_power_identity(work, config.power_tolerance, report)
     work = validation.check_speed_power(work, particulars, report)
-    pre_fault = sum(
-        1 for s in work.samples if QualityFlag.ANGULAR_AVERAGING_FAULT in s.flags
-    )
+    pre_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
     for variable in ("heading", "rel_wind_dir"):
         if work.declares(variable) and work.has_data(variable):
             work = validation.detect_angular_fault(work, variable, report=report)
-    post_fault = sum(
-        1 for s in work.samples if QualityFlag.ANGULAR_AVERAGING_FAULT in s.flags
-    )
+    post_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
     validation.check_stw(work, config.stw_tolerance, report)
     # first pass validates the data as recorded, exposing any fault cluster;
     # loop iterations validate with the substituted values applied
@@ -195,15 +195,16 @@ def run_pipeline(
             elif config.trip_method == "port_names":
                 trip_index, dataset = timeline.segment_by_ports(dataset)
             else:
-                rpm_thr = config.rpm_threshold
-                sog_thr = config.sog_threshold
-                if particulars is not None:
-                    rpm_thr = rpm_thr if rpm_thr is not None else particulars.rpm_threshold
-                    sog_thr = sog_thr if sog_thr is not None else particulars.sog_threshold
+                # the config overrides the particulars, which override the defaults
+                rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
+                if rpm_thr is None:
+                    rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
+                if sog_thr is None:
+                    sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
                 trip_index, dataset = timeline.segment_by_thresholds(
                     dataset,
-                    rpm_threshold=rpm_thr if rpm_thr is not None else 10.0,
-                    sog_threshold=sog_thr if sog_thr is not None else 3.0 * 1852 / 3600,
+                    rpm_threshold=rpm_thr,
+                    sog_threshold=sog_thr,
                     pad_samples=config.pad_samples,
                 )
             entry.summary["method"] = trip_index.method
@@ -358,17 +359,13 @@ def _hydrostatics_stage(
     config: PipelineConfig,
     report: ProcessingReport,
 ) -> VoyageDataset:
-    from .model import VariableSpec
-
     entry = report.stage("hydrostatics")
     if not (dataset.has_data("draft_fore") and dataset.has_data("draft_aft")):
         entry.notes.append("draft sensors absent; stage skipped")
         return dataset
     fore = dataset.column("draft_fore")
     aft = dataset.column("draft_aft")
-    in_trip = dataset.in_trip_mask()
-    if not in_trip.any():
-        in_trip = np.ones(len(dataset), dtype=bool)
+    in_trip = dataset.in_trip_or_all()
 
     mean_draft = [None] * len(dataset)
     trim = [None] * len(dataset)
@@ -452,27 +449,17 @@ def write_processed_csv(
 ) -> None:
     """Processed data: original + derived columns, trip ids and one 0/1
     column per quality flag. Floats use repr for lossless round-trips."""
-    import csv
-    import datetime
-
-    path = Path(path)
     names = [s.name for s in dataset.schema]
-    flag_names = [f.value for f in QualityFlag]
-    with path.open("w", newline="") as fh:
-        if timestamp_header:
-            now = datetime.datetime.now(datetime.timezone.utc)
-            fh.write(f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}\n")
-        w = csv.writer(fh)
-        w.writerow(["timestamp"] + names + ["trip_id"] + [f"flag_{n}" for n in flag_names])
-        for s in dataset.samples:
-            row = [iso_timestamp(s.timestamp)]
-            for name in names:
-                v = s.values.get(name)
-                row.append("" if v is None else (v if isinstance(v, str) else repr(v)))
-            row.append("" if s.trip_id is None else str(s.trip_id))
-            present = {f.value for f in s.flags}
-            row.extend("1" if n in present else "0" for n in flag_names)
-            w.writerow(row)
+    flags = list(QualityFlag)
+    header = ["timestamp"] + names + ["trip_id"] + [f"flag_{f.value}" for f in flags]
+    rows = (
+        sample_cells(s, names)
+        + [csv_cell(s.trip_id)]
+        + ["1" if f in s.flags else "0" for f in flags]
+        for s in dataset.samples
+    )
+    preamble = [generated_header()] if timestamp_header else []
+    write_csv(path, preamble, header, rows)
 
 
 def write_report_files(
@@ -509,37 +496,28 @@ def emit_plotdata(
     """Write plain-CSV plot inputs: one time-series file per trip, a
     speed-power scatter with curve overlays, the longitudinal wind
     comparison, and the draft correction before/after series."""
-    import csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def write_csv(name: str, header: list[str], rows: list[list]) -> None:
+    def write(name: str, header: list[str], rows) -> None:
         p = out_dir / name
-        with p.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        write_csv(p, [], header, rows)
         written.append(p)
+
+    def stamp(i: int) -> str:
+        return iso_timestamp(dataset.samples[i].timestamp)
 
     present_vars = [
         v for v in PLOT_VARIABLES if dataset.declares(v) and dataset.has_data(v)
     ]
     if trip_index is not None:
         for trip in trip_index.trips:
-            idx = np.nonzero(dataset.trip_ids == trip.trip_id)[0]
-            rows = []
-            for i in idx:
-                s = dataset.samples[i]
-                row = [iso_timestamp(s.timestamp)]
-                for v in present_vars:
-                    val = s.values.get(v)
-                    row.append("" if val is None else repr(val))
-                rows.append(row)
-            write_csv(
-                f"trip_{trip.trip_id:03d}.csv", ["timestamp"] + present_vars, rows
+            rows = (
+                sample_cells(dataset.samples[i], present_vars)
+                for i in dataset.trip_indices(trip.trip_id)
             )
+            write(f"trip_{trip.trip_id:03d}.csv", ["timestamp"] + present_vars, rows)
 
     # speed-power scatter with the calm-water curve value at the same speed
     rows = []
@@ -547,23 +525,16 @@ def emit_plotdata(
     if dataset.declares("stw") and dataset.declares("shaft_power"):
         stw = dataset.column("stw")
         pwr = dataset.column("shaft_power")
-        for i in range(len(dataset)):
-            if np.isnan(stw[i]) or np.isnan(pwr[i]):
-                continue
-            ref = curve.power_at(float(stw[i])) if curve is not None else None
-            rows.append(
-                [
-                    iso_timestamp(dataset.samples[i].timestamp),
-                    repr(float(stw[i])),
-                    repr(float(pwr[i])),
-                    "" if ref is None else repr(ref),
-                ]
-            )
-    write_csv(
-        "speed_power.csv",
-        ["timestamp", "stw", "shaft_power", "curve_power"],
-        rows,
-    )
+        rows = (
+            [
+                stamp(i),
+                csv_cell(float(stw[i])),
+                csv_cell(float(pwr[i])),
+                csv_cell(curve.power_at(float(stw[i])) if curve is not None else None),
+            ]
+            for i in np.nonzero(~np.isnan(stw) & ~np.isnan(pwr))[0]
+        )
+    write("speed_power.csv", ["timestamp", "stw", "shaft_power", "curve_power"], rows)
 
     # longitudinal wind comparison: ship-derived vs hindcast (head positive)
     rows = []
@@ -573,40 +544,33 @@ def emit_plotdata(
         onboard = validation.onboard_longitudinal_wind(dataset)
         hc = dataset.column("rel_wind_long")
         sog = dataset.column("sog") if dataset.declares("sog") else np.full(len(dataset), np.nan)
-        for i in range(len(dataset)):
-            if np.isnan(onboard[i]) or np.isnan(hc[i]) or np.isnan(sog[i]):
-                continue
-            faulted = QualityFlag.ANGULAR_AVERAGING_FAULT in dataset.samples[i].flags
-            rows.append(
-                [
-                    iso_timestamp(dataset.samples[i].timestamp),
-                    repr(float(onboard[i] - sog[i])),
-                    repr(float(hc[i] - sog[i])),
-                    "1" if faulted else "0",
-                ]
-            )
-    write_csv(
+        faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
+        rows = (
+            [
+                stamp(i),
+                csv_cell(float(onboard[i] - sog[i])),
+                csv_cell(float(hc[i] - sog[i])),
+                "1" if faulted[i] else "0",
+            ]
+            for i in np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
+        )
+    write(
         "wind_comparison.csv",
         ["timestamp", "ship_long_wind", "hindcast_long_wind", "angular_fault"],
         rows,
     )
 
-    # draft correction before/after
-    rows = []
+    # draft correction before/after, for samples with any draft value
     draft_cols = [
         c
         for c in ("raw_draft_fore", "draft_fore", "raw_draft_aft", "draft_aft")
         if dataset.declares(c)
     ]
-    if draft_cols:
-        for s in dataset.samples:
-            row = [iso_timestamp(s.timestamp), "" if s.trip_id is None else str(s.trip_id)]
-            got_any = False
-            for c in draft_cols:
-                v = s.values.get(c)
-                row.append("" if v is None else repr(v))
-                got_any = got_any or v is not None
-            if got_any:
-                rows.append(row)
-    write_csv("draft_correction.csv", ["timestamp", "trip_id"] + draft_cols, rows)
+    rows = (
+        [iso_timestamp(s.timestamp), csv_cell(s.trip_id)]
+        + [csv_cell(s.values.get(c)) for c in draft_cols]
+        for s in dataset.samples
+        if any(c in s.values for c in draft_cols)
+    )
+    write("draft_correction.csv", ["timestamp", "trip_id"] + draft_cols, rows)
     return written

@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    KNOT,
+    RPM_THRESHOLD,
+    SOG_THRESHOLD,
     ProcessingReport,
     QualityFlag,
     Sample,
@@ -48,12 +49,6 @@ class TripIndex:
         for (s1, e1, _), (s2, _, _) in zip(spans, spans[1:]):
             if s2 <= e1:
                 raise SegmentationError("trips and berth legs must be disjoint")
-
-    def trip_of(self, timestamp: int) -> int | None:
-        for t in self.trips:
-            if t.start <= timestamp <= t.end:
-                return t.trip_id
-        return None
 
 
 def regularize(
@@ -97,18 +92,25 @@ def regularize(
             lose = s
             if offset < keep_off:
                 keep, keep_off, lose = s, offset, keep
-            slots[idx] = (replace(keep, flags=keep.flags | {QualityFlag.DROPOUT}), keep_off)
+            slots[idx] = (keep, keep_off)
             collisions.append((int(lose.timestamp), idx))
         else:
             slots[idx] = (s, offset)
 
+    dropout_slots = {idx for _, idx in collisions}
+    new_dropouts = 0
     last_idx = max(slots)
     samples: list[Sample] = []
     inserted = 0
     for idx in range(last_idx + 1):
         ts = t0 + idx * interval_s
         if idx in slots:
-            samples.append(replace(slots[idx][0], timestamp=ts))
+            kept = slots[idx][0]
+            flags = kept.flags
+            if idx in dropout_slots:
+                new_dropouts += QualityFlag.DROPOUT not in flags
+                flags = flags | {QualityFlag.DROPOUT}
+            samples.append(replace(kept, timestamp=ts, flags=flags))
         else:
             inserted += 1
             samples.append(Sample(ts, {}, frozenset({QualityFlag.MISSING_INSERTED})))
@@ -116,7 +118,7 @@ def regularize(
         entry.summary["inserted_rows"] = inserted
         entry.summary["snapped_samples"] = snapped
         entry.count_flag(QualityFlag.MISSING_INSERTED, inserted)
-        entry.count_flag(QualityFlag.DROPOUT, len(collisions))
+        entry.count_flag(QualityFlag.DROPOUT, new_dropouts)
         for ts, idx in collisions:
             entry.check(
                 "dropout",
@@ -217,9 +219,7 @@ def resample(
         source_kind=dataset.source_kind,
     )
     if entry is not None:
-        n_inserted = sum(
-            1 for s in out.samples if QualityFlag.MISSING_INSERTED in s.flags
-        )
+        n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
         entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
         entry.summary["mode"] = mode
         entry.summary["rows_out"] = len(out)
@@ -283,8 +283,8 @@ def segment_by_state(
 
 def segment_by_thresholds(
     dataset: VoyageDataset,
-    rpm_threshold: float = 10.0,
-    sog_threshold: float = 3.0 * KNOT,
+    rpm_threshold: float = RPM_THRESHOLD,
+    sog_threshold: float = SOG_THRESHOLD,
     pad_samples: int = 2,
 ) -> tuple[TripIndex, VoyageDataset]:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its

@@ -20,6 +20,7 @@ from .model import (
     ShipParticulars,
     VariableSpec,
     VoyageDataset,
+    add_flags,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -84,7 +85,7 @@ def check_power_identity(
             else:
                 derived_n[i] = pwr[i] / (TWO_PI * tau[i]) * 60.0 if tau[i] != 0 else None
 
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     for name, unit, col in (
         ("derived_shaft_power", "W", derived_p),
         ("derived_shaft_rpm", "rpm", derived_n),
@@ -95,7 +96,6 @@ def check_power_identity(
                 VariableSpec(name, unit, "linear", role="operating_point"), col
             )
     if entry is not None:
-        entry.count_flag(QualityFlag.INVALID_RANGE, len(flags))
         entry.summary.update(
             {"checked": checked, "failed": failed, "derived": derived}
         )
@@ -137,9 +137,7 @@ def check_speed_power(
     stw = dataset.column("stw")
     pwr = dataset.column("shaft_power")
     rpm = dataset.column("shaft_rpm") if dataset.declares("shaft_rpm") else np.full(len(dataset), np.nan)
-    in_trip = dataset.in_trip_mask()
-    if not in_trip.any():
-        in_trip = np.ones(len(dataset), dtype=bool)
+    in_trip = dataset.in_trip_or_all()
 
     deviations = []
     skipped = 0
@@ -164,9 +162,8 @@ def check_speed_power(
                         expected=None,
                         observed=(float(rpm[i]), float(pwr[i])),
                     )
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     if entry is not None:
-        entry.count_flag(QualityFlag.INVALID_RANGE, len(flags))
         entry.summary["curve"] = curve.label
         entry.summary["compared"] = len(deviations)
         entry.summary["skipped_outside_curve"] = skipped
@@ -270,13 +267,13 @@ def check_longitudinal_wind(
     result["compared"] = int(good.sum())
     big = good & (np.abs(resid) > tolerance)
     result["beyond_tolerance"] = int(big.sum())
+    faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
     for i in np.nonzero(big)[0]:
-        faulted = QualityFlag.ANGULAR_AVERAGING_FAULT in dataset.samples[i].flags
-        if faulted:
+        if faulted[i]:
             result["cross_referenced"] += 1
         if entry is not None:
             entry.check(
-                "mismatch+angular_fault" if faulted else "mismatch",
+                "mismatch+angular_fault" if faulted[i] else "mismatch",
                 timestamp=dataset.samples[i].timestamp,
                 variable="rel_wind_long",
                 expected=float(hc_side[i]),
@@ -350,7 +347,7 @@ def detect_angular_fault(
         if near_wrap and angular_difference(r, ref) > difference_threshold:
             flags[i] = {QualityFlag.ANGULAR_AVERAGING_FAULT}
             fixed[i] = float(ref)
-    out = dataset.adding_flags(flags)
+    out = add_flags(dataset, flags, entry)
     fixed_name = f"fixed_{variable}"
     if any(v is not None for v in fixed):
         if out.declares(fixed_name):
@@ -363,7 +360,6 @@ def detect_angular_fault(
                 fixed,
             )
     if entry is not None:
-        entry.count_flag(QualityFlag.ANGULAR_AVERAGING_FAULT, len(flags))
         entry.summary["flagged"] = len(flags)
         for i in sorted(flags):
             entry.check(

@@ -26,6 +26,19 @@ from shipdataprep.model import (
 )
 
 
+def test_dropout_in_two_variables_counts_one_pair():
+    ds = series_dataset({
+        "a": [1.0, 2.0, 3.0, 0.0, 5.0, 6.0, 7.0, 8.0],
+        "b": [10.0, 11.0, 12.0, 0.0, 14.0, 15.0, 16.0, 17.0],
+    })
+    report = ProcessingReport()
+    out = contextual_filter(ds, report=report)
+    assert [sorted(f.value for f in s.flags) for s in out.samples][3] == ["dropout"]
+    entry = report.stage_entries[0]
+    assert entry.flag_counts == {"dropout": 1}
+    assert len(entry.checks) == 2  # one row of evidence per variable
+
+
 def dataset_with_ranges(values, lo=0.0, hi=200.0, name="shaft_rpm"):
     schema = [VariableSpec(name, valid_min=lo, valid_max=hi)]
     samples = [

@@ -12,7 +12,7 @@ from shipdataprep.ingest import (
     load_ship_csv,
     write_ship_csv,
 )
-from shipdataprep.model import ProcessingReport
+from shipdataprep.model import KNOT, ProcessingReport
 
 
 class TestShipCsv:
@@ -56,6 +56,31 @@ class TestShipCsv:
             rows.append(f"2021-01-01T00:{i:02d}:00Z,{'bogus' if i < 6 else '4.0'}")
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestError, match="stw"):
+            load_ship_csv(p)
+
+    def test_non_finite_cells_unparseable(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_text(
+            "timestamp,heading,sog\n"
+            "2021-01-01T00:00:00Z,4.0,inf\n"
+            "2021-01-01T00:15:00Z,nan,5.0\n"
+            "2021-01-01T00:30:00Z,1e400,-inf\n"
+        )
+        report = ProcessingReport()
+        ds = load_ship_csv(p, report=report)
+        assert [s.values for s in ds.samples] == [{"heading": 4.0}, {"sog": 5.0}, {}]
+        assert report.stage_entries[0].notes == [
+            "column heading: 2 unparseable cell(s) -> missing",
+            "column sog: 2 unparseable cell(s) -> missing",
+        ]
+
+    def test_non_finite_cells_count_toward_bare_minimum_rule(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        rows = ["timestamp,stw"]
+        for i in range(10):
+            rows.append(f"2021-01-01T00:{i:02d}:00Z,{'nan' if i < 6 else '4.0'}")
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(IngestError, match="stw: 6/10"):
             load_ship_csv(p)
 
     def test_unknown_column_auto_declared(self, tmp_path):
@@ -179,6 +204,16 @@ class TestParticulars:
         p.write_text("ship_type = submarine\nlwl = 100\nbeam = 20\ndesign_draft = 5\n")
         with pytest.raises(IngestError, match="crude_oil_carrier"):
             load_particulars(p)
+
+    def test_explicit_zero_thresholds_kept(self, tmp_path):
+        part = load_particulars(
+            self.base(tmp_path, "rpm_threshold = 0\nsog_threshold = 0\n")
+        )
+        assert (part.rpm_threshold, part.sog_threshold) == (0.0, 0.0)
+
+    def test_absent_thresholds_take_defaults(self, tmp_path):
+        part = load_particulars(self.base(tmp_path))
+        assert (part.rpm_threshold, part.sog_threshold) == (10.0, 3.0 * KNOT)
 
     def test_curves_parsed(self, tmp_path):
         part = load_particulars(

@@ -75,6 +75,24 @@ class TestFullVoyage:
         assert wind_entries[-1].summary["beyond_tolerance"] == 0
         assert wind_entries[0].summary["cross_referenced"] > 0
 
+    def test_flag_counts_match_dataset_pairs(self, tmp_path):
+        # each (sample, flag) pair is counted once, although the second
+        # error-loop iteration flags the same angular faults again
+        paths = VoyageBuilder(
+            tmp_path, wind="head_east", wind_dir_fault=True
+        ).build()
+        result = run(paths)
+        counted: dict[str, int] = {}
+        for entry in result.report.stage_entries:
+            for flag, n in entry.flag_counts.items():
+                counted[flag] = counted.get(flag, 0) + n
+        pairs: dict[str, int] = {}
+        for s in result.dataset.samples:
+            for flag in s.flags:
+                pairs[flag.value] = pairs.get(flag.value, 0) + 1
+        assert counted == pairs
+        assert counted["angular_averaging_fault"] == 120
+
     def test_no_fault_voyage_single_iteration(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths)
@@ -186,6 +204,21 @@ class TestCli:
             outs.append(out)
         for artifact in ("processed.csv", "report.json", "report.txt"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+    def test_non_finite_cell_is_missing_not_fatal(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        lines = paths["ship_csv"].read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[5].split(",")
+        cells[header.index("sog")] = "inf"
+        lines[5] = ",".join(cells)
+        paths["ship_csv"].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(paths["config"]), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        ingest = next(e for e in report["stages"] if e["stage"] == "ingest:ship_csv")
+        assert "column sog: 1 unparseable cell(s) -> missing" in ingest["notes"]
 
     def test_missing_hindcast_exits_one(self, tmp_path, capsys):
         paths = VoyageBuilder(tmp_path).build()

@@ -66,6 +66,18 @@ class TestRegularize:
         assert QualityFlag.DROPOUT in kept.flags
         assert report.stage_entries[0].flag_counts["dropout"] == 1
 
+    def test_three_samples_on_one_slot_count_one_dropout(self):
+        from shipdataprep.model import ProcessingReport
+
+        report = ProcessingReport()
+        ds = regularize(
+            ts_dataset([0, 902, 910, 1190, 1800], [0.0, 1.0, 2.0, 3.0, 4.0]), 900, report
+        )
+        assert [s.values["x"] for s in ds.samples] == [0.0, 1.0, 4.0]
+        entry = report.stage_entries[0]
+        assert entry.flag_counts == {"dropout": 1}  # one flagged slot
+        assert len([c for c in entry.checks if c.verdict == "dropout"]) == 2  # two losses
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=25, unique=True)

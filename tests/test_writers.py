@@ -1,0 +1,176 @@
+"""Golden text of every CSV writer on a hand-built dataset: lossless float
+cells, quoting of text, missing cells, trip ids and flags. The expected text
+is fixed, so any change to a written format shows up here."""
+
+import pytest
+
+from conftest import T0
+from shipdataprep.ingest import load_dataset, load_ship_csv, save_dataset, write_ship_csv
+from shipdataprep.model import (
+    KNOT,
+    CalmWaterCurve,
+    QualityFlag,
+    Sample,
+    ShipParticulars,
+    ShipType,
+    VariableSpec,
+    new_dataset,
+)
+from shipdataprep.pipeline import emit_plotdata, write_processed_csv
+from shipdataprep.timeline import Trip, TripIndex
+
+
+def golden_dataset():
+    schema = [
+        VariableSpec("lat", "deg", "linear", -90.0, 90.0, "navigation"),
+        VariableSpec("lon", "deg", "linear", -180.0, 180.0, "navigation"),
+        VariableSpec("sog", "m/s", "linear", 0.0, 26.0, "navigation"),
+        VariableSpec("stw", "m/s", "linear"),
+        VariableSpec("shaft_power", "W", "linear"),
+        VariableSpec("draft_fore", "m", "linear", role="loading_condition"),
+        VariableSpec("raw_draft_fore", "m", "linear", role="loading_condition"),
+        VariableSpec("rel_wind_speed", "m/s", "linear"),
+        VariableSpec("rel_wind_dir", "deg", "angular"),
+        VariableSpec("rel_wind_long", "m/s", "linear"),
+        VariableSpec("note", "", "text", role="state"),
+    ]
+    samples = [
+        Sample(
+            T0,
+            {"lat": 0.1, "lon": -0.5, "sog": 0.1, "stw": 1e-300, "shaft_power": -0.0,
+             "draft_fore": 9.25, "rel_wind_speed": 8.0, "rel_wind_dir": 359.9,
+             "rel_wind_long": 7.9, "note": 'say "hi", then go'},
+            frozenset({QualityFlag.SPIKE, QualityFlag.ANGULAR_AVERAGING_FAULT}),
+            trip_id=1,
+        ),
+        Sample(
+            T0 + 900,
+            {"sog": 5.144444444444445, "stw": 2.0, "shaft_power": 1.5e6,
+             "draft_fore": 9.0, "raw_draft_fore": 8.6, "rel_wind_speed": 3.3,
+             "rel_wind_dir": 180.0, "rel_wind_long": -1.7, "note": "a,b"},
+            frozenset({QualityFlag.DRAFT_CORRECTED}),
+            trip_id=1,
+        ),
+        Sample(
+            T0 + 1800,
+            {"lat": -12.5, "lon": 179.99, "sog": -0.0, "stw": 123456789.123, "note": "x"},
+        ),
+        Sample(T0 + 2700, {}, frozenset({QualityFlag.MISSING_INSERTED})),
+    ]
+    return new_dataset(schema, samples, sampling_interval=900)
+
+
+def write_all(dataset, out):
+    particulars = ShipParticulars(
+        ShipType.BULK_CARRIER, beam=30.0, design_draft=10.0, lwl=180.0,
+        calm_water_curves=(CalmWaterCurve("sea_trial", ((1.0, 1.0e5), (3.0, 2.0e6))),),
+    )
+    trips = TripIndex((Trip(1, T0, T0 + 900),), (), "thresholds")
+    write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
+    save_dataset(dataset, out / "dataset.csv")
+    write_ship_csv(dataset, out / "ship.csv", unit_map={"sog": "knots"})
+    emit_plotdata(dataset, trips, out, particulars)
+    return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
+
+
+PROCESSED = (
+    'timestamp,lat,lon,sog,stw,shaft_power,draft_fore,raw_draft_fore,rel_wind_speed,'
+    'rel_wind_dir,rel_wind_long,note,trip_id,flag_missing_inserted,flag_invalid_range,'
+    'flag_repeated_value,flag_dropout,flag_spike,flag_unsteady,flag_irrational_position,'
+    'flag_irrational_speed,flag_angular_averaging_fault,flag_correlation_outlier,'
+    'flag_draft_corrected,flag_stale_ais_status\r\n'
+    '2020-09-13T12:26:40Z,0.1,-0.5,0.1,1e-300,-0.0,9.25,,8.0,359.9,7.9,"say ""hi"",'
+    ' then go",1,0,0,0,0,1,0,0,0,1,0,0,0\r\n'
+    '2020-09-13T12:41:40Z,,,5.144444444444445,2.0,1500000.0,9.0,8.6,3.3,180.0,-1.7,"a,b",'
+    '1,0,0,0,0,0,0,0,0,0,0,1,0\r\n'
+    '2020-09-13T12:56:40Z,-12.5,179.99,-0.0,123456789.123,,,,,,,x,,0,0,0,0,0,0,0,0,0,0,0,'
+    '0\r\n'
+    '2020-09-13T13:11:40Z,,,,,,,,,,,,,1,0,0,0,0,0,0,0,0,0,0,0\r\n'
+)
+DATASET = (
+    '#schema lat;deg;linear;navigation;-90.0;90.0\n'
+    '#schema lon;deg;linear;navigation;-180.0;180.0\n'
+    '#schema sog;m/s;linear;navigation;0.0;26.0\n'
+    '#schema stw;m/s;linear;other;;\n'
+    '#schema shaft_power;W;linear;other;;\n'
+    '#schema draft_fore;m;linear;loading_condition;;\n'
+    '#schema raw_draft_fore;m;linear;loading_condition;;\n'
+    '#schema rel_wind_speed;m/s;linear;other;;\n'
+    '#schema rel_wind_dir;deg;angular;other;;\n'
+    '#schema rel_wind_long;m/s;linear;other;;\n'
+    '#schema note;;text;state;;\n'
+    '#source in_service\n'
+    '#interval 900\n'
+    'timestamp,lat,lon,sog,stw,shaft_power,draft_fore,raw_draft_fore,rel_wind_speed,'
+    'rel_wind_dir,rel_wind_long,note,trip_id,flags\r\n'
+    '2020-09-13T12:26:40Z,0.1,-0.5,0.1,1e-300,-0.0,9.25,,8.0,359.9,7.9,"say ""hi"",'
+    ' then go",1,angular_averaging_fault|spike\r\n'
+    '2020-09-13T12:41:40Z,,,5.144444444444445,2.0,1500000.0,9.0,8.6,3.3,180.0,-1.7,"a,b",'
+    '1,draft_corrected\r\n'
+    '2020-09-13T12:56:40Z,-12.5,179.99,-0.0,123456789.123,,,,,,,x,,\r\n'
+    '2020-09-13T13:11:40Z,,,,,,,,,,,,,missing_inserted\r\n'
+)
+SHIP = (
+    'timestamp,lat,lon,sog,stw,shaft_power,draft_fore,raw_draft_fore,rel_wind_speed,'
+    'rel_wind_dir,rel_wind_long,note\r\n'
+    '2020-09-13T12:26:40Z,0.1,-0.5,0.19438444924406048,1e-300,-0.0,9.25,,8.0,359.9,7.9,'
+    '"say ""hi"", then go"\r\n'
+    '2020-09-13T12:41:40Z,,,10.0,2.0,1500000.0,9.0,8.6,3.3,180.0,-1.7,"a,b"\r\n'
+    '2020-09-13T12:56:40Z,-12.5,179.99,-0.0,123456789.123,,,,,,,x\r\n'
+    '2020-09-13T13:11:40Z,,,,,,,,,,,\r\n'
+)
+TRIP = (
+    'timestamp,sog,stw,shaft_power,draft_fore,lat,lon\r\n'
+    '2020-09-13T12:26:40Z,0.1,1e-300,-0.0,9.25,0.1,-0.5\r\n'
+    '2020-09-13T12:41:40Z,5.144444444444445,2.0,1500000.0,9.0,,\r\n'
+)
+SPEED_POWER = (
+    'timestamp,stw,shaft_power,curve_power\r\n'
+    '2020-09-13T12:26:40Z,1e-300,-0.0,\r\n'
+    '2020-09-13T12:41:40Z,2.0,1500000.0,1050000.0\r\n'
+)
+WIND = (
+    'timestamp,ship_long_wind,hindcast_long_wind,angular_fault\r\n'
+    '2020-09-13T12:26:40Z,7.899987815306302,7.800000000000001,1\r\n'
+    '2020-09-13T12:41:40Z,-8.444444444444445,-6.844444444444445,0\r\n'
+)
+DRAFT = (
+    'timestamp,trip_id,raw_draft_fore,draft_fore\r\n'
+    '2020-09-13T12:26:40Z,1,,9.25\r\n'
+    '2020-09-13T12:41:40Z,1,8.6,9.0\r\n'
+)
+
+
+def test_writers_match_golden_text(tmp_path):
+    got = write_all(golden_dataset(), tmp_path)
+    assert got == {
+        "dataset.csv": DATASET,
+        "draft_correction.csv": DRAFT,
+        "processed.csv": PROCESSED,
+        "ship.csv": SHIP,
+        "speed_power.csv": SPEED_POWER,
+        "trip_001.csv": TRIP,
+        "wind_comparison.csv": WIND,
+    }
+
+
+def test_save_dataset_round_trips_exactly(tmp_path):
+    ds = golden_dataset()
+    save_dataset(ds, tmp_path / "dataset.csv")
+    assert load_dataset(tmp_path / "dataset.csv") == ds
+
+
+def test_ship_csv_knots_round_trip(tmp_path):
+    ds = golden_dataset()
+    write_ship_csv(ds, tmp_path / "ship.csv", unit_map={"sog": "knots"})
+    back = load_ship_csv(tmp_path / "ship.csv", schema=list(ds.schema),
+                         unit_map={"sog": "knots"})
+    for before, after in zip(ds.samples, back.samples):
+        assert before.timestamp == after.timestamp
+        assert before.values.keys() == after.values.keys()
+        for name, v in before.values.items():
+            if name == "sog":
+                assert after.values[name] == pytest.approx(v, rel=1e-15, abs=0.0)
+            else:
+                assert after.values[name] == v
+    assert back.samples[1].values["sog"] == pytest.approx(10.0 * KNOT, rel=1e-15)
