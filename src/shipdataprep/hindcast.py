@@ -258,148 +258,102 @@ def clean_gps(
 
 
 # -- hindcast interpolation ----------------------------------------------------
+#
+# Every helper works on all samples at once, with the per-sample arithmetic
+# term by term and in the same order, so the results are the same floats.
 
 
-def _time_stencil(times: np.ndarray, t: float, count: int) -> np.ndarray | None:
-    """Indices of the ``count`` grid timestamps around t (consecutive,
-    containing the bracketing pair, nearest overall; ties biased to the
-    past). None when t lies outside the grid span or the grid is too short."""
+def _stencil_starts(times: np.ndarray, t: np.ndarray, count: int) -> np.ndarray:
+    """First index of the ``count`` consecutive grid timestamps around each t:
+    the window must bracket t, and the nearest one (least summed distance)
+    wins; ties go to the earlier window. Every t lies within the grid span
+    and ``count <= len(times)``."""
     n = len(times)
-    if count > n or t < times[0] or t > times[-1]:
-        return None
-    j = int(np.searchsorted(times, t))  # times[j-1] < t <= times[j]
-    best_s = None
-    best_cost = math.inf
-    for s in range(max(0, j - count), min(j + 1, n - count) + 1):
-        window = times[s : s + count]
-        if not (window[0] <= t <= window[-1]) and count > 1:
-            continue
-        cost = float(np.abs(window - t).sum())
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best_s = s
-    if best_s is None:  # count == 1 or degenerate; fall back to nearest
-        best_s = int(np.clip(j - 1, 0, n - count))
-    return np.arange(best_s, best_s + count)
+    j = np.searchsorted(times, t)  # times[j-1] < t <= times[j]
+    last = np.minimum(j + 1, n - count)
+    best = np.clip(j - 1, 0, n - count)
+    best_cost = np.full(len(t), np.inf)
+    for k in range(count + 2):  # candidate starts j - count .. j + 1
+        s = j - count + k
+        sc = np.clip(s, 0, n - count)
+        window = times[sc[:, None] + np.arange(count)]
+        # timestamps are whole seconds, so these sums are exact in any order
+        cost = np.abs(window - t[:, None]).sum(axis=1)
+        better = (
+            (s >= 0) & (s <= last) & (window[:, 0] <= t) & (t <= window[:, -1])
+            & (cost < best_cost - 1e-12)
+        )
+        best = np.where(better, sc, best)
+        best_cost = np.where(better, cost, best_cost)
+    return best
 
 
-def _cell(axis: np.ndarray, x: float) -> tuple[int, float] | None:
-    """Bracketing cell index and fractional position along a monotonic axis."""
+def _cells(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bracketing cell index, fractional position and in-range mask of each
+    x along a monotonic axis."""
     n = len(axis)
-    if n < 2 or x < axis[0] or x > axis[-1]:
-        return None
-    i = int(np.clip(np.searchsorted(axis, x, side="right") - 1, 0, n - 2))
+    if n < 2:
+        return np.zeros(len(x), dtype=np.intp), np.zeros(len(x)), np.zeros(len(x), dtype=bool)
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, n - 2)
     frac = (x - axis[i]) / (axis[i + 1] - axis[i])
-    return i, float(frac)
+    return i, frac, (x >= axis[0]) & (x <= axis[-1])
 
 
-def _lon_cell(lons: np.ndarray, lon: float) -> tuple[int, int, float] | None:
-    """Like _cell but handles the +-180 seam: when the grid nearly spans the
-    globe and the point falls in the seam gap, interpolate between the last
-    and first longitude columns."""
-    direct = _cell(lons, lon)
-    if direct is not None:
-        i, f = direct
-        return i, i + 1, f
+def _lon_cells(
+    lons: np.ndarray, lon: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Like _cells, with both node columns, and handling the +-180 seam: when
+    the grid nearly spans the globe, a point in the seam gap interpolates
+    between the last and first longitude columns."""
+    x0, fx, inside = _cells(lons, lon)
+    x1 = x0 + 1
     if len(lons) < 2:
-        return None
-    span_gap = (lons[0] + 360.0) - lons[-1]
-    if span_gap <= 0 or span_gap > 2.0 * float(np.max(np.diff(lons))):
-        return None
-    offset = (lon - lons[-1]) % 360.0
-    if offset > span_gap:
-        return None
-    return len(lons) - 1, 0, float(offset / span_gap)
+        return x0, x1, fx, inside
+    gap = (lons[0] + 360.0) - lons[-1]
+    if 0 < gap <= 2.0 * float(np.max(np.diff(lons))):
+        offset = (lon - lons[-1]) % 360.0
+        seam = ~inside & (offset <= gap)
+        x0 = np.where(seam, len(lons) - 1, x0)
+        x1 = np.where(seam, 0, x1)
+        fx = np.where(seam, offset / gap, fx)
+        inside = inside | seam
+    return x0, x1, fx, inside
 
 
 def _bilinear(
-    values: np.ndarray,
-    mask: np.ndarray,
-    yi: int,
-    x0: int,
-    x1: int,
-    fy: float,
-    fx: float,
+    field: np.ndarray,
+    corners: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
+    masked: list[np.ndarray],
+    weights: tuple[np.ndarray, ...],
     policy: str,
-) -> float | None:
-    nodes = np.array(
-        [values[yi, x0], values[yi, x1], values[yi + 1, x0], values[yi + 1, x1]]
-    )
-    masked = np.array(
-        [mask[yi, x0], mask[yi, x1], mask[yi + 1, x0], mask[yi + 1, x1]]
-    )
-    if masked.all():
-        return None
-    if masked.any():
-        if policy == "zero_fill":
-            nodes = np.where(masked, 0.0, nodes)
-        else:  # neighbor_mean
-            fill = nodes[~masked].mean()
-            nodes = np.where(masked, fill, nodes)
-    w = np.array(
-        [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx]
-    )
-    return float((w * nodes).sum())
+) -> np.ndarray:
+    """Weighted sum of the 4 cell nodes at each stencil time. Masked nodes
+    read 0 (``zero_fill``) or the mean of the cell's unmasked nodes
+    (``neighbor_mean``); cells with every node masked are left to the caller."""
+    values = [field[idx] for idx in corners]
+    if policy == "zero_fill":
+        values = [np.where(m, 0.0, v) for v, m in zip(values, masked)]
+    else:
+        total = np.full(values[0].shape, -0.0)  # -0.0 + v == v, as in np.sum
+        for v, m in zip(values, masked):
+            total = np.where(m, total, total + v)
+        unmasked = sum((~m).astype(int) for m in masked)
+        fill = total / np.maximum(unmasked, 1)
+        values = [np.where(m, fill, v) for v, m in zip(values, masked)]
+    w0, w1, w2, w3 = weights
+    return w0 * values[0] + w1 * values[1] + w2 * values[2] + w3 * values[3]
 
 
-def _lagrange(ts: np.ndarray, ys: np.ndarray, t: float) -> float:
-    total = 0.0
-    for j in range(len(ts)):
-        term = ys[j]
-        for m in range(len(ts)):
-            if m != j:
-                term *= (t - ts[m]) / (ts[j] - ts[m])
-        total += term
-    return float(total)
-
-
-def _interp_variable_at(
-    var: GridVariable,
-    grid: HindcastGrid,
-    t: float,
-    lat: float,
-    lon: float,
-    order: int,
-    policy: str,
-) -> float | None:
-    stencil = _time_stencil(grid.timestamps.astype(float), t, order + 1)
-    if stencil is None:
-        return None
-    cy = _cell(grid.latitudes, lat)
-    cx = _lon_cell(grid.longitudes, lon)
-    if cy is None or cx is None:
-        return None
-    yi, fy = cy
-    x0, x1, fx = cx
-
-    def spatial(values: np.ndarray) -> list[float] | None:
-        out = []
-        for ti in stencil:
-            v = _bilinear(values[ti], var.mask[ti], yi, x0, x1, fy, fx, policy)
-            if v is None:
-                return None
-            out.append(v)
-        return out
-
-    times = grid.timestamps[stencil].astype(float)
-    if var.is_angular:
-        rad = np.deg2rad(var.values)
-        sins = spatial(np.sin(rad))
-        coss = spatial(np.cos(rad))
-        if sins is None or coss is None:
-            return None
-        s = _lagrange(times, np.array(sins), t)
-        c = _lagrange(times, np.array(coss), t)
-        if s == 0.0 and c == 0.0:
-            return None
-        value = math.degrees(math.atan2(s, c)) % 360.0
-        if var.convention == "toward":
-            value = (value + 180.0) % 360.0
-        return value
-    vals = spatial(var.values)
-    if vals is None:
-        return None
-    return _lagrange(times, np.array(vals), t)
+def _lagrange(factors: list[list[np.ndarray]], ys: np.ndarray) -> np.ndarray:
+    """Polynomial through ``ys[:, j]`` at each sample's time; ``factors[j]``
+    holds (t - t_m) / (t_j - t_m) for every m != j, applied one at a time."""
+    total = np.zeros(len(ys))
+    for j, row in enumerate(factors):
+        term = ys[:, j]
+        for factor in row:
+            term = term * factor
+        total = total + term
+    return total
 
 
 def interpolate(
@@ -419,6 +373,12 @@ def interpolate(
     missing value. Samples with flagged or missing positions, or outside the
     grid's bounding box or time span, stay missing and are counted.
 
+    The work is done as array operations over all samples at once: one
+    ``searchsorted`` per axis finds every time stencil and cell, shared by
+    all variables; the nodes are gathered by fancy indexing; angular fields
+    take sin/cos of the grid once per call. The values and counts equal
+    those of the per-sample scalar reference in ``tests/hindcast_reference.py``.
+
     Results land in new ``hc_*`` variables; direction fields declared with a
     ``toward`` convention are converted to the internal from-convention.
     """
@@ -429,39 +389,65 @@ def interpolate(
     entry = report.stage("interpolate") if report is not None else None
 
     candidates = np.nonzero(dataset.in_trip_or_all())[0]
-    lat, lon, pos_ok = dataset.positions()
-    ts = dataset.timestamps.astype(float)
+    lat, lon, pos_ok = (a[candidates] for a in dataset.positions())
+    t = dataset.timestamps.astype(float)[candidates]
+    times = grid.timestamps.astype(float)
+    count = order + 1
+    in_span = pos_ok & (times[0] <= t) & (t <= times[-1]) & (len(times) >= count)
 
+    span_idx = np.nonzero(in_span)[0]
+    yi, fy, lat_in = _cells(grid.latitudes, lat[span_idx])
+    x0, x1, fx, lon_in = _lon_cells(grid.longitudes, lon[span_idx])
+    in_box = lat_in & lon_in
+    sel = span_idx[in_box]
+    yi, fy, x0, x1, fx = (a[in_box] for a in (yi, fy, x0, x1, fx))
+    t = t[sel]
+
+    stencil = _stencil_starts(times, t, count)[:, None] + np.arange(count)
+    ts = times[stencil]
+    factors = [
+        [(t - ts[:, m]) / (ts[:, j] - ts[:, m]) for m in range(count) if m != j]
+        for j in range(count)
+    ]
+    corners = tuple(
+        (stencil, y[:, None], x[:, None])
+        for y, x in ((yi, x0), (yi, x1), (yi + 1, x0), (yi + 1, x1))
+    )
+    fy, fx = fy[:, None], fx[:, None]
+    weights = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+
+    n_outside = int((~in_box).sum() + (pos_ok & ~in_span).sum())
     out = dataset
     counts = {"no_position": 0, "outside": 0, "interpolated": 0, "masked_missing": 0}
     for var in grid.variables:
-        name = prefix + var.name
+        masked = [var.mask[idx] for idx in corners]
+        ok = ~np.logical_and.reduce(masked).any(axis=1)
+        if var.is_angular:
+            rad = np.deg2rad(var.values)
+            s, c = (
+                _lagrange(factors, _bilinear(f, corners, masked, weights, mask_policy))
+                for f in (np.sin(rad), np.cos(rad))
+            )
+            ok &= (s != 0.0) | (c != 0.0)
+            # math.atan2/degrees, not numpy's: those differ in the last bit
+            values = [
+                math.degrees(math.atan2(a, b)) % 360.0
+                for a, b in zip(s[ok].tolist(), c[ok].tolist())
+            ]
+            if var.convention == "toward":
+                values = [(v + 180.0) % 360.0 for v in values]
+        else:
+            series = _bilinear(var.values, corners, masked, weights, mask_policy)
+            values = _lagrange(factors, series)[ok].tolist()
         column: list[float | None] = [None] * len(dataset)
-        for i in candidates:
-            if not pos_ok[i]:
-                counts["no_position"] += 1
-                continue
-            stencil_ok = (
-                grid.timestamps[0] <= ts[i] <= grid.timestamps[-1]
-                and len(grid.timestamps) >= order + 1
-            )
-            if not stencil_ok:
-                counts["outside"] += 1
-                continue
-            v = _interp_variable_at(
-                var, grid, ts[i], float(lat[i]), float(lon[i]), order, mask_policy
-            )
-            if v is None:
-                in_box = (
-                    _cell(grid.latitudes, float(lat[i])) is not None
-                    and _lon_cell(grid.longitudes, float(lon[i])) is not None
-                )
-                counts["masked_missing" if in_box else "outside"] += 1
-                continue
-            counts["interpolated"] += 1
+        for i, v in zip(candidates[sel[ok]].tolist(), values):
             column[i] = v
+        counts["no_position"] += int((~pos_ok).sum())
+        counts["outside"] += n_outside
+        counts["interpolated"] += len(values)
+        counts["masked_missing"] += int((~ok).sum())
         kind = "angular" if var.is_angular else "linear"
-        spec = VariableSpec(name, var.unit, kind, role="operational_environment")
+        spec = VariableSpec(prefix + var.name, var.unit, kind, role="operational_environment")
         out = out.adding_variable(spec, column)
     if entry is not None:
         entry.summary.update(

@@ -464,37 +464,42 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
             f"slice: variable {var_decls[var_i][0]!r}, time index {time_i}"
         )
 
-    variables = []
-    row = 0
-    for name, unit in var_decls:
-        values = np.zeros((nt, ny, nx))
-        mask = np.zeros((nt, ny, nx), dtype=bool)
-        for ti in range(nt):
-            for yi in range(ny):
-                lineno, line = body[row]
-                row += 1
-                cells = [c.strip() for c in line.split(",")]
-                if len(cells) != nx:
-                    raise IngestError(
-                        f"{path}:{lineno}: variable {name!r}, time index {ti}, "
-                        f"lat index {yi}: expected {nx} values, got {len(cells)}"
-                    )
-                for xi, cell in enumerate(cells):
-                    if cell == MASK_TOKEN:
-                        mask[ti, yi, xi] = True
-                        continue
-                    try:
-                        values[ti, yi, xi] = float(cell)
-                    except ValueError:
-                        raise IngestError(
-                            f"{path}:{lineno}: variable {name!r}, time index {ti}, "
-                            f"lat index {yi}, lon index {xi}: unknown token {cell!r}"
-                        ) from None
-        variables.append(
-            GridVariable(name, unit, values, mask, conventions.get(name))
+    values = np.zeros((len(body), nx))
+    mask = np.zeros((len(body), nx), dtype=bool)
+    for row, (lineno, line) in enumerate(body):
+        cells = [c.strip() for c in line.split(",")]
+        masked = [c == MASK_TOKEN for c in cells]
+        if len(cells) == nx:
+            try:
+                values[row] = [0.0 if m else float(c) for c, m in zip(cells, masked)]
+            except ValueError:
+                pass  # the cell is named below
+            else:
+                mask[row] = masked
+                continue
+        var_i, rest = divmod(row, nt * ny)
+        where = (
+            f"{path}:{lineno}: variable {var_decls[var_i][0]!r}, "
+            f"time index {rest // ny}, lat index {rest % ny}"
         )
+        if len(cells) != nx:
+            raise IngestError(f"{where}: expected {nx} values, got {len(cells)}")
+        for xi, cell in enumerate(cells):
+            if not masked[xi]:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{where}, lon index {xi}: unknown token {cell!r}"
+                    ) from None
+
+    values = values.reshape(len(var_decls), nt, ny, nx)
+    mask = mask.reshape(len(var_decls), nt, ny, nx)
     return HindcastGrid(
-        tuple(variables),
+        tuple(
+            GridVariable(name, unit, values[k], mask[k], conventions.get(name))
+            for k, (name, unit) in enumerate(var_decls)
+        ),
         np.asarray(lats, dtype=float),
         np.asarray(lons, dtype=float),
         np.asarray(times, dtype=np.int64),

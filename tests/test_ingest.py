@@ -1,6 +1,7 @@
 """Loaders: unit conversion at the boundary, missing-cell semantics, grid
 format errors with locations, particulars defaults."""
 
+import numpy as np
 import pytest
 
 from oracle_values import TEN_KNOTS_M_PER_S
@@ -160,6 +161,32 @@ class TestHindcastGrid:
         p.write_text(GRID_HEADER + "1,2\n3,x\n5,6\n7,8\n")
         with pytest.raises(IngestError, match="'x'"):
             load_hindcast(p)
+
+    def test_unknown_token_message_names_every_index(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text(
+            "#var wind m/s\n" + GRID_HEADER
+            + "1,2\n3,4\n5,6\n7,8\n" + "1,2\n3,4\nM,6\n7, x \n"
+        )
+        with pytest.raises(IngestError) as err:
+            load_hindcast(p)
+        assert str(err.value) == (
+            f"{p}:13: variable 'wave', time index 1, lat index 1, lon index 1: "
+            "unknown token 'x'"
+        )
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        tokens = ["0.1", " -0 ", "1e-300", "2.5e+3", "M", "inf", "-1_000.5", " M"]
+        p = tmp_path / "grid.txt"
+        p.write_text(
+            GRID_HEADER.replace("#lon 4.0,5.0", "#lon 4.0,5.0,6.0,7.0")
+            + "\n".join(",".join(tokens[i:i + 4]) for i in (0, 4, 0, 4)) + "\n"
+        )
+        var = load_hindcast(p).variable("wave")
+        masked = [t.strip() == "M" for t in tokens]
+        expected = [0.0 if m else float(t) for t, m in zip(tokens, masked)] * 2
+        assert var.values.ravel().tobytes() == np.array(expected).tobytes()
+        assert var.mask.ravel().tolist() == masked * 2
 
     def test_non_monotonic_axis_fatal(self, tmp_path):
         p = tmp_path / "grid.txt"
