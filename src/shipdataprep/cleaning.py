@@ -6,6 +6,7 @@ and a PCA reconstruction-error detector for correlation-defying outliers.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,18 +40,14 @@ def contextual_filter(
     """
     entry = report.stage("clean:contextual") if report is not None else None
     dead_values = dead_values or {}
-    flags: dict[int, set] = {}
+    marks: dict[QualityFlag, np.ndarray] = defaultdict(lambda: np.zeros(len(dataset), dtype=bool))
     groups = dataset.trip_groups() if in_trip_only else [np.arange(len(dataset))]
+    stamps = dataset.timestamps.tolist()
 
     def add(i: int, flag: QualityFlag, variable: str, observed) -> None:
-        flags.setdefault(i, set()).add(flag)
+        marks[flag][i] = True
         if entry is not None:
-            entry.check(
-                flag.value,
-                timestamp=dataset.samples[i].timestamp,
-                variable=variable,
-                observed=observed,
-            )
+            entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=observed)
 
     numeric = [s for s in dataset.schema if s.kind != "text"]
     for spec in numeric:
@@ -127,9 +124,12 @@ def contextual_filter(
                 if abs(up) > limit and abs(down) > limit and up * down < 0:
                     add(int(idx[m]), QualityFlag.SPIKE, spec.name, float(col[m]))
 
-    out = add_flags(dataset, flags, entry)
+    out = dataset
+    for flag, rows in marks.items():
+        out = add_flags(out, flag, rows, entry)
     if entry is not None:
-        entry.summary["samples_flagged"] = len(flags)
+        flagged = np.logical_or.reduce([np.zeros(len(dataset), dtype=bool), *marks.values()])
+        entry.summary["samples_flagged"] = int(flagged.sum())
     return out
 
 
@@ -145,7 +145,7 @@ def quasi_steady_filter(
     rpm is not recorded."""
     entry = report.stage("clean:quasi_steady") if report is not None else None
     ts = dataset.timestamps.astype(float)
-    flags: dict[int, set] = {}
+    unsteady = np.zeros(len(dataset), dtype=bool)
 
     passes = []
     if dataset.declares("shaft_rpm") and dataset.has_data("shaft_rpm"):
@@ -163,16 +163,13 @@ def quasi_steady_filter(
             res = steady_state_filter(ts[idx], col[idx], params)
             if res.warning and entry is not None:
                 entry.notes.append(f"{name}: {res.warning}")
-            for local_i in np.nonzero(res.unsteady)[0]:
-                flags.setdefault(int(idx[local_i]), set()).add(QualityFlag.UNSTEADY)
+            unsteady[idx[res.unsteady]] = True
 
-    out = add_flags(dataset, flags, entry)
+    out = add_flags(dataset, QualityFlag.UNSTEADY, unsteady, entry)
     if entry is not None:
         entry.summary["variables"] = [name for name, _ in passes]
-        for i in sorted(flags):
-            entry.check(
-                "unsteady", timestamp=out.samples[i].timestamp, variable=None
-            )
+        for t in dataset.timestamps[unsteady].tolist():
+            entry.check("unsteady", timestamp=t, variable=None)
     return out
 
 
@@ -329,22 +326,23 @@ def pca_score(
     and counted."""
     entry = report.stage("clean:pca") if report is not None else None
     cols, ok = _complete_rows(dataset, detector.features, exclude_flagged=False)
-    flags: dict[int, set] = {}
+    outlier = np.zeros(len(dataset), dtype=bool)
     skipped = int((~ok).sum())
     if ok.any():
         errors = detector.errors(cols[ok])
-        for local, i in enumerate(np.nonzero(ok)[0]):
-            if errors[local] > detector.threshold:
-                flags[int(i)] = {QualityFlag.CORRELATION_OUTLIER}
-                if entry is not None:
-                    entry.check(
-                        "correlation_outlier",
-                        timestamp=dataset.samples[i].timestamp,
-                        variable=",".join(detector.features),
-                        expected=detector.threshold,
-                        observed=float(errors[local]),
-                    )
-    out = add_flags(dataset, flags, entry)
+        rows = np.flatnonzero(ok)
+        outlier[rows[errors > detector.threshold]] = True
+        if entry is not None:
+            stamps = dataset.timestamps[rows].tolist()
+            for local in np.flatnonzero(errors > detector.threshold).tolist():
+                entry.check(
+                    "correlation_outlier",
+                    timestamp=stamps[local],
+                    variable=",".join(detector.features),
+                    expected=detector.threshold,
+                    observed=float(errors[local]),
+                )
+    out = add_flags(dataset, QualityFlag.CORRELATION_OUTLIER, outlier, entry)
     if entry is not None:
         entry.summary["scored"] = int(ok.sum())
         entry.summary["skipped_incomplete"] = skipped

@@ -136,7 +136,7 @@ def fix_draft_simple(
                 f"{sensor}: {len(corrected)} in-trip values replaced "
                 f"(pre={pre}, post={post})"
             )
-    return add_flags(out, {i: {QualityFlag.DRAFT_CORRECTED} for i in flagged}, entry)
+    return add_flags(out, QualityFlag.DRAFT_CORRECTED, list(flagged), entry)
 
 
 def _apply_draft(
@@ -252,7 +252,7 @@ def fix_draft_ramp(
                 f"{sensor}: ramp correction over {len(deltas)} event(s), "
                 f"base level {base}"
             )
-    return add_flags(out, {i: {QualityFlag.DRAFT_CORRECTED} for i in flagged}, entry)
+    return add_flags(out, QualityFlag.DRAFT_CORRECTED, list(flagged), entry)
 
 
 def detect_draft_events(
@@ -607,21 +607,15 @@ def resistance_components(
                     f"model {model.name!r} skipped: missing input(s) {missing}"
                 )
             continue
+        # the fixed wind direction where the fault detector substituted one
+        sources = {"rel_wind_speed": (wind_speed_name,),
+                   "rel_wind_dir": ("fixed_rel_wind_dir", "rel_wind_dir")}
+        inputs = {key: dataset.coalesce(*sources.get(key, (key,))).tolist()
+                  for key in model.required}
         column: list[float | None] = [None] * len(dataset)
         missing_count = 0
-        for i, s in enumerate(dataset.samples):
-            if not in_trip[i]:
-                continue
-            ctx: dict[str, float] = {}
-            for key in model.required:
-                if key == "rel_wind_speed":
-                    v = s.values.get(wind_speed_name)
-                elif key == "rel_wind_dir":
-                    v = s.values.get("fixed_rel_wind_dir", s.values.get("rel_wind_dir"))
-                else:
-                    v = s.values.get(key)
-                if isinstance(v, float):
-                    ctx[key] = v
+        for i in np.flatnonzero(in_trip).tolist():
+            ctx = {key: col[i] for key, col in inputs.items() if col[i] == col[i]}
             r = model.evaluate(ctx)
             if r is None:
                 missing_count += 1

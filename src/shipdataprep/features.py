@@ -147,14 +147,7 @@ def add_reference_height_wind(
 def heading_series(dataset: VoyageDataset) -> np.ndarray:
     """Best available heading per sample: corrected value, then the measured
     compass heading, then the GPS estimate."""
-    n = len(dataset)
-    out = np.full(n, np.nan)
-    for name in ("fixed_heading", "heading", "gps_heading"):
-        if dataset.declares(name) and dataset.has_data(name):
-            col = dataset.column(name)
-            take = np.isnan(out) & ~np.isnan(col)
-            out[take] = col[take]
-    return out
+    return dataset.coalesce("fixed_heading", "heading", "gps_heading")
 
 
 def resolve_ship_frame(
@@ -168,9 +161,8 @@ def resolve_ship_frame(
     ``stw_estimate`` (m/s).
     """
     entry = report.stage("derive:ship_frame") if report is not None else None
-    n = len(dataset)
     psi = heading_series(dataset)
-    sog = dataset.column("sog") if dataset.has_data("sog") else np.full(n, np.nan)
+    sog = dataset.coalesce("sog")
     rad = np.deg2rad(psi)
     sin_p, cos_p = np.sin(rad), np.cos(rad)
 
@@ -299,9 +291,8 @@ def ais_speed_consistency(
 
     out = dataset
     if flagged and not out.declares("raw_sog"):
-        raw = [None] * n
-        for i in flagged:
-            raw[i] = float(sog[i])
+        raw = np.full(n, np.nan)
+        raw[flagged] = sog[flagged]
         out = out.adding_variable(
             VariableSpec("raw_sog", "m/s", "linear", role="navigation"), raw
         )
@@ -325,7 +316,7 @@ def ais_speed_consistency(
             replacements[i] = candidate
 
     out = out.with_values("sog", replacements)
-    out = add_flags(out, {i: {QualityFlag.IRRATIONAL_SPEED} for i in flagged}, entry)
+    out = add_flags(out, QualityFlag.IRRATIONAL_SPEED, flagged, entry)
 
     if entry is not None:
         for i, observed, implied in details:
@@ -370,30 +361,31 @@ def ais_status_check(
         return dataset
     status = dataset.column("nav_status")
     sog = dataset.column("sog")
-    in_trip = dataset.in_trip_mask()
+    in_trip = dataset.trip_ids >= 0
     has_trips = in_trip.any()
 
-    flags: dict[int, set] = {}
+    stale = np.zeros(len(dataset), dtype=bool)
     for i in range(len(dataset)):
         if math.isnan(status[i]) or math.isnan(sog[i]):
             continue
         st = int(round(status[i]))
         moving = sog[i] > port_speed_threshold
         if st in (1, 5) and moving:
-            flags[i] = {QualityFlag.STALE_AIS_STATUS}
+            stale[i] = True
         elif st == 0 and sog[i] == 0.0 and has_trips and not in_trip[i]:
-            flags[i] = {QualityFlag.STALE_AIS_STATUS}
-    out = add_flags(dataset, flags, entry)
+            stale[i] = True
+    out = add_flags(dataset, QualityFlag.STALE_AIS_STATUS, stale, entry)
     if entry is not None:
-        for i in sorted(flags):
+        stamps = dataset.timestamps.tolist()
+        for i in np.flatnonzero(stale).tolist():
             entry.check(
                 "stale_ais_status",
-                timestamp=out.samples[i].timestamp,
+                timestamp=stamps[i],
                 variable="nav_status",
                 expected=None,
                 observed=(int(round(status[i])), float(sog[i])),
             )
-        if flags:
+        if stale.any():
             entry.notes.append(
                 "manually entered fields (draft, destination, ETA) of flagged "
                 "samples are suspect"

@@ -226,7 +226,7 @@ def clean_gps(
     ts = dataset.timestamps.astype(float)
     lat = dataset.column("lat")
     lon = dataset.column("lon")
-    flags: dict[int, set] = {}
+    irrational = np.zeros(len(dataset), dtype=bool)
     stage1_total = 0
     for idx in dataset.trip_groups():
         lat_g = lat[idx]
@@ -237,22 +237,19 @@ def clean_gps(
         for series in (lat_g, lon_g):
             res = steady_state_filter(ts[idx], series, params)
             stage1_total += res.stage1_rejected
-            for local_i in np.nonzero(res.unsteady)[0]:
-                flags.setdefault(int(idx[local_i]), set()).add(
-                    QualityFlag.IRRATIONAL_POSITION
-                )
+            irrational[idx[res.unsteady]] = True
             if res.warning and entry is not None:
                 entry.notes.append(res.warning)
-    out = add_flags(dataset, flags, entry)
+    out = add_flags(dataset, QualityFlag.IRRATIONAL_POSITION, irrational, entry)
     if entry is not None:
         entry.summary["stage1_rejected"] = stage1_total
-        for i in sorted(flags):
-            s = out.samples[i]
+        stamps, lats, lons = dataset.timestamps.tolist(), lat.tolist(), lon.tolist()
+        for i in np.flatnonzero(irrational).tolist():
             entry.check(
                 "irrational_position",
-                timestamp=s.timestamp,
+                timestamp=stamps[i],
                 variable="lat/lon",
-                observed=(s.values.get("lat"), s.values.get("lon")),
+                observed=tuple(None if v != v else v for v in (lats[i], lons[i])),
             )
     return out
 
@@ -439,9 +436,8 @@ def interpolate(
         else:
             series = _bilinear(var.values, corners, masked, weights, mask_policy)
             values = _lagrange(factors, series)[ok].tolist()
-        column: list[float | None] = [None] * len(dataset)
-        for i, v in zip(candidates[sel[ok]].tolist(), values):
-            column[i] = v
+        column = np.full(len(dataset), np.nan)
+        column[candidates[sel[ok]]] = values
         counts["no_position"] += int((~pos_ok).sum())
         counts["outside"] += n_outside
         counts["interpolated"] += len(values)

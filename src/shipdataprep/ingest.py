@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -232,10 +232,39 @@ def csv_cell(value: float | str | int | None) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def sample_cells(sample: Sample, names: list[str]) -> list[str]:
-    """A sample's timestamp and the cells of the named variables."""
-    values = sample.values
-    return [iso_timestamp(sample.timestamp)] + [csv_cell(values.get(n)) for n in names]
+def csv_cells(values: np.ndarray) -> list[str]:
+    """``csv_cell`` of each value of a column; NaN and None are written as
+    missing."""
+    return [csv_cell(v if v == v else None) for v in values.tolist()]
+
+
+def timestamp_cells(timestamps: np.ndarray) -> list[str]:
+    return [iso_timestamp(t) for t in timestamps.tolist()]
+
+
+def trip_cells(trip_ids: np.ndarray) -> list[str]:
+    return ["" if t < 0 else str(t) for t in trip_ids.tolist()]
+
+
+def variable_cells(dataset: VoyageDataset, names: list[str], rows: np.ndarray) -> list[list[str]]:
+    """The cells of the timestamp and of each named variable at ``rows``,
+    one list per column."""
+    cells = [timestamp_cells(dataset.timestamps[rows])]
+    for name in names:
+        text = dataset.spec(name).kind == "text"
+        values = dataset.text_column(name) if text else dataset.column(name)
+        cells.append(csv_cells(values[rows]))
+    return cells
+
+
+def column_rows(
+    rows: np.ndarray, cells: Callable[[np.ndarray], list[list[str]]], block: int = 4096
+) -> Iterator[tuple[str, ...]]:
+    """CSV rows for the dataset rows ``rows``: ``cells`` gives the cells of
+    a block of rows one list per column, and the columns are zipped into
+    rows a block at a time, so memory stays flat."""
+    for lo in range(0, len(rows), block):
+        yield from zip(*cells(rows[lo : lo + block]))
 
 
 def write_csv(
@@ -267,18 +296,17 @@ def write_ship_csv(
     """
     factors = {col: _unit_factor(u) for col, u in (unit_map or {}).items()}
     names = [s.name for s in dataset.schema]
-    scales = [(name, factors.get(name, 1.0)) for name in names]
 
-    def rows():
-        for s in dataset.samples:
-            row = [iso_timestamp(s.timestamp)]
-            for name, f in scales:
-                v = s.values.get(name)
-                row.append(csv_cell(v / f if isinstance(v, float) else v))
-            yield row
+    def cells(rows: np.ndarray) -> list[list[str]]:
+        out = variable_cells(dataset, names, rows)
+        for k, name in enumerate(names, start=1):  # numeric columns back to their unit
+            if name in factors and dataset.spec(name).kind != "text":
+                out[k] = csv_cells(dataset.column(name)[rows] / factors[name])
+        return out
 
     preamble = [generated_header()] if timestamp_header else []
-    write_csv(path, preamble, ["timestamp"] + names, rows())
+    rows = column_rows(np.arange(len(dataset)), cells)
+    write_csv(path, preamble, ["timestamp"] + names, rows)
 
 
 def save_dataset(dataset: VoyageDataset, path: str | Path) -> None:
@@ -293,11 +321,19 @@ def save_dataset(dataset: VoyageDataset, path: str | Path) -> None:
     preamble.append(f"#source {dataset.source_kind}")
     if dataset.sampling_interval is not None:
         preamble.append(f"#interval {dataset.sampling_interval}")
-    rows = (
-        sample_cells(s, names)
-        + [csv_cell(s.trip_id), "|".join(sorted(f.value for f in s.flags))]
-        for s in dataset.samples
-    )
+    flags = sorted(QualityFlag, key=lambda f: f.value)
+    marks = np.column_stack([dataset.flagged(f) for f in flags])
+
+    def cells(rows: np.ndarray) -> list[list[str]]:
+        flag_cells = [
+            "|".join(f.value for f, on in zip(flags, row) if on)
+            for row in marks[rows].tolist()
+        ]
+        return variable_cells(dataset, names, rows) + [
+            trip_cells(dataset.trip_ids[rows]), flag_cells,
+        ]
+
+    rows = column_rows(np.arange(len(dataset)), cells)
     write_csv(path, preamble, ["timestamp"] + names + ["trip_id", "flags"], rows)
 
 

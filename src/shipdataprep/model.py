@@ -1,10 +1,14 @@
 """Core data model shared by every pipeline stage.
 
-Datasets are immutable: each stage derives a new ``VoyageDataset`` (or a flag
-overlay on one) instead of mutating in place, so intermediate results stay
-valid and read-only sharing across parallel workers is safe. Quality flags
-only accumulate; no stage may clear a flag set by an earlier one, and the
-helper constructors here make that the only easy thing to do.
+A ``VoyageDataset`` is stored by column: timestamps, one array per variable
+(NaN or None = missing), a flag bitmask and trip ids (see the class). Stages
+read whole columns and hand arrays and masks back.
+
+Datasets are immutable: each stage derives a new ``VoyageDataset`` that
+shares every array it does not change, so intermediate results stay valid
+and read-only sharing across parallel workers is safe. Quality flags only
+accumulate; no stage may clear a flag set by an earlier one, and the helper
+constructors here make that the only easy thing to do.
 
 Canonical variable names used across the pipeline (all SI after ingest:
 m, m/s, W, N*m, degrees in [0, 360), shaft speed in rpm):
@@ -21,8 +25,7 @@ from __future__ import annotations
 
 import datetime
 import enum
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -136,16 +139,14 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class Sample:
-    """One timestamped record. Absent keys in ``values`` mean missing;
-    sentinel numbers are never used."""
+    """One timestamped input row, as read from a file or written by a test.
+    Absent keys in ``values`` mean missing; sentinel numbers are never used.
+    :func:`new_dataset` turns a sequence of them into columns."""
 
     timestamp: int
     values: Mapping[str, float | str] = field(default_factory=dict)
     flags: frozenset[QualityFlag] = frozenset()
     trip_id: int | None = None
-
-    def get(self, name: str) -> float | str | None:
-        return self.values.get(name)
 
 
 def iso_timestamp(ts: int) -> str:
@@ -173,74 +174,141 @@ def generated_header() -> str:
     return f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}"
 
 
-def _normalise_value(spec: VariableSpec, name: str, value: float | str):
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
+    """One variable's values as a stored read-only column: float64 for the
+    numeric kinds (None and NaN = missing; angles wrap into [0, 360),
+    longitudes into [-180, 180)), an object array of str for text (None =
+    missing). The first value that breaks a rule raises DatasetError."""
+    name = spec.name
     if spec.kind == "text":
-        if not isinstance(value, str):
-            raise DatasetError(f"text variable {name!r} got non-string {value!r}")
-        return value
-    if isinstance(value, str):
-        raise DatasetError(f"numeric variable {name!r} got string {value!r}")
-    v = float(value)
-    if math.isnan(v):
-        return None  # NaN is the caller saying "missing"; store as absent
-    if math.isinf(v):
-        raise DatasetError(f"non-finite value for {name!r}")
+        col = np.empty(len(values), dtype=object)
+        col[:] = list(values)
+        for v in col:
+            if v is not None and not isinstance(v, str):
+                raise DatasetError(f"text variable {name!r} got non-string {v!r}")
+        return _frozen(col)
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        col, text_at = values.astype(np.float64), len(values)
+    else:
+        values = list(values)
+        text_at = next((i for i, v in enumerate(values) if isinstance(v, str)), len(values))
+        col = np.array(values[:text_at], dtype=np.float64)  # None -> NaN
+    n = len(values)
+    inf_at = np.append(np.flatnonzero(np.isinf(col)), n)[0]
     if spec.kind == "angular":
-        v %= 360.0
-    if name == "lat" and not -90.0 <= v <= 90.0:
-        raise DatasetError(f"latitude {v} outside [-90, 90]")
+        with np.errstate(invalid="ignore"):
+            col %= 360.0
+        col[col == 360.0] = 0.0  # % rounds a tiny negative angle up to 360
+    lat_at = np.append(np.flatnonzero((col < -90.0) | (col > 90.0)), n)[0] if name == "lat" else n
+    first = min(text_at, inf_at, lat_at)
+    if first < n:
+        if first == text_at:
+            raise DatasetError(f"numeric variable {name!r} got string {values[first]!r}")
+        if first == inf_at:
+            raise DatasetError(f"non-finite value for {name!r}")
+        raise DatasetError(f"latitude {float(col[first])} outside [-90, 90]")
     if name == "lon":
-        v = ((v + 180.0) % 360.0) - 180.0
-    return v
+        col = ((col + 180.0) % 360.0) - 180.0
+        col[col == 180.0] = -180.0
+    return _frozen(col)
+
+
+_FLAG_BITS = {flag: 1 << k for k, flag in enumerate(QualityFlag)}
+
+
+def _take(col: np.ndarray, rows: np.ndarray, missing) -> np.ndarray:
+    """``col[rows]`` with ``missing`` where a row is -1."""
+    return _frozen(np.concatenate([col, np.array([missing], dtype=col.dtype)])[rows])
 
 
 class VoyageDataset:
-    """Ordered, timestamped table of ship samples with a declared schema.
+    """Ordered, timestamped table of ship samples with a declared schema,
+    stored by column after Apache Arrow's columnar layout:
 
-    Immutable once constructed; use the ``adding_*`` / ``with_*`` helpers to
-    derive updated copies. Construct through :func:`new_dataset`.
+    - ``timestamps``: int64 epoch seconds, ascending and unique;
+    - one column per variable (:meth:`column`, :meth:`text_column`): float64
+      with NaN for a missing value for the linear and angular kinds, an
+      object array of str with None for a missing value for the text kind;
+    - ``flag_bits``: a uint16 bitmask per sample, one bit per
+      :class:`QualityFlag` member (:meth:`flagged` reads it);
+    - ``trip_ids``: int64, -1 for a sample outside every trip.
+
+    Every array is read-only. The ``adding_*`` / ``with_*`` helpers and
+    :meth:`take` derive a new dataset that shares each array it does not
+    change. Build one from :class:`Sample` rows through :func:`new_dataset`,
+    which validates and sorts them; the positional constructor takes rows
+    already in timestamp order.
     """
 
-    __slots__ = ("schema", "samples", "sampling_interval", "source_kind", "__dict__")
+    __slots__ = ("schema", "timestamps", "flag_bits", "trip_ids", "sampling_interval",
+                 "source_kind", "_columns", "__dict__")
 
-    def __init__(
-        self,
-        schema: tuple[VariableSpec, ...],
-        samples: tuple[Sample, ...],
-        sampling_interval: int | None,
-        source_kind: str,
-    ):
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sampling_interval", sampling_interval)
-        object.__setattr__(self, "source_kind", source_kind)
+    def __init__(self, schema: tuple[VariableSpec, ...], samples: Iterable[Sample],
+                 sampling_interval: int | None, source_kind: str):
+        samples = tuple(samples)
+        spec_map = {s.name: s for s in schema}
+        cells: dict[str, list] = {name: [None] * len(samples) for name in spec_map}
+        for i, s in enumerate(samples):
+            for name, value in s.values.items():
+                if name not in cells:
+                    raise DatasetError(f"value for undeclared variable {name!r}")
+                cells[name][i] = value
+        self._set(
+            schema=tuple(schema),
+            timestamps=_frozen(np.array([int(s.timestamp) for s in samples], dtype=np.int64)),
+            flag_bits=_frozen(np.array(
+                [sum(_FLAG_BITS[f] for f in s.flags) for s in samples], dtype=np.uint16
+            )),
+            trip_ids=_frozen(np.array(
+                [-1 if s.trip_id is None else s.trip_id for s in samples], dtype=np.int64
+            )),
+            sampling_interval=sampling_interval,
+            source_kind=source_kind,
+            _columns={name: _normalise_column(spec_map[name], col) for name, col in cells.items()},
+        )
+
+    def _set(self, **state) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def _derive(self, **changes) -> "VoyageDataset":
+        out = object.__new__(VoyageDataset)
+        out._set(**{
+            name: changes[name] if name in changes else getattr(self, name)
+            for name in VoyageDataset.__slots__[:-1]
+        })
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("VoyageDataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
+        return len(self.timestamps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoyageDataset):
             return NotImplemented
+        meta = ("schema", "sampling_interval", "source_kind")
         return (
-            self.schema == other.schema
-            and self.samples == other.samples
-            and self.sampling_interval == other.sampling_interval
-            and self.source_kind == other.source_kind
+            all(getattr(self, a) == getattr(other, a) for a in meta)
+            and all(
+                np.array_equal(getattr(self, a), getattr(other, a))
+                for a in ("timestamps", "flag_bits", "trip_ids")
+            )
+            and all(
+                np.array_equal(col, other._columns[name], equal_nan=col.dtype != object)
+                for name, col in self._columns.items()
+            )
         )
 
     @cached_property
     def spec_map(self) -> dict[str, VariableSpec]:
         return {s.name: s for s in self.schema}
-
-    @cached_property
-    def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.samples], dtype=np.int64)
 
     def declares(self, name: str) -> bool:
         return name in self.spec_map
@@ -253,35 +321,31 @@ class VoyageDataset:
 
     def has_data(self, name: str) -> bool:
         """True when the variable is declared and carries at least one value."""
-        return self.declares(name) and any(name in s.values for s in self.samples)
+        col = self._columns.get(name)
+        if col is None or col.dtype != object:
+            return col is not None and not np.isnan(col).all()
+        return any(v is not None for v in col)
 
     def column(self, name: str) -> np.ndarray:
-        """Numeric column as float64 with NaN for missing values."""
-        spec = self.spec(name)
-        if spec.kind == "text":
+        """Numeric column: the stored read-only float64 array, NaN = missing."""
+        if self.spec(name).kind == "text":
             raise TypeError(f"variable {name!r} is text; use text_column()")
-        out = np.full(len(self.samples), np.nan)
-        for i, s in enumerate(self.samples):
-            v = s.values.get(name)
-            if v is not None:
-                out[i] = v
+        return self._columns[name]
+
+    def coalesce(self, *names: str) -> np.ndarray:
+        """Per row, the first value present among the named numeric columns;
+        NaN where none has one. Undeclared and text columns count as missing."""
+        out = np.full(len(self), np.nan)
+        for name in names:
+            if self.declares(name) and self.spec(name).kind != "text":
+                out = np.where(np.isnan(out), self._columns[name], out)
         return out
 
-    def text_column(self, name: str) -> list[str | None]:
-        spec = self.spec(name)
-        if spec.kind != "text":
+    def text_column(self, name: str) -> np.ndarray:
+        """Text column: the stored read-only object array, None = missing."""
+        if self.spec(name).kind != "text":
             raise TypeError(f"variable {name!r} is not text")
-        return [s.values.get(name) for s in self.samples]
-
-    @cached_property
-    def trip_ids(self) -> np.ndarray:
-        return np.array(
-            [-1 if s.trip_id is None else s.trip_id for s in self.samples],
-            dtype=np.int64,
-        )
-
-    def in_trip_mask(self) -> np.ndarray:
-        return self.trip_ids >= 0
+        return self._columns[name]
 
     def trip_indices(self, trip_id: int) -> np.ndarray:
         return np.nonzero(self.trip_ids == trip_id)[0]
@@ -290,8 +354,8 @@ class VoyageDataset:
 
     def in_trip_or_all(self) -> np.ndarray:
         """In-trip rows, or every row when no trips are assigned."""
-        in_trip = self.in_trip_mask()
-        return in_trip if in_trip.any() else np.ones(len(self.samples), dtype=bool)
+        in_trip = self.trip_ids >= 0
+        return in_trip if in_trip.any() else np.ones(len(self), dtype=bool)
 
     def trip_groups(self) -> list[np.ndarray]:
         """Row indices per trip in trip-id order, or the whole series as one
@@ -299,75 +363,49 @@ class VoyageDataset:
         ids = self.trip_ids
         if (ids >= 0).any():
             return [self.trip_indices(t) for t in np.unique(ids[ids >= 0])]
-        return [np.arange(len(self.samples))]
+        return [np.arange(len(self))]
 
     def flagged(self, *flags: QualityFlag) -> np.ndarray:
         """Rows carrying at least one of ``flags``."""
-        wanted = frozenset(flags)
-        return np.fromiter(
-            (not wanted.isdisjoint(s.flags) for s in self.samples),
-            dtype=bool,
-            count=len(self.samples),
-        )
+        wanted = sum(_FLAG_BITS[f] for f in set(flags))
+        return (self.flag_bits & wanted) != 0
 
     def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Latitude and longitude columns (NaN where absent or undeclared) and
         the mask of usable positions: both present and not flagged
         ``irrational_position``."""
-        n = len(self.samples)
-        lat = self.column("lat") if self.declares("lat") else np.full(n, np.nan)
-        lon = self.column("lon") if self.declares("lon") else np.full(n, np.nan)
+        lat, lon = self.coalesce("lat"), self.coalesce("lon")
         ok = ~np.isnan(lat) & ~np.isnan(lon) & ~self.flagged(QualityFlag.IRRATIONAL_POSITION)
         return lat, lon, ok
 
     # -- functional updates -------------------------------------------------
 
-    def _rebuild(self, samples: Iterable[Sample], schema=None, **kw) -> "VoyageDataset":
-        return VoyageDataset(
-            schema=tuple(schema if schema is not None else self.schema),
-            samples=tuple(samples),
-            sampling_interval=kw.get("sampling_interval", self.sampling_interval),
-            source_kind=kw.get("source_kind", self.source_kind),
-        )
-
-    def adding_flags(
-        self, flags_by_index: Mapping[int, Iterable[QualityFlag]]
-    ) -> "VoyageDataset":
-        """New dataset with extra flags on the given sample indices.
+    def adding_flags(self, flag: QualityFlag, rows) -> "VoyageDataset":
+        """New dataset with ``flag`` set on ``rows`` (a boolean mask or an
+        index array).
 
         Existing flags are always kept; this is the only supported way to
         change flags, which enforces monotone accumulation.
         """
-        samples = list(self.samples)
-        for idx, flags in flags_by_index.items():
-            s = samples[idx]
-            samples[idx] = replace(s, flags=s.flags | frozenset(flags))
-        return self._rebuild(samples)
+        bits = self.flag_bits.copy()
+        bits[rows] |= _FLAG_BITS[flag]
+        return self._derive(flag_bits=_frozen(bits))
 
     def adding_variable(
         self, spec: VariableSpec, values: Sequence[float | str | None]
     ) -> "VoyageDataset":
-        """Declare a new variable and attach per-sample values (None = missing)."""
+        """Declare a new variable and attach per-sample values (None or NaN =
+        missing)."""
         if self.declares(spec.name):
             raise SchemaError(f"variable {spec.name!r} already declared")
-        if len(values) != len(self.samples):
+        if len(values) != len(self):
             raise DatasetError(
-                f"values for {spec.name!r}: expected {len(self.samples)} entries, "
+                f"values for {spec.name!r}: expected {len(self)} entries, "
                 f"got {len(values)}"
             )
-        samples = []
-        for s, v in zip(self.samples, values):
-            if v is None:
-                samples.append(s)
-                continue
-            nv = _normalise_value(spec, spec.name, v)
-            if nv is None:
-                samples.append(s)
-                continue
-            vals = dict(s.values)
-            vals[spec.name] = nv
-            samples.append(replace(s, values=vals))
-        return self._rebuild(samples, schema=self.schema + (spec,))
+        columns = dict(self._columns)
+        columns[spec.name] = _normalise_column(spec, values)
+        return self._derive(schema=self.schema + (spec,), _columns=columns)
 
     def with_values(
         self, name: str, values_by_index: Mapping[int, float | str | None]
@@ -375,42 +413,50 @@ class VoyageDataset:
         """New dataset overwriting (or clearing, with None) values of one
         declared variable at the given indices."""
         spec = self.spec(name)
-        samples = list(self.samples)
-        for idx, v in values_by_index.items():
-            s = samples[idx]
-            vals = dict(s.values)
-            nv = None if v is None else _normalise_value(spec, name, v)
-            if nv is None:
-                vals.pop(name, None)
-            else:
-                vals[name] = nv
-            samples[idx] = replace(s, values=vals)
-        return self._rebuild(samples)
+        rows = np.fromiter(values_by_index, dtype=np.intp, count=len(values_by_index))
+        col = self._columns[name].copy()
+        col[rows] = _normalise_column(spec, list(values_by_index.values()))
+        columns = dict(self._columns)
+        columns[name] = _frozen(col)
+        return self._derive(_columns=columns)
 
     def with_trip_ids(self, ids: Sequence[int | None]) -> "VoyageDataset":
-        if len(ids) != len(self.samples):
+        """New dataset with these trip ids (None or -1 = no trip)."""
+        if len(ids) != len(self):
             raise DatasetError("trip id vector length mismatch")
-        samples = [replace(s, trip_id=t) for s, t in zip(self.samples, ids)]
-        return self._rebuild(samples)
+        if not isinstance(ids, np.ndarray):
+            ids = [-1 if t is None else t for t in ids]
+        return self._derive(trip_ids=_frozen(np.array(ids, dtype=np.int64)))
 
     def with_interval(self, seconds: int | None) -> "VoyageDataset":
-        return self._rebuild(self.samples, sampling_interval=seconds)
+        return self._derive(sampling_interval=seconds)
+
+    def take(self, rows: np.ndarray, timestamps: np.ndarray) -> "VoyageDataset":
+        """New dataset whose row k copies row ``rows[k]`` of this one (values,
+        flags and trip id) at ``timestamps[k]``, or is an empty row (every
+        value missing, no flag, no trip) where ``rows[k]`` is -1."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return self._derive(
+            timestamps=_frozen(np.array(timestamps, dtype=np.int64)),
+            flag_bits=_take(self.flag_bits, rows, 0),
+            trip_ids=_take(self.trip_ids, rows, -1),
+            _columns={
+                name: _take(col, rows, None if col.dtype == object else np.nan)
+                for name, col in self._columns.items()
+            },
+        )
 
 
 def add_flags(
-    dataset: VoyageDataset,
-    flags_by_index: Mapping[int, Iterable[QualityFlag]],
-    entry: StageEntry | None,
+    dataset: VoyageDataset, flag: QualityFlag, rows, entry: StageEntry | None
 ) -> VoyageDataset:
-    """``dataset.adding_flags(flags_by_index)``, counting in ``entry`` each
-    (sample, flag) pair that the sample did not carry yet, so a flag set
-    again by a later stage or loop iteration is counted once."""
+    """``dataset.adding_flags(flag, rows)``, counting in ``entry`` the rows
+    that did not carry ``flag`` yet, so a flag set again by a later stage or
+    loop iteration is counted once."""
+    out = dataset.adding_flags(flag, rows)
     if entry is not None:
-        samples = dataset.samples
-        for i, flags in flags_by_index.items():
-            for flag in frozenset(flags) - samples[i].flags:
-                entry.count_flag(flag)
-    return dataset.adding_flags(flags_by_index)
+        entry.count_flag(flag, int(out.flagged(flag).sum() - dataset.flagged(flag).sum()))
+    return out
 
 
 def new_dataset(
@@ -428,25 +474,12 @@ def new_dataset(
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
         raise SchemaError(f"duplicate variable name: {sorted(dupes)[0]!r}")
-    spec_map = {s.name: s for s in schema}
-
     ordered = sorted(samples, key=lambda s: s.timestamp)
-    cleaned: list[Sample] = []
-    prev_ts: int | None = None
-    for s in ordered:
-        ts = int(s.timestamp)
-        if prev_ts is not None and ts == prev_ts:
-            raise DatasetError(f"duplicate timestamp {iso_timestamp(ts)}")
-        prev_ts = ts
-        vals: dict[str, float | str] = {}
-        for name, value in s.values.items():
-            if name not in spec_map:
-                raise DatasetError(f"value for undeclared variable {name!r}")
-            nv = _normalise_value(spec_map[name], name, value)
-            if nv is not None:
-                vals[name] = nv
-        cleaned.append(Sample(ts, vals, frozenset(s.flags), s.trip_id))
-    return VoyageDataset(tuple(schema), tuple(cleaned), sampling_interval, source_kind)
+    stamps = [int(s.timestamp) for s in ordered]
+    for a, b in zip(stamps, stamps[1:]):
+        if a == b:
+            raise DatasetError(f"duplicate timestamp {iso_timestamp(a)}")
+    return VoyageDataset(tuple(schema), ordered, sampling_interval, source_kind)
 
 
 @dataclass(frozen=True)
@@ -596,22 +629,18 @@ class ProcessingReport:
         return entry
 
     def covers(self, dataset: VoyageDataset) -> bool:
-        """True when every flagged sample has at least one report detail."""
+        """True when every flagged sample has at least one report detail, or
+        every flag it carries was counted by some stage."""
         detailed = {
             c.timestamp
             for e in self.stage_entries
             for c in e.checks
             if c.timestamp is not None
         }
-        flagged_counts = {
-            e_flag for entry in self.stage_entries for e_flag in entry.flag_counts
-        }
-        for s in dataset.samples:
-            if s.flags and s.timestamp not in detailed:
-                # allow coverage through per-stage counts on overlay stages
-                if not all(f.value in flagged_counts for f in s.flags):
-                    return False
-        return True
+        counted = {flag for entry in self.stage_entries for flag in entry.flag_counts}
+        uncounted = [f for f in QualityFlag if f.value not in counted]
+        undetailed = ~np.isin(dataset.timestamps, list(detailed))
+        return not (dataset.flagged(*uncounted) & undetailed).any()
 
     def to_dict(self) -> dict:
         return {"stages": [e.to_dict() for e in self.stage_entries]}

@@ -17,11 +17,15 @@ from .ingest import (
     HindcastGrid,
     IngestError,
     PipelineConfig,
+    column_rows,
     csv_cell,
+    csv_cells,
     load_hindcast,
     load_particulars,
     load_ship_csv,
-    sample_cells,
+    timestamp_cells,
+    trip_cells,
+    variable_cells,
     write_csv,
 )
 from .model import (
@@ -33,7 +37,6 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     generated_header,
-    iso_timestamp,
 )
 from .timeline import SegmentationError, TripIndex
 
@@ -70,12 +73,10 @@ def _steady_params(config: PipelineConfig, variable: str) -> SteadyFilterParams:
 
 
 def _copy_flags(base: VoyageDataset, flagged: VoyageDataset) -> VoyageDataset:
-    extra = {}
-    for i, (b, f) in enumerate(zip(base.samples, flagged.samples)):
-        new = f.flags - b.flags
-        if new:
-            extra[i] = new
-    return base.adding_flags(extra) if extra else base
+    """The flags of ``flagged`` (derived from ``base``, same rows) on ``base``."""
+    for flag in QualityFlag:
+        base = base.adding_flags(flag, flagged.flagged(flag))
+    return base
 
 
 def _carry_fixed(base: VoyageDataset, work: VoyageDataset) -> VoyageDataset:
@@ -367,10 +368,7 @@ def _hydrostatics_stage(
     aft = dataset.column("draft_aft")
     in_trip = dataset.in_trip_or_all()
 
-    mean_draft = [None] * len(dataset)
-    trim = [None] * len(dataset)
-    disp = [None] * len(dataset)
-    wsa = [None] * len(dataset)
+    mean_draft, trim, disp, wsa = ([None] * len(dataset) for _ in range(4))
     failed = 0
     for i in range(len(dataset)):
         if not in_trip[i] or np.isnan(fore[i]) or np.isnan(aft[i]):
@@ -452,12 +450,14 @@ def write_processed_csv(
     names = [s.name for s in dataset.schema]
     flags = list(QualityFlag)
     header = ["timestamp"] + names + ["trip_id"] + [f"flag_{f.value}" for f in flags]
-    rows = (
-        sample_cells(s, names)
-        + [csv_cell(s.trip_id)]
-        + ["1" if f in s.flags else "0" for f in flags]
-        for s in dataset.samples
-    )
+    marks = [dataset.flagged(f) for f in flags]
+
+    def cells(rows: np.ndarray) -> list[list[str]]:
+        trips = trip_cells(dataset.trip_ids[rows])
+        flag_cells = [np.where(m[rows], "1", "0").tolist() for m in marks]
+        return variable_cells(dataset, names, rows) + [trips] + flag_cells
+
+    rows = column_rows(np.arange(len(dataset)), cells)
     preamble = [generated_header()] if timestamp_header else []
     write_csv(path, preamble, header, rows)
 
@@ -505,17 +505,15 @@ def emit_plotdata(
         write_csv(p, [], header, rows)
         written.append(p)
 
-    def stamp(i: int) -> str:
-        return iso_timestamp(dataset.samples[i].timestamp)
-
+    ts = dataset.timestamps
     present_vars = [
         v for v in PLOT_VARIABLES if dataset.declares(v) and dataset.has_data(v)
     ]
     if trip_index is not None:
         for trip in trip_index.trips:
-            rows = (
-                sample_cells(dataset.samples[i], present_vars)
-                for i in dataset.trip_indices(trip.trip_id)
+            rows = column_rows(
+                dataset.trip_indices(trip.trip_id),
+                lambda idx: variable_cells(dataset, present_vars, idx),
             )
             write(f"trip_{trip.trip_id:03d}.csv", ["timestamp"] + present_vars, rows)
 
@@ -525,15 +523,12 @@ def emit_plotdata(
     if dataset.declares("stw") and dataset.declares("shaft_power"):
         stw = dataset.column("stw")
         pwr = dataset.column("shaft_power")
-        rows = (
-            [
-                stamp(i),
-                csv_cell(float(stw[i])),
-                csv_cell(float(pwr[i])),
-                csv_cell(curve.power_at(float(stw[i])) if curve is not None else None),
-            ]
-            for i in np.nonzero(~np.isnan(stw) & ~np.isnan(pwr))[0]
-        )
+        use = np.nonzero(~np.isnan(stw) & ~np.isnan(pwr))[0]
+        curve_power = [
+            csv_cell(curve.power_at(v) if curve is not None else None)
+            for v in stw[use].tolist()
+        ]
+        rows = zip(timestamp_cells(ts[use]), csv_cells(stw[use]), csv_cells(pwr[use]), curve_power)
     write("speed_power.csv", ["timestamp", "stw", "shaft_power", "curve_power"], rows)
 
     # longitudinal wind comparison: ship-derived vs hindcast (head positive)
@@ -543,16 +538,14 @@ def emit_plotdata(
     ):
         onboard = validation.onboard_longitudinal_wind(dataset)
         hc = dataset.column("rel_wind_long")
-        sog = dataset.column("sog") if dataset.declares("sog") else np.full(len(dataset), np.nan)
+        sog = dataset.coalesce("sog")
         faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
-        rows = (
-            [
-                stamp(i),
-                csv_cell(float(onboard[i] - sog[i])),
-                csv_cell(float(hc[i] - sog[i])),
-                "1" if faulted[i] else "0",
-            ]
-            for i in np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
+        use = np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
+        rows = zip(
+            timestamp_cells(ts[use]),
+            csv_cells((onboard - sog)[use]),
+            csv_cells((hc - sog)[use]),
+            np.where(faulted[use], "1", "0").tolist(),
         )
     write(
         "wind_comparison.csv",
@@ -566,11 +559,14 @@ def emit_plotdata(
         for c in ("raw_draft_fore", "draft_fore", "raw_draft_aft", "draft_aft")
         if dataset.declares(c)
     ]
-    rows = (
-        [iso_timestamp(s.timestamp), csv_cell(s.trip_id)]
-        + [csv_cell(s.values.get(c)) for c in draft_cols]
-        for s in dataset.samples
-        if any(c in s.values for c in draft_cols)
+    use = np.zeros(len(dataset), dtype=bool)
+    for c in draft_cols:
+        use |= ~np.isnan(dataset.column(c))
+    use = np.nonzero(use)[0]
+    rows = zip(
+        timestamp_cells(ts[use]),
+        trip_cells(dataset.trip_ids[use]),
+        *(csv_cells(dataset.column(c)[use]) for c in draft_cols),
     )
     write("draft_correction.csv", ["timestamp", "trip_id"] + draft_cols, rows)
     return written

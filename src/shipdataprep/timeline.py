@@ -5,7 +5,7 @@ partitioning of the series into trips and at-berth legs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,10 +14,9 @@ from .model import (
     SOG_THRESHOLD,
     ProcessingReport,
     QualityFlag,
-    Sample,
     VoyageDataset,
+    add_flags,
     iso_timestamp,
-    new_dataset,
 )
 
 AT_BERTH = "At Berth"
@@ -68,72 +67,56 @@ def regularize(
     if len(dataset) == 0:
         return dataset.with_interval(interval_s)
 
-    t0 = int(dataset.samples[0].timestamp)
-    slots: dict[int, tuple[Sample, int]] = {}  # lattice index -> (sample, |offset|)
-    collisions: list[tuple[int, int]] = []  # (lost ts, lattice index)
-    snapped = 0
-    for s in dataset.samples:
-        delta = int(s.timestamp) - t0
-        q, r = divmod(delta, interval_s)
-        idx = q + (1 if r > interval_s / 2 else 0)  # exact half rounds down
-        offset = abs(delta - idx * interval_s)
-        if offset:
-            snapped += 1
-            if entry is not None:
-                entry.check(
-                    "snapped",
-                    timestamp=s.timestamp,
-                    variable="timestamp",
-                    expected=t0 + idx * interval_s,
-                    observed=int(s.timestamp),
-                )
-        if idx in slots:
-            keep, keep_off = slots[idx]
-            lose = s
-            if offset < keep_off:
-                keep, keep_off, lose = s, offset, keep
-            slots[idx] = (keep, keep_off)
-            collisions.append((int(lose.timestamp), idx))
-        else:
-            slots[idx] = (s, offset)
-
-    dropout_slots = {idx for _, idx in collisions}
-    new_dropouts = 0
-    last_idx = max(slots)
-    samples: list[Sample] = []
-    inserted = 0
-    for idx in range(last_idx + 1):
-        ts = t0 + idx * interval_s
-        if idx in slots:
-            kept = slots[idx][0]
-            flags = kept.flags
-            if idx in dropout_slots:
-                new_dropouts += QualityFlag.DROPOUT not in flags
-                flags = flags | {QualityFlag.DROPOUT}
-            samples.append(replace(kept, timestamp=ts, flags=flags))
-        else:
-            inserted += 1
-            samples.append(Sample(ts, {}, frozenset({QualityFlag.MISSING_INSERTED})))
+    ts = dataset.timestamps
+    t0 = int(ts[0])
+    q, r = np.divmod(ts - t0, interval_s)
+    slot = q + (r > interval_s / 2)  # exact half rounds down
+    offset = np.abs(ts - t0 - slot * interval_s)
+    snapped = int(np.count_nonzero(offset))
     if entry is not None:
-        entry.summary["inserted_rows"] = inserted
+        for i in np.flatnonzero(offset).tolist():
+            entry.check(
+                "snapped",
+                timestamp=int(ts[i]),
+                variable="timestamp",
+                expected=t0 + int(slot[i]) * interval_s,
+                observed=int(ts[i]),
+            )
+
+    # samples are in time order, so the samples of one slot are adjacent
+    slots, first, members = np.unique(slot, return_index=True, return_counts=True)
+    kept = first.copy()
+    collisions: list[tuple[int, int]] = []  # (lost ts, lattice index)
+    for k in np.flatnonzero(members > 1).tolist():
+        for j in range(first[k] + 1, first[k] + members[k]):
+            lose = kept[k]
+            if offset[j] < offset[kept[k]]:
+                kept[k] = j
+            else:
+                lose = j
+            collisions.append((int(ts[lose]), int(slots[k])))
+
+    rows = np.full(int(slots[-1]) + 1, -1)
+    rows[slots] = kept
+    lattice = t0 + np.arange(len(rows)) * interval_s
+    out = dataset.take(rows, lattice).with_interval(interval_s)
+    out = add_flags(out, QualityFlag.MISSING_INSERTED, rows < 0, entry)
+    out = add_flags(out, QualityFlag.DROPOUT, [idx for _, idx in collisions], entry)
+    if entry is not None:
+        entry.summary["inserted_rows"] = int((rows < 0).sum())
         entry.summary["snapped_samples"] = snapped
-        entry.count_flag(QualityFlag.MISSING_INSERTED, inserted)
-        entry.count_flag(QualityFlag.DROPOUT, new_dropouts)
-        for ts, idx in collisions:
+        for lost, idx in collisions:
             entry.check(
                 "dropout",
                 timestamp=t0 + idx * interval_s,
                 variable="timestamp",
                 expected=None,
-                observed=iso_timestamp(ts),
+                observed=iso_timestamp(lost),
             )
-    return new_dataset(
-        dataset.schema, samples, sampling_interval=interval_s,
-        source_kind=dataset.source_kind,
-    )
+    return out
 
 
-def _circular_mean(degrees: list[float]) -> float:
+def _circular_mean(degrees: np.ndarray) -> float:
     rad = np.deg2rad(degrees)
     ang = math.degrees(math.atan2(np.mean(np.sin(rad)), np.mean(np.cos(rad))))
     return ang % 360.0
@@ -163,61 +146,46 @@ def resample(
 
     ts = dataset.timestamps
     t0 = int(ts[0] // interval_s * interval_s)
-    numeric = [s for s in dataset.schema if s.kind != "text"]
-    text_vars = [s for s in dataset.schema if s.kind == "text"]
-
-    samples: list[Sample] = []
     if mode == "down_mean":
         n_bins = int((int(ts[-1]) - t0) // interval_s) + 1
-        bins: list[list[Sample]] = [[] for _ in range(n_bins)]
-        for s in dataset.samples:
-            bins[(int(s.timestamp) - t0) // interval_s].append(s)
-        for k, members in enumerate(bins):
-            bts = t0 + k * interval_s
-            if not members:
-                samples.append(Sample(bts, {}, frozenset({QualityFlag.MISSING_INSERTED})))
-                continue
-            values: dict[str, float | str] = {}
-            for spec in numeric:
-                got = [m.values[spec.name] for m in members if spec.name in m.values]
-                if not got:
-                    continue
-                if spec.kind == "angular" and not naive_angular:
-                    values[spec.name] = _circular_mean(got)  # type: ignore[arg-type]
-                else:
-                    values[spec.name] = float(np.mean(got))
-            for spec in text_vars:
-                got = [m.values[spec.name] for m in members if spec.name in m.values]
-                if got:
-                    values[spec.name] = got[-1]
-            flags = frozenset().union(*(m.flags for m in members))
-            samples.append(Sample(bts, values, flags))
+        # samples are in time order, so each bin's members are adjacent rows
+        bins = (ts - t0) // interval_s
+        starts = np.searchsorted(bins, np.arange(n_bins))
+        ends = np.searchsorted(bins, np.arange(n_bins), side="right")
+        filled = np.flatnonzero(ends > starts)
+        out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
+        for spec in dataset.schema:
+            text = spec.kind == "text"
+            col = dataset.text_column(spec.name) if text else dataset.column(spec.name)
+            present = np.array([v is not None for v in col], dtype=bool) if text else ~np.isnan(col)
+            average = (
+                (lambda got: got[-1]) if text  # text keeps the last value
+                else _circular_mean if spec.kind == "angular" and not naive_angular
+                else (lambda got: float(np.mean(got)))
+            )
+            means: dict[int, float | str] = {}
+            for k in filled.tolist():
+                got = col[starts[k]:ends[k]][present[starts[k]:ends[k]]]
+                if len(got):
+                    means[k] = average(got)
+            out = out.with_values(spec.name, means)
+        for flag in QualityFlag:
+            has = np.logical_or.reduceat(dataset.flagged(flag), starts[filled])
+            out = out.adding_flags(flag, filled[has])
+        out = out.adding_flags(QualityFlag.MISSING_INSERTED, ends == starts)
     else:  # up_hold
-        lattice_end = int(ts[-1])
-        by_ts = {int(s.timestamp): s for s in dataset.samples}
-        held: Sample | None = None
-        t = t0 if t0 >= int(ts[0]) else t0 + interval_s
-        while t <= lattice_end:
-            src = by_ts.get(t)
-            if src is not None:
-                samples.append(replace(src, timestamp=t))
-                held = src
-            elif held is not None:
-                samples.append(
-                    Sample(
-                        t,
-                        dict(held.values),
-                        held.flags | {QualityFlag.MISSING_INSERTED},
-                    )
-                )
-            else:
-                samples.append(Sample(t, {}, frozenset({QualityFlag.MISSING_INSERTED})))
-            t += interval_s
+        start = t0 if t0 >= int(ts[0]) else t0 + interval_s
+        lattice = np.arange(start, int(ts[-1]) + 1, interval_s)
+        at = np.minimum(np.searchsorted(ts, lattice), len(ts) - 1)
+        exact = ts[at] == lattice
+        # a point without its own sample holds the last exact hit before it
+        last_hit = np.maximum.accumulate(np.where(exact, np.arange(len(lattice)), -1))
+        rows = np.where(last_hit >= 0, at[last_hit], -1)
+        out = dataset.take(rows, lattice)
+        out = out.with_trip_ids(np.where(exact, out.trip_ids, -1))
+        out = out.adding_flags(QualityFlag.MISSING_INSERTED, ~exact)
 
-    out = new_dataset(
-        dataset.schema, samples, sampling_interval=interval_s,
-        source_kind=dataset.source_kind,
-    )
+    out = out.with_interval(interval_s)
     if entry is not None:
         n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
         entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
@@ -250,10 +218,9 @@ def _build_index(
         Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(trip_runs)
     )
     legs = tuple((int(ts[a]), int(ts[b])) for a, b in berth_runs)
-    ids: list[int | None] = [None] * len(dataset)
+    ids = np.full(len(dataset), -1)
     for t, (a, b) in zip(trips, trip_runs):
-        for i in range(a, b + 1):
-            ids[i] = t.trip_id
+        ids[a : b + 1] = t.trip_id
     return TripIndex(trips, legs, method), dataset.with_trip_ids(ids)
 
 

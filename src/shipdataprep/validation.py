@@ -48,15 +48,14 @@ def check_power_identity(
     """
     entry = report.stage("check:power_identity") if report is not None else None
     n = len(dataset)
-    rpm = dataset.column("shaft_rpm") if dataset.declares("shaft_rpm") else np.full(n, np.nan)
-    tau = dataset.column("shaft_torque") if dataset.declares("shaft_torque") else np.full(n, np.nan)
-    pwr = dataset.column("shaft_power") if dataset.declares("shaft_power") else np.full(n, np.nan)
+    rpm = dataset.coalesce("shaft_rpm")
+    tau = dataset.coalesce("shaft_torque")
+    pwr = dataset.coalesce("shaft_power")
     rev_s = rpm / 60.0
+    stamps = dataset.timestamps.tolist()
 
-    flags: dict[int, set] = {}
-    derived_p: list[float | None] = [None] * n
-    derived_n: list[float | None] = [None] * n
-    derived_t: list[float | None] = [None] * n
+    invalid = np.zeros(n, dtype=bool)
+    derived_p, derived_n, derived_t = ([None] * n for _ in range(3))
     checked = failed = derived = 0
     eps = 1e-9
     for i in range(n):
@@ -67,11 +66,11 @@ def check_power_identity(
             resid = abs(pwr[i] - expected) / max(abs(pwr[i]), eps)
             if resid > rel_tolerance:
                 failed += 1
-                flags[i] = {QualityFlag.INVALID_RANGE}
+                invalid[i] = True
                 if entry is not None:
                     entry.check(
                         "fail",
-                        timestamp=dataset.samples[i].timestamp,
+                        timestamp=stamps[i],
                         variable="shaft_power",
                         expected=expected,
                         observed=float(pwr[i]),
@@ -85,7 +84,7 @@ def check_power_identity(
             else:
                 derived_n[i] = pwr[i] / (TWO_PI * tau[i]) * 60.0 if tau[i] != 0 else None
 
-    out = add_flags(dataset, flags, entry)
+    out = add_flags(dataset, QualityFlag.INVALID_RANGE, invalid, entry)
     for name, unit, col in (
         ("derived_shaft_power", "W", derived_p),
         ("derived_shaft_rpm", "rpm", derived_n),
@@ -136,12 +135,13 @@ def check_speed_power(
         return dataset
     stw = dataset.column("stw")
     pwr = dataset.column("shaft_power")
-    rpm = dataset.column("shaft_rpm") if dataset.declares("shaft_rpm") else np.full(len(dataset), np.nan)
+    rpm = dataset.coalesce("shaft_rpm")
     in_trip = dataset.in_trip_or_all()
 
     deviations = []
     skipped = 0
-    flags: dict[int, set] = {}
+    stamps = dataset.timestamps.tolist()
+    outside = np.zeros(len(dataset), dtype=bool)
     for i in range(len(dataset)):
         if not in_trip[i] or math.isnan(stw[i]) or math.isnan(pwr[i]):
             continue
@@ -153,21 +153,21 @@ def check_speed_power(
             deviations.append((pwr[i] - ref) / ref)
         if particulars.envelope is not None and not math.isnan(rpm[i]):
             if not _point_in_polygon(rpm[i], pwr[i], particulars.envelope):
-                flags[i] = {QualityFlag.INVALID_RANGE}
+                outside[i] = True
                 if entry is not None:
                     entry.check(
                         "outside_envelope",
-                        timestamp=dataset.samples[i].timestamp,
+                        timestamp=stamps[i],
                         variable="shaft_power",
                         expected=None,
                         observed=(float(rpm[i]), float(pwr[i])),
                     )
-    out = add_flags(dataset, flags, entry)
+    out = add_flags(dataset, QualityFlag.INVALID_RANGE, outside, entry)
     if entry is not None:
         entry.summary["curve"] = curve.label
         entry.summary["compared"] = len(deviations)
         entry.summary["skipped_outside_curve"] = skipped
-        entry.summary["flagged_outside_envelope"] = len(flags)
+        entry.summary["flagged_outside_envelope"] = int(outside.sum())
         if deviations:
             dev = np.array(sorted(deviations))  # sorted: order-invariant stats
             entry.summary["bias_median"] = float(np.median(dev))
@@ -200,10 +200,11 @@ def check_stw(
         entry.summary["residual_median"] = float(np.median(r))
         entry.summary["residual_max_abs"] = float(np.abs(r).max())
         entry.summary["beyond_tolerance"] = int((np.abs(r) > tolerance).sum())
+        stamps = dataset.timestamps.tolist()
         for i in np.nonzero(good & (np.abs(resid) > tolerance))[0]:
             entry.check(
                 "suspect",
-                timestamp=dataset.samples[i].timestamp,
+                timestamp=stamps[i],
                 variable="stw",
                 expected=float(est[i]),
                 observed=float(stw[i]),
@@ -214,21 +215,10 @@ def onboard_longitudinal_wind(dataset: VoyageDataset, use_fixed: bool = True) ->
     """Longitudinal relative wind (head positive) from onboard anemometer
     measurements: speed times the cosine of the relative direction off the
     bow."""
-    n = len(dataset)
-    speed = (
-        dataset.column("rel_wind_speed_ref")
-        if dataset.declares("rel_wind_speed_ref")
-        else dataset.column("rel_wind_speed")
-        if dataset.declares("rel_wind_speed")
-        else np.full(n, np.nan)
-    )
-    direction = np.full(n, np.nan)
+    ref = dataset.declares("rel_wind_speed_ref")
+    speed = dataset.coalesce("rel_wind_speed_ref" if ref else "rel_wind_speed")
     names = ("fixed_rel_wind_dir", "rel_wind_dir") if use_fixed else ("rel_wind_dir",)
-    for name in names:
-        if dataset.declares(name) and dataset.has_data(name):
-            col = dataset.column(name)
-            take = np.isnan(direction) & ~np.isnan(col)
-            direction[take] = col[take]
+    direction = dataset.coalesce(*names)
     return speed * np.cos(np.deg2rad(direction))
 
 
@@ -268,13 +258,14 @@ def check_longitudinal_wind(
     big = good & (np.abs(resid) > tolerance)
     result["beyond_tolerance"] = int(big.sum())
     faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
+    stamps = dataset.timestamps.tolist()
     for i in np.nonzero(big)[0]:
         if faulted[i]:
             result["cross_referenced"] += 1
         if entry is not None:
             entry.check(
                 "mismatch+angular_fault" if faulted[i] else "mismatch",
-                timestamp=dataset.samples[i].timestamp,
+                timestamp=stamps[i],
                 variable="rel_wind_long",
                 expected=float(hc_side[i]),
                 observed=float(ship_side[i]),
@@ -337,34 +328,31 @@ def detect_angular_fault(
         return dataset
     recorded = dataset.column(variable)
 
-    flags: dict[int, set] = {}
-    fixed: list[float | None] = [None] * len(dataset)
+    faulty = np.zeros(len(dataset), dtype=bool)
     for i in range(len(dataset)):
         r, ref = recorded[i], reference[i]
         if math.isnan(r) or math.isnan(ref):
             continue
         near_wrap = ref <= wrap_band or ref >= 360.0 - wrap_band
-        if near_wrap and angular_difference(r, ref) > difference_threshold:
-            flags[i] = {QualityFlag.ANGULAR_AVERAGING_FAULT}
-            fixed[i] = float(ref)
-    out = add_flags(dataset, flags, entry)
+        faulty[i] = near_wrap and angular_difference(r, ref) > difference_threshold
+    out = add_flags(dataset, QualityFlag.ANGULAR_AVERAGING_FAULT, faulty, entry)
     fixed_name = f"fixed_{variable}"
-    if any(v is not None for v in fixed):
+    if faulty.any():
         if out.declares(fixed_name):
-            out = out.with_values(
-                fixed_name, {i: v for i, v in enumerate(fixed) if v is not None}
-            )
+            rows = np.flatnonzero(faulty).tolist()
+            out = out.with_values(fixed_name, dict(zip(rows, reference[rows].tolist())))
         else:
             out = out.adding_variable(
                 VariableSpec(fixed_name, "deg", "angular", role="operational_environment"),
-                fixed,
+                np.where(faulty, reference, np.nan),
             )
     if entry is not None:
-        entry.summary["flagged"] = len(flags)
-        for i in sorted(flags):
+        entry.summary["flagged"] = int(faulty.sum())
+        stamps = dataset.timestamps.tolist()
+        for i in np.flatnonzero(faulty).tolist():
             entry.check(
                 "angular_averaging_fault",
-                timestamp=out.samples[i].timestamp,
+                timestamp=stamps[i],
                 variable=variable,
                 expected=float(reference[i]),
                 observed=float(recorded[i]),

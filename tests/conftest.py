@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shipdataprep.model import Sample, VariableSpec, new_dataset
+from shipdataprep.model import QualityFlag, Sample, VariableSpec, new_dataset
 
 INTERVAL = 900
 T0 = 1_600_000_000  # any fixed UTC anchor
@@ -19,6 +19,28 @@ def iso(ts: int) -> str:
     from shipdataprep.model import iso_timestamp
 
     return iso_timestamp(ts)
+
+
+def flags_at(dataset, i: int) -> frozenset:
+    """The flags of row ``i``, read through ``dataset.flagged``."""
+    return frozenset(f for f in QualityFlag if dataset.flagged(f)[i])
+
+
+def row_values(dataset, i: int) -> dict:
+    """The values present in row ``i``, by variable name, read column by
+    column (NaN and None are missing)."""
+    out = {}
+    for spec in dataset.schema:
+        text = spec.kind == "text"
+        v = (dataset.text_column(spec.name) if text else dataset.column(spec.name))[i]
+        if v is not None and v == v:
+            out[spec.name] = v if text else float(v)
+    return out
+
+
+def flagged_rows(dataset, flag) -> list[int]:
+    """Indices of the rows carrying ``flag``."""
+    return np.flatnonzero(dataset.flagged(flag)).tolist()
 
 
 def simple_schema(*names: str) -> list[VariableSpec]:

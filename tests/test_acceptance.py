@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle_values as oracle
-from conftest import VoyageBuilder, series_dataset
+from conftest import VoyageBuilder, flagged_rows, series_dataset
 from shipdataprep.cleaning import pca_fit, pca_score
 from shipdataprep.cli import main as cli_main
 from shipdataprep.corrections import DraftChangeEvent, fix_draft_ramp, fix_draft_simple
@@ -237,13 +237,10 @@ def test_criterion_5_angular_fault_detector():
                       "wrap-straddling faults and 0% of a control fixture"):
         assert len(faulted) >= 30  # the fixture really does commit the fault
         out = detect_angular_fault(ds, "rel_wind_dir", reference=reference)
-        flagged = {
-            i for i, s in enumerate(out.samples)
-            if QualityFlag.ANGULAR_AVERAGING_FAULT in s.flags
-        }
+        flagged = set(flagged_rows(out, QualityFlag.ANGULAR_AVERAGING_FAULT))
         assert len(flagged & faulted) / len(faulted) >= 0.95
         for i in flagged:
-            assert out.samples[i].values["fixed_rel_wind_dir"] == pytest.approx(
+            assert out.column("fixed_rel_wind_dir")[i] == pytest.approx(
                 reference[i] % 360.0
             )
 
@@ -252,10 +249,7 @@ def test_criterion_5_angular_fault_detector():
         out_control = detect_angular_fault(
             control, "rel_wind_dir", reference=control_ref
         )
-        control_flagged = sum(
-            1 for s in out_control.samples
-            if QualityFlag.ANGULAR_AVERAGING_FAULT in s.flags
-        )
+        control_flagged = int(out_control.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
         assert control_flagged == 0
 
 
@@ -298,7 +292,7 @@ def test_criterion_6_draft_corrections():
         worst = 0.0
         for i in out.trip_indices(1):
             truth = 8.0 + (7.6 - 8.0) * (ts[i] - t0) / (t1 - t0)
-            worst = max(worst, abs(out.samples[i].values["draft_fore"] - truth))
+            worst = max(worst, abs(out.column("draft_fore")[i] - truth))
         assert worst < 1e-9, f"simple correction max error {worst}"
 
         # ramp: trim swap, fore 8 -> 7 while aft 7 -> 8 over one event
@@ -324,7 +318,7 @@ def test_criterion_6_draft_corrections():
         for k, i in enumerate(out.trip_indices(1)):
             for sensor in ("draft_fore", "draft_aft"):
                 truth = rows[k][sensor]
-                got = out.samples[i].values[sensor]
+                got = out.column(sensor)[i]
                 worst = max(worst, abs(got - truth))
         assert worst < 1e-9, f"ramp correction max error {worst}"
 
@@ -348,10 +342,7 @@ def test_criterion_7_pca_outlier_detection():
                 cols["stw"][i] -= 2.5
             contaminated = series_dataset({k: list(v) for k, v in cols.items()})
             out = pca_score(detector, contaminated)
-            flagged = {
-                i for i, s in enumerate(out.samples)
-                if QualityFlag.CORRELATION_OUTLIER in s.flags
-            }
+            flagged = set(flagged_rows(out, QualityFlag.CORRELATION_OUTLIER))
             inj = set(int(i) for i in injected)
             detection_rates.append(len(flagged & inj) / len(inj))
             false_rates.append(len(flagged - inj) / (n - len(inj)))
@@ -396,11 +387,8 @@ def test_criterion_9_ais_consistency():
     with criterion(9, "AIS speed check flags exactly the 5 injected "
                       "irrational speeds and replaces each with a neighbour"):
         out = ais_speed_consistency(ds, tolerance_fraction=0.3, window=5)
-        flagged = [
-            i for i, s in enumerate(out.samples)
-            if QualityFlag.IRRATIONAL_SPEED in s.flags
-        ]
+        flagged = flagged_rows(out, QualityFlag.IRRATIONAL_SPEED)
         assert flagged == injected
         for i in injected:
-            assert out.samples[i].values["sog"] == pytest.approx(speed)
-            assert out.samples[i].values["raw_sog"] == pytest.approx(25.0)
+            assert out.column("sog")[i] == pytest.approx(speed)
+            assert out.column("raw_sog")[i] == pytest.approx(25.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import series_dataset
+from conftest import flagged_rows, flags_at, series_dataset
 from shipdataprep.cleaning import (
     CleaningError,
     PcaDetector,
@@ -33,7 +33,7 @@ def test_dropout_in_two_variables_counts_one_pair():
     })
     report = ProcessingReport()
     out = contextual_filter(ds, report=report)
-    assert [sorted(f.value for f in s.flags) for s in out.samples][3] == ["dropout"]
+    assert sorted(f.value for f in flags_at(out, 3)) == ["dropout"]
     entry = report.stage_entries[0]
     assert entry.flag_counts == {"dropout": 1}
     assert len(entry.checks) == 2  # one row of evidence per variable
@@ -51,8 +51,8 @@ class TestContextualFilter:
     def test_invalid_range(self):
         ds = dataset_with_ranges([50.0, -5.0, 60.0])
         out = contextual_filter(ds, in_trip_only=False)
-        assert QualityFlag.INVALID_RANGE in out.samples[1].flags
-        assert not out.samples[0].flags
+        assert out.flagged(QualityFlag.INVALID_RANGE)[1]
+        assert not flags_at(out, 0)
 
     def test_repeated_values_in_varying_signal(self):
         rng = np.random.default_rng(0)
@@ -60,29 +60,26 @@ class TestContextualFilter:
         values = noisy[:5] + [90.0] * 30 + noisy[5:]
         ds = dataset_with_ranges(values)
         out = contextual_filter(ds, repeat_run=20, in_trip_only=False)
-        flagged = [
-            i for i, s in enumerate(out.samples)
-            if QualityFlag.REPEATED_VALUE in s.flags
-        ]
+        flagged = flagged_rows(out, QualityFlag.REPEATED_VALUE)
         assert flagged == list(range(5, 35))
 
     def test_constant_variable_not_repeated_flagged(self):
         ds = dataset_with_ranges([80.0] * 40)
         out = contextual_filter(ds, repeat_run=20, in_trip_only=False)
-        assert not any(QualityFlag.REPEATED_VALUE in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_single_sample_dropout(self):
         values = [80.0] * 10 + [0.0] + [80.0] * 10
         ds = dataset_with_ranges(values)
         out = contextual_filter(ds, dropout_max=3, in_trip_only=False)
-        assert QualityFlag.DROPOUT in out.samples[10].flags
-        assert sum(QualityFlag.DROPOUT in s.flags for s in out.samples) == 1
+        assert out.flagged(QualityFlag.DROPOUT)[10]
+        assert out.flagged(QualityFlag.DROPOUT).sum() == 1
 
     def test_long_dead_run_is_not_dropout(self):
         values = [80.0] * 10 + [0.0] * 5 + [80.0] * 10
         ds = dataset_with_ranges(values)
         out = contextual_filter(ds, dropout_max=3, in_trip_only=False)
-        assert not any(QualityFlag.DROPOUT in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.DROPOUT).any()
 
     def test_spike_flagged(self):
         rng = np.random.default_rng(1)
@@ -90,7 +87,7 @@ class TestContextualFilter:
         values[20] += 30.0
         ds = dataset_with_ranges(values)
         out = contextual_filter(ds, spike_scales=6.0, in_trip_only=False)
-        assert QualityFlag.SPIKE in out.samples[20].flags
+        assert out.flagged(QualityFlag.SPIKE)[20]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -104,7 +101,7 @@ class TestContextualFilter:
         values = sorted(values)
         ds = dataset_with_ranges(values, lo=-1.0, hi=101.0)
         out = contextual_filter(ds, in_trip_only=False)
-        assert not any(QualityFlag.SPIKE in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.SPIKE).any()
 
 
 class TestQuasiSteady:
@@ -119,7 +116,7 @@ class TestQuasiSteady:
             SteadyFilterParams(11, 0.01, 0.05),
             SteadyFilterParams(11, 0.001, 0.2),
         )
-        assert not any(QualityFlag.UNSTEADY in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.UNSTEADY).any()
 
     def test_rpm_ramp_interior_flagged(self):
         rng = np.random.default_rng(3)
@@ -135,9 +132,7 @@ class TestQuasiSteady:
             SteadyFilterParams(11, 0.01, 1e-5),
             SteadyFilterParams(11, 0.001, 0.2),
         )
-        ramp_flags = [
-            QualityFlag.UNSTEADY in out.samples[i].flags for i in range(35, 55)
-        ]
+        ramp_flags = out.flagged(QualityFlag.UNSTEADY)[35:55]
         assert np.mean(ramp_flags) > 0.9
 
     def test_sog_dead_drop_caught_by_relaxed_pass(self):
@@ -151,9 +146,7 @@ class TestQuasiSteady:
             SteadyFilterParams(11, 0.01, 0.05),
             SteadyFilterParams(11, 0.01, 1e-4),
         )
-        region = [
-            i for i, s in enumerate(out.samples) if QualityFlag.UNSTEADY in s.flags
-        ]
+        region = flagged_rows(out, QualityFlag.UNSTEADY)
         assert region  # the drop/recovery edges are caught
         assert all(35 <= i <= 50 for i in region)
 
@@ -162,19 +155,16 @@ class TestQuasiSteady:
         values = list(70.0 + np.cumsum(rng.normal(0, 0.3, 80)))
         ds = self.rpm_dataset(values)
 
-        def flags_at(alpha):
+        def unsteady_at(alpha):
             out = quasi_steady_filter(
                 ds,
                 SteadyFilterParams(11, alpha),
                 SteadyFilterParams(11, alpha / 10.0),
             )
-            return {
-                i for i, s in enumerate(out.samples)
-                if QualityFlag.UNSTEADY in s.flags
-            }
+            return set(flagged_rows(out, QualityFlag.UNSTEADY))
 
         # smaller alpha rejects less: flag set shrinks weakly
-        assert flags_at(0.001) <= flags_at(0.05)
+        assert unsteady_at(0.001) <= unsteady_at(0.05)
 
 
 def correlated_dataset(n=400, seed=0, faults=(), names=("a", "b", "c", "d")):
@@ -240,8 +230,8 @@ class TestPca:
         det = pca_fit(ds, ["a", "b", "c", "d"], k=1, quantile=0.995)
         out1 = pca_score(det, ds)
         out2 = pca_score(det, ds)
-        f1 = [s.flags for s in out1.samples]
-        f2 = [s.flags for s in out2.samples]
+        f1 = [flags_at(out1, i) for i in range(len(out1))]
+        f2 = [flags_at(out2, i) for i in range(len(out2))]
         assert f1 == f2
         # by construction of the threshold, roughly (1-q) of training exceeds
         n_flagged = sum(QualityFlag.CORRELATION_OUTLIER in f for f in f1)
@@ -252,10 +242,7 @@ class TestPca:
         det = pca_fit(clean, ["a", "b", "c", "d"], quantile=0.995)
         faulted = correlated_dataset(n=500, seed=9, faults=range(100, 110))
         out = pca_score(det, faulted)
-        hits = [
-            i for i, s in enumerate(out.samples)
-            if QualityFlag.CORRELATION_OUTLIER in s.flags
-        ]
+        hits = flagged_rows(out, QualityFlag.CORRELATION_OUTLIER)
         assert set(range(100, 110)) <= set(hits)
         false_pos = [i for i in hits if not 100 <= i < 110]
         assert len(false_pos) <= 10
@@ -319,9 +306,7 @@ class TestPca:
 
     def test_flagged_samples_excluded_from_training(self):
         ds = correlated_dataset(n=300, seed=0, faults=range(20))
-        flagged = ds.adding_flags(
-            {i: {QualityFlag.INVALID_RANGE} for i in range(20)}
-        )
+        flagged = ds.adding_flags(QualityFlag.INVALID_RANGE, np.arange(20))
         det_clean = pca_fit(flagged, ["a", "b", "c", "d"], k=1, quantile=0.995)
         det_dirty = pca_fit(ds, ["a", "b", "c", "d"], k=1, quantile=0.995)
         # excluding the gross faults tightens the threshold

@@ -64,13 +64,13 @@ class TestFixDraftSimple:
         out = fix_draft_simple(ds, trip, min_anchor=3)
         idx = out.trip_indices(1)
         mid = idx[len(idx) // 2]
-        assert out.samples[mid].values["draft_fore"] == pytest.approx(7.8, abs=1e-12)
+        assert out.column("draft_fore")[mid] == pytest.approx(7.8, abs=1e-12)
 
     def test_constant_anchors_constant_trip(self):
         ds, trip = voyage_with_drafts(9.0, 9.0, [8.0] * 7)
         out = fix_draft_simple(ds, trip)
         for i in out.trip_indices(1):
-            assert out.samples[i].values["draft_fore"] == pytest.approx(9.0, abs=1e-12)
+            assert out.column("draft_fore")[i] == pytest.approx(9.0, abs=1e-12)
 
     def test_venturi_depressed_readings_ignored_entirely(self):
         # in-trip sensor reads 7.2 while anchors say 8.0 -> 7.8: the raw
@@ -81,16 +81,16 @@ class TestFixDraftSimple:
         t0, t1 = float(trip.start), float(trip.end)
         for i in out.trip_indices(1):
             expected = 8.0 + (7.8 - 8.0) * (ts[i] - t0) / (t1 - t0)
-            assert out.samples[i].values["draft_fore"] == pytest.approx(
+            assert out.column("draft_fore")[i] == pytest.approx(
                 expected, abs=1e-12
             )
-            assert out.samples[i].values["raw_draft_fore"] == 7.2
-            assert QualityFlag.DRAFT_CORRECTED in out.samples[i].flags
+            assert out.column("raw_draft_fore")[i] == 7.2
+            assert out.flagged(QualityFlag.DRAFT_CORRECTED)[i]
 
     def test_monotone_when_pre_geq_post(self):
         ds, trip = voyage_with_drafts(8.4, 7.9, [7.0] * 15)
         out = fix_draft_simple(ds, trip)
-        vals = [out.samples[i].values["draft_fore"] for i in out.trip_indices(1)]
+        vals = [out.column("draft_fore")[i] for i in out.trip_indices(1)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_missing_side_falls_back_to_constant(self):
@@ -101,7 +101,7 @@ class TestFixDraftSimple:
         report = ProcessingReport()
         out = fix_draft_simple(ds, trip, report=report)
         for i in out.trip_indices(1):
-            assert out.samples[i].values["draft_fore"] == pytest.approx(8.0)
+            assert out.column("draft_fore")[i] == pytest.approx(8.0)
         assert any("single-sided" in note for note in report.stage_entries[0].notes)
 
 
@@ -128,16 +128,14 @@ class TestFixDraftRamp:
         out = fix_draft_ramp(ds, trip, [event], n_avg=5)
         mid_ts = (event.start + event.end) // 2
         i = int(np.nonzero(out.timestamps == mid_ts)[0][0])
-        assert out.samples[i].values["draft_fore"] == pytest.approx(7.0, abs=1e-9)
+        assert out.column("draft_fore")[i] == pytest.approx(7.0, abs=1e-9)
 
     def test_zero_events_reduces_to_simple(self):
         ds, trip = voyage_with_drafts(8.0, 7.6, [7.2] * 9)
         a = fix_draft_ramp(ds, trip, [], n_avg=5)
         b = fix_draft_simple(ds, trip, n_anchor=5)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.values.get("draft_fore") == pytest.approx(
-                sb.values.get("draft_fore"), abs=1e-9
-            )
+        for va, vb in zip(a.column("draft_fore").tolist(), b.column("draft_fore").tolist()):
+            assert va == pytest.approx(vb, abs=1e-9, nan_ok=True)
 
     def test_two_events_compose(self):
         # +0.5 then -0.3 -> final level pre + 0.2
@@ -160,7 +158,7 @@ class TestFixDraftRamp:
         ]
         out = fix_draft_ramp(ds, trip, events, n_avg=5)
         last = out.trip_indices(1)[-1]
-        assert out.samples[last].values["draft_fore"] == pytest.approx(8.2, abs=1e-9)
+        assert out.column("draft_fore")[last] == pytest.approx(8.2, abs=1e-9)
 
     def test_overlapping_events_rejected(self):
         ds, trip, event = self.ramp_fixture()
@@ -173,10 +171,10 @@ class TestFixDraftRamp:
         event = DraftChangeEvent(1, trip.start + 10 * DT, trip.start + 15 * DT)
         ramp = fix_draft_ramp(ds, trip, [event], n_avg=5)
         simple = fix_draft_simple(ds, trip, n_anchor=5)
-        for sa, sb in zip(ramp.samples, simple.samples):
-            assert sa.values.get("draft_fore") == pytest.approx(
-                sb.values.get("draft_fore"), abs=1e-9
-            )
+        for va, vb in zip(
+            ramp.column("draft_fore").tolist(), simple.column("draft_fore").tolist()
+        ):
+            assert va == pytest.approx(vb, abs=1e-9, nan_ok=True)
 
 
 class TestDetectDraftEvents:
@@ -363,7 +361,7 @@ class TestTableDrivenResistance:
     def test_zero_relative_wind_zero_resistance(self):
         ds = resistance_dataset(rel_wind_speed=[0.0], rel_wind_dir=[0.0])
         out = resistance_components(ds, [self.wind_model()])
-        assert out.samples[0].values["res_wind"] == 0.0
+        assert out.column("res_wind")[0] == 0.0
 
     def test_table_reproduced_at_defining_points(self):
         m = self.wind_model()
@@ -375,8 +373,8 @@ class TestTableDrivenResistance:
             rel_wind_speed=[10.0, 20.0], rel_wind_dir=[45.0, 45.0]
         )
         out = resistance_components(ds, [self.wind_model()])
-        r10 = out.samples[0].values["res_wind"]
-        r20 = out.samples[1].values["res_wind"]
+        r10 = out.column("res_wind")[0]
+        r20 = out.column("res_wind")[1]
         assert r20 == pytest.approx(4.0 * r10, rel=1e-12)
         # hand arithmetic for the 10 m/s case: C(45)=0.65, q=0.5*1.225*100
         assert r10 == pytest.approx(0.5 * 1.225 * 0.65 * 1000.0 * 100.0, rel=1e-12)
@@ -385,7 +383,7 @@ class TestTableDrivenResistance:
         calm = TableDrivenModel("calm", "calm_water", 500.0, [0.0], [0.002])
         ds = resistance_dataset(stw=[2.0, 4.0, 6.0])
         out = resistance_components(ds, [calm])
-        vals = [s.values["res_calm"] for s in out.samples]
+        vals = out.column("res_calm").tolist()
         assert vals == sorted(vals)
         assert all(v >= 0 for v in vals)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_values as oracle
-from conftest import series_dataset
+from conftest import flagged_rows, series_dataset
 from shipdataprep.features import (
     ais_speed_consistency,
     ais_status_check,
@@ -135,7 +135,7 @@ class TestGpsHeading:
 
     def test_flagged_position_missing(self):
         ds = track_dataset([(0.0, 0.0), (0.0, 0.1), (0.0, 0.2)]).adding_flags(
-            {1: {QualityFlag.IRRATIONAL_POSITION}}
+            QualityFlag.IRRATIONAL_POSITION, [1]
         )
         headings = gps_heading(ds)
         assert headings[1] is None
@@ -164,25 +164,25 @@ def frame_dataset(heading, sog, wind_u, wind_v, wave_dir=None, cur_u=None, cur_v
 class TestResolveShipFrame:
     def test_still_air_head_wind_equals_sog(self):
         ds = resolve_ship_frame(frame_dataset(0.0, 5.0, 0.0, 0.0))
-        assert ds.samples[0].values["rel_wind_long"] == pytest.approx(5.0)
-        assert ds.samples[0].values["rel_wind_trans"] == pytest.approx(0.0)
+        assert ds.column("rel_wind_long")[0] == pytest.approx(5.0)
+        assert ds.column("rel_wind_trans")[0] == pytest.approx(0.0)
 
     def test_north_heading_north_wind(self):
         # wind blowing FROM north at 10 m/s = vector (0, -10); stationary ship
         ds = resolve_ship_frame(frame_dataset(0.0, 0.0, 0.0, -10.0))
-        assert ds.samples[0].values["rel_wind_long"] == pytest.approx(10.0)
-        assert abs(ds.samples[0].values.get("rel_wind_trans", 0.0)) < 1e-12
+        assert ds.column("rel_wind_long")[0] == pytest.approx(10.0)
+        assert abs(np.nan_to_num(ds.column("rel_wind_trans")[0])) < 1e-12
 
     def test_wave_direction_aligned_with_heading(self):
         ds = resolve_ship_frame(frame_dataset(123.0, 3.0, 0.0, 0.0, wave_dir=123.0))
-        assert ds.samples[0].values["rel_wave_dir"] == pytest.approx(0.0, abs=1e-12)
+        assert ds.column("rel_wave_dir")[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_stw_estimate_subtracts_following_current(self):
         # heading east, current flowing east at 1 m/s, sog 6 -> stw 5
         ds = resolve_ship_frame(
             frame_dataset(90.0, 6.0, 0.0, 0.0, cur_u=1.0, cur_v=0.0)
         )
-        assert ds.samples[0].values["stw_estimate"] == pytest.approx(5.0)
+        assert ds.column("stw_estimate")[0] == pytest.approx(5.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -192,8 +192,8 @@ class TestResolveShipFrame:
     )
     def test_zero_sog_preserves_wind_magnitude(self, psi, u, v):
         ds = resolve_ship_frame(frame_dataset(psi, 0.0, u, v))
-        s = ds.samples[0].values
-        got = s.get("rel_wind_long", 0.0) ** 2 + s.get("rel_wind_trans", 0.0) ** 2
+        long, trans = (np.nan_to_num(ds.column(n)[0]) for n in ("rel_wind_long", "rel_wind_trans"))
+        got = long ** 2 + trans ** 2
         assert got == pytest.approx(u * u + v * v, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
@@ -201,8 +201,8 @@ class TestResolveShipFrame:
     def test_relative_wave_direction_mod_360(self, wave, psi):
         a = resolve_ship_frame(frame_dataset(psi, 1.0, 0.0, 0.0, wave_dir=wave))
         b = resolve_ship_frame(frame_dataset(psi, 1.0, 0.0, 0.0, wave_dir=(wave + 360.0) % 360.0))
-        va = a.samples[0].values["rel_wave_dir"]
-        vb = b.samples[0].values["rel_wave_dir"]
+        va = a.column("rel_wave_dir")[0]
+        vb = b.column("rel_wave_dir")[0]
         assert angular_difference(va, vb) < 1e-9
 
 
@@ -231,18 +231,15 @@ class TestAisSpeedConsistency:
 
     def test_consistent_track_zero_flags(self):
         out = ais_speed_consistency(self.build())
-        assert not any(QualityFlag.IRRATIONAL_SPEED in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
     def test_injected_speed_flagged_and_replaced(self):
         report = ProcessingReport()
         out = ais_speed_consistency(self.build(inject=(10,)), report=report)
-        flagged = [
-            i for i, s in enumerate(out.samples)
-            if QualityFlag.IRRATIONAL_SPEED in s.flags
-        ]
+        flagged = flagged_rows(out, QualityFlag.IRRATIONAL_SPEED)
         assert flagged == [10]
-        assert out.samples[10].values["sog"] == pytest.approx(5.0)
-        assert out.samples[10].values["raw_sog"] == pytest.approx(25.0)
+        assert out.column("sog")[10] == pytest.approx(5.0)
+        assert out.column("raw_sog")[10] == pytest.approx(25.0)
         entry = report.stage_entries[0]
         assert entry.flag_counts["irrational_speed"] == 1
 
@@ -253,7 +250,7 @@ class TestAisSpeedConsistency:
         ]
         ds = new_dataset(schema, samples)
         out = ais_speed_consistency(ds)
-        assert not any(QualityFlag.IRRATIONAL_SPEED in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
     def test_short_legs_use_window_trend(self):
         lats, lons = straight_track(30, dt=30)
@@ -264,7 +261,7 @@ class TestAisSpeedConsistency:
         ]
         ds = new_dataset(schema, samples)
         out = ais_speed_consistency(ds)
-        assert not any(QualityFlag.IRRATIONAL_SPEED in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
 
 class TestServiceSpeedRange:
@@ -286,15 +283,15 @@ class TestAisStatusCheck:
 
     def test_moored_while_moving_flagged(self):
         out = ais_status_check(self.build(5.0, 7.0))
-        assert QualityFlag.STALE_AIS_STATUS in out.samples[0].flags
+        assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_under_way_while_moving_ok(self):
         out = ais_status_check(self.build(0.0, 7.0))
-        assert QualityFlag.STALE_AIS_STATUS not in out.samples[0].flags
+        assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_anchored_at_rest_ok(self):
         out = ais_status_check(self.build(1.0, 0.0))
-        assert QualityFlag.STALE_AIS_STATUS not in out.samples[0].flags
+        assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_under_way_at_rest_in_port_flagged(self):
         schema = [VariableSpec("nav_status"), VariableSpec("sog")]
@@ -304,5 +301,5 @@ class TestAisStatusCheck:
         ]
         ds = new_dataset(schema, samples)
         out = ais_status_check(ds)
-        assert QualityFlag.STALE_AIS_STATUS in out.samples[0].flags
-        assert QualityFlag.STALE_AIS_STATUS not in out.samples[1].flags
+        assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
+        assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[1]

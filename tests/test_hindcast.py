@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import flagged_rows
+
 from shipdataprep.hindcast import (
     SteadyFilterParams,
     clean_gps,
@@ -131,7 +133,7 @@ class TestCleanGps:
         lats = [10.0 + 0.001 * i for i in range(n)]
         lons = [4.0 + 0.04 * i for i in range(n)]
         out = clean_gps(gps_dataset(lats, lons), self.params())
-        assert not any(QualityFlag.IRRATIONAL_POSITION in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.IRRATIONAL_POSITION).any()
 
     def test_off_route_excursion_flagged_at_jumps(self):
         # the track suddenly jumps 2 degrees off-route, stays there a while
@@ -144,17 +146,14 @@ class TestCleanGps:
             lons[i] += 2.0
         report = ProcessingReport()
         out = clean_gps(gps_dataset(lats, lons), self.params(), report)
-        flagged = {
-            i for i, s in enumerate(out.samples)
-            if QualityFlag.IRRATIONAL_POSITION in s.flags
-        }
+        flagged = set(flagged_rows(out, QualityFlag.IRRATIONAL_POSITION))
         # both the departure and the return transitions are caught, and
         # nothing away from them is
         assert flagged & {29, 30}
         assert flagged & {44, 45}
         assert flagged <= {29, 30, 44, 45}
         # coordinates must not be altered, only flagged
-        assert out.samples[30].values["lon"] == pytest.approx(lons[30])
+        assert out.column("lon")[30] == pytest.approx(lons[30])
         assert len(flagged) <= report.stage_entries[0].summary["stage1_rejected"]
 
     def test_slow_turn_not_flagged(self):
@@ -166,7 +165,7 @@ class TestCleanGps:
             rate = 0.0002 + 0.0001 * math.sin(i / 20.0)
             lons.append(lons[-1] + rate)
         out = clean_gps(gps_dataset(lats, lons), self.params())
-        assert not any(QualityFlag.IRRATIONAL_POSITION in s.flags for s in out.samples)
+        assert not out.flagged(QualityFlag.IRRATIONAL_POSITION).any()
 
 
 def make_grid(field, lats, lons, times, unit="m", mask_cells=(), name="f"):
@@ -277,7 +276,7 @@ class TestInterpolate:
     def test_flagged_position_left_missing(self):
         grid = make_grid(lambda la, lo, t: 1.0, LATS, LONS, TIMES)
         ds = query_dataset([(0, 0.0, 0.0)]).adding_flags(
-            {0: {QualityFlag.IRRATIONAL_POSITION}}
+            QualityFlag.IRRATIONAL_POSITION, [0]
         )
         out = interpolate(grid, ds)
         assert math.isnan(out.column("hc_f")[0])

@@ -4,6 +4,7 @@ format errors with locations, particulars defaults."""
 import numpy as np
 import pytest
 
+from conftest import row_values
 from oracle_values import TEN_KNOTS_M_PER_S
 from shipdataprep.ingest import (
     IngestError,
@@ -21,8 +22,8 @@ class TestShipCsv:
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,sog\n2021-01-01T00:00:00Z,10.0\n")
         ds = load_ship_csv(p, unit_map={"sog": "knots"})
-        assert ds.samples[0].values["sog"] == pytest.approx(TEN_KNOTS_M_PER_S, abs=1e-4)
-        assert ds.samples[0].values["sog"] == pytest.approx(5.1444, abs=1e-4)
+        assert ds.column("sog")[0] == pytest.approx(TEN_KNOTS_M_PER_S, abs=1e-4)
+        assert ds.column("sog")[0] == pytest.approx(5.1444, abs=1e-4)
 
     def test_empty_file_with_header(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -39,8 +40,8 @@ class TestShipCsv:
         )
         report = ProcessingReport()
         ds = load_ship_csv(p, report=report)
-        assert "draft_fore" not in ds.samples[0].values
-        assert ds.samples[1].values["draft_fore"] == 8.1
+        assert "draft_fore" not in row_values(ds, 0)
+        assert ds.column("draft_fore")[1] == 8.1
         entry = report.stage_entries[0]
         assert entry.summary["missing_cells"]["draft_fore"] == 1
 
@@ -69,7 +70,7 @@ class TestShipCsv:
         )
         report = ProcessingReport()
         ds = load_ship_csv(p, report=report)
-        assert [s.values for s in ds.samples] == [{"heading": 4.0}, {"sog": 5.0}, {}]
+        assert [row_values(ds, i) for i in range(len(ds))] == [{"heading": 4.0}, {"sog": 5.0}, {}]
         assert report.stage_entries[0].notes == [
             "column heading: 2 unparseable cell(s) -> missing",
             "column sog: 2 unparseable cell(s) -> missing",
@@ -88,7 +89,7 @@ class TestShipCsv:
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,fuel_temp\n2021-01-01T00:00:00Z,55.5\n")
         ds = load_ship_csv(p)
-        assert ds.samples[0].values["fuel_temp"] == 55.5
+        assert ds.column("fuel_temp")[0] == 55.5
 
     def test_writer_inverts_unit_conversion(self, tmp_path):
         src = tmp_path / "in.csv"

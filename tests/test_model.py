@@ -1,7 +1,9 @@
 """Core data model: construction contracts, serialization round-trip, flag
 monotonicity."""
 
+import numpy as np
 import pytest
+from conftest import flags_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +36,7 @@ class TestNewDataset:
         samples = [Sample(300, {"sog": 3.0}), Sample(100, {"sog": 1.0}), Sample(200, {})]
         ds = new_dataset(schema(), samples)
         assert list(ds.timestamps) == [100, 200, 300]
-        assert ds.samples[0].values["sog"] == 1.0
+        assert ds.column("sog")[0] == 1.0
 
     def test_duplicate_timestamp_rejected(self):
         samples = [Sample(100, {}), Sample(100, {})]
@@ -51,12 +53,12 @@ class TestNewDataset:
 
     def test_angular_normalised_into_0_360(self):
         ds = new_dataset(schema(), [Sample(0, {"heading": -5.0}), Sample(1, {"heading": 360.0})])
-        assert ds.samples[0].values["heading"] == 355.0
-        assert ds.samples[1].values["heading"] == 0.0
+        assert ds.column("heading")[0] == 355.0
+        assert ds.column("heading")[1] == 0.0
 
     def test_nan_becomes_missing(self):
         ds = new_dataset(schema(), [Sample(0, {"sog": float("nan")})])
-        assert "sog" not in ds.samples[0].values
+        assert np.isnan(ds.column("sog")[0])
 
     def test_text_value_on_numeric_variable_rejected(self):
         with pytest.raises(DatasetError):
@@ -70,19 +72,21 @@ class TestNewDataset:
 class TestImmutability:
     def test_adding_flags_is_monotone(self):
         ds = new_dataset(schema(), [Sample(0, {"sog": 1.0}), Sample(900, {})])
-        ds2 = ds.adding_flags({0: {QualityFlag.SPIKE}})
-        ds3 = ds2.adding_flags({0: {QualityFlag.DROPOUT}, 1: {QualityFlag.UNSTEADY}})
-        assert ds.samples[0].flags == frozenset()
-        assert ds2.samples[0].flags == {QualityFlag.SPIKE}
-        assert ds3.samples[0].flags == {QualityFlag.SPIKE, QualityFlag.DROPOUT}
+        ds2 = ds.adding_flags(QualityFlag.SPIKE, [0])
+        ds3 = ds2.adding_flags(QualityFlag.DROPOUT, [0]).adding_flags(
+            QualityFlag.UNSTEADY, np.array([False, True])
+        )
+        assert flags_at(ds, 0) == frozenset()
+        assert flags_at(ds2, 0) == {QualityFlag.SPIKE}
+        assert flags_at(ds3, 0) == {QualityFlag.SPIKE, QualityFlag.DROPOUT}
         for before, after in ((ds, ds2), (ds2, ds3)):
-            for a, b in zip(before.samples, after.samples):
-                assert a.flags <= b.flags
+            for i in range(len(before)):
+                assert flags_at(before, i) <= flags_at(after, i)
 
     def test_dataset_attributes_frozen(self):
         ds = new_dataset(schema(), [])
         with pytest.raises(AttributeError):
-            ds.samples = ()
+            ds.timestamps = ()
 
     def test_adding_variable_length_checked(self):
         ds = new_dataset(schema(), [Sample(0, {}), Sample(900, {})])
@@ -108,11 +112,13 @@ class TestRoundTrip:
         back = load_dataset(path)
         assert back.sampling_interval == 900
         assert len(back) == len(ds)
-        for a, b in zip(ds.samples, back.samples):
-            assert a.timestamp == b.timestamp
-            assert a.values == b.values  # bit-equal through repr round-trip
-            assert a.flags == b.flags
-            assert a.trip_id == b.trip_id
+        assert back.timestamps.tolist() == ds.timestamps.tolist()
+        for name in ("sog", "heading"):  # bit-equal through repr round-trip
+            assert back.column(name).tobytes() == ds.column(name).tobytes()
+        assert back.text_column("state").tolist() == ds.text_column("state").tolist()
+        for i in range(len(ds)):
+            assert flags_at(back, i) == flags_at(ds, i)
+        assert back.trip_ids.tolist() == ds.trip_ids.tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,5 +138,4 @@ def test_roundtrip_bit_equality_property(tmp_path_factory, values):
     path = tmp / "ds.csv"
     save_dataset(ds, path)
     back = load_dataset(path)
-    for a, b in zip(ds.samples, back.samples):
-        assert a.values.get("x") == b.values.get("x")
+    assert back.column("x").tolist() == ds.column("x").tolist()

@@ -39,11 +39,7 @@ class TestFullVoyage:
         paths = VoyageBuilder(tmp_path, drop_rows=(17, 18, 53)).build()
         result = run(paths)
         n_input = len(paths["ship_csv"].read_text().strip().splitlines()) - 1
-        inserted = sum(
-            1
-            for s in result.dataset.samples
-            if QualityFlag.MISSING_INSERTED in s.flags
-        )
+        inserted = int(result.dataset.flagged(QualityFlag.MISSING_INSERTED).sum())
         assert inserted == 3
         assert len(result.dataset) == n_input + inserted
 
@@ -58,11 +54,7 @@ class TestFullVoyage:
         ).build()
         result = run(paths)
         assert result.exit_code == 0
-        faults = sum(
-            1
-            for s in result.dataset.samples
-            if QualityFlag.ANGULAR_AVERAGING_FAULT in s.flags
-        )
+        faults = int(result.dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
         assert faults > 0
         assert result.dataset.has_data("fixed_rel_wind_dir")
         loop = [e for e in result.report.stage_entries if e.stage == "error_loop"][-1]
@@ -87,9 +79,10 @@ class TestFullVoyage:
             for flag, n in entry.flag_counts.items():
                 counted[flag] = counted.get(flag, 0) + n
         pairs: dict[str, int] = {}
-        for s in result.dataset.samples:
-            for flag in s.flags:
-                pairs[flag.value] = pairs.get(flag.value, 0) + 1
+        for flag in QualityFlag:
+            n = int(result.dataset.flagged(flag).sum())
+            if n:
+                pairs[flag.value] = n
         assert counted == pairs
         assert counted["angular_averaging_fault"] == 120
 
@@ -111,9 +104,7 @@ class TestAisSource:
         assert result.exit_code == 0
         diffs = np.diff(result.dataset.timestamps)
         assert (diffs == config.sampling_interval).all()
-        assert any(
-            QualityFlag.MISSING_INSERTED in s.flags for s in result.dataset.samples
-        )
+        assert result.dataset.flagged(QualityFlag.MISSING_INSERTED).any()
 
 
 class TestStageFailure:

@@ -30,16 +30,15 @@ class TestRegularize:
     def test_single_gap_inserted(self):
         ds = regularize(ts_dataset([0, 900, 2700]), 900)
         assert list(ds.timestamps) == [0, 900, 1800, 2700]
-        inserted = ds.samples[2]
-        assert inserted.values == {}
-        assert QualityFlag.MISSING_INSERTED in inserted.flags
+        assert np.isnan(ds.column("x")[2])
+        assert ds.flagged(QualityFlag.MISSING_INSERTED)[2]
 
     def test_uniform_series_unchanged(self):
         ds0 = ts_dataset([0, 900, 1800], values=[1.0, 2.0, 3.0])
         ds = regularize(ds0, 900)
         assert list(ds.timestamps) == [0, 900, 1800]
-        assert all(not s.flags for s in ds.samples)
-        assert [s.values["x"] for s in ds.samples] == [1.0, 2.0, 3.0]
+        assert not ds.flagged(*QualityFlag).any()
+        assert ds.column("x").tolist() == [1.0, 2.0, 3.0]
 
     def test_snapping_to_nearest_lattice(self):
         from shipdataprep.model import ProcessingReport
@@ -61,9 +60,8 @@ class TestRegularize:
         report = ProcessingReport()
         ds = regularize(ts_dataset([0, 902, 910, 1800], [0.0, 1.0, 2.0, 3.0]), 900, report)
         assert list(ds.timestamps) == [0, 900, 1800]
-        kept = ds.samples[1]
-        assert kept.values["x"] == 1.0  # 902 is nearer to 900 than 910
-        assert QualityFlag.DROPOUT in kept.flags
+        assert ds.column("x")[1] == 1.0  # 902 is nearer to 900 than 910
+        assert ds.flagged(QualityFlag.DROPOUT)[1]
         assert report.stage_entries[0].flag_counts["dropout"] == 1
 
     def test_three_samples_on_one_slot_count_one_dropout(self):
@@ -73,7 +71,7 @@ class TestRegularize:
         ds = regularize(
             ts_dataset([0, 902, 910, 1190, 1800], [0.0, 1.0, 2.0, 3.0, 4.0]), 900, report
         )
-        assert [s.values["x"] for s in ds.samples] == [0.0, 1.0, 4.0]
+        assert ds.column("x").tolist() == [0.0, 1.0, 4.0]
         entry = report.stage_entries[0]
         assert entry.flag_counts == {"dropout": 1}  # one flagged slot
         assert len([c for c in entry.checks if c.verdict == "dropout"]) == 2  # two losses
@@ -94,40 +92,41 @@ class TestResample:
         ds = series_dataset({"sog": [4.0, 6.0]}, interval=60, t0=60)
         out = resample(ds, 900, "down_mean")
         assert len(out) == 1
-        assert out.samples[0].values["sog"] == 5.0
+        assert out.column("sog")[0] == 5.0
 
     def test_down_mean_circular_heading(self):
         ds = series_dataset({"heading": [350.0, 10.0]}, interval=60, t0=0)
         out = resample(ds, 900, "down_mean")
-        assert out.samples[0].values["heading"] == pytest.approx(0.0, abs=1e-9)
+        assert out.column("heading")[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_down_mean_naive_flag_commits_the_fault(self):
         ds = series_dataset({"heading": [350.0, 10.0]}, interval=60, t0=0)
         out = resample(ds, 900, "down_mean", naive_angular=True)
-        assert out.samples[0].values["heading"] == pytest.approx(180.0)
+        assert out.column("heading")[0] == pytest.approx(180.0)
 
     def test_up_hold(self):
         ds = series_dataset({"sog": [7.0, 9.0]}, interval=900, t0=0)
         out = resample(ds, 300, "up_hold")
         assert list(out.timestamps) == [0, 300, 600, 900]
-        assert [s.values["sog"] for s in out.samples] == [7.0, 7.0, 7.0, 9.0]
-        assert QualityFlag.MISSING_INSERTED in out.samples[1].flags
-        assert QualityFlag.MISSING_INSERTED in out.samples[2].flags
-        assert QualityFlag.MISSING_INSERTED not in out.samples[0].flags
+        assert out.column("sog").tolist() == [7.0, 7.0, 7.0, 9.0]
+        inserted = out.flagged(QualityFlag.MISSING_INSERTED)
+        assert inserted[1]
+        assert inserted[2]
+        assert not inserted[0]
 
     def test_empty_bins_stay_empty(self):
         ds = ts_dataset([0, 2700], values=[1.0, 2.0])
         out = resample(ds, 900, "down_mean")
         assert len(out) == 4
-        assert out.samples[1].values == {}
-        assert QualityFlag.MISSING_INSERTED in out.samples[1].flags
+        assert np.isnan(out.column("x")[1])
+        assert out.flagged(QualityFlag.MISSING_INSERTED)[1]
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=359.999), st.integers(2, 8))
     def test_circular_mean_of_equal_angles_is_identity(self, theta, count):
         ds = series_dataset({"heading": [theta] * count}, interval=60, t0=0)
         out = resample(ds, 3600, "down_mean")
-        got = out.samples[0].values["heading"]
+        got = out.column("heading")[0]
         diff = abs(got - theta) % 360.0
         assert min(diff, 360.0 - diff) < 1e-9
 
@@ -147,7 +146,7 @@ class TestSegmentByState:
         assert len(index.trips) == 1
         trip = index.trips[0]
         assert (trip.start, trip.end) == (2 * 900, 4 * 900)
-        assert [s.trip_id for s in ds.samples] == [None, None, 1, 1, 1, None, None]
+        assert ds.trip_ids.tolist() == [-1, -1, 1, 1, 1, -1, -1]
         assert len(index.berth_legs) == 2
 
     def test_all_berth_zero_trips(self):
@@ -158,7 +157,7 @@ class TestSegmentByState:
         index, ds = segment_by_state(state_dataset([S, S, B, S, S]))
         assert len(index.trips) == 2
         assert index.trips[0].trip_id == 1
-        assert [s.trip_id for s in ds.samples] == [1, 1, None, 2, 2]
+        assert ds.trip_ids.tolist() == [1, 1, -1, 2, 2]
 
     def test_absent_state_directs_to_thresholds(self):
         ds = ts_dataset([0, 900])
@@ -171,8 +170,7 @@ class TestSegmentByThresholds:
         ds = series_dataset({"shaft_rpm": [0.0, 0.0, 40.0, 42.0, 0.0, 0.0]})
         index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=1)
         assert len(index.trips) == 1
-        ids = [s.trip_id for s in out.samples]
-        assert ids == [None, 1, 1, 1, 1, None]
+        assert out.trip_ids.tolist() == [-1, 1, 1, 1, 1, -1]
 
     def test_all_zero_zero_trips(self):
         ds = series_dataset({"shaft_rpm": [0.0] * 5, "sog": [0.0] * 5})
@@ -183,7 +181,7 @@ class TestSegmentByThresholds:
         ds = series_dataset({"shaft_rpm": [0.0, 40.0, 0.0, 40.0, 0.0]})
         index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=1)
         assert len(index.trips) == 1
-        assert all(s.trip_id == 1 for s in out.samples)
+        assert (out.trip_ids == 1).all()
 
     def test_either_variable_triggers(self):
         ds = series_dataset(
@@ -221,12 +219,12 @@ class TestSegmentByThresholds:
         spans = [(t.start, t.end) for t in index.trips]
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert b1 < a2
-        for s in out.samples:
-            memberships = [t for t in index.trips if t.start <= s.timestamp <= t.end]
+        for ts, trip_id in zip(out.timestamps.tolist(), out.trip_ids.tolist()):
+            memberships = [t for t in index.trips if t.start <= ts <= t.end]
             assert len(memberships) <= 1
-            if s.trip_id is not None:
+            if trip_id != -1:
                 assert len(memberships) == 1
-                assert memberships[0].trip_id == s.trip_id
+                assert memberships[0].trip_id == trip_id
 
     def test_padding_stops_at_berth_boundary(self):
         ds = series_dataset(
@@ -236,7 +234,7 @@ class TestSegmentByThresholds:
             }
         )
         index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=2)
-        assert [s.trip_id for s in out.samples] == [None, None, 1, 1, None, None]
+        assert out.trip_ids.tolist() == [-1, -1, 1, 1, -1, -1]
 
 
 class TestSegmentByPorts:
@@ -246,4 +244,4 @@ class TestSegmentByPorts:
         )
         index, out = segment_by_ports(ds)
         assert len(index.trips) == 2
-        assert [s.trip_id for s in out.samples] == [1, 1, 1, 2, 2]
+        assert out.trip_ids.tolist() == [1, 1, 1, 2, 2]

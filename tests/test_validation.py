@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_values as oracle
-from conftest import series_dataset
+from conftest import flagged_rows, flags_at, series_dataset
 from shipdataprep.model import (
     CalmWaterCurve,
     ProcessingReport,
@@ -35,13 +35,13 @@ class TestPowerIdentity:
             {"shaft_rpm": [0.0], "shaft_torque": [0.0], "shaft_power": [0.0]}
         )
         out = check_power_identity(ds)
-        assert not out.samples[0].flags
+        assert not flags_at(out, 0)
 
     def test_third_variable_derived(self):
         # n = 2 rev/s stored as 120 rpm, torque 1000 N*m -> power derived
         ds = series_dataset({"shaft_rpm": [120.0], "shaft_torque": [1000.0]})
         out = check_power_identity(ds)
-        assert out.samples[0].values["derived_shaft_power"] == pytest.approx(
+        assert out.column("derived_shaft_power")[0] == pytest.approx(
             12_566.4, abs=0.1
         )
 
@@ -51,7 +51,7 @@ class TestPowerIdentity:
         )
         report = ProcessingReport()
         out = check_power_identity(ds, rel_tolerance=0.05, report=report)
-        assert QualityFlag.INVALID_RANGE in out.samples[0].flags
+        assert out.flagged(QualityFlag.INVALID_RANGE)[0]
         assert report.stage_entries[0].summary["failed"] == 1
 
     def test_within_tolerance_not_flagged(self):
@@ -59,18 +59,18 @@ class TestPowerIdentity:
             {"shaft_rpm": [120.0], "shaft_torque": [1000.0], "shaft_power": [12_600.0]}
         )
         out = check_power_identity(ds, rel_tolerance=0.02)
-        assert not out.samples[0].flags
+        assert not flags_at(out, 0)
 
     def test_derivation_is_fixed_point(self):
         ds = series_dataset({"shaft_rpm": [90.0], "shaft_torque": [5_000.0]})
         out = check_power_identity(ds)
-        derived = out.samples[0].values["derived_shaft_power"]
+        derived = out.column("derived_shaft_power")[0]
         # feeding the derived power back in passes the identity exactly
         again = series_dataset(
             {"shaft_rpm": [90.0], "shaft_torque": [5_000.0], "shaft_power": [derived]}
         )
         out2 = check_power_identity(again, rel_tolerance=1e-12)
-        assert not out2.samples[0].flags
+        assert not flags_at(out2, 0)
 
 
 def particulars(envelope=None):
@@ -146,9 +146,7 @@ class TestSpeedPower:
         )
         report = ProcessingReport()
         out = check_speed_power(ds, particulars(envelope=env), report)
-        flagged = [
-            i for i, s in enumerate(out.samples) if QualityFlag.INVALID_RANGE in s.flags
-        ]
+        flagged = flagged_rows(out, QualityFlag.INVALID_RANGE)
         assert flagged == [1]
 
     def test_outside_curve_span_skipped(self):
@@ -201,7 +199,7 @@ class TestStwCheck:
         assert entry.summary["residual_mean"] == pytest.approx(1.0)
         assert entry.summary["beyond_tolerance"] == n
         # report-only: no flags appear on the dataset
-        assert all(not s.flags for s in ds.samples)
+        assert not ds.flagged(*QualityFlag).any()
 
 
 def wind_check_dataset(n=30, faulted=()):
@@ -278,18 +276,18 @@ class TestAngularFaultDetector:
     def test_fault_near_wrap_flagged_and_fixed(self):
         ds, ref = self.build([180.0], [2.0])
         out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
-        assert QualityFlag.ANGULAR_AVERAGING_FAULT in out.samples[0].flags
-        assert out.samples[0].values["fixed_rel_wind_dir"] == pytest.approx(2.0)
+        assert out.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)[0]
+        assert out.column("fixed_rel_wind_dir")[0] == pytest.approx(2.0)
 
     def test_agreement_not_flagged(self):
         ds, ref = self.build([90.0], [88.0])
         out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
-        assert not out.samples[0].flags
+        assert not flags_at(out, 0)
 
     def test_reference_away_from_wrap_not_flagged(self):
         ds, ref = self.build([180.0], [175.0])
         out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
-        assert not out.samples[0].flags
+        assert not flags_at(out, 0)
 
     def test_no_reference_skips_with_note(self):
         ds = series_dataset({"rel_wind_dir": [10.0]})
@@ -303,4 +301,4 @@ class TestAngularFaultDetector:
     def test_never_fires_when_recorded_equals_reference(self, theta):
         ds, ref = self.build([theta], [theta])
         out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
-        assert not out.samples[0].flags
+        assert not flags_at(out, 0)

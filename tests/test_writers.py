@@ -4,7 +4,7 @@ is fixed, so any change to a written format shows up here."""
 
 import pytest
 
-from conftest import T0
+from conftest import T0, row_values
 from shipdataprep.ingest import load_dataset, load_ship_csv, save_dataset, write_ship_csv
 from shipdataprep.model import (
     KNOT,
@@ -165,12 +165,13 @@ def test_ship_csv_knots_round_trip(tmp_path):
     write_ship_csv(ds, tmp_path / "ship.csv", unit_map={"sog": "knots"})
     back = load_ship_csv(tmp_path / "ship.csv", schema=list(ds.schema),
                          unit_map={"sog": "knots"})
-    for before, after in zip(ds.samples, back.samples):
-        assert before.timestamp == after.timestamp
-        assert before.values.keys() == after.values.keys()
-        for name, v in before.values.items():
+    assert back.timestamps.tolist() == ds.timestamps.tolist()
+    for i in range(len(ds)):
+        before, after = row_values(ds, i), row_values(back, i)
+        assert before.keys() == after.keys()
+        for name, v in before.items():
             if name == "sog":
-                assert after.values[name] == pytest.approx(v, rel=1e-15, abs=0.0)
+                assert after[name] == pytest.approx(v, rel=1e-15, abs=0.0)
             else:
-                assert after.values[name] == v
-    assert back.samples[1].values["sog"] == pytest.approx(10.0 * KNOT, rel=1e-15)
+                assert after[name] == v
+    assert back.column("sog")[1] == pytest.approx(10.0 * KNOT, rel=1e-15)
