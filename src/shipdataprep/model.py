@@ -212,8 +212,9 @@ def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
         if first == inf_at:
             raise DatasetError(f"non-finite value for {name!r}")
         raise DatasetError(f"latitude {float(col[first])} outside [-90, 90]")
-    if name == "lon":
-        col = ((col + 180.0) % 360.0) - 180.0
+    if name == "lon":  # the wrap is inexact (12.3 -> 12.300000000000011): only where needed
+        wrap = (col < -180.0) | (col >= 180.0)
+        col[wrap] = ((col[wrap] + 180.0) % 360.0) - 180.0
         col[col == 180.0] = -180.0
     return _frozen(col)
 

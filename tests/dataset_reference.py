@@ -6,12 +6,17 @@ value. ``tests/test_dataset_reference.py`` drives this model and
 ``VoyageDataset`` through the same random operations and requires the same
 columns, flags, trip ids and errors.
 
-One rule differs from the row model as it was: Python's ``%`` rounds a tiny
-negative angle (above -3e-14) up to 360.0, and a longitude just below -180
-to 180.0. The row model stored that value, and only the next pass through
-its constructor (in regularize or resample) moved it to 0.0 or -180.0;
-both models here store 0.0 or -180.0 at once, so every value lies in
-[0, 360) or [-180, 180) and normalising twice changes nothing.
+Two rules differ from the row model as it was:
+
+- It rewrote every longitude as ``((v + 180) % 360) - 180``, which is
+  inexact (12.3 became 12.300000000000011); both models here wrap only a
+  longitude outside [-180, 180).
+- Python's ``%`` rounds a tiny negative angle (above -3e-14) up to 360.0,
+  and a longitude just below -180 to 180.0. The row model stored that
+  value, and only the next pass through its constructor (in regularize or
+  resample) moved it to 0.0 or -180.0; both models here store 0.0 or -180.0
+  at once, so every value lies in [0, 360) or [-180, 180) and normalising
+  twice changes nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def normalise_value(spec: VariableSpec, name: str, value: float | str):
         v = 0.0 if v == 360.0 else v
     if name == "lat" and not -90.0 <= v <= 90.0:
         raise DatasetError(f"latitude {v} outside [-90, 90]")
-    if name == "lon":
+    if name == "lon" and not -180.0 <= v < 180.0:
         v = ((v + 180.0) % 360.0) - 180.0
         v = -180.0 if v == 180.0 else v
     return v

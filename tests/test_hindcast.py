@@ -273,6 +273,16 @@ class TestInterpolate:
         assert math.isnan(ds.column("hc_f")[0])
         assert report.stage_entries[0].summary["samples_outside"] == 1
 
+    def test_sample_on_east_edge_node_interpolated(self):
+        lons = [10.0, 11.1, 12.3]
+        grid = make_grid(lambda la, lo, t: lo, LATS, lons, TIMES)
+        report = ProcessingReport()
+        ds = interpolate(grid, query_dataset([(3600, 0.5, 12.3)]), report=report)
+        assert ds.column("hc_f")[0] == pytest.approx(12.3, abs=1e-12)
+        summary = report.stage_entries[0].summary
+        assert summary["samples_outside"] == 0
+        assert summary["samples_interpolated"] == 1
+
     def test_flagged_position_left_missing(self):
         grid = make_grid(lambda la, lo, t: 1.0, LATS, LONS, TIMES)
         ds = query_dataset([(0, 0.0, 0.0)]).adding_flags(

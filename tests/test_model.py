@@ -56,6 +56,13 @@ class TestNewDataset:
         assert ds.column("heading")[0] == 355.0
         assert ds.column("heading")[1] == 0.0
 
+    def test_longitude_wrapped_only_outside_range(self):
+        lons = [12.3, 4.2, -180.0, 179.99999999999997, 180.0, 190.0, -190.0, 540.0]
+        ds = new_dataset([VariableSpec("lon")], [Sample(i, {"lon": v}) for i, v in enumerate(lons)])
+        assert ds.column("lon").tolist() == [
+            12.3, 4.2, -180.0, 179.99999999999997, -180.0, -170.0, 170.0, -180.0,
+        ]
+
     def test_nan_becomes_missing(self):
         ds = new_dataset(schema(), [Sample(0, {"sog": float("nan")})])
         assert np.isnan(ds.column("sog")[0])
