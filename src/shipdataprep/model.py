@@ -196,13 +196,16 @@ def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
         col, text_at = values.astype(np.float64), len(values)
     else:
         values = list(values)
-        text_at = next((i for i, v in enumerate(values) if isinstance(v, str)), len(values))
-        col = np.array(values[:text_at], dtype=np.float64)  # None -> NaN
+        types, text_at = set(map(type, values)), len(values)
+        if any(issubclass(t, str) for t in types):
+            text_at = next(i for i, v in enumerate(values) if isinstance(v, str))
+        # None -> NaN; a column of only None is common and slow to convert
+        col = (np.full(text_at, np.nan) if types == {type(None)}
+               else np.array(values[:text_at], dtype=np.float64))
     n = len(values)
     inf_at = np.append(np.flatnonzero(np.isinf(col)), n)[0]
     if spec.kind == "angular":
-        with np.errstate(invalid="ignore"):
-            col %= 360.0
+        np.remainder(col, 360.0, out=col, where=np.isfinite(col))
         col[col == 360.0] = 0.0  # % rounds a tiny negative angle up to 360
     lat_at = np.append(np.flatnonzero((col < -90.0) | (col > 90.0)), n)[0] if name == "lat" else n
     first = min(text_at, inf_at, lat_at)
@@ -632,12 +635,7 @@ class ProcessingReport:
     def covers(self, dataset: VoyageDataset) -> bool:
         """True when every flagged sample has at least one report detail, or
         every flag it carries was counted by some stage."""
-        detailed = {
-            c.timestamp
-            for e in self.stage_entries
-            for c in e.checks
-            if c.timestamp is not None
-        }
+        detailed = {c.timestamp for e in self.stage_entries for c in e.checks} - {None}
         counted = {flag for entry in self.stage_entries for flag in entry.flag_counts}
         uncounted = [f for f in QualityFlag if f.value not in counted]
         undetailed = ~np.isin(dataset.timestamps, list(detailed))
