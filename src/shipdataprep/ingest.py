@@ -257,14 +257,17 @@ def variable_cells(dataset: VoyageDataset, names: list[str], rows: np.ndarray) -
     return cells
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def column_rows(
-    rows: np.ndarray, cells: Callable[[np.ndarray], list[list[str]]], block: int = 4096
+    rows: np.ndarray, cells: Callable[[np.ndarray], list[list[str]]]
 ) -> Iterator[tuple[str, ...]]:
     """CSV rows for the dataset rows ``rows``: ``cells`` gives the cells of
     a block of rows one list per column, and the columns are zipped into
-    rows a block at a time, so memory stays flat."""
-    for lo in range(0, len(rows), block):
-        yield from zip(*cells(rows[lo : lo + block]))
+    rows ``CSV_BLOCK_ROWS`` at a time, so memory stays flat."""
+    for lo in range(0, len(rows), CSV_BLOCK_ROWS):
+        yield from zip(*cells(rows[lo : lo + CSV_BLOCK_ROWS]))
 
 
 def write_csv(

@@ -5,6 +5,7 @@ is fixed, so any change to a written format shows up here."""
 import pytest
 
 from conftest import T0, row_values
+from shipdataprep import ingest
 from shipdataprep.ingest import load_dataset, load_ship_csv, save_dataset, write_ship_csv
 from shipdataprep.model import (
     KNOT,
@@ -152,6 +153,13 @@ def test_writers_match_golden_text(tmp_path):
         "trip_001.csv": TRIP,
         "wind_comparison.csv": WIND,
     }
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_writers_match_golden_text_in_small_blocks(tmp_path, monkeypatch, block):
+    # the writers build rows CSV_BLOCK_ROWS at a time; the files must not show it
+    monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
+    test_writers_match_golden_text(tmp_path)
 
 
 def test_save_dataset_round_trips_exactly(tmp_path):
