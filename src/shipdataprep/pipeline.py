@@ -559,10 +559,10 @@ def emit_plotdata(
         for c in ("raw_draft_fore", "draft_fore", "raw_draft_aft", "draft_aft")
         if dataset.declares(c)
     ]
-    use = np.zeros(len(dataset), dtype=bool)
+    has_draft = np.zeros(len(dataset), dtype=bool)
     for c in draft_cols:
-        use |= ~np.isnan(dataset.column(c))
-    use = np.nonzero(use)[0]
+        has_draft |= ~np.isnan(dataset.column(c))
+    use = np.nonzero(has_draft)[0]
     rows = zip(
         timestamp_cells(ts[use]),
         trip_cells(dataset.trip_ids[use]),
