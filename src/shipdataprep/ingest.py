@@ -10,6 +10,7 @@ the writers.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,6 @@ from .model import (
     CalmWaterCurve,
     ProcessingReport,
     QualityFlag,
-    Sample,
     SchemaError,
     ShipParticulars,
     ShipType,
@@ -132,7 +132,6 @@ def load_ship_csv(
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
-    unit_map = dict(unit_map or {})
     entry = report.stage("ingest:ship_csv") if report is not None else StageEntry("ingest")
 
     with path.open(newline="") as fh:
@@ -142,86 +141,85 @@ def load_ship_csv(
     header = [h.strip() for h in rows[0]]
     if "timestamp" not in header:
         raise IngestError(f"{path}: missing timestamp column")
-    ts_col = header.index("timestamp")
+    factors = {col: _unit_factor(unit) for col, unit in (unit_map or {}).items()}
+
+    body = rows[1:]
+    # the cells of each header column; a short row's absent cells are empty
+    cells = list(itertools.islice(itertools.zip_longest(*body, fillvalue=""), len(header)))
+    cells += [("",) * len(body)] * (len(header) - len(cells))
+    stamps = [_timestamp(c) for c in cells[header.index("timestamp")]]
+    keep = np.array([t is not None for t in stamps], dtype=bool)
+    n = int(keep.sum())
 
     spec_map = {s.name: s for s in schema}
-    body = rows[1:]
-    # auto-declare unknown columns; sniff text vs numeric from the data
-    for col in header:
-        if col == "timestamp" or col in spec_map:
+    columns: dict[str, np.ndarray] = {}
+    present: dict[str, int] = {}
+    unparseable: dict[str, tuple[int, int]] = {}
+    for name, raw in zip(header, cells):
+        if name == "timestamp" or name in columns:
             continue
-        idx = header.index(col)
-        cells = [r[idx].strip() for r in body if idx < len(r) and r[idx].strip()]
-        kind = "linear"
-        for c in cells:
-            try:
-                float(c)
-            except ValueError:
-                kind = "text"
-                break
-        spec = VariableSpec(col, "", kind)
-        schema.append(spec)
-        spec_map[col] = spec
+        text = [c.strip() for c in raw]
+        filled = np.array([c != "" for c in text], dtype=bool)[keep]
+        spec = spec_map.get(name)
+        if spec is None or spec.kind != "text":
+            numbers, parsed = _numbers(text, factors.get(name, 1.0))
+        if spec is None:  # auto-declare, so that ingest is loss-free
+            spec = spec_map[name] = VariableSpec(name, "", "linear" if parsed else "text")
+            schema.append(spec)
+        if spec.kind == "text":
+            values = np.array(text, dtype=object)[keep]
+            values[~filled] = None
+            ok = filled
+        else:
+            values = numbers[keep]
+            ok = np.isfinite(values)
+            if name == "lat":
+                ok &= (values >= -90.0) & (values <= 90.0)
+            values[~ok] = np.nan
+            bad = int((filled & ~ok).sum())
+            if bad:
+                unparseable[name] = (bad, int(filled.sum()))
+        columns[name] = values
+        present[name] = int(ok.sum())
 
-    factors = {}
-    for col, unit in unit_map.items():
-        factors[col] = _unit_factor(unit)
-
-    samples: list[Sample] = []
-    unparseable: dict[str, int] = {}
-    nonempty: dict[str, int] = {}
-    skipped_rows = 0
-    for rownum, row in enumerate(body, start=2):
-        raw_ts = row[ts_col].strip() if ts_col < len(row) else ""
-        if not raw_ts:
-            skipped_rows += 1
-            continue
-        try:
-            ts = parse_iso_timestamp(raw_ts)
-        except ValueError:
-            skipped_rows += 1
-            continue
-        values: dict[str, float | str] = {}
-        for i, col in enumerate(header):
-            if i == ts_col or i >= len(row):
-                continue
-            cell = row[i].strip()
-            if not cell:
-                continue
-            nonempty[col] = nonempty.get(col, 0) + 1
-            spec = spec_map[col]
-            if spec.kind == "text":
-                values[col] = cell
-                continue
-            try:
-                v = float(cell) * factors.get(col, 1.0)
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v) or (col == "lat" and not -90.0 <= v <= 90.0):
-                unparseable[col] = unparseable.get(col, 0) + 1
-                continue
-            values[col] = v
-        samples.append(Sample(ts, values))
-
-    for col, bad in sorted(unparseable.items()):
-        total = nonempty.get(col, 0)
-        entry.notes.append(f"column {col}: {bad} unparseable cell(s) -> missing")
-        if col in BARE_MINIMUM_VARIABLES and total and bad / total > 0.5:
+    for name, (bad, total) in sorted(unparseable.items()):
+        entry.notes.append(f"column {name}: {bad} unparseable cell(s) -> missing")
+        if name in BARE_MINIMUM_VARIABLES and bad / total > 0.5:
             raise IngestError(
-                f"{path}: column {col}: {bad}/{total} cells unparseable "
+                f"{path}: column {name}: {bad}/{total} cells unparseable "
                 "(bare-minimum variable, more than 50% lost)"
             )
-    missing_counts = {
-        s.name: sum(1 for smp in samples if s.name not in smp.values)
-        for s in schema
-        if any(s.name in smp.values for smp in samples)
-    }
-    entry.summary["rows"] = len(samples)
-    entry.summary["rows_skipped_bad_timestamp"] = skipped_rows
+    entry.summary["rows"] = n
+    entry.summary["rows_skipped_bad_timestamp"] = len(body) - n
     entry.summary["missing_cells"] = {
-        k: v for k, v in sorted(missing_counts.items()) if v
+        name: n - k for name, k in sorted(present.items()) if 0 < k < n
     }
-    return new_dataset(schema, samples, source_kind=source_kind)
+    timestamps = [t for t in stamps if t is not None]
+    return new_dataset(schema, timestamps, columns, source_kind=source_kind)
+
+
+def _timestamp(cell: str) -> int | None:
+    """Epoch seconds of an ISO-8601 cell, or None when it does not parse."""
+    try:
+        return parse_iso_timestamp(cell)
+    except ValueError:
+        return None
+
+
+def _numbers(cells: list[str], factor: float) -> tuple[np.ndarray, bool]:
+    """``float(cell) * factor`` of each stripped cell, NaN for an empty or
+    unparseable one, and whether every non-empty cell parsed."""
+    try:
+        return np.array([float(c) * factor if c else math.nan for c in cells]), True
+    except ValueError:
+        pass
+    values = []
+    for c in cells:
+        try:
+            values.append(float(c) * factor if c else math.nan)
+        except ValueError:
+            values.append(math.nan)
+    return np.array(values, dtype=np.float64), False
 
 
 def csv_cell(value: float | str | int | None) -> str:
@@ -372,21 +370,25 @@ def load_dataset(path: str | Path) -> VoyageDataset:
     rows = list(csv.reader(data_lines))
     if not rows:
         raise IngestError(f"{path}: missing header row")
-    header = rows[0]
-    names = header[1:-2]
-    samples = []
-    for row in rows[1:]:
-        ts = parse_iso_timestamp(row[0])
-        values: dict[str, float | str] = {}
-        spec_by_name = {s.name: s for s in schema}
-        for name, cell in zip(names, row[1:-2]):
-            if cell == "":
-                continue
-            values[name] = cell if spec_by_name[name].kind == "text" else float(cell)
-        trip = None if row[-2] == "" else int(row[-2])
-        flags = frozenset(QualityFlag(f) for f in row[-1].split("|") if f)
-        samples.append(Sample(ts, values, flags, trip))
-    return new_dataset(schema, samples, sampling_interval=interval, source_kind=source_kind)
+    header, body = rows[0], rows[1:]
+    if any(len(row) != len(header) for row in body):
+        raise IngestError(f"{path}: every row must have the {len(header)} cells of the header")
+    cells = list(zip(*body)) or [()] * len(header)
+    kinds = {s.name: s.kind for s in schema}
+    columns = {
+        name: [c or None for c in col] if kinds.get(name, "text") == "text"
+        else [float(c) if c else None for c in col]
+        for name, col in zip(header[1:-2], cells[1:-2])
+    }
+    return new_dataset(
+        schema,
+        [parse_iso_timestamp(c) for c in cells[0]],
+        columns,
+        sampling_interval=interval,
+        source_kind=source_kind,
+        flags=[frozenset(QualityFlag(f) for f in c.split("|") if f) for c in cells[-1]],
+        trip_ids=[int(c) if c else None for c in cells[-2]],
+    )
 
 
 # -- hindcast grid -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Core data model shared by every pipeline stage.
 
 A ``VoyageDataset`` is stored by column: timestamps, one array per variable
-(NaN or None = missing), a flag bitmask and trip ids (see the class). Stages
-read whole columns and hand arrays and masks back.
+(NaN or None = missing), a flag bitmask and trip ids (see the class).
+:func:`new_dataset` builds one from columns, as the CSV readers split them;
+stages read whole columns and hand arrays and masks back.
 
 Datasets are immutable: each stage derives a new ``VoyageDataset`` that
 shares every array it does not change, so intermediate results stay valid
@@ -139,9 +140,9 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class Sample:
-    """One timestamped input row, as read from a file or written by a test.
-    Absent keys in ``values`` mean missing; sentinel numbers are never used.
-    :func:`new_dataset` turns a sequence of them into columns."""
+    """One timestamped row for the positional :class:`VoyageDataset`
+    constructor, which transposes a sequence of them into columns. Absent
+    keys in ``values`` mean missing; sentinel numbers are never used."""
 
     timestamp: int
     values: Mapping[str, float | str] = field(default_factory=dict)
@@ -230,6 +231,40 @@ def _take(col: np.ndarray, rows: np.ndarray, missing) -> np.ndarray:
     return _frozen(np.concatenate([col, np.array([missing], dtype=col.dtype)])[rows])
 
 
+def _state(
+    schema: Sequence[VariableSpec],
+    timestamps: Sequence[int],
+    columns: Mapping[str, Sequence],
+    flags: Sequence[Iterable[QualityFlag]] | None,
+    trip_ids: Sequence[int | None] | None,
+) -> dict:
+    """The stored arrays of rows already in order: every declared variable
+    normalised (an absent column is all missing), the flags as bits and the
+    trip ids with -1 for None."""
+    spec_map = {s.name: s for s in schema}
+    for name in columns:
+        if name not in spec_map:
+            raise DatasetError(f"value for undeclared variable {name!r}")
+    n = len(timestamps)
+    return dict(
+        schema=tuple(schema),
+        timestamps=_frozen(np.array(timestamps, dtype=np.int64)),
+        flag_bits=_frozen(np.array(
+            [sum(_FLAG_BITS[f] for f in set(row)) for row in flags] if flags is not None else [0] * n,
+            dtype=np.uint16,
+        )),
+        trip_ids=_frozen(np.array(
+            [-1 if t is None else t for t in trip_ids] if trip_ids is not None else [-1] * n,
+            dtype=np.int64,
+        )),
+        _columns={
+            name: _normalise_column(spec, columns[name]) if name in columns
+            else _frozen(np.full(n, None if spec.kind == "text" else np.nan))
+            for name, spec in spec_map.items()
+        },
+    )
+
+
 class VoyageDataset:
     """Ordered, timestamped table of ship samples with a declared schema,
     stored by column after Apache Arrow's columnar layout:
@@ -244,9 +279,10 @@ class VoyageDataset:
 
     Every array is read-only. The ``adding_*`` / ``with_*`` helpers and
     :meth:`take` derive a new dataset that shares each array it does not
-    change. Build one from :class:`Sample` rows through :func:`new_dataset`,
-    which validates and sorts them; the positional constructor takes rows
-    already in timestamp order.
+    change. Build one from columns through :func:`new_dataset`, which
+    validates and sorts them. The positional constructor takes
+    :class:`Sample` rows already in timestamp order and transposes them into
+    the same normaliser, without the sort or the duplicate-timestamp check.
     """
 
     __slots__ = ("schema", "timestamps", "flag_bits", "trip_ids", "sampling_interval",
@@ -255,25 +291,17 @@ class VoyageDataset:
     def __init__(self, schema: tuple[VariableSpec, ...], samples: Iterable[Sample],
                  sampling_interval: int | None, source_kind: str):
         samples = tuple(samples)
-        spec_map = {s.name: s for s in schema}
-        cells: dict[str, list] = {name: [None] * len(samples) for name in spec_map}
-        for i, s in enumerate(samples):
-            for name, value in s.values.items():
-                if name not in cells:
-                    raise DatasetError(f"value for undeclared variable {name!r}")
-                cells[name][i] = value
+        names = dict.fromkeys(name for s in samples for name in s.values)
         self._set(
-            schema=tuple(schema),
-            timestamps=_frozen(np.array([int(s.timestamp) for s in samples], dtype=np.int64)),
-            flag_bits=_frozen(np.array(
-                [sum(_FLAG_BITS[f] for f in s.flags) for s in samples], dtype=np.uint16
-            )),
-            trip_ids=_frozen(np.array(
-                [-1 if s.trip_id is None else s.trip_id for s in samples], dtype=np.int64
-            )),
             sampling_interval=sampling_interval,
             source_kind=source_kind,
-            _columns={name: _normalise_column(spec_map[name], col) for name, col in cells.items()},
+            **_state(
+                schema,
+                [s.timestamp for s in samples],
+                {name: [s.values.get(name) for s in samples] for name in names},
+                [s.flags for s in samples],
+                [s.trip_id for s in samples],
+            ),
         )
 
     def _set(self, **state) -> None:
@@ -465,25 +493,58 @@ def add_flags(
 
 def new_dataset(
     schema: Sequence[VariableSpec],
-    samples: Iterable[Sample],
+    timestamps: Sequence[int],
+    columns: Mapping[str, Sequence[float | str | None]],
     sampling_interval: int | None = None,
     source_kind: str = "in_service",
+    flags: Sequence[Iterable[QualityFlag]] | None = None,
+    trip_ids: Sequence[int | None] | None = None,
 ) -> VoyageDataset:
-    """Validated constructor: sorts by timestamp, rejects duplicate
-    timestamps and values for undeclared variables, normalises angular
-    values into [0, 360) and longitudes into [-180, 180)."""
+    """The validated constructor. Row ``i`` is ``timestamps[i]``, the ``i``-th
+    value of each column in ``columns`` (by variable name; None or NaN =
+    missing, an absent column is all missing), the flags ``flags[i]`` and
+    the trip ``trip_ids[i]`` (None = no trip); the last two default to none.
+
+    Rejects duplicate variable names, columns of another length and values
+    for undeclared variables. Sorts the rows stably by timestamp, rejects
+    duplicate timestamps, and normalises each column (angular values into
+    [0, 360), longitudes into [-180, 180); a string in a numeric column, an
+    infinite value or a latitude outside [-90, 90] raises DatasetError)."""
     if source_kind not in SOURCE_KINDS:
         raise DatasetError(f"unknown source kind {source_kind!r}")
     names = [s.name for s in schema]
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
         raise SchemaError(f"duplicate variable name: {sorted(dupes)[0]!r}")
-    ordered = sorted(samples, key=lambda s: s.timestamp)
-    stamps = [int(s.timestamp) for s in ordered]
-    for a, b in zip(stamps, stamps[1:]):
-        if a == b:
-            raise DatasetError(f"duplicate timestamp {iso_timestamp(a)}")
-    return VoyageDataset(tuple(schema), ordered, sampling_interval, source_kind)
+    stamps = np.array(timestamps, dtype=np.int64)
+    n = len(stamps)
+    for name, col in columns.items():
+        if len(col) != n:
+            raise DatasetError(f"values for {name!r}: expected {n} entries, got {len(col)}")
+    for extra in (flags, trip_ids):
+        if extra is not None and len(extra) != n:
+            raise DatasetError(f"per-row flags or trip ids: expected {n} entries, got {len(extra)}")
+    if (stamps[1:] < stamps[:-1]).any():
+        order = np.argsort(stamps, kind="stable")
+        rows = order.tolist()
+
+        def reorder(values):
+            return values[order] if isinstance(values, np.ndarray) else [values[i] for i in rows]
+
+        stamps = stamps[order]
+        columns = {name: reorder(col) for name, col in columns.items()}
+        flags = None if flags is None else reorder(flags)
+        trip_ids = None if trip_ids is None else reorder(trip_ids)
+    repeated = np.flatnonzero(stamps[1:] == stamps[:-1])
+    if len(repeated):
+        raise DatasetError(f"duplicate timestamp {iso_timestamp(stamps[repeated[0]])}")
+    out = object.__new__(VoyageDataset)
+    out._set(
+        sampling_interval=sampling_interval,
+        source_kind=source_kind,
+        **_state(schema, stamps, columns, flags, trip_ids),
+    )
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shipdataprep.model import QualityFlag, Sample, VariableSpec, new_dataset
+from shipdataprep.model import QualityFlag, VariableSpec, new_dataset
 
 INTERVAL = 900
 T0 = 1_600_000_000  # any fixed UTC anchor
@@ -60,15 +60,24 @@ def series_dataset(values_by_name: dict[str, list[float | None]], interval=INTER
                    t0=T0, source_kind="in_service"):
     """Quick dataset from aligned per-variable value lists (None = missing)."""
     n = max(len(v) for v in values_by_name.values())
-    schema = simple_schema(*values_by_name)
-    samples = []
-    for i in range(n):
-        vals = {}
-        for name, col in values_by_name.items():
-            if i < len(col) and col[i] is not None:
-                vals[name] = col[i]
-        samples.append(Sample(t0 + i * interval, vals))
-    return new_dataset(schema, samples)
+    columns = {name: list(col) + [None] * (n - len(col)) for name, col in values_by_name.items()}
+    return new_dataset(simple_schema(*values_by_name), [t0 + i * interval for i in range(n)], columns)
+
+
+def rows_dataset(schema, samples, sampling_interval=None, source_kind="in_service"):
+    """``new_dataset`` of :class:`Sample` rows, transposed into its columns,
+    per-row flags and trip ids."""
+    samples = list(samples)
+    names = dict.fromkeys(name for s in samples for name in s.values)
+    return new_dataset(
+        schema,
+        [s.timestamp for s in samples],
+        {name: [s.values.get(name) for s in samples] for name in names},
+        sampling_interval,
+        source_kind,
+        flags=[s.flags for s in samples],
+        trip_ids=[s.trip_id for s in samples],
+    )
 
 
 class VoyageBuilder:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle_values as oracle
-from conftest import VoyageBuilder, flagged_rows, series_dataset
+from conftest import VoyageBuilder, flagged_rows, rows_dataset, series_dataset
 from shipdataprep.cleaning import pca_fit, pca_score
 from shipdataprep.cli import main as cli_main
 from shipdataprep.corrections import DraftChangeEvent, fix_draft_ramp, fix_draft_simple
@@ -30,7 +30,6 @@ from shipdataprep.model import (
     Sample,
     ShipType,
     VariableSpec,
-    new_dataset,
 )
 from shipdataprep.tables import (
     BLOCK_COEFFICIENT_RANGE,
@@ -153,7 +152,7 @@ def test_criterion_3_interpolation_exactness():
     ts = np.sort(rng.choice(np.arange(1, 7200), size=1000, replace=False))
     pts = [(int(t), rng.uniform(-1.99, 1.99), rng.uniform(-2.99, 2.99)) for t in ts]
     schema = [VariableSpec("lat"), VariableSpec("lon")]
-    ds = new_dataset(
+    ds = rows_dataset(
         schema, [Sample(t, {"lat": la, "lon": lo}) for t, la, lo in pts]
     )
 
@@ -273,7 +272,7 @@ def _draft_voyage(pre, post, in_trip_values, sensors, berth_len=6):
         samples.append(Sample(t, {s: post[s] for s in sensors}))
         ids.append(None)
         t += DT
-    ds = new_dataset(schema, samples).with_trip_ids(ids)
+    ds = rows_dataset(schema, samples).with_trip_ids(ids)
     return ds, Trip(1, trip_start, trip_end)
 
 
@@ -376,7 +375,7 @@ def test_criterion_9_ais_consistency():
     for i in injected:
         sog[i] = 25.0  # implied-distance mismatch 5x > 3x
     schema = [VariableSpec("lat"), VariableSpec("lon"), VariableSpec("sog")]
-    ds = new_dataset(
+    ds = rows_dataset(
         schema,
         [
             Sample(i * DT, {"lat": 0.0, "lon": lons[i], "sog": sog[i]})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flagged_rows, flags_at, series_dataset
+from conftest import flagged_rows, flags_at, rows_dataset, series_dataset
 from shipdataprep.cleaning import (
     CleaningError,
     PcaDetector,
@@ -22,7 +22,6 @@ from shipdataprep.model import (
     QualityFlag,
     Sample,
     VariableSpec,
-    new_dataset,
 )
 
 
@@ -44,7 +43,7 @@ def dataset_with_ranges(values, lo=0.0, hi=200.0, name="shaft_rpm"):
     samples = [
         Sample(i * 900, {} if v is None else {name: v}) for i, v in enumerate(values)
     ]
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 class TestContextualFilter:
@@ -183,7 +182,7 @@ def correlated_dataset(n=400, seed=0, faults=(), names=("a", "b", "c", "d")):
     samples = [
         Sample(i * 900, {k: float(cols[k][i]) for k in names}) for i in range(n)
     ]
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 class TestPca:
@@ -276,7 +275,7 @@ class TestPca:
             Sample(i * 900, dict(zip(names, map(float, row))))
             for i, row in enumerate(rotated)
         ]
-        ds_rot = new_dataset(schema, samples)
+        ds_rot = rows_dataset(schema, samples)
 
         det = pca_fit(ds, names, k=1, quantile=0.995)
         det_rot = pca_fit(ds_rot, names, k=1, quantile=0.995)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle_values as oracle
+from conftest import rows_dataset
 from shipdataprep.corrections import (
     CorrectionError,
     DraftChangeEvent,
@@ -25,7 +26,6 @@ from shipdataprep.model import (
     ShipParticulars,
     ShipType,
     VariableSpec,
-    new_dataset,
 )
 from shipdataprep.timeline import Trip
 
@@ -54,7 +54,7 @@ def voyage_with_drafts(pre, post, in_trip, berth_len=6, sensors=("draft_fore",))
         samples.append(Sample(t, {s: v for s in sensors}))
         trip_ids.append(None)
         t += DT
-    ds = new_dataset(schema, samples).with_trip_ids(trip_ids)
+    ds = rows_dataset(schema, samples).with_trip_ids(trip_ids)
     return ds, Trip(1, trip_start, trip_end)
 
 
@@ -232,7 +232,7 @@ class TestDetectDraftEvents:
             ids.append(1)
             t += DT
         trip = Trip(1, trip_start, t - DT)
-        ds = new_dataset(schema, samples).with_trip_ids(ids)
+        ds = rows_dataset(schema, samples).with_trip_ids(ids)
         events = detect_draft_events(ds, trip, self.params())
         assert len(events) == 1  # one event per sensor, merged by overlap
         assert events[0].means["draft_fore"][1] == pytest.approx(7.0, abs=0.05)
@@ -348,7 +348,7 @@ def resistance_dataset(**cols):
     for i in range(n):
         vals = {k: v[i] for k, v in cols.items() if v[i] is not None}
         samples.append(Sample(i * DT, vals))
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 class TestTableDrivenResistance:

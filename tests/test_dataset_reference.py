@@ -112,18 +112,16 @@ def test_columnar_dataset_matches_row_model(data):
     if schema and data.draw(st.booleans()):  # one bad cell in the input rows
         spec = data.draw(st.sampled_from(schema))
         columns[spec.name] = column_values(data, spec, n, with_none=True, bad=True)
+    flags = [frozenset(data.draw(st.lists(st.sampled_from(FLAGS), max_size=2))) for _ in stamps]
+    trips = [data.draw(st.one_of(st.none(), st.integers(0, 3))) for _ in stamps]
     samples = [
-        Sample(
-            t,
-            {name: col[i] for name, col in columns.items() if col[i] is not None},
-            frozenset(data.draw(st.lists(st.sampled_from(FLAGS), max_size=2))),
-            data.draw(st.one_of(st.none(), st.integers(0, 3))),
-        )
+        Sample(t, {name: col[i] for name, col in columns.items() if col[i] is not None},
+               flags[i], trips[i])
         for i, t in enumerate(stamps)
     ]
     interval = data.draw(st.sampled_from([None, 900]))
     built = same_outcome(
-        lambda: new_dataset(schema, samples, interval),
+        lambda: new_dataset(schema, stamps, columns, interval, flags=flags, trip_ids=trips),
         lambda: new_row_dataset(schema, samples, interval),
     )
     if built is None:
@@ -192,10 +190,14 @@ def test_columnar_dataset_matches_row_model(data):
 ])
 def test_errors_match_row_model(spec, value, message):
     rows = [Sample(0, {}), Sample(900, {spec.name: value})]
-    for build in (new_dataset, new_row_dataset):
+    builds = (
+        lambda: new_dataset([spec], [0, 900], {spec.name: [None, value]}),
+        lambda: new_row_dataset([spec], rows),
+    )
+    for build in builds:
         with pytest.raises(DatasetError, match=message.replace("[", r"\[").replace("]", r"\]")):
-            build([spec], rows)
-    empty = new_dataset([], [Sample(0, {}), Sample(900, {})])
+            build()
+    empty = new_dataset([], [0, 900], {})
     with pytest.raises(DatasetError) as got:
         empty.adding_variable(spec, [None, value])
     assert str(got.value) == message

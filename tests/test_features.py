@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_values as oracle
-from conftest import flagged_rows, series_dataset
+from conftest import flagged_rows, rows_dataset, series_dataset
 from shipdataprep.features import (
     ais_speed_consistency,
     ais_status_check,
@@ -27,7 +27,6 @@ from shipdataprep.model import (
     Sample,
     ShipType,
     VariableSpec,
-    new_dataset,
 )
 
 coords = st.tuples(
@@ -113,7 +112,7 @@ def track_dataset(points, extra=None):
                 if col[i] is not None:
                     vals[k] = col[i]
         samples.append(Sample(i * 900, vals))
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 class TestGpsHeading:
@@ -227,7 +226,7 @@ class TestAisSpeedConsistency:
             Sample(i * 900, {"lat": lats[i], "lon": lons[i], "sog": sog[i]})
             for i in range(n)
         ]
-        return new_dataset(schema, samples, source_kind="ais")
+        return rows_dataset(schema, samples, source_kind="ais")
 
     def test_consistent_track_zero_flags(self):
         out = ais_speed_consistency(self.build())
@@ -248,7 +247,7 @@ class TestAisSpeedConsistency:
         samples = [
             Sample(i * 900, {"lat": 10.0, "lon": 4.0, "sog": 0.0}) for i in range(10)
         ]
-        ds = new_dataset(schema, samples)
+        ds = rows_dataset(schema, samples)
         out = ais_speed_consistency(ds)
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
@@ -259,7 +258,7 @@ class TestAisSpeedConsistency:
             Sample(i * 30, {"lat": lats[i], "lon": lons[i], "sog": 5.0})
             for i in range(30)
         ]
-        ds = new_dataset(schema, samples)
+        ds = rows_dataset(schema, samples)
         out = ais_speed_consistency(ds)
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
@@ -279,7 +278,7 @@ class TestAisStatusCheck:
     def build(self, status, sog, trip_id=None):
         schema = [VariableSpec("nav_status"), VariableSpec("sog")]
         samples = [Sample(0, {"nav_status": status, "sog": sog}, trip_id=trip_id)]
-        return new_dataset(schema, samples)
+        return rows_dataset(schema, samples)
 
     def test_moored_while_moving_flagged(self):
         out = ais_status_check(self.build(5.0, 7.0))
@@ -299,7 +298,7 @@ class TestAisStatusCheck:
             Sample(0, {"nav_status": 0.0, "sog": 0.0}, trip_id=None),
             Sample(900, {"nav_status": 0.0, "sog": 5.0}, trip_id=1),
         ]
-        ds = new_dataset(schema, samples)
+        ds = rows_dataset(schema, samples)
         out = ais_status_check(ds)
         assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import flagged_rows
+from conftest import flagged_rows, rows_dataset
 
 from shipdataprep.hindcast import (
     SteadyFilterParams,
@@ -24,7 +24,6 @@ from shipdataprep.model import (
     QualityFlag,
     Sample,
     VariableSpec,
-    new_dataset,
 )
 
 
@@ -121,7 +120,7 @@ def gps_dataset(lats, lons, flag_none=True):
     samples = [
         Sample(i * 900, {"lat": la, "lon": lo}) for i, (la, lo) in enumerate(zip(lats, lons))
     ]
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 class TestCleanGps:
@@ -190,7 +189,7 @@ def query_dataset(points):
     datasets are timestamp-sorted, so callers should sort points too."""
     schema = [VariableSpec("lat"), VariableSpec("lon")]
     samples = [Sample(int(t), {"lat": la, "lon": lo}) for t, la, lo in points]
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 def random_points(rng, n, t_span=(0, 7200), lat_span=(-2, 2), lon_span=(-3, 3)):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import hindcast_reference as reference
+from conftest import rows_dataset
 from shipdataprep import hindcast
 from shipdataprep.hindcast import interpolate, order_check
 from shipdataprep.ingest import GridVariable, HindcastGrid
@@ -19,7 +20,6 @@ from shipdataprep.model import (
     QualityFlag,
     Sample,
     VariableSpec,
-    new_dataset,
 )
 
 T0 = 1_600_000_000
@@ -105,7 +105,7 @@ def queries(draw, grid, inside=False):
             del values[draw(st.sampled_from(["lat", "lon"]))]
         trip = None if inside else draw(st.sampled_from([None, None, 1]))
         samples.setdefault(t, Sample(t, values, flags, trip))
-    return new_dataset([VariableSpec("lat"), VariableSpec("lon")], samples.values())
+    return rows_dataset([VariableSpec("lat"), VariableSpec("lon")], samples.values())
 
 
 def exact(column):
@@ -143,7 +143,7 @@ def test_every_count_on_a_fixed_grid():
         Sample(T0 + 2, {"lat": 5.0, "lon": 0.5}),
         Sample(T0 + 3, {"lat": 0.5}),
     ]
-    dataset = new_dataset([VariableSpec("lat"), VariableSpec("lon")], samples)
+    dataset = rows_dataset([VariableSpec("lat"), VariableSpec("lon")], samples)
     for module in (hindcast, reference):
         report = ProcessingReport()
         module.interpolate(grid, dataset, 1, report=report)
@@ -162,7 +162,7 @@ def test_angular_zero_resultant_is_masked_missing():
         (GridVariable("dir", "deg", np.full((2, 2, 2), 40.0), mask),),
         np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([T0, T0 + 3600]),
     )
-    dataset = new_dataset(
+    dataset = rows_dataset(
         [VariableSpec("lat"), VariableSpec("lon")], [Sample(T0, {"lat": 0.0, "lon": 0.0})]
     )
     for module in (hindcast, reference):
@@ -182,7 +182,7 @@ def test_stencil_tie_goes_to_the_past():
         (GridVariable("lin", "m", values, np.zeros((4, 2, 2), dtype=bool)),),
         np.array([0.0, 1.0]), np.array([0.0, 1.0]), times,
     )
-    dataset = new_dataset(
+    dataset = rows_dataset(
         [VariableSpec("lat"), VariableSpec("lon")],
         [Sample(T0 + 5400, {"lat": 0.5, "lon": 0.5})],
     )

@@ -7,11 +7,10 @@ from conftest import flags_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shipdataprep.ingest import load_dataset, save_dataset
+from shipdataprep.ingest import IngestError, load_dataset, save_dataset
 from shipdataprep.model import (
     DatasetError,
     QualityFlag,
-    Sample,
     SchemaError,
     VariableSpec,
     new_dataset,
@@ -28,48 +27,62 @@ def schema():
 
 class TestNewDataset:
     def test_empty_sample_list(self):
-        ds = new_dataset(schema(), [])
+        ds = new_dataset(schema(), [], {})
         assert len(ds) == 0
         assert ds.sampling_interval is None
 
     def test_out_of_order_samples_sorted(self):
-        samples = [Sample(300, {"sog": 3.0}), Sample(100, {"sog": 1.0}), Sample(200, {})]
-        ds = new_dataset(schema(), samples)
+        ds = new_dataset(
+            schema(), [300, 100, 200], {"sog": [3.0, 1.0, None], "state": ["c", "a", None]},
+            flags=[{QualityFlag.SPIKE}, (), ()], trip_ids=[3, None, 2],
+        )
         assert list(ds.timestamps) == [100, 200, 300]
         assert ds.column("sog")[0] == 1.0
+        # the rows move together: values, flags and trip ids
+        assert np.isnan(ds.column("sog")[1]) and ds.column("sog")[2] == 3.0
+        assert ds.text_column("state").tolist() == ["a", None, "c"]
+        assert [flags_at(ds, i) for i in range(3)] == [set(), set(), {QualityFlag.SPIKE}]
+        assert ds.trip_ids.tolist() == [-1, 2, 3]
+
+    def test_array_columns_sorted(self):
+        ds = new_dataset(schema(), np.array([5, 1, 3]), {"sog": np.array([5.0, 1.0, 3.0])})
+        assert ds.column("sog").tolist() == [1.0, 3.0, 5.0]
+
+    def test_column_length_checked(self):
+        with pytest.raises(DatasetError, match="'sog': expected 2 entries, got 1"):
+            new_dataset(schema(), [0, 900], {"sog": [1.0]})
 
     def test_duplicate_timestamp_rejected(self):
-        samples = [Sample(100, {}), Sample(100, {})]
         with pytest.raises(DatasetError, match="1970-01-01T00:01:40Z"):
-            new_dataset(schema(), samples)
+            new_dataset(schema(), [200, 100, 100], {})
 
     def test_duplicate_variable_name_rejected(self):
         with pytest.raises(SchemaError, match="sog"):
-            new_dataset([VariableSpec("sog"), VariableSpec("sog")], [])
+            new_dataset([VariableSpec("sog"), VariableSpec("sog")], [], {})
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(DatasetError, match="mystery"):
-            new_dataset(schema(), [Sample(0, {"mystery": 1.0})])
+            new_dataset(schema(), [0], {"mystery": [1.0]})
 
     def test_angular_normalised_into_0_360(self):
-        ds = new_dataset(schema(), [Sample(0, {"heading": -5.0}), Sample(1, {"heading": 360.0})])
+        ds = new_dataset(schema(), [0, 1], {"heading": [-5.0, 360.0]})
         assert ds.column("heading")[0] == 355.0
         assert ds.column("heading")[1] == 0.0
 
     def test_longitude_wrapped_only_outside_range(self):
         lons = [12.3, 4.2, -180.0, 179.99999999999997, 180.0, 190.0, -190.0, 540.0]
-        ds = new_dataset([VariableSpec("lon")], [Sample(i, {"lon": v}) for i, v in enumerate(lons)])
+        ds = new_dataset([VariableSpec("lon")], range(len(lons)), {"lon": lons})
         assert ds.column("lon").tolist() == [
             12.3, 4.2, -180.0, 179.99999999999997, -180.0, -170.0, 170.0, -180.0,
         ]
 
     def test_nan_becomes_missing(self):
-        ds = new_dataset(schema(), [Sample(0, {"sog": float("nan")})])
+        ds = new_dataset(schema(), [0], {"sog": [float("nan")]})
         assert np.isnan(ds.column("sog")[0])
 
     def test_text_value_on_numeric_variable_rejected(self):
         with pytest.raises(DatasetError):
-            new_dataset(schema(), [Sample(0, {"sog": "fast"})])
+            new_dataset(schema(), [0], {"sog": ["fast"]})
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(SchemaError):
@@ -78,7 +91,7 @@ class TestNewDataset:
 
 class TestImmutability:
     def test_adding_flags_is_monotone(self):
-        ds = new_dataset(schema(), [Sample(0, {"sog": 1.0}), Sample(900, {})])
+        ds = new_dataset(schema(), [0, 900], {"sog": [1.0, None]})
         ds2 = ds.adding_flags(QualityFlag.SPIKE, [0])
         ds3 = ds2.adding_flags(QualityFlag.DROPOUT, [0]).adding_flags(
             QualityFlag.UNSTEADY, np.array([False, True])
@@ -91,29 +104,30 @@ class TestImmutability:
                 assert flags_at(before, i) <= flags_at(after, i)
 
     def test_dataset_attributes_frozen(self):
-        ds = new_dataset(schema(), [])
+        ds = new_dataset(schema(), [], {})
         with pytest.raises(AttributeError):
             ds.timestamps = ()
 
     def test_adding_variable_length_checked(self):
-        ds = new_dataset(schema(), [Sample(0, {}), Sample(900, {})])
+        ds = new_dataset(schema(), [0, 900], {})
         with pytest.raises(DatasetError):
             ds.adding_variable(VariableSpec("extra"), [1.0])
 
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
-        samples = [
-            Sample(
-                1_600_000_000,
-                {"sog": 5.144444444444445, "heading": 359.999, "state": "Sea Passage"},
-                frozenset({QualityFlag.SPIKE, QualityFlag.UNSTEADY}),
-                trip_id=2,
-            ),
-            Sample(1_600_000_900, {"sog": 1e-17}),
-            Sample(1_600_001_800, {}),
-        ]
-        ds = new_dataset(schema(), samples, sampling_interval=900)
+        ds = new_dataset(
+            schema(),
+            [1_600_000_000, 1_600_000_900, 1_600_001_800],
+            {
+                "sog": [5.144444444444445, 1e-17, None],
+                "heading": [359.999, None, None],
+                "state": ["Sea Passage", None, None],
+            },
+            sampling_interval=900,
+            flags=[{QualityFlag.SPIKE, QualityFlag.UNSTEADY}, (), ()],
+            trip_ids=[2, None, None],
+        )
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -127,6 +141,14 @@ class TestRoundTrip:
             assert flags_at(back, i) == flags_at(ds, i)
         assert back.trip_ids.tolist() == ds.trip_ids.tolist()
 
+    def test_load_rejects_rows_of_another_width(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(new_dataset(schema(), [0, 900], {"sog": [1.0, 2.0]}), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [lines[-1] + ",extra"]) + "\n")
+        with pytest.raises(IngestError, match="every row must have the 6 cells"):
+            load_dataset(path)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -138,10 +160,7 @@ class TestRoundTrip:
 )
 def test_roundtrip_bit_equality_property(tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("rt")
-    ds = new_dataset(
-        [VariableSpec("x")],
-        [Sample(i * 10, {"x": v}) for i, v in enumerate(values)],
-    )
+    ds = new_dataset([VariableSpec("x")], [i * 10 for i in range(len(values))], {"x": values})
     path = tmp / "ds.csv"
     save_dataset(ds, path)
     back = load_dataset(path)

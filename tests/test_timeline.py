@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import series_dataset
-from shipdataprep.model import QualityFlag, Sample, VariableSpec, new_dataset
+from conftest import rows_dataset, series_dataset
+from shipdataprep.model import QualityFlag, Sample, VariableSpec
 from shipdataprep.timeline import (
     SegmentationError,
     regularize,
@@ -23,7 +23,7 @@ def ts_dataset(timestamps, values=None):
         Sample(t, {} if values is None else {"x": values[i]})
         for i, t in enumerate(timestamps)
     ]
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 class TestRegularize:
@@ -134,7 +134,7 @@ class TestResample:
 def state_dataset(states):
     schema = [VariableSpec("state", kind="text")]
     samples = [Sample(i * 900, {"state": s}) for i, s in enumerate(states)]
-    return new_dataset(schema, samples)
+    return rows_dataset(schema, samples)
 
 
 B, S = "At Berth", "Sea Passage"

@@ -4,7 +4,7 @@ is fixed, so any change to a written format shows up here."""
 
 import pytest
 
-from conftest import T0, row_values
+from conftest import T0, row_values, rows_dataset
 from shipdataprep import ingest
 from shipdataprep.ingest import load_dataset, load_ship_csv, save_dataset, write_ship_csv
 from shipdataprep.model import (
@@ -15,7 +15,6 @@ from shipdataprep.model import (
     ShipParticulars,
     ShipType,
     VariableSpec,
-    new_dataset,
 )
 from shipdataprep.pipeline import emit_plotdata, write_processed_csv
 from shipdataprep.timeline import Trip, TripIndex
@@ -58,7 +57,7 @@ def golden_dataset():
         ),
         Sample(T0 + 2700, {}, frozenset({QualityFlag.MISSING_INSERTED})),
     ]
-    return new_dataset(schema, samples, sampling_interval=900)
+    return rows_dataset(schema, samples, sampling_interval=900)
 
 
 def write_all(dataset, out):
