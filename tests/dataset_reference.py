@@ -4,7 +4,7 @@ A dataset here is a tuple of :class:`Sample` rows, each with its own values
 dict, and every update rebuilds the rows one at a time, normalising value by
 value. ``tests/test_dataset_reference.py`` drives this model and
 ``VoyageDataset`` through the same random operations and requires the same
-columns, flags, trip ids and errors.
+columns, flags, trip ids and errors (:func:`assert_same`).
 
 Two rules differ from the row model as it was:
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from shipdataprep.model import (
     SOURCE_KINDS,
@@ -172,3 +174,28 @@ def new_row_dataset(
                 vals[name] = nv
         cleaned.append(Sample(ts, vals, frozenset(s.flags), s.trip_id))
     return RowDataset(tuple(schema), tuple(cleaned), sampling_interval, source_kind)
+
+
+FLAGS = list(QualityFlag)
+
+
+def assert_same(ds, ref) -> None:
+    """A ``VoyageDataset`` equals a :class:`RowDataset`: schema, metadata,
+    timestamps, bit-equal columns (NaN/None as missing), flags and trip ids."""
+    assert ds.schema == ref.schema
+    assert ds.sampling_interval == ref.sampling_interval
+    assert ds.source_kind == ref.source_kind
+    assert ds.timestamps.tolist() == [s.timestamp for s in ref.samples]
+    for spec in ds.schema:
+        want = [s.values.get(spec.name) for s in ref.samples]
+        if spec.kind == "text":
+            assert ds.text_column(spec.name).tolist() == want
+            continue
+        got = ds.column(spec.name)
+        missing = np.isnan(got)
+        assert missing.tolist() == [v is None for v in want]
+        present = np.array([v for v in want if v is not None], dtype=np.float64)
+        assert got[~missing].view(np.int64).tolist() == present.view(np.int64).tolist()
+    for flag in FLAGS:
+        assert ds.flagged(flag).tolist() == [flag in s.flags for s in ref.samples]
+    assert ds.trip_ids.tolist() == [-1 if s.trip_id is None else s.trip_id for s in ref.samples]

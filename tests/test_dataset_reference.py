@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataset_reference import new_row_dataset
+from dataset_reference import FLAGS, assert_same, new_row_dataset
 from shipdataprep.model import (
     DatasetError,
-    QualityFlag,
     Sample,
     SchemaError,
     StageEntry,
@@ -29,7 +28,6 @@ POOL = (
     VariableSpec("s", kind="text"),
     VariableSpec("y"),
 )
-FLAGS = list(QualityFlag)
 
 
 def good_value(spec: VariableSpec):
@@ -77,26 +75,6 @@ def same_outcome(columnar, rows):
         assert str(got.value) == str(exc)
         return None
     return columnar(), want
-
-
-def assert_same(ds, ref) -> None:
-    assert ds.schema == ref.schema
-    assert ds.sampling_interval == ref.sampling_interval
-    assert ds.source_kind == ref.source_kind
-    assert ds.timestamps.tolist() == [s.timestamp for s in ref.samples]
-    for spec in ds.schema:
-        want = [s.values.get(spec.name) for s in ref.samples]
-        if spec.kind == "text":
-            assert ds.text_column(spec.name).tolist() == want
-            continue
-        got = ds.column(spec.name)
-        missing = np.isnan(got)
-        assert missing.tolist() == [v is None for v in want]
-        present = np.array([v for v in want if v is not None], dtype=np.float64)
-        assert got[~missing].view(np.int64).tolist() == present.view(np.int64).tolist()
-    for flag in FLAGS:
-        assert ds.flagged(flag).tolist() == [flag in s.flags for s in ref.samples]
-    assert ds.trip_ids.tolist() == [-1 if s.trip_id is None else s.trip_id for s in ref.samples]
 
 
 @settings(max_examples=150, deadline=None)
