@@ -29,6 +29,7 @@ from .model import (
     StageEntry,
     VariableSpec,
     VoyageDataset,
+    add_flags,
     generated_header,
     iso_timestamp,
     new_dataset,
@@ -123,42 +124,64 @@ def load_ship_csv(
     source_kind: str = "in_service",
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
-    """Parse a ship data CSV into a :class:`VoyageDataset`.
+    """Parse a ship data CSV into a :class:`VoyageDataset`, column by column.
 
-    The first column must be ``timestamp`` (ISO-8601 UTC). Empty cells are
-    missing values. ``unit_map`` maps column names to their source units;
-    unmapped numeric columns are assumed SI already. Header columns not in
-    the schema are auto-declared so that ingest is loss-free.
+    A ``timestamp`` column (ISO-8601 UTC) is required; rows whose timestamp
+    is empty or does not parse are skipped. Empty cells are missing values,
+    and so are cells that are not finite numbers (or latitudes outside
+    [-90, 90]) in a numeric column; both are counted per column.
+    ``unit_map`` maps column names to their source units; unmapped numeric
+    columns are assumed SI already. Header columns not in the schema are
+    auto-declared so that ingest is loss-free: text when one of their cells
+    is not a number. A column with a blank name, or with the name of an
+    earlier column, is skipped with a note.
+
+    Of the rows that share a timestamp, the first in the file is kept and
+    flagged ``dropout`` (as regularize keeps one sample per slot), and each
+    other one is dropped with a ``dropout`` check naming its line.
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
     entry = report.stage("ingest:ship_csv") if report is not None else StageEntry("ingest")
 
     with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
+        reader = csv.reader(fh)
+        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not numbered:
         raise IngestError(f"{path}: empty file, expected a header row")
+    lines, rows = zip(*numbered)
     header = [h.strip() for h in rows[0]]
     if "timestamp" not in header:
         raise IngestError(f"{path}: missing timestamp column")
     factors = {col: _unit_factor(unit) for col, unit in (unit_map or {}).items()}
+    first_of = {}  # name -> its first column
+    for k, name in enumerate(header):
+        first_of.setdefault(name, k)
 
     body = rows[1:]
     # the cells of each header column; a short row's absent cells are empty
     cells = list(itertools.islice(itertools.zip_longest(*body, fillvalue=""), len(header)))
     cells += [("",) * len(body)] * (len(header) - len(cells))
-    stamps = [_timestamp(c) for c in cells[header.index("timestamp")]]
-    keep = np.array([t is not None for t in stamps], dtype=bool)
-    n = int(keep.sum())
+    stamps = [_timestamp(c) for c in cells[first_of["timestamp"]]]
+    read = np.flatnonzero([t is not None for t in stamps])
+    first = read[np.unique([stamps[i] for i in read], return_index=True)[1]]
+    keep = np.zeros(len(body), dtype=bool)
+    keep[first] = True
+    n = len(first)
 
+    for k, name in enumerate(header):
+        if not name or first_of[name] != k:
+            filled = sum(1 for c, kept in zip(cells[k], keep) if kept and c.strip())
+            why = "blank name" if not name else f"repeats {name!r}"
+            entry.notes.append(f"column {k + 1} ({why}): skipped, {filled} non-empty cell(s)")
     spec_map = {s.name: s for s in schema}
     columns: dict[str, np.ndarray] = {}
     present: dict[str, int] = {}
     unparseable: dict[str, tuple[int, int]] = {}
-    for name, raw in zip(header, cells):
-        if name == "timestamp" or name in columns:
+    for name, k in first_of.items():
+        if not name or name == "timestamp":
             continue
-        text = [c.strip() for c in raw]
+        text = [c.strip() for c in cells[k]]
         filled = np.array([c != "" for c in text], dtype=bool)[keep]
         spec = spec_map.get(name)
         if spec is None or spec.kind != "text":
@@ -190,12 +213,22 @@ def load_ship_csv(
                 "(bare-minimum variable, more than 50% lost)"
             )
     entry.summary["rows"] = n
-    entry.summary["rows_skipped_bad_timestamp"] = len(body) - n
+    entry.summary["rows_skipped_bad_timestamp"] = len(body) - len(read)
     entry.summary["missing_cells"] = {
         name: n - k for name, k in sorted(present.items()) if 0 < k < n
     }
-    timestamps = [t for t in stamps if t is not None]
-    return new_dataset(schema, timestamps, columns, source_kind=source_kind)
+    dataset = new_dataset(
+        schema, [stamps[i] for i in np.flatnonzero(keep)], columns, source_kind=source_kind
+    )
+    dropped = np.setdiff1d(read, first).tolist()
+    if dropped:
+        entry.summary["rows_dropped_duplicate_timestamp"] = len(dropped)
+        repeated = np.isin(dataset.timestamps, [stamps[i] for i in dropped])
+        dataset = add_flags(dataset, QualityFlag.DROPOUT, repeated, entry)
+        for i in dropped:
+            entry.check("dropout", timestamp=stamps[i], variable="timestamp",
+                        observed=lines[i + 1])
+    return dataset
 
 
 def _timestamp(cell: str) -> int | None:

@@ -14,7 +14,7 @@ from shipdataprep.ingest import (
     load_ship_csv,
     write_ship_csv,
 )
-from shipdataprep.model import KNOT, ProcessingReport
+from shipdataprep.model import KNOT, ProcessingReport, QualityFlag
 
 
 class TestShipCsv:
@@ -84,6 +84,75 @@ class TestShipCsv:
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestError, match="stw: 6/10"):
             load_ship_csv(p)
+
+    def test_repeated_timestamp_keeps_first_row_and_flags_dropout(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_text(
+            "timestamp,sog\n"
+            "2021-01-01T00:15:00Z,1.0\n"
+            "# a comment line\n"
+            "2021-01-01T00:00:00Z,2.0\n"
+            "2021-01-01T00:15:00Z,3.0\n"
+            "2021-01-01T00:30:00Z,4.0\n"
+            "2021-01-01T00:15:00+00:00,5.0\n"
+            "2021-01-01T00:00:00Z,\n"
+        )
+        report = ProcessingReport()
+        ds = load_ship_csv(p, report=report)
+        assert ds.column("sog").tolist() == [2.0, 1.0, 4.0]
+        assert ds.flagged(QualityFlag.DROPOUT).tolist() == [True, True, False]
+        entry = report.stage_entries[0]
+        assert entry.flag_counts == {"dropout": 2}
+        assert entry.summary["rows"] == 3
+        assert entry.summary["rows_dropped_duplicate_timestamp"] == 3
+        assert [(c.timestamp, c.variable, c.observed, c.verdict) for c in entry.checks] == [
+            (ds.timestamps[1], "timestamp", 5, "dropout"),
+            (ds.timestamps[1], "timestamp", 7, "dropout"),
+            (ds.timestamps[0], "timestamp", 8, "dropout"),
+        ]
+        assert report.covers(ds)
+
+    def test_unique_timestamps_add_no_duplicate_summary(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_text("timestamp,sog\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:15:00Z,2.0\n")
+        report = ProcessingReport()
+        load_ship_csv(p, report=report)
+        assert "rows_dropped_duplicate_timestamp" not in report.stage_entries[0].summary
+
+    def test_blank_header_name_skipped_with_note(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_text(
+            "timestamp,sog,\n"
+            "2021-01-01T00:00:00Z,1.0,\n"
+            "2021-01-01T00:15:00Z,2.0,x\n"
+            "bad,3.0,y\n"
+        )
+        report = ProcessingReport()
+        ds = load_ship_csv(p, report=report)
+        assert ds.column("sog").tolist() == [1.0, 2.0]
+        assert "" not in {s.name for s in ds.schema}
+        assert report.stage_entries[0].notes == [
+            "column 3 (blank name): skipped, 1 non-empty cell(s)"
+        ]
+
+    def test_repeated_header_name_keeps_first_column(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_text(
+            "timestamp,sog,stw,sog,timestamp\n"
+            "2021-01-01T00:00:00Z,1.0,4.0,9.0,x\n"
+            "2021-01-01T00:15:00Z,,4.0,8.0,\n"
+            "2021-01-01T00:30:00Z,3.0,4.0,,\n"
+        )
+        report = ProcessingReport()
+        ds = load_ship_csv(p, report=report)
+        assert row_values(ds, 0) == {"sog": 1.0, "stw": 4.0}
+        assert np.isnan(ds.column("sog")[1])
+        entry = report.stage_entries[0]
+        assert entry.notes == [
+            "column 4 (repeats 'sog'): skipped, 2 non-empty cell(s)",
+            "column 5 (repeats 'timestamp'): skipped, 1 non-empty cell(s)",
+        ]
+        assert entry.summary["missing_cells"] == {"sog": 1}
 
     def test_unknown_column_auto_declared(self, tmp_path):
         p = tmp_path / "ship.csv"

@@ -211,6 +211,25 @@ class TestCli:
         ingest = next(e for e in report["stages"] if e["stage"] == "ingest:ship_csv")
         assert "column sog: 1 unparseable cell(s) -> missing" in ingest["notes"]
 
+    def test_duplicated_row_is_dropped_not_fatal(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        lines = paths["ship_csv"].read_text().splitlines()
+        lines.insert(9, lines[5])  # line 10 repeats line 6
+        paths["ship_csv"].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(paths["config"]), "--out", str(out),
+                     "--no-timestamp-header"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        ingest = next(e for e in report["stages"] if e["stage"] == "ingest:ship_csv")
+        assert ingest["summary"]["rows_dropped_duplicate_timestamp"] == 1
+        assert ingest["flag_counts"] == {"dropout": 1}
+        assert [(c["timestamp"], c["observed"]) for c in ingest["checks"]] == [
+            (lines[5].split(",")[0], 10)
+        ]
+        processed = (out / "processed.csv").read_text().splitlines()
+        assert len(processed) == len(lines) - 1  # header and one row per slot, with no gaps
+
     def test_missing_hindcast_exits_one(self, tmp_path, capsys):
         paths = VoyageBuilder(tmp_path).build()
         config = tmp_path / "bad.txt"
