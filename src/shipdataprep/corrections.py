@@ -10,7 +10,6 @@ ramps across detected draft-change operations.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
+from .ingest import csv_columns
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -382,34 +382,23 @@ class HydroTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "HydroTable":
-        path = Path(path)
-        rows = []
-        with path.open(newline="") as fh:
-            for row in csv.DictReader(
-                line for line in fh if not line.startswith("#")
-            ):
-                rows.append(
-                    (
-                        float(row["draft_m"]),
-                        float(row["trim_m"]),
-                        float(row["displacement_m3"]),
-                        float(row["wsa_m2"]),
-                    )
-                )
-        drafts = sorted({r[0] for r in rows})
-        trims = sorted({r[1] for r in rows})
-        if len(rows) != len(drafts) * len(trims):
+        header, _, cells = csv_columns(Path(path))
+        table = dict(zip(header, cells))
+        draft, trim, volume, area = (
+            [float(c) for c in table[name]]
+            for name in ("draft_m", "trim_m", "displacement_m3", "wsa_m2")
+        )
+        drafts, at_draft = np.unique(draft, return_inverse=True)
+        trims, at_trim = np.unique(trim, return_inverse=True)
+        if len(draft) != len(drafts) * len(trims):
             raise CorrectionError(
                 f"{path}: hydro table must be a full (draft x trim) grid; "
-                f"got {len(rows)} rows for {len(drafts)}x{len(trims)}"
+                f"got {len(draft)} rows for {len(drafts)}x{len(trims)}"
             )
         disp = np.zeros((len(drafts), len(trims)))
         wsa = np.zeros_like(disp)
-        di = {d: i for i, d in enumerate(drafts)}
-        ti = {t: i for i, t in enumerate(trims)}
-        for d, t, v, w in rows:
-            disp[di[d], ti[t]] = v
-            wsa[di[d], ti[t]] = w
+        disp[at_draft, at_trim] = volume
+        wsa[at_draft, at_trim] = area
         return cls(drafts, trims, disp, wsa)
 
     def _interp(self, grid: np.ndarray, draft: float, trim: float) -> float:

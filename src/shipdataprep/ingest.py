@@ -126,31 +126,20 @@ def load_ship_csv(
 ) -> VoyageDataset:
     """Parse a ship data CSV into a :class:`VoyageDataset`, column by column.
 
-    A ``timestamp`` column (ISO-8601 UTC) is required; rows whose timestamp
-    is empty or does not parse are skipped. Empty cells are missing values,
-    and so are cells that are not finite numbers (or latitudes outside
-    [-90, 90]) in a numeric column; both are counted per column.
-    ``unit_map`` maps column names to their source units; unmapped numeric
-    columns are assumed SI already. Header columns not in the schema are
-    auto-declared so that ingest is loss-free: text when one of their cells
-    is not a number. A column with a blank name, or with the name of an
-    earlier column, is skipped with a note.
-
-    Of the rows that share a timestamp, the first in the file is kept and
-    flagged ``dropout`` (as regularize keeps one sample per slot), and each
-    other one is dropped with a ``dropout`` check naming its line.
+    A ``timestamp`` column (ISO-8601 UTC) is required; rows where it is
+    empty or bad are skipped. Empty cells, and numeric cells that are not
+    finite numbers, are missing. ``unit_map`` maps column names to their
+    source units; unmapped numeric columns are assumed SI already. Header
+    columns not in the schema are auto-declared so that ingest is loss-free.
+    Columns with a blank or an already used name are skipped with a note.
+    Of rows sharing a timestamp, the first is kept and flagged ``dropout``.
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
     entry = report.stage("ingest:ship_csv") if report is not None else StageEntry("ingest")
 
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
-    if not numbered:
-        raise IngestError(f"{path}: empty file, expected a header row")
-    lines, rows = zip(*numbered)
-    header = [h.strip() for h in rows[0]]
+    header, lines, cells = csv_columns(path)
+    header = [h.strip() for h in header]
     if "timestamp" not in header:
         raise IngestError(f"{path}: missing timestamp column")
     factors = {col: _unit_factor(unit) for col, unit in (unit_map or {}).items()}
@@ -158,14 +147,10 @@ def load_ship_csv(
     for k, name in enumerate(header):
         first_of.setdefault(name, k)
 
-    body = rows[1:]
-    # the cells of each header column; a short row's absent cells are empty
-    cells = list(itertools.islice(itertools.zip_longest(*body, fillvalue=""), len(header)))
-    cells += [("",) * len(body)] * (len(header) - len(cells))
     stamps = [_timestamp(c) for c in cells[first_of["timestamp"]]]
     read = np.flatnonzero([t is not None for t in stamps])
     first = read[np.unique([stamps[i] for i in read], return_index=True)[1]]
-    keep = np.zeros(len(body), dtype=bool)
+    keep = np.zeros(len(stamps), dtype=bool)
     keep[first] = True
     n = len(first)
 
@@ -176,8 +161,7 @@ def load_ship_csv(
             entry.notes.append(f"column {k + 1} ({why}): skipped, {filled} non-empty cell(s)")
     spec_map = {s.name: s for s in schema}
     columns: dict[str, np.ndarray] = {}
-    present: dict[str, int] = {}
-    unparseable: dict[str, tuple[int, int]] = {}
+    counts: dict[str, tuple[int, int]] = {}  # name -> (non-empty cells, values kept)
     for name, k in first_of.items():
         if not name or name == "timestamp":
             continue
@@ -190,32 +174,26 @@ def load_ship_csv(
             spec = spec_map[name] = VariableSpec(name, "", "linear" if parsed else "text")
             schema.append(spec)
         if spec.kind == "text":
-            values = np.array(text, dtype=object)[keep]
-            values[~filled] = None
             ok = filled
+            columns[name] = np.where(ok, np.array(text, dtype=object)[keep], None)
         else:
             values = numbers[keep]
-            ok = np.isfinite(values)
-            if name == "lat":
-                ok &= (values >= -90.0) & (values <= 90.0)
-            values[~ok] = np.nan
-            bad = int((filled & ~ok).sum())
-            if bad:
-                unparseable[name] = (bad, int(filled.sum()))
-        columns[name] = values
-        present[name] = int(ok.sum())
+            ok = np.isfinite(values) & ((values >= -90.0) & (values <= 90.0) if name == "lat" else True)
+            columns[name] = np.where(ok, values, np.nan)
+        counts[name] = (int(filled.sum()), int(ok.sum()))
 
-    for name, (bad, total) in sorted(unparseable.items()):
-        entry.notes.append(f"column {name}: {bad} unparseable cell(s) -> missing")
-        if name in BARE_MINIMUM_VARIABLES and bad / total > 0.5:
-            raise IngestError(
-                f"{path}: column {name}: {bad}/{total} cells unparseable "
-                "(bare-minimum variable, more than 50% lost)"
-            )
+    for name, (total, kept) in sorted(counts.items()):
+        if kept < total:
+            entry.notes.append(f"column {name}: {total - kept} unparseable cell(s) -> missing")
+            if name in BARE_MINIMUM_VARIABLES and (total - kept) / total > 0.5:
+                raise IngestError(
+                    f"{path}: column {name}: {total - kept}/{total} cells unparseable "
+                    "(bare-minimum variable, more than 50% lost)"
+                )
     entry.summary["rows"] = n
-    entry.summary["rows_skipped_bad_timestamp"] = len(body) - len(read)
+    entry.summary["rows_skipped_bad_timestamp"] = len(stamps) - len(read)
     entry.summary["missing_cells"] = {
-        name: n - k for name, k in sorted(present.items()) if 0 < k < n
+        name: n - kept for name, (_, kept) in sorted(counts.items()) if 0 < kept < n
     }
     dataset = new_dataset(
         schema, [stamps[i] for i in np.flatnonzero(keep)], columns, source_kind=source_kind
@@ -227,8 +205,22 @@ def load_ship_csv(
         dataset = add_flags(dataset, QualityFlag.DROPOUT, repeated, entry)
         for i in dropped:
             entry.check("dropout", timestamp=stamps[i], variable="timestamp",
-                        observed=lines[i + 1])
+                        observed=lines[i])
     return dataset
+
+
+def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[tuple[str, ...]]]:
+    """A CSV file without its rows that start with ``#``: the header, the
+    line number of each further row, and the cells of each header column,
+    where a short row's absent cells are empty."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not numbered:
+        raise IngestError(f"{path}: empty file, expected a header row")
+    lines, (header, *body) = zip(*numbered)
+    cells = list(itertools.islice(itertools.zip_longest(*body, fillvalue=""), len(header)))
+    return header, lines[1:], cells + [("",) * len(body)] * (len(header) - len(cells))
 
 
 def _timestamp(cell: str) -> int | None:
@@ -242,17 +234,14 @@ def _timestamp(cell: str) -> int | None:
 def _numbers(cells: list[str], factor: float) -> tuple[np.ndarray, bool]:
     """``float(cell) * factor`` of each stripped cell, NaN for an empty or
     unparseable one, and whether every non-empty cell parsed."""
-    try:
-        return np.array([float(c) * factor if c else math.nan for c in cells]), True
-    except ValueError:
-        pass
-    values = []
+    values, parsed = [], True
     for c in cells:
         try:
             values.append(float(c) * factor if c else math.nan)
         except ValueError:
             values.append(math.nan)
-    return np.array(values, dtype=np.float64), False
+            parsed = False
+    return np.array(values, dtype=np.float64), parsed
 
 
 def csv_cell(value: float | str | int | None) -> str:
@@ -377,7 +366,6 @@ def load_dataset(path: str | Path) -> VoyageDataset:
     schema: list[VariableSpec] = []
     source_kind = "in_service"
     interval: int | None = None
-    data_lines: list[str] = []
     with path.open() as fh:
         for line in fh:
             if line.startswith("#schema "):
@@ -396,17 +384,7 @@ def load_dataset(path: str | Path) -> VoyageDataset:
                 source_kind = line.split(None, 1)[1].strip()
             elif line.startswith("#interval "):
                 interval = int(line.split(None, 1)[1])
-            elif line.startswith("#"):
-                continue
-            else:
-                data_lines.append(line)
-    rows = list(csv.reader(data_lines))
-    if not rows:
-        raise IngestError(f"{path}: missing header row")
-    header, body = rows[0], rows[1:]
-    if any(len(row) != len(header) for row in body):
-        raise IngestError(f"{path}: every row must have the {len(header)} cells of the header")
-    cells = list(zip(*body)) or [()] * len(header)
+    header, _, cells = csv_columns(path)
     kinds = {s.name: s.kind for s in schema}
     columns = {
         name: [c or None for c in col] if kinds.get(name, "text") == "text"

@@ -231,40 +231,6 @@ def _take(col: np.ndarray, rows: np.ndarray, missing) -> np.ndarray:
     return _frozen(np.concatenate([col, np.array([missing], dtype=col.dtype)])[rows])
 
 
-def _state(
-    schema: Sequence[VariableSpec],
-    timestamps: Sequence[int],
-    columns: Mapping[str, Sequence],
-    flags: Sequence[Iterable[QualityFlag]] | None,
-    trip_ids: Sequence[int | None] | None,
-) -> dict:
-    """The stored arrays of rows already in order: every declared variable
-    normalised (an absent column is all missing), the flags as bits and the
-    trip ids with -1 for None."""
-    spec_map = {s.name: s for s in schema}
-    for name in columns:
-        if name not in spec_map:
-            raise DatasetError(f"value for undeclared variable {name!r}")
-    n = len(timestamps)
-    return dict(
-        schema=tuple(schema),
-        timestamps=_frozen(np.array(timestamps, dtype=np.int64)),
-        flag_bits=_frozen(np.array(
-            [sum(_FLAG_BITS[f] for f in set(row)) for row in flags] if flags is not None else [0] * n,
-            dtype=np.uint16,
-        )),
-        trip_ids=_frozen(np.array(
-            [-1 if t is None else t for t in trip_ids] if trip_ids is not None else [-1] * n,
-            dtype=np.int64,
-        )),
-        _columns={
-            name: _normalise_column(spec, columns[name]) if name in columns
-            else _frozen(np.full(n, None if spec.kind == "text" else np.nan))
-            for name, spec in spec_map.items()
-        },
-    )
-
-
 class VoyageDataset:
     """Ordered, timestamped table of ship samples with a declared schema,
     stored by column after Apache Arrow's columnar layout:
@@ -280,9 +246,8 @@ class VoyageDataset:
     Every array is read-only. The ``adding_*`` / ``with_*`` helpers and
     :meth:`take` derive a new dataset that shares each array it does not
     change. Build one from columns through :func:`new_dataset`, which
-    validates and sorts them. The positional constructor takes
-    :class:`Sample` rows already in timestamp order and transposes them into
-    the same normaliser, without the sort or the duplicate-timestamp check.
+    validates and sorts them; the positional constructor transposes
+    :class:`Sample` rows into a :func:`new_dataset` call.
     """
 
     __slots__ = ("schema", "timestamps", "flag_bits", "trip_ids", "sampling_interval",
@@ -292,17 +257,16 @@ class VoyageDataset:
                  sampling_interval: int | None, source_kind: str):
         samples = tuple(samples)
         names = dict.fromkeys(name for s in samples for name in s.values)
-        self._set(
-            sampling_interval=sampling_interval,
-            source_kind=source_kind,
-            **_state(
-                schema,
-                [s.timestamp for s in samples],
-                {name: [s.values.get(name) for s in samples] for name in names},
-                [s.flags for s in samples],
-                [s.trip_id for s in samples],
-            ),
+        built = new_dataset(
+            schema,
+            [s.timestamp for s in samples],
+            {name: [s.values.get(name) for s in samples] for name in names},
+            sampling_interval,
+            source_kind,
+            flags=[s.flags for s in samples],
+            trip_ids=[s.trip_id for s in samples],
         )
+        self._set(**{name: getattr(built, name) for name in VoyageDataset.__slots__[:-1]})
 
     def _set(self, **state) -> None:
         for name, value in state.items():
@@ -502,14 +466,13 @@ def new_dataset(
 ) -> VoyageDataset:
     """The validated constructor. Row ``i`` is ``timestamps[i]``, the ``i``-th
     value of each column in ``columns`` (by variable name; None or NaN =
-    missing, an absent column is all missing), the flags ``flags[i]`` and
-    the trip ``trip_ids[i]`` (None = no trip); the last two default to none.
+    missing; an absent column is all missing), the flags ``flags[i]`` and
+    the trip ``trip_ids[i]`` (None = no trip); by default no row has either.
 
-    Rejects duplicate variable names, columns of another length and values
-    for undeclared variables. Sorts the rows stably by timestamp, rejects
-    duplicate timestamps, and normalises each column (angular values into
-    [0, 360), longitudes into [-180, 180); a string in a numeric column, an
-    infinite value or a latitude outside [-90, 90] raises DatasetError)."""
+    Sorts the rows stably by timestamp and normalises each column (angles
+    into [0, 360), longitudes into [-180, 180)). Raises on duplicate variable
+    names, columns of another length, duplicate timestamps, values for
+    undeclared variables, and values the normaliser rejects."""
     if source_kind not in SOURCE_KINDS:
         raise DatasetError(f"unknown source kind {source_kind!r}")
     names = [s.name for s in schema]
@@ -518,31 +481,43 @@ def new_dataset(
         raise SchemaError(f"duplicate variable name: {sorted(dupes)[0]!r}")
     stamps = np.array(timestamps, dtype=np.int64)
     n = len(stamps)
-    for name, col in columns.items():
-        if len(col) != n:
-            raise DatasetError(f"values for {name!r}: expected {n} entries, got {len(col)}")
-    for extra in (flags, trip_ids):
-        if extra is not None and len(extra) != n:
-            raise DatasetError(f"per-row flags or trip ids: expected {n} entries, got {len(extra)}")
-    if (stamps[1:] < stamps[:-1]).any():
-        order = np.argsort(stamps, kind="stable")
-        rows = order.tolist()
-
-        def reorder(values):
-            return values[order] if isinstance(values, np.ndarray) else [values[i] for i in rows]
-
-        stamps = stamps[order]
-        columns = {name: reorder(col) for name, col in columns.items()}
-        flags = None if flags is None else reorder(flags)
-        trip_ids = None if trip_ids is None else reorder(trip_ids)
+    bits = np.zeros(n, dtype=np.uint16) if flags is None else np.array(
+        [sum(_FLAG_BITS[f] for f in set(row)) for row in flags], dtype=np.uint16
+    )
+    trips = np.full(n, -1, dtype=np.int64) if trip_ids is None else np.array(
+        [-1 if t is None else t for t in trip_ids], dtype=np.int64
+    )
+    for name, values in [*columns.items(), ("flags", bits), ("trip_ids", trips)]:
+        if len(values) != n:
+            raise DatasetError(f"values for {name!r}: expected {n} entries, got {len(values)}")
+    order = np.argsort(stamps, kind="stable")
+    rows = order.tolist()
+    stamps = stamps[order]
     repeated = np.flatnonzero(stamps[1:] == stamps[:-1])
     if len(repeated):
         raise DatasetError(f"duplicate timestamp {iso_timestamp(stamps[repeated[0]])}")
+    spec_map = {s.name: s for s in schema}
+    for name in columns:
+        if name not in spec_map:
+            raise DatasetError(f"value for undeclared variable {name!r}")
+    stored = {}
+    for name, spec in spec_map.items():
+        if name not in columns:  # all missing
+            stored[name] = _frozen(np.full(n, None if spec.kind == "text" else np.nan))
+            continue
+        col = columns[name]
+        stored[name] = _normalise_column(
+            spec, col[order] if isinstance(col, np.ndarray) else [col[i] for i in rows]
+        )
     out = object.__new__(VoyageDataset)
     out._set(
+        schema=tuple(schema),
+        timestamps=_frozen(stamps),
+        flag_bits=_frozen(bits[order]),
+        trip_ids=_frozen(trips[order]),
         sampling_interval=sampling_interval,
         source_kind=source_kind,
-        **_state(schema, stamps, columns, flags, trip_ids),
+        _columns=stored,
     )
     return out
 
