@@ -178,7 +178,9 @@ def load_ship_csv(
             columns[name] = np.where(ok, np.array(text, dtype=object)[keep], None)
         else:
             values = numbers[keep]
-            ok = np.isfinite(values) & ((values >= -90.0) & (values <= 90.0) if name == "lat" else True)
+            ok = np.isfinite(values)
+            if name == "lat":
+                ok &= (values >= -90.0) & (values <= 90.0)
             columns[name] = np.where(ok, values, np.nan)
         counts[name] = (int(filled.sum()), int(ok.sum()))
 
