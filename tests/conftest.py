@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shipdataprep.model import QualityFlag, VariableSpec, new_dataset
+from shipdataprep.model import QualityFlag, VariableSpec, VoyageDataset, new_dataset
 
 INTERVAL = 900
 T0 = 1_600_000_000  # any fixed UTC anchor
@@ -65,19 +65,9 @@ def series_dataset(values_by_name: dict[str, list[float | None]], interval=INTER
 
 
 def rows_dataset(schema, samples, sampling_interval=None, source_kind="in_service"):
-    """``new_dataset`` of :class:`Sample` rows, transposed into its columns,
-    per-row flags and trip ids."""
-    samples = list(samples)
-    names = dict.fromkeys(name for s in samples for name in s.values)
-    return new_dataset(
-        schema,
-        [s.timestamp for s in samples],
-        {name: [s.values.get(name) for s in samples] for name in names},
-        sampling_interval,
-        source_kind,
-        flags=[s.flags for s in samples],
-        trip_ids=[s.trip_id for s in samples],
-    )
+    """A dataset of :class:`Sample` rows, built by the positional constructor,
+    which transposes them into a ``new_dataset`` call."""
+    return VoyageDataset(tuple(schema), samples, sampling_interval, source_kind)
 
 
 class VoyageBuilder:
