@@ -6,7 +6,6 @@ and a PCA reconstruction-error detector for correlation-defying outliers.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,10 +13,14 @@ import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
 from .model import ProcessingReport, QualityFlag, VoyageDataset, add_flags
+from .timeline import runs
 
 
 class CleaningError(ValueError):
     pass
+
+
+DEAD_VALUE = 0.0  # what a dropped-out sensor reads
 
 
 def contextual_filter(
@@ -25,8 +28,6 @@ def contextual_filter(
     repeat_run: int = 20,
     dropout_max: int = 3,
     spike_scales: float = 6.0,
-    dead_values: dict[str, float] | None = None,
-    in_trip_only: bool = True,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Flag contextual outliers per numeric variable.
@@ -34,20 +35,23 @@ def contextual_filter(
     invalid_range: value outside the schema's [valid_min, valid_max].
     repeated_value: a run of >= ``repeat_run`` identical values in a variable
     that actually varies elsewhere. dropout: < ``dropout_max`` consecutive
-    dead values (0 by default) squeezed between live neighbours. spike: both
+    dead values (``DEAD_VALUE``) squeezed between live neighbours. spike: both
     steps around a sample exceed ``spike_scales`` robust scales (MAD-based)
-    of the variable's differences, with opposite signs.
+    of the variable's differences, with opposite signs. The last three rules
+    run per trip group (the whole series when no trips are assigned).
     """
     entry = report.stage("clean:contextual") if report is not None else None
-    dead_values = dead_values or {}
-    marks: dict[QualityFlag, np.ndarray] = defaultdict(lambda: np.zeros(len(dataset), dtype=bool))
-    groups = dataset.trip_groups() if in_trip_only else [np.arange(len(dataset))]
+    marks: dict[QualityFlag, np.ndarray] = {}
+    groups = dataset.trip_groups()
     stamps = dataset.timestamps.tolist()
 
-    def add(i: int, flag: QualityFlag, variable: str, observed) -> None:
-        marks[flag][i] = True
+    def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: list) -> None:
+        if len(rows) == 0:
+            return
+        marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[rows] = True
         if entry is not None:
-            entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=observed)
+            for i, value in zip(rows.tolist(), observed):
+                entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=value)
 
     numeric = [s for s in dataset.schema if s.kind != "text"]
     for spec in numeric:
@@ -56,73 +60,19 @@ def contextual_filter(
         if spec.valid_min is not None or spec.valid_max is not None:
             lo = -math.inf if spec.valid_min is None else spec.valid_min
             hi = math.inf if spec.valid_max is None else spec.valid_max
-            bad = (col_all < lo) | (col_all > hi)
-            for i in np.nonzero(bad)[0]:
-                add(int(i), QualityFlag.INVALID_RANGE, spec.name, float(col_all[i]))
+            bad = np.flatnonzero((col_all < lo) | (col_all > hi))
+            add(QualityFlag.INVALID_RANGE, bad, spec.name, col_all[bad].tolist())
 
-        dead = dead_values.get(spec.name, 0.0)
         for idx in groups:
             col = col_all[idx]
-            n = len(col)
             if (~np.isnan(col)).sum() < 3:
                 continue
-
-            # repeated values: identical run in an otherwise varying signal
-            k = 0
-            while k < n:
-                if math.isnan(col[k]):
-                    k += 1
-                    continue
-                j = k
-                while j + 1 < n and col[j + 1] == col[k]:
-                    j += 1
-                run_len = j - k + 1
-                if run_len >= repeat_run:
-                    outside = np.concatenate([col[:k], col[j + 1:]])
-                    outside = outside[~np.isnan(outside)]
-                    if len(outside) >= 2 and float(np.var(outside)) > 0.0:
-                        for m in range(k, j + 1):
-                            add(int(idx[m]), QualityFlag.REPEATED_VALUE,
-                                spec.name, float(col[k]))
-                k = j + 1
-
-            # drop-outs: short dead runs between live neighbours
-            k = 0
-            while k < n:
-                if col[k] == dead:
-                    j = k
-                    while j + 1 < n and col[j + 1] == dead:
-                        j += 1
-                    run_len = j - k + 1
-                    before_ok = (
-                        k > 0 and not math.isnan(col[k - 1]) and col[k - 1] != dead
-                    )
-                    after_ok = (
-                        j + 1 < n and not math.isnan(col[j + 1]) and col[j + 1] != dead
-                    )
-                    if run_len < dropout_max and before_ok and after_ok:
-                        for m in range(k, j + 1):
-                            add(int(idx[m]), QualityFlag.DROPOUT, spec.name, dead)
-                    k = j + 1
-                else:
-                    k += 1
-
-            # spikes: opposite-signed jumps both beyond the robust scale
-            diffs = np.diff(col)
-            dd = diffs[~np.isnan(diffs)]
-            if len(dd) < 3:
-                continue
-            mad = float(np.median(np.abs(dd - np.median(dd))))
-            scale = 1.4826 * mad
-            if scale <= 0:
-                continue
-            limit = spike_scales * scale
-            for m in range(1, n - 1):
-                up, down = diffs[m - 1], diffs[m]
-                if math.isnan(up) or math.isnan(down):
-                    continue
-                if abs(up) > limit and abs(down) > limit and up * down < 0:
-                    add(int(idx[m]), QualityFlag.SPIKE, spec.name, float(col[m]))
+            rows, observed = _repeated(col, repeat_run)
+            add(QualityFlag.REPEATED_VALUE, idx[rows], spec.name, observed)
+            rows = _dropouts(col, dropout_max)
+            add(QualityFlag.DROPOUT, idx[rows], spec.name, [DEAD_VALUE] * len(rows))
+            rows = _spikes(col, spike_scales)
+            add(QualityFlag.SPIKE, idx[rows], spec.name, col[rows].tolist())
 
     out = dataset
     for flag, rows in marks.items():
@@ -131,6 +81,46 @@ def contextual_filter(
         flagged = np.logical_or.reduce([np.zeros(len(dataset), dtype=bool), *marks.values()])
         entry.summary["samples_flagged"] = int(flagged.sum())
     return out
+
+
+def _repeated(col: np.ndarray, repeat_run: int) -> tuple[np.ndarray, list[float]]:
+    """Rows in runs of at least ``repeat_run`` identical values while the
+    values outside the run vary, and the run's value at each row."""
+    starts = np.flatnonzero(np.append(True, col[1:] != col[:-1]))
+    lengths = np.diff(np.append(starts, len(col)))
+    keep = (lengths >= repeat_run) & ~np.isnan(col[starts])
+    for k in np.flatnonzero(keep).tolist():
+        outside = np.concatenate([col[:starts[k]], col[starts[k] + lengths[k]:]])
+        outside = outside[~np.isnan(outside)]
+        keep[k] = len(outside) >= 2 and float(np.var(outside)) > 0.0
+    rows = np.flatnonzero(np.repeat(keep, lengths))
+    return rows, np.repeat(col[starts], lengths)[rows].tolist()
+
+
+def _dropouts(col: np.ndarray, dropout_max: int) -> np.ndarray:
+    """Rows in runs of fewer than ``dropout_max`` dead values with a live
+    value on each side."""
+    dead = col == DEAD_VALUE
+    starts, ends = runs(dead)
+    live = np.concatenate(([False], ~dead & ~np.isnan(col), [False]))
+    short = (ends - starts + 1 < dropout_max) & live[starts] & live[ends + 2]
+    return np.flatnonzero(dead)[np.repeat(short, ends - starts + 1)]
+
+
+def _spikes(col: np.ndarray, spike_scales: float) -> np.ndarray:
+    """Rows whose steps in and out both exceed ``spike_scales`` robust
+    scales of the column's steps, with opposite signs."""
+    diffs = np.diff(col)
+    dd = diffs[~np.isnan(diffs)]
+    if len(dd) < 3:
+        return np.zeros(0, dtype=np.int64)
+    mad = float(np.median(np.abs(dd - np.median(dd))))
+    scale = 1.4826 * mad
+    if scale <= 0:
+        return np.zeros(0, dtype=np.int64)
+    limit = spike_scales * scale
+    up, down = diffs[:-1], diffs[1:]
+    return np.flatnonzero((np.abs(up) > limit) & (np.abs(down) > limit) & (up * down < 0)) + 1
 
 
 def quasi_steady_filter(

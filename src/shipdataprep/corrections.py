@@ -27,7 +27,7 @@ from .model import (
     add_flags,
 )
 from .tables import draft_ratio_reference, wetted_surface
-from .timeline import Trip, _runs
+from .timeline import Trip, merge_spans, runs
 
 DRAFT_SENSORS = ("draft_fore", "draft_aft")
 
@@ -268,29 +268,24 @@ def detect_draft_events(
     idx = _trip_bounds(dataset, trip)
     if len(idx) == 0:
         return []
-    ts = dataset.timestamps
-    spans: list[tuple[int, int]] = []
+    ts = dataset.timestamps[idx]
+    starts, ends = [], []
     for sensor in sensors:
         if not dataset.declares(sensor) or not dataset.has_data(sensor):
             continue
         col = dataset.column(sensor)[idx]
-        res = steady_state_filter(ts[idx].astype(float), col, params)
-        for a, b in _runs(res.unsteady):
-            if b - a + 1 >= params.window / 2.0:
-                spans.append((int(ts[idx[a]]), int(ts[idx[b]])))
-
-    if not spans:
+        a, b = runs(steady_state_filter(ts.astype(float), col, params).unsteady)
+        long = b - a + 1 >= params.window / 2.0
+        starts.append(ts[a[long]])
+        ends.append(ts[b[long]])
+    if not starts:
         return []
-    spans.sort()
-    merged = [spans[0]]
-    for s, e in spans[1:]:
-        if s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    order = np.argsort(starts, kind="stable")
+    starts, ends = merge_spans(starts[order], ends[order], gap=0)
 
     events = []
-    for s, e in merged:
+    for s, e in zip(starts.tolist(), ends.tolist()):
         if s >= e:
             continue
         event = DraftChangeEvent(trip.trip_id, s, e, source="steady_filter")

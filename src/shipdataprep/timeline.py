@@ -194,34 +194,46 @@ def resample(
     return out
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [start, end] index runs where mask is True."""
-    runs = []
-    start = None
-    for i, v in enumerate(mask):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices (inclusive) of the maximal runs where ``mask``
+    is True, in order."""
+    edges = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+
+
+def merge_spans(
+    starts: np.ndarray, ends: np.ndarray, gap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join spans sorted by start: a span whose start is at most ``gap``
+    past the furthest end so far joins the span before it (``gap=1`` joins
+    touching index spans, ``gap=0`` only overlapping ones)."""
+    if len(starts) == 0:
+        return starts, ends
+    reach = np.maximum.accumulate(ends)
+    first = np.flatnonzero(np.append(True, starts[1:] > reach[:-1] + gap))
+    return starts[first], reach[np.append(first[1:], len(starts)) - 1]
+
+
+def _span_ids(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per index of ``range(n)``, the 1-based number of the disjoint sorted
+    span holding it, or -1."""
+    rows = np.arange(n)
+    k = np.searchsorted(starts, rows, side="right")  # spans begun by each row
+    return np.where(rows <= np.append(ends, -1)[k - 1], k, -1)
 
 
 def _build_index(
-    dataset: VoyageDataset, trip_runs: list[tuple[int, int]],
-    berth_runs: list[tuple[int, int]], method: str,
+    dataset: VoyageDataset, trips: tuple[np.ndarray, np.ndarray],
+    legs: tuple[np.ndarray, np.ndarray], method: str,
 ) -> tuple[TripIndex, VoyageDataset]:
+    """Trip and berth-leg index from (starts, ends) row spans of each."""
     ts = dataset.timestamps
-    trips = tuple(
-        Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(trip_runs)
+    index = TripIndex(
+        tuple(Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(zip(*trips))),
+        tuple((int(ts[a]), int(ts[b])) for a, b in zip(*legs)),
+        method,
     )
-    legs = tuple((int(ts[a]), int(ts[b])) for a, b in berth_runs)
-    ids = np.full(len(dataset), -1)
-    for t, (a, b) in zip(trips, trip_runs):
-        ids[a : b + 1] = t.trip_id
-    return TripIndex(trips, legs, method), dataset.with_trip_ids(ids)
+    return index, dataset.with_trip_ids(_span_ids(len(dataset), *trips))
 
 
 def segment_by_state(
@@ -236,16 +248,14 @@ def segment_by_state(
             f"state variable {state_variable!r} absent; use segment_by_thresholds"
         )
     states = dataset.text_column(state_variable)
-    present = sum(1 for s in states if s is not None)
+    present = int(np.count_nonzero(np.not_equal(states, None)))
     if present < 0.9 * len(dataset):
         raise SegmentationError(
             f"state variable {state_variable!r} present on {present}/{len(dataset)} "
             "samples (< 90%); use segment_by_thresholds"
         )
-    berth = np.array([s == berth_label for s in states])
-    berth_runs = _runs(berth)
-    trip_runs = _runs(~berth)
-    return _build_index(dataset, trip_runs, berth_runs, "state_variable")
+    berth = states == berth_label
+    return _build_index(dataset, runs(~berth), runs(berth), "state_variable")
 
 
 def segment_by_thresholds(
@@ -272,39 +282,18 @@ def segment_by_thresholds(
         sog = dataset.column("sog")
         in_trip |= np.nan_to_num(sog, nan=-np.inf) > sog_threshold
 
-    berth_mask = np.zeros(n, dtype=bool)
+    berth = np.zeros(0, dtype=np.int64)
     if dataset.declares("state") and dataset.has_data("state"):
-        states = dataset.text_column("state")
-        berth_mask = np.array([s == AT_BERTH for s in states])
-
-    padded: list[tuple[int, int]] = []
-    for a, b in _runs(in_trip):
-        lo = a
-        for _ in range(pad_samples):
-            if lo - 1 >= 0 and not berth_mask[lo - 1]:
-                lo -= 1
-            else:
-                break
-        hi = b
-        for _ in range(pad_samples):
-            if hi + 1 < n and not berth_mask[hi + 1]:
-                hi += 1
-            else:
-                break
-        padded.append((lo, hi))
-
-    merged: list[tuple[int, int]] = []
-    for run in padded:
-        if merged and run[0] <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], run[1]))
-        else:
-            merged.append(run)
-
-    covered = np.zeros(n, dtype=bool)
-    for a, b in merged:
-        covered[a : b + 1] = True
-    berth_runs = _runs(~covered)
-    return _build_index(dataset, merged, berth_runs, "thresholds")
+        berth = np.flatnonzero(dataset.text_column("state") == AT_BERTH)
+    # padding stops short of the last berth sample before a run and the
+    # first one after it; -1 and n stand for none
+    bounds = np.concatenate(([-1], berth, [n]))
+    starts, ends = runs(in_trip)
+    starts = np.maximum(starts - pad_samples, bounds[np.searchsorted(bounds, starts) - 1] + 1)
+    ends = np.minimum(ends + pad_samples, bounds[np.searchsorted(bounds, ends, side="right")] - 1)
+    starts, ends = merge_spans(starts, ends, gap=1)
+    legs = runs(_span_ids(n, starts, ends) < 0)
+    return _build_index(dataset, (starts, ends), legs, "thresholds")
 
 
 def segment_by_ports(
@@ -315,15 +304,9 @@ def segment_by_ports(
     if not dataset.has_data(port_variable):
         raise SegmentationError(f"port variable {port_variable!r} absent")
     ports = dataset.text_column(port_variable)
-    runs: list[tuple[int, int]] = []
-    current: str | None = None
-    start = 0
-    for i, p in enumerate(ports):
-        if p is None or p == current:
-            continue
-        if current is not None:
-            runs.append((start, i - 1))
-        current, start = p, i
-    if current is not None:
-        runs.append((start, len(ports) - 1))
-    return _build_index(dataset, runs, [], "port_names")
+    present = np.flatnonzero(np.not_equal(ports, None))
+    labels = ports[present]
+    starts = present[np.append(True, labels[1:] != labels[:-1])]
+    ends = np.append(starts[1:] - 1, len(ports) - 1)
+    no_legs = (starts[:0], ends[:0])
+    return _build_index(dataset, (starts, ends), no_legs, "port_names")

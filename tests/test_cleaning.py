@@ -49,7 +49,7 @@ def dataset_with_ranges(values, lo=0.0, hi=200.0, name="shaft_rpm"):
 class TestContextualFilter:
     def test_invalid_range(self):
         ds = dataset_with_ranges([50.0, -5.0, 60.0])
-        out = contextual_filter(ds, in_trip_only=False)
+        out = contextual_filter(ds)
         assert out.flagged(QualityFlag.INVALID_RANGE)[1]
         assert not flags_at(out, 0)
 
@@ -58,26 +58,26 @@ class TestContextualFilter:
         noisy = list(80.0 + rng.normal(0, 1, 30))
         values = noisy[:5] + [90.0] * 30 + noisy[5:]
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, repeat_run=20, in_trip_only=False)
+        out = contextual_filter(ds, repeat_run=20)
         flagged = flagged_rows(out, QualityFlag.REPEATED_VALUE)
         assert flagged == list(range(5, 35))
 
     def test_constant_variable_not_repeated_flagged(self):
         ds = dataset_with_ranges([80.0] * 40)
-        out = contextual_filter(ds, repeat_run=20, in_trip_only=False)
+        out = contextual_filter(ds, repeat_run=20)
         assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_single_sample_dropout(self):
         values = [80.0] * 10 + [0.0] + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, dropout_max=3, in_trip_only=False)
+        out = contextual_filter(ds, dropout_max=3)
         assert out.flagged(QualityFlag.DROPOUT)[10]
         assert out.flagged(QualityFlag.DROPOUT).sum() == 1
 
     def test_long_dead_run_is_not_dropout(self):
         values = [80.0] * 10 + [0.0] * 5 + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, dropout_max=3, in_trip_only=False)
+        out = contextual_filter(ds, dropout_max=3)
         assert not out.flagged(QualityFlag.DROPOUT).any()
 
     def test_spike_flagged(self):
@@ -85,7 +85,7 @@ class TestContextualFilter:
         values = list(80.0 + rng.normal(0, 0.5, 41))
         values[20] += 30.0
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, spike_scales=6.0, in_trip_only=False)
+        out = contextual_filter(ds, spike_scales=6.0)
         assert out.flagged(QualityFlag.SPIKE)[20]
 
     @settings(max_examples=30, deadline=None)
@@ -99,7 +99,7 @@ class TestContextualFilter:
     def test_spike_rule_never_fires_on_monotone_series(self, values):
         values = sorted(values)
         ds = dataset_with_ranges(values, lo=-1.0, hi=101.0)
-        out = contextual_filter(ds, in_trip_only=False)
+        out = contextual_filter(ds)
         assert not out.flagged(QualityFlag.SPIKE).any()
 
 
