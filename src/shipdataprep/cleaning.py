@@ -34,7 +34,7 @@ def contextual_filter(
 
     invalid_range: value outside the schema's [valid_min, valid_max].
     repeated_value: a run of >= ``repeat_run`` identical values in a variable
-    that actually varies elsewhere. dropout: < ``dropout_max`` consecutive
+    that varies elsewhere: outside the run it holds two distinct values. dropout: < ``dropout_max`` consecutive
     dead values (``DEAD_VALUE``) squeezed between live neighbours. spike: both
     steps around a sample exceed ``spike_scales`` robust scales (MAD-based)
     of the variable's differences, with opposite signs. The last three rules
@@ -85,14 +85,18 @@ def contextual_filter(
 
 def _repeated(col: np.ndarray, repeat_run: int) -> tuple[np.ndarray, list[float]]:
     """Rows in runs of at least ``repeat_run`` identical values while the
-    values outside the run vary, and the run's value at each row."""
+    values outside the run hold two distinct ones, and the run's value at
+    each row."""
     starts = np.flatnonzero(np.append(True, col[1:] != col[:-1]))
     lengths = np.diff(np.append(starts, len(col)))
+    after = len(col) - starts - lengths  # values after each run
+
+    def outside(f):  # f of the values before each run and after it; NaN if none
+        return f(np.append(np.nan, f.accumulate(col))[starts],
+                 np.append(np.nan, f.accumulate(col[::-1]))[after])
+
     keep = (lengths >= repeat_run) & ~np.isnan(col[starts])
-    for k in np.flatnonzero(keep).tolist():
-        outside = np.concatenate([col[:starts[k]], col[starts[k] + lengths[k]:]])
-        outside = outside[~np.isnan(outside)]
-        keep[k] = len(outside) >= 2 and float(np.var(outside)) > 0.0
+    keep &= outside(np.fmin) < outside(np.fmax)
     rows = np.flatnonzero(np.repeat(keep, lengths))
     return rows, np.repeat(col[starts], lengths)[rows].tolist()
 

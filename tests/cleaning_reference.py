@@ -75,7 +75,7 @@ def contextual_filter(
                 if run_len >= repeat_run:
                     outside = np.concatenate([col[:k], col[j + 1:]])
                     outside = outside[~np.isnan(outside)]
-                    if len(outside) >= 2 and float(np.var(outside)) > 0.0:
+                    if len(outside) and outside.min() < outside.max():
                         for m in range(k, j + 1):
                             add(int(idx[m]), QualityFlag.REPEATED_VALUE,
                                 spec.name, float(col[k]))

@@ -67,6 +67,13 @@ class TestContextualFilter:
         out = contextual_filter(ds, repeat_run=20)
         assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
+    def test_short_step_in_constant_signal_not_repeated_flagged(self):
+        # np.var([3.3] * 3) is 1.97e-31, not 0: only distinct values count
+        for head in (3.3, 80.0):
+            ds = dataset_with_ranges([head] * 3 + [5.0] * 25)
+            out = contextual_filter(ds, repeat_run=20)
+            assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
+
     def test_single_sample_dropout(self):
         values = [80.0] * 10 + [0.0] + [80.0] * 10
         ds = dataset_with_ranges(values)
