@@ -34,11 +34,12 @@ def contextual_filter(
 
     invalid_range: value outside the schema's [valid_min, valid_max].
     repeated_value: a run of >= ``repeat_run`` identical values in a variable
-    that varies elsewhere: outside the run it holds two distinct values. dropout: < ``dropout_max`` consecutive
-    dead values (``DEAD_VALUE``) squeezed between live neighbours. spike: both
-    steps around a sample exceed ``spike_scales`` robust scales (MAD-based)
-    of the variable's differences, with opposite signs. The last three rules
-    run per trip group (the whole series when no trips are assigned).
+    that varies elsewhere (it holds two distinct values outside the run).
+    dropout: < ``dropout_max`` consecutive dead values (``DEAD_VALUE``)
+    squeezed between live neighbours. spike: both steps around a sample
+    exceed ``spike_scales`` robust scales (MAD-based) of the variable's
+    differences, with opposite signs. The last three rules run per trip
+    group (the whole series when no trips are assigned).
     """
     entry = report.stage("clean:contextual") if report is not None else None
     marks: dict[QualityFlag, np.ndarray] = {}
@@ -46,9 +47,8 @@ def contextual_filter(
     stamps = dataset.timestamps.tolist()
 
     def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: list) -> None:
-        if len(rows) == 0:
-            return
-        marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[rows] = True
+        if len(rows):  # a flag no row gets stays out of the counts
+            marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[rows] = True
         if entry is not None:
             for i, value in zip(rows.tolist(), observed):
                 entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=value)
@@ -124,7 +124,8 @@ def _spikes(col: np.ndarray, spike_scales: float) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     limit = spike_scales * scale
     up, down = diffs[:-1], diffs[1:]
-    return np.flatnonzero((np.abs(up) > limit) & (np.abs(down) > limit) & (up * down < 0)) + 1
+    spike = (np.abs(up) > limit) & (np.abs(down) > limit) & (up * down < 0)
+    return np.flatnonzero(spike) + 1
 
 
 def quasi_steady_filter(

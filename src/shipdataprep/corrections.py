@@ -67,18 +67,10 @@ def _static_anchor(
 ) -> float | None:
     """Mean of the nearest valid static (out-of-trip) drafts on one side."""
     ts = dataset.timestamps
-    if side == "pre":
-        idx = np.nonzero(ts < trip.start)[0][::-1]
-    else:
-        idx = np.nonzero(ts > trip.end)[0]
-    got = []
-    for i in idx:
-        if dataset.trip_ids[i] >= 0:
-            continue  # only at-berth/static samples anchor the correction
-        if not math.isnan(col[i]):
-            got.append(col[i])
-        if len(got) == n_anchor:
-            break
+    on_side = ts < trip.start if side == "pre" else ts > trip.end
+    # only at-berth/static samples anchor the correction, nearest first
+    got = col[on_side & (dataset.trip_ids < 0) & ~np.isnan(col)]
+    got = (got[::-1] if side == "pre" else got)[:n_anchor]
     if len(got) < min_anchor:
         return None
     return float(np.mean(got))
@@ -161,14 +153,12 @@ def _event_means(
     dataset: VoyageDataset, col: np.ndarray, event: DraftChangeEvent,
     idx: np.ndarray, n_avg: int,
 ) -> tuple[float, float] | None:
-    ts = dataset.timestamps
-    before = [i for i in idx if ts[i] < event.start and not math.isnan(col[i])]
-    after = [i for i in idx if ts[i] > event.end and not math.isnan(col[i])]
-    if not before or not after:
+    ts, values = dataset.timestamps[idx], col[idx]
+    before = values[(ts < event.start) & ~np.isnan(values)]
+    after = values[(ts > event.end) & ~np.isnan(values)]
+    if not len(before) or not len(after):
         return None
-    pre = float(np.mean([col[i] for i in before[-n_avg:]]))
-    post = float(np.mean([col[i] for i in after[:n_avg]]))
-    return pre, post
+    return float(np.mean(before[-n_avg:])), float(np.mean(after[:n_avg]))
 
 
 def fix_draft_ramp(

@@ -214,26 +214,21 @@ def merge_spans(
     return starts[first], reach[np.append(first[1:], len(starts)) - 1]
 
 
-def _span_ids(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Per index of ``range(n)``, the 1-based number of the disjoint sorted
-    span holding it, or -1."""
-    rows = np.arange(n)
-    k = np.searchsorted(starts, rows, side="right")  # spans begun by each row
-    return np.where(rows <= np.append(ends, -1)[k - 1], k, -1)
-
-
 def _build_index(
-    dataset: VoyageDataset, trips: tuple[np.ndarray, np.ndarray],
-    legs: tuple[np.ndarray, np.ndarray], method: str,
+    dataset: VoyageDataset, starts: np.ndarray, ends: np.ndarray, method: str,
+    berth_legs: bool = True,
 ) -> tuple[TripIndex, VoyageDataset]:
-    """Trip and berth-leg index from (starts, ends) row spans of each."""
+    """Trips from sorted disjoint (starts, ends) row spans; with
+    ``berth_legs``, the runs of rows outside them are the berth legs."""
+    rows = np.arange(len(dataset))
+    k = np.searchsorted(starts, rows, side="right")  # trips begun by each row
+    ids = np.where(rows <= np.append(ends, -1)[k - 1], k, -1)
     ts = dataset.timestamps
-    index = TripIndex(
-        tuple(Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(zip(*trips))),
-        tuple((int(ts[a]), int(ts[b])) for a, b in zip(*legs)),
-        method,
+    trips = tuple(
+        Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(zip(starts, ends))
     )
-    return index, dataset.with_trip_ids(_span_ids(len(dataset), *trips))
+    legs = tuple((int(ts[a]), int(ts[b])) for a, b in zip(*runs(ids < 0))) if berth_legs else ()
+    return TripIndex(trips, legs, method), dataset.with_trip_ids(ids)
 
 
 def segment_by_state(
@@ -254,8 +249,7 @@ def segment_by_state(
             f"state variable {state_variable!r} present on {present}/{len(dataset)} "
             "samples (< 90%); use segment_by_thresholds"
         )
-    berth = states == berth_label
-    return _build_index(dataset, runs(~berth), runs(berth), "state_variable")
+    return _build_index(dataset, *runs(states != berth_label), "state_variable")
 
 
 def segment_by_thresholds(
@@ -291,9 +285,7 @@ def segment_by_thresholds(
     starts, ends = runs(in_trip)
     starts = np.maximum(starts - pad_samples, bounds[np.searchsorted(bounds, starts) - 1] + 1)
     ends = np.minimum(ends + pad_samples, bounds[np.searchsorted(bounds, ends, side="right")] - 1)
-    starts, ends = merge_spans(starts, ends, gap=1)
-    legs = runs(_span_ids(n, starts, ends) < 0)
-    return _build_index(dataset, (starts, ends), legs, "thresholds")
+    return _build_index(dataset, *merge_spans(starts, ends, gap=1), "thresholds")
 
 
 def segment_by_ports(
@@ -308,5 +300,4 @@ def segment_by_ports(
     labels = ports[present]
     starts = present[np.append(True, labels[1:] != labels[:-1])]
     ends = np.append(starts[1:] - 1, len(ports) - 1)
-    no_legs = (starts[:0], ends[:0])
-    return _build_index(dataset, (starts, ends), no_legs, "port_names")
+    return _build_index(dataset, starts, ends, "port_names", berth_legs=False)
