@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -742,6 +742,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Parse a pipeline config key=value file; see README for the key list."""
     path = Path(path)
     kv = _read_kv_file(path)
+    # number keys parse by their field's annotation, a string in this module
+    types = {"int": int, "float": float, "float | None": float}
+    numbers = {f.name: types[f.type] for f in fields(PipelineConfig) if f.type in types}
     kwargs: dict = {}
     gradient: dict[str, float] = {}
     units: dict[str, str] = {}
@@ -750,14 +753,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             gradient[key.split(".", 1)[1]] = float(value)
         elif key.startswith("unit."):
             units[key.split(".", 1)[1]] = value
-        elif key in ("sampling_interval", "interpolation_order", "steady_window",
-                     "pca_components", "pad_samples", "max_iterations", "ais_window",
-                     "repeat_run", "dropout_max", "n_avg"):
-            kwargs[key] = int(value)
-        elif key in ("steady_alpha", "pca_quantile", "rpm_threshold", "sog_threshold",
-                     "ais_tolerance", "port_speed_threshold", "power_tolerance",
-                     "stw_tolerance", "wind_tolerance", "spike_scales"):
-            kwargs[key] = float(value)
+        elif key in numbers:
+            kwargs[key] = numbers[key](value)
         elif key == "stages":
             kwargs["stages"] = tuple(s.strip() for s in value.split(",") if s.strip())
         elif key == "pca_features":

@@ -1,6 +1,8 @@
 """Loaders: unit conversion at the boundary, missing-cell semantics, grid
 format errors with locations, particulars defaults."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import row_values
 from oracle_values import TEN_KNOTS_M_PER_S
 from shipdataprep.ingest import (
     IngestError,
+    PipelineConfig,
     load_config,
     load_hindcast,
     load_particulars,
@@ -334,6 +337,16 @@ class TestConfig:
         assert cfg.unit_map["sog"] == "knots"
         assert cfg.stages == ("regularize", "trips")
         assert cfg.ship_csv.endswith("ship.csv")
+
+    def test_every_number_field_loads_as_its_type(self, tmp_path):
+        p = tmp_path / "config.txt"
+        for name, hint in typing.get_type_hints(PipelineConfig).items():
+            if hint not in (int, float, float | None):
+                continue
+            kind, text = (int, "3") if hint is int else (float, "0.5")
+            p.write_text(f"{name} = {text}\n")
+            value = getattr(load_config(p), name)
+            assert type(value) is kind and value == kind(text), name
 
     def test_bad_alpha_rejected(self, tmp_path):
         p = tmp_path / "config.txt"
