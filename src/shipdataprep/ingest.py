@@ -85,6 +85,8 @@ BARE_MINIMUM_VARIABLES = frozenset(
         "stw",
     }
 )
+# an AIS feed has nothing to process without its positions and speeds
+AIS_BARE_MINIMUM_VARIABLES = frozenset({"lat", "lon", "sog"})
 
 
 def default_schema() -> list[VariableSpec]:
@@ -184,10 +186,13 @@ def load_ship_csv(
             columns[name] = np.where(ok, values, np.nan)
         counts[name] = (int(filled.sum()), int(ok.sum()))
 
+    bare = BARE_MINIMUM_VARIABLES
+    if source_kind == "ais":
+        bare |= AIS_BARE_MINIMUM_VARIABLES
     for name, (total, kept) in sorted(counts.items()):
         if kept < total:
             entry.notes.append(f"column {name}: {total - kept} unparseable cell(s) -> missing")
-            if name in BARE_MINIMUM_VARIABLES and (total - kept) / total > 0.5:
+            if name in bare and (total - kept) / total > 0.5:
                 raise IngestError(
                     f"{path}: column {name}: {total - kept}/{total} cells unparseable "
                     "(bare-minimum variable, more than 50% lost)"

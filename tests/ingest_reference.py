@@ -18,6 +18,7 @@ from pathlib import Path
 
 from dataset_reference import RowDataset, new_row_dataset
 from shipdataprep.ingest import (
+    AIS_BARE_MINIMUM_VARIABLES,
     BARE_MINIMUM_VARIABLES,
     IngestError,
     _unit_factor,
@@ -113,10 +114,13 @@ def load_ship_csv_rows(
             values[col] = v
         samples.append(Sample(ts, values))
 
+    bare = set(BARE_MINIMUM_VARIABLES)
+    if source_kind == "ais":
+        bare |= AIS_BARE_MINIMUM_VARIABLES
     for col, bad in sorted(unparseable.items()):
         total = nonempty.get(col, 0)
         entry.notes.append(f"column {col}: {bad} unparseable cell(s) -> missing")
-        if col in BARE_MINIMUM_VARIABLES and total and bad / total > 0.5:
+        if col in bare and total and bad / total > 0.5:
             raise IngestError(
                 f"{path}: column {col}: {bad}/{total} cells unparseable "
                 "(bare-minimum variable, more than 50% lost)"

@@ -19,7 +19,8 @@ from ingest_reference import load_ship_csv_rows
 from shipdataprep.ingest import IngestError, load_ship_csv
 from shipdataprep.model import DatasetError, ProcessingReport, SchemaError
 
-# header name -> what its cells look like; bare-minimum: stw, shaft_power
+# header name -> what its cells look like; bare-minimum: stw, shaft_power, and
+# lat, lon and sog in an AIS file
 COLUMNS = {
     "lat": "lat",
     "lon": "number",

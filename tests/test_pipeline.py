@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import VoyageBuilder
 from shipdataprep.cli import main
@@ -210,6 +211,26 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         ingest = next(e for e in report["stages"] if e["stage"] == "ingest:ship_csv")
         assert "column sog: 1 unparseable cell(s) -> missing" in ingest["notes"]
+
+    @pytest.mark.parametrize("source_kind, exit_code", [("ais", 1), ("in_service", 0)])
+    def test_ais_file_without_usable_positions_is_fatal(
+        self, tmp_path, capsys, source_kind, exit_code
+    ):
+        paths = VoyageBuilder(tmp_path).build()
+        header, *rows = paths["ship_csv"].read_text().splitlines()
+        garbled = [header.split(",").index(n) for n in ("lat", "lon", "sog", "heading")]
+        for k, row in enumerate(rows):
+            cells = row.split(",")
+            for j in garbled:
+                cells[j] = f"np.float64({cells[j]})"
+            rows[k] = ",".join(cells)
+        paths["ship_csv"].write_text("\n".join([header, *rows]) + "\n")
+        with paths["config"].open("a") as fh:
+            fh.write(f"source_kind = {source_kind}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == exit_code
+        if exit_code:
+            assert "(bare-minimum variable, more than 50% lost)" in capsys.readouterr().err
 
     def test_duplicated_row_is_dropped_not_fatal(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
