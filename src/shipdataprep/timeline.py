@@ -260,8 +260,8 @@ def segment_by_thresholds(
 ) -> tuple[TripIndex, VoyageDataset]:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
     threshold; maximal runs are padded by ``pad_samples`` on each side and
-    overlapping padded runs merge. Padding never crosses an at-berth leg
-    boundary when a state variable exists."""
+    padded runs that overlap or touch merge. Padding never reaches an at-berth
+    sample of the state variable, when it exists."""
     have_rpm = dataset.has_data("shaft_rpm")
     have_sog = dataset.has_data("sog")
     if not have_rpm and not have_sog:
