@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
-from .model import ProcessingReport, QualityFlag, VoyageDataset, add_flags
+from .model import ProcessingReport, QualityFlag, VoyageDataset, add_flags, stage_entry
 from .timeline import runs
 
 
@@ -41,7 +41,7 @@ def contextual_filter(
     differences, with opposite signs. The last three rules run per trip
     group (the whole series when no trips are assigned).
     """
-    entry = report.stage("clean:contextual") if report is not None else None
+    entry = stage_entry(report, "clean:contextual")
     marks: dict[QualityFlag, np.ndarray] = {}
     groups = dataset.trip_groups()
     stamps = dataset.timestamps.tolist()
@@ -49,9 +49,8 @@ def contextual_filter(
     def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: list) -> None:
         if len(rows):  # a flag no row gets stays out of the counts
             marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[rows] = True
-        if entry is not None:
-            for i, value in zip(rows.tolist(), observed):
-                entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=value)
+        for i, value in zip(rows.tolist(), observed):
+            entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=value)
 
     numeric = [s for s in dataset.schema if s.kind != "text"]
     for spec in numeric:
@@ -77,9 +76,8 @@ def contextual_filter(
     out = dataset
     for flag, rows in marks.items():
         out = add_flags(out, flag, rows, entry)
-    if entry is not None:
-        flagged = np.logical_or.reduce([np.zeros(len(dataset), dtype=bool), *marks.values()])
-        entry.summary["samples_flagged"] = int(flagged.sum())
+    flagged = np.logical_or.reduce([np.zeros(len(dataset), dtype=bool), *marks.values()])
+    entry.summary["samples_flagged"] = int(flagged.sum())
     return out
 
 
@@ -138,7 +136,7 @@ def quasi_steady_filter(
     filter on shaft rpm, plus a relaxed pass on speed-over-ground that
     catches dead-signal drops and recoveries. Falls back to sog alone when
     rpm is not recorded."""
-    entry = report.stage("clean:quasi_steady") if report is not None else None
+    entry = stage_entry(report, "clean:quasi_steady")
     ts = dataset.timestamps.astype(float)
     unsteady = np.zeros(len(dataset), dtype=bool)
 
@@ -148,23 +146,21 @@ def quasi_steady_filter(
     if dataset.declares("sog") and dataset.has_data("sog"):
         passes.append(("sog", sog_params))
     if not passes:
-        if entry is not None:
-            entry.notes.append("neither shaft_rpm nor sog present; filter skipped")
+        entry.notes.append("neither shaft_rpm nor sog present; filter skipped")
         return dataset
 
     for name, params in passes:
         col = dataset.column(name)
         for idx in dataset.trip_groups():
             res = steady_state_filter(ts[idx], col[idx], params)
-            if res.warning and entry is not None:
+            if res.warning:
                 entry.notes.append(f"{name}: {res.warning}")
             unsteady[idx[res.unsteady]] = True
 
     out = add_flags(dataset, QualityFlag.UNSTEADY, unsteady, entry)
-    if entry is not None:
-        entry.summary["variables"] = [name for name, _ in passes]
-        for t in dataset.timestamps[unsteady].tolist():
-            entry.check("unsteady", timestamp=t, variable=None)
+    entry.summary["variables"] = [name for name, _ in passes]
+    for t in dataset.timestamps[unsteady].tolist():
+        entry.check("unsteady", timestamp=t, variable=None)
     return out
 
 
@@ -319,7 +315,7 @@ def pca_score(
     """Flag samples whose reconstruction error exceeds the detector's
     threshold; samples incomplete over the detector features are skipped
     and counted."""
-    entry = report.stage("clean:pca") if report is not None else None
+    entry = stage_entry(report, "clean:pca")
     cols, ok = _complete_rows(dataset, detector.features, exclude_flagged=False)
     outlier = np.zeros(len(dataset), dtype=bool)
     skipped = int((~ok).sum())
@@ -327,20 +323,18 @@ def pca_score(
         errors = detector.errors(cols[ok])
         rows = np.flatnonzero(ok)
         outlier[rows[errors > detector.threshold]] = True
-        if entry is not None:
-            stamps = dataset.timestamps[rows].tolist()
-            for local in np.flatnonzero(errors > detector.threshold).tolist():
-                entry.check(
-                    "correlation_outlier",
-                    timestamp=stamps[local],
-                    variable=",".join(detector.features),
-                    expected=detector.threshold,
-                    observed=float(errors[local]),
-                )
+        stamps = dataset.timestamps[rows].tolist()
+        for local in np.flatnonzero(errors > detector.threshold).tolist():
+            entry.check(
+                "correlation_outlier",
+                timestamp=stamps[local],
+                variable=",".join(detector.features),
+                expected=detector.threshold,
+                observed=float(errors[local]),
+            )
     out = add_flags(dataset, QualityFlag.CORRELATION_OUTLIER, outlier, entry)
-    if entry is not None:
-        entry.summary["scored"] = int(ok.sum())
-        entry.summary["skipped_incomplete"] = skipped
-        entry.summary["threshold"] = detector.threshold
-        entry.summary["k"] = detector.k
+    entry.summary["scored"] = int(ok.sum())
+    entry.summary["skipped_incomplete"] = skipped
+    entry.summary["threshold"] = detector.threshold
+    entry.summary["k"] = detector.k
     return out

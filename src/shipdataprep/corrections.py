@@ -10,7 +10,6 @@ ramps across detected draft-change operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
+    stage_entry,
 )
 from .tables import draft_ratio_reference, wetted_surface
 from .timeline import Trip, merge_spans, runs
@@ -87,13 +87,13 @@ def fix_draft_simple(
     """Replace in-trip drafts with a linear interpolation in time between the
     pre-trip and post-trip static means; originals are preserved under
     ``raw_*`` names and replaced samples flagged ``draft_corrected``."""
-    entry = report.stage(f"draft_fix:simple:trip{trip.trip_id}") if report is not None else None
+    entry = stage_entry(report, f"draft_fix:simple:trip{trip.trip_id}")
     idx = _trip_bounds(dataset, trip)
     out = dataset
     if len(idx) == 0:
         return out
-    ts = dataset.timestamps.astype(float)
-    flagged: set[int] = set()
+    ts = dataset.timestamps.astype(float)[idx]
+    flagged = idx[:0]
     for sensor in sensors:
         if not out.declares(sensor) or not out.has_data(sensor):
             continue
@@ -101,52 +101,45 @@ def fix_draft_simple(
         pre = _static_anchor(out, col, trip, "pre", n_anchor, min_anchor)
         post = _static_anchor(out, col, trip, "post", n_anchor, min_anchor)
         if pre is None and post is None:
-            if entry is not None:
-                entry.notes.append(
-                    f"{sensor}: no static anchors on either side; trip left unchanged"
-                )
+            entry.notes.append(
+                f"{sensor}: no static anchors on either side; trip left unchanged"
+            )
             continue
+        t0, t1 = float(trip.start), float(trip.end)
         if pre is None or post is None:
             level = pre if pre is not None else post
-            corrected = {int(i): level for i in idx}
-            if entry is not None:
-                entry.notes.append(
-                    f"{sensor}: single-sided anchor; constant extension at {level}"
-                )
-        else:
-            t0, t1 = float(trip.start), float(trip.end)
-            if t1 > t0:
-                corrected = {
-                    int(i): pre + (post - pre) * (ts[i] - t0) / (t1 - t0) for i in idx
-                }
-            else:
-                corrected = {int(i): pre for i in idx}
-        out = _apply_draft(out, sensor, corrected)
-        flagged.update(corrected)
-        if entry is not None:
-            entry.corrections.append(
-                f"{sensor}: {len(corrected)} in-trip values replaced "
-                f"(pre={pre}, post={post})"
+            corrected = np.full(len(idx), level)
+            entry.notes.append(
+                f"{sensor}: single-sided anchor; constant extension at {level}"
             )
-    return add_flags(out, QualityFlag.DRAFT_CORRECTED, list(flagged), entry)
+        elif t1 > t0:
+            corrected = pre + (post - pre) * (ts - t0) / (t1 - t0)
+        else:
+            corrected = np.full(len(idx), pre)
+        out = _apply_draft(out, sensor, idx, corrected)
+        flagged = idx
+        entry.corrections.append(
+            f"{sensor}: {len(corrected)} in-trip values replaced "
+            f"(pre={pre}, post={post})"
+        )
+    return add_flags(out, QualityFlag.DRAFT_CORRECTED, flagged, entry)
 
 
 def _apply_draft(
-    dataset: VoyageDataset, sensor: str, corrected: dict[int, float]
+    dataset: VoyageDataset, sensor: str, rows: np.ndarray, corrected: np.ndarray
 ) -> VoyageDataset:
+    """Write ``corrected`` into ``sensor`` at ``rows``, keeping each value it
+    replaces in ``raw_<sensor>``."""
     raw_name = f"raw_{sensor}"
-    col = dataset.column(sensor)
     out = dataset
     if not out.declares(raw_name):
         out = out.adding_variable(
             VariableSpec(raw_name, "m", "linear", role="loading_condition"),
-            [None] * len(dataset),
+            np.full(len(dataset), np.nan),
         )
-    raw_updates = {
-        i: float(col[i]) for i in corrected if not math.isnan(col[i])
-    }
-    out = out.with_values(raw_name, raw_updates)
-    return out.with_values(sensor, corrected)
+    raw = dataset.column(sensor)[rows]
+    out = out.with_values(raw_name, rows[~np.isnan(raw)], raw[~np.isnan(raw)])
+    return out.with_values(sensor, rows, corrected)
 
 
 def _event_means(
@@ -179,7 +172,7 @@ def fix_draft_ramp(
     """
     if not events:
         return fix_draft_simple(dataset, trip, n_anchor=n_avg, sensors=sensors, report=report)
-    entry = report.stage(f"draft_fix:ramp:trip{trip.trip_id}") if report is not None else None
+    entry = stage_entry(report, f"draft_fix:ramp:trip{trip.trip_id}")
 
     events = sorted(events, key=lambda e: e.start)
     for a, b in zip(events, events[1:]):
@@ -196,53 +189,35 @@ def fix_draft_ramp(
             )
 
     idx = _trip_bounds(dataset, trip)
-    ts = dataset.timestamps.astype(float)
+    ts = dataset.timestamps.astype(float)[idx]
     out = dataset
-    flagged: set[int] = set()
+    flagged = idx[:0]
     for sensor in sensors:
         if not out.declares(sensor) or not out.has_data(sensor):
             continue
         col = out.column(sensor)
-        deltas: list[tuple[int, int, float]] = []
-        base: float | None = None
-        usable = True
-        for e in events:
-            means = e.means.get(sensor) or _event_means(out, col, e, idx, n_avg)
-            if means is None:
-                if entry is not None:
-                    entry.notes.append(
-                        f"{sensor}: no samples around event [{e.start}, {e.end}]; "
-                        "sensor left unchanged"
-                    )
-                usable = False
-                break
-            pre, post = means
-            if base is None:
-                base = pre
-            deltas.append((e.start, e.end, post - pre))
-        if not usable or base is None:
-            continue
-
-        corrected: dict[int, float] = {}
-        for i in idx:
-            t = ts[i]
-            level = base
-            for start, end, delta in deltas:
-                if t <= start:
-                    break
-                if t >= end:
-                    level += delta
-                else:
-                    level += delta * (t - start) / (end - start)
-            corrected[int(i)] = level
-        out = _apply_draft(out, sensor, corrected)
-        flagged.update(corrected)
-        if entry is not None:
-            entry.corrections.append(
-                f"{sensor}: ramp correction over {len(deltas)} event(s), "
-                f"base level {base}"
+        means = [e.means.get(sensor) or _event_means(out, col, e, idx, n_avg) for e in events]
+        if None in means:
+            e = events[means.index(None)]
+            entry.notes.append(
+                f"{sensor}: no samples around event [{e.start}, {e.end}]; "
+                "sensor left unchanged"
             )
-    return add_flags(out, QualityFlag.DRAFT_CORRECTED, list(flagged), entry)
+            continue
+        base = means[0][0]
+        # the events are sorted and disjoint, so each one adds its ramp in turn
+        level = np.full(len(idx), base)
+        for e, (pre, post) in zip(events, means):
+            delta = post - pre
+            level = np.where(ts >= e.end, level + delta, np.where(
+                ts > e.start, level + delta * (ts - e.start) / (e.end - e.start), level))
+        out = _apply_draft(out, sensor, idx, level)
+        flagged = idx
+        entry.corrections.append(
+            f"{sensor}: ramp correction over {len(events)} event(s), "
+            f"base level {base}"
+        )
+    return add_flags(out, QualityFlag.DRAFT_CORRECTED, flagged, entry)
 
 
 def detect_draft_events(
@@ -428,8 +403,8 @@ def hydrostatics(
     """
     if mean_draft <= 0:
         raise CorrectionError("mean draft must be strictly positive")
-    if report is not None and mean_draft > 1.25 * particulars.design_draft:
-        report.stage("hydrostatics:warning").notes.append(
+    if mean_draft > 1.25 * particulars.design_draft:
+        stage_entry(report, "hydrostatics:warning").notes.append(
             f"mean draft {mean_draft:.2f} m exceeds 1.25 x design draft "
             f"{particulars.design_draft:.2f} m; extrapolating"
         )
@@ -560,7 +535,7 @@ def resistance_components(
     """Evaluate each resistance model per in-trip sample into a
     ``res_<name>`` column; a model whose inputs never appear is skipped
     entirely, per-sample gaps stay missing and are counted."""
-    entry = report.stage("resistance") if report is not None else None
+    entry = stage_entry(report, "resistance")
     in_trip = dataset.in_trip_or_all()
     wind_speed_name = (
         "rel_wind_speed_ref" if dataset.declares("rel_wind_speed_ref") else "rel_wind_speed"
@@ -576,10 +551,9 @@ def resistance_components(
         }
         if not all(available.values()):
             missing = sorted(k for k, ok in available.items() if not ok)
-            if entry is not None:
-                entry.notes.append(
-                    f"model {model.name!r} skipped: missing input(s) {missing}"
-                )
+            entry.notes.append(
+                f"model {model.name!r} skipped: missing input(s) {missing}"
+            )
             continue
         # the fixed wind direction where the fault detector substituted one
         sources = {"rel_wind_speed": (wind_speed_name,),
@@ -599,10 +573,9 @@ def resistance_components(
             VariableSpec(f"res_{model.name}", "N", "linear", role="operating_point"),
             column,
         )
-        if entry is not None:
-            entry.summary[model.name] = {
-                "kind": model.kind,
-                "evaluated": sum(1 for v in column if v is not None),
-                "missing_inputs": missing_count,
-            }
+        entry.summary[model.name] = {
+            "kind": model.kind,
+            "evaluated": sum(1 for v in column if v is not None),
+            "missing_inputs": missing_count,
+        }
     return out

@@ -22,6 +22,7 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
+    stage_entry,
 )
 from .tables import service_speed_range  # re-exported lookup  # noqa: F401
 
@@ -160,7 +161,7 @@ def resolve_ship_frame(
     head wind and starboard wind positive), ``rel_wave_dir`` (deg),
     ``stw_estimate`` (m/s).
     """
-    entry = report.stage("derive:ship_frame") if report is not None else None
+    entry = stage_entry(report, "derive:ship_frame")
     psi = heading_series(dataset)
     sog = dataset.coalesce("sog")
     rad = np.deg2rad(psi)
@@ -209,10 +210,9 @@ def resolve_ship_frame(
         )
         added.append("stw_estimate")
 
-    if entry is not None:
-        entry.summary["variables_added"] = added
-        if not added:
-            entry.notes.append("no hindcast wind/wave/current inputs; nothing derived")
+    entry.summary["variables_added"] = added
+    if not added:
+        entry.notes.append("no hindcast wind/wave/current inputs; nothing derived")
     return out
 
 
@@ -234,12 +234,11 @@ def ais_speed_consistency(
     implied speed comes from a ``window``-leg average trend instead of the
     single leg. Originals are preserved under ``raw_sog``.
     """
-    entry = report.stage("ais_speed_consistency") if report is not None else None
+    entry = stage_entry(report, "ais_speed_consistency")
     if not dataset.has_data("sog") or not (
         dataset.has_data("lat") and dataset.has_data("lon")
     ):
-        if entry is not None:
-            entry.notes.append("sog or positions absent; check skipped")
+        entry.notes.append("sog or positions absent; check skipped")
         return dataset
 
     lat, lon, ok = dataset.positions()
@@ -298,47 +297,37 @@ def ais_speed_consistency(
         )
 
     flagged_set = set(flagged)
-    replacements: dict[int, float | None] = {}
-    unreplaced: list[int] = []
-    for i in flagged:
-        candidate = None
-        for d in range(1, window + 1):
-            for j in (i - d, i + d):
-                if 0 <= j < n and j not in flagged_set and not math.isnan(sog[j]):
-                    candidate = float(sog[j])
-                    break
-            if candidate is not None:
-                break
-        if candidate is None:
-            unreplaced.append(i)
-            replacements[i] = None  # no trustworthy neighbour: clear the value
-        else:
-            replacements[i] = candidate
+    replacements = np.full(len(flagged), np.nan)  # NaN: no trustworthy neighbour
+    for k, i in enumerate(flagged):
+        j = next((j for d in range(1, window + 1) for j in (i - d, i + d)
+                  if 0 <= j < n and j not in flagged_set and not math.isnan(sog[j])), None)
+        if j is not None:
+            replacements[k] = sog[j]
 
-    out = out.with_values("sog", replacements)
+    out = out.with_values("sog", flagged, replacements)
     out = add_flags(out, QualityFlag.IRRATIONAL_SPEED, flagged, entry)
 
-    if entry is not None:
-        for i, observed, implied in details:
-            entry.check(
-                "replaced" if replacements[i] is not None else "left_missing",
-                timestamp=int(ts[i]),
-                variable="sog",
-                expected=round(implied, 6),
-                observed=observed,
+    for (i, observed, implied), value in zip(details, replacements.tolist()):
+        entry.check(
+            "left_missing" if math.isnan(value) else "replaced",
+            timestamp=int(ts[i]),
+            variable="sog",
+            expected=round(implied, 6),
+            observed=observed,
+        )
+    unreplaced = int(np.isnan(replacements).sum())
+    if unreplaced:
+        note = (
+            f"{unreplaced} flagged sample(s) had no valid neighbour "
+            f"within {window}; values cleared"
+        )
+        if particulars is not None:
+            lo, hi = service_speed_range(particulars.ship_type)
+            note += (
+                f"; service-speed fallback range for {particulars.ship_type.value}: "
+                f"{lo:.3f}-{hi:.3f} m/s"
             )
-        if unreplaced:
-            note = (
-                f"{len(unreplaced)} flagged sample(s) had no valid neighbour "
-                f"within {window}; values cleared"
-            )
-            if particulars is not None:
-                lo, hi = service_speed_range(particulars.ship_type)
-                note += (
-                    f"; service-speed fallback range for {particulars.ship_type.value}: "
-                    f"{lo:.3f}-{hi:.3f} m/s"
-                )
-            entry.notes.append(note)
+        entry.notes.append(note)
     return out
 
 
@@ -354,10 +343,9 @@ def ais_status_check(
     leg, means the manually updated fields are stale; the sample is flagged
     and the draft/destination fields should be treated with suspicion.
     """
-    entry = report.stage("ais_status_check") if report is not None else None
+    entry = stage_entry(report, "ais_status_check")
     if not dataset.has_data("nav_status") or not dataset.has_data("sog"):
-        if entry is not None:
-            entry.notes.append("nav_status or sog absent; check skipped")
+        entry.notes.append("nav_status or sog absent; check skipped")
         return dataset
     status = dataset.column("nav_status")
     sog = dataset.column("sog")
@@ -375,19 +363,18 @@ def ais_status_check(
         elif st == 0 and sog[i] == 0.0 and has_trips and not in_trip[i]:
             stale[i] = True
     out = add_flags(dataset, QualityFlag.STALE_AIS_STATUS, stale, entry)
-    if entry is not None:
-        stamps = dataset.timestamps.tolist()
-        for i in np.flatnonzero(stale).tolist():
-            entry.check(
-                "stale_ais_status",
-                timestamp=stamps[i],
-                variable="nav_status",
-                expected=None,
-                observed=(int(round(status[i])), float(sog[i])),
-            )
-        if stale.any():
-            entry.notes.append(
-                "manually entered fields (draft, destination, ETA) of flagged "
-                "samples are suspect"
-            )
+    stamps = dataset.timestamps.tolist()
+    for i in np.flatnonzero(stale).tolist():
+        entry.check(
+            "stale_ais_status",
+            timestamp=stamps[i],
+            variable="nav_status",
+            expected=None,
+            observed=(int(round(status[i])), float(sog[i])),
+        )
+    if stale.any():
+        entry.notes.append(
+            "manually entered fields (draft, destination, ETA) of flagged "
+            "samples are suspect"
+        )
     return out

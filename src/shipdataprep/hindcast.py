@@ -20,6 +20,7 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
+    stage_entry,
 )
 
 
@@ -217,10 +218,9 @@ def clean_gps(
     """Flag irrational GPS positions found by the two-stage filter applied
     to the latitude and (unwrapped) longitude series. Coordinates are never
     altered; flagged positions are simply excluded from interpolation."""
-    entry = report.stage("gps_clean") if report is not None else None
+    entry = stage_entry(report, "gps_clean")
     if not (dataset.has_data("lat") and dataset.has_data("lon")):
-        if entry is not None:
-            entry.notes.append("lat/lon absent; GPS cleaning skipped")
+        entry.notes.append("lat/lon absent; GPS cleaning skipped")
         return dataset
 
     ts = dataset.timestamps.astype(float)
@@ -238,19 +238,18 @@ def clean_gps(
             res = steady_state_filter(ts[idx], series, params)
             stage1_total += res.stage1_rejected
             irrational[idx[res.unsteady]] = True
-            if res.warning and entry is not None:
+            if res.warning:
                 entry.notes.append(res.warning)
     out = add_flags(dataset, QualityFlag.IRRATIONAL_POSITION, irrational, entry)
-    if entry is not None:
-        entry.summary["stage1_rejected"] = stage1_total
-        stamps, lats, lons = dataset.timestamps.tolist(), lat.tolist(), lon.tolist()
-        for i in np.flatnonzero(irrational).tolist():
-            entry.check(
-                "irrational_position",
-                timestamp=stamps[i],
-                variable="lat/lon",
-                observed=tuple(None if v != v else v for v in (lats[i], lons[i])),
-            )
+    entry.summary["stage1_rejected"] = stage1_total
+    stamps, lats, lons = dataset.timestamps.tolist(), lat.tolist(), lon.tolist()
+    for i in np.flatnonzero(irrational).tolist():
+        entry.check(
+            "irrational_position",
+            timestamp=stamps[i],
+            variable="lat/lon",
+            observed=tuple(None if v != v else v for v in (lats[i], lons[i])),
+        )
     return out
 
 
@@ -383,7 +382,7 @@ def interpolate(
         raise ValueError("interpolation order must be >= 1")
     if mask_policy not in ("zero_fill", "neighbor_mean"):
         raise ValueError(f"unknown mask policy {mask_policy!r}")
-    entry = report.stage("interpolate") if report is not None else None
+    entry = stage_entry(report, "interpolate")
 
     candidates = np.nonzero(dataset.in_trip_or_all())[0]
     lat, lon, pos_ok = (a[candidates] for a in dataset.positions())
@@ -445,12 +444,11 @@ def interpolate(
         kind = "angular" if var.is_angular else "linear"
         spec = VariableSpec(prefix + var.name, var.unit, kind, role="operational_environment")
         out = out.adding_variable(spec, column)
-    if entry is not None:
-        entry.summary.update(
-            {f"samples_{k}": v for k, v in sorted(counts.items())}
-        )
-        entry.summary["order"] = order
-        entry.summary["mask_policy"] = mask_policy
+    entry.summary.update(
+        {f"samples_{k}": v for k, v in sorted(counts.items())}
+    )
+    entry.summary["order"] = order
+    entry.summary["mask_policy"] = mask_policy
     return out
 
 

@@ -26,7 +26,6 @@ from .model import (
     SchemaError,
     ShipParticulars,
     ShipType,
-    StageEntry,
     VariableSpec,
     VoyageDataset,
     add_flags,
@@ -34,6 +33,7 @@ from .model import (
     iso_timestamp,
     new_dataset,
     parse_iso_timestamp,
+    stage_entry,
 )
 from .tables import block_coefficient_midpoint
 
@@ -138,7 +138,7 @@ def load_ship_csv(
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
-    entry = report.stage("ingest:ship_csv") if report is not None else StageEntry("ingest")
+    entry = stage_entry(report, "ingest:ship_csv")
 
     header, lines, cells = csv_columns(path)
     header = [h.strip() for h in header]
@@ -604,7 +604,7 @@ def load_particulars(
     """
     path = Path(path)
     kv = _read_kv_file(path)
-    entry = report.stage("ingest:particulars") if report is not None else None
+    entry = stage_entry(report, "ingest:particulars")
 
     try:
         raw_type = kv["ship_type"]
@@ -630,11 +630,10 @@ def load_particulars(
     cb = fnum("block_coefficient")
     if cb is None:
         cb = block_coefficient_midpoint(ship_type)
-        if entry is not None:
-            entry.corrections.append(
-                f"block_coefficient absent; filled with table midpoint {cb} "
-                f"for {ship_type.value}"
-            )
+        entry.corrections.append(
+            f"block_coefficient absent; filled with table midpoint {cb} "
+            f"for {ship_type.value}"
+        )
 
     curves = []
     for key in sorted(kv):

@@ -404,14 +404,14 @@ class VoyageDataset:
         return self._derive(schema=self.schema + (spec,), _columns=columns)
 
     def with_values(
-        self, name: str, values_by_index: Mapping[int, float | str | None]
+        self, name: str, rows, values: Sequence[float | str | None]
     ) -> "VoyageDataset":
-        """New dataset overwriting (or clearing, with None) values of one
-        declared variable at the given indices."""
+        """New dataset writing ``values`` into one declared variable at
+        ``rows`` (a boolean mask or an index array, one value per selected
+        row); None or NaN clears a value."""
         spec = self.spec(name)
-        rows = np.fromiter(values_by_index, dtype=np.intp, count=len(values_by_index))
         col = self._columns[name].copy()
-        col[rows] = _normalise_column(spec, list(values_by_index.values()))
+        col[rows] = _normalise_column(spec, values)
         columns = dict(self._columns)
         columns[name] = _frozen(col)
         return self._derive(_columns=columns)
@@ -444,14 +444,13 @@ class VoyageDataset:
 
 
 def add_flags(
-    dataset: VoyageDataset, flag: QualityFlag, rows, entry: StageEntry | None
+    dataset: VoyageDataset, flag: QualityFlag, rows, entry: StageEntry
 ) -> VoyageDataset:
     """``dataset.adding_flags(flag, rows)``, counting in ``entry`` the rows
     that did not carry ``flag`` yet, so a flag set again by a later stage or
     loop iteration is counted once."""
     out = dataset.adding_flags(flag, rows)
-    if entry is not None:
-        entry.count_flag(flag, int(out.flagged(flag).sum() - dataset.flagged(flag).sum()))
+    entry.count_flag(flag, int(out.flagged(flag).sum() - dataset.flagged(flag).sum()))
     return out
 
 
@@ -703,3 +702,9 @@ class ProcessingReport:
                     f"verdict={c.verdict}"
                 )
         return "\n".join(lines) + "\n"
+
+
+def stage_entry(report: ProcessingReport | None, name: str) -> StageEntry:
+    """``report.stage(name)``, or a detached entry that nothing reads when
+    there is no report: a stage called without one runs the same code."""
+    return report.stage(name) if report is not None else StageEntry(name)

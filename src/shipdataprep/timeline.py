@@ -17,6 +17,7 @@ from .model import (
     VoyageDataset,
     add_flags,
     iso_timestamp,
+    stage_entry,
 )
 
 AT_BERTH = "At Berth"
@@ -63,7 +64,7 @@ def regularize(
     """
     if interval_s <= 0:
         raise ValueError("interval_s must be strictly positive")
-    entry = report.stage("regularize") if report is not None else None
+    entry = stage_entry(report, "regularize")
     if len(dataset) == 0:
         return dataset.with_interval(interval_s)
 
@@ -73,15 +74,14 @@ def regularize(
     slot = q + (r > interval_s / 2)  # exact half rounds down
     offset = np.abs(ts - t0 - slot * interval_s)
     snapped = int(np.count_nonzero(offset))
-    if entry is not None:
-        for i in np.flatnonzero(offset).tolist():
-            entry.check(
-                "snapped",
-                timestamp=int(ts[i]),
-                variable="timestamp",
-                expected=t0 + int(slot[i]) * interval_s,
-                observed=int(ts[i]),
-            )
+    for i in np.flatnonzero(offset).tolist():
+        entry.check(
+            "snapped",
+            timestamp=int(ts[i]),
+            variable="timestamp",
+            expected=t0 + int(slot[i]) * interval_s,
+            observed=int(ts[i]),
+        )
 
     # samples are in time order, so the samples of one slot are adjacent
     slots, first, members = np.unique(slot, return_index=True, return_counts=True)
@@ -102,17 +102,16 @@ def regularize(
     out = dataset.take(rows, lattice).with_interval(interval_s)
     out = add_flags(out, QualityFlag.MISSING_INSERTED, rows < 0, entry)
     out = add_flags(out, QualityFlag.DROPOUT, [idx for _, idx in collisions], entry)
-    if entry is not None:
-        entry.summary["inserted_rows"] = int((rows < 0).sum())
-        entry.summary["snapped_samples"] = snapped
-        for lost, idx in collisions:
-            entry.check(
-                "dropout",
-                timestamp=t0 + idx * interval_s,
-                variable="timestamp",
-                expected=None,
-                observed=iso_timestamp(lost),
-            )
+    entry.summary["inserted_rows"] = int((rows < 0).sum())
+    entry.summary["snapped_samples"] = snapped
+    for lost, idx in collisions:
+        entry.check(
+            "dropout",
+            timestamp=t0 + idx * interval_s,
+            variable="timestamp",
+            expected=None,
+            observed=iso_timestamp(lost),
+        )
     return out
 
 
@@ -142,7 +141,7 @@ def resample(
         raise ValueError("cannot resample an empty dataset")
     if mode not in ("down_mean", "up_hold"):
         raise ValueError(f"unknown resample mode {mode!r}")
-    entry = report.stage("resample") if report is not None else None
+    entry = stage_entry(report, "resample")
 
     ts = dataset.timestamps
     t0 = int(ts[0] // interval_s * interval_s)
@@ -163,12 +162,9 @@ def resample(
                 else _circular_mean if spec.kind == "angular" and not naive_angular
                 else (lambda got: float(np.mean(got)))
             )
-            means: dict[int, float | str] = {}
-            for k in filled.tolist():
-                got = col[starts[k]:ends[k]][present[starts[k]:ends[k]]]
-                if len(got):
-                    means[k] = average(got)
-            out = out.with_values(spec.name, means)
+            spans = zip(starts[filled].tolist(), ends[filled].tolist())
+            got = (col[a:b][present[a:b]] for a, b in spans)
+            out = out.with_values(spec.name, filled, [average(g) if len(g) else None for g in got])
         for flag in QualityFlag:
             has = np.logical_or.reduceat(dataset.flagged(flag), starts[filled])
             out = out.adding_flags(flag, filled[has])
@@ -186,11 +182,10 @@ def resample(
         out = out.adding_flags(QualityFlag.MISSING_INSERTED, ~exact)
 
     out = out.with_interval(interval_s)
-    if entry is not None:
-        n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
-        entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
-        entry.summary["mode"] = mode
-        entry.summary["rows_out"] = len(out)
+    n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
+    entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
+    entry.summary["mode"] = mode
+    entry.summary["rows_out"] = len(out)
     return out
 
 

@@ -21,6 +21,7 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
+    stage_entry,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -46,7 +47,7 @@ def check_power_identity(
     beyond ``rel_tolerance`` (relative to recorded power) flag the power
     sample as invalid; derivations land in ``derived_*`` variables.
     """
-    entry = report.stage("check:power_identity") if report is not None else None
+    entry = stage_entry(report, "check:power_identity")
     n = len(dataset)
     rpm = dataset.coalesce("shaft_rpm")
     tau = dataset.coalesce("shaft_torque")
@@ -67,14 +68,13 @@ def check_power_identity(
             if resid > rel_tolerance:
                 failed += 1
                 invalid[i] = True
-                if entry is not None:
-                    entry.check(
-                        "fail",
-                        timestamp=stamps[i],
-                        variable="shaft_power",
-                        expected=expected,
-                        observed=float(pwr[i]),
-                    )
+                entry.check(
+                    "fail",
+                    timestamp=stamps[i],
+                    variable="shaft_power",
+                    expected=expected,
+                    observed=float(pwr[i]),
+                )
         elif sum(have) == 2:
             derived += 1
             if not have[2]:
@@ -94,10 +94,9 @@ def check_power_identity(
             out = out.adding_variable(
                 VariableSpec(name, unit, "linear", role="operating_point"), col
             )
-    if entry is not None:
-        entry.summary.update(
-            {"checked": checked, "failed": failed, "derived": derived}
-        )
+    entry.summary.update(
+        {"checked": checked, "failed": failed, "derived": derived}
+    )
     return out
 
 
@@ -127,11 +126,10 @@ def check_speed_power(
     """Compare in-trip shaft power against the calm-water curve at the same
     speed-through-water; estimate any constant bias (median relative
     deviation) and flag samples falling outside the engine envelope."""
-    entry = report.stage("check:speed_power") if report is not None else None
+    entry = stage_entry(report, "check:speed_power")
     curve = particulars.curve()
     if curve is None or not dataset.has_data("stw") or not dataset.has_data("shaft_power"):
-        if entry is not None:
-            entry.notes.append("curve, stw or shaft_power unavailable; check skipped")
+        entry.notes.append("curve, stw or shaft_power unavailable; check skipped")
         return dataset
     stw = dataset.column("stw")
     pwr = dataset.column("shaft_power")
@@ -154,25 +152,23 @@ def check_speed_power(
         if particulars.envelope is not None and not math.isnan(rpm[i]):
             if not _point_in_polygon(rpm[i], pwr[i], particulars.envelope):
                 outside[i] = True
-                if entry is not None:
-                    entry.check(
-                        "outside_envelope",
-                        timestamp=stamps[i],
-                        variable="shaft_power",
-                        expected=None,
-                        observed=(float(rpm[i]), float(pwr[i])),
-                    )
+                entry.check(
+                    "outside_envelope",
+                    timestamp=stamps[i],
+                    variable="shaft_power",
+                    expected=None,
+                    observed=(float(rpm[i]), float(pwr[i])),
+                )
     out = add_flags(dataset, QualityFlag.INVALID_RANGE, outside, entry)
-    if entry is not None:
-        entry.summary["curve"] = curve.label
-        entry.summary["compared"] = len(deviations)
-        entry.summary["skipped_outside_curve"] = skipped
-        entry.summary["flagged_outside_envelope"] = int(outside.sum())
-        if deviations:
-            dev = np.array(sorted(deviations))  # sorted: order-invariant stats
-            entry.summary["bias_median"] = float(np.median(dev))
-            entry.summary["deviation_mean"] = float(dev.mean())
-            entry.summary["deviation_std"] = float(dev.std())
+    entry.summary["curve"] = curve.label
+    entry.summary["compared"] = len(deviations)
+    entry.summary["skipped_outside_curve"] = skipped
+    entry.summary["flagged_outside_envelope"] = int(outside.sum())
+    if deviations:
+        dev = np.array(sorted(deviations))  # sorted: order-invariant stats
+        entry.summary["bias_median"] = float(np.median(dev))
+        entry.summary["deviation_mean"] = float(dev.mean())
+        entry.summary["deviation_std"] = float(dev.std())
     return out
 
 
@@ -183,9 +179,7 @@ def check_stw(
 ) -> None:
     """Report-only comparison of the measured speed-through-water against
     its estimate from speed-over-ground minus the longitudinal current."""
-    entry = report.stage("check:stw") if report is not None else None
-    if entry is None:
-        return
+    entry = stage_entry(report, "check:stw")
     if not (dataset.has_data("stw") and dataset.has_data("stw_estimate")):
         entry.notes.append("stw or stw_estimate absent; check skipped")
         return
@@ -236,14 +230,13 @@ def check_longitudinal_wind(
     pipeline can decide whether an interpolation/derivation error loop is
     warranted.
     """
-    entry = report.stage("check:longitudinal_wind") if report is not None else None
+    entry = stage_entry(report, "check:longitudinal_wind")
     result = {"compared": 0, "beyond_tolerance": 0, "cross_referenced": 0}
     needed = ("sog", "rel_wind_long")
     if not all(dataset.has_data(v) for v in needed) or not (
         dataset.has_data("rel_wind_speed") or dataset.has_data("rel_wind_speed_ref")
     ):
-        if entry is not None:
-            entry.notes.append("onboard wind, sog or hindcast wind absent; check skipped")
+        entry.notes.append("onboard wind, sog or hindcast wind absent; check skipped")
         return result
 
     sog = dataset.column("sog")
@@ -262,20 +255,18 @@ def check_longitudinal_wind(
     for i in np.nonzero(big)[0]:
         if faulted[i]:
             result["cross_referenced"] += 1
-        if entry is not None:
-            entry.check(
-                "mismatch+angular_fault" if faulted[i] else "mismatch",
-                timestamp=stamps[i],
-                variable="rel_wind_long",
-                expected=float(hc_side[i]),
-                observed=float(ship_side[i]),
-            )
-    if entry is not None:
-        entry.summary.update(result)
-        r = resid[good]
-        if len(r):
-            entry.summary["residual_mean"] = float(r.mean())
-            entry.summary["residual_max_abs"] = float(np.abs(r).max())
+        entry.check(
+            "mismatch+angular_fault" if faulted[i] else "mismatch",
+            timestamp=stamps[i],
+            variable="rel_wind_long",
+            expected=float(hc_side[i]),
+            observed=float(ship_side[i]),
+        )
+    entry.summary.update(result)
+    r = resid[good]
+    if len(r):
+        entry.summary["residual_mean"] = float(r.mean())
+        entry.summary["residual_max_abs"] = float(np.abs(r).max())
     return result
 
 
@@ -309,7 +300,7 @@ def detect_angular_fault(
     The substitute value is stored in ``fixed_<variable>``; the recorded one
     is never modified.
     """
-    entry = report.stage(f"check:angular_fault:{variable}") if report is not None else None
+    entry = stage_entry(report, f"check:angular_fault:{variable}")
     if reference is None:
         if variable == "heading" and dataset.declares("gps_heading"):
             reference = dataset.column("gps_heading")
@@ -317,14 +308,12 @@ def detect_angular_fault(
             reference = hindcast_relative_wind_direction(dataset)
     reference = None if reference is None else np.asarray(reference, dtype=float)
     if reference is None or np.isnan(reference).all():
-        if entry is not None:
-            entry.notes.append(
-                f"no reference series available for {variable!r}; detector skipped"
-            )
+        entry.notes.append(
+            f"no reference series available for {variable!r}; detector skipped"
+        )
         return dataset
     if not dataset.has_data(variable):
-        if entry is not None:
-            entry.notes.append(f"variable {variable!r} has no data; detector skipped")
+        entry.notes.append(f"variable {variable!r} has no data; detector skipped")
         return dataset
     recorded = dataset.column(variable)
 
@@ -339,22 +328,20 @@ def detect_angular_fault(
     fixed_name = f"fixed_{variable}"
     if faulty.any():
         if out.declares(fixed_name):
-            rows = np.flatnonzero(faulty).tolist()
-            out = out.with_values(fixed_name, dict(zip(rows, reference[rows].tolist())))
+            out = out.with_values(fixed_name, faulty, reference[faulty])
         else:
             out = out.adding_variable(
                 VariableSpec(fixed_name, "deg", "angular", role="operational_environment"),
                 np.where(faulty, reference, np.nan),
             )
-    if entry is not None:
-        entry.summary["flagged"] = int(faulty.sum())
-        stamps = dataset.timestamps.tolist()
-        for i in np.flatnonzero(faulty).tolist():
-            entry.check(
-                "angular_averaging_fault",
-                timestamp=stamps[i],
-                variable=variable,
-                expected=float(reference[i]),
-                observed=float(recorded[i]),
-            )
+    entry.summary["flagged"] = int(faulty.sum())
+    stamps = dataset.timestamps.tolist()
+    for i in np.flatnonzero(faulty).tolist():
+        entry.check(
+            "angular_averaging_fault",
+            timestamp=stamps[i],
+            variable=variable,
+            expected=float(reference[i]),
+            observed=float(recorded[i]),
+        )
     return out

@@ -256,7 +256,7 @@ class TestPca:
     def test_incomplete_sample_skipped_and_counted(self):
         ds = correlated_dataset(n=120, seed=2)
         det = pca_fit(ds, ["a", "b", "c", "d"], k=1)
-        broken = ds.with_values("a", {0: None})
+        broken = ds.with_values("a", [0], [None])
         report = ProcessingReport()
         pca_score(det, broken, report)
         assert report.stage_entries[0].summary["skipped_incomplete"] == 1

@@ -97,7 +97,7 @@ class TestFixDraftSimple:
         ds, trip = voyage_with_drafts(8.0, 7.6, [7.2] * 5, berth_len=6)
         # drop the post-trip anchors' values
         n = len(ds)
-        ds = ds.with_values("draft_fore", {i: None for i in range(n - 6, n)})
+        ds = ds.with_values("draft_fore", np.arange(n - 6, n), [None] * 6)
         report = ProcessingReport()
         out = fix_draft_simple(ds, trip, report=report)
         for i in out.trip_indices(1):

@@ -128,10 +128,9 @@ def test_columnar_dataset_matches_row_model(data):
             spec = data.draw(st.sampled_from(ds.schema))
             rows = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
             values = column_values(data, spec, len(rows), with_none=True, bad=bad)
-            updates = dict(zip(rows, values))
             outcome = same_outcome(
-                lambda: ds.with_values(spec.name, updates),
-                lambda: ref.with_values(spec.name, updates),
+                lambda: ds.with_values(spec.name, rows, values),
+                lambda: ref.with_values(spec.name, dict(zip(rows, values))),
             )
         elif op == "flag":
             flag = data.draw(st.sampled_from(FLAGS))
