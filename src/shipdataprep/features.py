@@ -122,26 +122,17 @@ def add_reference_height_wind(
     dataset: VoyageDataset, particulars: ShipParticulars
 ) -> VoyageDataset:
     """Anemometer wind corrected to the reference height, as
-    ``rel_wind_speed_ref``; skipped when either height is unknown."""
-    if (
-        particulars.anemometer_height is None
-        or particulars.wind_reference_height is None
-        or not dataset.has_data("rel_wind_speed")
-    ):
+    ``rel_wind_speed_ref`` (the factor of :func:`wind_to_reference_height`);
+    missing where the measured speed is missing or negative, and skipped
+    when either height is unknown."""
+    z_ref, z_a = particulars.wind_reference_height, particulars.anemometer_height
+    if z_ref is None or z_a is None or not dataset.has_data("rel_wind_speed"):
         return dataset
     v = dataset.column("rel_wind_speed")
-    out = [
-        None
-        if math.isnan(x)
-        else wind_to_reference_height(
-            x, particulars.wind_reference_height, particulars.anemometer_height
-        )
-        for x in v
-    ]
     return dataset.adding_variable(
         VariableSpec("rel_wind_speed_ref", "m/s", "linear",
                      role="operational_environment"),
-        out,
+        np.where(v >= 0, v * (z_ref / z_a) ** (1.0 / 9.0), np.nan),
     )
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracle_values as oracle
 from conftest import flagged_rows, rows_dataset, series_dataset
 from shipdataprep.features import (
+    add_reference_height_wind,
     ais_speed_consistency,
     ais_status_check,
     angular_difference,
@@ -25,6 +26,7 @@ from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
     Sample,
+    ShipParticulars,
     ShipType,
     VariableSpec,
 )
@@ -98,6 +100,21 @@ class TestWindReferenceHeight:
             wind_to_reference_height(5.0, 0.0, 30.0)
         with pytest.raises(ValueError):
             wind_to_reference_height(5.0, 10.0, -1.0)
+
+    def test_column_matches_scalar_and_drops_negative_cells(self):
+        speeds = [7.3, 0.0, -1.5, None, 12.25, -0.0, 1e-300]
+        ds = series_dataset({"rel_wind_speed": speeds})
+        particulars = ShipParticulars(ShipType.BULK_CARRIER, beam=32.0, design_draft=12.0,
+                                      lpp=180.0, anemometer_height=31.0,
+                                      wind_reference_height=12.0)
+        got = add_reference_height_wind(ds, particulars).column("rel_wind_speed_ref")
+        for v, g in zip(speeds, got.tolist()):
+            if v is None or v < 0:
+                assert math.isnan(g)
+            else:
+                assert g == wind_to_reference_height(v, 12.0, 31.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            wind_to_reference_height(-1.5, 12.0, 31.0)
 
 
 def track_dataset(points, extra=None):

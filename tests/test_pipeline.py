@@ -212,6 +212,33 @@ class TestCli:
         ingest = next(e for e in report["stages"] if e["stage"] == "ingest:ship_csv")
         assert "column sog: 1 unparseable cell(s) -> missing" in ingest["notes"]
 
+    def test_negative_wind_speed_cell_is_missing_not_fatal(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        lines = paths["ship_csv"].read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[20].split(",")  # an in-trip row
+        cells[header.index("rel_wind_speed")] = "-1.5"
+        lines[20] = ",".join(cells)
+        paths["ship_csv"].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(paths["config"]), "--out", str(out),
+                     "--no-timestamp-header"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        stages = [e["stage"] for e in report["stages"]]
+        assert "derive:failure" not in stages and "validate:failure" not in stages
+        assert "check:longitudinal_wind" in stages
+        contextual = next(e for e in report["stages"] if e["stage"] == "clean:contextual")
+        assert {
+            "timestamp": cells[0], "variable": "rel_wind_speed", "expected": None,
+            "observed": -1.5, "verdict": "invalid_range",
+        } in contextual["checks"]
+        processed = [row.split(",") for row in (out / "processed.csv").read_text().splitlines()]
+        ref = processed[0].index("rel_wind_speed_ref")
+        row = next(r for r in processed if r[0] == cells[0])
+        assert row[ref] == ""
+        assert sum(r[ref] != "" for r in processed[1:]) == len(processed) - 2
+
     @pytest.mark.parametrize("source_kind, exit_code", [("ais", 1), ("in_service", 0)])
     def test_ais_file_without_usable_positions_is_fatal(
         self, tmp_path, capsys, source_kind, exit_code
