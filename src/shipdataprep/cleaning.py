@@ -122,7 +122,8 @@ def _spikes(col: np.ndarray, spike_scales: float) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     limit = spike_scales * scale
     up, down = diffs[:-1], diffs[1:]
-    spike = (np.abs(up) > limit) & (np.abs(down) > limit) & (up * down < 0)
+    # both steps exceed limit > 0, so neither is zero and their signs decide
+    spike = (np.abs(up) > limit) & (np.abs(down) > limit) & ((up > 0) != (down > 0))
     return np.flatnonzero(spike) + 1
 
 

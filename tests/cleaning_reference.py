@@ -1,8 +1,10 @@
 """Reference for the contextual rules: the loop that ``cleaning.contextual_filter``
-replaced, kept verbatim. It walks each column per trip group in ``while``
-loops, one run at a time. ``tests/test_cleaning_reference.py`` requires the
-whole-array rules to give the same flags, the same check rows in the same
-order, and the same flag counts and summary.
+replaced, kept verbatim except that the spike rule compares the signs of the
+two steps (their product underflows to 0 for tiny steps). It walks each
+column per trip group in ``while`` loops, one run at a time.
+``tests/test_cleaning_reference.py`` requires the whole-array rules to give
+the same flags, the same check rows in the same order, and the same flag
+counts and summary.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def contextual_filter(
                 up, down = diffs[m - 1], diffs[m]
                 if math.isnan(up) or math.isnan(down):
                     continue
-                if abs(up) > limit and abs(down) > limit and up * down < 0:
+                if abs(up) > limit and abs(down) > limit and (up > 0) != (down > 0):
                     add(int(idx[m]), QualityFlag.SPIKE, spec.name, float(col[m]))
 
     out = dataset

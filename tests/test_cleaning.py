@@ -11,6 +11,7 @@ from conftest import flagged_rows, flags_at, rows_dataset, series_dataset
 from shipdataprep.cleaning import (
     CleaningError,
     PcaDetector,
+    _spikes,
     contextual_filter,
     pca_fit,
     pca_score,
@@ -94,6 +95,13 @@ class TestContextualFilter:
         ds = dataset_with_ranges(values)
         out = contextual_filter(ds, spike_scales=6.0)
         assert out.flagged(QualityFlag.SPIKE)[20]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
+    def test_spike_rule_does_not_depend_on_scale(self, scale):
+        # at 1e-170 the product of the two steps underflows to 0
+        walk = np.cumsum(np.random.default_rng(3).normal(0.0, 1.0, 41))
+        walk[20] += 30.0
+        assert 20 in _spikes(walk * scale, 6.0).tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(
