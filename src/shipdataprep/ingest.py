@@ -717,8 +717,6 @@ class PipelineConfig:
     unit_map: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.sampling_interval <= 0:
-            raise ConfigError("sampling_interval must be strictly positive")
         if self.trip_method not in TRIP_METHODS:
             raise ConfigError(f"unknown trip method {self.trip_method!r}")
         if self.interpolation_order < 1:
@@ -729,14 +727,11 @@ class PipelineConfig:
             raise ConfigError("steady_alpha must lie in (0, 1)")
         if not 0.0 < self.pca_quantile < 1.0:
             raise ConfigError("pca_quantile must lie in (0, 1)")
-        for key in ("steady_window", "pad_samples", "max_iterations", "ais_window",
-                    "repeat_run", "dropout_max", "n_avg"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be strictly positive")
-        for key in ("ais_tolerance", "port_speed_threshold", "power_tolerance",
-                    "stw_tolerance", "wind_tolerance", "spike_scales"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be strictly positive")
+        # every plain number must be positive, except pca_components (0 = auto)
+        for f in fields(self):
+            if f.type in ("int", "float") and f.name != "pca_components":
+                if getattr(self, f.name) <= 0:
+                    raise ConfigError(f"{f.name} must be strictly positive")
         unknown = set(self.stages) - set(PIPELINE_STAGES)
         if unknown:
             raise ConfigError(f"unknown stage(s): {sorted(unknown)}")

@@ -348,6 +348,20 @@ class TestConfig:
             value = getattr(load_config(p), name)
             assert type(value) is kind and value == kind(text), name
 
+    def test_every_number_field_but_pca_components_must_be_positive(self, tmp_path):
+        from shipdataprep.ingest import ConfigError
+
+        p = tmp_path / "config.txt"
+        for name, hint in typing.get_type_hints(PipelineConfig).items():
+            if hint not in (int, float):
+                continue
+            p.write_text(f"{name} = 0\n")
+            if name == "pca_components":  # 0 = choose k automatically
+                assert load_config(p).pca_components == 0
+                continue
+            with pytest.raises(ConfigError, match=name.replace("_", "[_ ]")):
+                load_config(p)
+
     def test_bad_alpha_rejected(self, tmp_path):
         p = tmp_path / "config.txt"
         p.write_text("ship_csv = s.csv\nsteady_alpha = 1.5\n")
