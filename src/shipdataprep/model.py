@@ -408,7 +408,7 @@ class VoyageDataset:
     ) -> "VoyageDataset":
         """New dataset writing ``values`` into one declared variable at
         ``rows`` (a boolean mask or an index array, one value per selected
-        row); None or NaN clears a value."""
+        row); None, or NaN in a numeric column, clears a value."""
         spec = self.spec(name)
         col = self._columns[name].copy()
         col[rows] = _normalise_column(spec, values)

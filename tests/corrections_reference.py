@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from shipdataprep.corrections import (
     DRAFT_SENSORS,
     CorrectionError,
