@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import GridVariable, HindcastGrid
+from .ingest import HindcastGrid
 from .model import (
     ProcessingReport,
     QualityFlag,

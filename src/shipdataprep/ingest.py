@@ -30,10 +30,10 @@ from .model import (
     VoyageDataset,
     add_flags,
     generated_header,
-    iso_timestamp,
     new_dataset,
     parse_iso_timestamp,
     stage_entry,
+    timestamp_cells,
 )
 from .tables import block_coefficient_midpoint
 
@@ -261,12 +261,12 @@ def csv_cell(value: float | str | int | None) -> str:
 
 def csv_cells(values: np.ndarray) -> list[str]:
     """``csv_cell`` of each value of a column; NaN and None are written as
-    missing."""
+    missing. A float column is formatted with ``repr`` directly, which is
+    what ``csv_cell`` writes for a float; text and object columns go
+    through ``csv_cell``."""
+    if values.dtype.kind == "f":
+        return [repr(v) if v == v else "" for v in values.tolist()]
     return [csv_cell(v if v == v else None) for v in values.tolist()]
-
-
-def timestamp_cells(timestamps: np.ndarray) -> list[str]:
-    return [iso_timestamp(t) for t in timestamps.tolist()]
 
 
 def trip_cells(trip_ids: np.ndarray) -> list[str]:

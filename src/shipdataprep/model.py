@@ -158,6 +158,26 @@ def iso_timestamp(ts: int) -> str:
     )
 
 
+# epoch seconds of 1000-01-01T00:00:00 and 9999-12-31T23:59:59
+FOUR_DIGIT_YEARS = (-30610224000, 253402300799)
+
+
+def timestamp_cells(timestamps: np.ndarray) -> list[str]:
+    """``iso_timestamp`` of each epoch second of an int64 array, formatted
+    by numpy in one call.
+
+    numpy pads every year to four digits, while ``strftime``'s ``%Y`` writes
+    the years 1-999 unpadded (``1-01-01T00:00:00Z``) and ``datetime`` cannot
+    hold years outside 1-9999. So numpy formats an array only when all its
+    stamps lie in the years 1000-9999; any other array is formatted stamp by
+    stamp, with ``iso_timestamp``'s text and its ``ValueError``."""
+    lo, hi = FOUR_DIGIT_YEARS
+    if timestamps.size and (timestamps.min() < lo or timestamps.max() > hi):
+        return [iso_timestamp(t) for t in timestamps.tolist()]
+    seconds = timestamps.astype("datetime64[s]")
+    return np.datetime_as_string(seconds, unit="s", timezone="UTC").tolist()
+
+
 def parse_iso_timestamp(text: str) -> int:
     """ISO-8601 UTC string -> epoch seconds (1 s resolution)."""
     cleaned = text.strip()
@@ -543,6 +563,14 @@ class CalmWaterCurve:
             return None
         return float(np.interp(speed, speeds, powers))
 
+    def powers_at(self, speeds: np.ndarray) -> np.ndarray:
+        """``power_at`` of each speed in one ``np.interp``; NaN outside the
+        curve's speed span."""
+        xp, fp = np.array(self.points).T
+        out = np.interp(speeds, xp, fp)
+        out[(speeds < xp[0]) | (speeds > xp[-1])] = np.nan
+        return out
+
 
 @dataclass(frozen=True)
 class ShipParticulars:
@@ -598,6 +626,15 @@ class ShipParticulars:
 # -- processing report -------------------------------------------------------
 
 
+def _stamp_texts(checks: Iterable[CheckDetail]) -> dict[int, str]:
+    """The text of each distinct timestamp of ``checks``, formatted in one
+    ``timestamp_cells`` call."""
+    stamps = np.unique(np.array(
+        [c.timestamp for c in checks if c.timestamp is not None], dtype=np.int64
+    ))
+    return dict(zip(stamps.tolist(), timestamp_cells(stamps)))
+
+
 @dataclass
 class CheckDetail:
     """One row of check evidence: what was expected vs observed, and verdict."""
@@ -609,8 +646,11 @@ class CheckDetail:
     verdict: str
 
     def to_dict(self) -> dict:
+        return self._as_dict(_stamp_texts([self]))
+
+    def _as_dict(self, stamps: dict[int, str]) -> dict:
         return {
-            "timestamp": None if self.timestamp is None else iso_timestamp(self.timestamp),
+            "timestamp": stamps.get(self.timestamp),
             "variable": self.variable,
             "expected": self.expected,
             "observed": self.observed,
@@ -642,11 +682,14 @@ class StageEntry:
         self.checks.append(CheckDetail(timestamp, variable, expected, observed, verdict))
 
     def to_dict(self) -> dict:
+        return self._as_dict(_stamp_texts(self.checks))
+
+    def _as_dict(self, stamps: dict[int, str]) -> dict:
         return {
             "stage": self.stage,
             "flag_counts": dict(sorted(self.flag_counts.items())),
             "corrections": list(self.corrections),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._as_dict(stamps) for c in self.checks],
             "notes": list(self.notes),
             "summary": {k: self.summary[k] for k in sorted(self.summary)},
         }
@@ -677,9 +720,11 @@ class ProcessingReport:
         return not (dataset.flagged(*uncounted) & undetailed).any()
 
     def to_dict(self) -> dict:
-        return {"stages": [e.to_dict() for e in self.stage_entries]}
+        stamps = _stamp_texts(c for e in self.stage_entries for c in e.checks)
+        return {"stages": [e._as_dict(stamps) for e in self.stage_entries]}
 
     def to_text(self, timestamp_header: bool = True) -> str:
+        stamps = _stamp_texts(c for e in self.stage_entries for c in e.checks)
         lines: list[str] = [generated_header()] if timestamp_header else []
         lines.append("PROCESSING REPORT")
         for e in self.stage_entries:
@@ -695,7 +740,7 @@ class ProcessingReport:
             for c in e.corrections:
                 lines.append(f"correction: {c}")
             for c in e.checks:
-                ts = "-" if c.timestamp is None else iso_timestamp(c.timestamp)
+                ts = stamps.get(c.timestamp, "-")
                 var = c.variable or "-"
                 lines.append(
                     f"  {ts} {var} expected={c.expected} observed={c.observed} "

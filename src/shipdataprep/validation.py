@@ -136,20 +136,15 @@ def check_speed_power(
     rpm = dataset.coalesce("shaft_rpm")
     in_trip = dataset.in_trip_or_all()
 
-    deviations = []
-    skipped = 0
-    stamps = dataset.timestamps.tolist()
+    ref = curve.powers_at(stw)
+    compared = in_trip & ~np.isnan(stw) & ~np.isnan(pwr)
+    on_curve = compared & (stw >= curve.points[0][0]) & (stw <= curve.points[-1][0])
+    positive = on_curve & (ref > 0)
+    deviations = (pwr[positive] - ref[positive]) / ref[positive]
     outside = np.zeros(len(dataset), dtype=bool)
-    for i in range(len(dataset)):
-        if not in_trip[i] or math.isnan(stw[i]) or math.isnan(pwr[i]):
-            continue
-        ref = curve.power_at(stw[i])
-        if ref is None:
-            skipped += 1
-            continue
-        if ref > 0:
-            deviations.append((pwr[i] - ref) / ref)
-        if particulars.envelope is not None and not math.isnan(rpm[i]):
+    if particulars.envelope is not None:
+        stamps = dataset.timestamps.tolist()
+        for i in np.nonzero(on_curve & ~np.isnan(rpm))[0].tolist():
             if not _point_in_polygon(rpm[i], pwr[i], particulars.envelope):
                 outside[i] = True
                 entry.check(
@@ -162,10 +157,10 @@ def check_speed_power(
     out = add_flags(dataset, QualityFlag.INVALID_RANGE, outside, entry)
     entry.summary["curve"] = curve.label
     entry.summary["compared"] = len(deviations)
-    entry.summary["skipped_outside_curve"] = skipped
+    entry.summary["skipped_outside_curve"] = int((compared & ~on_curve).sum())
     entry.summary["flagged_outside_envelope"] = int(outside.sum())
-    if deviations:
-        dev = np.array(sorted(deviations))  # sorted: order-invariant stats
+    if len(deviations):
+        dev = np.sort(deviations, kind="stable")  # sorted: order-invariant stats
         entry.summary["bias_median"] = float(np.median(dev))
         entry.summary["deviation_mean"] = float(dev.mean())
         entry.summary["deviation_std"] = float(dev.std())

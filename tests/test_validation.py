@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_values as oracle
+import validation_reference
 from conftest import flagged_rows, flags_at, series_dataset
 from shipdataprep.model import (
     CalmWaterCurve,
@@ -170,6 +171,65 @@ class TestSpeedPower:
             a.stage_entries[0].summary["bias_median"]
             == b.stage_entries[0].summary["bias_median"]
         )
+
+
+SPAN_EDGES = (1.0, 8.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(8.0, 9.0)))
+ENVELOPE = ((60.0, 0.0), (60.0, 300_000.0), (100.0, 300_000.0), (100.0, 0.0))
+
+
+def assert_speed_power_matches_reference(ds, parts):
+    got, want = ProcessingReport(), ProcessingReport()
+    out = check_speed_power(ds, parts, got)
+    ref = validation_reference.check_speed_power(ds, parts, want)
+    assert flagged_rows(out, QualityFlag.INVALID_RANGE) == flagged_rows(
+        ref, QualityFlag.INVALID_RANGE
+    )
+    (g,), (w,) = got.stage_entries, want.stage_entries
+    assert g.checks == w.checks
+    assert g.flag_counts == w.flag_counts
+    # repr: bit-equal floats, and the types of the counts
+    assert repr(sorted(g.summary.items())) == repr(sorted(w.summary.items()))
+
+
+class TestSpeedPowerReference:
+    """The array check against the row loop it replaced, which looks the
+    curve up one row at a time through ``power_at``."""
+
+    def test_span_ends_and_just_outside(self):
+        speeds = list(SPAN_EDGES) + [4.0, 0.5, 9.0, None, 4.0]
+        ds = series_dataset({
+            "stw": speeds,
+            "shaft_power": [800.0, 409_600.0, 1.0, 2.0, 400_000.0, 5.0, 6.0, 7.0, None],
+            "shaft_rpm": [70.0, 80.0, 80.0, None, 90.0, 80.0, 80.0, 80.0, 80.0],
+        })
+        assert_speed_power_matches_reference(ds, particulars(envelope=ENVELOPE))
+        report = ProcessingReport()
+        check_speed_power(ds, particulars(envelope=ENVELOPE), report)
+        summary = report.stage_entries[0].summary
+        assert (summary["compared"], summary["skipped_outside_curve"]) == (3, 4)
+        assert summary["flagged_outside_envelope"] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(SPAN_EDGES + (float("nan"),)),
+                          st.floats(0.0, 9.5)),
+                st.one_of(st.just(float("nan")), st.floats(-1e5, 6e5)),
+                st.one_of(st.just(float("nan")), st.floats(40.0, 120.0)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_matches_row_loop(self, rows, with_envelope):
+        stw, pwr, rpm, in_trip = zip(*rows)
+        ds = series_dataset({"stw": list(stw), "shaft_power": list(pwr), "shaft_rpm": list(rpm)})
+        ds = ds.with_trip_ids([1 if t else None for t in in_trip])
+        parts = particulars(envelope=ENVELOPE if with_envelope else None)
+        assert_speed_power_matches_reference(ds, parts)
 
 
 class TestStwCheck:
