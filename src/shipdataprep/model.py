@@ -555,12 +555,17 @@ class CalmWaterCurve:
         if any(b <= a for a, b in zip(speeds, speeds[1:])):
             raise SchemaError(f"curve {self.label!r} speeds must be strictly increasing")
 
+    def outside_span(self, speeds: float | np.ndarray):
+        """True where a speed lies below the curve's first speed or above its
+        last (a float or an array); a NaN speed is not outside."""
+        return (speeds < self.points[0][0]) | (speeds > self.points[-1][0])
+
     def power_at(self, speed: float) -> float | None:
         """Linear interpolation; None outside the curve's speed span."""
+        if self.outside_span(speed):
+            return None
         speeds = [p[0] for p in self.points]
         powers = [p[1] for p in self.points]
-        if speed < speeds[0] or speed > speeds[-1]:
-            return None
         return float(np.interp(speed, speeds, powers))
 
     def powers_at(self, speeds: np.ndarray) -> np.ndarray:
@@ -568,7 +573,7 @@ class CalmWaterCurve:
         curve's speed span."""
         xp, fp = np.array(self.points).T
         out = np.interp(speeds, xp, fp)
-        out[(speeds < xp[0]) | (speeds > xp[-1])] = np.nan
+        out[self.outside_span(speeds)] = np.nan
         return out
 
 
@@ -635,6 +640,22 @@ def _stamp_texts(checks: Iterable[CheckDetail]) -> dict[int, str]:
     return dict(zip(stamps.tolist(), timestamp_cells(stamps)))
 
 
+def _check_dicts(checks: list[CheckDetail]) -> list[dict]:
+    """The JSON form of each check; the distinct stamps of ``checks`` are
+    formatted together, and a missing stamp is ``None``."""
+    stamps = _stamp_texts(checks)
+    return [
+        {
+            "timestamp": stamps.get(c.timestamp),
+            "variable": c.variable,
+            "expected": c.expected,
+            "observed": c.observed,
+            "verdict": c.verdict,
+        }
+        for c in checks
+    ]
+
+
 @dataclass
 class CheckDetail:
     """One row of check evidence: what was expected vs observed, and verdict."""
@@ -646,16 +667,7 @@ class CheckDetail:
     verdict: str
 
     def to_dict(self) -> dict:
-        return self._as_dict(_stamp_texts([self]))
-
-    def _as_dict(self, stamps: dict[int, str]) -> dict:
-        return {
-            "timestamp": stamps.get(self.timestamp),
-            "variable": self.variable,
-            "expected": self.expected,
-            "observed": self.observed,
-            "verdict": self.verdict,
-        }
+        return _check_dicts([self])[0]
 
 
 @dataclass
@@ -682,14 +694,11 @@ class StageEntry:
         self.checks.append(CheckDetail(timestamp, variable, expected, observed, verdict))
 
     def to_dict(self) -> dict:
-        return self._as_dict(_stamp_texts(self.checks))
-
-    def _as_dict(self, stamps: dict[int, str]) -> dict:
         return {
             "stage": self.stage,
             "flag_counts": dict(sorted(self.flag_counts.items())),
             "corrections": list(self.corrections),
-            "checks": [c._as_dict(stamps) for c in self.checks],
+            "checks": _check_dicts(self.checks),
             "notes": list(self.notes),
             "summary": {k: self.summary[k] for k in sorted(self.summary)},
         }
@@ -720,8 +729,7 @@ class ProcessingReport:
         return not (dataset.flagged(*uncounted) & undetailed).any()
 
     def to_dict(self) -> dict:
-        stamps = _stamp_texts(c for e in self.stage_entries for c in e.checks)
-        return {"stages": [e._as_dict(stamps) for e in self.stage_entries]}
+        return {"stages": [e.to_dict() for e in self.stage_entries]}
 
     def to_text(self, timestamp_header: bool = True) -> str:
         stamps = _stamp_texts(c for e in self.stage_entries for c in e.checks)

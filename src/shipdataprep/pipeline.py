@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -497,46 +496,51 @@ def emit_plotdata(
     speed-power scatter with curve overlays, the longitudinal wind
     comparison, and the draft correction before/after series.
 
-    A file's header names its columns. Each cell, the timestamps included,
-    is formatted once: a column that several files write a row of is
-    formatted over the rows of all of them, and each file takes its own
-    rows from those cells."""
+    Each file formats its own columns with whole-array operations
+    (``timestamp_cells``, ``csv_cells``, one ``CalmWaterCurve.powers_at``
+    for the curve column); the trip files are written a block of rows at a
+    time, so no formatted column outlives the file that writes it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    no_rows = np.zeros(0, dtype=np.int64)
-    # column -> its values over all dataset rows, and its cell formatter
-    columns: dict[str, tuple[np.ndarray, Callable[[np.ndarray], list[str]]]] = {
-        "timestamp": (dataset.timestamps, timestamp_cells),
-        "trip_id": (dataset.trip_ids, trip_cells),
-    }
-    files: list[tuple[str, list[str], np.ndarray]] = []  # name, header, rows
+    written: list[Path] = []
 
+    def write(name: str, header: list[str], rows) -> None:
+        p = out_dir / name
+        write_csv(p, [], header, rows)
+        written.append(p)
+
+    ts = dataset.timestamps
     present_vars = [
         v for v in PLOT_VARIABLES if dataset.declares(v) and dataset.has_data(v)
     ]
-    for v in present_vars:
-        text = dataset.spec(v).kind == "text"
-        columns[v] = (dataset.text_column(v) if text else dataset.column(v), csv_cells)
     if trip_index is not None:
         for trip in trip_index.trips:
-            rows = dataset.trip_indices(trip.trip_id)
-            files.append((f"trip_{trip.trip_id:03d}.csv", ["timestamp"] + present_vars, rows))
+            rows = column_rows(
+                dataset.trip_indices(trip.trip_id),
+                lambda idx: variable_cells(dataset, present_vars, idx),
+            )
+            write(f"trip_{trip.trip_id:03d}.csv", ["timestamp"] + present_vars, rows)
 
     # speed-power scatter with the calm-water curve value at the same speed
-    rows = no_rows
+    rows = []
     curve = particulars.curve() if particulars is not None else None
     if dataset.declares("stw") and dataset.declares("shaft_power"):
         stw = dataset.column("stw")
         pwr = dataset.column("shaft_power")
-        rows = np.nonzero(~np.isnan(stw) & ~np.isnan(pwr))[0]
-        curve_power = curve.powers_at(stw) if curve is not None else np.full(len(stw), np.nan)
-        columns["stw"] = (stw, csv_cells)
-        columns["shaft_power"] = (pwr, csv_cells)
-        columns["curve_power"] = (curve_power, csv_cells)
-    files.append(("speed_power.csv", ["timestamp", "stw", "shaft_power", "curve_power"], rows))
+        use = np.nonzero(~np.isnan(stw) & ~np.isnan(pwr))[0]
+        curve_power = (
+            curve.powers_at(stw[use]) if curve is not None else np.full(len(use), np.nan)
+        )
+        rows = zip(
+            timestamp_cells(ts[use]),
+            csv_cells(stw[use]),
+            csv_cells(pwr[use]),
+            csv_cells(curve_power),
+        )
+    write("speed_power.csv", ["timestamp", "stw", "shaft_power", "curve_power"], rows)
 
     # longitudinal wind comparison: ship-derived vs hindcast (head positive)
-    rows = no_rows
+    rows = []
     if dataset.declares("rel_wind_long") and (
         dataset.declares("rel_wind_speed") or dataset.declares("rel_wind_speed_ref")
     ):
@@ -544,15 +548,18 @@ def emit_plotdata(
         hc = dataset.column("rel_wind_long")
         sog = dataset.coalesce("sog")
         faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
-        rows = np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
-        columns["ship_long_wind"] = (onboard - sog, csv_cells)
-        columns["hindcast_long_wind"] = (hc - sog, csv_cells)
-        columns["angular_fault"] = (faulted, lambda m: np.where(m, "1", "0").tolist())
-    files.append((
+        use = np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
+        rows = zip(
+            timestamp_cells(ts[use]),
+            csv_cells((onboard - sog)[use]),
+            csv_cells((hc - sog)[use]),
+            np.where(faulted[use], "1", "0").tolist(),
+        )
+    write(
         "wind_comparison.csv",
         ["timestamp", "ship_long_wind", "hindcast_long_wind", "angular_fault"],
         rows,
-    ))
+    )
 
     # draft correction before/after, for samples with any draft value
     draft_cols = [
@@ -562,37 +569,12 @@ def emit_plotdata(
     ]
     has_draft = np.zeros(len(dataset), dtype=bool)
     for c in draft_cols:
-        columns[c] = (dataset.column(c), csv_cells)
         has_draft |= ~np.isnan(dataset.column(c))
-    files.append(("draft_correction.csv", ["timestamp", "trip_id"] + draft_cols,
-                  np.nonzero(has_draft)[0]))
-
-    # A column with rows in more than one file is formatted once, over all
-    # of them, and held while the files take their rows from it. Any other
-    # column is formatted as its file is written, so only shared cells are
-    # held at once.
-    uses: dict[str, np.ndarray] = {}  # column -> files that write each row (at most 4)
-    for _, header, rows in files:
-        for name in header:
-            uses.setdefault(name, np.zeros(len(dataset), dtype=np.uint8))[rows] += 1
-    shared: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # column -> rows, cells
-    for name, count in uses.items():
-        if count.max() > 1:
-            values, fmt = columns[name]
-            at = np.nonzero(count)[0]
-            shared[name] = (at, np.array(fmt(values[at]), dtype=object))
-
-    def cells(name: str, rows: np.ndarray) -> list[str]:
-        if name in shared:
-            at, text = shared[name]
-            return text[np.searchsorted(at, rows)].tolist()
-        values, fmt = columns[name]
-        return fmt(values[rows])
-
-    written: list[Path] = []
-    for file_name, header, rows in files:
-        picked = [cells(name, rows) for name in header] if len(rows) else []
-        path = out_dir / file_name
-        write_csv(path, [], header, zip(*picked))
-        written.append(path)
+    use = np.nonzero(has_draft)[0]
+    rows = zip(
+        timestamp_cells(ts[use]),
+        trip_cells(dataset.trip_ids[use]),
+        *(csv_cells(dataset.column(c)[use]) for c in draft_cols),
+    )
+    write("draft_correction.csv", ["timestamp", "trip_id"] + draft_cols, rows)
     return written

@@ -138,7 +138,7 @@ def check_speed_power(
 
     ref = curve.powers_at(stw)
     compared = in_trip & ~np.isnan(stw) & ~np.isnan(pwr)
-    on_curve = compared & (stw >= curve.points[0][0]) & (stw <= curve.points[-1][0])
+    on_curve = compared & ~curve.outside_span(stw)
     positive = on_curve & (ref > 0)
     deviations = (pwr[positive] - ref[positive]) / ref[positive]
     outside = np.zeros(len(dataset), dtype=bool)

@@ -1,7 +1,7 @@
 """The whole-array cell formatters against the per-cell code they replaced:
 timestamp cells against ``iso_timestamp``, float cells against ``csv_cell``,
 the array curve lookup against the scalar ``power_at``, and the report's
-check timestamps, formatted once per report."""
+check timestamps, formatted together."""
 
 import json
 

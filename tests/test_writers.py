@@ -161,6 +161,17 @@ def test_writers_match_golden_text_in_small_blocks(tmp_path, monkeypatch, block)
     test_writers_match_golden_text(tmp_path)
 
 
+def test_zero_row_dataset_writes_header_only_files(tmp_path):
+    empty = rows_dataset(golden_dataset().schema, [], sampling_interval=900)
+    got = write_all(empty, tmp_path)
+    assert got["speed_power.csv"] == "timestamp,stw,shaft_power,curve_power\r\n"
+    assert got["wind_comparison.csv"] == (
+        "timestamp,ship_long_wind,hindcast_long_wind,angular_fault\r\n"
+    )
+    assert got["draft_correction.csv"] == "timestamp,trip_id,raw_draft_fore,draft_fore\r\n"
+    assert got["trip_001.csv"] == "timestamp\r\n"
+
+
 def test_save_dataset_round_trips_exactly(tmp_path):
     ds = golden_dataset()
     save_dataset(ds, tmp_path / "dataset.csv")
