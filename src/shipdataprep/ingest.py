@@ -10,11 +10,12 @@ the writers.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .model import (
     generated_header,
     new_dataset,
     parse_iso_timestamp,
+    parse_iso_timestamps,
     stage_entry,
     timestamp_cells,
 )
@@ -149,9 +151,9 @@ def load_ship_csv(
     for k, name in enumerate(header):
         first_of.setdefault(name, k)
 
-    stamps = [_timestamp(c) for c in cells[first_of["timestamp"]]]
-    read = np.flatnonzero([t is not None for t in stamps])
-    first = read[np.unique([stamps[i] for i in read], return_index=True)[1]]
+    stamps, stamped = parse_iso_timestamps(cells[first_of["timestamp"]])
+    read = np.flatnonzero(stamped)
+    first = read[np.unique(stamps[read], return_index=True)[1]]
     keep = np.zeros(len(stamps), dtype=bool)
     keep[first] = True
     n = len(first)
@@ -167,18 +169,18 @@ def load_ship_csv(
     for name, k in first_of.items():
         if not name or name == "timestamp":
             continue
-        text = [c.strip() for c in cells[k]]
-        filled = np.array([c != "" for c in text], dtype=bool)[keep]
         spec = spec_map.get(name)
         if spec is None or spec.kind != "text":
-            numbers, parsed = _numbers(text, factors.get(name, 1.0))
+            numbers, filled, parsed = _numbers(cells[k], factors.get(name, 1.0))
         if spec is None:  # auto-declare, so that ingest is loss-free
             spec = spec_map[name] = VariableSpec(name, "", "linear" if parsed else "text")
             schema.append(spec)
         if spec.kind == "text":
-            ok = filled
-            columns[name] = np.where(ok, np.array(text, dtype=object)[keep], None)
+            text = np.array([c.strip() for c in cells[k]], dtype=object)[keep]
+            ok = filled = text != ""
+            columns[name] = np.where(ok, text, None)
         else:
+            filled = filled[keep]
             values = numbers[keep]
             ok = np.isfinite(values)
             if name == "lat":
@@ -202,27 +204,45 @@ def load_ship_csv(
     entry.summary["missing_cells"] = {
         name: n - kept for name, (_, kept) in sorted(counts.items()) if 0 < kept < n
     }
-    dataset = new_dataset(
-        schema, [stamps[i] for i in np.flatnonzero(keep)], columns, source_kind=source_kind
-    )
-    dropped = np.setdiff1d(read, first).tolist()
-    if dropped:
+    dataset = new_dataset(schema, stamps[keep], columns, source_kind=source_kind)
+    dropped = np.flatnonzero(stamped & ~keep)
+    if len(dropped):
         entry.summary["rows_dropped_duplicate_timestamp"] = len(dropped)
-        repeated = np.isin(dataset.timestamps, [stamps[i] for i in dropped])
+        repeated = np.isin(dataset.timestamps, stamps[dropped])
         dataset = add_flags(dataset, QualityFlag.DROPOUT, repeated, entry)
-        for i in dropped:
-            entry.check("dropout", timestamp=stamps[i], variable="timestamp",
-                        observed=lines[i])
+        for i, t in zip(dropped.tolist(), stamps[dropped].tolist()):
+            entry.check("dropout", timestamp=t, variable="timestamp", observed=lines[i])
     return dataset
 
 
-def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[tuple[str, ...]]]:
+def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[Sequence[str]]]:
     """A CSV file without its rows that start with ``#``: the header, the
     line number of each further row, and the cells of each header column,
-    where a short row's absent cells are empty."""
+    where a short row's absent cells are empty.
+
+    The text is read once. Without a quote or a carriage return in it, a
+    line is a row and a comma ends a cell, so when every row has the
+    header's number of cells (and no line is longer than ``csv.reader``
+    accepts a cell) the body is split with one ``str.split`` and each column
+    is a strided slice of it. Every other file goes through ``csv.reader``,
+    which gives the same result on such a file."""
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+        text = fh.read()
+    if '"' not in text and "\r" not in text:
+        rows = text.split("\n")
+        if not rows[-1]:
+            rows.pop()  # the line end of the last line
+        lines = range(1, len(rows) + 1)
+        if "" in rows or text.startswith("#") or "\n#" in text:
+            numbered = [(k, r) for k, r in zip(lines, rows) if r and r[0] != "#"]
+            lines, rows = [k for k, _ in numbered], [r for _, r in numbered]
+        if len(rows) > 1 and max(map(len, rows)) <= csv.field_size_limit():
+            width = rows[0].count(",") + 1
+            if set(map(str.count, rows[1:], itertools.repeat(","))) == {width - 1}:
+                cells = ",".join(rows[1:]).split(",")
+                return rows[0].split(","), tuple(lines[1:]), [cells[k::width] for k in range(width)]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     if not numbered:
         raise IngestError(f"{path}: empty file, expected a header row")
     lines, (header, *body) = zip(*numbered)
@@ -230,25 +250,37 @@ def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[tuple[str,
     return header, lines[1:], cells + [("",) * len(body)] * (len(header) - len(cells))
 
 
-def _timestamp(cell: str) -> int | None:
-    """Epoch seconds of an ISO-8601 cell, or None when it does not parse."""
-    try:
-        return parse_iso_timestamp(cell)
-    except ValueError:
-        return None
+def _stamps(cells: Sequence[str]) -> np.ndarray:
+    """Epoch seconds of every cell; the first cell that does not parse
+    raises ``parse_iso_timestamp``'s ValueError."""
+    stamps, parsed = parse_iso_timestamps(cells)
+    if not parsed.all():
+        parse_iso_timestamp(cells[int(np.argmin(parsed))])
+    return stamps
 
 
-def _numbers(cells: list[str], factor: float) -> tuple[np.ndarray, bool]:
+def _numbers(cells: Sequence[str], factor: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """``float(cell) * factor`` of each stripped cell, NaN for an empty or
-    unparseable one, and whether every non-empty cell parsed."""
-    values, parsed = [], True
+    unparseable one; which cells are non-empty; and whether every non-empty
+    cell parsed. ``float`` strips a cell itself, so a column in which every
+    cell parses (no cell is then empty) is converted in one ``map``."""
+    try:
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        with np.errstate(over="ignore"):  # to inf, as ``float`` times ``factor``
+            return values * factor, np.ones(len(cells), dtype=bool), True
+    values, filled, parsed = [], [], True
     for c in cells:
+        c = c.strip()
+        filled.append(c != "")
         try:
             values.append(float(c) * factor if c else math.nan)
         except ValueError:
             values.append(math.nan)
             parsed = False
-    return np.array(values, dtype=np.float64), parsed
+    return np.array(values, dtype=np.float64), np.array(filled, dtype=bool), parsed
 
 
 def csv_cell(value: float | str | int | None) -> str:
@@ -400,7 +432,7 @@ def load_dataset(path: str | Path) -> VoyageDataset:
     }
     return new_dataset(
         schema,
-        [parse_iso_timestamp(c) for c in cells[0]],
+        _stamps(cells[0]),
         columns,
         sampling_interval=interval,
         source_kind=source_kind,
@@ -475,7 +507,7 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
     conventions: dict[str, str] = {}
     lats: list[float] = []
     lons: list[float] = []
-    times: list[int] = []
+    times: np.ndarray = np.zeros(0, dtype=np.int64)
     body: list[tuple[int, str]] = []
 
     with path.open() as fh:
@@ -493,7 +525,7 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
             elif line.startswith("#lon "):
                 lons = [float(x) for x in line[len("#lon "):].split(",")]
             elif line.startswith("#time "):
-                times = [parse_iso_timestamp(x) for x in line[len("#time "):].split(",")]
+                times = _stamps(line[len("#time "):].split(","))
             elif line.startswith("#conv "):
                 parts = line.split()
                 if len(parts) != 3 or parts[2] not in ("from", "toward"):
@@ -507,7 +539,7 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
     if not var_decls:
         raise IngestError(f"{path}: no #var declarations")
     for axis, label in ((lats, "#lat"), (lons, "#lon"), (times, "#time")):
-        if not axis:
+        if not len(axis):
             raise IngestError(f"{path}: missing {label} header")
 
     nt, ny, nx = len(times), len(lats), len(lons)

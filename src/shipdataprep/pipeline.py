@@ -162,6 +162,8 @@ def run_pipeline(
         source_kind=config.source_kind,
         report=report,
     )
+    if len(dataset) == 0:
+        raise IngestError(f"{config.ship_csv}: no row with a parseable timestamp")
     grid: HindcastGrid | None = None
     if config.hindcast:
         grid = load_hindcast(config.hindcast)
@@ -175,7 +177,7 @@ def run_pipeline(
     trip_index: TripIndex | None = None
 
     # -- uniform time steps ---------------------------------------------------
-    if "regularize" in enabled and len(dataset):
+    if "regularize" in enabled:
         try:
             if dataset.source_kind == "ais":
                 dataset = timeline.resample(

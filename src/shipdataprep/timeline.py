@@ -115,10 +115,33 @@ def regularize(
     return out
 
 
-def _circular_mean(degrees: np.ndarray) -> float:
-    rad = np.deg2rad(degrees)
-    ang = math.degrees(math.atan2(np.mean(np.sin(rad)), np.mean(np.cos(rad))))
-    return ang % 360.0
+def _bin_means(col: np.ndarray, heads: np.ndarray, circular: bool) -> np.ndarray:
+    """Per bin, the rows from one of ``heads`` to the next, the mean of the
+    values of ``col`` that are present, NaN for a bin without one;
+    ``circular`` takes the circular mean of angles in degrees.
+
+    Bins with the same number of values are averaged together, as one
+    bins x count block. numpy sums each contiguous row of it in the same
+    pairwise order as ``np.mean`` of that bin alone, so each mean has the
+    same bits as the per-bin one."""
+    present = ~np.isnan(col)
+    before = np.concatenate(([0], np.cumsum(present)))  # present values before each row
+    first = before[heads]  # each bin's first value in ``values``
+    counts = np.diff(before[np.append(heads, len(col))])
+    values = col[present]
+    if circular:
+        rad = np.deg2rad(values)
+        sin, cos = np.sin(rad), np.cos(rad)
+    means = np.full(len(heads), np.nan)
+    for count in np.unique(counts[counts > 0]).tolist():
+        bins = np.flatnonzero(counts == count)
+        block = first[bins, None] + np.arange(count)
+        if circular:  # math's atan2 and degrees: numpy's differ in the last bit
+            pairs = zip(sin[block].mean(axis=1).tolist(), cos[block].mean(axis=1).tolist())
+            means[bins] = [math.degrees(math.atan2(s, c)) % 360.0 for s, c in pairs]
+        else:
+            means[bins] = values[block].mean(axis=1)
+    return means
 
 
 def resample(
@@ -152,21 +175,20 @@ def resample(
         starts = np.searchsorted(bins, np.arange(n_bins))
         ends = np.searchsorted(bins, np.arange(n_bins), side="right")
         filled = np.flatnonzero(ends > starts)
+        heads = starts[filled]
         out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
         for spec in dataset.schema:
-            text = spec.kind == "text"
-            col = dataset.text_column(spec.name) if text else dataset.column(spec.name)
-            present = np.array([v is not None for v in col], dtype=bool) if text else ~np.isnan(col)
-            average = (
-                (lambda got: got[-1]) if text  # text keeps the last value
-                else _circular_mean if spec.kind == "angular" and not naive_angular
-                else (lambda got: float(np.mean(got)))
-            )
-            spans = zip(starts[filled].tolist(), ends[filled].tolist())
-            got = (col[a:b][present[a:b]] for a, b in spans)
-            out = out.with_values(spec.name, filled, [average(g) if len(g) else None for g in got])
+            if spec.kind == "text":  # the last value present in each bin
+                col = dataset.text_column(spec.name)
+                at = np.where(np.not_equal(col, None), np.arange(len(col)), -1)
+                last = np.maximum.reduceat(at, heads)
+                values = np.where(last >= 0, col[last], None)
+            else:
+                circular = spec.kind == "angular" and not naive_angular
+                values = _bin_means(dataset.column(spec.name), heads, circular)
+            out = out.with_values(spec.name, filled, values)
         for flag in QualityFlag:
-            has = np.logical_or.reduceat(dataset.flagged(flag), starts[filled])
+            has = np.logical_or.reduceat(dataset.flagged(flag), heads)
             out = out.adding_flags(flag, filled[has])
         out = out.adding_flags(QualityFlag.MISSING_INSERTED, ends == starts)
     else:  # up_hold

@@ -8,11 +8,17 @@ files the two differ by design: this reader merges a repeated column name
 cell by cell, rejects a blank one and fails on a repeated timestamp, where
 ``load_ship_csv`` keeps the first column of a name, skips blank names and
 keeps the first row of a timestamp.
+
+``csv_columns_rows`` is the ``csv.reader`` splitter that ``ingest.csv_columns``
+keeps for files with quotes, carriage returns or ragged rows; the tests
+require the whole-text split to give the same header, line numbers and
+cells wherever it applies.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -137,3 +143,17 @@ def load_ship_csv_rows(
     }
     return new_row_dataset(schema, samples, source_kind=source_kind)
 
+
+
+def csv_columns_rows(path: Path) -> tuple[list[str], tuple[int, ...], list[tuple[str, ...]]]:
+    """Header, line number of each further row and cells of each header
+    column, split by ``csv.reader``; rows that start with ``#`` are left out
+    and a short row's absent cells are empty."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not numbered:
+        raise IngestError(f"{path}: empty file, expected a header row")
+    lines, (header, *body) = zip(*numbered)
+    cells = list(itertools.islice(itertools.zip_longest(*body, fillvalue=""), len(header)))
+    return header, lines[1:], cells + [("",) * len(body)] * (len(header) - len(cells))

@@ -1,5 +1,6 @@
-"""The whole-array cell formatters against the per-cell code they replaced:
-timestamp cells against ``iso_timestamp``, float cells against ``csv_cell``,
+"""The whole-array cell formatters and parsers against the per-cell code
+they replaced: timestamp cells against ``iso_timestamp``, parsed timestamp
+cells against ``parse_iso_timestamp``, float cells against ``csv_cell``,
 the array curve lookup against the scalar ``power_at``, and the report's
 check timestamps, formatted together."""
 
@@ -17,6 +18,8 @@ from shipdataprep.model import (
     CalmWaterCurve,
     ProcessingReport,
     iso_timestamp,
+    parse_iso_timestamp,
+    parse_iso_timestamps,
 )
 from shipdataprep.pipeline import write_report_files
 
@@ -75,6 +78,80 @@ class TestTimestampCells:
     ))
     def test_equals_iso_timestamp_per_cell(self, stamps):
         assert array_cells(stamps) == per_cell(stamps)
+
+
+def canonical(ts: int) -> str:
+    """``YYYY-MM-DDTHH:MM:SSZ`` of an epoch second, the year padded to four
+    digits."""
+    return str(np.datetime64(ts, "s")) + "Z"
+
+
+def near_misses(text: str) -> list[str]:
+    """Cells that differ from a canonical stamp in one way: some parse the
+    slow way, some parse not at all."""
+    return [
+        f"  {text}\t", text[:-1] + "z", text[:-1] + "+00:00", text[:-1] + ".5Z",
+        text.replace("T", " "), text[:-1], text + "\x00", text + "0", text[1:],
+        text[:-1] + "^", text.replace("-", ".", 1),
+    ]
+
+
+# canonical in form, but no time or not for fromisoformat
+ODD_STAMPS = [
+    "2021-02-29T00:00:00Z", "2020-02-29T00:00:00Z", "2021-02-30T00:00:00Z",
+    "2021-04-31T12:00:00Z", "2021-13-01T00:00:00Z", "2021-00-10T00:00:00Z",
+    "2021-01-00T00:00:00Z", "2021-01-01T24:00:00Z", "2021-01-01T23:60:00Z",
+    "2021-01-01T23:59:60Z", "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z",
+    "9999-12-31T23:59:59Z", "1969-12-31T23:59:59Z", "1900-03-01T00:00:00Z",
+    "2021-01-01X00:00:00Z", "2021/01/01T00:00:00Z", "\u0662021-01-01T00:00:00Z",
+    "", "   ", "x" * 20, "yesterday",
+]
+
+
+def per_cell_parse(cells: list[str]) -> list[int | None]:
+    out = []
+    for c in cells:
+        try:
+            out.append(parse_iso_timestamp(c))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def array_parse(cells: list[str]) -> list[int | None]:
+    stamps, ok = parse_iso_timestamps(cells)
+    assert stamps.dtype == np.int64 and ok.dtype == bool
+    assert (stamps[~ok] == 0).all()
+    return [t if k else None for t, k in zip(stamps.tolist(), ok.tolist())]
+
+
+class TestTimestampParsing:
+    def test_odd_stamps_alone_and_among_canonical_ones(self):
+        good = [canonical(T0), canonical(YEAR_1), canonical(YEAR_9999_END)]
+        for cell in ODD_STAMPS + near_misses(canonical(T0)):
+            for cells in ([cell], good + [cell], [cell] + good):
+                assert array_parse(cells) == per_cell_parse(cells), cells
+
+    def test_a_rejected_batch_still_parses_its_good_cells(self):
+        cells = [canonical(T0), "2021-02-30T00:00:00Z", canonical(-1)]
+        assert array_parse(cells) == [T0, None, -1]
+
+    def test_empty(self):
+        assert array_parse([]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.integers(YEAR_1, YEAR_9999_END).map(canonical),
+            st.integers(-(2**31), 0).map(canonical),  # before 1970
+            st.integers(YEAR_1, YEAR_9999_END).map(canonical).map(near_misses).flatmap(
+                st.sampled_from),
+            st.sampled_from(ODD_STAMPS),
+        ),
+        max_size=30,
+    ))
+    def test_equals_parse_iso_timestamp_per_cell(self, cells):
+        assert array_parse(cells) == per_cell_parse(cells)
 
 
 def float_reference(values: np.ndarray) -> list[str]:

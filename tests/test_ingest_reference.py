@@ -1,22 +1,25 @@
 """The columnar ``ingest.load_ship_csv`` against the row-by-row reader it
 replaced (``tests/ingest_reference.py``), on dirty ship CSVs: garbage
 tokens, non-finite and overflowing numbers, empty and padded cells, short
-and long rows, bad or empty timestamps, comment rows, shuffled rows, unit
-conversion, auto-declared numeric and text columns, out-of-range latitudes
-and mostly unparseable bare-minimum columns. Both must give bit-equal
-columns, the same ``ingest:ship_csv`` entry, and the same error, type and
-message. Timestamps are unique and header names distinct: a repeated
-timestamp or name is where the two differ by design."""
+and long rows, bad, empty or impossible timestamps, comment and blank rows,
+quoted cells, ``\r\n`` or ``\n`` line ends, shuffled rows, unit conversion,
+auto-declared numeric and text columns, out-of-range latitudes and mostly
+unparseable bare-minimum columns. Both must give bit-equal columns, the
+same ``ingest:ship_csv`` entry, and the same error, type and message.
+Timestamps are unique and header names distinct: a repeated timestamp or
+name is where the two differ by design. ``csv_columns`` must split each
+such file as ``csv.reader`` does, on both of its paths."""
 
 import csv
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, iso
 from dataset_reference import assert_same
-from ingest_reference import load_ship_csv_rows
-from shipdataprep.ingest import IngestError, load_ship_csv
+from ingest_reference import csv_columns_rows, load_ship_csv_rows
+from shipdataprep.ingest import IngestError, csv_columns, load_ship_csv
 from shipdataprep.model import DatasetError, ProcessingReport, SchemaError
 
 # header name -> what its cells look like; bare-minimum: stw, shaft_power, and
@@ -34,18 +37,25 @@ COLUMNS = {
 }
 UNITS = {"sog": "knots", "shaft_power": "kW", "x_auto": "kW", "state": "knots", "lon": "m"}
 GARBAGE = ["abc", "--", "1.2.3", "0x10", "five", "1e", "N/A"]
+# unparseable stamps, the canonical-looking ones among them impossible dates
+BAD_STAMPS = ["", "  ", "yesterday", "2021-13-45T00:00:00Z", "2021-02-29T00:00:00Z",
+              "2021-02-30T00:00:00Z", "2021-01-01T24:00:00Z", "2021-01-01T00:00:60Z",
+              "0000-01-01T00:00:00Z", "2021-01-01T00:00:00z"]
 SPECIAL = ["inf", "-inf", "nan", "NaN", "1e400", "-1e400", "1e308", " 4.5 ", "  ", "1_000", "+7", "-0"]
 
 
-def cell(kind: str) -> st.SearchStrategy[str]:
+def cell(kind: str, clean: bool) -> st.SearchStrategy[str]:
+    """A cell of this kind; in a ``clean`` file every number cell parses."""
     numbers = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
         st.integers(-10**6, 10**6).map(str),
     )
     if kind == "text":
-        return st.sampled_from(["", " ", "At Berth", " Sea Passage", "x y", "7"])
+        return st.sampled_from(["", " ", "At Berth", " Sea Passage", "x y", "7", "x, y"])
     if kind == "lat":
         numbers = st.one_of(st.floats(-95.0, 95.0).map(repr), st.sampled_from(["90", "-90.0"]))
+    if clean:
+        return st.one_of(numbers, st.sampled_from(["1e400", " 4.5 ", "+7", "-0", "nan"]))
     return st.one_of(
         st.just(""), numbers, numbers, st.sampled_from(SPECIAL), st.sampled_from(GARBAGE)
     )
@@ -62,31 +72,41 @@ def dirty_csv(draw):
     header = list(names)
     header.insert(draw(st.integers(0, len(names))), "timestamp")
     ts_at = header.index("timestamp")
+    clean = draw(st.integers(0, 3)) == 0
     stamps = draw(st.lists(st.integers(0, 10**5), unique=True, max_size=12))
     rows = []
     for t in stamps:
-        row = [draw(cell(COLUMNS[name])) if name != "timestamp" else "" for name in header]
+        row = [draw(cell(COLUMNS[name], clean)) if name != "timestamp" else "" for name in header]
         row[ts_at] = draw(timestamp_cell(T0 + 60 * t))
         rows.append(row)
     for _ in range(draw(st.integers(0, 2))):  # rows without a usable timestamp
-        row = [draw(cell(COLUMNS[name])) if name != "timestamp" else "" for name in header]
-        row[ts_at] = draw(st.sampled_from(["", "  ", "yesterday", "2021-13-45T00:00:00Z"]))
+        row = [draw(cell(COLUMNS[name], clean)) if name != "timestamp" else "" for name in header]
+        row[ts_at] = draw(st.sampled_from(BAD_STAMPS))
         rows.append(row)
     if names and rows and draw(st.booleans()):  # a bare-minimum column mostly lost
         for row in rows:
             if "stw" in header and draw(st.integers(0, 3)):
                 row[header.index("stw")] = draw(st.sampled_from(GARBAGE + ["inf"]))
     rows = draw(st.permutations(rows))
-    cut = [draw(st.integers(0, 2)) for _ in rows]  # 0: whole, 1: short, 2: long
+    ragged = draw(st.booleans())  # only a file of whole rows can be split as a whole
+    cut = [draw(st.integers(0, 2)) if ragged else 0 for _ in rows]  # 0: whole, 1: short, 2: long
     rows = [
         r if c == 0 else (r[: draw(st.integers(1, len(r)))] if c == 1 else r + ["9.5", "junk"])
         for r, c in zip(rows, cut)
     ]
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), ["# comment", "1.0"])
+    if draw(st.integers(0, 3)) == 0:  # a blank line
+        rows.insert(draw(st.integers(0, len(rows))), [])
     padded = [f" {h} " if draw(st.booleans()) else h for h in header]
     units = {k: v for k, v in UNITS.items() if draw(st.booleans())}
-    return [padded] + rows, units
+    return [padded] + rows, units, draw(st.sampled_from(["\r\n", "\n"]))
+
+
+def write(path, rows, terminator):
+    """``csv.writer`` rows: a cell with a comma is quoted."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator=terminator).writerows(rows)
 
 
 def outcome(load, path, units):
@@ -101,10 +121,9 @@ def outcome(load, path, units):
 @settings(max_examples=150, deadline=None)
 @given(dirty_csv(), st.sampled_from(["in_service", "ais"]))
 def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind):
-    rows, units = drawn
+    rows, units, terminator = drawn
     path = tmp_path_factory.mktemp("csv") / "ship.csv"
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write(path, rows, terminator)
 
     def columnar(p, **kw):
         return load_ship_csv(p, source_kind=source_kind, **kw)
@@ -121,3 +140,52 @@ def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind
         return
     assert not isinstance(got, Exception), got
     assert_same(got, want)
+
+
+def split(path):
+    try:
+        header, lines, cells = csv_columns(path)
+    except IngestError as exc:
+        return str(exc)
+    return list(header), tuple(lines), [tuple(c) for c in cells]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dirty_csv(), st.booleans())
+def test_split_matches_csv_reader(tmp_path_factory, drawn, trailing_newline):
+    rows, _, terminator = drawn
+    path = tmp_path_factory.mktemp("csv") / "ship.csv"
+    write(path, rows, terminator)
+    if not trailing_newline:
+        path.write_bytes(path.read_bytes().removesuffix(terminator.encode()))
+    header, lines, cells = csv_columns_rows(path)
+    assert split(path) == (list(header), tuple(lines), [tuple(c) for c in cells])
+
+
+def test_split_paths(tmp_path):
+    """A file of whole rows is split as a whole, text and line numbers the
+    same as ``csv.reader``'s, around comment and blank lines; a quote, a
+    carriage return or a ragged row sends a file to ``csv.reader``."""
+    path = tmp_path / "ship.csv"
+    for text in (
+        "# made by hand\ntimestamp,sog\n\nT1,1.5\n# note\nT2, 2\n\n",
+        "timestamp,sog\nT1,1.5\nT2,2",
+        'timestamp,sog\nT1,"1,5"\n',
+        "timestamp,sog\r\nT1,1.5\r\n",
+        "timestamp,sog\nT1,1.5,9\nT2\n",
+        "timestamp,sog\n",
+    ):
+        path.write_text(text, newline="")
+        header, lines, cells = csv_columns_rows(path)
+        assert split(path) == (list(header), tuple(lines), [tuple(c) for c in cells]), text
+    path.write_text("# made by hand\ntimestamp,sog\n\nT1,1.5\n# note\nT2, 2\n", newline="")
+    assert split(path) == (["timestamp", "sog"], (4, 6), [("T1", "T2"), ("1.5", " 2")])
+
+
+def test_split_keeps_the_reader_cell_size_limit(tmp_path):
+    path = tmp_path / "ship.csv"
+    path.write_text("timestamp,note\nT1," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        csv_columns(path)
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        csv_columns_rows(path)

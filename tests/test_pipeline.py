@@ -259,6 +259,24 @@ class TestCli:
         if exit_code:
             assert "(bare-minimum variable, more than 50% lost)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source_kind", ["ais", "in_service"])
+    @pytest.mark.parametrize("bad_stamps", [False, True])
+    def test_ship_csv_without_usable_row_is_fatal(self, tmp_path, capsys, source_kind,
+                                                   bad_stamps):
+        paths = VoyageBuilder(tmp_path).build()
+        header, *rows = paths["ship_csv"].read_text().splitlines()
+        ts = header.split(",").index("timestamp")
+        # the header alone, or every row with a timestamp that does not parse
+        rows = [",".join(c if k != ts else "2021-02-30T00:00:00Z" for k, c in
+                         enumerate(r.split(","))) for r in rows] if bad_stamps else []
+        paths["ship_csv"].write_text("\n".join([header, *rows]) + "\n")
+        with paths["config"].open("a") as fh:
+            fh.write(f"source_kind = {source_kind}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 1
+        assert "no row with a parseable timestamp" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicated_row_is_dropped_not_fatal(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
         lines = paths["ship_csv"].read_text().splitlines()

@@ -3,7 +3,10 @@
 and berth masks with padding 0-4, port grouping on label sequences with
 missing labels (leading ones too), and draft-event detection with the
 overlap merge of per-sensor events. Each must give the same trip index and
-trip ids, or the same events."""
+trip ids, or the same events. The whole-array ``resample`` must give the
+bits of the per-bin loop, over bins of 1, 7-9, 127-129 and more than 8,192
+members, empty and NaN-only bins, ``-0.0``, angles near 0/360 and text
+with missing values."""
 
 import math
 
@@ -15,11 +18,12 @@ import timeline_reference as ref
 from conftest import INTERVAL, T0, series_dataset
 from shipdataprep.corrections import detect_draft_events
 from shipdataprep.hindcast import SteadyFilterParams
-from shipdataprep.model import VariableSpec, new_dataset
+from shipdataprep.model import ProcessingReport, QualityFlag, VariableSpec, new_dataset
 from shipdataprep.timeline import (
     AT_BERTH,
     SegmentationError,
     Trip,
+    resample,
     runs,
     segment_by_ports,
     segment_by_thresholds,
@@ -105,3 +109,63 @@ def test_draft_events_match_loop(case):
     assert detect_draft_events(ds, trip, params, n_avg) == ref.detect_draft_events(
         ds, trip, params, n_avg
     )
+
+
+BIG_BIN = 8_193  # numpy sums more than 8,192 values in blocks
+RESAMPLE_SCHEMA = [
+    VariableSpec("x"),
+    VariableSpec("heading", "deg", "angular"),
+    VariableSpec("state", kind="text"),
+]
+
+
+@st.composite
+def sporadic_feed(draw):
+    """Messages whose bins hold 0 (empty), 1, 7-9 or 127-129 members, and
+    at times one bin of more than 8,192; columns with NaN runs, -0.0,
+    angles near 0/360 and text with None, at random magnitudes."""
+    sizes = draw(st.lists(st.sampled_from([0, 1, 1, 7, 8, 9, 127, 128, 129]),
+                          min_size=1, max_size=12))
+    if draw(st.integers(0, 4)) == 0:
+        sizes.insert(draw(st.integers(0, len(sizes))), BIG_BIN + draw(st.integers(0, 900)))
+    if sizes[0] == 0:
+        sizes[0] = 1  # the first message opens the first bin
+    interval = 10_000
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stamps = np.concatenate([
+        k * interval + np.sort(rng.choice(interval, size, replace=False))
+        for k, size in enumerate(sizes)
+    ]) + T0 // interval * interval + draw(st.integers(0, 3)) * 1_000
+    n = len(stamps)
+    x = rng.normal(0.0, 1.0, n) * draw(st.sampled_from([1.0, 1e-3, 1e12, 1e-300]))
+    x[rng.random(n) < 0.1] = -0.0
+    heading = np.where(rng.random(n) < 0.5, rng.uniform(-3.0, 3.0, n) % 360.0,
+                       rng.uniform(0.0, 360.0, n))
+    for col in (x, heading):  # missing at random, and whole bins missing
+        col[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = np.nan
+        for k in np.flatnonzero(rng.random(len(sizes)) < 0.2):
+            lo = sum(sizes[:k])
+            col[lo : lo + sizes[k]] = np.nan
+    state = rng.choice(np.array(["sea", "berth", None], dtype=object), n)
+    flags = [
+        {QualityFlag.DROPOUT} if r < 0.05 else {QualityFlag.SPIKE} if r < 0.1 else set()
+        for r in rng.random(n)
+    ]
+    columns = {"x": x, "heading": heading, "state": state}
+    return new_dataset(RESAMPLE_SCHEMA, stamps, columns, flags=flags), interval
+
+
+@settings(max_examples=120, deadline=None)
+@given(sporadic_feed(), st.booleans())
+def test_resample_same_bits_as_per_bin_loop(feed, naive_angular):
+    ds, interval = feed
+    got_report, want_report = ProcessingReport(), ProcessingReport()
+    got = resample(ds, interval, "down_mean", naive_angular, report=got_report)
+    want = ref.resample(ds, interval, naive_angular, report=want_report)
+    for name in ("x", "heading"):
+        assert np.array_equal(got.column(name).view(np.int64), want.column(name).view(np.int64))
+    assert got.text_column("state").tolist() == want.text_column("state").tolist()
+    for a in ("timestamps", "flag_bits", "trip_ids"):
+        assert np.array_equal(getattr(got, a), getattr(want, a))
+    assert got.sampling_interval == want.sampling_interval
+    assert got_report.to_dict() == want_report.to_dict()

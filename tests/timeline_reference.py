@@ -1,11 +1,14 @@
-"""Reference for the run finder: the loops that ``timeline.runs``,
-``timeline.merge_spans`` and the padding of ``segment_by_thresholds``
-replaced, kept verbatim. ``tests/test_timeline_reference.py`` requires the
-whole-array segmentation and draft-event detection to give the same trip
-index, trip ids and events.
+"""Reference for the run finder and for resampling: the loops that
+``timeline.runs``, ``timeline.merge_spans``, the padding of
+``segment_by_thresholds`` and the bin means of ``resample`` replaced, kept
+verbatim. ``tests/test_timeline_reference.py`` requires the whole-array
+segmentation and draft-event detection to give the same trip index, trip
+ids and events, and the whole-array resample the same bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,7 +19,14 @@ from shipdataprep.corrections import (
     _trip_bounds,
 )
 from shipdataprep.hindcast import SteadyFilterParams, steady_state_filter
-from shipdataprep.model import RPM_THRESHOLD, SOG_THRESHOLD, VoyageDataset
+from shipdataprep.model import (
+    RPM_THRESHOLD,
+    SOG_THRESHOLD,
+    ProcessingReport,
+    QualityFlag,
+    VoyageDataset,
+    stage_entry,
+)
 from shipdataprep.timeline import AT_BERTH, SegmentationError, Trip, TripIndex
 
 
@@ -180,3 +190,50 @@ def detect_draft_events(
             DraftChangeEvent(trip.trip_id, s, e, means=means, source="steady_filter")
         )
     return events
+
+
+def _circular_mean(degrees: np.ndarray) -> float:
+    rad = np.deg2rad(degrees)
+    ang = math.degrees(math.atan2(np.mean(np.sin(rad)), np.mean(np.cos(rad))))
+    return ang % 360.0
+
+
+def resample(
+    dataset: VoyageDataset,
+    interval_s: int,
+    naive_angular: bool = False,
+    report: ProcessingReport | None = None,
+) -> VoyageDataset:
+    """``timeline.resample`` in ``down_mean`` mode, averaging bin by bin."""
+    entry = stage_entry(report, "resample")
+    ts = dataset.timestamps
+    t0 = int(ts[0] // interval_s * interval_s)
+    n_bins = int((int(ts[-1]) - t0) // interval_s) + 1
+    # samples are in time order, so each bin's members are adjacent rows
+    bins = (ts - t0) // interval_s
+    starts = np.searchsorted(bins, np.arange(n_bins))
+    ends = np.searchsorted(bins, np.arange(n_bins), side="right")
+    filled = np.flatnonzero(ends > starts)
+    out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
+    for spec in dataset.schema:
+        text = spec.kind == "text"
+        col = dataset.text_column(spec.name) if text else dataset.column(spec.name)
+        present = np.array([v is not None for v in col], dtype=bool) if text else ~np.isnan(col)
+        average = (
+            (lambda got: got[-1]) if text  # text keeps the last value
+            else _circular_mean if spec.kind == "angular" and not naive_angular
+            else (lambda got: float(np.mean(got)))
+        )
+        spans = zip(starts[filled].tolist(), ends[filled].tolist())
+        got = (col[a:b][present[a:b]] for a, b in spans)
+        out = out.with_values(spec.name, filled, [average(g) if len(g) else None for g in got])
+    for flag in QualityFlag:
+        has = np.logical_or.reduceat(dataset.flagged(flag), starts[filled])
+        out = out.adding_flags(flag, filled[has])
+    out = out.adding_flags(QualityFlag.MISSING_INSERTED, ends == starts)
+    out = out.with_interval(interval_s)
+    n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
+    entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
+    entry.summary["mode"] = "down_mean"
+    entry.summary["rows_out"] = len(out)
+    return out
