@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +20,7 @@ class CleaningError(ValueError):
 
 
 DEAD_VALUE = 0.0  # what a dropped-out sensor reads
+MIN_EXPLAINED = 0.95  # variance share the automatic PCA component count explains
 
 
 def contextual_filter(
@@ -142,9 +142,9 @@ def quasi_steady_filter(
     unsteady = np.zeros(len(dataset), dtype=bool)
 
     passes = []
-    if dataset.declares("shaft_rpm") and dataset.has_data("shaft_rpm"):
+    if dataset.has_data("shaft_rpm"):
         passes.append(("shaft_rpm", rpm_params))
-    if dataset.declares("sog") and dataset.has_data("sog"):
+    if dataset.has_data("sog"):
         passes.append(("sog", sog_params))
     if not passes:
         entry.notes.append("neither shaft_rpm nor sog present; filter skipped")
@@ -197,47 +197,6 @@ class PcaDetector:
         recon = (z @ self.axes.T) @ self.axes
         return ((z - recon) ** 2).sum(axis=1)
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(f"#features {','.join(self.features)}\n")
-            fh.write(f"#k {self.k}\n")
-            fh.write(f"#quantile {float(self.quantile)!r}\n")
-            fh.write(f"#threshold {float(self.threshold)!r}\n")
-            fh.write("#mean " + ",".join(repr(float(v)) for v in self.mean) + "\n")
-            fh.write("#scale " + ",".join(repr(float(v)) for v in self.scale) + "\n")
-            for row in self.axes:
-                fh.write("#axis " + ",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PcaDetector":
-        path = Path(path)
-        features: tuple[str, ...] = ()
-        k = 0
-        quantile = threshold = 0.0
-        mean = scale = None
-        axes = []
-        with path.open() as fh:
-            for line in fh:
-                key, _, rest = line.rstrip("\n").partition(" ")
-                if key == "#features":
-                    features = tuple(rest.split(","))
-                elif key == "#k":
-                    k = int(rest)
-                elif key == "#quantile":
-                    quantile = float(rest)
-                elif key == "#threshold":
-                    threshold = float(rest)
-                elif key == "#mean":
-                    mean = np.array([float(v) for v in rest.split(",")])
-                elif key == "#scale":
-                    scale = np.array([float(v) for v in rest.split(",")])
-                elif key == "#axis":
-                    axes.append([float(v) for v in rest.split(",")])
-        if mean is None or scale is None or not axes:
-            raise CleaningError(f"{path}: incomplete detector file")
-        return cls(features, k, mean, scale, np.array(axes), threshold, quantile)
-
 
 def _complete_rows(
     dataset: VoyageDataset, features: tuple[str, ...], exclude_flagged: bool
@@ -254,13 +213,12 @@ def pca_fit(
     features: list[str] | tuple[str, ...],
     k: int | None = None,
     quantile: float = 0.995,
-    min_explained: float = 0.95,
 ) -> PcaDetector:
     """Fit the detector on complete, previously-unflagged samples.
 
     Features are standardized to zero mean and unit scale; the axes are the
     top-k eigenvectors of the sample correlation matrix. When ``k`` is not
-    given, the smallest k explaining at least ``min_explained`` of the
+    given, the smallest k explaining at least ``MIN_EXPLAINED`` of the
     variance (but below the feature count) is chosen. The threshold freezes
     the ``quantile`` of the training reconstruction errors.
     """
@@ -286,7 +244,7 @@ def pca_fit(
     if k is None:
         total = float(evals.sum())
         cum = np.cumsum(evals) / total
-        k = int(np.searchsorted(cum, min_explained) + 1)
+        k = int(np.searchsorted(cum, MIN_EXPLAINED) + 1)
         k = min(k, len(features) - 1)
     if not 0 < k < len(features):
         raise CleaningError(f"component count k={k} must be in [1, {len(features) - 1}]")

@@ -1,5 +1,5 @@
 """Draft/trim corrections, draft-ratio plausibility, hydrostatics and the
-pluggable resistance-model interface.
+table-driven resistance model.
 
 Draft sensors under-read while the ship moves (dynamic pressure at the
 transducer), so in-trip draft series are reconstructed from trustworthy
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
-from .ingest import csv_columns
+from .ingest import IngestError, csv_columns, parse_number
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -30,6 +30,14 @@ from .tables import draft_ratio_reference, wetted_surface
 from .timeline import Trip, merge_spans, runs
 
 DRAFT_SENSORS = ("draft_fore", "draft_aft")
+MIN_ANCHOR = 3  # static drafts needed on one side to anchor the simple fix
+
+# draft-ratio deviations from the reference: beyond SUSPECT_BAND the draft is
+# suspect, beyond REPLACE_BAND replacing it is recommended
+SUSPECT_BAND = 0.15
+REPLACE_BAND = 0.30
+# a mean draft above this multiple of the design draft is an extrapolation
+EXTRAPOLATION_LIMIT = 1.25
 
 RHO_SEA_WATER = 1025.0  # kg/m^3
 RHO_AIR = 1.225  # kg/m^3
@@ -47,7 +55,6 @@ class DraftChangeEvent:
     start: int
     end: int
     means: dict[str, tuple[float, float]] = field(default_factory=dict)
-    source: str = "manual"  # 'manual' | 'steady_filter'
 
     def __post_init__(self) -> None:
         if not self.start < self.end:
@@ -62,8 +69,7 @@ def _trip_bounds(dataset: VoyageDataset, trip: Trip) -> np.ndarray:
 
 
 def _static_anchor(
-    dataset: VoyageDataset, col: np.ndarray, trip: Trip, side: str,
-    n_anchor: int, min_anchor: int,
+    dataset: VoyageDataset, col: np.ndarray, trip: Trip, side: str, n_anchor: int
 ) -> float | None:
     """Mean of the nearest valid static (out-of-trip) drafts on one side."""
     ts = dataset.timestamps
@@ -71,7 +77,7 @@ def _static_anchor(
     # only at-berth/static samples anchor the correction, nearest first
     got = col[on_side & (dataset.trip_ids < 0) & ~np.isnan(col)]
     got = (got[::-1] if side == "pre" else got)[:n_anchor]
-    if len(got) < min_anchor:
+    if len(got) < MIN_ANCHOR:
         return None
     return float(np.mean(got))
 
@@ -80,8 +86,6 @@ def fix_draft_simple(
     dataset: VoyageDataset,
     trip: Trip,
     n_anchor: int = 10,
-    min_anchor: int = 3,
-    sensors: tuple[str, ...] = DRAFT_SENSORS,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Replace in-trip drafts with a linear interpolation in time between the
@@ -94,12 +98,12 @@ def fix_draft_simple(
         return out
     ts = dataset.timestamps.astype(float)[idx]
     flagged = idx[:0]
-    for sensor in sensors:
-        if not out.declares(sensor) or not out.has_data(sensor):
+    for sensor in DRAFT_SENSORS:
+        if not out.has_data(sensor):
             continue
         col = out.column(sensor)
-        pre = _static_anchor(out, col, trip, "pre", n_anchor, min_anchor)
-        post = _static_anchor(out, col, trip, "post", n_anchor, min_anchor)
+        pre = _static_anchor(out, col, trip, "pre", n_anchor)
+        post = _static_anchor(out, col, trip, "post", n_anchor)
         if pre is None and post is None:
             entry.notes.append(
                 f"{sensor}: no static anchors on either side; trip left unchanged"
@@ -159,7 +163,6 @@ def fix_draft_ramp(
     trip: Trip,
     events: list[DraftChangeEvent],
     n_avg: int = 10,
-    sensors: tuple[str, ...] = DRAFT_SENSORS,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Piecewise-linear draft reconstruction across in-voyage draft change
@@ -171,7 +174,7 @@ def fix_draft_ramp(
     samples on each side. With no events this reduces to the simple fix.
     """
     if not events:
-        return fix_draft_simple(dataset, trip, n_anchor=n_avg, sensors=sensors, report=report)
+        return fix_draft_simple(dataset, trip, n_anchor=n_avg, report=report)
     entry = stage_entry(report, f"draft_fix:ramp:trip{trip.trip_id}")
 
     events = sorted(events, key=lambda e: e.start)
@@ -192,8 +195,8 @@ def fix_draft_ramp(
     ts = dataset.timestamps.astype(float)[idx]
     out = dataset
     flagged = idx[:0]
-    for sensor in sensors:
-        if not out.declares(sensor) or not out.has_data(sensor):
+    for sensor in DRAFT_SENSORS:
+        if not out.has_data(sensor):
             continue
         col = out.column(sensor)
         means = [e.means.get(sensor) or _event_means(out, col, e, idx, n_avg) for e in events]
@@ -225,7 +228,6 @@ def detect_draft_events(
     trip: Trip,
     params: SteadyFilterParams,
     n_avg: int = 10,
-    sensors: tuple[str, ...] = DRAFT_SENSORS,
 ) -> list[DraftChangeEvent]:
     """Find in-voyage draft change operations as maximal unsteady runs of the
     two-stage filter on each draft sensor; runs shorter than half the window
@@ -235,9 +237,8 @@ def detect_draft_events(
         return []
     ts = dataset.timestamps[idx]
     starts, ends = [], []
+    sensors = [s for s in DRAFT_SENSORS if dataset.has_data(s)]
     for sensor in sensors:
-        if not dataset.declares(sensor) or not dataset.has_data(sensor):
-            continue
         col = dataset.column(sensor)[idx]
         a, b = runs(steady_state_filter(ts.astype(float), col, params).unsteady)
         long = b - a + 1 >= params.window / 2.0
@@ -253,16 +254,13 @@ def detect_draft_events(
     for s, e in zip(starts.tolist(), ends.tolist()):
         if s >= e:
             continue
-        event = DraftChangeEvent(trip.trip_id, s, e, source="steady_filter")
+        event = DraftChangeEvent(trip.trip_id, s, e)
         means = {}
         for sensor in sensors:
-            if dataset.declares(sensor) and dataset.has_data(sensor):
-                m = _event_means(dataset, dataset.column(sensor), event, idx, n_avg)
-                if m is not None:
-                    means[sensor] = m
-        events.append(
-            DraftChangeEvent(trip.trip_id, s, e, means=means, source="steady_filter")
-        )
+            m = _event_means(dataset, dataset.column(sensor), event, idx, n_avg)
+            if m is not None:
+                means[sensor] = m
+        events.append(DraftChangeEvent(trip.trip_id, s, e, means=means))
     return events
 
 
@@ -281,13 +279,11 @@ def check_draft_ratio(
     mean_draft: float,
     particulars: ShipParticulars,
     voyage_kind: str = "unknown",
-    suspect_band: float = 0.15,
-    replace_band: float = 0.30,
 ) -> DraftRatioVerdict:
     """Compare the actual/design draft ratio against its ship-type reference.
 
-    Within ``suspect_band`` of the reference passes; beyond it the value is
-    suspect; beyond ``replace_band`` the recommended action is replacing the
+    Within ``SUSPECT_BAND`` of the reference passes; beyond it the value is
+    suspect; beyond ``REPLACE_BAND`` the recommended action is replacing the
     draft with reference * design draft.
     """
     if particulars.design_draft <= 0:
@@ -301,9 +297,9 @@ def check_draft_ratio(
         }
         ref = min(candidates, key=lambda c: abs(ratio - c))
     dev = abs(ratio - ref)
-    if dev > replace_band:
+    if dev > REPLACE_BAND:
         return DraftRatioVerdict(ratio, ref, "replace", ref * particulars.design_draft)
-    if dev > suspect_band:
+    if dev > SUSPECT_BAND:
         return DraftRatioVerdict(ratio, ref, "suspect", None)
     return DraftRatioVerdict(ratio, ref, "pass", None)
 
@@ -344,14 +340,17 @@ class HydroTable:
     def from_csv(cls, path: str | Path) -> "HydroTable":
         header, _, cells = csv_columns(Path(path))
         table = dict(zip(header, cells))
+        names = ("draft_m", "trim_m", "displacement_m3", "wsa_m2")
+        missing = [name for name in names if name not in table]
+        if missing:
+            raise IngestError(f"{path}: hydro table lacks column(s) {missing}")
         draft, trim, volume, area = (
-            [float(c) for c in table[name]]
-            for name in ("draft_m", "trim_m", "displacement_m3", "wsa_m2")
+            [parse_number(c, f"{path}: {name}") for c in table[name]] for name in names
         )
         drafts, at_draft = np.unique(draft, return_inverse=True)
         trims, at_trim = np.unique(trim, return_inverse=True)
-        if len(draft) != len(drafts) * len(trims):
-            raise CorrectionError(
+        if not draft or len(draft) != len(drafts) * len(trims):
+            raise IngestError(
                 f"{path}: hydro table must be a full (draft x trim) grid; "
                 f"got {len(draft)} rows for {len(drafts)}x{len(trims)}"
             )
@@ -392,22 +391,16 @@ def hydrostatics(
     trim: float,
     particulars: ShipParticulars,
     table: HydroTable | None = None,
-    report: ProcessingReport | None = None,
 ) -> Hydrostatics:
     """Displacement volume and wetted surface at the given loading condition.
 
     A supplied hydrostatic table takes precedence; otherwise the block
     coefficient model (volume = C_B * L * B * T, C_B held at its design
-    value) and the ship-type WSA estimation formula are used. Drafts far
-    above the design draft are extrapolations and get a report warning.
+    value) and the ship-type WSA estimation formula are used. A mean draft
+    above ``EXTRAPOLATION_LIMIT`` x design draft is an extrapolation.
     """
     if mean_draft <= 0:
         raise CorrectionError("mean draft must be strictly positive")
-    if mean_draft > 1.25 * particulars.design_draft:
-        stage_entry(report, "hydrostatics:warning").notes.append(
-            f"mean draft {mean_draft:.2f} m exceeds 1.25 x design draft "
-            f"{particulars.design_draft:.2f} m; extrapolating"
-        )
     if table is not None:
         volume, wsa = table.lookup(mean_draft, trim)
     else:
@@ -424,25 +417,12 @@ def hydrostatics(
 # -- resistance models ------------------------------------------------------------
 
 
-class ResistanceModel:
-    """Interface: one resistance component evaluated per sample context.
-
-    Implementations provide ``name``, ``kind`` ('calm_water' | 'added_wind' |
-    'added_wave'), ``required`` (context keys) and ``evaluate(ctx)`` returning
-    Newtons (never negative) or None when the sample lacks inputs.
-    """
-
-    name: str = "base"
-    kind: str = "calm_water"
-    required: tuple[str, ...] = ()
-
-    def evaluate(self, ctx: dict[str, float]) -> float | None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class TableDrivenModel(ResistanceModel):
-    """Reference implementation driven by a coefficient-vs-angle table,
-    scaled by dynamic pressure and a reference area.
+class TableDrivenModel:
+    """One resistance component, ``kind`` 'calm_water', 'added_wind' or
+    'added_wave', driven by a coefficient-vs-angle table and scaled by
+    dynamic pressure and a reference area. ``evaluate(ctx)`` takes the
+    ``required`` context keys of one sample and returns Newtons (never
+    negative), or None when the sample lacks inputs.
 
     calm_water uses speed-through-water and sea water density at angle 0;
     added_wind uses the relative wind speed/direction and air density;
@@ -476,30 +456,35 @@ class TableDrivenModel(ResistanceModel):
             self.required = ("stw", "rel_wave_dir")
 
     @classmethod
-    def from_csv(cls, path: str | Path, name: str | None = None) -> "TableDrivenModel":
+    def from_csv(cls, path: str | Path) -> "TableDrivenModel":
+        """The model of a coefficient table file, named after the file."""
         path = Path(path)
         area = None
         kind = None
         angles: list[float] = []
         coeffs: list[float] = []
         with path.open() as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
+                where = f"{path}:{lineno}"
                 if not line:
                     continue
                 if line.startswith("#area"):
-                    area = float(line.split()[1])
+                    area = parse_number(line[len("#area"):], where)
                 elif line.startswith("#kind"):
-                    kind = cls.KIND_MAP.get(line.split()[1])
+                    kind = cls.KIND_MAP.get(line[len("#kind"):].strip())
                 elif line.startswith("#") or line.lower().startswith("angle"):
                     continue
                 else:
                     a, _, c = line.partition(",")
-                    angles.append(float(a))
-                    coeffs.append(float(c))
+                    angles.append(parse_number(a, where))
+                    coeffs.append(parse_number(c, where))
         if area is None or kind is None:
-            raise CorrectionError(f"{path}: needs #area and #kind header lines")
-        return cls(name or path.stem, kind, area, angles, coeffs)
+            raise IngestError(f"{path}: needs #area and #kind header lines")
+        try:
+            return cls(path.stem, kind, area, angles, coeffs)
+        except CorrectionError as exc:
+            raise IngestError(f"{path}: {exc}") from None
 
     def coefficient_at(self, angle: float) -> float:
         a = angle % 360.0
@@ -529,7 +514,7 @@ class TableDrivenModel(ResistanceModel):
 
 def resistance_components(
     dataset: VoyageDataset,
-    models: list[ResistanceModel],
+    models: list[TableDrivenModel],
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Evaluate each resistance model per in-trip sample into a

@@ -28,18 +28,19 @@ from .tables import service_speed_range  # re-exported lookup  # noqa: F401
 
 EARTH_RADIUS_M = 6_371_000.0
 
+# legs shorter than this take the implied speed from the windowed trend
+MIN_LEG_SECONDS = 60.0
+# the distance mismatch is relative to at least this many metres
+DISTANCE_FLOOR_M = 100.0
 
-def haversine(
-    lat1: float, lon1: float, lat2: float, lon2: float, r: float = EARTH_RADIUS_M
-) -> float:
+
+def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in metres between two (lat, lon) points."""
-    if r <= 0:
-        raise ValueError("earth radius must be strictly positive")
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * r * math.asin(min(1.0, math.sqrt(a)))
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
 def initial_bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -132,7 +133,7 @@ def add_reference_height_wind(
     return dataset.adding_variable(
         VariableSpec("rel_wind_speed_ref", "m/s", "linear",
                      role="operational_environment"),
-        np.where(v >= 0, v * (z_ref / z_a) ** (1.0 / 9.0), np.nan),
+        np.where(v >= 0, v * wind_to_reference_height(1.0, z_ref, z_a), np.nan),
     )
 
 
@@ -211,8 +212,6 @@ def ais_speed_consistency(
     dataset: VoyageDataset,
     tolerance_fraction: float = 0.3,
     window: int = 5,
-    min_leg_seconds: float = 60.0,
-    distance_floor_m: float = 100.0,
     report: ProcessingReport | None = None,
     particulars: ShipParticulars | None = None,
 ) -> VoyageDataset:
@@ -221,7 +220,7 @@ def ais_speed_consistency(
     unflagged neighbour's value.
 
     Each sample is checked against its forward leg (the last sample against
-    its backward leg). For very short legs (< ``min_leg_seconds``) the
+    its backward leg). For very short legs (< ``MIN_LEG_SECONDS``) the
     implied speed comes from a ``window``-leg average trend instead of the
     single leg. Originals are preserved under ``raw_sog``.
     """
@@ -250,7 +249,7 @@ def ais_speed_consistency(
         leg is too short."""
         if math.isnan(leg_dist[leg]):
             return None
-        if leg_dt[leg] >= min_leg_seconds:
+        if leg_dt[leg] >= MIN_LEG_SECONDS:
             return float(leg_dist[leg]), float(leg_dt[leg])
         half = window // 2
         lo, hi = max(0, leg - half), min(len(leg_dist), leg + half + 1)
@@ -274,7 +273,7 @@ def ais_speed_consistency(
             continue
         dist, dt = got
         reported = sog[i] * dt
-        mismatch = abs(reported - dist) / max(reported, dist, distance_floor_m)
+        mismatch = abs(reported - dist) / max(reported, dist, DISTANCE_FLOOR_M)
         if mismatch > tolerance_fraction:
             flagged.append(i)
             details.append((i, float(sog[i]), dist / dt))

@@ -358,7 +358,6 @@ def interpolate(
     order: int = 1,
     mask_policy: str = "neighbor_mean",
     report: ProcessingReport | None = None,
-    prefix: str = "hc_",
 ) -> VoyageDataset:
     """Interpolate every grid variable to each sample's position and time.
 
@@ -442,7 +441,7 @@ def interpolate(
         counts["interpolated"] += len(values)
         counts["masked_missing"] += int((~ok).sum())
         kind = "angular" if var.is_angular else "linear"
-        spec = VariableSpec(prefix + var.name, var.unit, kind, role="operational_environment")
+        spec = VariableSpec("hc_" + var.name, var.unit, kind, role="operational_environment")
         out = out.adding_variable(spec, column)
     entry.summary.update(
         {f"samples_{k}": v for k, v in sorted(counts.items())}
@@ -450,33 +449,3 @@ def interpolate(
     entry.summary["order"] = order
     entry.summary["mask_policy"] = mask_policy
     return out
-
-
-def order_check(
-    grid: HindcastGrid,
-    dataset: VoyageDataset,
-    report: ProcessingReport,
-    mask_policy: str = "neighbor_mean",
-) -> None:
-    """Compare order-1 against order-2 interpolation per variable and append
-    the difference distribution to the report; the gap quantifies how much a
-    linear-in-time surface loses."""
-    if len(grid.timestamps) < 3:
-        raise ValueError("order check needs a grid with at least 3 time steps")
-    entry = report.stage("order_check")
-    d1 = interpolate(grid, dataset, 1, mask_policy, prefix="oc1_")
-    d2 = interpolate(grid, dataset, 2, mask_policy, prefix="oc2_")
-    for var in grid.variables:
-        a = d1.column("oc1_" + var.name)
-        b = d2.column("oc2_" + var.name)
-        diff = np.abs(a - b)
-        diff = diff[~np.isnan(diff)]
-        if len(diff) == 0:
-            entry.summary[var.name] = {"count": 0}
-            continue
-        entry.summary[var.name] = {
-            "count": int(len(diff)),
-            "mean_abs": float(diff.mean()),
-            "max_abs": float(diff.max()),
-            "p95_abs": float(np.quantile(diff, 0.95)),
-        }

@@ -1,10 +1,10 @@
 """File ingestion: ship CSV, hindcast grid files, ship particulars and
-pipeline configuration, plus the matching writers.
+pipeline configuration, plus the CSV cell formatting and block writer that
+the pipeline's output files share.
 
 All loaders convert to the internal SI unit system at the boundary
 (m, m/s, W, N*m, degrees) so later stages never see mixed units. Unit
-conversion is a pure per-column scale factor and is exactly inverted by
-the writers.
+conversion is a pure per-column scale factor.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    generated_header,
     new_dataset,
-    parse_iso_timestamp,
     parse_iso_timestamps,
     stage_entry,
     timestamp_cells,
 )
-from .tables import block_coefficient_midpoint
+from .tables import VOYAGE_KINDS, block_coefficient_midpoint
 
 
 class IngestError(ValueError):
@@ -242,7 +240,10 @@ def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[Sequence[s
                 cells = ",".join(rows[1:]).split(",")
                 return rows[0].split(","), tuple(lines[1:]), [cells[k::width] for k in range(width)]
     reader = csv.reader(io.StringIO(text, newline=""))
-    numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    try:
+        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
     if not numbered:
         raise IngestError(f"{path}: empty file, expected a header row")
     lines, (header, *body) = zip(*numbered)
@@ -250,13 +251,13 @@ def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[Sequence[s
     return header, lines[1:], cells + [("",) * len(body)] * (len(header) - len(cells))
 
 
-def _stamps(cells: Sequence[str]) -> np.ndarray:
-    """Epoch seconds of every cell; the first cell that does not parse
-    raises ``parse_iso_timestamp``'s ValueError."""
-    stamps, parsed = parse_iso_timestamps(cells)
-    if not parsed.all():
-        parse_iso_timestamp(cells[int(np.argmin(parsed))])
-    return stamps
+def parse_number(text: str, where: str) -> float:
+    """``float(text)``; an IngestError that names ``where`` (the file, and
+    the key or line) when the text is no number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise IngestError(f"{where}: {text.strip()!r} is not a number") from None
 
 
 def _numbers(cells: Sequence[str], factor: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -345,102 +346,6 @@ def write_csv(
         w.writerows(rows)
 
 
-def write_ship_csv(
-    dataset: VoyageDataset,
-    path: str | Path,
-    unit_map: dict[str, str] | None = None,
-    timestamp_header: bool = False,
-) -> None:
-    """Write a dataset back to ship-CSV form, inverting unit conversion.
-
-    Values are written with ``repr`` so a reload reproduces them bit-exact
-    (when no unit conversion is applied).
-    """
-    factors = {col: _unit_factor(u) for col, u in (unit_map or {}).items()}
-    names = [s.name for s in dataset.schema]
-
-    def cells(rows: np.ndarray) -> list[list[str]]:
-        out = variable_cells(dataset, names, rows)
-        for k, name in enumerate(names, start=1):  # numeric columns back to their unit
-            if name in factors and dataset.spec(name).kind != "text":
-                out[k] = csv_cells(dataset.column(name)[rows] / factors[name])
-        return out
-
-    preamble = [generated_header()] if timestamp_header else []
-    rows = column_rows(np.arange(len(dataset)), cells)
-    write_csv(path, preamble, ["timestamp"] + names, rows)
-
-
-def save_dataset(dataset: VoyageDataset, path: str | Path) -> None:
-    """Self-describing dump: schema header lines, then CSV with flags and
-    trip ids. Round-trips exactly through :func:`load_dataset`."""
-    names = [s.name for s in dataset.schema]
-    preamble = [
-        f"#schema {s.name};{s.unit};{s.kind};{s.role};"
-        f"{csv_cell(s.valid_min)};{csv_cell(s.valid_max)}"
-        for s in dataset.schema
-    ]
-    preamble.append(f"#source {dataset.source_kind}")
-    if dataset.sampling_interval is not None:
-        preamble.append(f"#interval {dataset.sampling_interval}")
-    flags = sorted(QualityFlag, key=lambda f: f.value)
-    marks = np.column_stack([dataset.flagged(f) for f in flags])
-
-    def cells(rows: np.ndarray) -> list[list[str]]:
-        flag_cells = [
-            "|".join(f.value for f, on in zip(flags, row) if on)
-            for row in marks[rows].tolist()
-        ]
-        return variable_cells(dataset, names, rows) + [
-            trip_cells(dataset.trip_ids[rows]), flag_cells,
-        ]
-
-    rows = column_rows(np.arange(len(dataset)), cells)
-    write_csv(path, preamble, ["timestamp"] + names + ["trip_id", "flags"], rows)
-
-
-def load_dataset(path: str | Path) -> VoyageDataset:
-    """Reload a dataset written by :func:`save_dataset`."""
-    path = Path(path)
-    schema: list[VariableSpec] = []
-    source_kind = "in_service"
-    interval: int | None = None
-    with path.open() as fh:
-        for line in fh:
-            if line.startswith("#schema "):
-                name, unit, kind, role, vmin, vmax = line[len("#schema "):].rstrip("\n").split(";")
-                schema.append(
-                    VariableSpec(
-                        name,
-                        unit,
-                        kind,
-                        float(vmin) if vmin else None,
-                        float(vmax) if vmax else None,
-                        role,
-                    )
-                )
-            elif line.startswith("#source "):
-                source_kind = line.split(None, 1)[1].strip()
-            elif line.startswith("#interval "):
-                interval = int(line.split(None, 1)[1])
-    header, _, cells = csv_columns(path)
-    kinds = {s.name: s.kind for s in schema}
-    columns = {
-        name: [c or None for c in col] if kinds.get(name, "text") == "text"
-        else [float(c) if c else None for c in col]
-        for name, col in zip(header[1:-2], cells[1:-2])
-    }
-    return new_dataset(
-        schema,
-        _stamps(cells[0]),
-        columns,
-        sampling_interval=interval,
-        source_kind=source_kind,
-        flags=[frozenset(QualityFlag(f) for f in c.split("|") if f) for c in cells[-1]],
-        trip_ids=[int(c) if c else None for c in cells[-2]],
-    )
-
-
 # -- hindcast grid -----------------------------------------------------------
 
 MASK_TOKEN = "M"
@@ -521,11 +426,15 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
                     raise IngestError(f"{path}:{lineno}: malformed #var line")
                 var_decls.append((parts[1], parts[2]))
             elif line.startswith("#lat "):
-                lats = [float(x) for x in line[len("#lat "):].split(",")]
+                lats = [parse_number(x, f"{path}:{lineno}") for x in line[5:].split(",")]
             elif line.startswith("#lon "):
-                lons = [float(x) for x in line[len("#lon "):].split(",")]
+                lons = [parse_number(x, f"{path}:{lineno}") for x in line[5:].split(",")]
             elif line.startswith("#time "):
-                times = _stamps(line[len("#time "):].split(","))
+                cells = line[len("#time "):].split(",")
+                times, parsed = parse_iso_timestamps(cells)
+                if not parsed.all():
+                    bad = cells[int(np.argmin(parsed))].strip()
+                    raise IngestError(f"{path}:{lineno}: {bad!r} is not an ISO-8601 time")
             elif line.startswith("#conv "):
                 parts = line.split()
                 if len(parts) != 3 or parts[2] not in ("from", "toward"):
@@ -614,14 +523,14 @@ def _read_kv_file(path: Path) -> dict[str, str]:
     return out
 
 
-def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
+def _parse_points(text: str, where: str) -> tuple[tuple[float, float], ...]:
     pts = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         a, _, b = chunk.partition(":")
-        pts.append((float(a), float(b)))
+        pts.append((parse_number(a, where), parse_number(b, where)))
     return tuple(pts)
 
 
@@ -651,7 +560,7 @@ def load_particulars(
         ) from None
 
     def fnum(key: str) -> float | None:
-        return float(kv[key]) if key in kv else None
+        return parse_number(kv[key], f"{path}: {key}") if key in kv else None
 
     for key in ("beam", "design_draft"):
         if key not in kv:
@@ -670,14 +579,15 @@ def load_particulars(
     curves = []
     for key in sorted(kv):
         if key.startswith("curve."):
-            curves.append(CalmWaterCurve(key[len("curve."):], _parse_points(kv[key])))
-    envelope = _parse_points(kv["envelope"]) if "envelope" in kv else None
+            points = _parse_points(kv[key], f"{path}: {key}")
+            curves.append(CalmWaterCurve(key[len("curve."):], points))
+    envelope = _parse_points(kv["envelope"], f"{path}: envelope") if "envelope" in kv else None
 
     try:
         return ShipParticulars(
             ship_type=ship_type,
-            beam=float(kv["beam"]),
-            design_draft=float(kv["design_draft"]),
+            beam=fnum("beam"),
+            design_draft=fnum("design_draft"),
             lwl=fnum("lwl"),
             lpp=fnum("lpp"),
             block_coefficient=cb,
@@ -755,6 +665,8 @@ class PipelineConfig:
             raise ConfigError("interpolation order must be >= 1")
         if self.mask_policy not in MASK_POLICIES:
             raise ConfigError(f"unknown mask policy {self.mask_policy!r}")
+        if self.voyage_kind not in VOYAGE_KINDS:
+            raise ConfigError(f"unknown voyage kind {self.voyage_kind!r}; known: {VOYAGE_KINDS}")
         if not 0.0 < self.steady_alpha < 1.0:
             raise ConfigError("steady_alpha must lie in (0, 1)")
         if not 0.0 < self.pca_quantile < 1.0:
@@ -779,13 +691,20 @@ def load_config(path: str | Path) -> PipelineConfig:
     kwargs: dict = {}
     gradient: dict[str, float] = {}
     units: dict[str, str] = {}
+
+    def number(key: str, value: str, kind: type) -> float:
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{path}: {key} = {value!r} is not a number") from None
+
     for key, value in kv.items():
         if key.startswith("gradient_tolerance."):
-            gradient[key.split(".", 1)[1]] = float(value)
+            gradient[key.split(".", 1)[1]] = number(key, value, float)
         elif key.startswith("unit."):
             units[key.split(".", 1)[1]] = value
         elif key in numbers:
-            kwargs[key] = numbers[key](value)
+            kwargs[key] = number(key, value, numbers[key])
         elif key == "stages":
             kwargs["stages"] = tuple(s.strip() for s in value.split(",") if s.strip())
         elif key == "pca_features":
@@ -802,7 +721,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"{path}: unknown config key {key!r}")
     try:
         return PipelineConfig(gradient_tolerance=gradient, unit_map=units, **kwargs)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -653,14 +653,9 @@ class ShipParticulars:
         """Waterline length when known, else length between perpendiculars."""
         return self.lwl if self.lwl is not None else self.lpp  # type: ignore[return-value]
 
-    def curve(self, label: str | None = None) -> CalmWaterCurve | None:
-        """Named curve; default prefers a 'sea_trial' curve, else the first."""
+    def curve(self) -> CalmWaterCurve | None:
+        """The 'sea_trial' curve, else the first curve, else None."""
         if not self.calm_water_curves:
-            return None
-        if label is not None:
-            for c in self.calm_water_curves:
-                if c.label == label:
-                    return c
             return None
         for c in self.calm_water_curves:
             if c.label == "sea_trial":

@@ -124,7 +124,7 @@ def _validate(
     work = validation.check_speed_power(work, particulars, report)
     pre_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
     for variable in ("heading", "rel_wind_dir"):
-        if work.declares(variable) and work.has_data(variable):
+        if work.has_data(variable):
             work = validation.detect_angular_fault(work, variable, report=report)
     post_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
     validation.check_stw(work, config.stw_tolerance, report)
@@ -180,9 +180,7 @@ def run_pipeline(
     if "regularize" in enabled:
         try:
             if dataset.source_kind == "ais":
-                dataset = timeline.resample(
-                    dataset, config.sampling_interval, "down_mean", report=report
-                )
+                dataset = timeline.resample(dataset, config.sampling_interval, report)
             dataset = timeline.regularize(dataset, config.sampling_interval, report)
         except Exception as exc:  # pragma: no cover - defensive
             failures.append(f"regularize: {exc}")
@@ -399,6 +397,14 @@ def _hydrostatics_stage(
             )
     entry.summary["computed"] = sum(1 for v in disp if v is not None)
     entry.summary["failed"] = failed
+    limit = corrections.EXTRAPOLATION_LIMIT * particulars.design_draft
+    beyond = [v for v in mean_draft if v is not None and v > limit]
+    if beyond:
+        entry.notes.append(
+            f"{len(beyond)} sample(s) with mean draft above {corrections.EXTRAPOLATION_LIMIT}"
+            f" x design draft {particulars.design_draft:.2f} m, largest {max(beyond):.2f} m;"
+            " extrapolating"
+        )
     if particulars.design_draft and any(v is not None for v in mean_draft):
         got = [v for v in mean_draft if v is not None]
         verdict = corrections.check_draft_ratio(
@@ -421,7 +427,7 @@ def _pca_stage(
     dataset: VoyageDataset, config: PipelineConfig, report: ProcessingReport
 ) -> VoyageDataset:
     candidates = config.pca_features or ("shaft_rpm", "shaft_power", "sog", "stw")
-    present = [f for f in candidates if dataset.declares(f) and dataset.has_data(f)]
+    present = [f for f in candidates if dataset.has_data(f)]
     if len(present) < 2:
         report.stage("clean:pca").notes.append(
             "fewer than two PCA features have data; detector skipped"
@@ -512,9 +518,7 @@ def emit_plotdata(
         written.append(p)
 
     ts = dataset.timestamps
-    present_vars = [
-        v for v in PLOT_VARIABLES if dataset.declares(v) and dataset.has_data(v)
-    ]
+    present_vars = [v for v in PLOT_VARIABLES if dataset.has_data(v)]
     if trip_index is not None:
         for trip in trip_index.trips:
             rows = column_rows(

@@ -60,6 +60,8 @@ DRAFT_RATIO_ROWS: dict[str, tuple[float | None, float]] = {
     "ferry_ro_pax": (None, 0.93),
 }
 
+VOYAGE_KINDS = ("ballast", "laden", "unknown")
+
 SHIP_TYPE_TO_DRAFT_ROW: dict[ShipType, str] = {
     ShipType.CRUDE_OIL_CARRIER: "oil_tanker",
     ShipType.PRODUCT_TANKER: "oil_tanker",
@@ -127,7 +129,7 @@ def draft_ratio_reference(ship_type: ShipType, voyage_kind: str) -> float:
     ballast, laden = row
     if voyage_kind == "ballast" and ballast is not None:
         return ballast
-    if voyage_kind not in ("ballast", "laden", "unknown"):
+    if voyage_kind not in VOYAGE_KINDS:
         raise ValueError(f"unknown voyage kind {voyage_kind!r}")
     return laden
 

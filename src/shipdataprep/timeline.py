@@ -145,68 +145,47 @@ def _bin_means(col: np.ndarray, heads: np.ndarray, circular: bool) -> np.ndarray
 
 
 def resample(
-    dataset: VoyageDataset,
-    interval_s: int,
-    mode: str = "down_mean",
-    naive_angular: bool = False,
-    report: ProcessingReport | None = None,
+    dataset: VoyageDataset, interval_s: int, report: ProcessingReport | None = None
 ) -> VoyageDataset:
-    """Resample onto a uniform ``interval_s`` lattice.
-
-    ``down_mean`` averages each bin: arithmetic mean for linear variables and
-    the circular mean for angular ones (``naive_angular=True`` switches to
-    the arithmetic mean on angles, which commits the well-known 0/360
-    averaging fault; it exists only to build test fixtures of that fault).
-    ``up_hold`` repeats the previous sample's values onto the finer lattice,
-    flagging held rows. Bins with no source data become empty flagged rows.
+    """Down-sample onto a uniform ``interval_s`` lattice by averaging each
+    bin: the arithmetic mean for linear variables, the circular mean for
+    angular ones (an arithmetic mean of angles would commit the 0/360
+    averaging fault) and the last value present for text. A sample carries
+    every flag of its bin. Bins with no source data become empty rows
+    flagged ``missing_inserted``.
     """
     if len(dataset) == 0:
         raise ValueError("cannot resample an empty dataset")
-    if mode not in ("down_mean", "up_hold"):
-        raise ValueError(f"unknown resample mode {mode!r}")
     entry = stage_entry(report, "resample")
 
     ts = dataset.timestamps
     t0 = int(ts[0] // interval_s * interval_s)
-    if mode == "down_mean":
-        n_bins = int((int(ts[-1]) - t0) // interval_s) + 1
-        # samples are in time order, so each bin's members are adjacent rows
-        bins = (ts - t0) // interval_s
-        starts = np.searchsorted(bins, np.arange(n_bins))
-        ends = np.searchsorted(bins, np.arange(n_bins), side="right")
-        filled = np.flatnonzero(ends > starts)
-        heads = starts[filled]
-        out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
-        for spec in dataset.schema:
-            if spec.kind == "text":  # the last value present in each bin
-                col = dataset.text_column(spec.name)
-                at = np.where(np.not_equal(col, None), np.arange(len(col)), -1)
-                last = np.maximum.reduceat(at, heads)
-                values = np.where(last >= 0, col[last], None)
-            else:
-                circular = spec.kind == "angular" and not naive_angular
-                values = _bin_means(dataset.column(spec.name), heads, circular)
-            out = out.with_values(spec.name, filled, values)
-        for flag in QualityFlag:
-            has = np.logical_or.reduceat(dataset.flagged(flag), heads)
-            out = out.adding_flags(flag, filled[has])
-        out = out.adding_flags(QualityFlag.MISSING_INSERTED, ends == starts)
-    else:  # up_hold
-        start = t0 if t0 >= int(ts[0]) else t0 + interval_s
-        lattice = np.arange(start, int(ts[-1]) + 1, interval_s)
-        at = np.minimum(np.searchsorted(ts, lattice), len(ts) - 1)
-        exact = ts[at] == lattice
-        # a point without its own sample holds the last exact hit before it
-        last_hit = np.maximum.accumulate(np.where(exact, np.arange(len(lattice)), -1))
-        rows = np.where(last_hit >= 0, at[last_hit], -1)
-        out = dataset.take(rows, lattice)
-        out = out.with_trip_ids(np.where(exact, out.trip_ids, -1))
-        out = out.adding_flags(QualityFlag.MISSING_INSERTED, ~exact)
+    n_bins = int((int(ts[-1]) - t0) // interval_s) + 1
+    # samples are in time order, so each bin's members are adjacent rows
+    bins = (ts - t0) // interval_s
+    starts = np.searchsorted(bins, np.arange(n_bins))
+    ends = np.searchsorted(bins, np.arange(n_bins), side="right")
+    filled = np.flatnonzero(ends > starts)
+    heads = starts[filled]
+    out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
+    for spec in dataset.schema:
+        if spec.kind == "text":  # the last value present in each bin
+            col = dataset.text_column(spec.name)
+            at = np.where(np.not_equal(col, None), np.arange(len(col)), -1)
+            last = np.maximum.reduceat(at, heads)
+            values = np.where(last >= 0, col[last], None)
+        else:
+            values = _bin_means(dataset.column(spec.name), heads, spec.kind == "angular")
+        out = out.with_values(spec.name, filled, values)
+    for flag in QualityFlag:
+        has = np.logical_or.reduceat(dataset.flagged(flag), heads)
+        out = out.adding_flags(flag, filled[has])
+    out = out.adding_flags(QualityFlag.MISSING_INSERTED, ends == starts)
 
     out = out.with_interval(interval_s)
     n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
     entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
-    entry.summary["mode"] = mode
+    entry.summary["mode"] = "down_mean"
     entry.summary["rows_out"] = len(out)
     return out
 
@@ -248,25 +227,19 @@ def _build_index(
     return TripIndex(trips, legs, method), dataset.with_trip_ids(ids)
 
 
-def segment_by_state(
-    dataset: VoyageDataset,
-    state_variable: str = "state",
-    berth_label: str = AT_BERTH,
-) -> tuple[TripIndex, VoyageDataset]:
-    """Trips are the gaps between continuous at-berth legs of the state
+def segment_by_state(dataset: VoyageDataset) -> tuple[TripIndex, VoyageDataset]:
+    """Trips are the gaps between continuous at-berth legs of the ``state``
     variable; leading/trailing non-berth runs count as trips too."""
-    if not dataset.has_data(state_variable):
-        raise SegmentationError(
-            f"state variable {state_variable!r} absent; use segment_by_thresholds"
-        )
-    states = dataset.text_column(state_variable)
+    if not dataset.has_data("state"):
+        raise SegmentationError("state variable 'state' absent; use segment_by_thresholds")
+    states = dataset.text_column("state")
     present = int(np.count_nonzero(np.not_equal(states, None)))
     if present < 0.9 * len(dataset):
         raise SegmentationError(
-            f"state variable {state_variable!r} present on {present}/{len(dataset)} "
+            f"state variable 'state' present on {present}/{len(dataset)} "
             "samples (< 90%); use segment_by_thresholds"
         )
-    return _build_index(dataset, *runs(states != berth_label), "state_variable")
+    return _build_index(dataset, *runs(states != AT_BERTH), "state_variable")
 
 
 def segment_by_thresholds(
@@ -294,7 +267,7 @@ def segment_by_thresholds(
         in_trip |= np.nan_to_num(sog, nan=-np.inf) > sog_threshold
 
     berth = np.zeros(0, dtype=np.int64)
-    if dataset.declares("state") and dataset.has_data("state"):
+    if dataset.has_data("state"):
         berth = np.flatnonzero(dataset.text_column("state") == AT_BERTH)
     # padding stops short of the last berth sample before a run and the
     # first one after it; -1 and n stand for none
@@ -305,14 +278,12 @@ def segment_by_thresholds(
     return _build_index(dataset, *merge_spans(starts, ends, gap=1), "thresholds")
 
 
-def segment_by_ports(
-    dataset: VoyageDataset, port_variable: str = "port"
-) -> tuple[TripIndex, VoyageDataset]:
-    """Noon-report style grouping: each maximal run of one port label is a
-    trip; samples with no port join the preceding run."""
-    if not dataset.has_data(port_variable):
-        raise SegmentationError(f"port variable {port_variable!r} absent")
-    ports = dataset.text_column(port_variable)
+def segment_by_ports(dataset: VoyageDataset) -> tuple[TripIndex, VoyageDataset]:
+    """Noon-report style grouping: each maximal run of one ``port`` label is
+    a trip; samples with no port join the preceding run."""
+    if not dataset.has_data("port"):
+        raise SegmentationError("port variable 'port' absent")
+    ports = dataset.text_column("port")
     present = np.flatnonzero(np.not_equal(ports, None))
     labels = ports[present]
     starts = present[np.append(True, labels[1:] != labels[:-1])]

@@ -26,6 +26,11 @@ from .model import (
 
 TWO_PI = 2.0 * math.pi
 
+# an angle this far (degrees) from its reference is an averaging fault when
+# the reference lies within WRAP_BAND degrees of the 0/360 wrap
+DIFFERENCE_THRESHOLD = 90.0
+WRAP_BAND = 45.0
+
 
 def shaft_power(n_rev_s: float, torque: float) -> float:
     """Shaft power in W from shaft speed in rev/s and torque in N*m.
@@ -282,16 +287,14 @@ def detect_angular_fault(
     dataset: VoyageDataset,
     variable: str,
     reference: np.ndarray | list | None = None,
-    difference_threshold: float = 90.0,
-    wrap_band: float = 45.0,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Detect time-averaging faults on an angular variable near the 0/360
     wrap and substitute the reference value.
 
     A sample is flagged when the recorded angle differs from the reference
-    by more than ``difference_threshold`` degrees while the reference sits
-    within ``wrap_band`` degrees of the wrap (where naive averaging breaks).
+    by more than ``DIFFERENCE_THRESHOLD`` degrees while the reference sits
+    within ``WRAP_BAND`` degrees of the wrap (where naive averaging breaks).
     The substitute value is stored in ``fixed_<variable>``; the recorded one
     is never modified.
     """
@@ -317,8 +320,8 @@ def detect_angular_fault(
         r, ref = recorded[i], reference[i]
         if math.isnan(r) or math.isnan(ref):
             continue
-        near_wrap = ref <= wrap_band or ref >= 360.0 - wrap_band
-        faulty[i] = near_wrap and angular_difference(r, ref) > difference_threshold
+        near_wrap = ref <= WRAP_BAND or ref >= 360.0 - WRAP_BAND
+        faulty[i] = near_wrap and angular_difference(r, ref) > DIFFERENCE_THRESHOLD
     out = add_flags(dataset, QualityFlag.ANGULAR_AVERAGING_FAULT, faulty, entry)
     fixed_name = f"fixed_{variable}"
     if faulty.any():

@@ -38,6 +38,22 @@ def row_values(dataset, i: int) -> dict:
     return out
 
 
+def write_and_read_processed(dataset, path: Path):
+    """``dataset`` written by ``write_processed_csv`` to ``path`` and read
+    back by ``load_ship_csv`` with the dataset's schema: the dataset read,
+    and the trip id and flag set of each row, from the ``trip_id`` and
+    ``flag_*`` columns."""
+    from shipdataprep.ingest import load_ship_csv
+    from shipdataprep.pipeline import write_processed_csv
+
+    write_processed_csv(dataset, path, timestamp_header=False)
+    back = load_ship_csv(path, schema=list(dataset.schema))
+    trips = np.nan_to_num(back.column("trip_id"), nan=-1).astype(np.int64)
+    marks = {f: back.column(f"flag_{f.value}") == 1 for f in QualityFlag}
+    flags = [frozenset(f for f, m in marks.items() if m[i]) for i in range(len(back))]
+    return back, trips, flags
+
+
 def flagged_rows(dataset, flag) -> list[int]:
     """Indices of the rows carrying ``flag``."""
     return np.flatnonzero(dataset.flagged(flag)).tolist()

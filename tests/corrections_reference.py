@@ -32,7 +32,6 @@ def fix_draft_simple(
     dataset: VoyageDataset,
     trip: Trip,
     n_anchor: int = 10,
-    min_anchor: int = 3,
     sensors: tuple[str, ...] = DRAFT_SENSORS,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
@@ -50,8 +49,8 @@ def fix_draft_simple(
         if not out.declares(sensor) or not out.has_data(sensor):
             continue
         col = out.column(sensor)
-        pre = _static_anchor(out, col, trip, "pre", n_anchor, min_anchor)
-        post = _static_anchor(out, col, trip, "post", n_anchor, min_anchor)
+        pre = _static_anchor(out, col, trip, "pre", n_anchor)
+        post = _static_anchor(out, col, trip, "post", n_anchor)
         if pre is None and post is None:
             if entry is not None:
                 entry.notes.append(

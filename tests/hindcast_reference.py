@@ -164,7 +164,6 @@ def interpolate(
     order: int = 1,
     mask_policy: str = "neighbor_mean",
     report: ProcessingReport | None = None,
-    prefix: str = "hc_",
 ) -> VoyageDataset:
     """Per-sample loop with the signature and outputs of the vectorised
     ``shipdataprep.hindcast.interpolate``."""
@@ -181,7 +180,7 @@ def interpolate(
     out = dataset
     counts = {"no_position": 0, "outside": 0, "interpolated": 0, "masked_missing": 0}
     for var in grid.variables:
-        name = prefix + var.name
+        name = "hc_" + var.name
         column: list[float | None] = [None] * len(dataset)
         for i in candidates:
             if not pos_ok[i]:

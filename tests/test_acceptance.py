@@ -207,8 +207,9 @@ def test_criterion_4_steady_state_filter():
 
 def _binned_direction_fixture(center_deg: float, seed: int = 0):
     """Instantaneous direction series oscillating around ``center_deg``,
-    down-sampled two ways: the naive mean (the DAQ fault) and the circular
-    mean (the truth a hindcast source would provide)."""
+    down-sampled two ways: the arithmetic mean of each bin, built here (the
+    DAQ fault), and ``resample``'s circular mean (the truth a hindcast
+    source would provide)."""
     rng = np.random.default_rng(seed)
     fine_dt, bin_s, n_bins = 10, 900, 60
     n = n_bins * (bin_s // fine_dt)
@@ -217,10 +218,8 @@ def _binned_direction_fixture(center_deg: float, seed: int = 0):
         center_deg + 5.0 * np.sin(2 * np.pi * t / 3600.0) + rng.normal(0, 8.0, n)
     ) % 360.0
     fine = series_dataset({"rel_wind_dir": list(instantaneous)}, interval=fine_dt, t0=0)
-    naive = resample(fine, bin_s, "down_mean", naive_angular=True)
-    truth = resample(fine, bin_s, "down_mean", naive_angular=False)
-    recorded = naive.column("rel_wind_dir")
-    reference = truth.column("rel_wind_dir")
+    recorded = instantaneous.reshape(n_bins, -1).mean(axis=1)
+    reference = resample(fine, bin_s).column("rel_wind_dir")
     return recorded, reference
 
 
@@ -285,7 +284,7 @@ def test_criterion_6_draft_corrections():
             {"draft_fore": 8.0}, {"draft_fore": 7.6},
             [{"draft_fore": 7.2}] * n, ("draft_fore",),
         )
-        out = fix_draft_simple(ds, trip, min_anchor=3)
+        out = fix_draft_simple(ds, trip)
         ts = out.timestamps.astype(float)
         t0, t1 = float(trip.start), float(trip.end)
         worst = 0.0

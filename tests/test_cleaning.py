@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import flagged_rows, flags_at, rows_dataset, series_dataset
 from shipdataprep.cleaning import (
     CleaningError,
-    PcaDetector,
     _spikes,
     contextual_filter,
     pca_fit,
@@ -297,19 +296,6 @@ class TestPca:
         e1 = det.errors(rows)
         e2 = det_rot.errors(rotated)
         assert np.max(np.abs(e1 - e2)) < 1e-8
-
-    def test_persistence_round_trip(self, tmp_path):
-        ds = correlated_dataset(n=200, seed=4)
-        det = pca_fit(ds, ["a", "b", "c", "d"], k=2, quantile=0.99)
-        path = tmp_path / "detector.txt"
-        det.save(path)
-        back = PcaDetector.load(path)
-        assert back.features == det.features
-        assert back.k == det.k
-        assert back.threshold == det.threshold
-        assert np.array_equal(back.axes, det.axes)
-        assert np.array_equal(back.mean, det.mean)
-        assert np.array_equal(back.scale, det.scale)
 
     def test_projection_in_span_has_zero_error(self):
         ds = correlated_dataset(n=200, seed=6)

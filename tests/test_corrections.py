@@ -19,6 +19,7 @@ from shipdataprep.corrections import (
     resistance_components,
 )
 from shipdataprep.hindcast import SteadyFilterParams
+from shipdataprep.ingest import PipelineConfig
 from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
@@ -27,6 +28,7 @@ from shipdataprep.model import (
     ShipType,
     VariableSpec,
 )
+from shipdataprep.pipeline import _hydrostatics_stage
 from shipdataprep.timeline import Trip
 
 DT = 900
@@ -61,7 +63,7 @@ def voyage_with_drafts(pre, post, in_trip, berth_len=6, sensors=("draft_fore",))
 class TestFixDraftSimple:
     def test_midpoint_of_linear_interpolation(self):
         ds, trip = voyage_with_drafts(8.0, 7.6, [7.2] * 11)
-        out = fix_draft_simple(ds, trip, min_anchor=3)
+        out = fix_draft_simple(ds, trip)
         idx = out.trip_indices(1)
         mid = idx[len(idx) // 2]
         assert out.column("draft_fore")[mid] == pytest.approx(7.8, abs=1e-12)
@@ -196,7 +198,7 @@ class TestDetectDraftEvents:
                 in_trip.append(10.0)
         ds, trip = voyage_with_drafts(9.0, 10.0, in_trip, sensors=("draft_aft",))
         events = detect_draft_events(
-            ds, trip, self.params(), sensors=("draft_aft",)
+            ds, trip, self.params()
         )
         assert len(events) == 1
         ev = events[0]
@@ -328,13 +330,24 @@ class TestHydrostatics:
         assert h.wetted_surface == pytest.approx((10000 + 10100 + 13000 + 13100) / 4)
 
     def test_extrapolation_warning(self):
-        report = ProcessingReport()
-        hydrostatics(20.0, 0.0, particulars(), report=report)
-        assert any(
-            "extrapolating" in n
-            for e in report.stage_entries
-            for n in e.notes
+        # the stage notes, once, the samples above 1.25 x the 15 m design draft
+        ds = rows_dataset(
+            [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")],
+            [Sample(k * DT, {"draft_fore": f, "draft_aft": a})
+             for k, (f, a) in enumerate([(20.0, 20.0), (10.0, 10.0), (21.0, 22.0)])],
         )
+        report = ProcessingReport()
+        _hydrostatics_stage(ds, particulars(), None, PipelineConfig(), report)
+        (entry,) = report.stage_entries
+        assert entry.stage == "hydrostatics"
+        assert entry.summary["computed"] == 3
+        assert [n for n in entry.notes if "extrapolating" in n] == [
+            "2 sample(s) with mean draft above 1.25 x design draft 15.00 m, "
+            "largest 21.50 m; extrapolating"
+        ]
+        report = ProcessingReport()
+        _hydrostatics_stage(ds.take([1], [0]), particulars(), None, PipelineConfig(), report)
+        assert not any("extrapolating" in n for n in report.stage_entries[0].notes)
 
     def test_nonpositive_draft_rejected(self):
         with pytest.raises(CorrectionError):

@@ -62,11 +62,11 @@ def outcome(fix, *args, **kwargs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(voyages(), st.integers(1, 12), st.integers(1, 4))
-def test_simple_fix_matches_loop(voyage, n_anchor, min_anchor):
+@given(voyages(), st.integers(1, 12))
+def test_simple_fix_matches_loop(voyage, n_anchor):
     dataset, trip, _ = voyage
-    assert outcome(fix_draft_simple, dataset, trip, n_anchor, min_anchor) == outcome(
-        ref.fix_draft_simple, dataset, trip, n_anchor, min_anchor
+    assert outcome(fix_draft_simple, dataset, trip, n_anchor) == outcome(
+        ref.fix_draft_simple, dataset, trip, n_anchor
     )
 
 

@@ -75,10 +75,6 @@ class TestHaversine:
         assert d_ac <= d_ab + d_bc + 1e-6
         assert d_ac <= math.pi * 6_371_000.0 + 1e-6
 
-    def test_radius_must_be_positive(self):
-        with pytest.raises(ValueError):
-            haversine(0, 0, 1, 1, r=0.0)
-
 
 class TestWindReferenceHeight:
     def test_equal_heights_identity(self):

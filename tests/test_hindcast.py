@@ -13,7 +13,6 @@ from shipdataprep.hindcast import (
     SteadyFilterParams,
     clean_gps,
     interpolate,
-    order_check,
     steady_state_filter,
     t_cdf,
     t_quantile,
@@ -345,28 +344,27 @@ class TestInterpolate:
 
 
 class TestOrderCheck:
+    """Order-1 against order-2 interpolation in time."""
+
+    @staticmethod
+    def orders(grid, pts):
+        ds = query_dataset(pts)
+        return [interpolate(grid, ds, order=k).column("hc_f") for k in (1, 2)]
+
     def test_time_linear_field_zero_difference(self):
         grid = make_grid(lambda la, lo, t: la + t / 100.0, LATS, LONS, TIMES)
-        report = ProcessingReport()
-        order_check(grid, query_dataset([(1800, 0.0, 0.0), (5000, 1.0, 1.0)]), report)
-        summary = report.stage_entries[-1].summary["f"]
-        assert summary["max_abs"] == pytest.approx(0.0, abs=1e-9)
+        first, second = self.orders(grid, [(1800, 0.0, 0.0), (5000, 1.0, 1.0)])
+        assert not np.isnan(second).any()
+        assert np.max(np.abs(first - second)) == pytest.approx(0.0, abs=1e-9)
 
     def test_time_quadratic_field_nonzero(self):
         grid = make_grid(lambda la, lo, t: (t / 3600.0) ** 2, LATS, LONS, TIMES)
-        report = ProcessingReport()
-        order_check(grid, query_dataset([(1800, 0.0, 0.0)]), report)
-        summary = report.stage_entries[-1].summary["f"]
-        assert summary["max_abs"] > 0.1
-
-    def test_single_variable_single_entry(self):
-        grid = make_grid(lambda la, lo, t: 1.0, LATS, LONS, TIMES)
-        report = ProcessingReport()
-        order_check(grid, query_dataset([(1800, 0.0, 0.0)]), report)
-        entry = report.stage_entries[-1]
-        assert list(entry.summary) == ["f"]
+        first, second = self.orders(grid, [(1800, 0.0, 0.0)])
+        assert abs(first[0] - second[0]) > 0.1
 
     def test_requires_three_time_steps(self):
+        # order 2 needs three grid times around t: with two, t stays missing
         grid = make_grid(lambda la, lo, t: 1.0, LATS, LONS, [0, 3600])
-        with pytest.raises(ValueError):
-            order_check(grid, query_dataset([(0, 0.0, 0.0)]), ProcessingReport())
+        first, second = self.orders(grid, [(0, 0.0, 0.0)])
+        assert first[0] == 1.0
+        assert np.isnan(second[0])

@@ -13,7 +13,7 @@ from scipy.interpolate import RegularGridInterpolator
 import hindcast_reference as reference
 from conftest import rows_dataset
 from shipdataprep import hindcast
-from shipdataprep.hindcast import interpolate, order_check
+from shipdataprep.hindcast import interpolate
 from shipdataprep.ingest import GridVariable, HindcastGrid
 from shipdataprep.model import (
     ProcessingReport,
@@ -230,17 +230,3 @@ def test_order_1_unmasked_matches_scipy(data):
             else:
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_order_check_matches_reference(data):
-    grid = data.draw(grids(min_steps=3))
-    dataset = data.draw(queries(grid))
-    policy = data.draw(st.sampled_from(["zero_fill", "neighbor_mean"]))
-    got = ProcessingReport()
-    order_check(grid, dataset, got, policy)
-    want = ProcessingReport()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hindcast, "interpolate", reference.interpolate)
-        order_check(grid, dataset, want, policy)
-    assert got.to_dict() == want.to_dict()

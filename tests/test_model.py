@@ -1,13 +1,12 @@
-"""Core data model: construction contracts, serialization round-trip, flag
-monotonicity."""
+"""Core data model: construction contracts, the bit-exact round trip of
+values through processed.csv, flag monotonicity."""
 
 import numpy as np
 import pytest
-from conftest import flags_at
+from conftest import flags_at, write_and_read_processed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shipdataprep.ingest import load_dataset, save_dataset
 from shipdataprep.model import (
     DatasetError,
     QualityFlag,
@@ -139,18 +138,14 @@ class TestRoundTrip:
             flags=[{QualityFlag.SPIKE, QualityFlag.UNSTEADY}, (), ()],
             trip_ids=[2, None, None],
         )
-        path = tmp_path / "ds.csv"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.sampling_interval == 900
+        back, trips, flags = write_and_read_processed(ds, tmp_path / "processed.csv")
         assert len(back) == len(ds)
         assert back.timestamps.tolist() == ds.timestamps.tolist()
         for name in ("sog", "heading"):  # bit-equal through repr round-trip
             assert back.column(name).tobytes() == ds.column(name).tobytes()
         assert back.text_column("state").tolist() == ds.text_column("state").tolist()
-        for i in range(len(ds)):
-            assert flags_at(back, i) == flags_at(ds, i)
-        assert back.trip_ids.tolist() == ds.trip_ids.tolist()
+        assert flags == [flags_at(ds, i) for i in range(len(ds))]
+        assert trips.tolist() == ds.trip_ids.tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,7 +159,5 @@ class TestRoundTrip:
 def test_roundtrip_bit_equality_property(tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("rt")
     ds = new_dataset([VariableSpec("x")], [i * 10 for i in range(len(values))], {"x": values})
-    path = tmp / "ds.csv"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.column("x").tolist() == ds.column("x").tolist()
+    back, _, _ = write_and_read_processed(ds, tmp / "processed.csv")
+    assert back.column("x").tobytes() == ds.column("x").tobytes()

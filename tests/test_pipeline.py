@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI behaviour: stage wiring, the error loop,
 skip contracts, artifacts and exit codes."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -12,6 +13,48 @@ from shipdataprep.cli import main
 from shipdataprep.ingest import load_config
 from shipdataprep.model import QualityFlag
 from shipdataprep.pipeline import emit_plotdata, run_pipeline
+
+
+def edited(path, old, new):
+    """``path`` with its one ``old`` text replaced by ``new``."""
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return path
+
+
+def appended(path, text):
+    with path.open("a") as fh:
+        fh.write(text)
+    return path
+
+
+def hydro_table(paths, rows):
+    table = paths["config"].with_name("hydro.csv")
+    table.write_text("draft_m,trim_m,displacement_m3,wsa_m2\n" + rows)
+    appended(paths["config"], "hydro_table = hydro.csv\n")
+    return table
+
+
+def ship_csv_with_huge_cell(paths):
+    header, first, *rest = paths["ship_csv"].read_text().splitlines()
+    first = first.rsplit(",", 1)[0] + "," + "x" * (csv.field_size_limit() + 1)
+    paths["ship_csv"].write_text("\n".join([header, first, *rest]) + "\n")
+    return paths["ship_csv"]
+
+
+# input files that cannot be used at all: each is a fatal error naming the file
+BAD_INPUTS = {
+    "config_number": lambda p: edited(p["config"], "interval = 900", "interval = abc"),
+    "voyage_kind": lambda p: appended(p["config"], "voyage_kind = bogus\n"),
+    "particulars_number": lambda p: edited(p["particulars"], "beam = 46", "beam = forty"),
+    "hydro_table_cell": lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,x\n"),
+    "hydro_table_without_rows": lambda p: hydro_table(p, ""),
+    "coefficient_cell": lambda p: edited(p["res_wind"], "90,0.3", "90,zero"),
+    "coefficient_without_area": lambda p: edited(p["res_wind"], "#area 1100\n", ""),
+    "coefficient_without_kind": lambda p: edited(p["res_wind"], "#kind wind\n", ""),
+    "csv_cell_too_long": ship_csv_with_huge_cell,
+}
 
 
 def run(paths, **overrides):
@@ -275,6 +318,18 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 1
         assert "no row with a parseable timestamp" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_file_is_fatal_without_traceback(self, tmp_path, capsys, case):
+        paths = VoyageBuilder(tmp_path, resistance=True).build()
+        broken = BAD_INPUTS[case](paths)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal: ")
+        assert broken.name in err  # the message names the file
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_duplicated_row_is_dropped_not_fatal(self, tmp_path):

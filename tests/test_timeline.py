@@ -90,33 +90,24 @@ class TestRegularize:
 class TestResample:
     def test_down_mean_two_point(self):
         ds = series_dataset({"sog": [4.0, 6.0]}, interval=60, t0=60)
-        out = resample(ds, 900, "down_mean")
+        out = resample(ds, 900)
         assert len(out) == 1
         assert out.column("sog")[0] == 5.0
 
     def test_down_mean_circular_heading(self):
         ds = series_dataset({"heading": [350.0, 10.0]}, interval=60, t0=0)
-        out = resample(ds, 900, "down_mean")
+        out = resample(ds, 900)
         assert out.column("heading")[0] == pytest.approx(0.0, abs=1e-9)
 
-    def test_down_mean_naive_flag_commits_the_fault(self):
+    def test_down_mean_avoids_the_naive_fault(self):
         ds = series_dataset({"heading": [350.0, 10.0]}, interval=60, t0=0)
-        out = resample(ds, 900, "down_mean", naive_angular=True)
-        assert out.column("heading")[0] == pytest.approx(180.0)
-
-    def test_up_hold(self):
-        ds = series_dataset({"sog": [7.0, 9.0]}, interval=900, t0=0)
-        out = resample(ds, 300, "up_hold")
-        assert list(out.timestamps) == [0, 300, 600, 900]
-        assert out.column("sog").tolist() == [7.0, 7.0, 7.0, 9.0]
-        inserted = out.flagged(QualityFlag.MISSING_INSERTED)
-        assert inserted[1]
-        assert inserted[2]
-        assert not inserted[0]
+        # the arithmetic mean of the bin commits the 0/360 fault; resample does not
+        assert np.mean(ds.column("heading")) == pytest.approx(180.0)
+        assert resample(ds, 900).column("heading")[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_bins_stay_empty(self):
         ds = ts_dataset([0, 2700], values=[1.0, 2.0])
-        out = resample(ds, 900, "down_mean")
+        out = resample(ds, 900)
         assert len(out) == 4
         assert np.isnan(out.column("x")[1])
         assert out.flagged(QualityFlag.MISSING_INSERTED)[1]
@@ -125,7 +116,7 @@ class TestResample:
     @given(st.floats(min_value=0.0, max_value=359.999), st.integers(2, 8))
     def test_circular_mean_of_equal_angles_is_identity(self, theta, count):
         ds = series_dataset({"heading": [theta] * count}, interval=60, t0=0)
-        out = resample(ds, 3600, "down_mean")
+        out = resample(ds, 3600)
         got = out.column("heading")[0]
         diff = abs(got - theta) % 360.0
         assert min(diff, 360.0 - diff) < 1e-9
@@ -162,7 +153,7 @@ class TestSegmentByState:
     def test_absent_state_directs_to_thresholds(self):
         ds = ts_dataset([0, 900])
         with pytest.raises(SegmentationError, match="thresholds"):
-            segment_by_state(ds, state_variable="state")
+            segment_by_state(ds)
 
 
 class TestSegmentByThresholds:

@@ -156,12 +156,12 @@ def sporadic_feed(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(sporadic_feed(), st.booleans())
-def test_resample_same_bits_as_per_bin_loop(feed, naive_angular):
+@given(sporadic_feed())
+def test_resample_same_bits_as_per_bin_loop(feed):
     ds, interval = feed
     got_report, want_report = ProcessingReport(), ProcessingReport()
-    got = resample(ds, interval, "down_mean", naive_angular, report=got_report)
-    want = ref.resample(ds, interval, naive_angular, report=want_report)
+    got = resample(ds, interval, report=got_report)
+    want = ref.resample(ds, interval, report=want_report)
     for name in ("x", "heading"):
         assert np.array_equal(got.column(name).view(np.int64), want.column(name).view(np.int64))
     assert got.text_column("state").tolist() == want.text_column("state").tolist()

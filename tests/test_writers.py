@@ -2,11 +2,12 @@
 cells, quoting of text, missing cells, trip ids and flags. The expected text
 is fixed, so any change to a written format shows up here."""
 
+import numpy as np
 import pytest
 
-from conftest import T0, row_values, rows_dataset
+from conftest import T0, flags_at, rows_dataset, write_and_read_processed
 from shipdataprep import ingest
-from shipdataprep.ingest import load_dataset, load_ship_csv, save_dataset, write_ship_csv
+from shipdataprep.ingest import load_ship_csv
 from shipdataprep.model import (
     KNOT,
     CalmWaterCurve,
@@ -67,8 +68,6 @@ def write_all(dataset, out):
     )
     trips = TripIndex((Trip(1, T0, T0 + 900),), (), "thresholds")
     write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
-    save_dataset(dataset, out / "dataset.csv")
-    write_ship_csv(dataset, out / "ship.csv", unit_map={"sog": "knots"})
     emit_plotdata(dataset, trips, out, particulars)
     return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
 
@@ -86,38 +85,6 @@ PROCESSED = (
     '2020-09-13T12:56:40Z,-12.5,179.99,-0.0,123456789.123,,,,,,,x,,0,0,0,0,0,0,0,0,0,0,0,'
     '0\r\n'
     '2020-09-13T13:11:40Z,,,,,,,,,,,,,1,0,0,0,0,0,0,0,0,0,0,0\r\n'
-)
-DATASET = (
-    '#schema lat;deg;linear;navigation;-90.0;90.0\n'
-    '#schema lon;deg;linear;navigation;-180.0;180.0\n'
-    '#schema sog;m/s;linear;navigation;0.0;26.0\n'
-    '#schema stw;m/s;linear;other;;\n'
-    '#schema shaft_power;W;linear;other;;\n'
-    '#schema draft_fore;m;linear;loading_condition;;\n'
-    '#schema raw_draft_fore;m;linear;loading_condition;;\n'
-    '#schema rel_wind_speed;m/s;linear;other;;\n'
-    '#schema rel_wind_dir;deg;angular;other;;\n'
-    '#schema rel_wind_long;m/s;linear;other;;\n'
-    '#schema note;;text;state;;\n'
-    '#source in_service\n'
-    '#interval 900\n'
-    'timestamp,lat,lon,sog,stw,shaft_power,draft_fore,raw_draft_fore,rel_wind_speed,'
-    'rel_wind_dir,rel_wind_long,note,trip_id,flags\r\n'
-    '2020-09-13T12:26:40Z,0.1,-0.5,0.1,1e-300,-0.0,9.25,,8.0,359.9,7.9,"say ""hi"",'
-    ' then go",1,angular_averaging_fault|spike\r\n'
-    '2020-09-13T12:41:40Z,,,5.144444444444445,2.0,1500000.0,9.0,8.6,3.3,180.0,-1.7,"a,b",'
-    '1,draft_corrected\r\n'
-    '2020-09-13T12:56:40Z,-12.5,179.99,-0.0,123456789.123,,,,,,,x,,\r\n'
-    '2020-09-13T13:11:40Z,,,,,,,,,,,,,missing_inserted\r\n'
-)
-SHIP = (
-    'timestamp,lat,lon,sog,stw,shaft_power,draft_fore,raw_draft_fore,rel_wind_speed,'
-    'rel_wind_dir,rel_wind_long,note\r\n'
-    '2020-09-13T12:26:40Z,0.1,-0.5,0.19438444924406048,1e-300,-0.0,9.25,,8.0,359.9,7.9,'
-    '"say ""hi"", then go"\r\n'
-    '2020-09-13T12:41:40Z,,,10.0,2.0,1500000.0,9.0,8.6,3.3,180.0,-1.7,"a,b"\r\n'
-    '2020-09-13T12:56:40Z,-12.5,179.99,-0.0,123456789.123,,,,,,,x\r\n'
-    '2020-09-13T13:11:40Z,,,,,,,,,,,\r\n'
 )
 TRIP = (
     'timestamp,sog,stw,shaft_power,draft_fore,lat,lon\r\n'
@@ -144,10 +111,8 @@ DRAFT = (
 def test_writers_match_golden_text(tmp_path):
     got = write_all(golden_dataset(), tmp_path)
     assert got == {
-        "dataset.csv": DATASET,
         "draft_correction.csv": DRAFT,
         "processed.csv": PROCESSED,
-        "ship.csv": SHIP,
         "speed_power.csv": SPEED_POWER,
         "trip_001.csv": TRIP,
         "wind_comparison.csv": WIND,
@@ -172,24 +137,31 @@ def test_zero_row_dataset_writes_header_only_files(tmp_path):
     assert got["trip_001.csv"] == "timestamp\r\n"
 
 
-def test_save_dataset_round_trips_exactly(tmp_path):
+def test_processed_csv_round_trips_exactly(tmp_path):
     ds = golden_dataset()
-    save_dataset(ds, tmp_path / "dataset.csv")
-    assert load_dataset(tmp_path / "dataset.csv") == ds
+    back, trips, flags = write_and_read_processed(ds, tmp_path / "processed.csv")
+    assert back.timestamps.tolist() == ds.timestamps.tolist()
+    for spec in ds.schema:
+        if spec.kind == "text":
+            assert back.text_column(spec.name).tolist() == ds.text_column(spec.name).tolist()
+        else:  # bit-equal, -0.0 and 1e-300 included
+            assert back.column(spec.name).tobytes() == ds.column(spec.name).tobytes()
+    assert trips.tolist() == ds.trip_ids.tolist()
+    assert flags == [flags_at(ds, i) for i in range(len(ds))]
 
 
 def test_ship_csv_knots_round_trip(tmp_path):
-    ds = golden_dataset()
-    write_ship_csv(ds, tmp_path / "ship.csv", unit_map={"sog": "knots"})
-    back = load_ship_csv(tmp_path / "ship.csv", schema=list(ds.schema),
-                         unit_map={"sog": "knots"})
-    assert back.timestamps.tolist() == ds.timestamps.tolist()
-    for i in range(len(ds)):
-        before, after = row_values(ds, i), row_values(back, i)
-        assert before.keys() == after.keys()
-        for name, v in before.items():
-            if name == "sog":
-                assert after[name] == pytest.approx(v, rel=1e-15, abs=0.0)
-            else:
-                assert after[name] == v
-    assert back.column("sog")[1] == pytest.approx(10.0 * KNOT, rel=1e-15)
+    # knots in, SI in processed.csv, and the same SI values read back from it
+    cells = ["10", "0.3779", "19.438444924406048", ""]
+    src = tmp_path / "ship.csv"
+    src.write_text("timestamp,sog\n" + "".join(
+        f"2020-09-13T12:{10 + k}:00Z,{c}\n" for k, c in enumerate(cells)
+    ))
+    ds = load_ship_csv(src, unit_map={"sog": "knots"})
+    sog = ds.column("sog")
+    assert sog[0] == pytest.approx(10.0 * KNOT, rel=1e-15)
+    for got, cell in zip(sog[:3] / KNOT, cells):
+        assert got == pytest.approx(float(cell), rel=1e-15, abs=0.0)
+    assert np.isnan(sog[3])
+    back, _, _ = write_and_read_processed(ds, tmp_path / "processed.csv")
+    assert back.column("sog").tobytes() == sog.tobytes()

@@ -179,7 +179,7 @@ def detect_draft_events(
     for s, e in merged:
         if s >= e:
             continue
-        event = DraftChangeEvent(trip.trip_id, s, e, source="steady_filter")
+        event = DraftChangeEvent(trip.trip_id, s, e)
         means = {}
         for sensor in sensors:
             if dataset.declares(sensor) and dataset.has_data(sensor):
@@ -187,7 +187,7 @@ def detect_draft_events(
                 if m is not None:
                     means[sensor] = m
         events.append(
-            DraftChangeEvent(trip.trip_id, s, e, means=means, source="steady_filter")
+            DraftChangeEvent(trip.trip_id, s, e, means=means)
         )
     return events
 
@@ -201,10 +201,9 @@ def _circular_mean(degrees: np.ndarray) -> float:
 def resample(
     dataset: VoyageDataset,
     interval_s: int,
-    naive_angular: bool = False,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
-    """``timeline.resample`` in ``down_mean`` mode, averaging bin by bin."""
+    """``timeline.resample``, averaging bin by bin."""
     entry = stage_entry(report, "resample")
     ts = dataset.timestamps
     t0 = int(ts[0] // interval_s * interval_s)
@@ -221,7 +220,7 @@ def resample(
         present = np.array([v is not None for v in col], dtype=bool) if text else ~np.isnan(col)
         average = (
             (lambda got: got[-1]) if text  # text keeps the last value
-            else _circular_mean if spec.kind == "angular" and not naive_angular
+            else _circular_mean if spec.kind == "angular"
             else (lambda got: float(np.mean(got)))
         )
         spans = zip(starts[filled].tolist(), ends[filled].tolist())
