@@ -25,12 +25,7 @@ from .ingest import (
     load_ship_csv,
 )
 from .model import DatasetError, SchemaError
-from .pipeline import (
-    emit_plotdata,
-    run_pipeline,
-    write_processed_csv,
-    write_report_files,
-)
+from .pipeline import emit_plotdata, run_pipeline, write_report_files
 
 FATAL = (IngestError, ConfigError, SchemaError, DatasetError, FileNotFoundError, OSError)
 
@@ -104,10 +99,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("run", "report"):
             write_report_files(result.report, out_dir, timestamp_header=header)
         if args.command in ("run", "plotdata"):
-            emit_plotdata(result.dataset, result.trip_index, out_dir, result.particulars)
-        if args.command == "run":
-            write_processed_csv(
-                result.dataset, out_dir / "processed.csv", timestamp_header=header
+            # run writes processed.csv in the pass that writes the plot files
+            processed = out_dir / "processed.csv" if args.command == "run" else None
+            emit_plotdata(
+                result.dataset, result.trip_index, out_dir, result.particulars,
+                processed=processed, timestamp_header=header,
             )
         for failure in result.stage_failures:
             print(f"stage failure: {failure}", file=sys.stderr)

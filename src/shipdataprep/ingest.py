@@ -13,14 +13,16 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .model import (
     KNOT,
+    SOURCE_KINDS,
     CalmWaterCurve,
     ProcessingReport,
     QualityFlag,
@@ -33,7 +35,6 @@ from .model import (
     new_dataset,
     parse_iso_timestamps,
     stage_entry,
-    timestamp_cells,
 )
 from .tables import VOYAGE_KINDS, block_coefficient_midpoint
 
@@ -218,14 +219,17 @@ def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[Sequence[s
     line number of each further row, and the cells of each header column,
     where a short row's absent cells are empty.
 
-    The text is read once. Without a quote or a carriage return in it, a
-    line is a row and a comma ends a cell, so when every row has the
-    header's number of cells (and no line is longer than ``csv.reader``
-    accepts a cell) the body is split with one ``str.split`` and each column
-    is a strided slice of it. Every other file goes through ``csv.reader``,
-    which gives the same result on such a file."""
+    The text is read once. Without a quote in it, and with every carriage
+    return part of a ``\r\n`` line end (read as ``\n``), a line is a row and
+    a comma ends a cell, so when every row has the header's number of cells
+    (and no line is longer than ``csv.reader`` accepts a cell) the body is
+    split with one ``str.split`` and each column is a strided slice of it.
+    Every other file, one with a bare ``\r`` among them, goes through
+    ``csv.reader``, which gives the same result on such a file."""
     with path.open(newline="") as fh:
         text = fh.read()
+    if "\r" in text and text.count("\r") == text.count("\r\n"):
+        text = text.replace("\r\n", "\n")
     if '"' not in text and "\r" not in text:
         rows = text.split("\n")
         if not rows[-1]:
@@ -306,44 +310,109 @@ def trip_cells(trip_ids: np.ndarray) -> list[str]:
     return ["" if t < 0 else str(t) for t in trip_ids.tolist()]
 
 
-def variable_cells(dataset: VoyageDataset, names: list[str], rows: np.ndarray) -> list[list[str]]:
-    """The cells of the timestamp and of each named variable at ``rows``,
-    one list per column."""
-    cells = [timestamp_cells(dataset.timestamps[rows])]
-    for name in names:
-        text = dataset.spec(name).kind == "text"
-        values = dataset.text_column(name) if text else dataset.column(name)
-        cells.append(csv_cells(values[rows]))
-    return cells
+def flag_cells(marks: np.ndarray) -> list[str]:
+    return np.where(marks, "1", "0").tolist()
 
 
-CSV_BLOCK_ROWS = 4096
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field (QUOTE_MINIMAL): in double
+    quotes, each quote doubled, when it holds a comma, a quote, ``\r`` or
+    ``\n``; as it is otherwise."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def column_rows(
-    rows: np.ndarray, cells: Callable[[np.ndarray], list[list[str]]]
-) -> Iterator[tuple[str, ...]]:
-    """CSV rows for the dataset rows ``rows``: ``cells`` gives the cells of
-    a block of rows one list per column, and the columns are zipped into
-    rows ``CSV_BLOCK_ROWS`` at a time, so memory stays flat."""
-    for lo in range(0, len(rows), CSV_BLOCK_ROWS):
-        yield from zip(*cells(rows[lo : lo + CSV_BLOCK_ROWS]))
+def written_cells(values: np.ndarray) -> list[str]:
+    """``csv_cells`` of a column, each text cell through ``csv_field``; a
+    float cell never needs quotes."""
+    cells = csv_cells(values)
+    return cells if values.dtype.kind == "f" else list(map(csv_field, cells))
 
 
-def write_csv(
-    path: str | Path,
-    preamble: Iterable[str],
-    header: list[str],
-    rows: Iterable[list[str]],
-) -> None:
-    """Write ``preamble`` lines, then the header and ``rows`` as CSV; rows
-    are consumed one at a time, so a generator keeps memory flat."""
-    with Path(path).open("w", newline="") as fh:
-        for line in preamble:
-            fh.write(line + "\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def csv_lines(columns: list[Sequence[str]]) -> Iterator[str]:
+    """The lines of rows given column by column, as ``csv.writer`` writes
+    them: cells joined by commas, each line ended by ``\r\n``."""
+    if len(columns) == 1:  # csv.writer quotes a row's only field when it is empty
+        columns = [[c or '""' for c in columns[0]]]
+    return map("{}\r\n".format, map(",".join, zip(*columns)))
+
+
+# rows per block of write_csv_files: the cells of a block in every column (about
+# 0.6 MB at 42 columns) stay well below what the pipeline itself holds
+CSV_BLOCK_ROWS = 256
+
+# a column shared by the files of one pass: its values over every row, and
+# the function that gives the cells of a block of them
+SharedColumn = tuple[np.ndarray, Callable[[np.ndarray], list[str]]]
+
+
+@dataclass
+class CsvFile:
+    """One file of :func:`write_csv_files`: its preamble (whole lines), its
+    header, the sorted indices of the rows it holds, and its columns, each
+    the index of a shared column or the file's own values at those rows."""
+
+    path: Path
+    header: list[str]
+    rows: np.ndarray
+    columns: list[int | np.ndarray]
+    preamble: str = ""
+
+
+def write_csv_files(shared: list[SharedColumn], n_rows: int, files: list[CsvFile]) -> None:
+    """Write ``files`` in one pass over the rows ``0 .. n_rows - 1``, taken
+    ``CSV_BLOCK_ROWS`` at a time.
+
+    In a block, each shared column that some file uses there is formatted
+    once, over the whole block, and every file takes its rows' cells from
+    it; a file's own values go through ``written_cells``. Header names go
+    through ``csv_field``. A file is opened at its first row and closed
+    after its last, so files whose rows follow one another (the trips) are
+    open one at a time; a file without rows holds its header alone. Lines
+    go to the file one at a time, so no more than one block of cells is
+    held at once."""
+
+    def start(f: CsvFile) -> TextIO:
+        fh = f.path.open("w", newline="")
+        fh.write(f.preamble)
+        fh.writelines(csv_lines([[csv_field(h)] for h in f.header]))
+        return fh
+
+    for f in files:
+        if not len(f.rows):
+            start(f).close()
+    open_files: dict[int, TextIO] = {}
+    try:
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n_rows)
+            block: dict[int, list[str]] = {}  # shared column -> its cells in the block
+            for k, f in enumerate(files):
+                a, b = np.searchsorted(f.rows, (lo, hi)).tolist()
+                if a == b:
+                    continue
+                at = (f.rows[a:b] - lo).tolist()
+                if at[-1] - at[0] == b - a - 1:  # consecutive rows
+                    pick = operator.itemgetter(slice(at[0], at[-1] + 1))
+                else:  # at least two rows, so a tuple of cells
+                    pick = operator.itemgetter(*at)
+                columns = []
+                for c in f.columns:
+                    if not isinstance(c, int):
+                        columns.append(written_cells(c[a:b]))
+                        continue
+                    if c not in block:
+                        values, cells = shared[c]
+                        block[c] = cells(values[lo:hi])
+                    columns.append(pick(block[c]))
+                if a == 0:
+                    open_files[k] = start(f)
+                open_files[k].writelines(csv_lines(columns))
+                if b == len(f.rows):
+                    open_files.pop(k).close()
+    finally:
+        for fh in open_files.values():
+            fh.close()
 
 
 # -- hindcast grid -----------------------------------------------------------
@@ -576,11 +645,11 @@ def load_particulars(
             f"for {ship_type.value}"
         )
 
-    curves = []
-    for key in sorted(kv):
-        if key.startswith("curve."):
-            points = _parse_points(kv[key], f"{path}: {key}")
-            curves.append(CalmWaterCurve(key[len("curve."):], points))
+    curves = {
+        key[len("curve."):]: _parse_points(kv[key], f"{path}: {key}")
+        for key in sorted(kv)
+        if key.startswith("curve.")
+    }
     envelope = _parse_points(kv["envelope"], f"{path}: envelope") if "envelope" in kv else None
 
     try:
@@ -593,7 +662,7 @@ def load_particulars(
             block_coefficient=cb,
             anemometer_height=fnum("anemometer_height"),
             wind_reference_height=fnum("wind_reference_height"),
-            calm_water_curves=tuple(curves),
+            calm_water_curves=tuple(CalmWaterCurve(k, v) for k, v in curves.items()),
             envelope=envelope,
             **{k: fnum(k) for k in ("rpm_threshold", "sog_threshold") if k in kv},
         )
@@ -659,6 +728,8 @@ class PipelineConfig:
     unit_map: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.source_kind not in SOURCE_KINDS:
+            raise ConfigError(f"unknown source kind {self.source_kind!r}; known: {SOURCE_KINDS}")
         if self.trip_method not in TRIP_METHODS:
             raise ConfigError(f"unknown trip method {self.trip_method!r}")
         if self.interpolation_order < 1:
@@ -702,6 +773,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         if key.startswith("gradient_tolerance."):
             gradient[key.split(".", 1)[1]] = number(key, value, float)
         elif key.startswith("unit."):
+            if value not in UNIT_TO_SI:
+                raise ConfigError(
+                    f"{path}: {key} = {value!r} is not a known unit; known: {sorted(UNIT_TO_SI)}"
+                )
             units[key.split(".", 1)[1]] = value
         elif key in numbers:
             kwargs[key] = number(key, value, numbers[key])

@@ -8,24 +8,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import cleaning, corrections, features, timeline, validation
 from .hindcast import SteadyFilterParams, clean_gps, interpolate
 from .ingest import (
+    CsvFile,
     HindcastGrid,
     IngestError,
     PipelineConfig,
-    column_rows,
-    csv_cells,
+    SharedColumn,
+    flag_cells,
     load_hindcast,
     load_particulars,
     load_ship_csv,
-    timestamp_cells,
     trip_cells,
-    variable_cells,
-    write_csv,
+    write_csv_files,
+    written_cells,
 )
 from .model import (
     RPM_THRESHOLD,
@@ -36,6 +37,7 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     generated_header,
+    timestamp_cells,
 )
 from .timeline import SegmentationError, TripIndex
 
@@ -449,24 +451,41 @@ def _pca_stage(
 # -- output artifacts -----------------------------------------------------------
 
 
-def write_processed_csv(
-    dataset: VoyageDataset, path: str | Path, timestamp_header: bool = True
-) -> None:
-    """Processed data: original + derived columns, trip ids and one 0/1
-    column per quality flag. Floats use repr for lossless round-trips."""
+def _processed_columns(dataset: VoyageDataset) -> tuple[list[str], list[SharedColumn]]:
+    """The header and the columns of processed.csv, in this order: the
+    timestamp, every variable of the schema, the trip id and one 0/1 column
+    per quality flag. The plot files take their shared cells from these
+    columns."""
     names = [s.name for s in dataset.schema]
     flags = list(QualityFlag)
     header = ["timestamp"] + names + ["trip_id"] + [f"flag_{f.value}" for f in flags]
-    marks = [dataset.flagged(f) for f in flags]
+    columns: list[SharedColumn] = [(dataset.timestamps, timestamp_cells)]
+    for spec in dataset.schema:
+        text = spec.kind == "text"
+        values = dataset.text_column(spec.name) if text else dataset.column(spec.name)
+        columns.append((values, written_cells))
+    columns.append((dataset.trip_ids, trip_cells))
+    columns += [(dataset.flagged(f), flag_cells) for f in flags]
+    return header, columns
 
-    def cells(rows: np.ndarray) -> list[list[str]]:
-        trips = trip_cells(dataset.trip_ids[rows])
-        flag_cells = [np.where(m[rows], "1", "0").tolist() for m in marks]
-        return variable_cells(dataset, names, rows) + [trips] + flag_cells
 
-    rows = column_rows(np.arange(len(dataset)), cells)
-    preamble = [generated_header()] if timestamp_header else []
-    write_csv(path, preamble, header, rows)
+def write_processed_csv(
+    dataset: VoyageDataset,
+    path: str | Path,
+    timestamp_header: bool = True,
+    plots: Sequence[CsvFile] = (),
+) -> None:
+    """Processed data: original + derived columns, trip ids and one 0/1
+    column per quality flag, after a ``# generated`` line unless
+    ``timestamp_header`` is off. Floats use repr for lossless round-trips.
+
+    The ``plots`` files (from ``emit_plotdata``) are written in the same
+    pass over the dataset, from the same formatted cells."""
+    header, columns = _processed_columns(dataset)
+    preamble = generated_header() + "\n" if timestamp_header else ""
+    rows = np.arange(len(dataset))
+    processed = CsvFile(Path(path), header, rows, list(range(len(header))), preamble)
+    write_csv_files(columns, len(dataset), [processed, *plots])
 
 
 def write_report_files(
@@ -499,73 +518,70 @@ def emit_plotdata(
     trip_index: TripIndex | None,
     out_dir: str | Path,
     particulars: ShipParticulars | None = None,
+    processed: str | Path | None = None,
+    timestamp_header: bool = True,
 ) -> list[Path]:
     """Write plain-CSV plot inputs: one time-series file per trip, a
     speed-power scatter with curve overlays, the longitudinal wind
     comparison, and the draft correction before/after series.
 
-    Each file formats its own columns with whole-array operations
-    (``timestamp_cells``, ``csv_cells``, one ``CalmWaterCurve.powers_at``
-    for the curve column); the trip files are written a block of rows at a
-    time, so no formatted column outlives the file that writes it."""
+    Every plot file is written in one pass over the dataset, a block of
+    rows at a time, and takes its timestamps, variables, trip ids and fault
+    marks from processed.csv's formatted cells (``write_csv_files``); only
+    the curve power and the two wind columns are formatted for the file.
+    With ``processed``, ``write_processed_csv`` writes that file (with
+    ``timestamp_header``) in the same pass."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    files: list[CsvFile] = []
+    names = [s.name for s in dataset.schema]
+    # processed.csv's column of each variable, of the trip id and of the fault flag
+    at = {name: k for k, name in enumerate(names, start=1)}
+    trip_col = len(names) + 1
+    fault_col = trip_col + 1 + list(QualityFlag).index(QualityFlag.ANGULAR_AVERAGING_FAULT)
+    none = np.zeros(0, dtype=np.intp)
 
-    def write(name: str, header: list[str], rows) -> None:
-        p = out_dir / name
-        write_csv(p, [], header, rows)
-        written.append(p)
+    def add(name: str, header: list[str], rows: np.ndarray, columns: list) -> None:
+        files.append(CsvFile(out_dir / name, header, rows, columns))
 
-    ts = dataset.timestamps
     present_vars = [v for v in PLOT_VARIABLES if dataset.has_data(v)]
     if trip_index is not None:
         for trip in trip_index.trips:
-            rows = column_rows(
+            add(
+                f"trip_{trip.trip_id:03d}.csv",
+                ["timestamp"] + present_vars,
                 dataset.trip_indices(trip.trip_id),
-                lambda idx: variable_cells(dataset, present_vars, idx),
+                [0] + [at[v] for v in present_vars],
             )
-            write(f"trip_{trip.trip_id:03d}.csv", ["timestamp"] + present_vars, rows)
 
     # speed-power scatter with the calm-water curve value at the same speed
-    rows = []
+    header = ["timestamp", "stw", "shaft_power", "curve_power"]
     curve = particulars.curve() if particulars is not None else None
     if dataset.declares("stw") and dataset.declares("shaft_power"):
         stw = dataset.column("stw")
-        pwr = dataset.column("shaft_power")
-        use = np.nonzero(~np.isnan(stw) & ~np.isnan(pwr))[0]
+        use = np.nonzero(~np.isnan(stw) & ~np.isnan(dataset.column("shaft_power")))[0]
         curve_power = (
             curve.powers_at(stw[use]) if curve is not None else np.full(len(use), np.nan)
         )
-        rows = zip(
-            timestamp_cells(ts[use]),
-            csv_cells(stw[use]),
-            csv_cells(pwr[use]),
-            csv_cells(curve_power),
-        )
-    write("speed_power.csv", ["timestamp", "stw", "shaft_power", "curve_power"], rows)
+        add("speed_power.csv", header, use, [0, at["stw"], at["shaft_power"], curve_power])
+    else:
+        add("speed_power.csv", header, none, [])
 
     # longitudinal wind comparison: ship-derived vs hindcast (head positive)
-    rows = []
+    header = ["timestamp", "ship_long_wind", "hindcast_long_wind", "angular_fault"]
     if dataset.declares("rel_wind_long") and (
         dataset.declares("rel_wind_speed") or dataset.declares("rel_wind_speed_ref")
     ):
         onboard = validation.onboard_longitudinal_wind(dataset)
         hc = dataset.column("rel_wind_long")
         sog = dataset.coalesce("sog")
-        faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
         use = np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
-        rows = zip(
-            timestamp_cells(ts[use]),
-            csv_cells((onboard - sog)[use]),
-            csv_cells((hc - sog)[use]),
-            np.where(faulted[use], "1", "0").tolist(),
+        add(
+            "wind_comparison.csv", header, use,
+            [0, (onboard - sog)[use], (hc - sog)[use], fault_col],
         )
-    write(
-        "wind_comparison.csv",
-        ["timestamp", "ship_long_wind", "hindcast_long_wind", "angular_fault"],
-        rows,
-    )
+    else:
+        add("wind_comparison.csv", header, none, [])
 
     # draft correction before/after, for samples with any draft value
     draft_cols = [
@@ -576,11 +592,15 @@ def emit_plotdata(
     has_draft = np.zeros(len(dataset), dtype=bool)
     for c in draft_cols:
         has_draft |= ~np.isnan(dataset.column(c))
-    use = np.nonzero(has_draft)[0]
-    rows = zip(
-        timestamp_cells(ts[use]),
-        trip_cells(dataset.trip_ids[use]),
-        *(csv_cells(dataset.column(c)[use]) for c in draft_cols),
+    add(
+        "draft_correction.csv",
+        ["timestamp", "trip_id"] + draft_cols,
+        np.nonzero(has_draft)[0],
+        [0, trip_col] + [at[c] for c in draft_cols],
     )
-    write("draft_correction.csv", ["timestamp", "trip_id"] + draft_cols, rows)
-    return written
+
+    if processed is None:
+        write_csv_files(_processed_columns(dataset)[1], len(dataset), files)
+    else:
+        write_processed_csv(dataset, processed, timestamp_header, plots=files)
+    return [f.path for f in files]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0
-from shipdataprep.ingest import csv_cell, csv_cells, timestamp_cells
+from shipdataprep.ingest import csv_cell, csv_cells
 from shipdataprep.model import (
     FOUR_DIGIT_YEARS,
     CalmWaterCurve,
@@ -20,6 +20,7 @@ from shipdataprep.model import (
     iso_timestamp,
     parse_iso_timestamp,
     parse_iso_timestamps,
+    timestamp_cells,
 )
 from shipdataprep.pipeline import write_report_files
 

@@ -164,14 +164,19 @@ def test_split_matches_csv_reader(tmp_path_factory, drawn, trailing_newline):
 
 def test_split_paths(tmp_path):
     """A file of whole rows is split as a whole, text and line numbers the
-    same as ``csv.reader``'s, around comment and blank lines; a quote, a
-    carriage return or a ragged row sends a file to ``csv.reader``."""
+    same as ``csv.reader``'s, around comment and blank lines, with ``\\n``,
+    ``\\r\\n`` or mixed line ends; a quote, a bare carriage return or a
+    ragged row sends a file to ``csv.reader``."""
     path = tmp_path / "ship.csv"
     for text in (
         "# made by hand\ntimestamp,sog\n\nT1,1.5\n# note\nT2, 2\n\n",
         "timestamp,sog\nT1,1.5\nT2,2",
         'timestamp,sog\nT1,"1,5"\n',
         "timestamp,sog\r\nT1,1.5\r\n",
+        "# made by hand\r\ntimestamp,sog\r\n\r\nT1,1.5\nT2,2\r\n# note\nT3,3",
+        "timestamp,sog\rT1,1.5\rT2,2\r",
+        "timestamp,sog\r\nT1,1.5\rT2,2\r\n",
+        "timestamp,sog\r\r\nT1,1.5\r\n",
         "timestamp,sog\nT1,1.5,9\nT2\n",
         "timestamp,sog\n",
     ):
@@ -180,6 +185,19 @@ def test_split_paths(tmp_path):
         assert split(path) == (list(header), tuple(lines), [tuple(c) for c in cells]), text
     path.write_text("# made by hand\ntimestamp,sog\n\nT1,1.5\n# note\nT2, 2\n", newline="")
     assert split(path) == (["timestamp", "sog"], (4, 6), [("T1", "T2"), ("1.5", " 2")])
+
+
+def test_crlf_file_is_split_without_the_reader(tmp_path, monkeypatch):
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader was called")
+
+    monkeypatch.setattr(csv, "reader", reader)
+    path = tmp_path / "ship.csv"
+    path.write_text("timestamp,sog\r\nT1,1.5\nT2,2\r\n", newline="")
+    assert split(path) == (["timestamp", "sog"], (2, 3), [("T1", "T2"), ("1.5", "2")])
+    path.write_text("timestamp,sog\r\nT1,1.5\rT2,2\r\n", newline="")
+    with pytest.raises(AssertionError, match="csv.reader was called"):
+        csv_columns(path)
 
 
 def test_split_keeps_the_reader_cell_size_limit(tmp_path):

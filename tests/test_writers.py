@@ -1,13 +1,22 @@
 """Golden text of every CSV writer on a hand-built dataset: lossless float
 cells, quoting of text, missing cells, trip ids and flags. The expected text
-is fixed, so any change to a written format shows up here."""
+is fixed, so any change to a written format shows up here. The one block
+pass must write it in any block size, alone or with processed.csv, and the
+same bytes as ``csv.writer`` (``tests/writer_reference.py``) for any header
+and text."""
+
+import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import T0, flags_at, rows_dataset, write_and_read_processed
+from conftest import T0, VoyageBuilder, flags_at, rows_dataset, write_and_read_processed
 from shipdataprep import ingest
-from shipdataprep.ingest import load_ship_csv
+from shipdataprep.cli import main
+from shipdataprep.ingest import csv_field, csv_lines, load_ship_csv
 from shipdataprep.model import (
     KNOT,
     CalmWaterCurve,
@@ -16,9 +25,11 @@ from shipdataprep.model import (
     ShipParticulars,
     ShipType,
     VariableSpec,
+    new_dataset,
 )
 from shipdataprep.pipeline import emit_plotdata, write_processed_csv
 from shipdataprep.timeline import Trip, TripIndex
+from writer_reference import processed_rows, write_csv
 
 
 def golden_dataset():
@@ -61,12 +72,15 @@ def golden_dataset():
     return rows_dataset(schema, samples, sampling_interval=900)
 
 
+PARTICULARS = ShipParticulars(
+    ShipType.BULK_CARRIER, beam=30.0, design_draft=10.0, lwl=180.0,
+    calm_water_curves=(CalmWaterCurve("sea_trial", ((1.0, 1.0e5), (3.0, 2.0e6))),),
+)
+TRIPS = TripIndex((Trip(1, T0, T0 + 900),), (), "thresholds")
+
+
 def write_all(dataset, out):
-    particulars = ShipParticulars(
-        ShipType.BULK_CARRIER, beam=30.0, design_draft=10.0, lwl=180.0,
-        calm_water_curves=(CalmWaterCurve("sea_trial", ((1.0, 1.0e5), (3.0, 2.0e6))),),
-    )
-    trips = TripIndex((Trip(1, T0, T0 + 900),), (), "thresholds")
+    particulars, trips = PARTICULARS, TRIPS
     write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
     emit_plotdata(dataset, trips, out, particulars)
     return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
@@ -165,3 +179,100 @@ def test_ship_csv_knots_round_trip(tmp_path):
     assert np.isnan(sog[3])
     back, _, _ = write_and_read_processed(ds, tmp_path / "processed.csv")
     assert back.column("sog").tobytes() == sog.tobytes()
+
+
+def read_all(out):
+    return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_one_pass_writes_the_golden_text(tmp_path, monkeypatch, block):
+    # run's path: processed.csv and the plot files from the same formatted cells
+    monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
+    emit_plotdata(
+        golden_dataset(), TRIPS, tmp_path, PARTICULARS,
+        processed=tmp_path / "processed.csv", timestamp_header=False,
+    )
+    assert read_all(tmp_path) == {
+        "draft_correction.csv": DRAFT,
+        "processed.csv": PROCESSED,
+        "speed_power.csv": SPEED_POWER,
+        "trip_001.csv": TRIP,
+        "wind_comparison.csv": WIND,
+    }
+
+
+def test_processed_csv_preamble_is_one_newline_ended_line(tmp_path):
+    write_processed_csv(golden_dataset(), tmp_path / "processed.csv")
+    text = (tmp_path / "processed.csv").read_bytes().decode()
+    first, rest = text.split("\n", 1)
+    assert first.startswith("# generated ") and first.endswith("Z")
+    assert rest == PROCESSED
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+def test_plotdata_and_run_write_the_same_plot_files(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
+    paths = VoyageBuilder(tmp_path, wind="head_east", wind_dir_fault=True,
+                          resistance=True).build()
+    got = {}
+    for command in ("run", "plotdata"):
+        out = tmp_path / command
+        args = ["--config", str(paths["config"]), "--out", str(out), "--no-timestamp-header"]
+        assert main([command, *args]) == 0
+        got[command] = {k: v for k, v in read_all(out).items() if not k.startswith(("processed", "report"))}
+    assert got["run"] == got["plotdata"]
+    assert sorted(got["run"]) == [
+        "draft_correction.csv", "speed_power.csv", "trip_001.csv", "trip_002.csv",
+        "trip_003.csv", "wind_comparison.csv",
+    ]
+    assert all(text.count("\r\n") > 20 for text in got["run"].values())
+
+
+def test_plotdata_and_run_write_the_same_plot_files_for_zero_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", 1)
+    empty = rows_dataset(golden_dataset().schema, [], sampling_interval=900)
+    emit_plotdata(empty, TRIPS, tmp_path / "plotdata", PARTICULARS)
+    emit_plotdata(empty, TRIPS, tmp_path / "run", PARTICULARS,
+                  processed=tmp_path / "run" / "processed.csv", timestamp_header=False)
+    plots = read_all(tmp_path / "run")
+    assert plots.pop("processed.csv") == PROCESSED.split("\r\n")[0] + "\r\n"
+    assert plots == read_all(tmp_path / "plotdata")
+    assert sorted(plots) == [
+        "draft_correction.csv", "speed_power.csv", "trip_001.csv", "wind_comparison.csv",
+    ]
+
+
+# text as the writer must quote it: separators, quotes, both line-end
+# characters, padding, non-ASCII, and any other text
+TEXT = st.one_of(
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\u2028", "#", "\t"]),
+            max_size=6),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(TEXT, min_size=1, max_size=4), min_size=1, max_size=5).filter(
+    lambda rows: len({len(r) for r in rows}) == 1
+))
+def test_lines_match_csv_writer(rows):
+    want = io.StringIO(newline="")
+    csv.writer(want).writerows(rows)
+    columns = [[csv_field(c) for c in col] for col in zip(*rows)]
+    assert "".join(csv_lines(columns)) == want.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TEXT.filter(bool), min_size=1, max_size=4, unique=True), st.data())
+def test_processed_csv_same_bytes_as_csv_writer(tmp_path_factory, names, data):
+    n = data.draw(st.integers(0, 6))
+    cells = st.lists(st.one_of(st.none(), TEXT), min_size=n, max_size=n)
+    schema = [VariableSpec(name, kind="text") for name in names]
+    columns = {name: data.draw(cells) for name in names}
+    dataset = new_dataset(schema, [T0 + 900 * i for i in range(n)], columns)
+    out = tmp_path_factory.mktemp("out")
+    write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
+    header, rows = processed_rows(dataset)
+    write_csv(out / "reference.csv", [], header, rows)
+    assert (out / "processed.csv").read_bytes() == (out / "reference.csv").read_bytes()
