@@ -25,12 +25,23 @@ MIN_EXPLAINED = 0.95  # variance share the automatic PCA component count explain
 
 def contextual_filter(
     dataset: VoyageDataset,
+    measured: VoyageDataset,
     repeat_run: int = 20,
     dropout_max: int = 3,
     spike_scales: float = 6.0,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
-    """Flag contextual outliers per numeric variable.
+    """Flag contextual outliers per measured variable, on ``dataset``.
+
+    The rules read ``measured``, the same rows as logged and regularized,
+    before any stage derived or corrected a column: its numeric variables
+    and its trip groups. A sensor fault is reported once, under the sensor.
+    Columns the pipeline computed (``gps_heading``, ``leg_distance``, the
+    wind and wave components, ``stw_estimate``, ``trim``, ``mean_draft``,
+    ``displacement``, ``wsa``, ``derived_*``, ``res_*``, ``fixed_*``, ``raw_*``)
+    can only inherit a fault from their inputs, and the ``hc_*`` columns are
+    interpolated model fields, in which a constant value is no fault.
+    Columns corrected in place (drafts, AIS ``sog``) are checked as logged.
 
     invalid_range: value outside the schema's [valid_min, valid_max].
     repeated_value: a run of >= ``repeat_run`` identical values in a variable
@@ -41,9 +52,11 @@ def contextual_filter(
     differences, with opposite signs. The last three rules run per trip
     group (the whole series when no trips are assigned).
     """
+    if not np.array_equal(dataset.timestamps, measured.timestamps):
+        raise CleaningError("measured columns must have the dataset's timestamps")
     entry = stage_entry(report, "clean:contextual")
     marks: dict[QualityFlag, np.ndarray] = {}
-    groups = dataset.trip_groups()
+    groups = measured.trip_groups()
     stamps = dataset.timestamps.tolist()
 
     def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: list) -> None:
@@ -52,9 +65,9 @@ def contextual_filter(
         for i, value in zip(rows.tolist(), observed):
             entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=value)
 
-    numeric = [s for s in dataset.schema if s.kind != "text"]
+    numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
-        col_all = dataset.column(spec.name)
+        col_all = measured.column(spec.name)
         # range rule applies everywhere; pattern rules run per trip group
         if spec.valid_min is not None or spec.valid_max is not None:
             lo = -math.inf if spec.valid_min is None else spec.valid_min

@@ -8,6 +8,7 @@ shaft rpm and speed series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +89,7 @@ def t_cdf(t: float, df: int) -> float:
     p = 0.5 * _betainc(df / 2.0, 0.5, x)
     return 1.0 - p if t >= 0 else p
 
+@functools.cache
 def t_quantile(p: float, df: int) -> float:
     """Inverse t CDF by bisection (absolute accuracy far below 1e-4)."""
     if not 0.0 < p < 1.0:
@@ -192,22 +194,17 @@ def steady_state_filter(
     tstat[~nz & (np.abs(slope) > 0)] = np.inf
     reject = tstat > crit
 
-    stage1 = 0
-    retained = 0
+    # the window centres stage 1 rejects; h >= 1, so each has two neighbours
+    c = np.flatnonzero(reject) + h
+    keep = np.ones(len(c), dtype=bool)
     tol = params.gradient_tolerance
-    centers = np.arange(h, len(vv) - h)
-    for k, i in enumerate(centers):
-        if not reject[k]:
-            continue
-        stage1 += 1
-        if tol is not None and 0 < i < len(vv) - 1:
-            dt = tt[i + 1] - tt[i - 1]
-            grad = abs(vv[i + 1] - vv[i - 1]) / dt if dt > 0 else math.inf
-            if grad <= tol:
-                retained += 1
-                continue
-        unsteady[present[i]] = True
-    return SteadyFilterResult(unsteady, stage1, retained)
+    if tol is not None:
+        dt = tt[c + 1] - tt[c - 1]
+        grad = np.full(len(c), np.inf)
+        np.divide(np.abs(vv[c + 1] - vv[c - 1]), dt, out=grad, where=dt > 0)
+        keep = ~(grad <= tol)  # a NaN gradient keeps the mark
+    unsteady[present[c[keep]]] = True
+    return SteadyFilterResult(unsteady, len(c), len(c) - int(keep.sum()))
 
 
 def clean_gps(

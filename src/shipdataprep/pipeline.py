@@ -214,6 +214,9 @@ def run_pipeline(
             entry.summary["berth_legs"] = len(trip_index.berth_legs)
         except SegmentationError as exc:
             entry.notes.append(f"segmentation skipped: {exc}")
+    # the logged columns on their final rows, for the contextual rules; no
+    # later stage changes rows, and their datasets share these arrays
+    measured = dataset
 
     # -- GPS cleaning ------------------------------------------------------------
     if "gps_clean" in enabled:
@@ -330,6 +333,7 @@ def run_pipeline(
         try:
             dataset = cleaning.contextual_filter(
                 dataset,
+                measured,
                 repeat_run=config.repeat_run,
                 dropout_max=config.dropout_max,
                 spike_scales=config.spike_scales,

@@ -1,7 +1,9 @@
 """Reference for the contextual rules: the loop that ``cleaning.contextual_filter``
 replaced, kept verbatim except that the spike rule compares the signs of the
-two steps (their product underflows to 0 for tiny steps). It walks each
-column per trip group in ``while`` loops, one run at a time.
+two steps (their product underflows to 0 for tiny steps) and that the rules
+read the columns and trips of the measured dataset and flag the dataset
+given first. It walks each column per trip group in ``while`` loops, one
+run at a time.
 ``tests/test_cleaning_reference.py`` requires the whole-array rules to give
 the same flags, the same check rows in the same order, and the same flag
 counts and summary.
@@ -19,6 +21,7 @@ from shipdataprep.model import ProcessingReport, QualityFlag, VoyageDataset, add
 
 def contextual_filter(
     dataset: VoyageDataset,
+    measured: VoyageDataset,
     repeat_run: int = 20,
     dropout_max: int = 3,
     spike_scales: float = 6.0,
@@ -26,7 +29,8 @@ def contextual_filter(
     in_trip_only: bool = True,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
-    """Flag contextual outliers per numeric variable.
+    """Flag contextual outliers per numeric variable of ``measured`` (the
+    logged columns on ``dataset``'s rows), on ``dataset``.
 
     invalid_range: value outside the schema's [valid_min, valid_max].
     repeated_value: a run of >= ``repeat_run`` identical values in a variable
@@ -38,7 +42,8 @@ def contextual_filter(
     entry = report.stage("clean:contextual") if report is not None else None
     dead_values = dead_values or {}
     marks: dict[QualityFlag, np.ndarray] = defaultdict(lambda: np.zeros(len(dataset), dtype=bool))
-    groups = dataset.trip_groups() if in_trip_only else [np.arange(len(dataset))]
+    assert np.array_equal(dataset.timestamps, measured.timestamps)
+    groups = measured.trip_groups() if in_trip_only else [np.arange(len(dataset))]
     stamps = dataset.timestamps.tolist()
 
     def add(i: int, flag: QualityFlag, variable: str, observed) -> None:
@@ -46,9 +51,9 @@ def contextual_filter(
         if entry is not None:
             entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=observed)
 
-    numeric = [s for s in dataset.schema if s.kind != "text"]
+    numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
-        col_all = dataset.column(spec.name)
+        col_all = measured.column(spec.name)
         # range rule applies everywhere; pattern rules run per trip group
         if spec.valid_min is not None or spec.valid_max is not None:
             lo = -math.inf if spec.valid_min is None else spec.valid_min

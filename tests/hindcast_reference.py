@@ -1,9 +1,13 @@
-"""Scalar reference for ``shipdataprep.hindcast.interpolate``.
+"""Scalar references for ``shipdataprep.hindcast``.
 
-One sample and one variable at a time: the time stencil, the lat/lon cells,
-bilinear weighting at each stencil time and Lagrange interpolation in time
-are all plain Python. The vectorised ``interpolate`` must return the same
-``hc_*`` values and the same ``samples_*`` counts.
+``interpolate``: one sample and one variable at a time, the time stencil,
+the lat/lon cells, bilinear weighting at each stencil time and Lagrange
+interpolation in time are all plain Python. The vectorised ``interpolate``
+must return the same ``hc_*`` values and the same ``samples_*`` counts.
+
+``steady_state_filter``: the filter as it was before its stage 2 became
+array code, with a loop over every window centre. The array version must
+return the same marks and counts.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 
 import numpy as np
 
+from shipdataprep.hindcast import SteadyFilterParams, SteadyFilterResult, t_quantile
 from shipdataprep.ingest import GridVariable, HindcastGrid
 from shipdataprep.model import ProcessingReport, VariableSpec, VoyageDataset
 
@@ -215,3 +220,69 @@ def interpolate(
         entry.summary["order"] = order
         entry.summary["mask_policy"] = mask_policy
     return out
+
+
+def steady_state_filter(
+    timestamps: np.ndarray, values: np.ndarray, params: SteadyFilterParams
+) -> SteadyFilterResult:
+    """Mark unsteady samples of one timestamped series.
+
+    Missing values (NaN) are dropped before windowing and never marked.
+    Stage 1 fits a least-squares slope in each centered window and rejects
+    zero slope at level alpha (two-sided t-test, window-2 dof). Stage 2
+    clears the mark when the local gradient |x[i+1]-x[i-1]| / (t[i+1]-t[i-1])
+    stays within the tolerance.
+    """
+    timestamps = np.asarray(timestamps, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n_all = len(values)
+    unsteady = np.zeros(n_all, dtype=bool)
+    present = np.nonzero(~np.isnan(values))[0]
+    w = params.window
+    if len(present) < w:
+        return SteadyFilterResult(
+            unsteady, 0, 0,
+            warning=f"series has {len(present)} valid samples, window is {w}; "
+            "all samples pass",
+        )
+
+    tt = timestamps[present]
+    vv = values[present]
+    h = w // 2
+
+    tw = np.lib.stride_tricks.sliding_window_view(tt, w)
+    vw = np.lib.stride_tricks.sliding_window_view(vv, w)
+    tc = tw - tw.mean(axis=1, keepdims=True)
+    sxx = (tc * tc).sum(axis=1)
+    sxy = (tc * vw).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = sxy / sxx
+    fit = vw.mean(axis=1, keepdims=True) + slope[:, None] * tc
+    sse = ((vw - fit) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se = np.sqrt(sse / (w - 2) / sxx)
+
+    crit = t_quantile(1.0 - params.alpha / 2.0, w - 2)
+    tstat = np.zeros_like(slope)
+    nz = se > 0
+    tstat[nz] = np.abs(slope[nz]) / se[nz]
+    # a perfect nonconstant line has zero residual but a real slope
+    tstat[~nz & (np.abs(slope) > 0)] = np.inf
+    reject = tstat > crit
+
+    stage1 = 0
+    retained = 0
+    tol = params.gradient_tolerance
+    centers = np.arange(h, len(vv) - h)
+    for k, i in enumerate(centers):
+        if not reject[k]:
+            continue
+        stage1 += 1
+        if tol is not None and 0 < i < len(vv) - 1:
+            dt = tt[i + 1] - tt[i - 1]
+            grad = abs(vv[i + 1] - vv[i - 1]) / dt if dt > 0 else math.inf
+            if grad <= tol:
+                retained += 1
+                continue
+        unsteady[present[i]] = True
+    return SteadyFilterResult(unsteady, stage1, retained)

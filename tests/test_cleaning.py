@@ -31,7 +31,7 @@ def test_dropout_in_two_variables_counts_one_pair():
         "b": [10.0, 11.0, 12.0, 0.0, 14.0, 15.0, 16.0, 17.0],
     })
     report = ProcessingReport()
-    out = contextual_filter(ds, report=report)
+    out = contextual_filter(ds, ds, report=report)
     assert sorted(f.value for f in flags_at(out, 3)) == ["dropout"]
     entry = report.stage_entries[0]
     assert entry.flag_counts == {"dropout": 1}
@@ -49,7 +49,7 @@ def dataset_with_ranges(values, lo=0.0, hi=200.0, name="shaft_rpm"):
 class TestContextualFilter:
     def test_invalid_range(self):
         ds = dataset_with_ranges([50.0, -5.0, 60.0])
-        out = contextual_filter(ds)
+        out = contextual_filter(ds, ds)
         assert out.flagged(QualityFlag.INVALID_RANGE)[1]
         assert not flags_at(out, 0)
 
@@ -58,33 +58,33 @@ class TestContextualFilter:
         noisy = list(80.0 + rng.normal(0, 1, 30))
         values = noisy[:5] + [90.0] * 30 + noisy[5:]
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, repeat_run=20)
+        out = contextual_filter(ds, ds, repeat_run=20)
         flagged = flagged_rows(out, QualityFlag.REPEATED_VALUE)
         assert flagged == list(range(5, 35))
 
     def test_constant_variable_not_repeated_flagged(self):
         ds = dataset_with_ranges([80.0] * 40)
-        out = contextual_filter(ds, repeat_run=20)
+        out = contextual_filter(ds, ds, repeat_run=20)
         assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_short_step_in_constant_signal_not_repeated_flagged(self):
         # np.var([3.3] * 3) is 1.97e-31, not 0: only distinct values count
         for head in (3.3, 80.0):
             ds = dataset_with_ranges([head] * 3 + [5.0] * 25)
-            out = contextual_filter(ds, repeat_run=20)
+            out = contextual_filter(ds, ds, repeat_run=20)
             assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_single_sample_dropout(self):
         values = [80.0] * 10 + [0.0] + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, dropout_max=3)
+        out = contextual_filter(ds, ds, dropout_max=3)
         assert out.flagged(QualityFlag.DROPOUT)[10]
         assert out.flagged(QualityFlag.DROPOUT).sum() == 1
 
     def test_long_dead_run_is_not_dropout(self):
         values = [80.0] * 10 + [0.0] * 5 + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, dropout_max=3)
+        out = contextual_filter(ds, ds, dropout_max=3)
         assert not out.flagged(QualityFlag.DROPOUT).any()
 
     def test_spike_flagged(self):
@@ -92,7 +92,7 @@ class TestContextualFilter:
         values = list(80.0 + rng.normal(0, 0.5, 41))
         values[20] += 30.0
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, spike_scales=6.0)
+        out = contextual_filter(ds, ds, spike_scales=6.0)
         assert out.flagged(QualityFlag.SPIKE)[20]
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
@@ -113,8 +113,25 @@ class TestContextualFilter:
     def test_spike_rule_never_fires_on_monotone_series(self, values):
         values = sorted(values)
         ds = dataset_with_ranges(values, lo=-1.0, hi=101.0)
-        out = contextual_filter(ds)
+        out = contextual_filter(ds, ds)
         assert not out.flagged(QualityFlag.SPIKE).any()
+
+
+    def test_rules_read_the_measured_columns_and_flag_the_dataset(self):
+        # a spike in a column derived after the measured snapshot is not checked
+        measured = dataset_with_ranges([80.0] * 41)
+        derived = list(measured.column("shaft_rpm"))
+        derived[20] = 500.0
+        ds = measured.adding_variable(VariableSpec("derived_rpm", valid_max=200.0), derived)
+        report = ProcessingReport()
+        out = contextual_filter(ds, measured, report=report)
+        assert report.stage_entries[0].checks == []
+        assert out.declares("derived_rpm") and not out.flagged(*QualityFlag).any()
+
+    def test_measured_rows_must_match(self):
+        ds = dataset_with_ranges([80.0] * 5)
+        with pytest.raises(CleaningError, match="timestamps"):
+            contextual_filter(ds, dataset_with_ranges([80.0] * 4))
 
 
 class TestQuasiSteady:

@@ -2,9 +2,10 @@
 replaced (``tests/cleaning_reference.py``) on columns built from runs: NaN
 gaps, zero runs at group edges, all-constant columns, steps whose MAD is 0,
 +0.0 beside -0.0, trip ids with berth rows between trips, and small
-``repeat_run`` and ``dropout_max``. Both must set the same flag bits and
-write the same check rows in the same order, with the same flag counts and
-summary."""
+``repeat_run`` and ``dropout_max``. The rules read the measured columns and
+flag a dataset derived from them, with one more column that neither
+checks. Both must set the same flag bits and write the same check rows in
+the same order, with the same flag counts and summary."""
 
 import math
 
@@ -49,13 +50,16 @@ def voyage(draw):
             end = min(n, start + draw(st.integers(1, 15)))
             ids[start:end] = [trip_id] * max(0, end - start)
             start = end
-    ds = new_dataset(schema, [T0 + i * INTERVAL for i in range(n)], columns, trip_ids=ids)
-    return ds, draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 2.0, 6.0]))
+    measured = new_dataset(schema, [T0 + i * INTERVAL for i in range(n)], columns,
+                           trip_ids=ids)
+    derived = VariableSpec("derived", valid_min=0.0, valid_max=6.0)
+    ds = measured.adding_variable(derived, draw(column(n)))
+    return ds, measured, draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 2.0, 6.0]))
 
 
-def outcome(fn, ds, repeat_run, dropout_max, spike_scales):
+def outcome(fn, ds, measured, repeat_run, dropout_max, spike_scales):
     report = ProcessingReport()
-    out = fn(ds, repeat_run=repeat_run, dropout_max=dropout_max,
+    out = fn(ds, measured, repeat_run=repeat_run, dropout_max=dropout_max,
              spike_scales=spike_scales, report=report)
     (entry,) = report.stage_entries
     checks = repr([c.to_dict() for c in entry.checks])  # repr tells -0.0 from 0.0

@@ -1,6 +1,7 @@
 """The vectorised ``interpolate`` against the per-sample scalar reference in
-``hindcast_reference.py`` (equal values and counts), and unmasked order-1
-grids against scipy's ``RegularGridInterpolator``."""
+``hindcast_reference.py`` (equal values and counts), unmasked order-1 grids
+against scipy's ``RegularGridInterpolator``, and the array stage 2 of
+``steady_state_filter`` against its loop over window centres."""
 
 import math
 
@@ -13,7 +14,7 @@ from scipy.interpolate import RegularGridInterpolator
 import hindcast_reference as reference
 from conftest import rows_dataset
 from shipdataprep import hindcast
-from shipdataprep.hindcast import interpolate
+from shipdataprep.hindcast import SteadyFilterParams, interpolate, steady_state_filter
 from shipdataprep.ingest import GridVariable, HindcastGrid
 from shipdataprep.model import (
     ProcessingReport,
@@ -230,3 +231,43 @@ def test_order_1_unmasked_matches_scipy(data):
             else:
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
+
+
+@st.composite
+def steady_series(draw):
+    """Timestamps with repeated stamps (zero steps) and values built from
+    plateaus, ramps, noise, spikes and NaN gaps."""
+    n = draw(st.integers(0, 60))
+    steps = draw(st.lists(st.sampled_from([0, 1, 60, 900]), min_size=n, max_size=n))
+    times = T0 + np.cumsum(steps, dtype=float)
+    values: list[float] = []
+    while len(values) < n:
+        length = draw(st.integers(1, 12))
+        kind = draw(st.sampled_from(["plateau", "ramp", "noise", "spike", "nan"]))
+        level = draw(st.floats(-100.0, 100.0))
+        if kind == "ramp":
+            slope = draw(st.floats(-5.0, 5.0))
+            values += [level + slope * k for k in range(length)]
+        elif kind == "noise":
+            values += draw(st.lists(st.floats(-100.0, 100.0), min_size=length,
+                                    max_size=length))
+        elif kind == "spike":
+            values += [level, level + draw(st.floats(-50.0, 50.0)), level]
+        else:
+            values += [math.nan if kind == "nan" else level] * length
+    params = SteadyFilterParams(
+        draw(st.sampled_from([3, 5, 7, 11])),
+        draw(st.sampled_from([0.01, 0.3, 0.6])),
+        draw(st.sampled_from([None, 1e-3, 0.05, 1.0])),
+    )
+    return times, np.array(values[:n]), params
+
+
+@settings(max_examples=400, deadline=None)
+@given(steady_series())
+def test_steady_filter_stage2_matches_loop(case):
+    got = steady_state_filter(*case)
+    want = reference.steady_state_filter(*case)
+    assert got.unsteady.tolist() == want.unsteady.tolist()
+    assert (got.stage1_rejected, got.retained_by_gradient, got.warning) == (
+        want.stage1_rejected, want.retained_by_gradient, want.warning)

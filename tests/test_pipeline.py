@@ -10,7 +10,7 @@ import pytest
 
 from conftest import VoyageBuilder
 from shipdataprep.cli import main
-from shipdataprep.ingest import load_config
+from shipdataprep.ingest import load_config, load_ship_csv
 from shipdataprep.model import QualityFlag
 from shipdataprep.pipeline import emit_plotdata, run_pipeline
 
@@ -138,6 +138,89 @@ class TestFullVoyage:
         result = run(paths)
         loop = [e for e in result.report.stage_entries if e.stage == "error_loop"][-1]
         assert loop.summary["iterations"] == 1
+
+
+def with_cells(paths, column, cells):
+    """The voyage with the ``column`` cells of the data rows ``cells`` names
+    replaced by the given values."""
+    header, *rows = paths["ship_csv"].read_text().splitlines()
+    j = header.split(",").index(column)
+    for i, value in cells.items():
+        row = rows[i].split(",")
+        row[j] = repr(float(value))
+        rows[i] = ",".join(row)
+    paths["ship_csv"].write_text("\n".join([header, *rows]) + "\n")
+    return paths
+
+
+def contextual_checks(result):
+    (entry,) = [e for e in result.report.stage_entries if e.stage == "clean:contextual"]
+    return entry.checks
+
+
+class TestContextualScope:
+    """The contextual rules read the measured columns, as logged and
+    regularized: a sensor fault is reported under the sensor only."""
+
+    STUCK = range(20, 45)  # in-trip rows of trip 1 (rows 10-49)
+
+    def stuck_drafts(self, tmp_path):
+        # both drafts drift through trip 1 and freeze for 25 rows
+        paths = VoyageBuilder(tmp_path, resistance=True).build()
+        for name, base in (("draft_fore", 8.5), ("draft_aft", 8.9)):
+            drift = {i: base + 0.002 * i for i in range(10, 50)}
+            drift.update({i: drift[self.STUCK[0]] for i in self.STUCK})
+            with_cells(paths, name, drift)
+        return paths
+
+    def test_checks_name_ingested_variables(self, tmp_path):
+        paths = with_cells(self.stuck_drafts(tmp_path), "shaft_rpm", {70: 0.0})
+        result = run(paths)
+        ingested = {s.name for s in load_ship_csv(paths["ship_csv"]).schema}
+        checks = contextual_checks(result)
+        assert {(c.verdict, c.variable) for c in checks} >= {
+            ("repeated_value", "draft_fore"), ("repeated_value", "draft_aft"),
+            ("dropout", "shaft_rpm"),
+        }
+        assert {c.variable for c in checks} <= ingested
+        assert result.dataset.declares("mean_draft") and result.dataset.declares("res_wind_coefficients")
+
+    def test_stuck_draft_sensor_is_reported_under_the_sensor_only(self, tmp_path):
+        result = run(self.stuck_drafts(tmp_path))
+        stamps = result.dataset.timestamps
+        stuck = {int(stamps[i]) for i in self.STUCK}
+        repeated = {}
+        for c in contextual_checks(result):
+            repeated.setdefault(c.variable, set()).add((c.verdict, c.timestamp))
+        assert repeated.pop("draft_fore") == {("repeated_value", t) for t in stuck}
+        assert repeated.pop("draft_aft") == {("repeated_value", t) for t in stuck}
+        derived = {"mean_draft", "displacement", "wsa", "trim",
+                   "raw_draft_fore", "raw_draft_aft"}
+        assert all(result.dataset.declares(name) for name in derived)
+        assert not derived & set(repeated)
+        flagged = result.dataset.flagged(QualityFlag.REPEATED_VALUE)
+        assert {int(t) for t in stamps[flagged]} == stuck
+
+    def test_ais_sog_jump_is_a_spike_of_sog(self, tmp_path):
+        paths = with_cells(VoyageBuilder(tmp_path).build(), "sog", {30: 12.0})
+        result = run(paths, source_kind="ais")
+        at = 30  # one message per 900-s bin: the rows keep their order
+        stamp = int(result.dataset.timestamps[at])
+        assert result.dataset.flagged(QualityFlag.IRRATIONAL_SPEED)[at]
+        assert result.dataset.column("sog")[at] != 12.0  # replaced in place
+        spikes = [(c.variable, c.timestamp, c.observed) for c in contextual_checks(result)
+                  if c.verdict == "spike"]
+        assert ("sog", stamp, 12.0) in spikes
+        assert result.dataset.flagged(QualityFlag.SPIKE)[at]
+
+    def test_constant_hindcast_field_sets_no_repeated_value(self, tmp_path):
+        # the golden voyage: hc_sig_wave_height is 1.5 everywhere in the grid
+        paths = VoyageBuilder(tmp_path, wind="head_east", wind_dir_fault=True,
+                              resistance=True, drop_rows=(53,)).build()
+        result = run(paths)
+        assert result.dataset.has_data("hc_sig_wave_height")
+        assert not any(c.variable.startswith("hc_") for c in contextual_checks(result))
+        assert not result.dataset.flagged(QualityFlag.REPEATED_VALUE).any()
 
 
 class TestAisSource:
