@@ -38,10 +38,11 @@ def contextual_filter(
     and its trip groups. A sensor fault is reported once, under the sensor.
     Columns the pipeline computed (``gps_heading``, ``leg_distance``, the
     wind and wave components, ``stw_estimate``, ``trim``, ``mean_draft``,
-    ``displacement``, ``wsa``, ``derived_*``, ``res_*``, ``fixed_*``, ``raw_*``)
-    can only inherit a fault from their inputs, and the ``hc_*`` columns are
+    ``displacement``, ``wsa``, ``derived_*``, ``res_*``, ``fixed_*``) can
+    only inherit a fault from their inputs, and the ``hc_*`` columns are
     interpolated model fields, in which a constant value is no fault.
-    Columns corrected in place (drafts, AIS ``sog``) are checked as logged.
+    Columns corrected in place (drafts, AIS ``sog``) are checked as logged;
+    their ``raw_*`` copies hold only the rows a correction replaced.
 
     invalid_range: value outside the schema's [valid_min, valid_max].
     repeated_value: a run of >= ``repeat_run`` identical values in a variable

@@ -54,7 +54,8 @@ def voyage(draw):
                            trip_ids=ids)
     derived = VariableSpec("derived", valid_min=0.0, valid_max=6.0)
     ds = measured.adding_variable(derived, draw(column(n)))
-    return ds, measured, draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 2.0, 6.0]))
+    return (ds, measured, draw(st.integers(1, 6)), draw(st.integers(1, 4)),
+            draw(st.sampled_from([0.5, 2.0, 6.0])))
 
 
 def outcome(fn, ds, measured, repeat_run, dropout_max, spike_scales):

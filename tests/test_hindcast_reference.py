@@ -232,11 +232,11 @@ def test_order_1_unmasked_matches_scipy(data):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
 
-
 @st.composite
 def steady_series(draw):
     """Timestamps with repeated stamps (zero steps) and values built from
-    plateaus, ramps, noise, spikes and NaN gaps."""
+    plateaus, ramps, noise, spikes and NaN gaps; whole-number levels and
+    slopes put some gradients exactly on the tolerance."""
     n = draw(st.integers(0, 60))
     steps = draw(st.lists(st.sampled_from([0, 1, 60, 900]), min_size=n, max_size=n))
     times = T0 + np.cumsum(steps, dtype=float)
@@ -244,9 +244,9 @@ def steady_series(draw):
     while len(values) < n:
         length = draw(st.integers(1, 12))
         kind = draw(st.sampled_from(["plateau", "ramp", "noise", "spike", "nan"]))
-        level = draw(st.floats(-100.0, 100.0))
+        level = draw(st.one_of(st.floats(-100.0, 100.0), st.integers(-100, 100).map(float)))
         if kind == "ramp":
-            slope = draw(st.floats(-5.0, 5.0))
+            slope = draw(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-1.0, 0.5, 1.0])))
             values += [level + slope * k for k in range(length)]
         elif kind == "noise":
             values += draw(st.lists(st.floats(-100.0, 100.0), min_size=length,
@@ -258,7 +258,7 @@ def steady_series(draw):
     params = SteadyFilterParams(
         draw(st.sampled_from([3, 5, 7, 11])),
         draw(st.sampled_from([0.01, 0.3, 0.6])),
-        draw(st.sampled_from([None, 1e-3, 0.05, 1.0])),
+        draw(st.sampled_from([None, 1e-3, 0.05, 0.5, 1.0])),
     )
     return times, np.array(values[:n]), params
 

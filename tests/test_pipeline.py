@@ -183,7 +183,7 @@ class TestContextualScope:
             ("dropout", "shaft_rpm"),
         }
         assert {c.variable for c in checks} <= ingested
-        assert result.dataset.declares("mean_draft") and result.dataset.declares("res_wind_coefficients")
+        assert all(result.dataset.declares(n) for n in ("mean_draft", "res_wind_coefficients"))
 
     def test_stuck_draft_sensor_is_reported_under_the_sensor_only(self, tmp_path):
         result = run(self.stuck_drafts(tmp_path))
