@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import VoyageBuilder
+from shipdataprep import pipeline as pl
 from shipdataprep.cli import main
-from shipdataprep.ingest import load_config, load_ship_csv
+from shipdataprep.ingest import PIPELINE_STAGES, load_config, load_ship_csv
 from shipdataprep.model import QualityFlag
-from shipdataprep.pipeline import emit_plotdata, run_pipeline
+from shipdataprep.pipeline import emit_plotdata, run_pipeline, write_processed_csv
 
 
 def edited(path, old, new):
@@ -237,19 +238,98 @@ class TestAisSource:
         assert result.dataset.flagged(QualityFlag.MISSING_INSERTED).any()
 
 
-class TestStageFailure:
-    def test_unexpected_stage_error_exits_two(self, tmp_path, monkeypatch):
-        paths = VoyageBuilder(tmp_path).build()
+# per stage, in processing order: the module attribute the stage calls, and
+# the prefix of the report entries it writes when it runs
+STAGE_CALLS = {
+    "regularize": (pl.timeline, "regularize", "regularize"),
+    "trips": (pl.timeline, "segment_by_thresholds", "trips"),
+    "gps_clean": (pl, "clean_gps", "gps_clean"),
+    "interpolate": (pl, "interpolate", "interpolate"),
+    "derive": (pl.features, "add_gps_heading", "derive:"),
+    "validate": (pl.validation, "check_power_identity", "check:"),
+    "draft_fix": (pl.corrections, "detect_draft_events", "draft_fix"),
+    "hydrostatics": (pl, "_hydrostatics_stage", "hydrostatics"),
+    "resistance": (pl.corrections, "resistance_components", "resistance"),
+    "clean": (pl.cleaning, "contextual_filter", "clean:"),
+}
+LOOP_STAGES = ("interpolate", "derive", "validate")
+GUARDED_STAGES = ("regularize", "derive", "validate", "draft_fix", "resistance", "clean")
 
-        def boom(*args, **kwargs):
+
+def crash_on_call(monkeypatch, stage, call=1):
+    """Make ``stage``'s function raise on its ``call``-th call."""
+    module, name, _ = STAGE_CALLS[stage]
+    original = getattr(module, name)
+    calls = []
+
+    def crash(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
             raise RuntimeError("synthetic stage crash")
+        return original(*args, **kwargs)
 
-        import shipdataprep.pipeline as pl
+    monkeypatch.setattr(module, name, crash)
 
-        monkeypatch.setattr(pl.cleaning, "contextual_filter", boom)
+
+def processed_text(result, path):
+    write_processed_csv(result.dataset, path, timestamp_header=False)
+    return path.read_text()
+
+
+class TestStageFailure:
+    @pytest.fixture
+    def paths(self, tmp_path):
+        # two error-loop iterations and every stage with work to do
+        return VoyageBuilder(
+            tmp_path, wind="head_east", wind_dir_fault=True, resistance=True
+        ).build()
+
+    @pytest.mark.parametrize("stage", GUARDED_STAGES)
+    def test_unexpected_stage_error_exits_two(self, paths, monkeypatch, stage):
+        crash_on_call(monkeypatch, stage)
         result = run(paths)
         assert result.exit_code == 2
-        assert any("clean" in f for f in result.stage_failures)
+        assert result.stage_failures == [f"{stage}: synthetic stage crash"]
+        entries = [e.stage for e in result.report.stage_entries]
+        assert entries.count(f"{stage}:failure") == 1
+        failure = entries.index(f"{stage}:failure")
+        assert result.report.stage_entries[failure].notes == ["synthetic stage crash"]
+        # the stages after it still run; a failure inside the loop ends the loop
+        order = list(STAGE_CALLS)
+        later = [
+            s for s in order[order.index(stage) + 1:]
+            if not (stage in LOOP_STAGES and s in LOOP_STAGES)
+        ]
+        for s in later:
+            prefix = STAGE_CALLS[s][2]
+            assert any(e.startswith(prefix) for e in entries[failure + 1:]), s
+
+    @pytest.mark.parametrize("stage", ("derive", "validate"))
+    def test_first_iteration_failure_keeps_the_loop_input(
+        self, paths, monkeypatch, stage, tmp_path
+    ):
+        # an interpolate or derive failure keeps the dataset the loop started
+        # from; a validate failure keeps the derived one
+        skipped = LOOP_STAGES if stage != "validate" else ("validate",)
+        stages = tuple(s for s in PIPELINE_STAGES if s not in skipped)
+        want = processed_text(run(paths, stages=stages), tmp_path / "want.csv")
+        crash_on_call(monkeypatch, stage)
+        result = run(paths)
+        assert result.exit_code == 2
+        assert processed_text(result, tmp_path / "got.csv") == want
+
+    @pytest.mark.parametrize("stage", ("derive",))
+    def test_second_iteration_failure_keeps_the_first(
+        self, paths, monkeypatch, stage, tmp_path
+    ):
+        want = processed_text(run(paths, max_iterations=1), tmp_path / "want.csv")
+        crash_on_call(monkeypatch, stage, call=2)
+        result = run(paths)
+        assert result.exit_code == 2
+        assert result.stage_failures == [f"{stage}: synthetic stage crash"]
+        loop = [e for e in result.report.stage_entries if e.stage == "error_loop"][-1]
+        assert loop.summary["iterations"] == 2
+        assert processed_text(result, tmp_path / "got.csv") == want
 
 
 class TestSkipContracts:
