@@ -58,13 +58,11 @@ def contextual_filter(
     entry = stage_entry(report, "clean:contextual")
     marks: dict[QualityFlag, np.ndarray] = {}
     groups = measured.trip_groups()
-    stamps = dataset.timestamps.tolist()
 
-    def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: list) -> None:
+    def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: object) -> None:
         if len(rows):  # a flag no row gets stays out of the counts
             marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[rows] = True
-        for i, value in zip(rows.tolist(), observed):
-            entry.check(flag.value, timestamp=stamps[i], variable=variable, observed=value)
+        entry.check_rows(flag.value, dataset.timestamps[rows], variable, observed=observed)
 
     numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
@@ -74,7 +72,7 @@ def contextual_filter(
             lo = -math.inf if spec.valid_min is None else spec.valid_min
             hi = math.inf if spec.valid_max is None else spec.valid_max
             bad = np.flatnonzero((col_all < lo) | (col_all > hi))
-            add(QualityFlag.INVALID_RANGE, bad, spec.name, col_all[bad].tolist())
+            add(QualityFlag.INVALID_RANGE, bad, spec.name, col_all[bad])
 
         for idx in groups:
             col = col_all[idx]
@@ -83,9 +81,9 @@ def contextual_filter(
             rows, observed = _repeated(col, repeat_run)
             add(QualityFlag.REPEATED_VALUE, idx[rows], spec.name, observed)
             rows = _dropouts(col, dropout_max)
-            add(QualityFlag.DROPOUT, idx[rows], spec.name, [DEAD_VALUE] * len(rows))
+            add(QualityFlag.DROPOUT, idx[rows], spec.name, DEAD_VALUE)
             rows = _spikes(col, spike_scales)
-            add(QualityFlag.SPIKE, idx[rows], spec.name, col[rows].tolist())
+            add(QualityFlag.SPIKE, idx[rows], spec.name, col[rows])
 
     out = dataset
     for flag, rows in marks.items():
@@ -95,7 +93,7 @@ def contextual_filter(
     return out
 
 
-def _repeated(col: np.ndarray, repeat_run: int) -> tuple[np.ndarray, list[float]]:
+def _repeated(col: np.ndarray, repeat_run: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows in runs of at least ``repeat_run`` identical values while the
     values outside the run hold two distinct ones, and the run's value at
     each row."""
@@ -110,7 +108,7 @@ def _repeated(col: np.ndarray, repeat_run: int) -> tuple[np.ndarray, list[float]
     keep = (lengths >= repeat_run) & ~np.isnan(col[starts])
     keep &= outside(np.fmin) < outside(np.fmax)
     rows = np.flatnonzero(np.repeat(keep, lengths))
-    return rows, np.repeat(col[starts], lengths)[rows].tolist()
+    return rows, np.repeat(col[starts], lengths)[rows]
 
 
 def _dropouts(col: np.ndarray, dropout_max: int) -> np.ndarray:
@@ -174,8 +172,7 @@ def quasi_steady_filter(
 
     out = add_flags(dataset, QualityFlag.UNSTEADY, unsteady, entry)
     entry.summary["variables"] = [name for name, _ in passes]
-    for t in dataset.timestamps[unsteady].tolist():
-        entry.check("unsteady", timestamp=t, variable=None)
+    entry.check_rows("unsteady", dataset.timestamps[unsteady])
     return out
 
 
@@ -294,17 +291,12 @@ def pca_score(
     skipped = int((~ok).sum())
     if ok.any():
         errors = detector.errors(cols[ok])
-        rows = np.flatnonzero(ok)
-        outlier[rows[errors > detector.threshold]] = True
-        stamps = dataset.timestamps[rows].tolist()
-        for local in np.flatnonzero(errors > detector.threshold).tolist():
-            entry.check(
-                "correlation_outlier",
-                timestamp=stamps[local],
-                variable=",".join(detector.features),
-                expected=detector.threshold,
-                observed=float(errors[local]),
-            )
+        outlier[np.flatnonzero(ok)[errors > detector.threshold]] = True
+        entry.check_rows(
+            "correlation_outlier", dataset.timestamps[outlier],
+            variable=",".join(detector.features), expected=detector.threshold,
+            observed=errors[errors > detector.threshold],
+        )
     out = add_flags(dataset, QualityFlag.CORRELATION_OUTLIER, outlier, entry)
     entry.summary["scored"] = int(ok.sum())
     entry.summary["skipped_incomplete"] = skipped

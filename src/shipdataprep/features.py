@@ -261,7 +261,7 @@ def ais_speed_consistency(
         return float(d[good].sum()), float(t[good].sum())
 
     flagged: list[int] = []
-    details: list[tuple[int, float, float]] = []  # (index, observed, implied)
+    implied: list[float] = []  # the speed over each flagged sample's leg
     for i in range(n):
         if math.isnan(sog[i]):
             continue
@@ -276,7 +276,7 @@ def ais_speed_consistency(
         mismatch = abs(reported - dist) / max(reported, dist, DISTANCE_FLOOR_M)
         if mismatch > tolerance_fraction:
             flagged.append(i)
-            details.append((i, float(sog[i]), dist / dt))
+            implied.append(dist / dt)
 
     out = dataset
     if flagged and not out.declares("raw_sog"):
@@ -297,14 +297,11 @@ def ais_speed_consistency(
     out = out.with_values("sog", flagged, replacements)
     out = add_flags(out, QualityFlag.IRRATIONAL_SPEED, flagged, entry)
 
-    for (i, observed, implied), value in zip(details, replacements.tolist()):
-        entry.check(
-            "left_missing" if math.isnan(value) else "replaced",
-            timestamp=int(ts[i]),
-            variable="sog",
-            expected=round(implied, 6),
-            observed=observed,
-        )
+    entry.check_rows(
+        np.where(np.isnan(replacements), "left_missing", "replaced"),
+        dataset.timestamps[flagged], variable="sog",
+        expected=[round(v, 6) for v in implied], observed=sog[flagged],
+    )
     unreplaced = int(np.isnan(replacements).sum())
     if unreplaced:
         note = (
@@ -353,15 +350,12 @@ def ais_status_check(
         elif st == 0 and sog[i] == 0.0 and has_trips and not in_trip[i]:
             stale[i] = True
     out = add_flags(dataset, QualityFlag.STALE_AIS_STATUS, stale, entry)
-    stamps = dataset.timestamps.tolist()
-    for i in np.flatnonzero(stale).tolist():
-        entry.check(
-            "stale_ais_status",
-            timestamp=stamps[i],
-            variable="nav_status",
-            expected=None,
-            observed=(int(round(status[i])), float(sog[i])),
-        )
+    entry.check_rows(
+        "stale_ais_status", dataset.timestamps[stale], variable="nav_status",
+        observed=[
+            (int(round(st)), v) for st, v in zip(status[stale].tolist(), sog[stale].tolist())
+        ],
+    )
     if stale.any():
         entry.notes.append(
             "manually entered fields (draft, destination, ETA) of flagged "

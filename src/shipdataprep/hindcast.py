@@ -217,7 +217,7 @@ def clean_gps(
     altered; flagged positions are simply excluded from interpolation."""
     entry = stage_entry(report, "gps_clean")
     if not (dataset.has_data("lat") and dataset.has_data("lon")):
-        entry.notes.append("lat/lon absent; GPS cleaning skipped")
+        entry.notes.append("lat/lon absent; stage skipped")
         return dataset
 
     ts = dataset.timestamps.astype(float)
@@ -239,14 +239,13 @@ def clean_gps(
                 entry.notes.append(res.warning)
     out = add_flags(dataset, QualityFlag.IRRATIONAL_POSITION, irrational, entry)
     entry.summary["stage1_rejected"] = stage1_total
-    stamps, lats, lons = dataset.timestamps.tolist(), lat.tolist(), lon.tolist()
-    for i in np.flatnonzero(irrational).tolist():
-        entry.check(
-            "irrational_position",
-            timestamp=stamps[i],
-            variable="lat/lon",
-            observed=tuple(None if v != v else v for v in (lats[i], lons[i])),
-        )
+    entry.check_rows(
+        "irrational_position", dataset.timestamps[irrational], variable="lat/lon",
+        observed=[
+            tuple(None if v != v else v for v in pair)
+            for pair in zip(lat[irrational].tolist(), lon[irrational].tolist())
+        ],
+    )
     return out
 
 

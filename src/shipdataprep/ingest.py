@@ -209,8 +209,10 @@ def load_ship_csv(
         entry.summary["rows_dropped_duplicate_timestamp"] = len(dropped)
         repeated = np.isin(dataset.timestamps, stamps[dropped])
         dataset = add_flags(dataset, QualityFlag.DROPOUT, repeated, entry)
-        for i, t in zip(dropped.tolist(), stamps[dropped].tolist()):
-            entry.check("dropout", timestamp=t, variable="timestamp", observed=lines[i])
+        entry.check_rows(
+            "dropout", stamps[dropped], variable="timestamp",
+            observed=[lines[i] for i in dropped.tolist()],
+        )
     return dataset
 
 

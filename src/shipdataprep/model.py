@@ -691,6 +691,14 @@ def _check_dicts(checks: list[CheckDetail]) -> list[dict]:
     ]
 
 
+def _per_row(value: object, n: int) -> list:
+    """``value`` as a list of ``n`` row values: a list as it is, an array as
+    Python numbers, and any other value repeated."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value if isinstance(value, list) else [value] * n
+
+
 @dataclass
 class CheckDetail:
     """One row of check evidence: what was expected vs observed, and verdict."""
@@ -726,7 +734,27 @@ class StageEntry:
         expected: object = None,
         observed: object = None,
     ) -> None:
-        self.checks.append(CheckDetail(timestamp, variable, expected, observed, verdict))
+        """One check: :meth:`check_rows` of a single row."""
+        self.check_rows([verdict], [timestamp], variable, [expected], [observed])
+
+    def check_rows(
+        self,
+        verdict: object,
+        timestamps: Sequence[int] | np.ndarray,
+        variable: str | None = None,
+        expected: object = None,
+        observed: object = None,
+    ) -> None:
+        """One check per stamp of ``timestamps``, in their order.
+
+        ``verdict``, ``expected`` and ``observed`` are each one value for
+        every row, or a list or array with one value per row. An array is
+        stored as Python numbers (``tolist``), so the report keeps its ints
+        as ints and its floats as floats. No stamp, no check."""
+        stamps = np.asarray(timestamps).tolist()
+        columns = (_per_row(v, len(stamps)) for v in (expected, observed, verdict))
+        rows = zip(stamps, *columns, strict=True)
+        self.checks += [CheckDetail(t, variable, exp, obs, v) for t, exp, obs, v in rows]
 
     def to_dict(self) -> dict:
         return {

@@ -73,15 +73,11 @@ def regularize(
     q, r = np.divmod(ts - t0, interval_s)
     slot = q + (r > interval_s / 2)  # exact half rounds down
     offset = np.abs(ts - t0 - slot * interval_s)
-    snapped = int(np.count_nonzero(offset))
-    for i in np.flatnonzero(offset).tolist():
-        entry.check(
-            "snapped",
-            timestamp=int(ts[i]),
-            variable="timestamp",
-            expected=t0 + int(slot[i]) * interval_s,
-            observed=int(ts[i]),
-        )
+    moved = np.flatnonzero(offset)
+    entry.check_rows(
+        "snapped", ts[moved], variable="timestamp",
+        expected=t0 + slot[moved] * interval_s, observed=ts[moved],
+    )
 
     # samples are in time order, so the samples of one slot are adjacent
     slots, first, members = np.unique(slot, return_index=True, return_counts=True)
@@ -103,15 +99,11 @@ def regularize(
     out = add_flags(out, QualityFlag.MISSING_INSERTED, rows < 0, entry)
     out = add_flags(out, QualityFlag.DROPOUT, [idx for _, idx in collisions], entry)
     entry.summary["inserted_rows"] = int((rows < 0).sum())
-    entry.summary["snapped_samples"] = snapped
-    for lost, idx in collisions:
-        entry.check(
-            "dropout",
-            timestamp=t0 + idx * interval_s,
-            variable="timestamp",
-            expected=None,
-            observed=iso_timestamp(lost),
-        )
+    entry.summary["snapped_samples"] = len(moved)
+    entry.check_rows(
+        "dropout", [t0 + idx * interval_s for _, idx in collisions], variable="timestamp",
+        observed=[iso_timestamp(lost) for lost, _ in collisions],
+    )
     return out
 
 

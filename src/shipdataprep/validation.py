@@ -58,7 +58,6 @@ def check_power_identity(
     tau = dataset.coalesce("shaft_torque")
     pwr = dataset.coalesce("shaft_power")
     rev_s = rpm / 60.0
-    stamps = dataset.timestamps.tolist()
 
     invalid = np.zeros(n, dtype=bool)
     derived_p, derived_n, derived_t = ([None] * n for _ in range(3))
@@ -73,13 +72,6 @@ def check_power_identity(
             if resid > rel_tolerance:
                 failed += 1
                 invalid[i] = True
-                entry.check(
-                    "fail",
-                    timestamp=stamps[i],
-                    variable="shaft_power",
-                    expected=expected,
-                    observed=float(pwr[i]),
-                )
         elif sum(have) == 2:
             derived += 1
             if not have[2]:
@@ -89,6 +81,10 @@ def check_power_identity(
             else:
                 derived_n[i] = pwr[i] / (TWO_PI * tau[i]) * 60.0 if tau[i] != 0 else None
 
+    entry.check_rows(
+        "fail", dataset.timestamps[invalid], variable="shaft_power",
+        expected=shaft_power(rev_s[invalid], tau[invalid]), observed=pwr[invalid],
+    )
     out = add_flags(dataset, QualityFlag.INVALID_RANGE, invalid, entry)
     for name, unit, col in (
         ("derived_shaft_power", "W", derived_p),
@@ -148,17 +144,12 @@ def check_speed_power(
     deviations = (pwr[positive] - ref[positive]) / ref[positive]
     outside = np.zeros(len(dataset), dtype=bool)
     if particulars.envelope is not None:
-        stamps = dataset.timestamps.tolist()
         for i in np.nonzero(on_curve & ~np.isnan(rpm))[0].tolist():
-            if not _point_in_polygon(rpm[i], pwr[i], particulars.envelope):
-                outside[i] = True
-                entry.check(
-                    "outside_envelope",
-                    timestamp=stamps[i],
-                    variable="shaft_power",
-                    expected=None,
-                    observed=(float(rpm[i]), float(pwr[i])),
-                )
+            outside[i] = not _point_in_polygon(rpm[i], pwr[i], particulars.envelope)
+    entry.check_rows(
+        "outside_envelope", dataset.timestamps[outside], variable="shaft_power",
+        observed=list(zip(rpm[outside].tolist(), pwr[outside].tolist())),
+    )
     out = add_flags(dataset, QualityFlag.INVALID_RANGE, outside, entry)
     entry.summary["curve"] = curve.label
     entry.summary["compared"] = len(deviations)
@@ -194,15 +185,11 @@ def check_stw(
         entry.summary["residual_median"] = float(np.median(r))
         entry.summary["residual_max_abs"] = float(np.abs(r).max())
         entry.summary["beyond_tolerance"] = int((np.abs(r) > tolerance).sum())
-        stamps = dataset.timestamps.tolist()
-        for i in np.nonzero(good & (np.abs(resid) > tolerance))[0]:
-            entry.check(
-                "suspect",
-                timestamp=stamps[i],
-                variable="stw",
-                expected=float(est[i]),
-                observed=float(stw[i]),
-            )
+        beyond = good & (np.abs(resid) > tolerance)
+        entry.check_rows(
+            "suspect", dataset.timestamps[beyond], variable="stw",
+            expected=est[beyond], observed=stw[beyond],
+        )
 
 
 def onboard_longitudinal_wind(dataset: VoyageDataset, use_fixed: bool = True) -> np.ndarray:
@@ -250,18 +237,13 @@ def check_longitudinal_wind(
     result["compared"] = int(good.sum())
     big = good & (np.abs(resid) > tolerance)
     result["beyond_tolerance"] = int(big.sum())
-    faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)
-    stamps = dataset.timestamps.tolist()
-    for i in np.nonzero(big)[0]:
-        if faulted[i]:
-            result["cross_referenced"] += 1
-        entry.check(
-            "mismatch+angular_fault" if faulted[i] else "mismatch",
-            timestamp=stamps[i],
-            variable="rel_wind_long",
-            expected=float(hc_side[i]),
-            observed=float(ship_side[i]),
-        )
+    faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)[big]
+    result["cross_referenced"] = int(faulted.sum())
+    entry.check_rows(
+        np.where(faulted, "mismatch+angular_fault", "mismatch"),
+        dataset.timestamps[big], variable="rel_wind_long",
+        expected=hc_side[big], observed=ship_side[big],
+    )
     entry.summary.update(result)
     r = resid[good]
     if len(r):
@@ -333,13 +315,8 @@ def detect_angular_fault(
                 np.where(faulty, reference, np.nan),
             )
     entry.summary["flagged"] = int(faulty.sum())
-    stamps = dataset.timestamps.tolist()
-    for i in np.flatnonzero(faulty).tolist():
-        entry.check(
-            "angular_averaging_fault",
-            timestamp=stamps[i],
-            variable=variable,
-            expected=float(reference[i]),
-            observed=float(recorded[i]),
-        )
+    entry.check_rows(
+        "angular_averaging_fault", dataset.timestamps[faulty], variable=variable,
+        expected=reference[faulty], observed=recorded[faulty],
+    )
     return out

@@ -1,5 +1,6 @@
 """Core data model: construction contracts, the bit-exact round trip of
-values through processed.csv, flag monotonicity."""
+values through processed.csv, flag monotonicity, the report's per-row
+checks."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from shipdataprep.model import (
     QualityFlag,
     Sample,
     SchemaError,
+    StageEntry,
     VariableSpec,
     VoyageDataset,
     new_dataset,
@@ -161,3 +163,46 @@ def test_roundtrip_bit_equality_property(tmp_path_factory, values):
     ds = new_dataset([VariableSpec("x")], [i * 10 for i in range(len(values))], {"x": values})
     back, _, _ = write_and_read_processed(ds, tmp / "processed.csv")
     assert back.column("x").tobytes() == ds.column("x").tobytes()
+
+
+class TestCheckRows:
+    STAMPS = np.array([1000, 1900, 2800], dtype=np.int64)
+
+    def entries(self):
+        """The same checks added through ``check_rows`` and one at a time
+        through ``check``."""
+        stamps = self.STAMPS
+        verdicts = np.where([True, False, True], "mismatch+angular_fault", "mismatch")
+        expected = [1.5, None, (2, 3.0)]
+        ints = np.array([7, -1, 2**40], dtype=np.int64)
+        floats = np.array([0.1, np.inf])
+        rows = StageEntry("check:rows")
+        rows.check_rows(verdicts, stamps, "v", expected=expected, observed=ints)
+        rows.check_rows("unsteady", stamps[1:], expected=0.25, observed=floats)
+        rows.check_rows("spike", stamps[:0], "v", observed=np.zeros(0))
+        one = StageEntry("check:rows")
+        for t, v, e, o in zip(stamps.tolist(), verdicts.tolist(), expected, ints.tolist()):
+            one.check(v, timestamp=t, variable="v", expected=e, observed=o)
+        for t, o in zip(stamps[1:].tolist(), floats.tolist()):
+            one.check("unsteady", timestamp=t, expected=0.25, observed=o)
+        return rows, one
+
+    def test_same_checks_as_one_at_a_time(self):
+        rows, one = self.entries()
+        assert len(rows.checks) == 5  # the empty selection added none
+        assert rows.checks == one.checks
+        assert rows.to_dict() == one.to_dict()
+
+    def test_arrays_are_stored_as_python_numbers(self):
+        rows, _ = self.entries()
+        checks = rows.to_dict()["checks"]
+        assert [type(c["observed"]) for c in checks] == [int] * 3 + [float] * 2
+        assert [c["observed"] for c in checks[:3]] == [7, -1, 2**40]
+        assert all(type(c.timestamp) is int and type(c.verdict) is str for c in rows.checks)
+        assert [c["verdict"] for c in checks[:3]] == [
+            "mismatch+angular_fault", "mismatch", "mismatch+angular_fault",
+        ]
+
+    def test_per_row_value_of_another_length_raises(self):
+        with pytest.raises(ValueError):
+            StageEntry("check:rows").check_rows("spike", self.STAMPS, observed=[1.0])
