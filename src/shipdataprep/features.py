@@ -350,12 +350,10 @@ def ais_status_check(
         elif st == 0 and sog[i] == 0.0 and has_trips and not in_trip[i]:
             stale[i] = True
     out = add_flags(dataset, QualityFlag.STALE_AIS_STATUS, stale, entry)
-    entry.check_rows(
-        "stale_ais_status", dataset.timestamps[stale], variable="nav_status",
-        observed=[
-            (int(round(st)), v) for st, v in zip(status[stale].tolist(), sog[stale].tolist())
-        ],
-    )
+    pairs = zip(status[stale].tolist(), sog[stale].tolist())
+    observed = [(int(round(st)), v) for st, v in pairs]
+    stamps = dataset.timestamps[stale]
+    entry.check_rows("stale_ais_status", stamps, "nav_status", observed=observed)
     if stale.any():
         entry.notes.append(
             "manually entered fields (draft, destination, ETA) of flagged "

@@ -239,13 +239,10 @@ def clean_gps(
                 entry.notes.append(res.warning)
     out = add_flags(dataset, QualityFlag.IRRATIONAL_POSITION, irrational, entry)
     entry.summary["stage1_rejected"] = stage1_total
-    entry.check_rows(
-        "irrational_position", dataset.timestamps[irrational], variable="lat/lon",
-        observed=[
-            tuple(None if v != v else v for v in pair)
-            for pair in zip(lat[irrational].tolist(), lon[irrational].tolist())
-        ],
-    )
+    pairs = zip(lat[irrational].tolist(), lon[irrational].tolist())
+    observed = [tuple(None if v != v else v for v in pair) for pair in pairs]
+    stamps = dataset.timestamps[irrational]
+    entry.check_rows("irrational_position", stamps, "lat/lon", observed=observed)
     return out
 
 

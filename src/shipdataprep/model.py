@@ -691,14 +691,6 @@ def _check_dicts(checks: list[CheckDetail]) -> list[dict]:
     ]
 
 
-def _per_row(value: object, n: int) -> list:
-    """``value`` as a list of ``n`` row values: a list as it is, an array as
-    Python numbers, and any other value repeated."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value if isinstance(value, list) else [value] * n
-
-
 @dataclass
 class CheckDetail:
     """One row of check evidence: what was expected vs observed, and verdict."""
@@ -752,7 +744,11 @@ class StageEntry:
         stored as Python numbers (``tolist``), so the report keeps its ints
         as ints and its floats as floats. No stamp, no check."""
         stamps = np.asarray(timestamps).tolist()
-        columns = (_per_row(v, len(stamps)) for v in (expected, observed, verdict))
+        n = len(stamps)
+        columns = [
+            v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list) else [v] * n
+            for v in (expected, observed, verdict)
+        ]
         rows = zip(stamps, *columns, strict=True)
         self.checks += [CheckDetail(t, variable, exp, obs, v) for t, exp, obs, v in rows]
 

@@ -6,9 +6,10 @@ the processed dataset, reports and plot-data files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -149,20 +150,36 @@ def run_pipeline(
 
     Fatal input problems raise :class:`IngestError`/:class:`ConfigError`;
     anything recoverable lands in the report and processing continues.
-    Unexpected stage failures are recorded and reflected in the exit code.
+    Every stage runs inside ``guard``: an unexpected failure is recorded,
+    the later stages still run, and the exit code is 2.
     """
     report = report if report is not None else ProcessingReport()
     failures: list[str] = []
     enabled = set(config.stages)
 
+    @contextmanager
+    def guard(stage: str) -> Iterator[list[Exception]]:
+        """Run the block as ``stage``: an exception it raises becomes the
+        failure ``"<stage>: <exc>"`` and a ``<stage>:failure`` entry, and the
+        run goes on after the block. The yielded list then holds the
+        exception, so the caller can tell that the stage did not finish."""
+        failed: list[Exception] = []
+        try:
+            yield failed
+        except Exception as exc:
+            failures.append(f"{stage}: {exc}")
+            report.stage(f"{stage}:failure").notes.append(str(exc))
+            failed.append(exc)
+
+    def skip(stage: str, reason: str) -> None:
+        """The entry of a stage that has nothing to run on, and why."""
+        report.stage(stage).notes.append(f"{reason}; stage skipped")
+
     if not config.ship_csv:
         raise IngestError("config does not name a ship_csv input")
     particulars = load_particulars(config.particulars, report) if config.particulars else None
     dataset = load_ship_csv(
-        config.ship_csv,
-        unit_map=config.unit_map,
-        source_kind=config.source_kind,
-        report=report,
+        config.ship_csv, unit_map=config.unit_map, source_kind=config.source_kind, report=report
     )
     if len(dataset) == 0:
         raise IngestError(f"{config.ship_csv}: no row with a parseable timestamp")
@@ -172,100 +189,94 @@ def run_pipeline(
     hydro_table = (
         corrections.HydroTable.from_csv(config.hydro_table) if config.hydro_table else None
     )
-    models = [
-        corrections.TableDrivenModel.from_csv(p) for p in config.resistance_tables
-    ]
+    models = [corrections.TableDrivenModel.from_csv(p) for p in config.resistance_tables]
+    no_particulars = "no ship particulars configured"
 
     trip_index: TripIndex | None = None
 
     # -- uniform time steps ---------------------------------------------------
     if "regularize" in enabled:
-        try:
+        with guard("regularize"):
             if dataset.source_kind == "ais":
                 dataset = timeline.resample(dataset, config.sampling_interval, report)
             dataset = timeline.regularize(dataset, config.sampling_interval, report)
-        except Exception as exc:  # pragma: no cover - defensive
-            failures.append(f"regularize: {exc}")
-            report.stage("regularize:failure").notes.append(str(exc))
 
     # -- trips ------------------------------------------------------------------
     if "trips" in enabled:
-        entry = report.stage("trips")
-        try:
-            if config.trip_method == "state_variable":
-                trip_index, dataset = timeline.segment_by_state(dataset)
-            elif config.trip_method == "port_names":
-                trip_index, dataset = timeline.segment_by_ports(dataset)
-            else:
-                # the config overrides the particulars, which override the defaults
-                rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
-                if rpm_thr is None:
-                    rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
-                if sog_thr is None:
-                    sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
-                trip_index, dataset = timeline.segment_by_thresholds(
-                    dataset,
-                    rpm_threshold=rpm_thr,
-                    sog_threshold=sog_thr,
-                    pad_samples=config.pad_samples,
-                )
-            entry.summary["method"] = trip_index.method
-            entry.summary["trips"] = len(trip_index.trips)
-            entry.summary["berth_legs"] = len(trip_index.berth_legs)
-        except SegmentationError as exc:
-            entry.notes.append(f"segmentation skipped: {exc}")
+        with guard("trips"):
+            entry = report.stage("trips")
+            try:
+                if config.trip_method == "state_variable":
+                    trip_index, dataset = timeline.segment_by_state(dataset)
+                elif config.trip_method == "port_names":
+                    trip_index, dataset = timeline.segment_by_ports(dataset)
+                else:
+                    # the config overrides the particulars, which override the defaults
+                    rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
+                    if rpm_thr is None:
+                        rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
+                    if sog_thr is None:
+                        sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
+                    trip_index, dataset = timeline.segment_by_thresholds(
+                        dataset,
+                        rpm_threshold=rpm_thr,
+                        sog_threshold=sog_thr,
+                        pad_samples=config.pad_samples,
+                    )
+                entry.summary.update(method=trip_index.method, trips=len(trip_index.trips),
+                                     berth_legs=len(trip_index.berth_legs))
+            except SegmentationError as exc:
+                entry.notes.append(f"segmentation skipped: {exc}")
     # the logged columns on their final rows, for the contextual rules; no
     # later stage changes rows, and their datasets share these arrays
     measured = dataset
 
     # -- GPS cleaning ------------------------------------------------------------
     if "gps_clean" in enabled:
-        if dataset.has_data("lat") and dataset.has_data("lon"):
+        with guard("gps_clean"):
             dataset = clean_gps(dataset, _steady_params(config, "lat"), report)
-        else:
-            report.stage("gps_clean").notes.append("lat/lon absent; stage skipped")
 
     # -- interpolate + derive + validate, with the error loop --------------------
-    base = dataset
-    final = dataset
+    # a failing stage ends the loop with the dataset of the last iteration that
+    # completed, or with the derived one when validation fails
+    base = final = dataset
     have_positions = dataset.has_data("lat") and dataset.has_data("lon")
     loop_entry = report.stage("error_loop")
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
         work = base
+        signals = {"new_angular_faults": 0, "wind_cross_referenced": 0}
         if "interpolate" in enabled:
-            if grid is not None and have_positions:
-                work = interpolate(
-                    grid,
-                    work,
-                    order=config.interpolation_order,
-                    mask_policy=config.mask_policy,
-                    report=report,
-                )
-            elif iteration == 1:
-                report.stage("interpolate").notes.append(
-                    "hindcast grid or GPS positions unavailable; stage skipped"
-                )
-        if "derive" in enabled and particulars is not None:
-            try:
-                work = _derive(work, config, particulars, report)
-            except Exception as exc:
-                failures.append(f"derive: {exc}")
-                report.stage("derive:failure").notes.append(str(exc))
+            with guard("interpolate") as failed:
+                if grid is not None and have_positions:
+                    work = interpolate(
+                        grid, work, order=config.interpolation_order,
+                        mask_policy=config.mask_policy, report=report,
+                    )
+                elif iteration == 1:
+                    skip("interpolate", "hindcast grid or GPS positions unavailable")
+            if failed:
                 break
-        if "validate" in enabled and particulars is not None:
-            try:
-                work, signals = _validate(
-                    work, config, particulars, report, use_fixed=iteration > 1
-                )
-            except Exception as exc:
-                failures.append(f"validate: {exc}")
-                report.stage("validate:failure").notes.append(str(exc))
+        if "derive" in enabled:
+            with guard("derive") as failed:
+                if particulars is not None:
+                    work = _derive(work, config, particulars, report)
+                elif iteration == 1:
+                    skip("derive", no_particulars)
+            if failed:
+                break
+        if "validate" in enabled:
+            with guard("validate") as failed:
+                if particulars is not None:
+                    work, signals = _validate(
+                        work, config, particulars, report, use_fixed=iteration > 1
+                    )
+                elif iteration == 1:
+                    skip("validate", no_particulars)
+            if failed:
                 final = work
                 break
-        else:
-            signals = {"new_angular_faults": 0, "wind_cross_referenced": 0}
         final = work
         errors = signals["new_angular_faults"] > 0 or signals["wind_cross_referenced"] > 0
         loop_entry.notes.append(
@@ -286,73 +297,51 @@ def run_pipeline(
 
     # -- draft corrections ---------------------------------------------------------
     if "draft_fix" in enabled:
-        if trip_index is not None and trip_index.trips and (
-            dataset.has_data("draft_fore") or dataset.has_data("draft_aft")
-        ):
-            try:
-                for trip in trip_index.trips:
-                    events = corrections.detect_draft_events(
-                        dataset, trip, _steady_params(config, "draft_fore"),
-                        n_avg=config.n_avg,
-                    )
-                    if events:
-                        dataset = corrections.fix_draft_ramp(
-                            dataset, trip, events, n_avg=config.n_avg, report=report
-                        )
-                    else:
-                        dataset = corrections.fix_draft_simple(
-                            dataset, trip, n_anchor=config.n_avg, report=report
-                        )
-            except Exception as exc:
-                failures.append(f"draft_fix: {exc}")
-                report.stage("draft_fix:failure").notes.append(str(exc))
-        else:
-            report.stage("draft_fix").notes.append(
-                "no trips or no draft sensors; stage skipped"
-            )
+        with guard("draft_fix"):
+            drafts = dataset.has_data("draft_fore") or dataset.has_data("draft_aft")
+            trips = trip_index.trips if trip_index is not None and drafts else []
+            if not trips:
+                skip("draft_fix", "no trips or no draft sensors")
+            for trip in trips:
+                events = corrections.detect_draft_events(
+                    dataset, trip, _steady_params(config, "draft_fore"), n_avg=config.n_avg
+                )
+                dataset = corrections.fix_draft_ramp(
+                    dataset, trip, events, n_avg=config.n_avg, report=report
+                )
 
     # -- hydrostatics ------------------------------------------------------------------
-    if "hydrostatics" in enabled and particulars is not None:
-        dataset = _hydrostatics_stage(dataset, particulars, hydro_table, config, report)
+    if "hydrostatics" in enabled:
+        with guard("hydrostatics"):
+            if particulars is None:
+                skip("hydrostatics", no_particulars)
+            else:
+                dataset = _hydrostatics_stage(dataset, particulars, hydro_table, config, report)
 
     # -- resistance ----------------------------------------------------------------------
     if "resistance" in enabled:
-        if models:
-            try:
+        with guard("resistance"):
+            if not models:
+                skip("resistance", "no resistance coefficient tables configured")
+            else:
                 dataset = corrections.resistance_components(dataset, models, report)
-            except Exception as exc:
-                failures.append(f"resistance: {exc}")
-                report.stage("resistance:failure").notes.append(str(exc))
-        else:
-            report.stage("resistance").notes.append(
-                "no resistance coefficient tables configured; stage skipped"
-            )
 
     # -- cleaning ---------------------------------------------------------------------------
     if "clean" in enabled:
-        try:
+        with guard("clean"):
             dataset = cleaning.contextual_filter(
-                dataset,
-                measured,
-                repeat_run=config.repeat_run,
-                dropout_max=config.dropout_max,
-                spike_scales=config.spike_scales,
-                report=report,
+                dataset, measured, repeat_run=config.repeat_run,
+                dropout_max=config.dropout_max, spike_scales=config.spike_scales, report=report,
             )
             rpm_params = _steady_params(config, "shaft_rpm")
-            sog_base = _steady_params(config, "sog")
+            sog = _steady_params(config, "sog")
+            tol = sog.gradient_tolerance
             sog_params = SteadyFilterParams(
-                sog_base.window,
-                sog_base.alpha * SOG_RELAX_ALPHA,
-                None
-                if sog_base.gradient_tolerance is None
-                else sog_base.gradient_tolerance * SOG_RELAX_TOLERANCE,
+                sog.window, sog.alpha * SOG_RELAX_ALPHA,
+                None if tol is None else tol * SOG_RELAX_TOLERANCE,
             )
             dataset = cleaning.quasi_steady_filter(dataset, rpm_params, sog_params, report)
             dataset = _pca_stage(dataset, config, report)
-        except Exception as exc:
-            failures.append(f"clean: {exc}")
-            report.stage("clean:failure").notes.append(str(exc))
 
     exit_code = 2 if failures else 0
     return PipelineResult(dataset, report, trip_index, particulars, exit_code, failures)
@@ -404,15 +393,15 @@ def _hydrostatics_stage(
     entry.summary["computed"] = sum(1 for v in disp if v is not None)
     entry.summary["failed"] = failed
     limit = corrections.EXTRAPOLATION_LIMIT * particulars.design_draft
-    beyond = [v for v in mean_draft if v is not None and v > limit]
+    got = [v for v in mean_draft if v is not None]
+    beyond = [v for v in got if v > limit]
     if beyond:
         entry.notes.append(
             f"{len(beyond)} sample(s) with mean draft above {corrections.EXTRAPOLATION_LIMIT}"
             f" x design draft {particulars.design_draft:.2f} m, largest {max(beyond):.2f} m;"
             " extrapolating"
         )
-    if particulars.design_draft and any(v is not None for v in mean_draft):
-        got = [v for v in mean_draft if v is not None]
+    if particulars.design_draft and got:
         verdict = corrections.check_draft_ratio(
             float(np.mean(got)), particulars, config.voyage_kind
         )

@@ -61,7 +61,7 @@ def check_power_identity(
 
     invalid = np.zeros(n, dtype=bool)
     derived_p, derived_n, derived_t = ([None] * n for _ in range(3))
-    checked = failed = derived = 0
+    checked = derived = 0
     eps = 1e-9
     for i in range(n):
         have = (not math.isnan(rev_s[i]), not math.isnan(tau[i]), not math.isnan(pwr[i]))
@@ -69,9 +69,7 @@ def check_power_identity(
             checked += 1
             expected = shaft_power(rev_s[i], tau[i])
             resid = abs(pwr[i] - expected) / max(abs(pwr[i]), eps)
-            if resid > rel_tolerance:
-                failed += 1
-                invalid[i] = True
+            invalid[i] = resid > rel_tolerance
         elif sum(have) == 2:
             derived += 1
             if not have[2]:
@@ -96,7 +94,7 @@ def check_power_identity(
                 VariableSpec(name, unit, "linear", role="operating_point"), col
             )
     entry.summary.update(
-        {"checked": checked, "failed": failed, "derived": derived}
+        {"checked": checked, "failed": int(invalid.sum()), "derived": derived}
     )
     return out
 
@@ -146,10 +144,9 @@ def check_speed_power(
     if particulars.envelope is not None:
         for i in np.nonzero(on_curve & ~np.isnan(rpm))[0].tolist():
             outside[i] = not _point_in_polygon(rpm[i], pwr[i], particulars.envelope)
-    entry.check_rows(
-        "outside_envelope", dataset.timestamps[outside], variable="shaft_power",
-        observed=list(zip(rpm[outside].tolist(), pwr[outside].tolist())),
-    )
+    observed = list(zip(rpm[outside].tolist(), pwr[outside].tolist()))
+    stamps = dataset.timestamps[outside]
+    entry.check_rows("outside_envelope", stamps, "shaft_power", observed=observed)
     out = add_flags(dataset, QualityFlag.INVALID_RANGE, outside, entry)
     entry.summary["curve"] = curve.label
     entry.summary["compared"] = len(deviations)
@@ -184,12 +181,10 @@ def check_stw(
         entry.summary["residual_mean"] = float(r.mean())
         entry.summary["residual_median"] = float(np.median(r))
         entry.summary["residual_max_abs"] = float(np.abs(r).max())
-        entry.summary["beyond_tolerance"] = int((np.abs(r) > tolerance).sum())
         beyond = good & (np.abs(resid) > tolerance)
-        entry.check_rows(
-            "suspect", dataset.timestamps[beyond], variable="stw",
-            expected=est[beyond], observed=stw[beyond],
-        )
+        entry.summary["beyond_tolerance"] = int(beyond.sum())
+        stamps = dataset.timestamps[beyond]
+        entry.check_rows("suspect", stamps, "stw", expected=est[beyond], observed=stw[beyond])
 
 
 def onboard_longitudinal_wind(dataset: VoyageDataset, use_fixed: bool = True) -> np.ndarray:
@@ -316,7 +311,7 @@ def detect_angular_fault(
             )
     entry.summary["flagged"] = int(faulty.sum())
     entry.check_rows(
-        "angular_averaging_fault", dataset.timestamps[faulty], variable=variable,
+        "angular_averaging_fault", dataset.timestamps[faulty], variable,
         expected=reference[faulty], observed=recorded[faulty],
     )
     return out

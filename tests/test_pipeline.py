@@ -253,7 +253,6 @@ STAGE_CALLS = {
     "clean": (pl.cleaning, "contextual_filter", "clean:"),
 }
 LOOP_STAGES = ("interpolate", "derive", "validate")
-GUARDED_STAGES = ("regularize", "derive", "validate", "draft_fix", "resistance", "clean")
 
 
 def crash_on_call(monkeypatch, stage, call=1):
@@ -284,7 +283,7 @@ class TestStageFailure:
             tmp_path, wind="head_east", wind_dir_fault=True, resistance=True
         ).build()
 
-    @pytest.mark.parametrize("stage", GUARDED_STAGES)
+    @pytest.mark.parametrize("stage", STAGE_CALLS)
     def test_unexpected_stage_error_exits_two(self, paths, monkeypatch, stage):
         crash_on_call(monkeypatch, stage)
         result = run(paths)
@@ -304,7 +303,7 @@ class TestStageFailure:
             prefix = STAGE_CALLS[s][2]
             assert any(e.startswith(prefix) for e in entries[failure + 1:]), s
 
-    @pytest.mark.parametrize("stage", ("derive", "validate"))
+    @pytest.mark.parametrize("stage", LOOP_STAGES)
     def test_first_iteration_failure_keeps_the_loop_input(
         self, paths, monkeypatch, stage, tmp_path
     ):
@@ -318,7 +317,7 @@ class TestStageFailure:
         assert result.exit_code == 2
         assert processed_text(result, tmp_path / "got.csv") == want
 
-    @pytest.mark.parametrize("stage", ("derive",))
+    @pytest.mark.parametrize("stage", ("interpolate", "derive"))
     def test_second_iteration_failure_keeps_the_first(
         self, paths, monkeypatch, stage, tmp_path
     ):
@@ -365,6 +364,16 @@ class TestSkipContracts:
                 continue
             b = full.dataset.column(name)
             assert np.array_equal(a, b, equal_nan=True)
+
+    def test_without_particulars_each_stage_needing_them_leaves_a_note(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        edited(paths["config"], "particulars = particulars.txt\n", "")
+        result = run(paths)
+        assert result.exit_code == 0
+        note = "no ship particulars configured; stage skipped"
+        skipped = [e.stage for e in result.report.stage_entries if note in e.notes]
+        assert skipped == ["derive", "validate", "hydrostatics"]
+        assert not result.dataset.declares("gps_heading")
 
     def test_trips_skipped_when_no_basis(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
