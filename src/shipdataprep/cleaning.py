@@ -291,11 +291,12 @@ def pca_score(
     skipped = int((~ok).sum())
     if ok.any():
         errors = detector.errors(cols[ok])
-        outlier[np.flatnonzero(ok)[errors > detector.threshold]] = True
+        beyond = errors > detector.threshold
+        outlier[np.flatnonzero(ok)[beyond]] = True
         entry.check_rows(
             "correlation_outlier", dataset.timestamps[outlier],
             variable=",".join(detector.features), expected=detector.threshold,
-            observed=errors[errors > detector.threshold],
+            observed=errors[beyond],
         )
     out = add_flags(dataset, QualityFlag.CORRELATION_OUTLIER, outlier, entry)
     entry.summary["scored"] = int(ok.sum())
