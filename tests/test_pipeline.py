@@ -159,6 +159,44 @@ def contextual_checks(result):
     return entry.checks
 
 
+def with_port_column(paths):
+    """The ship CSV with a ``port`` column: each berth leg's rows carry the
+    leg's own label and the trip rows none, so they join the leg before."""
+    header, *rows = paths["ship_csv"].read_text().splitlines()
+    labels, leg = [], 0
+    for row in rows:
+        at_berth = row.endswith(",At Berth")
+        if at_berth and labels and labels[-1] == "":
+            leg += 1
+        labels.append(f"P{leg}" if at_berth else "")
+    lines = [header + ",port"] + [f"{r},{p}" for r, p in zip(rows, labels)]
+    paths["ship_csv"].write_text("\n".join(lines) + "\n")
+    return paths
+
+
+class TestTripsEntry:
+    """The ``trips`` report entry of each segmentation method: 3 trips
+    between 4 berth legs for the thresholds and the state variable, and one
+    trip per port label (berth legs are not counted) for port names."""
+
+    @pytest.mark.parametrize("method, trips, berth_legs", [
+        ("thresholds", 3, 4),
+        ("state_variable", 3, 4),
+        ("port_names", 4, 0),
+    ])
+    def test_method_trips_and_berth_legs(self, tmp_path, method, trips, berth_legs):
+        paths = with_port_column(VoyageBuilder(tmp_path).build())
+        result = run(paths, trip_method=method)
+        assert result.exit_code == 0
+        entry = [e for e in result.report.stage_entries if e.stage == "trips"]
+        assert len(entry) == 1
+        assert list(entry[0].summary.items()) == [
+            ("method", method), ("trips", trips), ("berth_legs", berth_legs),
+        ]
+        assert entry[0].notes == []
+        assert int(result.dataset.trip_ids.max()) == trips
+
+
 class TestContextualScope:
     """The contextual rules read the measured columns, as logged and
     regularized: a sensor fault is reported under the sensor only."""
