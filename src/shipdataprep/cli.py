@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             # run writes processed.csv in the pass that writes the plot files
             processed = out_dir / "processed.csv" if args.command == "run" else None
             emit_plotdata(
-                result.dataset, result.trip_index, out_dir, result.particulars,
+                result.dataset, out_dir, result.particulars,
                 processed=processed, timestamp_header=header,
             )
         for failure in result.stage_failures:

@@ -10,7 +10,7 @@ ramps across detected draft-change operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .model import (
     stage_entry,
 )
 from .tables import draft_ratio_reference, wetted_surface
-from .timeline import Trip, merge_spans, runs
+from .timeline import merge_spans, runs
 
 DRAFT_SENSORS = ("draft_fore", "draft_aft")
 MIN_ANCHOR = 3  # static drafts needed on one side to anchor the simple fix
@@ -54,7 +54,6 @@ class DraftChangeEvent:
     trip_id: int
     start: int
     end: int
-    means: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.start < self.end:
@@ -63,19 +62,15 @@ class DraftChangeEvent:
             )
 
 
-def _trip_bounds(dataset: VoyageDataset, trip: Trip) -> np.ndarray:
-    ts = dataset.timestamps
-    return np.nonzero((ts >= trip.start) & (ts <= trip.end))[0]
-
-
 def _static_anchor(
-    dataset: VoyageDataset, col: np.ndarray, trip: Trip, side: str, n_anchor: int
+    dataset: VoyageDataset, col: np.ndarray, idx: np.ndarray, side: str, n_anchor: int
 ) -> float | None:
-    """Mean of the nearest valid static (out-of-trip) drafts on one side."""
-    ts = dataset.timestamps
-    on_side = ts < trip.start if side == "pre" else ts > trip.end
+    """Mean of the nearest valid static (out-of-trip) drafts on one side of
+    the trip rows ``idx``."""
+    side_rows = slice(None, idx[0]) if side == "pre" else slice(idx[-1] + 1, None)
     # only at-berth/static samples anchor the correction, nearest first
-    got = col[on_side & (dataset.trip_ids < 0) & ~np.isnan(col)]
+    values = col[side_rows]
+    got = values[(dataset.trip_ids[side_rows] < 0) & ~np.isnan(values)]
     got = (got[::-1] if side == "pre" else got)[:n_anchor]
     if len(got) < MIN_ANCHOR:
         return None
@@ -84,17 +79,18 @@ def _static_anchor(
 
 def fix_draft_simple(
     dataset: VoyageDataset,
-    trip: Trip,
+    trip_id: int,
     n_anchor: int = 10,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
-    """Replace in-trip drafts with a linear interpolation in time between the
-    pre-trip and post-trip static means; originals are preserved under
-    ``raw_*`` names and replaced samples flagged ``draft_corrected``."""
-    entry = stage_entry(report, f"draft_fix:simple:trip{trip.trip_id}")
-    idx = _trip_bounds(dataset, trip)
+    """Replace the drafts of trip ``trip_id`` with a linear interpolation in
+    time between the pre-trip and post-trip static means; originals are
+    preserved under ``raw_*`` names and replaced samples flagged
+    ``draft_corrected``."""
+    entry = stage_entry(report, f"draft_fix:simple:trip{trip_id}")
+    idx = dataset.trips().get(trip_id)
     out = dataset
-    if len(idx) == 0:
+    if idx is None:
         return out
     ts = dataset.timestamps.astype(float)[idx]
     flagged = idx[:0]
@@ -102,14 +98,14 @@ def fix_draft_simple(
         if not out.has_data(sensor):
             continue
         col = out.column(sensor)
-        pre = _static_anchor(out, col, trip, "pre", n_anchor)
-        post = _static_anchor(out, col, trip, "post", n_anchor)
+        pre = _static_anchor(out, col, idx, "pre", n_anchor)
+        post = _static_anchor(out, col, idx, "post", n_anchor)
         if pre is None and post is None:
             entry.notes.append(
                 f"{sensor}: no static anchors on either side; trip left unchanged"
             )
             continue
-        t0, t1 = float(trip.start), float(trip.end)
+        t0, t1 = ts[0], ts[-1]
         if pre is None or post is None:
             level = pre if pre is not None else post
             corrected = np.full(len(idx), level)
@@ -138,7 +134,7 @@ def _apply_draft(
     out = dataset
     if not out.declares(raw_name):
         out = out.adding_variable(
-            VariableSpec(raw_name, "m", "linear", role="loading_condition"),
+            VariableSpec(raw_name, "m", "linear"),
             np.full(len(dataset), np.nan),
         )
     raw = dataset.column(sensor)[rows]
@@ -160,7 +156,7 @@ def _event_means(
 
 def fix_draft_ramp(
     dataset: VoyageDataset,
-    trip: Trip,
+    trip_id: int,
     events: list[DraftChangeEvent],
     n_avg: int = 10,
     report: ProcessingReport | None = None,
@@ -174,24 +170,26 @@ def fix_draft_ramp(
     samples on each side. With no events this reduces to the simple fix.
     """
     if not events:
-        return fix_draft_simple(dataset, trip, n_anchor=n_avg, report=report)
-    entry = stage_entry(report, f"draft_fix:ramp:trip{trip.trip_id}")
+        return fix_draft_simple(dataset, trip_id, n_anchor=n_avg, report=report)
+    entry = stage_entry(report, f"draft_fix:ramp:trip{trip_id}")
 
     events = sorted(events, key=lambda e: e.start)
     for a, b in zip(events, events[1:]):
         if b.start <= a.end:
             raise CorrectionError(
-                f"overlapping draft events in trip {trip.trip_id}: "
+                f"overlapping draft events in trip {trip_id}: "
                 f"[{a.start}, {a.end}] and [{b.start}, {b.end}]"
             )
+    idx = dataset.trips().get(trip_id)
+    if idx is None:
+        raise CorrectionError(f"trip {trip_id} has no rows")
+    first, last = dataset.timestamps[idx[[0, -1]]].tolist()
     for e in events:
-        if e.start < trip.start or e.end > trip.end:
+        if e.start < first or e.end > last:
             raise CorrectionError(
-                f"event [{e.start}, {e.end}] lies outside trip "
-                f"[{trip.start}, {trip.end}]"
+                f"event [{e.start}, {e.end}] lies outside trip [{first}, {last}]"
             )
 
-    idx = _trip_bounds(dataset, trip)
     ts = dataset.timestamps.astype(float)[idx]
     out = dataset
     flagged = idx[:0]
@@ -199,7 +197,7 @@ def fix_draft_ramp(
         if not out.has_data(sensor):
             continue
         col = out.column(sensor)
-        means = [e.means.get(sensor) or _event_means(out, col, e, idx, n_avg) for e in events]
+        means = [_event_means(out, col, e, idx, n_avg) for e in events]
         if None in means:
             e = events[means.index(None)]
             entry.notes.append(
@@ -224,16 +222,14 @@ def fix_draft_ramp(
 
 
 def detect_draft_events(
-    dataset: VoyageDataset,
-    trip: Trip,
-    params: SteadyFilterParams,
-    n_avg: int = 10,
+    dataset: VoyageDataset, trip_id: int, params: SteadyFilterParams
 ) -> list[DraftChangeEvent]:
-    """Find in-voyage draft change operations as maximal unsteady runs of the
-    two-stage filter on each draft sensor; runs shorter than half the window
-    are discarded and overlapping per-sensor events merge into one."""
-    idx = _trip_bounds(dataset, trip)
-    if len(idx) == 0:
+    """Find the draft change operations of trip ``trip_id`` as maximal
+    unsteady runs of the two-stage filter on each draft sensor; runs shorter
+    than half the window are discarded and overlapping per-sensor events
+    merge into one."""
+    idx = dataset.trips().get(trip_id)
+    if idx is None:
         return []
     ts = dataset.timestamps[idx]
     starts, ends = [], []
@@ -250,18 +246,10 @@ def detect_draft_events(
     order = np.argsort(starts, kind="stable")
     starts, ends = merge_spans(starts[order], ends[order], gap=0)
 
-    events = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        if s >= e:
-            continue
-        event = DraftChangeEvent(trip.trip_id, s, e)
-        means = {}
-        for sensor in sensors:
-            m = _event_means(dataset, dataset.column(sensor), event, idx, n_avg)
-            if m is not None:
-                means[sensor] = m
-        events.append(DraftChangeEvent(trip.trip_id, s, e, means=means))
-    return events
+    return [
+        DraftChangeEvent(trip_id, s, e)
+        for s, e in zip(starts.tolist(), ends.tolist()) if s < e
+    ]
 
 
 # -- draft ratio plausibility --------------------------------------------------
@@ -353,6 +341,16 @@ class HydroTable:
             raise IngestError(
                 f"{path}: hydro table must be a full (draft x trim) grid; "
                 f"got {len(draft)} rows for {len(drafts)}x{len(trims)}"
+            )
+        # the row count equals the node count, so a repeated pair leaves a
+        # node unwritten
+        node = at_draft * len(trims) + at_trim
+        repeated = np.flatnonzero(np.bincount(node) > 1)
+        if len(repeated):
+            i, j = divmod(int(repeated[0]), len(trims))
+            raise IngestError(
+                f"{path}: hydro table repeats the (draft, trim) pair "
+                f"({drafts[i]}, {trims[j]})"
             )
         disp = np.zeros((len(drafts), len(trims)))
         wsa = np.zeros_like(disp)
@@ -555,7 +553,7 @@ def resistance_components(
             else:
                 column[i] = r
         out = out.adding_variable(
-            VariableSpec(f"res_{model.name}", "N", "linear", role="operating_point"),
+            VariableSpec(f"res_{model.name}", "N", "linear"),
             column,
         )
         entry.summary[model.name] = {

@@ -98,9 +98,7 @@ def add_gps_heading(dataset: VoyageDataset) -> VoyageDataset:
     if not (dataset.has_data("lat") and dataset.has_data("lon")):
         return dataset
     values = gps_heading(dataset)
-    return dataset.adding_variable(
-        VariableSpec("gps_heading", "deg", "angular", role="navigation"), values
-    )
+    return dataset.adding_variable(VariableSpec("gps_heading", "deg", "angular"), values)
 
 
 def add_leg_distance(dataset: VoyageDataset) -> VoyageDataset:
@@ -114,9 +112,7 @@ def add_leg_distance(dataset: VoyageDataset) -> VoyageDataset:
             i, j = idx[k - 1], idx[k]
             if ok[i] and ok[j]:
                 values[j] = haversine(lat[i], lon[i], lat[j], lon[j])
-    return dataset.adding_variable(
-        VariableSpec("leg_distance", "m", "linear", role="navigation"), values
-    )
+    return dataset.adding_variable(VariableSpec("leg_distance", "m", "linear"), values)
 
 
 def add_reference_height_wind(
@@ -131,8 +127,7 @@ def add_reference_height_wind(
         return dataset
     v = dataset.column("rel_wind_speed")
     return dataset.adding_variable(
-        VariableSpec("rel_wind_speed_ref", "m/s", "linear",
-                     role="operational_environment"),
+        VariableSpec("rel_wind_speed_ref", "m/s", "linear"),
         np.where(v >= 0, v * wind_to_reference_height(1.0, z_ref, z_a), np.nan),
     )
 
@@ -169,26 +164,14 @@ def resolve_ship_frame(
         trans_true = u * cos_p - v * sin_p  # toward-starboard component
         rel_long = sog - long_true  # head wind positive
         rel_trans = -trans_true  # wind from starboard positive
-        out = out.adding_variable(
-            VariableSpec("rel_wind_long", "m/s", "linear",
-                         role="operational_environment"),
-            rel_long,
-        )
-        out = out.adding_variable(
-            VariableSpec("rel_wind_trans", "m/s", "linear",
-                         role="operational_environment"),
-            rel_trans,
-        )
+        out = out.adding_variable(VariableSpec("rel_wind_long", "m/s", "linear"), rel_long)
+        out = out.adding_variable(VariableSpec("rel_wind_trans", "m/s", "linear"), rel_trans)
         added += ["rel_wind_long", "rel_wind_trans"]
 
     if dataset.has_data("hc_mean_wave_dir"):
         wave = dataset.column("hc_mean_wave_dir")
         rel_wave = (wave - psi) % 360.0
-        out = out.adding_variable(
-            VariableSpec("rel_wave_dir", "deg", "angular",
-                         role="operational_environment"),
-            rel_wave,
-        )
+        out = out.adding_variable(VariableSpec("rel_wave_dir", "deg", "angular"), rel_wave)
         added.append("rel_wave_dir")
 
     if dataset.has_data("hc_current_u") and dataset.has_data("hc_current_v"):
@@ -196,10 +179,7 @@ def resolve_ship_frame(
         cv = dataset.column("hc_current_v")
         current_long = cu * sin_p + cv * cos_p  # following current positive
         stw_est = sog - current_long
-        out = out.adding_variable(
-            VariableSpec("stw_estimate", "m/s", "linear", role="operating_point"),
-            stw_est,
-        )
+        out = out.adding_variable(VariableSpec("stw_estimate", "m/s", "linear"), stw_est)
         added.append("stw_estimate")
 
     entry.summary["variables_added"] = added
@@ -282,9 +262,7 @@ def ais_speed_consistency(
     if flagged and not out.declares("raw_sog"):
         raw = np.full(n, np.nan)
         raw[flagged] = sog[flagged]
-        out = out.adding_variable(
-            VariableSpec("raw_sog", "m/s", "linear", role="navigation"), raw
-        )
+        out = out.adding_variable(VariableSpec("raw_sog", "m/s", "linear"), raw)
 
     flagged_set = set(flagged)
     replacements = np.full(len(flagged), np.nan)  # NaN: no trustworthy neighbour

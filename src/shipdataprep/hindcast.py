@@ -434,7 +434,7 @@ def interpolate(
         counts["interpolated"] += len(values)
         counts["masked_missing"] += int((~ok).sum())
         kind = "angular" if var.is_angular else "linear"
-        spec = VariableSpec("hc_" + var.name, var.unit, kind, role="operational_environment")
+        spec = VariableSpec("hc_" + var.name, var.unit, kind)
         out = out.adding_variable(spec, column)
     entry.summary.update(
         {f"samples_{k}": v for k, v in sorted(counts.items())}

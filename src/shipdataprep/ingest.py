@@ -93,23 +93,23 @@ AIS_BARE_MINIMUM_VARIABLES = frozenset({"lat", "lon", "sog"})
 def default_schema() -> list[VariableSpec]:
     """Canonical variable declarations with physically-motivated valid ranges."""
     return [
-        VariableSpec("lat", "deg", "linear", -90.0, 90.0, "navigation"),
-        VariableSpec("lon", "deg", "linear", -180.0, 180.0, "navigation"),
-        VariableSpec("sog", "m/s", "linear", 0.0, 26.0, "navigation"),
-        VariableSpec("stw", "m/s", "linear", 0.0, 26.0, "operating_point"),
-        VariableSpec("shaft_rpm", "rpm", "linear", 0.0, 300.0, "operational_control"),
-        VariableSpec("shaft_torque", "Nm", "linear", 0.0, 5.0e7, "operational_control"),
-        VariableSpec("shaft_power", "W", "linear", 0.0, 1.0e8, "operating_point"),
-        VariableSpec("rudder_angle", "deg", "linear", -90.0, 90.0, "operational_control"),
-        VariableSpec("prop_pitch", "deg", "linear", -90.0, 90.0, "operational_control"),
-        VariableSpec("draft_fore", "m", "linear", 0.0, 30.0, "loading_condition"),
-        VariableSpec("draft_aft", "m", "linear", 0.0, 30.0, "loading_condition"),
-        VariableSpec("rel_wind_speed", "m/s", "linear", 0.0, 90.0, "operational_environment"),
-        VariableSpec("rel_wind_dir", "deg", "angular", role="operational_environment"),
-        VariableSpec("heading", "deg", "angular", role="navigation"),
-        VariableSpec("nav_status", "", "linear", 0.0, 15.0, "state"),
-        VariableSpec("state", "", "text", role="state"),
-        VariableSpec("port", "", "text", role="state"),
+        VariableSpec("lat", "deg", "linear", -90.0, 90.0),
+        VariableSpec("lon", "deg", "linear", -180.0, 180.0),
+        VariableSpec("sog", "m/s", "linear", 0.0, 26.0),
+        VariableSpec("stw", "m/s", "linear", 0.0, 26.0),
+        VariableSpec("shaft_rpm", "rpm", "linear", 0.0, 300.0),
+        VariableSpec("shaft_torque", "Nm", "linear", 0.0, 5.0e7),
+        VariableSpec("shaft_power", "W", "linear", 0.0, 1.0e8),
+        VariableSpec("rudder_angle", "deg", "linear", -90.0, 90.0),
+        VariableSpec("prop_pitch", "deg", "linear", -90.0, 90.0),
+        VariableSpec("draft_fore", "m", "linear", 0.0, 30.0),
+        VariableSpec("draft_aft", "m", "linear", 0.0, 30.0),
+        VariableSpec("rel_wind_speed", "m/s", "linear", 0.0, 90.0),
+        VariableSpec("rel_wind_dir", "deg", "angular"),
+        VariableSpec("heading", "deg", "angular"),
+        VariableSpec("nav_status", "", "linear", 0.0, 15.0),
+        VariableSpec("state", "", "text"),
+        VariableSpec("port", "", "text"),
     ]
 
 
@@ -744,11 +744,20 @@ class PipelineConfig:
             raise ConfigError("steady_alpha must lie in (0, 1)")
         if not 0.0 < self.pca_quantile < 1.0:
             raise ConfigError("pca_quantile must lie in (0, 1)")
-        # every plain number must be positive, except pca_components (0 = auto)
+        # every plain number must be finite and positive, except
+        # pca_components (0 = auto); a trip threshold may be 0
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type in ("int", "float") and f.name != "pca_components":
-                if getattr(self, f.name) <= 0:
-                    raise ConfigError(f"{f.name} must be strictly positive")
+                if not 0 < value < math.inf:
+                    raise ConfigError(f"{f.name} must be finite and strictly positive")
+            elif f.type == "float | None" and value is not None and not 0 <= value < math.inf:
+                raise ConfigError(f"{f.name} must be finite and not negative")
+        for name, tol in self.gradient_tolerance.items():
+            if not 0 < tol < math.inf:
+                raise ConfigError(
+                    f"gradient_tolerance.{name} must be finite and strictly positive"
+                )
         unknown = set(self.stages) - set(PIPELINE_STAGES)
         if unknown:
             raise ConfigError(f"unknown stage(s): {sorted(unknown)}")

@@ -42,15 +42,6 @@ SOG_THRESHOLD = 3.0 * KNOT
 
 SOURCE_KINDS = ("in_service", "ais", "noon_report")
 VARIABLE_KINDS = ("linear", "angular", "text")
-VARIABLE_ROLES = (
-    "operational_control",
-    "loading_condition",
-    "operational_environment",
-    "operating_point",
-    "navigation",
-    "state",
-    "other",
-)
 
 
 class SchemaError(ValueError):
@@ -118,15 +109,12 @@ class VariableSpec:
     kind: str = "linear"
     valid_min: float | None = None
     valid_max: float | None = None
-    role: str = "other"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("variable name must be non-empty")
         if self.kind not in VARIABLE_KINDS:
             raise SchemaError(f"unknown variable kind {self.kind!r} for {self.name!r}")
-        if self.role not in VARIABLE_ROLES:
-            raise SchemaError(f"unknown variable role {self.role!r} for {self.name!r}")
         if (
             self.valid_min is not None
             and self.valid_max is not None
@@ -403,9 +391,6 @@ class VoyageDataset:
             raise TypeError(f"variable {name!r} is not text")
         return self._columns[name]
 
-    def trip_indices(self, trip_id: int) -> np.ndarray:
-        return np.nonzero(self.trip_ids == trip_id)[0]
-
     # -- row selection shared by the stages ---------------------------------
 
     def in_trip_or_all(self) -> np.ndarray:
@@ -413,13 +398,19 @@ class VoyageDataset:
         in_trip = self.trip_ids >= 0
         return in_trip if in_trip.any() else np.ones(len(self), dtype=bool)
 
+    def trips(self) -> dict[int, np.ndarray]:
+        """Row indices of each trip, in row order, keyed by trip id in
+        ascending order; empty when no trips are assigned."""
+        ids = self.trip_ids
+        rows = np.flatnonzero(ids >= 0)
+        rows = rows[np.argsort(ids[rows], kind="stable")]
+        keys, first = np.unique(ids[rows], return_index=True)
+        return dict(zip(keys.tolist(), np.split(rows, first[1:])))
+
     def trip_groups(self) -> list[np.ndarray]:
         """Row indices per trip in trip-id order, or the whole series as one
         group when no trips are assigned."""
-        ids = self.trip_ids
-        if (ids >= 0).any():
-            return [self.trip_indices(t) for t in np.unique(ids[ids >= 0])]
-        return [np.arange(len(self))]
+        return list(self.trips().values()) or [np.arange(len(self))]
 
     def flagged(self, *flags: QualityFlag) -> np.ndarray:
         """Rows carrying at least one of ``flags``."""
@@ -640,8 +631,12 @@ class ShipParticulars:
         for attr in ("beam", "design_draft", "lwl", "lpp",
                      "anemometer_height", "wind_reference_height"):
             v = getattr(self, attr)
-            if v is not None and v <= 0:
-                raise SchemaError(f"{attr} must be strictly positive, got {v}")
+            if v is not None and not 0 < v < np.inf:
+                raise SchemaError(f"{attr} must be finite and strictly positive, got {v}")
+        for attr in ("rpm_threshold", "sog_threshold"):
+            v = getattr(self, attr)
+            if not 0 <= v < np.inf:
+                raise SchemaError(f"{attr} must be finite and not negative, got {v}")
         cb = self.block_coefficient
         if cb is not None and not 0.0 < cb < 1.0:
             raise SchemaError(f"block coefficient must be in (0, 1), got {cb}")

@@ -40,7 +40,7 @@ from .model import (
     generated_header,
     timestamp_cells,
 )
-from .timeline import SegmentationError, TripIndex
+from .timeline import SegmentationError, runs
 
 # stage-2 retention limits (unit/s) when the config does not override them
 DEFAULT_GRADIENT_TOLERANCE = {
@@ -60,7 +60,6 @@ SOG_RELAX_TOLERANCE = 4.0  # and retains more: tolerance scaled up
 class PipelineResult:
     dataset: VoyageDataset
     report: ProcessingReport
-    trip_index: TripIndex | None
     particulars: ShipParticulars | None
     exit_code: int
     stage_failures: list[str] = field(default_factory=list)
@@ -192,8 +191,6 @@ def run_pipeline(
     models = [corrections.TableDrivenModel.from_csv(p) for p in config.resistance_tables]
     no_particulars = "no ship particulars configured"
 
-    trip_index: TripIndex | None = None
-
     # -- uniform time steps ---------------------------------------------------
     if "regularize" in enabled:
         with guard("regularize"):
@@ -207,9 +204,9 @@ def run_pipeline(
             entry = report.stage("trips")
             try:
                 if config.trip_method == "state_variable":
-                    trip_index, dataset = timeline.segment_by_state(dataset)
+                    dataset = timeline.segment_by_state(dataset)
                 elif config.trip_method == "port_names":
-                    trip_index, dataset = timeline.segment_by_ports(dataset)
+                    dataset = timeline.segment_by_ports(dataset)
                 else:
                     # the config overrides the particulars, which override the defaults
                     rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
@@ -217,14 +214,17 @@ def run_pipeline(
                         rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
                     if sog_thr is None:
                         sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
-                    trip_index, dataset = timeline.segment_by_thresholds(
+                    dataset = timeline.segment_by_thresholds(
                         dataset,
                         rpm_threshold=rpm_thr,
                         sog_threshold=sog_thr,
                         pad_samples=config.pad_samples,
                     )
-                entry.summary.update(method=trip_index.method, trips=len(trip_index.trips),
-                                     berth_legs=len(trip_index.berth_legs))
+                # the rows before the first port label are not a berth leg
+                legs = 0 if config.trip_method == "port_names" else len(
+                    runs(dataset.trip_ids < 0)[0])
+                entry.summary.update(method=config.trip_method, trips=len(dataset.trips()),
+                                     berth_legs=legs)
             except SegmentationError as exc:
                 entry.notes.append(f"segmentation skipped: {exc}")
     # the logged columns on their final rows, for the contextual rules; no
@@ -299,15 +299,15 @@ def run_pipeline(
     if "draft_fix" in enabled:
         with guard("draft_fix"):
             drafts = dataset.has_data("draft_fore") or dataset.has_data("draft_aft")
-            trips = trip_index.trips if trip_index is not None and drafts else []
+            trips = list(dataset.trips()) if drafts else []
             if not trips:
                 skip("draft_fix", "no trips or no draft sensors")
-            for trip in trips:
+            for trip_id in trips:
                 events = corrections.detect_draft_events(
-                    dataset, trip, _steady_params(config, "draft_fore"), n_avg=config.n_avg
+                    dataset, trip_id, _steady_params(config, "draft_fore")
                 )
                 dataset = corrections.fix_draft_ramp(
-                    dataset, trip, events, n_avg=config.n_avg, report=report
+                    dataset, trip_id, events, n_avg=config.n_avg, report=report
                 )
 
     # -- hydrostatics ------------------------------------------------------------------
@@ -344,7 +344,7 @@ def run_pipeline(
             dataset = _pca_stage(dataset, config, report)
 
     exit_code = 2 if failures else 0
-    return PipelineResult(dataset, report, trip_index, particulars, exit_code, failures)
+    return PipelineResult(dataset, report, particulars, exit_code, failures)
 
 
 def _hydrostatics_stage(
@@ -387,9 +387,7 @@ def _hydrostatics_stage(
         ("wsa", "m2", wsa),
     ):
         if not dataset.declares(name):
-            dataset = dataset.adding_variable(
-                VariableSpec(name, unit, "linear", role="loading_condition"), col
-            )
+            dataset = dataset.adding_variable(VariableSpec(name, unit, "linear"), col)
     entry.summary["computed"] = sum(1 for v in disp if v is not None)
     entry.summary["failed"] = failed
     limit = corrections.EXTRAPOLATION_LIMIT * particulars.design_draft
@@ -508,7 +506,6 @@ PLOT_VARIABLES = (
 
 def emit_plotdata(
     dataset: VoyageDataset,
-    trip_index: TripIndex | None,
     out_dir: str | Path,
     particulars: ShipParticulars | None = None,
     processed: str | Path | None = None,
@@ -538,14 +535,13 @@ def emit_plotdata(
         files.append(CsvFile(out_dir / name, header, rows, columns))
 
     present_vars = [v for v in PLOT_VARIABLES if dataset.has_data(v)]
-    if trip_index is not None:
-        for trip in trip_index.trips:
-            add(
-                f"trip_{trip.trip_id:03d}.csv",
-                ["timestamp"] + present_vars,
-                dataset.trip_indices(trip.trip_id),
-                [0] + [at[v] for v in present_vars],
-            )
+    for trip_id, rows in dataset.trips().items():
+        add(
+            f"trip_{trip_id:03d}.csv",
+            ["timestamp"] + present_vars,
+            rows,
+            [0] + [at[v] for v in present_vars],
+        )
 
     # speed-power scatter with the calm-water curve value at the same speed
     header = ["timestamp", "stw", "shaft_power", "curve_power"]

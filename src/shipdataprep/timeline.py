@@ -5,7 +5,6 @@ partitioning of the series into trips and at-berth legs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,30 +24,6 @@ AT_BERTH = "At Berth"
 
 class SegmentationError(ValueError):
     """Trip segmentation could not run with the data at hand."""
-
-
-@dataclass(frozen=True)
-class Trip:
-    trip_id: int
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class TripIndex:
-    """Partition of the timeline into enumerated trips and at-berth legs."""
-
-    trips: tuple[Trip, ...]
-    berth_legs: tuple[tuple[int, int], ...]
-    method: str
-
-    def __post_init__(self) -> None:
-        spans = [(t.start, t.end, "trip") for t in self.trips]
-        spans += [(a, b, "berth") for a, b in self.berth_legs]
-        spans.sort()
-        for (s1, e1, _), (s2, _, _) in zip(spans, spans[1:]):
-            if s2 <= e1:
-                raise SegmentationError("trips and berth legs must be disjoint")
 
 
 def regularize(
@@ -202,24 +177,15 @@ def merge_spans(
     return starts[first], reach[np.append(first[1:], len(starts)) - 1]
 
 
-def _build_index(
-    dataset: VoyageDataset, starts: np.ndarray, ends: np.ndarray, method: str,
-    berth_legs: bool = True,
-) -> tuple[TripIndex, VoyageDataset]:
-    """Trips from sorted disjoint (starts, ends) row spans; with
-    ``berth_legs``, the runs of rows outside them are the berth legs."""
+def _assign_trips(dataset: VoyageDataset, starts: np.ndarray, ends: np.ndarray) -> VoyageDataset:
+    """The dataset with trips 1..k on the sorted disjoint (starts, ends) row
+    spans, in order; rows outside them get no trip."""
     rows = np.arange(len(dataset))
     k = np.searchsorted(starts, rows, side="right")  # trips begun by each row
-    ids = np.where(rows <= np.append(ends, -1)[k - 1], k, -1)
-    ts = dataset.timestamps
-    trips = tuple(
-        Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(zip(starts, ends))
-    )
-    legs = tuple((int(ts[a]), int(ts[b])) for a, b in zip(*runs(ids < 0))) if berth_legs else ()
-    return TripIndex(trips, legs, method), dataset.with_trip_ids(ids)
+    return dataset.with_trip_ids(np.where(rows <= np.append(ends, -1)[k - 1], k, -1))
 
 
-def segment_by_state(dataset: VoyageDataset) -> tuple[TripIndex, VoyageDataset]:
+def segment_by_state(dataset: VoyageDataset) -> VoyageDataset:
     """Trips are the gaps between continuous at-berth legs of the ``state``
     variable; leading/trailing non-berth runs count as trips too."""
     if not dataset.has_data("state"):
@@ -231,7 +197,7 @@ def segment_by_state(dataset: VoyageDataset) -> tuple[TripIndex, VoyageDataset]:
             f"state variable 'state' present on {present}/{len(dataset)} "
             "samples (< 90%); use segment_by_thresholds"
         )
-    return _build_index(dataset, *runs(states != AT_BERTH), "state_variable")
+    return _assign_trips(dataset, *runs(states != AT_BERTH))
 
 
 def segment_by_thresholds(
@@ -239,7 +205,7 @@ def segment_by_thresholds(
     rpm_threshold: float = RPM_THRESHOLD,
     sog_threshold: float = SOG_THRESHOLD,
     pad_samples: int = 2,
-) -> tuple[TripIndex, VoyageDataset]:
+) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
     threshold; maximal runs are padded by ``pad_samples`` on each side and
     padded runs that overlap or touch merge. Padding never reaches an at-berth
@@ -267,10 +233,10 @@ def segment_by_thresholds(
     starts, ends = runs(in_trip)
     starts = np.maximum(starts - pad_samples, bounds[np.searchsorted(bounds, starts) - 1] + 1)
     ends = np.minimum(ends + pad_samples, bounds[np.searchsorted(bounds, ends, side="right")] - 1)
-    return _build_index(dataset, *merge_spans(starts, ends, gap=1), "thresholds")
+    return _assign_trips(dataset, *merge_spans(starts, ends, gap=1))
 
 
-def segment_by_ports(dataset: VoyageDataset) -> tuple[TripIndex, VoyageDataset]:
+def segment_by_ports(dataset: VoyageDataset) -> VoyageDataset:
     """Noon-report style grouping: each maximal run of one ``port`` label is
     a trip; samples with no port join the preceding run."""
     if not dataset.has_data("port"):
@@ -280,4 +246,4 @@ def segment_by_ports(dataset: VoyageDataset) -> tuple[TripIndex, VoyageDataset]:
     labels = ports[present]
     starts = present[np.append(True, labels[1:] != labels[:-1])]
     ends = np.append(starts[1:] - 1, len(ports) - 1)
-    return _build_index(dataset, starts, ends, "port_names", berth_legs=False)
+    return _assign_trips(dataset, starts, ends)

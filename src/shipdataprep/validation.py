@@ -90,9 +90,7 @@ def check_power_identity(
         ("derived_shaft_torque", "Nm", derived_t),
     ):
         if any(v is not None for v in col):
-            out = out.adding_variable(
-                VariableSpec(name, unit, "linear", role="operating_point"), col
-            )
+            out = out.adding_variable(VariableSpec(name, unit, "linear"), col)
     entry.summary.update(
         {"checked": checked, "failed": int(invalid.sum()), "derived": derived}
     )
@@ -306,7 +304,7 @@ def detect_angular_fault(
             out = out.with_values(fixed_name, faulty, reference[faulty])
         else:
             out = out.adding_variable(
-                VariableSpec(fixed_name, "deg", "angular", role="operational_environment"),
+                VariableSpec(fixed_name, "deg", "angular"),
                 np.where(faulty, reference, np.nan),
             )
     entry.summary["flagged"] = int(faulty.sum())

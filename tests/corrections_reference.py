@@ -1,22 +1,26 @@
 """Reference for the draft fixes: the row loops that ``corrections.fix_draft_simple``,
 ``corrections.fix_draft_ramp`` and ``corrections._apply_draft`` replaced,
 kept verbatim except that their two ``with_values`` calls pass the dicts'
-keys and values. ``tests/test_corrections_reference.py`` requires the
-array fixes to give the same bits in the ``draft_*`` and ``raw_draft_*``
-columns, the same flags and the same report entry.
+keys and values, and that a trip's rows and its first and last timestamps
+come from a scan of the trip ids; and a row loop for
+``corrections._static_anchor`` that picks the anchors by timestamp.
+``tests/test_corrections_reference.py`` requires the array fixes to give
+the same bits in the ``draft_*`` and ``raw_draft_*`` columns, the same
+flags and the same report entry.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from shipdataprep.corrections import (
     DRAFT_SENSORS,
+    MIN_ANCHOR,
     CorrectionError,
     DraftChangeEvent,
     _event_means,
-    _static_anchor,
-    _trip_bounds,
 )
 from shipdataprep.model import (
     ProcessingReport,
@@ -25,12 +29,32 @@ from shipdataprep.model import (
     VoyageDataset,
     add_flags,
 )
-from shipdataprep.timeline import Trip
+
+
+def _trip_rows(dataset: VoyageDataset, trip_id: int) -> list[int]:
+    return [i for i, t in enumerate(dataset.trip_ids.tolist()) if t == trip_id]
+
+
+def _static_anchor(
+    dataset: VoyageDataset, col, start: int, end: int, side: str, n_anchor: int
+) -> float | None:
+    """Mean of the nearest valid static (out-of-trip) drafts before
+    ``start`` or after ``end``."""
+    ts, ids = dataset.timestamps, dataset.trip_ids
+    order = range(len(ts) - 1, -1, -1) if side == "pre" else range(len(ts))
+    got = []
+    for i in order:
+        on_side = ts[i] < start if side == "pre" else ts[i] > end
+        if on_side and ids[i] < 0 and not math.isnan(col[i]) and len(got) < n_anchor:
+            got.append(col[i])
+    if len(got) < MIN_ANCHOR:
+        return None
+    return float(np.mean(got))
 
 
 def fix_draft_simple(
     dataset: VoyageDataset,
-    trip: Trip,
+    trip_id: int,
     n_anchor: int = 10,
     sensors: tuple[str, ...] = DRAFT_SENSORS,
     report: ProcessingReport | None = None,
@@ -38,19 +62,20 @@ def fix_draft_simple(
     """Replace in-trip drafts with a linear interpolation in time between the
     pre-trip and post-trip static means; originals are preserved under
     ``raw_*`` names and replaced samples flagged ``draft_corrected``."""
-    entry = report.stage(f"draft_fix:simple:trip{trip.trip_id}") if report is not None else None
-    idx = _trip_bounds(dataset, trip)
+    entry = report.stage(f"draft_fix:simple:trip{trip_id}") if report is not None else None
+    idx = _trip_rows(dataset, trip_id)
     out = dataset
     if len(idx) == 0:
         return out
+    start, end = int(dataset.timestamps[idx[0]]), int(dataset.timestamps[idx[-1]])
     ts = dataset.timestamps.astype(float)
     flagged: set[int] = set()
     for sensor in sensors:
         if not out.declares(sensor) or not out.has_data(sensor):
             continue
         col = out.column(sensor)
-        pre = _static_anchor(out, col, trip, "pre", n_anchor)
-        post = _static_anchor(out, col, trip, "post", n_anchor)
+        pre = _static_anchor(out, col, start, end, "pre", n_anchor)
+        post = _static_anchor(out, col, start, end, "post", n_anchor)
         if pre is None and post is None:
             if entry is not None:
                 entry.notes.append(
@@ -65,7 +90,7 @@ def fix_draft_simple(
                     f"{sensor}: single-sided anchor; constant extension at {level}"
                 )
         else:
-            t0, t1 = float(trip.start), float(trip.end)
+            t0, t1 = float(start), float(end)
             if t1 > t0:
                 corrected = {
                     int(i): pre + (post - pre) * (ts[i] - t0) / (t1 - t0) for i in idx
@@ -90,7 +115,7 @@ def _apply_draft(
     out = dataset
     if not out.declares(raw_name):
         out = out.adding_variable(
-            VariableSpec(raw_name, "m", "linear", role="loading_condition"),
+            VariableSpec(raw_name, "m", "linear"),
             [None] * len(dataset),
         )
     raw_updates = {
@@ -102,7 +127,7 @@ def _apply_draft(
 
 def fix_draft_ramp(
     dataset: VoyageDataset,
-    trip: Trip,
+    trip_id: int,
     events: list[DraftChangeEvent],
     n_avg: int = 10,
     sensors: tuple[str, ...] = DRAFT_SENSORS,
@@ -117,24 +142,27 @@ def fix_draft_ramp(
     samples on each side. With no events this reduces to the simple fix.
     """
     if not events:
-        return fix_draft_simple(dataset, trip, n_anchor=n_avg, sensors=sensors, report=report)
-    entry = report.stage(f"draft_fix:ramp:trip{trip.trip_id}") if report is not None else None
+        return fix_draft_simple(dataset, trip_id, n_anchor=n_avg, sensors=sensors, report=report)
+    entry = report.stage(f"draft_fix:ramp:trip{trip_id}") if report is not None else None
 
     events = sorted(events, key=lambda e: e.start)
     for a, b in zip(events, events[1:]):
         if b.start <= a.end:
             raise CorrectionError(
-                f"overlapping draft events in trip {trip.trip_id}: "
+                f"overlapping draft events in trip {trip_id}: "
                 f"[{a.start}, {a.end}] and [{b.start}, {b.end}]"
             )
+    idx = _trip_rows(dataset, trip_id)
+    if not idx:
+        raise CorrectionError(f"trip {trip_id} has no rows")
+    start, end = int(dataset.timestamps[idx[0]]), int(dataset.timestamps[idx[-1]])
     for e in events:
-        if e.start < trip.start or e.end > trip.end:
+        if e.start < start or e.end > end:
             raise CorrectionError(
                 f"event [{e.start}, {e.end}] lies outside trip "
-                f"[{trip.start}, {trip.end}]"
+                f"[{start}, {end}]"
             )
 
-    idx = _trip_bounds(dataset, trip)
     ts = dataset.timestamps.astype(float)
     out = dataset
     flagged: set[int] = set()
@@ -146,7 +174,7 @@ def fix_draft_ramp(
         base: float | None = None
         usable = True
         for e in events:
-            means = e.means.get(sensor) or _event_means(out, col, e, idx, n_avg)
+            means = _event_means(out, col, e, np.array(idx, dtype=np.intp), n_avg)
             if means is None:
                 if entry is not None:
                     entry.notes.append(

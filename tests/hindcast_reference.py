@@ -211,7 +211,7 @@ def interpolate(
             counts["interpolated"] += 1
             column[i] = v
         kind = "angular" if var.is_angular else "linear"
-        spec = VariableSpec(name, var.unit, kind, role="operational_environment")
+        spec = VariableSpec(name, var.unit, kind)
         out = out.adding_variable(spec, column)
     if entry is not None:
         entry.summary.update(

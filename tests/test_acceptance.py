@@ -37,7 +37,7 @@ from shipdataprep.tables import (
     SERVICE_SPEED_KNOTS,
     wetted_surface,
 )
-from shipdataprep.timeline import Trip, resample
+from shipdataprep.timeline import resample
 from shipdataprep.validation import detect_angular_fault, shaft_power
 
 
@@ -261,18 +261,15 @@ def _draft_voyage(pre, post, in_trip_values, sensors, berth_len=6):
         samples.append(Sample(t, {s: pre[s] for s in sensors}))
         ids.append(None)
         t += DT
-    trip_start = t
     for row in in_trip_values:
         samples.append(Sample(t, {s: row[s] for s in sensors}))
         ids.append(1)
         t += DT
-    trip_end = t - DT
     for _ in range(berth_len):
         samples.append(Sample(t, {s: post[s] for s in sensors}))
         ids.append(None)
         t += DT
-    ds = rows_dataset(schema, samples).with_trip_ids(ids)
-    return ds, Trip(1, trip_start, trip_end)
+    return rows_dataset(schema, samples).with_trip_ids(ids)  # the trip is trip 1
 
 
 def test_criterion_6_draft_corrections():
@@ -280,15 +277,16 @@ def test_criterion_6_draft_corrections():
                       "ramp fix reproduces a two-sensor trim swap, both to 1e-9 m"):
         # simple: anchors 8.0 -> 7.6, Venturi-depressed 7.2 readings in-trip
         n = 31
-        ds, trip = _draft_voyage(
+        ds = _draft_voyage(
             {"draft_fore": 8.0}, {"draft_fore": 7.6},
             [{"draft_fore": 7.2}] * n, ("draft_fore",),
         )
-        out = fix_draft_simple(ds, trip)
+        out = fix_draft_simple(ds, 1)
         ts = out.timestamps.astype(float)
-        t0, t1 = float(trip.start), float(trip.end)
+        trip = out.trips()[1]
+        t0, t1 = ts[trip[0]], ts[trip[-1]]
         worst = 0.0
-        for i in out.trip_indices(1):
+        for i in trip:
             truth = 8.0 + (7.6 - 8.0) * (ts[i] - t0) / (t1 - t0)
             worst = max(worst, abs(out.column("draft_fore")[i] - truth))
         assert worst < 1e-9, f"simple correction max error {worst}"
@@ -305,15 +303,17 @@ def test_criterion_6_draft_corrections():
             else:
                 f, a = 7.0, 8.0
             rows.append({"draft_fore": f, "draft_aft": a})
-        ds, trip = _draft_voyage(
+        ds = _draft_voyage(
             {"draft_fore": 8.0, "draft_aft": 7.0},
             {"draft_fore": 7.0, "draft_aft": 8.0},
             rows, ("draft_fore", "draft_aft"),
         )
-        event = DraftChangeEvent(1, trip.start + e0 * DT, trip.start + e1 * DT)
-        out = fix_draft_ramp(ds, trip, [event], n_avg=5)
+        trip = ds.trips()[1]
+        start = int(ds.timestamps[trip[0]])
+        event = DraftChangeEvent(1, start + e0 * DT, start + e1 * DT)
+        out = fix_draft_ramp(ds, 1, [event], n_avg=5)
         worst = 0.0
-        for k, i in enumerate(out.trip_indices(1)):
+        for k, i in enumerate(trip):
             for sensor in ("draft_fore", "draft_aft"):
                 truth = rows[k][sensor]
                 got = out.column(sensor)[i]

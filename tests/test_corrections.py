@@ -19,7 +19,7 @@ from shipdataprep.corrections import (
     resistance_components,
 )
 from shipdataprep.hindcast import SteadyFilterParams
-from shipdataprep.ingest import PipelineConfig
+from shipdataprep.ingest import IngestError, PipelineConfig
 from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
@@ -29,14 +29,13 @@ from shipdataprep.model import (
     VariableSpec,
 )
 from shipdataprep.pipeline import _hydrostatics_stage
-from shipdataprep.timeline import Trip
 
 DT = 900
 
 
 def voyage_with_drafts(pre, post, in_trip, berth_len=6, sensors=("draft_fore",)):
     """berth_len static samples at ``pre``, len(in_trip) moving samples,
-    berth_len static samples at ``post``; returns (dataset, trip)."""
+    berth_len static samples at ``post``: the moving samples are trip 1."""
     schema = [VariableSpec(s, "m") for s in sensors]
     samples = []
     trip_ids = []
@@ -45,43 +44,46 @@ def voyage_with_drafts(pre, post, in_trip, berth_len=6, sensors=("draft_fore",))
         samples.append(Sample(t, {s: v for s in sensors}))
         trip_ids.append(None)
         t += DT
-    trip_start = t
     for v in in_trip:
         vals = {} if v is None else {s: v for s in sensors}
         samples.append(Sample(t, vals))
         trip_ids.append(1)
         t += DT
-    trip_end = t - DT
     for v in [post] * berth_len:
         samples.append(Sample(t, {s: v for s in sensors}))
         trip_ids.append(None)
         t += DT
-    ds = rows_dataset(schema, samples).with_trip_ids(trip_ids)
-    return ds, Trip(1, trip_start, trip_end)
+    return rows_dataset(schema, samples).with_trip_ids(trip_ids)
+
+
+def trip_span(ds):
+    """The first and last timestamps of trip 1."""
+    ts = ds.timestamps[ds.trips()[1]]
+    return int(ts[0]), int(ts[-1])
 
 
 class TestFixDraftSimple:
     def test_midpoint_of_linear_interpolation(self):
-        ds, trip = voyage_with_drafts(8.0, 7.6, [7.2] * 11)
-        out = fix_draft_simple(ds, trip)
-        idx = out.trip_indices(1)
+        ds = voyage_with_drafts(8.0, 7.6, [7.2] * 11)
+        out = fix_draft_simple(ds, 1)
+        idx = out.trips()[1]
         mid = idx[len(idx) // 2]
         assert out.column("draft_fore")[mid] == pytest.approx(7.8, abs=1e-12)
 
     def test_constant_anchors_constant_trip(self):
-        ds, trip = voyage_with_drafts(9.0, 9.0, [8.0] * 7)
-        out = fix_draft_simple(ds, trip)
-        for i in out.trip_indices(1):
+        ds = voyage_with_drafts(9.0, 9.0, [8.0] * 7)
+        out = fix_draft_simple(ds, 1)
+        for i in out.trips()[1]:
             assert out.column("draft_fore")[i] == pytest.approx(9.0, abs=1e-12)
 
     def test_venturi_depressed_readings_ignored_entirely(self):
         # in-trip sensor reads 7.2 while anchors say 8.0 -> 7.8: the raw
         # values must not influence the corrected series at all
-        ds, trip = voyage_with_drafts(8.0, 7.8, [7.2] * 9)
-        out = fix_draft_simple(ds, trip)
+        ds = voyage_with_drafts(8.0, 7.8, [7.2] * 9)
+        out = fix_draft_simple(ds, 1)
         ts = out.timestamps.astype(float)
-        t0, t1 = float(trip.start), float(trip.end)
-        for i in out.trip_indices(1):
+        t0, t1 = trip_span(ds)
+        for i in out.trips()[1]:
             expected = 8.0 + (7.8 - 8.0) * (ts[i] - t0) / (t1 - t0)
             assert out.column("draft_fore")[i] == pytest.approx(
                 expected, abs=1e-12
@@ -90,19 +92,19 @@ class TestFixDraftSimple:
             assert out.flagged(QualityFlag.DRAFT_CORRECTED)[i]
 
     def test_monotone_when_pre_geq_post(self):
-        ds, trip = voyage_with_drafts(8.4, 7.9, [7.0] * 15)
-        out = fix_draft_simple(ds, trip)
-        vals = [out.column("draft_fore")[i] for i in out.trip_indices(1)]
+        ds = voyage_with_drafts(8.4, 7.9, [7.0] * 15)
+        out = fix_draft_simple(ds, 1)
+        vals = [out.column("draft_fore")[i] for i in out.trips()[1]]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_missing_side_falls_back_to_constant(self):
-        ds, trip = voyage_with_drafts(8.0, 7.6, [7.2] * 5, berth_len=6)
+        ds = voyage_with_drafts(8.0, 7.6, [7.2] * 5, berth_len=6)
         # drop the post-trip anchors' values
         n = len(ds)
         ds = ds.with_values("draft_fore", np.arange(n - 6, n), [None] * 6)
         report = ProcessingReport()
-        out = fix_draft_simple(ds, trip, report=report)
-        for i in out.trip_indices(1):
+        out = fix_draft_simple(ds, 1, report=report)
+        for i in out.trips()[1]:
             assert out.column("draft_fore")[i] == pytest.approx(8.0)
         assert any("single-sided" in note for note in report.stage_entries[0].notes)
 
@@ -119,23 +121,21 @@ class TestFixDraftRamp:
                 in_trip.append(8.0 + (6.0 - 8.0) * (k - 15) / 10.0)
             else:
                 in_trip.append(6.0)
-        ds, trip = voyage_with_drafts(8.0, 6.0, in_trip)
-        event = DraftChangeEvent(
-            1, trip.start + 15 * DT, trip.start + 25 * DT
-        )
-        return ds, trip, event
+        ds = voyage_with_drafts(8.0, 6.0, in_trip)
+        start, _ = trip_span(ds)
+        return ds, DraftChangeEvent(1, start + 15 * DT, start + 25 * DT)
 
     def test_ramp_midpoint(self):
-        ds, trip, event = self.ramp_fixture()
-        out = fix_draft_ramp(ds, trip, [event], n_avg=5)
+        ds, event = self.ramp_fixture()
+        out = fix_draft_ramp(ds, 1, [event], n_avg=5)
         mid_ts = (event.start + event.end) // 2
         i = int(np.nonzero(out.timestamps == mid_ts)[0][0])
         assert out.column("draft_fore")[i] == pytest.approx(7.0, abs=1e-9)
 
     def test_zero_events_reduces_to_simple(self):
-        ds, trip = voyage_with_drafts(8.0, 7.6, [7.2] * 9)
-        a = fix_draft_ramp(ds, trip, [], n_avg=5)
-        b = fix_draft_simple(ds, trip, n_anchor=5)
+        ds = voyage_with_drafts(8.0, 7.6, [7.2] * 9)
+        a = fix_draft_ramp(ds, 1, [], n_avg=5)
+        b = fix_draft_simple(ds, 1, n_anchor=5)
         for va, vb in zip(a.column("draft_fore").tolist(), b.column("draft_fore").tolist()):
             assert va == pytest.approx(vb, abs=1e-9, nan_ok=True)
 
@@ -153,26 +153,44 @@ class TestFixDraftRamp:
                 in_trip.append(8.5 - 0.3 * (k - 35) / 6.0)
             else:
                 in_trip.append(8.2)
-        ds, trip = voyage_with_drafts(8.0, 8.2, in_trip)
+        ds = voyage_with_drafts(8.0, 8.2, in_trip)
+        start, _ = trip_span(ds)
         events = [
-            DraftChangeEvent(1, trip.start + 10 * DT, trip.start + 16 * DT),
-            DraftChangeEvent(1, trip.start + 35 * DT, trip.start + 41 * DT),
+            DraftChangeEvent(1, start + 10 * DT, start + 16 * DT),
+            DraftChangeEvent(1, start + 35 * DT, start + 41 * DT),
         ]
-        out = fix_draft_ramp(ds, trip, events, n_avg=5)
-        last = out.trip_indices(1)[-1]
+        out = fix_draft_ramp(ds, 1, events, n_avg=5)
+        last = out.trips()[1][-1]
         assert out.column("draft_fore")[last] == pytest.approx(8.2, abs=1e-9)
 
     def test_overlapping_events_rejected(self):
-        ds, trip, event = self.ramp_fixture()
+        ds, event = self.ramp_fixture()
         other = DraftChangeEvent(1, event.start + DT, event.end + DT)
         with pytest.raises(CorrectionError, match="overlapping"):
-            fix_draft_ramp(ds, trip, [event, other])
+            fix_draft_ramp(ds, 1, [event, other])
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_event_outside_the_trip_rows_rejected(self, shift):
+        # the trip's bounds are the timestamps of its first and last rows
+        ds, _ = self.ramp_fixture()
+        start, end = trip_span(ds)
+        inside = DraftChangeEvent(1, start, end)
+        fix_draft_ramp(ds, 1, [inside])
+        event = DraftChangeEvent(1, start + min(shift, 0), end + max(shift, 0))
+        with pytest.raises(CorrectionError, match=rf"outside trip \[{start}, {end}\]"):
+            fix_draft_ramp(ds, 1, [event])
+
+    def test_event_in_a_trip_without_rows_rejected(self):
+        ds, event = self.ramp_fixture()
+        with pytest.raises(CorrectionError, match="trip 2 has no rows"):
+            fix_draft_ramp(ds, 2, [DraftChangeEvent(2, event.start, event.end)])
 
     def test_zero_magnitude_event_matches_simple(self):
-        ds, trip = voyage_with_drafts(8.0, 8.0, [8.0] * 30)
-        event = DraftChangeEvent(1, trip.start + 10 * DT, trip.start + 15 * DT)
-        ramp = fix_draft_ramp(ds, trip, [event], n_avg=5)
-        simple = fix_draft_simple(ds, trip, n_anchor=5)
+        ds = voyage_with_drafts(8.0, 8.0, [8.0] * 30)
+        start, _ = trip_span(ds)
+        event = DraftChangeEvent(1, start + 10 * DT, start + 15 * DT)
+        ramp = fix_draft_ramp(ds, 1, [event], n_avg=5)
+        simple = fix_draft_simple(ds, 1, n_anchor=5)
         for va, vb in zip(
             ramp.column("draft_fore").tolist(), simple.column("draft_fore").tolist()
         ):
@@ -184,8 +202,8 @@ class TestDetectDraftEvents:
         return SteadyFilterParams(window=11, alpha=0.01, gradient_tolerance=5e-5)
 
     def test_flat_drafts_no_events(self):
-        ds, trip = voyage_with_drafts(8.0, 8.0, [8.0] * 40)
-        assert detect_draft_events(ds, trip, self.params()) == []
+        ds = voyage_with_drafts(8.0, 8.0, [8.0] * 40)
+        assert detect_draft_events(ds, 1, self.params()) == []
 
     def test_mid_voyage_ramp_detected(self):
         in_trip = []
@@ -196,19 +214,17 @@ class TestDetectDraftEvents:
                 in_trip.append(9.0 + 1.0 * (k - 25) / 8.0)  # 1 m over 2 h
             else:
                 in_trip.append(10.0)
-        ds, trip = voyage_with_drafts(9.0, 10.0, in_trip, sensors=("draft_aft",))
-        events = detect_draft_events(
-            ds, trip, self.params()
-        )
+        ds = voyage_with_drafts(9.0, 10.0, in_trip, sensors=("draft_aft",))
+        events = detect_draft_events(ds, 1, self.params())
         assert len(events) == 1
         ev = events[0]
-        ramp_start = trip.start + 25 * DT
-        ramp_end = trip.start + 33 * DT
-        assert ev.start <= ramp_start + 3 * DT
-        assert ev.end >= ramp_end - 3 * DT
-        pre, post = ev.means["draft_aft"]
-        assert pre == pytest.approx(9.0, abs=0.05)
-        assert post == pytest.approx(10.0, abs=0.05)
+        start, _ = trip_span(ds)
+        assert ev.start <= start + 28 * DT
+        assert ev.end >= start + 30 * DT
+        # the ramp fix levels the trip at the means on each side of the event
+        aft = fix_draft_ramp(ds, 1, events).column("draft_aft")[ds.trips()[1]]
+        assert aft[0] == pytest.approx(9.0, abs=0.05)
+        assert aft[-1] == pytest.approx(10.0, abs=0.05)
 
     def test_trim_swap_merges_overlapping_sensor_events(self):
         fore, aft = [], []
@@ -228,17 +244,16 @@ class TestDetectDraftEvents:
             samples.append(Sample(t, {"draft_fore": 8.0, "draft_aft": 7.0}))
             ids.append(None)
             t += DT
-        trip_start = t
         for f, a in zip(fore, aft):
             samples.append(Sample(t, {"draft_fore": f, "draft_aft": a}))
             ids.append(1)
             t += DT
-        trip = Trip(1, trip_start, t - DT)
         ds = rows_dataset(schema, samples).with_trip_ids(ids)
-        events = detect_draft_events(ds, trip, self.params())
+        events = detect_draft_events(ds, 1, self.params())
         assert len(events) == 1  # one event per sensor, merged by overlap
-        assert events[0].means["draft_fore"][1] == pytest.approx(7.0, abs=0.05)
-        assert events[0].means["draft_aft"][1] == pytest.approx(8.0, abs=0.05)
+        out = fix_draft_ramp(ds, 1, events)
+        assert out.column("draft_fore")[-1] == pytest.approx(7.0, abs=0.05)
+        assert out.column("draft_aft")[-1] == pytest.approx(8.0, abs=0.05)
 
 
 def particulars(ship_type=ShipType.BULK_CARRIER, design_draft=15.0):
@@ -328,6 +343,16 @@ class TestHydrostatics:
         h = hydrostatics(10.0, 0.0, particulars(), table=table)
         assert h.displacement_volume == pytest.approx((60000 + 61000 + 95000 + 96000) / 4)
         assert h.wetted_surface == pytest.approx((10000 + 10100 + 13000 + 13100) / 4)
+
+    def test_repeated_draft_trim_pair_rejected(self, tmp_path):
+        # 4 rows for a 2 x 2 grid, but node (6, 1) is never written
+        p = tmp_path / "hydro.csv"
+        p.write_text(
+            "draft_m,trim_m,displacement_m3,wsa_m2\n"
+            "5,0,40000,9000\n5,0,40000,9000\n5,1,41000,9100\n6,0,50000,9500\n"
+        )
+        with pytest.raises(IngestError, match=r"hydro\.csv: .*repeats .*\(5\.0, 0\.0\)"):
+            HydroTable.from_csv(p)
 
     def test_extrapolation_warning(self):
         # the stage notes, once, the samples above 1.25 x the 15 m design draft

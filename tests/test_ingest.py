@@ -1,6 +1,7 @@
 """Loaders: unit conversion at the boundary, missing-cell semantics, grid
 format errors with locations, particulars defaults."""
 
+import re
 import typing
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from conftest import row_values
 from oracle_values import TEN_KNOTS_M_PER_S
 from shipdataprep.ingest import (
+    ConfigError,
     IngestError,
     PipelineConfig,
     load_config,
@@ -289,6 +291,17 @@ class TestParticulars:
         with pytest.raises(IngestError, match="crude_oil_carrier"):
             load_particulars(p)
 
+    @pytest.mark.parametrize("line", [
+        "beam = nan", "lpp = inf", "design_draft = -inf", "anemometer_height = nan",
+        "rpm_threshold = -3", "rpm_threshold = nan", "sog_threshold = inf",
+    ])
+    def test_non_finite_or_negative_number_fatal(self, tmp_path, line):
+        # NaN passes a plain ``<= 0`` check; the thresholds may be 0 but not below
+        p = self.base(tmp_path, line + "\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(IngestError, match=re.escape(f"{p}: {key} must be finite")):
+            load_particulars(p)
+
     def test_explicit_zero_thresholds_kept(self, tmp_path):
         part = load_particulars(
             self.base(tmp_path, "rpm_threshold = 0\nsog_threshold = 0\n")
@@ -345,6 +358,24 @@ class TestConfig:
                 continue
             with pytest.raises(ConfigError, match=name.replace("_", "[_ ]")):
                 load_config(p)
+
+    @pytest.mark.parametrize("line", [
+        "power_tolerance = nan", "spike_scales = nan", "wind_tolerance = inf",
+        "stw_tolerance = -inf", "gradient_tolerance.lat = nan", "gradient_tolerance.sog = -1",
+        "rpm_threshold = -5", "sog_threshold = nan", "rpm_threshold = inf",
+    ])
+    def test_non_finite_or_negative_number_fatal(self, tmp_path, line):
+        p = tmp_path / "config.txt"
+        p.write_text(f"ship_csv = s.csv\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: {key} must be finite")):
+            load_config(p)
+
+    def test_zero_thresholds_accepted(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_text("ship_csv = s.csv\nrpm_threshold = 0\nsog_threshold = 0\n")
+        cfg = load_config(p)
+        assert (cfg.rpm_threshold, cfg.sog_threshold) == (0.0, 0.0)
 
     def test_bad_alpha_rejected(self, tmp_path):
         p = tmp_path / "config.txt"

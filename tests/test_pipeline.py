@@ -49,6 +49,12 @@ BAD_INPUTS = {
     "config_number": lambda p: edited(p["config"], "interval = 900", "interval = abc"),
     "voyage_kind": lambda p: appended(p["config"], "voyage_kind = bogus\n"),
     "particulars_number": lambda p: edited(p["particulars"], "beam = 46", "beam = forty"),
+    "particulars_non_finite": lambda p: edited(p["particulars"], "beam = 46", "beam = nan"),
+    "config_non_finite": lambda p: appended(p["config"], "power_tolerance = nan\n"),
+    "config_negative_threshold": lambda p: appended(p["config"], "rpm_threshold = -5\n"),
+    "hydro_table_repeated_pair": lambda p: hydro_table(
+        p, "5,0,40000,9000\n5,0,40000,9000\n5,1,41000,9100\n6,0,50000,9500\n"
+    ),
     "hydro_table_cell": lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,x\n"),
     "hydro_table_without_rows": lambda p: hydro_table(p, ""),
     "coefficient_cell": lambda p: edited(p["res_wind"], "90,0.3", "90,zero"),
@@ -74,7 +80,7 @@ class TestFullVoyage:
         result = run(paths)
         assert result.exit_code == 0
         assert not result.stage_failures
-        assert len(result.trip_index.trips) == 3
+        assert list(result.dataset.trips()) == [1, 2, 3]
         names = {s.name for s in result.dataset.schema}
         assert {"hc_wind_u", "gps_heading", "rel_wind_long", "stw_estimate",
                 "raw_draft_fore", "displacement", "wsa", "res_wind_coefficients"} <= names
@@ -160,15 +166,17 @@ def contextual_checks(result):
 
 
 def with_port_column(paths):
-    """The ship CSV with a ``port`` column: each berth leg's rows carry the
-    leg's own label and the trip rows none, so they join the leg before."""
+    """The ship CSV with a ``port`` column: the rows of each berth leg after
+    the first carry the leg's own label, the other rows none, so a trip
+    joins the leg before it and the rows before the first label are in no
+    trip."""
     header, *rows = paths["ship_csv"].read_text().splitlines()
-    labels, leg = [], 0
+    labels, leg, was_at_berth = [], -1, False
     for row in rows:
         at_berth = row.endswith(",At Berth")
-        if at_berth and labels and labels[-1] == "":
-            leg += 1
-        labels.append(f"P{leg}" if at_berth else "")
+        leg += at_berth and not was_at_berth
+        was_at_berth = at_berth
+        labels.append(f"P{leg}" if at_berth and leg else "")
     lines = [header + ",port"] + [f"{r},{p}" for r, p in zip(rows, labels)]
     paths["ship_csv"].write_text("\n".join(lines) + "\n")
     return paths
@@ -177,12 +185,13 @@ def with_port_column(paths):
 class TestTripsEntry:
     """The ``trips`` report entry of each segmentation method: 3 trips
     between 4 berth legs for the thresholds and the state variable, and one
-    trip per port label (berth legs are not counted) for port names."""
+    trip per port label for port names, which count no berth legs, not even
+    the rows before the first label."""
 
     @pytest.mark.parametrize("method, trips, berth_legs", [
         ("thresholds", 3, 4),
         ("state_variable", 3, 4),
-        ("port_names", 4, 0),
+        ("port_names", 3, 0),
     ])
     def test_method_trips_and_berth_legs(self, tmp_path, method, trips, berth_legs):
         paths = with_port_column(VoyageBuilder(tmp_path).build())
@@ -417,7 +426,7 @@ class TestSkipContracts:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths, trip_method="port_names")
         assert result.exit_code == 0
-        assert result.trip_index is None
+        assert result.dataset.trips() == {}
         assert any(
             "segmentation skipped" in n
             for e in result.report.stage_entries
@@ -608,9 +617,7 @@ class TestPlotData:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths)
         out = tmp_path / "plots"
-        files = emit_plotdata(
-            result.dataset, result.trip_index, out, result.particulars
-        )
+        files = emit_plotdata(result.dataset, out, result.particulars)
         names = {f.name for f in files}
         assert {"trip_001.csv", "trip_002.csv", "trip_003.csv"} <= names
         assert {"speed_power.csv", "wind_comparison.csv", "draft_correction.csv"} <= names
@@ -620,7 +627,7 @@ class TestPlotData:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths, stages=("regularize",))
         out = tmp_path / "plots"
-        files = emit_plotdata(result.dataset, result.trip_index, out, result.particulars)
+        files = emit_plotdata(result.dataset, out, result.particulars)
         names = {f.name for f in files}
         assert names == {"speed_power.csv", "wind_comparison.csv", "draft_correction.csv"}
 
@@ -628,6 +635,6 @@ class TestPlotData:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths)
         out = tmp_path / "plots"
-        emit_plotdata(result.dataset, result.trip_index, out, result.particulars)
+        emit_plotdata(result.dataset, out, result.particulars)
         header = (out / "draft_correction.csv").read_text().splitlines()[0]
         assert "raw_draft_fore" in header and "draft_fore" in header

@@ -133,22 +133,19 @@ B, S = "At Berth", "Sea Passage"
 
 class TestSegmentByState:
     def test_single_gap_is_one_trip(self):
-        index, ds = segment_by_state(state_dataset([B, B, S, S, S, B, B]))
-        assert len(index.trips) == 1
-        trip = index.trips[0]
-        assert (trip.start, trip.end) == (2 * 900, 4 * 900)
+        ds = segment_by_state(state_dataset([B, B, S, S, S, B, B]))
         assert ds.trip_ids.tolist() == [-1, -1, 1, 1, 1, -1, -1]
-        assert len(index.berth_legs) == 2
+        assert ds.timestamps[ds.trips()[1]].tolist() == [2 * 900, 3 * 900, 4 * 900]
 
     def test_all_berth_zero_trips(self):
-        index, _ = segment_by_state(state_dataset([B, B, B]))
-        assert index.trips == ()
+        ds = segment_by_state(state_dataset([B, B, B]))
+        assert ds.trip_ids.tolist() == [-1, -1, -1]
+        assert ds.trips() == {}
 
     def test_leading_and_trailing_runs_count_as_trips(self):
-        index, ds = segment_by_state(state_dataset([S, S, B, S, S]))
-        assert len(index.trips) == 2
-        assert index.trips[0].trip_id == 1
+        ds = segment_by_state(state_dataset([S, S, B, S, S]))
         assert ds.trip_ids.tolist() == [1, 1, -1, 2, 2]
+        assert list(ds.trips()) == [1, 2]
 
     def test_absent_state_directs_to_thresholds(self):
         ds = ts_dataset([0, 900])
@@ -159,27 +156,25 @@ class TestSegmentByState:
 class TestSegmentByThresholds:
     def test_padded_single_run(self):
         ds = series_dataset({"shaft_rpm": [0.0, 0.0, 40.0, 42.0, 0.0, 0.0]})
-        index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=1)
-        assert len(index.trips) == 1
+        out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=1)
         assert out.trip_ids.tolist() == [-1, 1, 1, 1, 1, -1]
 
     def test_all_zero_zero_trips(self):
         ds = series_dataset({"shaft_rpm": [0.0] * 5, "sog": [0.0] * 5})
-        index, _ = segment_by_thresholds(ds)
-        assert index.trips == ()
+        out = segment_by_thresholds(ds)
+        assert out.trip_ids.tolist() == [-1] * 5
 
     def test_pad_merges_nearby_runs(self):
         ds = series_dataset({"shaft_rpm": [0.0, 40.0, 0.0, 40.0, 0.0]})
-        index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=1)
-        assert len(index.trips) == 1
+        out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=1)
         assert (out.trip_ids == 1).all()
 
     def test_either_variable_triggers(self):
         ds = series_dataset(
             {"shaft_rpm": [0.0, 0.0, 0.0], "sog": [0.0, 3.0, 0.0]}
         )
-        index, _ = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=0)
-        assert len(index.trips) == 1
+        out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=0)
+        assert out.trip_ids.tolist() == [-1, 1, -1]
 
     def test_both_absent_fatal(self):
         with pytest.raises(SegmentationError):
@@ -205,17 +200,15 @@ class TestSegmentByThresholds:
     )
     def test_partition_property(self, rpm, pad):
         ds = series_dataset({"shaft_rpm": rpm})
-        index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=pad)
-        # every sample belongs to at most one trip; trips never overlap
-        spans = [(t.start, t.end) for t in index.trips]
-        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-            assert b1 < a2
-        for ts, trip_id in zip(out.timestamps.tolist(), out.trip_ids.tolist()):
-            memberships = [t for t in index.trips if t.start <= ts <= t.end]
-            assert len(memberships) <= 1
-            if trip_id != -1:
-                assert len(memberships) == 1
-                assert memberships[0].trip_id == trip_id
+        ids = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=pad).trip_ids.tolist()
+        # each maximal run of in-trip rows is one trip (padded trips that
+        # touch merge), and the runs are trips 1..k in time order
+        firsts = [i for i, t in enumerate(ids) if t >= 0 and (i == 0 or ids[i - 1] < 0)]
+        assert [ids[i] for i in firsts] == list(range(1, len(firsts) + 1))
+        for prev, cur in zip(ids, ids[1:]):
+            assert cur < 0 or prev < 0 or cur == prev
+        # every row above the threshold is in a trip
+        assert all(t >= 0 for t, r in zip(ids, rpm) if r > 10.0)
 
     def test_padding_stops_at_berth_boundary(self):
         ds = series_dataset(
@@ -224,7 +217,7 @@ class TestSegmentByThresholds:
                 "state": [B, B, S, S, B, B],
             }
         )
-        index, out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=2)
+        out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=2)
         assert out.trip_ids.tolist() == [-1, -1, 1, 1, -1, -1]
 
 
@@ -233,6 +226,5 @@ class TestSegmentByPorts:
         ds = series_dataset(
             {"port": ["OSL", "OSL", None, "AMS", "AMS"], "sog": [0, 1, 2, 1, 0]}
         )
-        index, out = segment_by_ports(ds)
-        assert len(index.trips) == 2
+        out = segment_by_ports(ds)
         assert out.trip_ids.tolist() == [1, 1, 1, 2, 2]

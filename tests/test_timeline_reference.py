@@ -2,8 +2,8 @@
 (``tests/timeline_reference.py``): threshold segmentation on random in-trip
 and berth masks with padding 0-4, port grouping on label sequences with
 missing labels (leading ones too), and draft-event detection with the
-overlap merge of per-sensor events. Each must give the same trip index and
-trip ids, or the same events. The whole-array ``resample`` must give the
+overlap merge of per-sensor events. Each must give the same trip ids, or
+the same events. The whole-array ``resample`` must give the
 bits of the per-bin loop, over bins of 1, 7-9, 127-129 and more than 8,192
 members, empty and NaN-only bins, ``-0.0``, angles near 0/360 and text
 with missing values."""
@@ -22,7 +22,6 @@ from shipdataprep.model import ProcessingReport, QualityFlag, VariableSpec, new_
 from shipdataprep.timeline import (
     AT_BERTH,
     SegmentationError,
-    Trip,
     resample,
     runs,
     segment_by_ports,
@@ -32,10 +31,10 @@ from shipdataprep.timeline import (
 
 def outcome(segment, dataset, *args):
     try:
-        index, out = segment(dataset, *args)
+        out = segment(dataset, *args)
     except SegmentationError as exc:
         return str(exc)
-    return index, out.trip_ids.tolist()
+    return out.trip_ids.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,22 +92,19 @@ def draft_voyage(draw):
     stamps = [T0 + i * INTERVAL for i in range(n)]
     schema = [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")]
     ds = new_dataset(schema, stamps, columns, trip_ids=ids)
-    trip = Trip(1, stamps[lead], stamps[n - tail - 1])
     params = SteadyFilterParams(
         draw(st.sampled_from([3, 5, 7])),
         draw(st.sampled_from([0.01, 0.2])),
         draw(st.sampled_from([None, 1e-4])),
     )
-    return ds, trip, params, draw(st.integers(1, 4))
+    return ds, params
 
 
 @settings(max_examples=200, deadline=None)
 @given(draft_voyage())
 def test_draft_events_match_loop(case):
-    ds, trip, params, n_avg = case
-    assert detect_draft_events(ds, trip, params, n_avg) == ref.detect_draft_events(
-        ds, trip, params, n_avg
-    )
+    ds, params = case
+    assert detect_draft_events(ds, 1, params) == ref.detect_draft_events(ds, 1, params)
 
 
 BIG_BIN = 8_193  # numpy sums more than 8,192 values in blocks

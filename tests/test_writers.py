@@ -28,23 +28,22 @@ from shipdataprep.model import (
     new_dataset,
 )
 from shipdataprep.pipeline import emit_plotdata, write_processed_csv
-from shipdataprep.timeline import Trip, TripIndex
 from writer_reference import processed_rows, write_csv
 
 
 def golden_dataset():
     schema = [
-        VariableSpec("lat", "deg", "linear", -90.0, 90.0, "navigation"),
-        VariableSpec("lon", "deg", "linear", -180.0, 180.0, "navigation"),
-        VariableSpec("sog", "m/s", "linear", 0.0, 26.0, "navigation"),
+        VariableSpec("lat", "deg", "linear", -90.0, 90.0),
+        VariableSpec("lon", "deg", "linear", -180.0, 180.0),
+        VariableSpec("sog", "m/s", "linear", 0.0, 26.0),
         VariableSpec("stw", "m/s", "linear"),
         VariableSpec("shaft_power", "W", "linear"),
-        VariableSpec("draft_fore", "m", "linear", role="loading_condition"),
-        VariableSpec("raw_draft_fore", "m", "linear", role="loading_condition"),
+        VariableSpec("draft_fore", "m", "linear"),
+        VariableSpec("raw_draft_fore", "m", "linear"),
         VariableSpec("rel_wind_speed", "m/s", "linear"),
         VariableSpec("rel_wind_dir", "deg", "angular"),
         VariableSpec("rel_wind_long", "m/s", "linear"),
-        VariableSpec("note", "", "text", role="state"),
+        VariableSpec("note", "", "text"),
     ]
     samples = [
         Sample(
@@ -76,13 +75,11 @@ PARTICULARS = ShipParticulars(
     ShipType.BULK_CARRIER, beam=30.0, design_draft=10.0, lwl=180.0,
     calm_water_curves=(CalmWaterCurve("sea_trial", ((1.0, 1.0e5), (3.0, 2.0e6))),),
 )
-TRIPS = TripIndex((Trip(1, T0, T0 + 900),), (), "thresholds")
 
 
 def write_all(dataset, out):
-    particulars, trips = PARTICULARS, TRIPS
     write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
-    emit_plotdata(dataset, trips, out, particulars)
+    emit_plotdata(dataset, out, PARTICULARS)
     return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
 
 
@@ -148,7 +145,13 @@ def test_zero_row_dataset_writes_header_only_files(tmp_path):
         "timestamp,ship_long_wind,hindcast_long_wind,angular_fault\r\n"
     )
     assert got["draft_correction.csv"] == "timestamp,trip_id,raw_draft_fore,draft_fore\r\n"
-    assert got["trip_001.csv"] == "timestamp\r\n"
+    assert "trip_001.csv" not in got  # no rows, so no trip
+
+
+def test_trip_without_plot_data_writes_timestamps_only(tmp_path):
+    empty_trip = rows_dataset(golden_dataset().schema, [Sample(T0, {}, trip_id=1)])
+    got = write_all(empty_trip, tmp_path)
+    assert got["trip_001.csv"] == "timestamp\r\n2020-09-13T12:26:40Z\r\n"
 
 
 def test_processed_csv_round_trips_exactly(tmp_path):
@@ -190,7 +193,7 @@ def test_one_pass_writes_the_golden_text(tmp_path, monkeypatch, block):
     # run's path: processed.csv and the plot files from the same formatted cells
     monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
     emit_plotdata(
-        golden_dataset(), TRIPS, tmp_path, PARTICULARS,
+        golden_dataset(), tmp_path, PARTICULARS,
         processed=tmp_path / "processed.csv", timestamp_header=False,
     )
     assert read_all(tmp_path) == {
@@ -232,15 +235,14 @@ def test_plotdata_and_run_write_the_same_plot_files(tmp_path, monkeypatch, block
 def test_plotdata_and_run_write_the_same_plot_files_for_zero_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", 1)
     empty = rows_dataset(golden_dataset().schema, [], sampling_interval=900)
-    emit_plotdata(empty, TRIPS, tmp_path / "plotdata", PARTICULARS)
-    emit_plotdata(empty, TRIPS, tmp_path / "run", PARTICULARS,
+    emit_plotdata(empty, tmp_path / "plotdata", PARTICULARS)
+    emit_plotdata(empty, tmp_path / "run", PARTICULARS,
                   processed=tmp_path / "run" / "processed.csv", timestamp_header=False)
     plots = read_all(tmp_path / "run")
     assert plots.pop("processed.csv") == PROCESSED.split("\r\n")[0] + "\r\n"
     assert plots == read_all(tmp_path / "plotdata")
-    assert sorted(plots) == [
-        "draft_correction.csv", "speed_power.csv", "trip_001.csv", "wind_comparison.csv",
-    ]
+    # a dataset without rows has no trips, so no trip file
+    assert sorted(plots) == ["draft_correction.csv", "speed_power.csv", "wind_comparison.csv"]
 
 
 # text as the writer must quote it: separators, quotes, both line-end

@@ -2,8 +2,8 @@
 ``timeline.runs``, ``timeline.merge_spans``, the padding of
 ``segment_by_thresholds`` and the bin means of ``resample`` replaced, kept
 verbatim. ``tests/test_timeline_reference.py`` requires the whole-array
-segmentation and draft-event detection to give the same trip index, trip
-ids and events, and the whole-array resample the same bits.
+segmentation and draft-event detection to give the same trip ids and
+events, and the whole-array resample the same bits.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from shipdataprep.corrections import (
-    DRAFT_SENSORS,
-    DraftChangeEvent,
-    _event_means,
-    _trip_bounds,
-)
+from shipdataprep.corrections import DRAFT_SENSORS, DraftChangeEvent
 from shipdataprep.hindcast import SteadyFilterParams, steady_state_filter
 from shipdataprep.model import (
     RPM_THRESHOLD,
@@ -27,7 +22,7 @@ from shipdataprep.model import (
     VoyageDataset,
     stage_entry,
 )
-from shipdataprep.timeline import AT_BERTH, SegmentationError, Trip, TripIndex
+from shipdataprep.timeline import AT_BERTH, SegmentationError
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -45,19 +40,13 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def _build_index(
-    dataset: VoyageDataset, trip_runs: list[tuple[int, int]],
-    berth_runs: list[tuple[int, int]], method: str,
-) -> tuple[TripIndex, VoyageDataset]:
-    ts = dataset.timestamps
-    trips = tuple(
-        Trip(i + 1, int(ts[a]), int(ts[b])) for i, (a, b) in enumerate(trip_runs)
-    )
-    legs = tuple((int(ts[a]), int(ts[b])) for a, b in berth_runs)
+def _assign_trips(
+    dataset: VoyageDataset, trip_runs: list[tuple[int, int]]
+) -> VoyageDataset:
     ids = np.full(len(dataset), -1)
-    for t, (a, b) in zip(trips, trip_runs):
-        ids[a : b + 1] = t.trip_id
-    return TripIndex(trips, legs, method), dataset.with_trip_ids(ids)
+    for trip_id, (a, b) in enumerate(trip_runs, start=1):
+        ids[a : b + 1] = trip_id
+    return dataset.with_trip_ids(ids)
 
 
 def segment_by_thresholds(
@@ -65,7 +54,7 @@ def segment_by_thresholds(
     rpm_threshold: float = RPM_THRESHOLD,
     sog_threshold: float = SOG_THRESHOLD,
     pad_samples: int = 2,
-) -> tuple[TripIndex, VoyageDataset]:
+) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
     threshold; maximal runs are padded by ``pad_samples`` on each side and
     overlapping padded runs merge. Padding never crosses an at-berth leg
@@ -111,17 +100,12 @@ def segment_by_thresholds(
             merged[-1] = (merged[-1][0], max(merged[-1][1], run[1]))
         else:
             merged.append(run)
-
-    covered = np.zeros(n, dtype=bool)
-    for a, b in merged:
-        covered[a : b + 1] = True
-    berth_runs = _runs(~covered)
-    return _build_index(dataset, merged, berth_runs, "thresholds")
+    return _assign_trips(dataset, merged)
 
 
 def segment_by_ports(
     dataset: VoyageDataset, port_variable: str = "port"
-) -> tuple[TripIndex, VoyageDataset]:
+) -> VoyageDataset:
     """Noon-report style grouping: each maximal run of one port label is a
     trip; samples with no port join the preceding run."""
     if not dataset.has_data(port_variable):
@@ -138,20 +122,19 @@ def segment_by_ports(
         current, start = p, i
     if current is not None:
         runs.append((start, len(ports) - 1))
-    return _build_index(dataset, runs, [], "port_names")
+    return _assign_trips(dataset, runs)
 
 
 def detect_draft_events(
     dataset: VoyageDataset,
-    trip: Trip,
+    trip_id: int,
     params: SteadyFilterParams,
-    n_avg: int = 10,
     sensors: tuple[str, ...] = DRAFT_SENSORS,
 ) -> list[DraftChangeEvent]:
     """Find in-voyage draft change operations as maximal unsteady runs of the
     two-stage filter on each draft sensor; runs shorter than half the window
     are discarded and overlapping per-sensor events merge into one."""
-    idx = _trip_bounds(dataset, trip)
+    idx = np.nonzero(dataset.trip_ids == trip_id)[0]
     if len(idx) == 0:
         return []
     ts = dataset.timestamps
@@ -179,16 +162,7 @@ def detect_draft_events(
     for s, e in merged:
         if s >= e:
             continue
-        event = DraftChangeEvent(trip.trip_id, s, e)
-        means = {}
-        for sensor in sensors:
-            if dataset.declares(sensor) and dataset.has_data(sensor):
-                m = _event_means(dataset, dataset.column(sensor), event, idx, n_avg)
-                if m is not None:
-                    means[sensor] = m
-        events.append(
-            DraftChangeEvent(trip.trip_id, s, e, means=means)
-        )
+        events.append(DraftChangeEvent(trip_id, s, e))
     return events
 
 
