@@ -744,14 +744,15 @@ class PipelineConfig:
             raise ConfigError("steady_alpha must lie in (0, 1)")
         if not 0.0 < self.pca_quantile < 1.0:
             raise ConfigError("pca_quantile must lie in (0, 1)")
-        # every plain number must be finite and positive, except
-        # pca_components (0 = auto); a trip threshold may be 0
+        # every plain number must be finite and positive, except that
+        # pca_components (0 = auto) and a trip threshold may be 0
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("int", "float") and f.name != "pca_components":
                 if not 0 < value < math.inf:
                     raise ConfigError(f"{f.name} must be finite and strictly positive")
-            elif f.type == "float | None" and value is not None and not 0 <= value < math.inf:
+            elif f.type in ("int", "float | None") and value is not None and not (
+                    0 <= value < math.inf):
                 raise ConfigError(f"{f.name} must be finite and not negative")
         for name, tol in self.gradient_tolerance.items():
             if not 0 < tol < math.inf:

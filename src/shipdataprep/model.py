@@ -326,6 +326,9 @@ class VoyageDataset:
             name: changes[name] if name in changes else getattr(self, name)
             for name in VoyageDataset.__slots__[:-1]
         })
+        # same trip ids, same trips: pass the grouping on if it was made
+        if "trip_ids" not in changes and "_trip_rows" in self.__dict__:
+            out.__dict__["_trip_rows"] = self._trip_rows
         return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -398,14 +401,19 @@ class VoyageDataset:
         in_trip = self.trip_ids >= 0
         return in_trip if in_trip.any() else np.ones(len(self), dtype=bool)
 
-    def trips(self) -> dict[int, np.ndarray]:
-        """Row indices of each trip, in row order, keyed by trip id in
-        ascending order; empty when no trips are assigned."""
+    @cached_property
+    def _trip_rows(self) -> dict[int, np.ndarray]:
         ids = self.trip_ids
         rows = np.flatnonzero(ids >= 0)
         rows = rows[np.argsort(ids[rows], kind="stable")]
         keys, first = np.unique(ids[rows], return_index=True)
-        return dict(zip(keys.tolist(), np.split(rows, first[1:])))
+        return dict(zip(keys.tolist(), map(_frozen, np.split(rows, first[1:]))))
+
+    def trips(self) -> dict[int, np.ndarray]:
+        """Row indices of each trip (read-only, in row order), keyed by trip
+        id in ascending order; empty when no trips are assigned. The grouping
+        is made once per ``trip_ids`` array."""
+        return dict(self._trip_rows)
 
     def trip_groups(self) -> list[np.ndarray]:
         """Row indices per trip in trip-id order, or the whole series as one

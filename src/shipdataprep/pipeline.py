@@ -203,26 +203,27 @@ def run_pipeline(
         with guard("trips"):
             entry = report.stage("trips")
             try:
-                if config.trip_method == "state_variable":
-                    dataset = timeline.segment_by_state(dataset)
-                elif config.trip_method == "port_names":
-                    dataset = timeline.segment_by_ports(dataset)
+                if config.trip_method == "port_names":
+                    # port grouping reports no berth legs
+                    dataset, legs = timeline.segment_by_ports(dataset), 0
                 else:
-                    # the config overrides the particulars, which override the defaults
-                    rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
-                    if rpm_thr is None:
-                        rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
-                    if sog_thr is None:
-                        sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
-                    dataset = timeline.segment_by_thresholds(
-                        dataset,
-                        rpm_threshold=rpm_thr,
-                        sog_threshold=sog_thr,
-                        pad_samples=config.pad_samples,
-                    )
-                # the rows before the first port label are not a berth leg
-                legs = 0 if config.trip_method == "port_names" else len(
-                    runs(dataset.trip_ids < 0)[0])
+                    if config.trip_method == "state_variable":
+                        dataset = timeline.segment_by_state(dataset)
+                    else:
+                        # the config overrides the particulars, which override the defaults
+                        rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
+                        if rpm_thr is None:
+                            rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
+                        if sog_thr is None:
+                            sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
+                        dataset = timeline.segment_by_thresholds(
+                            dataset,
+                            rpm_threshold=rpm_thr,
+                            sog_threshold=sog_thr,
+                            pad_samples=config.pad_samples,
+                        )
+                    # a berth leg is a run of rows outside every trip
+                    legs = len(runs(dataset.trip_ids < 0)[0])
                 entry.summary.update(method=config.trip_method, trips=len(dataset.trips()),
                                      berth_legs=legs)
             except SegmentationError as exc:

@@ -11,6 +11,7 @@ from shipdataprep.corrections import (
     DraftChangeEvent,
     HydroTable,
     TableDrivenModel,
+    _event_means,
     check_draft_ratio,
     detect_draft_events,
     fix_draft_ramp,
@@ -201,6 +202,25 @@ class TestDetectDraftEvents:
     def params(self):
         return SteadyFilterParams(window=11, alpha=0.01, gradient_tolerance=5e-5)
 
+    def assert_ramp_levels(self, ds, event, levels):
+        # the event leaves samples on both sides, at each sensor's levels, and
+        # the ramp fix of trip 1 uses them on every sensor and every trip row
+        rows = ds.trips()[1]
+        for sensor, expected in levels.items():
+            means = _event_means(ds, ds.column(sensor), event, rows, 10)
+            assert means == pytest.approx(expected, abs=0.05)
+        report = ProcessingReport()
+        out = fix_draft_ramp(ds, 1, [event], report=report)
+        (entry,) = report.stage_entries
+        assert entry.stage == "draft_fix:ramp:trip1"
+        assert entry.notes == []
+        assert [c.split(":")[0] for c in entry.corrections] == list(levels)
+        assert out.flagged(QualityFlag.DRAFT_CORRECTED)[rows].all()
+        for sensor, (pre, post) in levels.items():
+            fixed = out.column(sensor)[rows]
+            assert fixed[0] == pytest.approx(pre, abs=0.05)
+            assert fixed[-1] == pytest.approx(post, abs=0.05)
+
     def test_flat_drafts_no_events(self):
         ds = voyage_with_drafts(8.0, 8.0, [8.0] * 40)
         assert detect_draft_events(ds, 1, self.params()) == []
@@ -221,10 +241,7 @@ class TestDetectDraftEvents:
         start, _ = trip_span(ds)
         assert ev.start <= start + 28 * DT
         assert ev.end >= start + 30 * DT
-        # the ramp fix levels the trip at the means on each side of the event
-        aft = fix_draft_ramp(ds, 1, events).column("draft_aft")[ds.trips()[1]]
-        assert aft[0] == pytest.approx(9.0, abs=0.05)
-        assert aft[-1] == pytest.approx(10.0, abs=0.05)
+        self.assert_ramp_levels(ds, ev, {"draft_aft": (9.0, 10.0)})
 
     def test_trim_swap_merges_overlapping_sensor_events(self):
         fore, aft = [], []
@@ -251,9 +268,9 @@ class TestDetectDraftEvents:
         ds = rows_dataset(schema, samples).with_trip_ids(ids)
         events = detect_draft_events(ds, 1, self.params())
         assert len(events) == 1  # one event per sensor, merged by overlap
-        out = fix_draft_ramp(ds, 1, events)
-        assert out.column("draft_fore")[-1] == pytest.approx(7.0, abs=0.05)
-        assert out.column("draft_aft")[-1] == pytest.approx(8.0, abs=0.05)
+        self.assert_ramp_levels(
+            ds, events[0], {"draft_fore": (8.0, 7.0), "draft_aft": (7.0, 8.0)}
+        )
 
 
 def particulars(ship_type=ShipType.BULK_CARRIER, design_draft=15.0):

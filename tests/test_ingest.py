@@ -363,6 +363,7 @@ class TestConfig:
         "power_tolerance = nan", "spike_scales = nan", "wind_tolerance = inf",
         "stw_tolerance = -inf", "gradient_tolerance.lat = nan", "gradient_tolerance.sog = -1",
         "rpm_threshold = -5", "sog_threshold = nan", "rpm_threshold = inf",
+        "pca_components = -1",
     ])
     def test_non_finite_or_negative_number_fatal(self, tmp_path, line):
         p = tmp_path / "config.txt"
