@@ -120,6 +120,22 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             ds.timestamps = ()
 
+    def test_trips_follow_the_trip_ids(self):
+        # the grouping is made once per trip-ids array: a dataset derived with
+        # the same ids shares it, new ids or new rows are grouped afresh
+        ds = new_dataset(
+            schema(), [0, 900, 1800, 2700], {"sog": [1.0] * 4}, trip_ids=[2, None, 1, 2]
+        )
+        trips = ds.trips()
+        assert {k: v.tolist() for k, v in trips.items()} == {1: [2], 2: [0, 3]}
+        assert not trips[2].flags.writeable
+        trips.clear()  # a copy: the dataset's grouping stays
+        assert ds.adding_flags(QualityFlag.SPIKE, [0]).trips()[2] is ds.trips()[2]
+        regrouped = ds.with_trip_ids([1, 1, None, None]).trips()
+        assert {k: v.tolist() for k, v in regrouped.items()} == {1: [0, 1]}
+        taken = ds.take(np.array([1, 2]), [0, 900]).trips()
+        assert {k: v.tolist() for k, v in taken.items()} == {1: [1]}
+
     def test_adding_variable_length_checked(self):
         ds = new_dataset(schema(), [0, 900], {})
         with pytest.raises(DatasetError):
