@@ -295,22 +295,6 @@ def check_draft_ratio(
 # -- hydrostatics ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hydrostatics:
-    mean_draft: float
-    trim: float  # positive by stern
-    displacement_volume: float
-    wetted_surface: float
-
-    def __post_init__(self) -> None:
-        if self.mean_draft <= 0 or self.displacement_volume <= 0 or self.wetted_surface <= 0:
-            raise CorrectionError("hydrostatic quantities must be strictly positive")
-        if self.wetted_surface <= self.displacement_volume / self.mean_draft:
-            raise CorrectionError(
-                "wetted surface below the bottom-plate lower bound; inputs inconsistent"
-            )
-
-
 class HydroTable:
     """Hydrostatic table lookup with linear interpolation in (draft, trim).
 
@@ -335,6 +319,10 @@ class HydroTable:
         draft, trim, volume, area = (
             [parse_number(c, f"{path}: {name}") for c in table[name]] for name in names
         )
+        # the lookup needs finite, sorted axes and finite nodes
+        for name, column in zip(names, (draft, trim, volume, area)):
+            if not np.isfinite(column).all():
+                raise IngestError(f"{path}: hydro table column {name} holds a non-finite cell")
         drafts, at_draft = np.unique(draft, return_inverse=True)
         trims, at_trim = np.unique(trim, return_inverse=True)
         if not draft or len(draft) != len(drafts) * len(trims):
@@ -358,47 +346,50 @@ class HydroTable:
         wsa[at_draft, at_trim] = area
         return cls(drafts, trims, disp, wsa)
 
-    def _interp(self, grid: np.ndarray, draft: float, trim: float) -> float:
-        def locate(axis: np.ndarray, x: float) -> tuple[int, float]:
-            x = float(np.clip(x, axis[0], axis[-1]))
-            if len(axis) == 1:
-                return 0, 0.0
-            i = int(np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2))
-            return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+    def lookup(self, draft: np.ndarray, trim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Displacement volume and wetted surface at each (draft, trim) pair:
+        bilinear in its grid cell, with each axis clamped to the grid."""
+        i, i1, fx = _cell(self.drafts, draft)
+        j, j1, fy = _cell(self.trims, trim)
 
-        i, fx = locate(self.drafts, draft)
-        j, fy = locate(self.trims, trim)
-        i1 = min(i + 1, len(self.drafts) - 1)
-        j1 = min(j + 1, len(self.trims) - 1)
-        return float(
-            (1 - fx) * (1 - fy) * grid[i, j]
-            + (1 - fx) * fy * grid[i, j1]
-            + fx * (1 - fy) * grid[i1, j]
-            + fx * fy * grid[i1, j1]
-        )
+        def interp(grid: np.ndarray) -> np.ndarray:
+            return (
+                (1 - fx) * (1 - fy) * grid[i, j]
+                + (1 - fx) * fy * grid[i, j1]
+                + fx * (1 - fy) * grid[i1, j]
+                + fx * fy * grid[i1, j1]
+            )
 
-    def lookup(self, draft: float, trim: float) -> tuple[float, float]:
-        return (
-            self._interp(self.displacement, draft, trim),
-            self._interp(self.wsa, draft, trim),
-        )
+        return interp(self.displacement), interp(self.wsa)
+
+
+def _cell(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes below and above each ``x`` on a sorted ``axis`` and its
+    fraction of the way between them, ``x`` clamped to the axis."""
+    x = np.clip(x, axis[0], axis[-1])
+    if len(axis) == 1:
+        node = np.zeros(len(x), dtype=np.intp)
+        return node, node, np.zeros(len(x))
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
+    return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
 def hydrostatics(
-    mean_draft: float,
-    trim: float,
+    mean_draft: np.ndarray,
+    trim: np.ndarray,
     particulars: ShipParticulars,
     table: HydroTable | None = None,
-) -> Hydrostatics:
-    """Displacement volume and wetted surface at the given loading condition.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Displacement volume and wetted surface at each loading condition of
+    strictly positive mean draft, and which of them are consistent: both
+    quantities positive and the wetted surface above the bottom-plate lower
+    bound (volume / draft).
 
     A supplied hydrostatic table takes precedence; otherwise the block
     coefficient model (volume = C_B * L * B * T, C_B held at its design
     value) and the ship-type WSA estimation formula are used. A mean draft
     above ``EXTRAPOLATION_LIMIT`` x design draft is an extrapolation.
     """
-    if mean_draft <= 0:
-        raise CorrectionError("mean draft must be strictly positive")
     if table is not None:
         volume, wsa = table.lookup(mean_draft, trim)
     else:
@@ -409,7 +400,8 @@ def hydrostatics(
         wsa = wetted_surface(
             particulars.ship_type, volume, mean_draft, particulars.lwl, particulars.lpp
         )
-    return Hydrostatics(mean_draft, trim, volume, wsa)
+    consistent = ~((volume <= 0) | (wsa <= 0) | (wsa <= volume / mean_draft))
+    return volume, wsa, consistent
 
 
 # -- resistance models ------------------------------------------------------------
@@ -418,9 +410,8 @@ def hydrostatics(
 class TableDrivenModel:
     """One resistance component, ``kind`` 'calm_water', 'added_wind' or
     'added_wave', driven by a coefficient-vs-angle table and scaled by
-    dynamic pressure and a reference area. ``evaluate(ctx)`` takes the
-    ``required`` context keys of one sample and returns Newtons (never
-    negative), or None when the sample lacks inputs.
+    dynamic pressure and a reference area. ``evaluate(inputs)`` takes a
+    column per ``required`` key and returns Newtons (never negative).
 
     calm_water uses speed-through-water and sea water density at angle 0;
     added_wind uses the relative wind speed/direction and air density;
@@ -438,8 +429,9 @@ class TableDrivenModel:
             raise CorrectionError("reference area must be strictly positive")
         if len(angles) != len(coefficients) or not angles:
             raise CorrectionError("coefficient table must be non-empty and aligned")
-        order = np.argsort(angles)
-        self.angles = np.asarray(angles, dtype=float)[order] % 360.0
+        wrapped = np.asarray(angles, dtype=float) % 360.0
+        order = np.argsort(wrapped)
+        self.angles = wrapped[order]
         self.coefficients = np.asarray(coefficients, dtype=float)[order]
         if np.any(self.coefficients < 0):
             raise CorrectionError("reference table coefficients must be >= 0")
@@ -484,30 +476,28 @@ class TableDrivenModel:
         except CorrectionError as exc:
             raise IngestError(f"{path}: {exc}") from None
 
-    def coefficient_at(self, angle: float) -> float:
-        a = angle % 360.0
-        xs = self.angles
+    def coefficients_at(self, angles: np.ndarray) -> np.ndarray:
+        a = angles % 360.0
+        xs, cs = self.angles, self.coefficients
         if len(xs) == 1:
-            return float(self.coefficients[0])
-        if a < xs[0] or a > xs[-1]:  # wrap segment between last and first
-            lo, hi = xs[-1], xs[0] + 360.0
-            ac = a + 360.0 if a < xs[0] else a
-            f = 0.0 if hi == lo else (ac - lo) / (hi - lo)
-            return float(
-                (1 - f) * self.coefficients[-1] + f * self.coefficients[0]
-            )
-        return float(np.interp(a, xs, self.coefficients))
+            return np.full(len(a), cs[0])
+        out = np.interp(a, xs, cs)
+        wrap = (a < xs[0]) | (a > xs[-1])  # the segment between last and first
+        lo, hi = xs[-1], xs[0] + 360.0
+        ac = np.where(a < xs[0], a + 360.0, a)[wrap]
+        f = 0.0 if hi == lo else (ac - lo) / (hi - lo)
+        out[wrap] = (1 - f) * cs[-1] + f * cs[0]
+        return out
 
-    def evaluate(self, ctx: dict[str, float]) -> float | None:
-        if any(k not in ctx for k in self.required):
-            return None
+    def evaluate(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
         if self.kind == "calm_water":
-            rho, speed, angle = RHO_SEA_WATER, ctx["stw"], 0.0
+            rho, speed = RHO_SEA_WATER, inputs["stw"]
+            angle = np.zeros(len(speed))
         elif self.kind == "added_wind":
-            rho, speed, angle = RHO_AIR, ctx["rel_wind_speed"], ctx["rel_wind_dir"]
+            rho, speed, angle = RHO_AIR, inputs["rel_wind_speed"], inputs["rel_wind_dir"]
         else:
-            rho, speed, angle = RHO_SEA_WATER, ctx["stw"], ctx["rel_wave_dir"]
-        return 0.5 * rho * self.coefficient_at(angle) * self.area * speed * speed
+            rho, speed, angle = RHO_SEA_WATER, inputs["stw"], inputs["rel_wave_dir"]
+        return 0.5 * rho * self.coefficients_at(angle) * self.area * speed * speed
 
 
 def resistance_components(
@@ -541,24 +531,14 @@ def resistance_components(
         # the fixed wind direction where the fault detector substituted one
         sources = {"rel_wind_speed": (wind_speed_name,),
                    "rel_wind_dir": ("fixed_rel_wind_dir", "rel_wind_dir")}
-        inputs = {key: dataset.coalesce(*sources.get(key, (key,))).tolist()
-                  for key in model.required}
-        column: list[float | None] = [None] * len(dataset)
-        missing_count = 0
-        for i in np.flatnonzero(in_trip).tolist():
-            ctx = {key: col[i] for key, col in inputs.items() if col[i] == col[i]}
-            r = model.evaluate(ctx)
-            if r is None:
-                missing_count += 1
-            else:
-                column[i] = r
-        out = out.adding_variable(
-            VariableSpec(f"res_{model.name}", "N", "linear"),
-            column,
-        )
+        inputs = {key: dataset.coalesce(*sources.get(key, (key,))) for key in model.required}
+        rows = in_trip & np.logical_and.reduce([~np.isnan(col) for col in inputs.values()])
+        column = np.full(len(dataset), np.nan)
+        column[rows] = model.evaluate({key: col[rows] for key, col in inputs.items()})
+        out = out.adding_variable(VariableSpec(f"res_{model.name}", "N", "linear"), column)
         entry.summary[model.name] = {
             "kind": model.kind,
-            "evaluated": sum(1 for v in column if v is not None),
-            "missing_inputs": missing_count,
+            "evaluated": int(rows.sum()),
+            "missing_inputs": int((in_trip & ~rows).sum()),
         }
     return out

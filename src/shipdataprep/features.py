@@ -34,28 +34,40 @@ MIN_LEG_SECONDS = 60.0
 DISTANCE_FLOOR_M = 100.0
 
 
-def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in metres between two (lat, lon) points."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each element, through libm ``pow`` as the scalar
+    formula squares; numpy's ``x**2`` is ``x * x``, which differs in the
+    last bit."""
+    return np.array([v ** 2 for v in x.tolist()], dtype=np.float64)
+
+
+def haversine_distances(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """Great-circle distance in metres from each (lat1, lon1) point to the
+    paired (lat2, lon2) point, in degrees. numpy's radians, sin, cos and
+    sqrt give ``math``'s bits; the squares and ``asin`` are taken per
+    element, because numpy's differ in the last bit."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+    dlam = np.radians(lon2 - lon1)
+    a = _squares(np.sin(dphi / 2.0)) + np.cos(phi1) * np.cos(phi2) * _squares(np.sin(dlam / 2.0))
+    arc = list(map(math.asin, np.minimum(1.0, np.sqrt(a)).tolist()))
+    return 2.0 * EARTH_RADIUS_M * np.array(arc, dtype=np.float64)
 
 
-def initial_bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Initial great-circle bearing from point 1 to point 2, degrees [0, 360)."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dlam = math.radians(lon2 - lon1)
-    x = math.sin(dlam) * math.cos(phi2)
-    y = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
-    return math.degrees(math.atan2(x, y)) % 360.0
-
-
-def angular_difference(a: float, b: float) -> float:
-    """Smallest absolute difference between two angles in degrees, [0, 180]."""
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
+def initial_bearings(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """Initial great-circle bearing in degrees [0, 360) from each (lat1, lon1)
+    point to the paired (lat2, lon2) point; ``atan2`` per element, because
+    numpy's ``arctan2`` differs from libm's in the last bit."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    dlam = np.radians(lon2 - lon1)
+    x = np.sin(dlam) * np.cos(phi2)
+    y = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlam)
+    angle = list(map(math.atan2, x.tolist(), y.tolist()))
+    return np.degrees(np.array(angle, dtype=np.float64)) % 360.0
 
 
 def wind_to_reference_height(v_wt: float, z_ref: float, z_a: float) -> float:
@@ -68,29 +80,37 @@ def wind_to_reference_height(v_wt: float, z_ref: float, z_a: float) -> float:
     return v_wt * (z_ref / z_a) ** (1.0 / 9.0)
 
 
-def gps_heading(dataset: VoyageDataset) -> list[float | None]:
+def _trip_steps(dataset: VoyageDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the trip groups, one group after another, and for each
+    step from one of those rows to the next whether both are in one group."""
+    groups = dataset.trip_groups()
+    group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return np.concatenate(groups), group[1:] == group[:-1]
+
+
+def gps_heading(dataset: VoyageDataset) -> np.ndarray:
     """Per-sample heading estimated from consecutive GPS positions.
 
     Each sample takes the initial bearing towards the next one; the last
     sample of a trip (and any sample that cannot see a valid next position)
     holds the previous bearing. Samples with flagged or missing positions
-    get no value.
+    get no value (NaN), and the held bearing restarts after them.
     """
     lat, lon, ok = dataset.positions()
-    out: list[float | None] = [None] * len(dataset)
-    for idx in dataset.trip_groups():
-        prev: float | None = None
-        for k, i in enumerate(idx):
-            if not ok[i]:
-                prev = None
-                continue
-            j = idx[k + 1] if k + 1 < len(idx) else None
-            if j is not None and ok[j] and (lat[i] != lat[j] or lon[i] != lon[j]):
-                b = initial_bearing(lat[i], lon[i], lat[j], lon[j])
-                out[i] = b
-                prev = b
-            else:
-                out[i] = prev
+    rows, linked = _trip_steps(dataset)
+    i, j = rows[:-1], rows[1:]
+    step = linked & ok[i] & ok[j] & ((lat[i] != lat[j]) | (lon[i] != lon[j]))
+    i, j = i[step], j[step]
+    moving = np.append(step, False)
+    held = np.full(len(rows), np.nan)
+    held[moving] = initial_bearings(lat[i], lon[i], lat[j], lon[j])
+    # each row holds the value of the last row at or before it, in its own
+    # group, that set one: a new bearing, or none at a bad position
+    start = np.append(True, ~linked)
+    sets = moving | ~ok[rows] | start
+    latest = np.maximum.accumulate(np.where(sets, np.arange(len(rows)), 0))
+    out = np.full(len(dataset), np.nan)
+    out[rows] = held[latest]
     return out
 
 
@@ -106,12 +126,12 @@ def add_leg_distance(dataset: VoyageDataset) -> VoyageDataset:
     if not (dataset.has_data("lat") and dataset.has_data("lon")):
         return dataset
     lat, lon, ok = dataset.positions()
-    values: list[float | None] = [None] * len(dataset)
-    for idx in dataset.trip_groups():
-        for k in range(1, len(idx)):
-            i, j = idx[k - 1], idx[k]
-            if ok[i] and ok[j]:
-                values[j] = haversine(lat[i], lon[i], lat[j], lon[j])
+    rows, linked = _trip_steps(dataset)
+    i, j = rows[:-1], rows[1:]
+    leg = linked & ok[i] & ok[j]
+    i, j = i[leg], j[leg]
+    values = np.full(len(dataset), np.nan)
+    values[j] = haversine_distances(lat[i], lon[i], lat[j], lon[j])
     return dataset.adding_variable(VariableSpec("leg_distance", "m", "linear"), values)
 
 
@@ -217,60 +237,49 @@ def ais_speed_consistency(
     n = len(dataset)
 
     # leg k joins sample k to k+1
-    leg_dist = np.full(n - 1 if n > 1 else 0, np.nan)
-    leg_dt = np.full(n - 1 if n > 1 else 0, np.nan)
-    for k in range(n - 1):
-        if ok[k] and ok[k + 1] and ts[k + 1] > ts[k]:
-            leg_dist[k] = haversine(lat[k], lon[k], lat[k + 1], lon[k + 1])
-            leg_dt[k] = ts[k + 1] - ts[k]
+    leg_dist = np.full(max(n - 1, 0), np.nan)
+    leg_dt = np.full(max(n - 1, 0), np.nan)
+    usable = ok[:-1] & ok[1:] & (ts[1:] > ts[:-1])
+    k = np.flatnonzero(usable)
+    leg_dist[k] = haversine_distances(lat[k], lon[k], lat[k + 1], lon[k + 1])
+    leg_dt[k] = ts[k + 1] - ts[k]
 
-    def implied_over(leg: int) -> tuple[float, float] | None:
-        """(distance, dt) for the check at this leg, trend-averaged when the
-        leg is too short."""
-        if math.isnan(leg_dist[leg]):
-            return None
-        if leg_dt[leg] >= MIN_LEG_SECONDS:
-            return float(leg_dist[leg]), float(leg_dt[leg])
-        half = window // 2
-        lo, hi = max(0, leg - half), min(len(leg_dist), leg + half + 1)
-        d = leg_dist[lo:hi]
-        t = leg_dt[lo:hi]
-        good = ~np.isnan(d)
-        if not good.any():
-            return None
-        return float(d[good].sum()), float(t[good].sum())
-
-    flagged: list[int] = []
-    implied: list[float] = []  # the speed over each flagged sample's leg
-    for i in range(n):
-        if math.isnan(sog[i]):
-            continue
-        leg = i if i < n - 1 else i - 1
-        if leg < 0:
-            continue
-        got = implied_over(leg)
-        if got is None:
-            continue
-        dist, dt = got
-        reported = sog[i] * dt
-        mismatch = abs(reported - dist) / max(reported, dist, DISTANCE_FLOOR_M)
-        if mismatch > tolerance_fraction:
-            flagged.append(i)
-            implied.append(dist / dt)
+    # each sample is checked over its forward leg, the last one over its
+    # backward leg; a leg too short takes the distance and time of the
+    # present legs within window // 2 of it
+    legs = np.minimum(np.arange(n), n - 2)
+    present = ~np.isnan(sog) & (legs >= 0)
+    present[present] = ~np.isnan(leg_dist[legs[present]])
+    checked = np.flatnonzero(present)
+    legs = legs[checked]
+    dist, dt = leg_dist[legs], leg_dt[legs]
+    half = window // 2
+    for m in np.flatnonzero(dt < MIN_LEG_SECONDS).tolist():
+        lo, hi = max(0, int(legs[m]) - half), min(len(leg_dist), int(legs[m]) + half + 1)
+        good = ~np.isnan(leg_dist[lo:hi])
+        dist[m], dt[m] = leg_dist[lo:hi][good].sum(), leg_dt[lo:hi][good].sum()
+    reported = sog[checked] * dt
+    mismatch = np.abs(reported - dist) / np.maximum(np.maximum(reported, dist), DISTANCE_FLOOR_M)
+    over = mismatch > tolerance_fraction
+    flagged = checked[over]
+    implied = dist[over] / dt[over]  # the speed over each flagged sample's leg
 
     out = dataset
-    if flagged and not out.declares("raw_sog"):
+    if len(flagged) and not out.declares("raw_sog"):
         raw = np.full(n, np.nan)
         raw[flagged] = sog[flagged]
         out = out.adding_variable(VariableSpec("raw_sog", "m/s", "linear"), raw)
 
-    flagged_set = set(flagged)
-    replacements = np.full(len(flagged), np.nan)  # NaN: no trustworthy neighbour
-    for k, i in enumerate(flagged):
-        j = next((j for d in range(1, window + 1) for j in (i - d, i + d)
-                  if 0 <= j < n and j not in flagged_set and not math.isnan(sog[j])), None)
-        if j is not None:
-            replacements[k] = sog[j]
+    # the nearest unflagged present value within the window, earlier first
+    # at equal distance; NaN: no trustworthy neighbour
+    trusted = ~np.isnan(sog)
+    trusted[flagged] = False
+    replacements = np.full(len(flagged), np.nan)
+    for d in range(1, window + 1):
+        for j in (flagged - d, flagged + d):
+            take = np.isnan(replacements) & (j >= 0) & (j < n)
+            take[take] = trusted[j[take]]
+            replacements[take] = sog[j[take]]
 
     out = out.with_values("sog", flagged, replacements)
     out = add_flags(out, QualityFlag.IRRATIONAL_SPEED, flagged, entry)
@@ -278,7 +287,7 @@ def ais_speed_consistency(
     entry.check_rows(
         np.where(np.isnan(replacements), "left_missing", "replaced"),
         dataset.timestamps[flagged], variable="sog",
-        expected=[round(v, 6) for v in implied], observed=sog[flagged],
+        expected=[round(v, 6) for v in implied.tolist()], observed=sog[flagged],
     )
     unreplaced = int(np.isnan(replacements).sum())
     if unreplaced:
@@ -312,24 +321,15 @@ def ais_status_check(
     if not dataset.has_data("nav_status") or not dataset.has_data("sog"):
         entry.notes.append("nav_status or sog absent; check skipped")
         return dataset
-    status = dataset.column("nav_status")
+    status = np.rint(dataset.column("nav_status"))  # half to even, as round()
     sog = dataset.column("sog")
     in_trip = dataset.trip_ids >= 0
-    has_trips = in_trip.any()
 
-    stale = np.zeros(len(dataset), dtype=bool)
-    for i in range(len(dataset)):
-        if math.isnan(status[i]) or math.isnan(sog[i]):
-            continue
-        st = int(round(status[i]))
-        moving = sog[i] > port_speed_threshold
-        if st in (1, 5) and moving:
-            stale[i] = True
-        elif st == 0 and sog[i] == 0.0 and has_trips and not in_trip[i]:
-            stale[i] = True
+    stale = ((status == 1) | (status == 5)) & (sog > port_speed_threshold)
+    if in_trip.any():
+        stale |= (status == 0) & (sog == 0.0) & ~in_trip
     out = add_flags(dataset, QualityFlag.STALE_AIS_STATUS, stale, entry)
-    pairs = zip(status[stale].tolist(), sog[stale].tolist())
-    observed = [(int(round(st)), v) for st, v in pairs]
+    observed = list(zip(status[stale].astype(np.int64).tolist(), sog[stale].tolist()))
     stamps = dataset.timestamps[stale]
     entry.check_rows("stale_ais_status", stamps, "nav_status", observed=observed)
     if stale.any():

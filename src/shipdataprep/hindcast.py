@@ -417,16 +417,14 @@ def interpolate(
                 for f in (np.sin(rad), np.cos(rad))
             )
             ok &= (s != 0.0) | (c != 0.0)
-            # math.atan2/degrees, not numpy's: those differ in the last bit
-            values = [
-                math.degrees(math.atan2(a, b)) % 360.0
-                for a, b in zip(s[ok].tolist(), c[ok].tolist())
-            ]
+            # math.atan2 per element: numpy's arctan2 differs in the last bit
+            angle = np.array(list(map(math.atan2, s[ok].tolist(), c[ok].tolist())))
+            values = np.degrees(angle) % 360.0
             if var.convention == "toward":
-                values = [(v + 180.0) % 360.0 for v in values]
+                values = (values + 180.0) % 360.0
         else:
             series = _bilinear(var.values, corners, masked, weights, mask_policy)
-            values = _lagrange(factors, series)[ok].tolist()
+            values = _lagrange(factors, series)[ok]
         column = np.full(len(dataset), np.nan)
         column[candidates[sel[ok]]] = values
         counts["no_position"] += int((~pos_ok).sum())

@@ -304,7 +304,10 @@ def csv_cells(values: np.ndarray) -> list[str]:
     what ``csv_cell`` writes for a float; text and object columns go
     through ``csv_cell``."""
     if values.dtype.kind == "f":
-        return [repr(v) if v == v else "" for v in values.tolist()]
+        cells = list(map(repr, values.tolist()))
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = ""
+        return cells
     return [csv_cell(v if v == v else None) for v in values.tolist()]
 
 

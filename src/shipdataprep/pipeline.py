@@ -361,26 +361,26 @@ def _hydrostatics_stage(
         return dataset
     fore = dataset.column("draft_fore")
     aft = dataset.column("draft_aft")
-    in_trip = dataset.in_trip_or_all()
-
-    mean_draft, trim, disp, wsa = ([None] * len(dataset) for _ in range(4))
-    failed = 0
-    for i in range(len(dataset)):
-        if not in_trip[i] or np.isnan(fore[i]) or np.isnan(aft[i]):
-            continue
-        t = (fore[i] + aft[i]) / 2.0
-        if t <= 0:
-            failed += 1
-            continue
-        mean_draft[i] = t
-        trim[i] = aft[i] - fore[i]
+    rows = dataset.in_trip_or_all() & ~np.isnan(fore) & ~np.isnan(aft)
+    t = (fore + aft) / 2.0
+    failed = int((rows & (t <= 0)).sum())
+    rows &= t > 0
+    mean_draft, trim, disp, wsa = (np.full(len(dataset), np.nan) for _ in range(4))
+    mean_draft[rows] = t[rows]
+    trim[rows] = aft[rows] - fore[rows]
+    computed = 0
+    if rows.any():
         try:
-            h = corrections.hydrostatics(t, aft[i] - fore[i], particulars, hydro_table)
+            volume, area, consistent = corrections.hydrostatics(
+                mean_draft[rows], trim[rows], particulars, hydro_table
+            )
         except corrections.CorrectionError:
-            failed += 1
-            continue
-        disp[i] = h.displacement_volume
-        wsa[i] = h.wetted_surface
+            consistent = np.zeros(int(rows.sum()), dtype=bool)
+        else:
+            disp[rows] = np.where(consistent, volume, np.nan)
+            wsa[rows] = np.where(consistent, area, np.nan)
+        computed = int(consistent.sum())
+        failed += len(consistent) - computed
     for name, unit, col in (
         ("mean_draft", "m", mean_draft),
         ("trim", "m", trim),
@@ -389,18 +389,18 @@ def _hydrostatics_stage(
     ):
         if not dataset.declares(name):
             dataset = dataset.adding_variable(VariableSpec(name, unit, "linear"), col)
-    entry.summary["computed"] = sum(1 for v in disp if v is not None)
+    entry.summary["computed"] = computed
     entry.summary["failed"] = failed
     limit = corrections.EXTRAPOLATION_LIMIT * particulars.design_draft
-    got = [v for v in mean_draft if v is not None]
-    beyond = [v for v in got if v > limit]
-    if beyond:
+    got = mean_draft[rows]
+    beyond = got[got > limit]
+    if len(beyond):
         entry.notes.append(
             f"{len(beyond)} sample(s) with mean draft above {corrections.EXTRAPOLATION_LIMIT}"
-            f" x design draft {particulars.design_draft:.2f} m, largest {max(beyond):.2f} m;"
+            f" x design draft {particulars.design_draft:.2f} m, largest {beyond.max():.2f} m;"
             " extrapolating"
         )
-    if particulars.design_draft and got:
+    if particulars.design_draft and len(got):
         verdict = corrections.check_draft_ratio(
             float(np.mean(got)), particulars, config.voyage_kind
         )

@@ -7,6 +7,8 @@ ratios); accessor functions convert to SI on the way out.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .model import KNOT, ShipType
 
 # Typical service speed per ship type, knots.
@@ -134,15 +136,15 @@ def draft_ratio_reference(ship_type: ShipType, voyage_kind: str) -> float:
     return laden
 
 
-def wetted_surface(ship_type: ShipType, volume: float, draft: float,
-                   lwl: float | None, lpp: float | None) -> float:
+def wetted_surface(ship_type: ShipType, volume, draft, lwl: float | None,
+                   lpp: float | None):
     """Empirical wetted surface area in m^2 for the given displacement
-    volume (m^3) and mean draft (m).
+    volume (m^3) and mean draft (m), each a number or an array.
 
     Falls back to whichever length is available when the formula's preferred
     one is missing.
     """
-    if draft <= 0:
+    if np.any(np.less_equal(draft, 0)):
         raise ValueError("draft must be strictly positive")
     c0, c1, which = WSA_FORMULAS[ship_type]
     length = lwl if which == "lwl" else lpp

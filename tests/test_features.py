@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 import oracle_values as oracle
 from conftest import flagged_rows, rows_dataset, series_dataset
+from features_reference import angular_difference
 from shipdataprep.features import (
+    add_gps_heading,
+    add_leg_distance,
     add_reference_height_wind,
     ais_speed_consistency,
     ais_status_check,
-    angular_difference,
     gps_heading,
-    haversine,
-    initial_bearing,
+    haversine_distances,
+    initial_bearings,
     resolve_ship_frame,
     service_speed_range,
     wind_to_reference_height,
@@ -35,6 +37,16 @@ coords = st.tuples(
     st.floats(min_value=-89.0, max_value=89.0),
     st.floats(min_value=-179.0, max_value=179.0),
 )
+
+
+def haversine(lat1, lon1, lat2, lon2):
+    """One leg's distance through the array function."""
+    return float(haversine_distances(*(np.array([v]) for v in (lat1, lon1, lat2, lon2)))[0])
+
+
+def initial_bearing(lat1, lon1, lat2, lon2):
+    """One leg's bearing through the array function."""
+    return float(initial_bearings(*(np.array([v]) for v in (lat1, lon1, lat2, lon2)))[0])
 
 
 class TestHaversine:
@@ -150,12 +162,36 @@ class TestGpsHeading:
             QualityFlag.IRRATIONAL_POSITION, [1]
         )
         headings = gps_heading(ds)
-        assert headings[1] is None
+        assert math.isnan(headings[1])
 
     def test_stationary_pair_holds_previous(self):
         ds = track_dataset([(0.0, 0.0), (0.0, 0.1), (0.0, 0.1)])
         headings = gps_heading(ds)
         assert headings[1] == pytest.approx(90.0, abs=1e-6)
+
+    def test_repeated_position_mid_trip_holds_previous_bearing(self):
+        # east, a repeated fix, then north: the repeat holds the east bearing
+        ds = track_dataset([(0.0, 0.0), (0.0, 0.1), (0.0, 0.1), (0.1, 0.1), (0.2, 0.1)])
+        ds = ds.with_trip_ids([1] * 5)
+        headings = gps_heading(ds)
+        assert headings[:2].tolist() == pytest.approx([90.0, 90.0], abs=1e-6)
+        assert headings[2:].tolist() == pytest.approx([0.0, 0.0, 0.0], abs=1e-6)
+
+    def test_trip_boundary_restarts_the_held_bearing(self):
+        # trip 2 starts on a repeated fix: it holds nothing from trip 1
+        ds = track_dataset([(0.0, 0.0), (0.0, 0.1), (0.0, 0.1), (0.0, 0.1), (0.1, 0.1)])
+        ds = ds.with_trip_ids([1, 1, 2, 2, 2])
+        headings = gps_heading(ds)
+        assert headings[:2].tolist() == pytest.approx([90.0, 90.0], abs=1e-6)
+        assert math.isnan(headings[2])
+        assert headings[3:].tolist() == pytest.approx([0.0, 0.0], abs=1e-6)
+
+    def test_leg_across_the_antimeridian(self):
+        # 0.2 deg of longitude east across 180 at 10 N, not 359.8 deg west
+        ds = add_leg_distance(add_gps_heading(track_dataset([(10.0, 179.9), (10.0, -179.9)])))
+        arc = math.radians(0.2) * 6_371_000.0 * math.cos(math.radians(10.0))
+        assert ds.column("leg_distance")[1] == pytest.approx(arc, rel=1e-5)
+        assert ds.column("gps_heading")[0] == pytest.approx(90.0, abs=0.02)
 
 
 def frame_dataset(heading, sog, wind_u, wind_v, wave_dir=None, cur_u=None, cur_v=None):

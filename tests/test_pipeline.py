@@ -56,6 +56,9 @@ BAD_INPUTS = {
         p, "5,0,40000,9000\n5,0,40000,9000\n5,1,41000,9100\n6,0,50000,9500\n"
     ),
     "hydro_table_cell": lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,x\n"),
+    "hydro_table_nan_draft": lambda p: hydro_table(p, "nan,0,60000,10000\n"),
+    "hydro_table_inf_displacement": lambda p: hydro_table(p, "8,0,inf,10000\n12,0,95000,13000\n"),
+    "hydro_table_nan_wsa": lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,nan\n"),
     "hydro_table_without_rows": lambda p: hydro_table(p, ""),
     "coefficient_cell": lambda p: edited(p["res_wind"], "90,0.3", "90,zero"),
     "coefficient_without_area": lambda p: edited(p["res_wind"], "#area 1100\n", ""),

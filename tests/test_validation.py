@@ -46,6 +46,18 @@ class TestPowerIdentity:
             12_566.4, abs=0.1
         )
 
+    def test_zero_divisor_derives_nothing(self):
+        # power with zero rpm, or with zero torque: no torque or rpm derived
+        ds = series_dataset({
+            "shaft_rpm": [0.0, None],
+            "shaft_torque": [None, 0.0],
+            "shaft_power": [5_000.0, 5_000.0],
+        })
+        report = ProcessingReport()
+        out = check_power_identity(ds, report=report)
+        assert not any(out.declares(f"derived_shaft_{v}") for v in ("rpm", "torque", "power"))
+        assert report.stage_entries[0].summary == {"checked": 0, "failed": 0, "derived": 2}
+
     def test_mismatch_flagged(self):
         ds = series_dataset(
             {"shaft_rpm": [120.0], "shaft_torque": [1000.0], "shaft_power": [20_000.0]}
