@@ -3,6 +3,7 @@ skip contracts, artifacts and exit codes."""
 
 import csv
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +273,75 @@ class TestContextualScope:
         assert result.dataset.has_data("hc_sig_wave_height")
         assert not any(c.variable.startswith("hc_") for c in contextual_checks(result))
         assert not result.dataset.flagged(QualityFlag.REPEATED_VALUE).any()
+
+
+class TestWholePipelineInvariants:
+    """Properties of the whole run on the fault voyage (head-east wind, the
+    wind-direction fault, a wind resistance table) with both drafts stuck
+    for 25 rows and one shaft rpm dropout, so that the contextual runs are
+    in the report."""
+
+    def voyage(self, tmp_path):
+        (tmp_path / "in").mkdir()
+        paths = VoyageBuilder(tmp_path / "in", wind="head_east", wind_dir_fault=True,
+                              resistance=True).build()
+        for name, base in (("draft_fore", 8.5), ("draft_aft", 8.9)):
+            drift = {i: base + 0.002 * i for i in range(10, 50)}
+            drift.update({i: drift[20] for i in range(20, 45)})
+            with_cells(paths, name, drift)
+        return with_cells(paths, "shaft_rpm", {70: 0.0})
+
+    def outputs(self, paths, out):
+        code = main(["run", "--config", str(paths["config"]), "--out", str(out),
+                     "--no-timestamp-header"])
+        assert code == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def rewrite_body(self, paths, change):
+        header, *rows = paths["ship_csv"].read_text().splitlines()
+        paths["ship_csv"].write_text("\n".join([header, *change(rows)]) + "\n")
+
+    def test_shuffled_csv_body_gives_identical_outputs(self, tmp_path):
+        paths = self.voyage(tmp_path)
+        want = self.outputs(paths, tmp_path / "in_order")
+        checks = json.loads(want["report.json"])["stages"]
+        verdicts = {c["verdict"] for e in checks if e["stage"] == "clean:contextual"
+                    for c in e["checks"]}
+        assert {"repeated_value", "dropout"} <= verdicts
+        self.rewrite_body(paths, lambda rows: random.Random(3).sample(rows, len(rows)))
+        assert self.outputs(paths, tmp_path / "shuffled") == want
+
+    def test_exact_duplicate_row_changes_only_the_ingest_entry_and_its_flag(self, tmp_path):
+        # the kept row of a repeated stamp is flagged dropout by ingest, with
+        # one check naming the dropped line and its summary count; nothing else moves
+        paths = self.voyage(tmp_path)
+        want = self.outputs(paths, tmp_path / "once")
+        self.rewrite_body(paths, lambda rows: rows[:31] + rows[30:])
+        got = self.outputs(paths, tmp_path / "twice")
+        assert sorted(got) == sorted(want)
+        assert [k for k in want if got[k] != want[k]] == [
+            "processed.csv", "report.json", "report.txt",
+        ]
+        header, *rows = want["processed.csv"].decode().splitlines()
+        flag = header.split(",").index("flag_dropout")
+        got_rows = got["processed.csv"].decode().splitlines()[1:]
+        assert [k for k, (g, w) in enumerate(zip(got_rows, rows)) if g != w] == [30]
+        assert (rows[30].split(",")[flag], got_rows[30].split(",")[flag]) == ("0", "1")
+        assert got_rows[30].split(",")[:flag] == rows[30].split(",")[:flag]
+        got_stages = json.loads(got["report.json"])["stages"]
+        want_stages = json.loads(want["report.json"])["stages"]
+        assert [e["stage"] for e in got_stages] == [e["stage"] for e in want_stages]
+        changed = [(g, w) for g, w in zip(got_stages, want_stages) if g != w]
+        assert [g["stage"] for g, _ in changed] == ["ingest:ship_csv"]
+        ((g, w),) = changed
+        assert g["flag_counts"] == {**w["flag_counts"], "dropout": 1}
+        assert g["summary"] == {**w["summary"], "rows_dropped_duplicate_timestamp": 1}
+        stamp = rows[30].split(",")[0]
+        assert g["checks"] == w["checks"] + [{
+            "expected": None, "observed": 33, "timestamp": stamp, "variable": "timestamp",
+            "verdict": "dropout",
+        }]
+        assert (g["notes"], g["corrections"]) == (w["notes"], w["corrections"])
 
 
 class TestAisSource:
