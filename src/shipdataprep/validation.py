@@ -61,31 +61,37 @@ def check_power_identity(
     have_n, have_t, have_p = ~np.isnan(rev_s), ~np.isnan(tau), ~np.isnan(pwr)
     present = have_n.astype(int) + have_t + have_p
     full, two = present == 3, present == 2
-    expected = shaft_power(rev_s[full], tau[full])
-    resid = np.abs(pwr[full] - expected) / np.maximum(np.abs(pwr[full]), 1e-9)
+    with np.errstate(over="ignore"):  # an inf from finite inputs is flagged below
+        expected = shaft_power(rev_s[full], tau[full])
+        resid = np.abs(pwr[full] - expected) / np.maximum(np.abs(pwr[full]), 1e-9)
+        # the third variable where two are recorded and the divisor is not zero
+        derived_p, derived_n, derived_t = (np.full(n, np.nan) for _ in range(3))
+        rows = two & ~have_p
+        derived_p[rows] = shaft_power(rev_s[rows], tau[rows])
+        rows = two & ~have_t & (rev_s != 0)
+        derived_t[rows] = pwr[rows] / (TWO_PI * rev_s[rows])
+        rows = two & ~have_n & (tau != 0)
+        derived_n[rows] = pwr[rows] / (TWO_PI * tau[rows]) * 60.0
     invalid = np.zeros(n, dtype=bool)
     invalid[full] = resid > rel_tolerance
-    # the third variable where two are recorded and the divisor is not zero
-    derived_p, derived_n, derived_t = (np.full(n, np.nan) for _ in range(3))
-    rows = two & ~have_p
-    derived_p[rows] = shaft_power(rev_s[rows], tau[rows])
-    rows = two & ~have_t & (rev_s != 0)
-    derived_t[rows] = pwr[rows] / (TWO_PI * rev_s[rows])
-    rows = two & ~have_n & (tau != 0)
-    derived_n[rows] = pwr[rows] / (TWO_PI * tau[rows]) * 60.0
 
     entry.check_rows(
         "fail", dataset.timestamps[invalid], variable="shaft_power",
-        expected=shaft_power(rev_s[invalid], tau[invalid]), observed=pwr[invalid],
+        expected=expected[invalid[full]], observed=pwr[invalid],
     )
-    out = add_flags(dataset, QualityFlag.INVALID_RANGE, invalid, entry)
+    out, flagged = dataset, invalid.copy()
     for name, unit, col in (
         ("derived_shaft_power", "W", derived_p),
         ("derived_shaft_rpm", "rpm", derived_n),
         ("derived_shaft_torque", "Nm", derived_t),
     ):
+        overflow = np.isinf(col)  # flagged, and left missing
+        entry.check_rows("overflow", dataset.timestamps[overflow], variable=name)
+        col[overflow] = np.nan
+        flagged |= overflow
         if not np.isnan(col).all():
             out = out.adding_variable(VariableSpec(name, unit, "linear"), col)
+    out = add_flags(out, QualityFlag.INVALID_RANGE, flagged, entry)
     entry.summary.update(
         {"checked": int(full.sum()), "failed": int(invalid.sum()), "derived": int(two.sum())}
     )

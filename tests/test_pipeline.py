@@ -144,6 +144,23 @@ class TestFullVoyage:
         assert counted == pairs
         assert counted["angular_averaging_fault"] == 120
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_derived_rpm_is_a_flag_not_a_stage_failure(self, tmp_path):
+        # an in-trip row of 5000 W at 1e-310 N m without rpm: the rpm overflows
+        paths = VoyageBuilder(tmp_path).build()
+        for name, value in (("shaft_rpm", np.nan), ("shaft_torque", 1e-310),
+                            ("shaft_power", 5_000.0)):
+            with_cells(paths, name, {20: value})
+        result = run(paths)
+        assert result.exit_code == 0 and result.stage_failures == []
+        (entry,) = [e for e in result.report.stage_entries if e.stage == "check:power_identity"]
+        stamp = int(result.dataset.timestamps[20])
+        assert [(c.verdict, c.variable, c.timestamp) for c in entry.checks] == [
+            ("overflow", "derived_shaft_rpm", stamp),
+        ]
+        assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[20]
+        assert "check:longitudinal_wind" in [e.stage for e in result.report.stage_entries]
+
     def test_no_fault_voyage_single_iteration(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths)

@@ -86,6 +86,34 @@ class TestPowerIdentity:
         assert not flags_at(out2, 0)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_from_finite_inputs_is_flagged_and_left_missing(self):
+        # rows 0-2: the derived rpm, power and torque overflow to inf; row 3:
+        # the expected power does; row 4 derives its power as usual
+        ds = series_dataset({
+            "shaft_rpm": [None, 6e307, 1e-310, 6e307, 120.0],
+            "shaft_torque": [1e-310, 1e306, None, 1e306, 1000.0],
+            "shaft_power": [5_000.0, None, 5e300, 1e300, None],
+        })
+        report = ProcessingReport()
+        out = check_power_identity(ds, report=report)
+        (entry,) = report.stage_entries
+        t = ds.timestamps.tolist()
+        assert [(c.verdict, c.variable, c.timestamp) for c in entry.checks] == [
+            ("fail", "shaft_power", t[3]),
+            ("overflow", "derived_shaft_power", t[1]),
+            ("overflow", "derived_shaft_rpm", t[0]),
+            ("overflow", "derived_shaft_torque", t[2]),
+        ]
+        assert entry.checks[0].expected == float("inf")
+        assert flagged_rows(out, QualityFlag.INVALID_RANGE) == [0, 1, 2, 3]
+        assert entry.flag_counts == {"invalid_range": 4}
+        assert entry.summary == {"checked": 1, "failed": 1, "derived": 4}
+        power = out.column("derived_shaft_power")
+        assert np.isnan(power[:4]).all() and power[4] == pytest.approx(12_566.4, abs=0.1)
+        assert not out.declares("derived_shaft_rpm") and not out.declares("derived_shaft_torque")
+
+
 def particulars(envelope=None):
     curve = CalmWaterCurve(
         "sea_trial", tuple((v, 800.0 * v**3) for v in (1.0, 2.0, 4.0, 6.0, 8.0))
