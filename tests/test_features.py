@@ -265,11 +265,11 @@ def straight_track(n, speed=5.0, dt=900):
 
 
 class TestAisSpeedConsistency:
-    def build(self, n=40, inject=()):
+    def build(self, n=40, inject=(), value=25.0):
         lats, lons = straight_track(n)
         sog = [5.0] * n
         for i in inject:
-            sog[i] = 25.0
+            sog[i] = value
         schema = [VariableSpec("lat"), VariableSpec("lon"), VariableSpec("sog")]
         samples = [
             Sample(i * 900, {"lat": lats[i], "lon": lons[i], "sog": sog[i]})
@@ -290,6 +290,19 @@ class TestAisSpeedConsistency:
         assert out.column("raw_sog")[10] == pytest.approx(25.0)
         entry = report.stage_entries[0]
         assert entry.flag_counts["irrational_speed"] == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e4, 1e306, -1e306])
+    def test_absurd_speed_flagged_even_when_its_distance_overflows(self, value):
+        # 1e306 m/s over 900 s is an inf distance, and inf/inf no mismatch
+        report = ProcessingReport()
+        out = ais_speed_consistency(self.build(inject=(10,), value=value), report=report)
+        assert flagged_rows(out, QualityFlag.IRRATIONAL_SPEED) == [10]
+        assert out.column("sog")[10] == pytest.approx(5.0)
+        assert out.column("raw_sog")[10] == value
+        (check,) = report.stage_entries[0].checks
+        assert (check.verdict, check.observed) == ("replaced", value)
+        assert check.expected == pytest.approx(5.0, rel=1e-6)
 
     def test_stationary_vessel_zero_flags(self):
         schema = [VariableSpec("lat"), VariableSpec("lon"), VariableSpec("sog")]
