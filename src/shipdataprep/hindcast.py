@@ -364,8 +364,9 @@ def interpolate(
     The work is done as array operations over all samples at once: one
     ``searchsorted`` per axis finds every time stencil and cell, shared by
     all variables; the nodes are gathered by fancy indexing; angular fields
-    take sin/cos of the grid once per call. The values and counts equal
-    those of the per-sample scalar reference in ``tests/hindcast_reference.py``.
+    use the grid's sin/cos, taken once when the grid was built. The values
+    and counts equal those of the per-sample scalar reference in
+    ``tests/hindcast_reference.py``.
 
     Results land in new ``hc_*`` variables; direction fields declared with a
     ``toward`` convention are converted to the internal from-convention.
@@ -411,10 +412,9 @@ def interpolate(
         masked = [var.mask[idx] for idx in corners]
         ok = ~np.logical_and.reduce(masked).any(axis=1)
         if var.is_angular:
-            rad = np.deg2rad(var.values)
             s, c = (
                 _lagrange(factors, _bilinear(f, corners, masked, weights, mask_policy))
-                for f in (np.sin(rad), np.cos(rad))
+                for f in var.sin_cos
             )
             ok &= (s != 0.0) | (c != 0.0)
             # math.atan2 per element: numpy's arctan2 differs in the last bit

@@ -435,10 +435,15 @@ class GridVariable:
     values: np.ndarray
     mask: np.ndarray
     convention: str | None = None  # 'from' | 'toward' for direction fields
+    # an angular field is interpolated as its sine and cosine, taken once here
+    sin_cos: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.shape != self.mask.shape:
             raise IngestError(f"grid variable {self.name!r}: mask shape mismatch")
+        if self.is_angular:
+            rad = np.deg2rad(self.values)
+            object.__setattr__(self, "sin_cos", (np.sin(rad), np.cos(rad)))
 
     @property
     def is_angular(self) -> bool:
