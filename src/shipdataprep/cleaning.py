@@ -51,18 +51,26 @@ def contextual_filter(
     squeezed between live neighbours. spike: both steps around a sample
     exceed ``spike_scales`` robust scales (MAD-based) of the variable's
     differences, with opposite signs. The last three rules run per trip
-    group (the whole series when no trips are assigned).
+    group (the whole series when no trips are assigned), on each column laid
+    out as its trip groups end to end, a NaN after each. A repeated-value or
+    dropout run is one check row (first and last stamp, sample count); the
+    rows come by variable, then trip, then rule.
     """
     if not np.array_equal(dataset.timestamps, measured.timestamps):
         raise CleaningError("measured columns must have the dataset's timestamps")
     entry = stage_entry(report, "clean:contextual")
     marks: dict[QualityFlag, np.ndarray] = {}
     groups = measured.trip_groups()
+    # position p of a laid-out column holds row layout[p], or NaN where that is -1
+    layout = np.concatenate([np.append(g, -1) for g in groups])
+    group = np.repeat(np.arange(len(groups)), [len(g) + 1 for g in groups])
+    stamps = np.append(dataset.timestamps, 0)[layout]
 
-    def add(flag: QualityFlag, rows: np.ndarray, variable: str, observed: object) -> None:
-        if len(rows):  # a flag no row gets stays out of the counts
-            marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[rows] = True
-        entry.check_rows(flag.value, dataset.timestamps[rows], variable, observed=observed)
+    def add(flag: QualityFlag, at: np.ndarray, first: np.ndarray, variable: str,
+            observed: object, **run) -> None:
+        if len(at):  # a flag no row gets stays out of the counts
+            marks.setdefault(flag, np.zeros(len(dataset), dtype=bool))[at] = True
+        entry.check_rows(flag.value, first, variable, observed=observed, **run)
 
     numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
@@ -72,18 +80,23 @@ def contextual_filter(
             lo = -math.inf if spec.valid_min is None else spec.valid_min
             hi = math.inf if spec.valid_max is None else spec.valid_max
             bad = np.flatnonzero((col_all < lo) | (col_all > hi))
-            add(QualityFlag.INVALID_RANGE, bad, spec.name, col_all[bad])
+            add(QualityFlag.INVALID_RANGE, bad, dataset.timestamps[bad], spec.name, col_all[bad])
 
-        for idx in groups:
-            col = col_all[idx]
-            if (~np.isnan(col)).sum() < 3:
+        col = np.append(col_all, np.nan)[layout]
+        spikes = _spikes(col, spike_scales, group)
+        found = (_repeated(col, group, repeat_run), _dropouts(col, dropout_max),
+                 (spikes, np.ones_like(spikes)))
+        starts, lengths = map(np.concatenate, zip(*found))
+        rule = np.repeat(np.arange(len(found)), [len(f[0]) for f in found])
+        order = np.argsort(group[starts] * len(found) + rule, kind="stable")
+        # one evidence call per stretch of one rule
+        for block in np.split(order, np.flatnonzero(np.diff(rule[order])) + 1):
+            if not len(block):
                 continue
-            rows, observed = _repeated(col, repeat_run)
-            add(QualityFlag.REPEATED_VALUE, idx[rows], spec.name, observed)
-            rows = _dropouts(col, dropout_max)
-            add(QualityFlag.DROPOUT, idx[rows], spec.name, DEAD_VALUE)
-            rows = _spikes(col, spike_scales)
-            add(QualityFlag.SPIKE, idx[rows], spec.name, col[rows])
+            flag, s, n = _RULES[rule[block[0]]], starts[block], lengths[block]
+            run = {} if flag is QualityFlag.SPIKE else {"last": stamps[s + n - 1], "samples": n}
+            observed = DEAD_VALUE if flag is QualityFlag.DROPOUT else col[s]
+            add(flag, layout[_spread(s, n)], stamps[s], spec.name, observed, **run)
 
     out = dataset
     for flag, rows in marks.items():
@@ -93,50 +106,80 @@ def contextual_filter(
     return out
 
 
-def _repeated(col: np.ndarray, repeat_run: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows in runs of at least ``repeat_run`` identical values while the
-    values outside the run hold two distinct ones, and the run's value at
-    each row."""
+_RULES = (QualityFlag.REPEATED_VALUE, QualityFlag.DROPOUT, QualityFlag.SPIKE)
+
+
+def _spread(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of the runs with these starts and lengths, in order."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _repeated(col: np.ndarray, group: np.ndarray, repeat_run: int) -> tuple[np.ndarray, ...]:
+    """Starts and lengths of the runs of at least ``repeat_run`` identical
+    values while the other values of the run's group (``group`` numbers each
+    position's group) hold two distinct ones: the group holds three, or two
+    and the run's value also outside the run."""
     starts = np.flatnonzero(np.append(True, col[1:] != col[:-1]))
     lengths = np.diff(np.append(starts, len(col)))
-    after = len(col) - starts - lengths  # values after each run
-
-    def outside(f):  # f of the values before each run and after it; NaN if none
-        return f(np.append(np.nan, f.accumulate(col))[starts],
-                 np.append(np.nan, f.accumulate(col[::-1]))[after])
-
     keep = (lengths >= repeat_run) & ~np.isnan(col[starts])
-    keep &= outside(np.fmin) < outside(np.fmax)
-    rows = np.flatnonzero(np.repeat(keep, lengths))
-    return rows, np.repeat(col[starts], lengths)[rows]
+    starts, lengths = starts[keep], lengths[keep]
+    if len(starts):
+        bounds = np.flatnonzero(np.append(True, group[1:] != group[:-1]))
+        lo, hi = (f.reduceat(col, bounds)[group] for f in (np.fmin, np.fmax))
+
+        def count(mask: np.ndarray) -> np.ndarray:  # per run, in its group
+            return np.bincount(group[mask], minlength=len(bounds))[group[starts]]
+
+        held = np.where(col[starts] == lo[starts], count(col == lo), count(col == hi))
+        keep = (lo[starts] < hi[starts]) & (held > lengths)
+        keep |= count((col > lo) & (col < hi)) > 0
+        starts, lengths = starts[keep], lengths[keep]
+    return starts, lengths
 
 
-def _dropouts(col: np.ndarray, dropout_max: int) -> np.ndarray:
-    """Rows in runs of fewer than ``dropout_max`` dead values with a live
-    value on each side."""
+def _dropouts(col: np.ndarray, dropout_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the runs of fewer than ``dropout_max`` dead
+    values with a live value on each side."""
     dead = col == DEAD_VALUE
     starts, ends = runs(dead)
+    lengths = ends - starts + 1
     live = np.concatenate(([False], ~dead & ~np.isnan(col), [False]))
-    short = (ends - starts + 1 < dropout_max) & live[starts] & live[ends + 2]
-    return np.flatnonzero(dead)[np.repeat(short, ends - starts + 1)]
+    short = (lengths < dropout_max) & live[starts] & live[ends + 2]
+    return starts[short], lengths[short]
 
 
-def _spikes(col: np.ndarray, spike_scales: float) -> np.ndarray:
-    """Rows whose steps in and out both exceed ``spike_scales`` robust
-    scales of the column's steps, with opposite signs."""
+def _spikes(col: np.ndarray, spike_scales: float, group: np.ndarray | None = None) -> np.ndarray:
+    """Positions whose steps in and out both exceed ``spike_scales`` robust
+    scales of the steps in their group (``group`` numbers each position's
+    group; one group by default), with opposite signs."""
+    group = np.zeros(len(col), dtype=np.intp) if group is None else group
     diffs = np.diff(col)
-    dd = diffs[~np.isnan(diffs)]
-    if len(dd) < 3:
-        return np.zeros(0, dtype=np.int64)
-    mad = float(np.median(np.abs(dd - np.median(dd))))
-    scale = 1.4826 * mad
-    if scale <= 0:
-        return np.zeros(0, dtype=np.int64)
-    limit = spike_scales * scale
+    at = np.flatnonzero(~np.isnan(diffs))
+    dd, g = diffs[at], group[at]
+    size = int(group.max(initial=-1)) + 1
+    mad = _medians(np.abs(dd - _medians(dd, g, size)[g]), g, size)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+        scale = 1.4826 * mad
+        limit = np.where(scale > 0, spike_scales * scale, np.inf)[group[1:-1]]
     up, down = diffs[:-1], diffs[1:]
     # both steps exceed limit > 0, so neither is zero and their signs decide
     spike = (np.abs(up) > limit) & (np.abs(down) > limit) & ((up > 0) != (down > 0))
     return np.flatnonzero(spike) + 1
+
+
+def _medians(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+    """``np.median`` of the values of each of ``size`` groups (``group``
+    numbers each value's group), from one sort; NaN for a group with a NaN
+    value or fewer than 3 values."""
+    v = values[np.lexsort((values, group))]
+    count = np.bincount(group, minlength=size)
+    mid = np.cumsum(count) - count + count // 2
+    out = np.full(size, np.nan)
+    odd, even = (count >= 3) & (count % 2 == 1), (count >= 3) & (count % 2 == 0)
+    out[odd] = v[mid[odd]]
+    out[even] = (v[mid[even] - 1] + v[mid[even]]) / 2.0  # np.median's mean of two
+    out[np.bincount(group, weights=np.isnan(values), minlength=size) > 0] = np.nan
+    return out
 
 
 def quasi_steady_filter(

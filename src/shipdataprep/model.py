@@ -670,19 +670,20 @@ class ShipParticulars:
 
 
 def _stamp_texts(checks: Iterable[CheckDetail]) -> dict[int, str]:
-    """The text of each distinct timestamp of ``checks``, formatted in one
-    ``timestamp_cells`` call."""
+    """The text of each distinct timestamp of ``checks`` (a run's last stamp
+    too), formatted in one ``timestamp_cells`` call."""
     stamps = np.unique(np.array(
-        [c.timestamp for c in checks if c.timestamp is not None], dtype=np.int64
+        [t for c in checks for t in (c.timestamp, c.last) if t is not None], dtype=np.int64
     ))
     return dict(zip(stamps.tolist(), timestamp_cells(stamps)))
 
 
 def _check_dicts(checks: list[CheckDetail]) -> list[dict]:
     """The JSON form of each check; the distinct stamps of ``checks`` are
-    formatted together, and a missing stamp is ``None``."""
+    formatted together, and a missing stamp is ``None``. A run also has its
+    ``last_timestamp`` and its ``samples``."""
     stamps = _stamp_texts(checks)
-    return [
+    out = [
         {
             "timestamp": stamps.get(c.timestamp),
             "variable": c.variable,
@@ -692,17 +693,24 @@ def _check_dicts(checks: list[CheckDetail]) -> list[dict]:
         }
         for c in checks
     ]
+    for row, c in zip(out, checks):
+        if c.samples is not None:
+            row.update(last_timestamp=stamps[c.last], samples=c.samples)
+    return out
 
 
 @dataclass
 class CheckDetail:
-    """One row of check evidence: what was expected vs observed, and verdict."""
+    """One row of check evidence: what was expected vs observed, and verdict.
+    A run of ``samples`` samples is one row, from ``timestamp`` to ``last``."""
 
     timestamp: int | None
     variable: str | None
     expected: object
     observed: object
     verdict: str
+    last: int | None = None
+    samples: int | None = None
 
     def to_dict(self) -> dict:
         return _check_dicts([self])[0]
@@ -739,21 +747,32 @@ class StageEntry:
         variable: str | None = None,
         expected: object = None,
         observed: object = None,
+        last: Sequence[int] | np.ndarray | None = None,
+        samples: Sequence[int] | np.ndarray | None = None,
     ) -> None:
         """One check per stamp of ``timestamps``, in their order.
 
         ``verdict``, ``expected`` and ``observed`` are each one value for
         every row, or a list or array with one value per row. An array is
         stored as Python numbers (``tolist``), so the report keeps its ints
-        as ints and its floats as floats. No stamp, no check."""
+        as ints and its floats as floats. No stamp, no check.
+
+        ``last`` and ``samples``, given together, make each row a run of
+        samples: the stamps are its first ones, ``last`` its last ones and
+        ``samples`` its sample counts."""
         stamps = np.asarray(timestamps).tolist()
         n = len(stamps)
         columns = [
             v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list) else [v] * n
             for v in (expected, observed, verdict)
         ]
-        rows = zip(stamps, *columns, strict=True)
-        self.checks += [CheckDetail(t, variable, exp, obs, v) for t, exp, obs, v in rows]
+        spans = [[None] * n] * 2 if samples is None else [
+            np.asarray(last).tolist(), np.asarray(samples).tolist()
+        ]
+        rows = zip(stamps, *columns, *spans, strict=True)
+        self.checks += [
+            CheckDetail(t, variable, exp, obs, v, end, k) for t, exp, obs, v, end, k in rows
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -783,11 +802,19 @@ class ProcessingReport:
 
     def covers(self, dataset: VoyageDataset) -> bool:
         """True when every flagged sample has at least one report detail, or
-        every flag it carries was counted by some stage."""
-        detailed = {c.timestamp for e in self.stage_entries for c in e.checks} - {None}
+        every flag it carries was counted by some stage. A run's detail
+        covers every sample from its first stamp to its last."""
+        spans = np.array([
+            (c.timestamp, c.timestamp if c.last is None else c.last)
+            for e in self.stage_entries for c in e.checks if c.timestamp is not None
+        ], dtype=np.int64).reshape(-1, 2)
+        ts = dataset.timestamps  # ascending: the samples of a span form one slice
+        depth = np.zeros(len(ts) + 1, dtype=np.int64)
+        np.add.at(depth, np.searchsorted(ts, spans[:, 0]), 1)
+        np.add.at(depth, np.searchsorted(ts, spans[:, 1], side="right"), -1)
+        undetailed = np.cumsum(depth[:-1]) == 0
         counted = {flag for entry in self.stage_entries for flag in entry.flag_counts}
         uncounted = [f for f in QualityFlag if f.value not in counted]
-        undetailed = ~np.isin(dataset.timestamps, list(detailed))
         return not (dataset.flagged(*uncounted) & undetailed).any()
 
     def to_dict(self) -> dict:
@@ -812,9 +839,12 @@ class ProcessingReport:
             for c in e.checks:
                 ts = stamps.get(c.timestamp, "-")
                 var = c.variable or "-"
+                run = ""
+                if c.samples is not None:  # a run: first..last stamp and its sample count
+                    ts, run = f"{ts}..{stamps[c.last]}", f" samples={c.samples}"
                 lines.append(
                     f"  {ts} {var} expected={c.expected} observed={c.observed} "
-                    f"verdict={c.verdict}"
+                    f"verdict={c.verdict}{run}"
                 )
         return "\n".join(lines) + "\n"
 

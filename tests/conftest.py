@@ -54,6 +54,23 @@ def write_and_read_processed(dataset, path: Path):
     return back, trips, flags
 
 
+def expand_runs(checks, timestamps) -> list:
+    """``checks`` with each run row (a ``CheckDetail`` with ``samples``) as
+    one row per sample stamp of ``timestamps`` from its first stamp to its
+    last, in order; the stamps must number ``samples``."""
+    from shipdataprep.model import CheckDetail
+
+    out = []
+    for c in checks:
+        if c.samples is None:
+            out.append(c)
+            continue
+        inside = timestamps[(timestamps >= c.timestamp) & (timestamps <= c.last)].tolist()
+        assert len(inside) == c.samples, (c, inside)
+        out += [CheckDetail(t, c.variable, c.expected, c.observed, c.verdict) for t in inside]
+    return out
+
+
 def flagged_rows(dataset, flag) -> list[int]:
     """Indices of the rows carrying ``flag``."""
     return np.flatnonzero(dataset.flagged(flag)).tolist()

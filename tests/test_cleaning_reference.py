@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cleaning_reference as ref
-from conftest import INTERVAL, T0
+from conftest import INTERVAL, T0, expand_runs
 from shipdataprep.cleaning import contextual_filter
 from shipdataprep.model import ProcessingReport, VariableSpec, new_dataset
 
@@ -63,7 +63,11 @@ def outcome(fn, ds, measured, repeat_run, dropout_max, spike_scales):
     out = fn(ds, measured, repeat_run=repeat_run, dropout_max=dropout_max,
              spike_scales=spike_scales, report=report)
     (entry,) = report.stage_entries
-    checks = repr([c.to_dict() for c in entry.checks])  # repr tells -0.0 from 0.0
+    if fn is contextual_filter:  # a run is one row; every other check one per sample
+        runs = {"repeated_value", "dropout"}
+        assert all((c.samples is not None) == (c.verdict in runs) for c in entry.checks)
+    rows = expand_runs(entry.checks, measured.timestamps)
+    checks = repr([c.to_dict() for c in rows])  # repr tells -0.0 from 0.0
     return out.flag_bits.tolist(), checks, list(entry.flag_counts.items()), entry.summary
 
 

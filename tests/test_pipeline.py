@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import VoyageBuilder
+from conftest import VoyageBuilder, expand_runs
 from shipdataprep import pipeline as pl
 from shipdataprep.cli import main
 from shipdataprep.ingest import PIPELINE_STAGES, load_config, load_ship_csv
@@ -258,8 +258,12 @@ class TestContextualScope:
         result = run(self.stuck_drafts(tmp_path))
         stamps = result.dataset.timestamps
         stuck = {int(stamps[i]) for i in self.STUCK}
+        checks = contextual_checks(result)
+        # each stuck sensor is one run row, which spans the stuck rows
+        runs = sorted((c.variable, c.samples) for c in checks if c.verdict == "repeated_value")
+        assert runs == [("draft_aft", len(self.STUCK)), ("draft_fore", len(self.STUCK))]
         repeated = {}
-        for c in contextual_checks(result):
+        for c in expand_runs(checks, stamps):
             repeated.setdefault(c.variable, set()).add((c.verdict, c.timestamp))
         assert repeated.pop("draft_fore") == {("repeated_value", t) for t in stuck}
         assert repeated.pop("draft_aft") == {("repeated_value", t) for t in stuck}
