@@ -148,17 +148,16 @@ def _dropouts(col: np.ndarray, dropout_max: int) -> tuple[np.ndarray, np.ndarray
     return starts[short], lengths[short]
 
 
-def _spikes(col: np.ndarray, spike_scales: float, group: np.ndarray | None = None) -> np.ndarray:
+def _spikes(col: np.ndarray, spike_scales: float, group: np.ndarray) -> np.ndarray:
     """Positions whose steps in and out both exceed ``spike_scales`` robust
     scales of the steps in their group (``group`` numbers each position's
-    group; one group by default), with opposite signs."""
-    group = np.zeros(len(col), dtype=np.intp) if group is None else group
+    group), with opposite signs."""
     diffs = np.diff(col)
     at = np.flatnonzero(~np.isnan(diffs))
     dd, g = diffs[at], group[at]
     size = int(group.max(initial=-1)) + 1
     mad = _medians(np.abs(dd - _medians(dd, g, size)[g]), g, size)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: the group has no spike
         scale = 1.4826 * mad
         limit = np.where(scale > 0, spike_scales * scale, np.inf)[group[1:-1]]
     up, down = diffs[:-1], diffs[1:]

@@ -100,7 +100,7 @@ class TestContextualFilter:
         # at 1e-170 the product of the two steps underflows to 0
         walk = np.cumsum(np.random.default_rng(3).normal(0.0, 1.0, 41))
         walk[20] += 30.0
-        assert 20 in _spikes(walk * scale, 6.0).tolist()
+        assert 20 in _spikes(walk * scale, 6.0, np.zeros(len(walk), dtype=np.intp)).tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(
