@@ -6,7 +6,7 @@ the scalar ray casting's answer for every point, boundary points
 included."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import validation_reference as ref
@@ -45,9 +45,8 @@ def shaft_logs(draw):
 
 
 def run_stage(stage, dataset, names, *args, **kwargs):
-    """The stage's outcome, or the error it ended with: a derived value
-    that overflows to inf (a power over a torque near zero) is refused by
-    the dataset in both versions."""
+    """The stage's outcome, or the error it ended with, so that both
+    versions must fail alike where either fails."""
     report = ProcessingReport()
     try:
         with np.errstate(over="ignore"):
@@ -57,8 +56,17 @@ def run_stage(stage, dataset, names, *args, **kwargs):
     return stage_outcome(out, report, names)
 
 
+# rpm, torque and power derived from finite inputs that overflow to inf
+OVERFLOWING = new_dataset(
+    [VariableSpec(name) for name in POWER_COLUMNS], [T0 + i * INTERVAL for i in range(3)],
+    dict(zip(POWER_COLUMNS, ([None, 6e307, 1e-310], [1e-310, 1e306, None],
+                             [5_000.0, None, 5e300]))),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(shaft_logs(), st.sampled_from([0.02, 0.05]))
+@example(OVERFLOWING, 0.02)
 def test_power_identity_matches_loop(dataset, tolerance):
     names = ("derived_shaft_power", "derived_shaft_rpm", "derived_shaft_torque")
     assert run_stage(check_power_identity, dataset, names, tolerance) == run_stage(

@@ -1,9 +1,11 @@
 """Reference for the validation checks: the row loops that
 ``validation.check_power_identity``, ``check_speed_power`` and
 ``detect_angular_fault`` replaced, and the scalar ray casting of
-``validation._inside_polygon``, kept verbatim. ``check_speed_power`` looks
-the calm-water curve up one row at a time through the scalar
-``CalmWaterCurve.power_at``. ``tests/test_validation.py`` and
+``validation._inside_polygon``, kept verbatim apart from one later rule
+that both versions follow: a derived power-identity value that overflows
+to inf is flagged invalid_range, left missing and named in an 'overflow'
+check row. ``check_speed_power`` looks the calm-water curve up one row at
+a time through the scalar ``CalmWaterCurve.power_at``. ``tests/test_validation.py`` and
 ``tests/test_validation_reference.py`` require the array checks to give the
 same flags, the same derived columns, the same check rows in the same order
 and a bit-equal summary.
@@ -77,14 +79,21 @@ def check_power_identity(
         "fail", dataset.timestamps[invalid], variable="shaft_power",
         expected=shaft_power(rev_s[invalid], tau[invalid]), observed=pwr[invalid],
     )
-    out = add_flags(dataset, QualityFlag.INVALID_RANGE, invalid, entry)
+    out, flagged = dataset, invalid.copy()
     for name, unit, col in (
         ("derived_shaft_power", "W", derived_p),
         ("derived_shaft_rpm", "rpm", derived_n),
         ("derived_shaft_torque", "Nm", derived_t),
     ):
+        # a value that overflows to inf is flagged, and left missing
+        overflow = [i for i in range(n) if col[i] is not None and math.isinf(col[i])]
+        entry.check_rows("overflow", dataset.timestamps[overflow], variable=name)
+        for i in overflow:
+            col[i] = None
+            flagged[i] = True
         if any(v is not None for v in col):
             out = out.adding_variable(VariableSpec(name, unit, "linear"), col)
+    out = add_flags(out, QualityFlag.INVALID_RANGE, flagged, entry)
     entry.summary.update(
         {"checked": checked, "failed": int(invalid.sum()), "derived": derived}
     )
