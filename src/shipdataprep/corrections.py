@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
-from .ingest import IngestError, csv_columns, parse_number
+from .ingest import IngestError, csv_blocks, parse_number
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -310,8 +310,12 @@ class HydroTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "HydroTable":
-        header, _, cells = csv_columns(Path(path))
-        table = dict(zip(header, cells))
+        blocks = csv_blocks(Path(path))
+        at = {name: k for k, name in enumerate(next(blocks))}  # a repeated name: its last column
+        table: dict[str, list[str]] = {name: [] for name in at}
+        for _, cells in blocks:
+            for name, k in at.items():
+                table[name] += cells[k]
         names = ("draft_m", "trim_m", "displacement_m3", "wsa_m2")
         missing = [name for name in names if name not in table]
         if missing:
@@ -507,14 +511,16 @@ def resistance_components(
 ) -> VoyageDataset:
     """Evaluate each resistance model per in-trip sample into a
     ``res_<name>`` column; a model whose inputs never appear is skipped
-    entirely, per-sample gaps stay missing and are counted."""
+    entirely, per-sample gaps stay missing and are counted. A value that
+    overflows from finite inputs (an absurd speed) is left missing, with an
+    ``overflow`` check on the column and ``invalid_range`` on the sample."""
     entry = stage_entry(report, "resistance")
     in_trip = dataset.in_trip_or_all()
     wind_speed_name = (
         "rel_wind_speed_ref" if dataset.declares("rel_wind_speed_ref") else "rel_wind_speed"
     )
 
-    out = dataset
+    out, flagged = dataset, np.zeros(len(dataset), dtype=bool)
     for model in models:
         available = {
             key: dataset.has_data(
@@ -534,11 +540,17 @@ def resistance_components(
         inputs = {key: dataset.coalesce(*sources.get(key, (key,))) for key in model.required}
         rows = in_trip & np.logical_and.reduce([~np.isnan(col) for col in inputs.values()])
         column = np.full(len(dataset), np.nan)
-        column[rows] = model.evaluate({key: col[rows] for key, col in inputs.items()})
-        out = out.adding_variable(VariableSpec(f"res_{model.name}", "N", "linear"), column)
+        with np.errstate(over="ignore"):  # an inf from finite inputs is flagged below
+            column[rows] = model.evaluate({key: col[rows] for key, col in inputs.items()})
+        name = f"res_{model.name}"
+        overflow = np.isinf(column)  # flagged, and left missing
+        entry.check_rows("overflow", dataset.timestamps[overflow], variable=name)
+        column[overflow] = np.nan
+        flagged |= overflow
+        out = out.adding_variable(VariableSpec(name, "N", "linear"), column)
         entry.summary[model.name] = {
             "kind": model.kind,
             "evaluated": int(rows.sum()),
             "missing_inputs": int((in_trip & ~rows).sum()),
         }
-    return out
+    return add_flags(out, QualityFlag.INVALID_RANGE, flagged, entry) if flagged.any() else out

@@ -10,7 +10,6 @@ conversion is a pure per-column scale factor.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import operator
@@ -136,55 +135,97 @@ def load_ship_csv(
     columns not in the schema are auto-declared so that ingest is loss-free.
     Columns with a blank or an already used name are skipped with a note.
     Of rows sharing a timestamp, the first is kept and flagged ``dropout``.
+
+    The file is read in the blocks of :func:`csv_blocks`, and each block's
+    cells become arrays before the next block is read, so memory follows
+    the columns, not the cells; only the text of text and undeclared
+    columns is kept as strings.
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
     entry = stage_entry(report, "ingest:ship_csv")
 
-    header, lines, cells = csv_columns(path)
-    header = [h.strip() for h in header]
+    blocks = csv_blocks(path)
+    header = [h.strip() for h in next(blocks)]
     if "timestamp" not in header:
         raise IngestError(f"{path}: missing timestamp column")
     factors = {col: _unit_factor(unit) for col, unit in (unit_map or {}).items()}
     first_of = {}  # name -> its first column
     for k, name in enumerate(header):
         first_of.setdefault(name, k)
+    spec_map = {s.name: s for s in schema}
+    kinds = {  # name -> its declared kind, None when it is not declared
+        name: spec_map[name].kind if name in spec_map else None
+        for name in first_of if name and name != "timestamp"
+    }
+    skipped = [k for k, name in enumerate(header) if not name or first_of[name] != k]
+    unparsed = set()  # undeclared columns with a cell that is no number
 
-    stamps, stamped = parse_iso_timestamps(cells[first_of["timestamp"]])
+    def arrays(lines: np.ndarray, cells: list[Sequence[str]]) -> dict:
+        """One block's cells as arrays, so that its strings can go."""
+        out = {"line": lines}
+        out["stamp"], out["stamped"] = parse_iso_timestamps(cells[first_of["timestamp"]])
+        for k in skipped:
+            out[k] = np.array([c.strip() != "" for c in cells[k]], dtype=bool)
+        for name, kind in kinds.items():
+            column = cells[first_of[name]]
+            if kind != "text":
+                out[name, "number"], out[name, "filled"], parsed = _numbers(
+                    column, factors.get(name, 1.0)
+                )
+                if not parsed:
+                    unparsed.add(name)
+            if kind in (None, "text"):
+                out[name, "text"] = np.array([c.strip() for c in column], dtype=object)
+        return out
+
+    # the arrays of a file of one block stand as they are (a file without
+    # rows is one empty block); those of a longer file are copied block by
+    # block into arrays of the most rows it can hold (its lines), of which
+    # only the pages written take memory
+    parts = itertools.starmap(arrays, blocks)
+    joined = next(parts, None) or arrays(np.zeros(0, dtype=np.int64), [()] * len(header))
+    second = next(parts, None)
+    if second is not None:
+        most = _line_ends(path)[0] + 1
+        store = {key: np.empty(most, dtype=a.dtype) for key, a in joined.items()}
+        rows = 0
+        for part in itertools.chain([joined, second], parts):
+            for key, a in part.items():
+                store[key][rows:rows + len(a)] = a
+            rows += len(part["line"])
+        joined = {key: store.pop(key)[:rows] for key in list(store)}
+    stamps, stamped = joined.pop("stamp"), joined.pop("stamped")
     read = np.flatnonzero(stamped)
     first = read[np.unique(stamps[read], return_index=True)[1]]
     keep = np.zeros(len(stamps), dtype=bool)
     keep[first] = True
     n = len(first)
 
-    for k, name in enumerate(header):
-        if not name or first_of[name] != k:
-            filled = sum(1 for c, kept in zip(cells[k], keep) if kept and c.strip())
-            why = "blank name" if not name else f"repeats {name!r}"
-            entry.notes.append(f"column {k + 1} ({why}): skipped, {filled} non-empty cell(s)")
-    spec_map = {s.name: s for s in schema}
+    for k in skipped:
+        filled = int((joined.pop(k) & keep).sum())
+        why = "blank name" if not header[k] else f"repeats {header[k]!r}"
+        entry.notes.append(f"column {k + 1} ({why}): skipped, {filled} non-empty cell(s)")
     columns: dict[str, np.ndarray] = {}
     counts: dict[str, tuple[int, int]] = {}  # name -> (non-empty cells, values kept)
-    for name, k in first_of.items():
-        if not name or name == "timestamp":
-            continue
-        spec = spec_map.get(name)
-        if spec is None or spec.kind != "text":
-            numbers, filled, parsed = _numbers(cells[k], factors.get(name, 1.0))
-        if spec is None:  # auto-declare, so that ingest is loss-free
-            spec = spec_map[name] = VariableSpec(name, "", "linear" if parsed else "text")
-            schema.append(spec)
-        if spec.kind == "text":
-            text = np.array([c.strip() for c in cells[k]], dtype=object)[keep]
+    for name, kind in kinds.items():
+        if kind is None:  # auto-declare, so that ingest is loss-free
+            kind = "text" if name in unparsed else "linear"
+            spec_map[name] = VariableSpec(name, "", kind)
+            schema.append(spec_map[name])
+        if kind == "text":
+            text = joined.pop((name, "text"))[keep]
             ok = filled = text != ""
-            columns[name] = np.where(ok, text, None)
+            text[~ok] = None
+            columns[name] = text
         else:
-            filled = filled[keep]
-            values = numbers[keep]
+            filled = joined.pop((name, "filled"))[keep]
+            values = joined.pop((name, "number"))[keep]
             ok = np.isfinite(values)
             if name == "lat":
                 ok &= (values >= -90.0) & (values <= 90.0)
-            columns[name] = np.where(ok, values, np.nan)
+            values[~ok] = np.nan
+            columns[name] = values
         counts[name] = (int(filled.sum()), int(ok.sum()))
 
     bare = BARE_MINIMUM_VARIABLES
@@ -211,50 +252,102 @@ def load_ship_csv(
         dataset = add_flags(dataset, QualityFlag.DROPOUT, repeated, entry)
         entry.check_rows(
             "dropout", stamps[dropped], variable="timestamp",
-            observed=[lines[i] for i in dropped.tolist()],
+            observed=joined["line"][dropped].tolist(),
         )
     return dataset
 
 
-def csv_columns(path: Path) -> tuple[list[str], tuple[int, ...], list[Sequence[str]]]:
-    """A CSV file without its rows that start with ``#``: the header, the
-    line number of each further row, and the cells of each header column,
-    where a short row's absent cells are empty.
+# lines per block of csv_blocks and load_hindcast: a block's cells are turned
+# into arrays, and its strings let go, before the next block is read
+READ_ROWS = 4096
 
-    The text is read once. Without a quote in it, and with every carriage
-    return part of a ``\r\n`` line end (read as ``\n``), a line is a row and
-    a comma ends a cell, so when every row has the header's number of cells
-    (and no line is longer than ``csv.reader`` accepts a cell) the body is
-    split with one ``str.split`` and each column is a strided slice of it.
-    Every other file, one with a bare ``\r`` among them, goes through
-    ``csv.reader``, which gives the same result on such a file."""
+
+def csv_blocks(path: Path) -> Iterator:
+    """A CSV file without its rows that start with ``#``, read ``READ_ROWS``
+    lines at a time: first the header (a list of cells), then, for each
+    block with further rows, the line number of each row (an int array) and
+    the cells of each header column, where a short row's absent cells are
+    empty. A file without a header row is an IngestError.
+
+    Without a quote in a block, and with every carriage return part of a
+    ``\\r\\n`` line end (read as ``\\n``), a line is a row and a comma ends a
+    cell, so when every row has the header's number of cells (and no line
+    is longer than ``csv.reader`` accepts a cell) the block is split with
+    one ``str.split`` and each column is a strided slice of it. A ragged
+    block is split row by row. A block with a quote or a bare ``\\r``, or a
+    longer line, goes through ``csv.reader``, which reads on past the
+    block's end to close a quoted field; as over the whole text, a ``\\r\\n``
+    inside a quoted field reads as ``\\n`` unless the file has a bare ``\\r``."""
+    limit = csv.field_size_limit()
+    crlf_only = None  # whether every \r of the file starts a \r\n, once a quote needs it
+    header: list[str] | None = None
     with path.open(newline="") as fh:
-        text = fh.read()
-    if "\r" in text and text.count("\r") == text.count("\r\n"):
-        text = text.replace("\r\n", "\n")
-    if '"' not in text and "\r" not in text:
-        rows = text.split("\n")
-        if not rows[-1]:
-            rows.pop()  # the line end of the last line
-        lines = range(1, len(rows) + 1)
-        if "" in rows or text.startswith("#") or "\n#" in text:
-            numbered = [(k, r) for k, r in zip(lines, rows) if r and r[0] != "#"]
-            lines, rows = [k for k, _ in numbered], [r for _, r in numbered]
-        if len(rows) > 1 and max(map(len, rows)) <= csv.field_size_limit():
-            width = rows[0].count(",") + 1
-            if set(map(str.count, rows[1:], itertools.repeat(","))) == {width - 1}:
-                cells = ",".join(rows[1:]).split(",")
-                return rows[0].split(","), tuple(lines[1:]), [cells[k::width] for k in range(width)]
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        numbered = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
-    if not numbered:
+        at = 0  # lines read
+        while raw := list(itertools.islice(fh, READ_ROWS)):
+            first, at = at + 1, at + len(raw)
+            text = "".join(raw)
+            if "\r" in text and text.count("\r") == text.count("\r\n"):
+                text = text.replace("\r\n", "\n")
+            split = '"' not in text and "\r" not in text and max(map(len, raw)) <= limit
+            if split:
+                rows = text.split("\n")
+                if not rows[-1]:
+                    rows.pop()  # the line end of the last line
+                lines = np.arange(first, at + 1)
+                if "" in rows or text.startswith("#") or "\n#" in text:
+                    kept = [r[:1] not in ("", "#") for r in rows]
+                    lines, rows = lines[kept], list(itertools.compress(rows, kept))
+            else:
+                if crlf_only is None and '"' in text:
+                    crlf_only = _line_ends(path)[1]
+                source = itertools.chain(raw, fh)
+                if crlf_only:
+                    source = (line.replace("\r\n", "\n") for line in source)
+                reader = csv.reader(source)
+                numbered = []
+                try:
+                    while reader.line_num < len(raw):
+                        row = next(reader)
+                        if row and not row[0].startswith("#"):
+                            numbered.append((first - 1 + reader.line_num, row))
+                except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+                    raise IngestError(f"{path}:{first - 1 + reader.line_num}: {exc}") from None
+                at = first - 1 + reader.line_num
+                lines = np.array([k for k, _ in numbered], dtype=np.int64)
+                rows = [r for _, r in numbered]
+            if header is None and rows:
+                header = rows[0].split(",") if split else rows[0]
+                yield header
+                lines, rows = lines[1:], rows[1:]
+            if not rows:
+                continue
+            width = len(header)
+            if split and set(map(str.count, rows, itertools.repeat(","))) == {width - 1}:
+                cells = ",".join(rows).split(",")
+                yield lines, [cells[k::width] for k in range(width)]
+                continue
+            if split:
+                rows = [r.split(",") for r in rows]
+            columns = list(itertools.islice(itertools.zip_longest(*rows, fillvalue=""), width))
+            yield lines, columns + [("",) * len(rows)] * (width - len(columns))
+    if header is None:
         raise IngestError(f"{path}: empty file, expected a header row")
-    lines, (header, *body) = zip(*numbered)
-    cells = list(itertools.islice(itertools.zip_longest(*body, fillvalue=""), len(header)))
-    return header, lines[1:], cells + [("",) * len(body)] * (len(header) - len(cells))
+
+
+def _line_ends(path: Path) -> tuple[int, bool]:
+    """The line ends of a file (``\\n``, ``\\r\\n`` or a bare ``\\r``), and
+    whether it has no bare ``\\r``; read 1 MiB at a time."""
+    lf = cr = crlf = 0
+    last = b""  # the last byte of the chunk before: a \r there may start a \r\n
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lf += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            crlf += last == b"\r" and chunk[:1] == b"\n"
+            if b"\r" in chunk:
+                cr += chunk.count(b"\r")
+                crlf += chunk.count(b"\r\n")
+            last = chunk[-1:]
+    return lf + cr - crlf, cr == crlf
 
 
 def parse_number(text: str, where: str) -> float:
@@ -478,13 +571,20 @@ class HindcastGrid:
         raise KeyError(f"no grid variable {name!r}")
 
 
-def load_hindcast(path: str | Path) -> HindcastGrid:
+def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> HindcastGrid:
     """Parse the plain-text gridded format.
 
     Header: ``#var <name> <unit>`` (one per variable, in block order),
     ``#lat``/``#lon``/``#time`` comma lists, optional ``#conv <var> from|toward``.
     Body: per variable, per time step, one line of ``|lon|`` comma-separated
-    values for each latitude; the token ``M`` marks a masked cell.
+    values for each latitude; the token ``M`` marks a masked cell, and a
+    number that is not finite (``nan``, ``inf``) is masked as well and
+    counted in an ``ingest:hindcast`` note.
+
+    The file is read ``READ_ROWS`` lines at a time, and the cells of a
+    block's data lines are parsed into one array in a single pass before
+    the next block is read; a line's cells are named one by one only when
+    the grid is rejected for it.
     """
     path = Path(path)
     var_decls: list[tuple[str, str]] = []
@@ -492,37 +592,73 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
     lats: list[float] = []
     lons: list[float] = []
     times: np.ndarray = np.zeros(0, dtype=np.int64)
-    body: list[tuple[int, str]] = []
+    body: list[int] = []  # the line number of each data line
+    commas: list[int] = []  # the commas of each data line
+    numbers: list[np.ndarray] = []  # the cells of each block, a masked one NaN
+    masks: list[int] = []  # the M cells of each data line
+    bad: tuple[int, str] | None = None  # the first data line with an unknown token
 
     with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        lineno = 0
+        while block := list(itertools.islice(fh, READ_ROWS)):
+            rows = []  # the data lines as read: float() strips a cell itself
+            for raw in block:
+                lineno += 1
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#var "):
+                    parts = line.split()
+                    if len(parts) < 3:
+                        raise IngestError(f"{path}:{lineno}: malformed #var line")
+                    var_decls.append((parts[1], parts[2]))
+                elif line.startswith("#lat "):
+                    lats = [parse_number(x, f"{path}:{lineno}") for x in line[5:].split(",")]
+                elif line.startswith("#lon "):
+                    lons = [parse_number(x, f"{path}:{lineno}") for x in line[5:].split(",")]
+                elif line.startswith("#time "):
+                    cells = line[len("#time "):].split(",")
+                    times, parsed = parse_iso_timestamps(cells)
+                    if not parsed.all():
+                        bad_time = cells[int(np.argmin(parsed))].strip()
+                        raise IngestError(f"{path}:{lineno}: {bad_time!r} is not an ISO-8601 time")
+                elif line.startswith("#conv "):
+                    parts = line.split()
+                    if len(parts) != 3 or parts[2] not in ("from", "toward"):
+                        raise IngestError(f"{path}:{lineno}: malformed #conv line")
+                    conventions[parts[1]] = parts[2]
+                elif not line.startswith("#"):
+                    rows.append(raw)
+                    body.append(lineno)
+            if not rows:
                 continue
-            if line.startswith("#var "):
-                parts = line.split()
-                if len(parts) < 3:
-                    raise IngestError(f"{path}:{lineno}: malformed #var line")
-                var_decls.append((parts[1], parts[2]))
-            elif line.startswith("#lat "):
-                lats = [parse_number(x, f"{path}:{lineno}") for x in line[5:].split(",")]
-            elif line.startswith("#lon "):
-                lons = [parse_number(x, f"{path}:{lineno}") for x in line[5:].split(",")]
-            elif line.startswith("#time "):
-                cells = line[len("#time "):].split(",")
-                times, parsed = parse_iso_timestamps(cells)
-                if not parsed.all():
-                    bad = cells[int(np.argmin(parsed))].strip()
-                    raise IngestError(f"{path}:{lineno}: {bad!r} is not an ISO-8601 time")
-            elif line.startswith("#conv "):
-                parts = line.split()
-                if len(parts) != 3 or parts[2] not in ("from", "toward"):
-                    raise IngestError(f"{path}:{lineno}: malformed #conv line")
-                conventions[parts[1]] = parts[2]
-            elif line.startswith("#"):
-                continue
-            else:
-                body.append((lineno, line))
+            commas += map(str.count, rows, itertools.repeat(","))
+            masks += map(str.count, rows, itertools.repeat(MASK_TOKEN))
+            if bad is not None:
+                continue  # the grid is rejected; the lines are only counted
+            # a number never holds an "M", so every "M" of a block that parses
+            # is a masked cell, read as NaN; a sign before one ("-M") would
+            # read as a number, and is no cell. The lines are split one by one
+            # as the numbers are read, so no list of the block's cells is made.
+            cells = itertools.chain.from_iterable(
+                line.replace(MASK_TOKEN, "nan").split(",") for line in rows
+            )
+            try:
+                if any("+M" in line or "-M" in line for line in rows):
+                    raise ValueError
+                count = len(rows) + sum(commas[-len(rows):])
+                numbers.append(np.fromiter(map(float, cells), np.float64, count))
+            except ValueError:  # line by line; str.strip() strips more than float()
+                values = []
+                for row, line in enumerate(rows):
+                    stripped = [c.strip() for c in line.split(",")]
+                    try:
+                        values += [math.nan if c == MASK_TOKEN else float(c) for c in stripped]
+                    except ValueError:
+                        bad = (len(body) - len(rows) + row, line)
+                        break
+                else:
+                    numbers.append(np.array(values))
 
     if not var_decls:
         raise IngestError(f"{path}: no #var declarations")
@@ -543,46 +679,58 @@ def load_hindcast(path: str | Path) -> HindcastGrid:
             f"slice: variable {var_decls[var_i][0]!r}, time index {time_i}"
         )
 
-    values = np.zeros((len(body), nx))
-    mask = np.zeros((len(body), nx), dtype=bool)
-    for row, (lineno, line) in enumerate(body):
-        cells = [c.strip() for c in line.split(",")]
-        masked = [c == MASK_TOKEN for c in cells]
-        if len(cells) == nx:
-            try:
-                values[row] = [0.0 if m else float(c) for c, m in zip(cells, masked)]
-            except ValueError:
-                pass  # the cell is named below
-            else:
-                mask[row] = masked
-                continue
+    # the first line with too few or too many cells, or an unknown token
+    widths = np.array(commas) + 1
+    last = len(body) if bad is None else bad[0] + 1
+    short = np.flatnonzero(widths[:last] != nx)
+    if len(short) or bad is not None:
+        row = int(short[0]) if len(short) else bad[0]
         var_i, rest = divmod(row, nt * ny)
         where = (
-            f"{path}:{lineno}: variable {var_decls[var_i][0]!r}, "
+            f"{path}:{body[row]}: variable {var_decls[var_i][0]!r}, "
             f"time index {rest // ny}, lat index {rest % ny}"
         )
-        if len(cells) != nx:
-            raise IngestError(f"{where}: expected {nx} values, got {len(cells)}")
-        for xi, cell in enumerate(cells):
-            if not masked[xi]:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"{where}, lon index {xi}: unknown token {cell!r}"
-                    ) from None
+        if widths[row] != nx:
+            raise IngestError(f"{where}: expected {nx} values, got {widths[row]}")
+        xi, cell = _unknown_token(bad[1])
+        raise IngestError(f"{where}, lon index {xi}: unknown token {cell!r}")
 
-    values = values.reshape(len(var_decls), nt, ny, nx)
-    mask = mask.reshape(len(var_decls), nt, ny, nx)
-    return HindcastGrid(
-        tuple(
-            GridVariable(name, unit, values[k], mask[k], conventions.get(name))
-            for k, (name, unit) in enumerate(var_decls)
-        ),
-        np.asarray(lats, dtype=float),
-        np.asarray(lons, dtype=float),
-        np.asarray(times, dtype=np.int64),
-    )
+    values = np.concatenate(numbers).reshape(len(var_decls), nt, ny, nx)
+    mask = ~np.isfinite(values)
+    values[mask] = 0.0
+    non_finite = mask.sum(axis=(1, 2, 3)) - np.reshape(masks, (len(var_decls), -1)).sum(axis=1)
+    try:
+        grid = HindcastGrid(
+            tuple(
+                GridVariable(name, unit, values[k], mask[k], conventions.get(name))
+                for k, (name, unit) in enumerate(var_decls)
+            ),
+            np.asarray(lats, dtype=float),
+            np.asarray(lons, dtype=float),
+            np.asarray(times, dtype=np.int64),
+        )
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    notes = [
+        f"variable {name}: {count} non-finite cell(s) -> masked"
+        for (name, _), count in zip(var_decls, non_finite.tolist()) if count
+    ]
+    if notes:
+        stage_entry(report, "ingest:hindcast").notes.extend(notes)
+    return grid
+
+
+def _unknown_token(line: str) -> tuple[int, str] | None:
+    """The index and the stripped text of the first cell of a grid data line
+    that is neither ``M`` nor a number, if there is one."""
+    for xi, cell in enumerate(line.split(",")):
+        cell = cell.strip()
+        if cell != MASK_TOKEN:
+            try:
+                float(cell)
+            except ValueError:
+                return xi, cell
+    return None
 
 
 # -- ship particulars --------------------------------------------------------

@@ -184,7 +184,7 @@ def run_pipeline(
         raise IngestError(f"{config.ship_csv}: no row with a parseable timestamp")
     grid: HindcastGrid | None = None
     if config.hindcast:
-        grid = load_hindcast(config.hindcast)
+        grid = load_hindcast(config.hindcast, report)
     hydro_table = (
         corrections.HydroTable.from_csv(config.hydro_table) if config.hydro_table else None
     )

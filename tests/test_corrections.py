@@ -496,6 +496,24 @@ class TestTableDrivenResistance:
             "kind": "added_wind", "evaluated": 3, "missing_inputs": 1,
         }
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_value_is_a_flag_and_missing(self):
+        # finite wind speeds whose dynamic pressure overflows, as the power identity does
+        ds = resistance_dataset(rel_wind_speed=[10.0, 1e306, -1e306, 1e160],
+                                rel_wind_dir=[45.0, 45.0, 45.0, 45.0])
+        report = ProcessingReport()
+        out = resistance_components(ds, [self.wind_model()], report)
+        res = out.column("res_wind")
+        assert res[0] == pytest.approx(0.5 * 1.225 * 0.65 * 1000.0 * 100.0, rel=1e-12)
+        assert np.isnan(res[1:]).all()
+        (entry,) = report.stage_entries
+        assert [(c.verdict, c.variable, c.timestamp) for c in entry.checks] == [
+            ("overflow", "res_wind", t) for t in ds.timestamps[1:].tolist()
+        ]
+        assert out.flagged(QualityFlag.INVALID_RANGE).tolist() == [False, True, True, True]
+        assert entry.flag_counts == {"invalid_range": 3}
+        assert entry.summary["wind"]["evaluated"] == 4
+
     def test_model_missing_inputs_skipped_with_note(self):
         ds = resistance_dataset(stw=[5.0])
         report = ProcessingReport()

@@ -1,6 +1,7 @@
 """Loaders: unit conversion at the boundary, missing-cell semantics, grid
 format errors with locations, particulars defaults."""
 
+import math
 import re
 import typing
 
@@ -242,10 +243,36 @@ class TestHindcastGrid:
             + "\n".join(",".join(tokens[i:i + 4]) for i in (0, 4, 0, 4)) + "\n"
         )
         var = load_hindcast(p).variable("wave")
-        masked = [t.strip() == "M" for t in tokens]
+        # an M, and a number that is not finite (inf), is masked at 0.0
+        masked = [t.strip() == "M" or not math.isfinite(float(t)) for t in tokens]
         expected = [0.0 if m else float(t) for t, m in zip(tokens, masked)] * 2
         assert var.values.ravel().tobytes() == np.array(expected).tobytes()
         assert var.mask.ravel().tolist() == masked * 2
+
+    @pytest.mark.parametrize("token", ["inf", "nan", " -inf ", "NaN"])
+    def test_non_finite_cells_are_masked_and_counted(self, tmp_path, token):
+        p = tmp_path / "grid.txt"
+        p.write_text(
+            "#var dir deg\n" + GRID_HEADER
+            + f"1,{token}\n3,4\n5,6\n{token},8\n" + "1,2\n3,M\n5,6\n7,8\n"
+        )
+        report = ProcessingReport()
+        grid = load_hindcast(p, report)  # an angle's sine and cosine raise no warning
+        direction, wave = grid.variable("dir"), grid.variable("wave")
+        assert direction.mask.ravel().tolist() == [False, True] + [False] * 4 + [True, False]
+        assert direction.values.ravel().tolist() == [1.0, 0.0, 3.0, 4.0, 5.0, 6.0, 0.0, 8.0]
+        assert np.isfinite(direction.sin_cos).all()
+        assert wave.mask.sum() == 1  # an M is no non-finite cell
+        assert [(e.stage, e.notes) for e in report.stage_entries] == [
+            ("ingest:hindcast", ["variable dir: 2 non-finite cell(s) -> masked"])
+        ]
+
+    def test_finite_grid_leaves_no_entry(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text(GRID_HEADER + "1,2\n3,M\n5,6\n7,8\n")
+        report = ProcessingReport()
+        load_hindcast(p, report)
+        assert report.stage_entries == []
 
     def test_non_monotonic_axis_fatal(self, tmp_path):
         p = tmp_path / "grid.txt"
@@ -254,8 +281,9 @@ class TestHindcastGrid:
             "#time 2021-01-01T00:00:00Z,2021-01-01T06:00:00Z\n"
             + "1,2\n3,4\n5,6\n7,8\n"
         )
-        with pytest.raises(IngestError, match="ascending"):
+        with pytest.raises(IngestError) as err:
             load_hindcast(p)
+        assert str(err.value) == f"{p}: lat axis must be strictly ascending"
 
 
 class TestParticulars:

@@ -7,20 +7,42 @@ auto-declared numeric and text columns, out-of-range latitudes and mostly
 unparseable bare-minimum columns. Both must give bit-equal columns, the
 same ``ingest:ship_csv`` entry, and the same error, type and message.
 Timestamps are unique and header names distinct: a repeated timestamp or
-name is where the two differ by design. ``csv_columns`` must split each
-such file as ``csv.reader`` does, on both of its paths."""
+name is where the two differ by design. ``csv_blocks`` must split each
+such file as ``csv.reader`` does, on both of its paths.
+
+The block readers are also held against the whole-file readers they
+replaced, with ``READ_ROWS`` at 1, 3 and its default: ``load_ship_csv`` on
+the same files with repeated timestamps and names as well, and
+``load_hindcast`` on dirty grids (masked cells with spaces, non-finite and
+unknown tokens, short and long lines, blank and comment lines, a missing
+header, a falling axis). Each must give bit-equal arrays, the same notes
+and the same error text, line numbers included, apart from the two
+intended changes of the grid: a non-finite number is a masked cell, and an
+axis or shape error names the file."""
 
 import csv
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, iso
 from dataset_reference import assert_same
-from ingest_reference import csv_columns_rows, load_ship_csv_rows
-from shipdataprep.ingest import IngestError, csv_columns, load_ship_csv
+from ingest_reference import csv_columns, csv_columns_rows, load_ship_csv_rows, load_ship_csv_whole
+from ingest_reference import load_hindcast as load_hindcast_whole
+from shipdataprep import ingest
+from shipdataprep.ingest import IngestError, csv_blocks, load_hindcast, load_ship_csv
 from shipdataprep.model import DatasetError, ProcessingReport, SchemaError
+
+BLOCK_ROWS = (1, 3, ingest.READ_ROWS)
+
+
+def read_rows(n: int):
+    """``ingest.READ_ROWS`` set to ``n`` while the block is open."""
+    return mock.patch.object(ingest, "READ_ROWS", n)
+
 
 # header name -> what its cells look like; bare-minimum: stw, shaft_power, and
 # lat, lon and sog in an AIS file
@@ -67,20 +89,27 @@ def timestamp_cell(ts: int) -> st.SearchStrategy[str]:
 
 
 @st.composite
-def dirty_csv(draw):
-    names = draw(st.lists(st.sampled_from(list(COLUMNS)), unique=True, max_size=6))
+def dirty_csv(draw, repeats=False):
+    """Rows of a dirty ship CSV, its unit map and its line end. With
+    ``repeats``, timestamps and header names may repeat and a name may be
+    blank."""
+    pool = list(COLUMNS) + [""] * repeats
+    names = draw(st.lists(st.sampled_from(pool), unique=not repeats, max_size=6))
     header = list(names)
     header.insert(draw(st.integers(0, len(names))), "timestamp")
     ts_at = header.index("timestamp")
     clean = draw(st.integers(0, 3)) == 0
-    stamps = draw(st.lists(st.integers(0, 10**5), unique=True, max_size=12))
+    most = 8 if repeats else 10**5
+    stamps = draw(st.lists(st.integers(0, most), unique=not repeats, max_size=12))
     rows = []
     for t in stamps:
-        row = [draw(cell(COLUMNS[name], clean)) if name != "timestamp" else "" for name in header]
+        row = [draw(cell(COLUMNS.get(name, "number"), clean)) if name != "timestamp" else ""
+               for name in header]
         row[ts_at] = draw(timestamp_cell(T0 + 60 * t))
         rows.append(row)
     for _ in range(draw(st.integers(0, 2))):  # rows without a usable timestamp
-        row = [draw(cell(COLUMNS[name], clean)) if name != "timestamp" else "" for name in header]
+        row = [draw(cell(COLUMNS.get(name, "number"), clean)) if name != "timestamp" else ""
+               for name in header]
         row[ts_at] = draw(st.sampled_from(BAD_STAMPS))
         rows.append(row)
     if names and rows and draw(st.booleans()):  # a bare-minimum column mostly lost
@@ -118,9 +147,38 @@ def outcome(load, path, units):
     return result, [e.to_dict() for e in report.stage_entries]
 
 
+
+
+def assert_identical(got, want):
+    """Two datasets with the same schema, timestamps, bit-equal columns,
+    flags and trip ids."""
+    assert got.schema == want.schema
+    assert (got.source_kind, got.sampling_interval) == (want.source_kind, want.sampling_interval)
+    assert got.timestamps.tolist() == want.timestamps.tolist()
+    for spec in want.schema:
+        if spec.kind == "text":
+            assert got.text_column(spec.name).tolist() == want.text_column(spec.name).tolist()
+        else:
+            assert got.column(spec.name).tobytes() == want.column(spec.name).tobytes()
+    assert got.flag_bits.tolist() == want.flag_bits.tolist()
+    assert got.trip_ids.tolist() == want.trip_ids.tolist()
+
+
+def same_outcome(got, want):
+    """Two ``outcome``s with the same entries, and the same error (type and
+    text) or none."""
+    (got, got_entries), (want, want_entries) = got, want
+    assert got_entries == want_entries
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+
+
 @settings(max_examples=150, deadline=None)
-@given(dirty_csv(), st.sampled_from(["in_service", "ais"]))
-def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind):
+@given(dirty_csv(), st.sampled_from(["in_service", "ais"]), st.sampled_from(BLOCK_ROWS))
+def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind, block_rows):
     rows, units, terminator = drawn
     path = tmp_path_factory.mktemp("csv") / "ship.csv"
     write(path, rows, terminator)
@@ -131,18 +189,57 @@ def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind
     def reference(p, **kw):
         return load_ship_csv_rows(p, source_kind=source_kind, **kw)
 
-    got, got_entries = outcome(columnar, path, units)
-    want, want_entries = outcome(reference, path, units)
-    assert got_entries == want_entries
-    if isinstance(want, Exception):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
-        return
-    assert not isinstance(got, Exception), got
-    assert_same(got, want)
+    with read_rows(block_rows):
+        got = outcome(columnar, path, units)
+    want = outcome(reference, path, units)
+    same_outcome(got, want)
+    if not isinstance(want[0], Exception):
+        assert_same(got[0], want[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dirty_csv(repeats=True), st.sampled_from(["in_service", "ais"]),
+       st.sampled_from(BLOCK_ROWS))
+def test_block_reader_matches_whole_file_reader(tmp_path_factory, drawn, source_kind,
+                                                block_rows):
+    """Also on repeated timestamps (the first row of one is kept, in
+    whichever block it falls) and repeated or blank names."""
+    rows, units, terminator = drawn
+    path = tmp_path_factory.mktemp("csv") / "ship.csv"
+    write(path, rows, terminator)
+
+    def blocks(p, **kw):
+        return load_ship_csv(p, source_kind=source_kind, **kw)
+
+    def whole_file(p, **kw):
+        return load_ship_csv_whole(p, source_kind=source_kind, **kw)
+
+    with read_rows(block_rows):
+        got = outcome(blocks, path, units)
+    want = outcome(whole_file, path, units)
+    same_outcome(got, want)
+    if not isinstance(want[0], Exception):
+        assert_identical(got[0], want[0])
 
 
 def split(path):
+    """``csv_blocks`` of a file gathered as one: the header, the line number
+    of each row and the cells of each column; or the error text."""
+    try:
+        blocks = csv_blocks(path)
+        header = next(blocks)
+        lines, columns = [], [[] for _ in header]
+        for at, cells in blocks:
+            lines += at.tolist()
+            for column, part in zip(columns, cells):
+                column += part
+    except IngestError as exc:
+        return str(exc)
+    return list(header), tuple(lines), [tuple(c) for c in columns]
+
+
+def whole(path):
+    """The same of the whole-file splitter ``csv_columns``."""
     try:
         header, lines, cells = csv_columns(path)
     except IngestError as exc:
@@ -151,22 +248,26 @@ def split(path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dirty_csv(), st.booleans())
-def test_split_matches_csv_reader(tmp_path_factory, drawn, trailing_newline):
+@given(dirty_csv(), st.booleans(), st.sampled_from(BLOCK_ROWS))
+def test_split_matches_csv_reader(tmp_path_factory, drawn, trailing_newline, block_rows):
     rows, _, terminator = drawn
     path = tmp_path_factory.mktemp("csv") / "ship.csv"
     write(path, rows, terminator)
     if not trailing_newline:
         path.write_bytes(path.read_bytes().removesuffix(terminator.encode()))
     header, lines, cells = csv_columns_rows(path)
-    assert split(path) == (list(header), tuple(lines), [tuple(c) for c in cells])
+    with read_rows(block_rows):
+        got = split(path)
+    assert got == (list(header), tuple(lines), [tuple(c) for c in cells])
+    assert got == whole(path)
 
 
 def test_split_paths(tmp_path):
-    """A file of whole rows is split as a whole, text and line numbers the
+    """A block of whole rows is split as a whole, text and line numbers the
     same as ``csv.reader``'s, around comment and blank lines, with ``\\n``,
     ``\\r\\n`` or mixed line ends; a quote, a bare carriage return or a
-    ragged row sends a file to ``csv.reader``."""
+    ragged row sends a block to ``csv.reader`` or a split by row. Each block
+    size gives the same."""
     path = tmp_path / "ship.csv"
     for text in (
         "# made by hand\ntimestamp,sog\n\nT1,1.5\n# note\nT2, 2\n\n",
@@ -182,9 +283,31 @@ def test_split_paths(tmp_path):
     ):
         path.write_text(text, newline="")
         header, lines, cells = csv_columns_rows(path)
-        assert split(path) == (list(header), tuple(lines), [tuple(c) for c in cells]), text
+        for n in BLOCK_ROWS:
+            with read_rows(n):
+                assert split(path) == (list(header), tuple(lines), [tuple(c) for c in cells]), text
     path.write_text("# made by hand\ntimestamp,sog\n\nT1,1.5\n# note\nT2, 2\n", newline="")
-    assert split(path) == (["timestamp", "sog"], (4, 6), [("T1", "T2"), ("1.5", " 2")])
+    for n in BLOCK_ROWS:
+        with read_rows(n):
+            assert split(path) == (["timestamp", "sog"], (4, 6), [("T1", "T2"), ("1.5", " 2")])
+
+
+def test_quoted_field_runs_on_past_the_block(tmp_path):
+    """A quoted field that spans lines is read past the end of its block,
+    and the next block starts after it; a ``\\r\\n`` inside it reads as
+    ``\\n`` unless the file has a bare ``\\r``, as over the whole text."""
+    path = tmp_path / "ship.csv"
+    for text, note in (
+        ('timestamp,note\nT1,"a\nb\nc"\nT2,d\nT3,e\n', "a\nb\nc"),
+        ('timestamp,note\r\nT1,"a\r\nb\r\nc"\r\nT2,d\r\nT3,e\r\n', "a\nb\nc"),
+        ('timestamp,note\r\nT1,"a\r\nb\r\nc"\r\nT2,d\r\nT3,e\r', "a\r\nb\r\nc"),
+    ):
+        path.write_text(text, newline="")
+        for n in BLOCK_ROWS:
+            with read_rows(n):
+                got = split(path)
+            assert got == (["timestamp", "note"], (4, 5, 6), [("T1", "T2", "T3"), (note, "d", "e")])
+            assert got == whole(path)
 
 
 def test_crlf_file_is_split_without_the_reader(tmp_path, monkeypatch):
@@ -197,14 +320,139 @@ def test_crlf_file_is_split_without_the_reader(tmp_path, monkeypatch):
     assert split(path) == (["timestamp", "sog"], (2, 3), [("T1", "T2"), ("1.5", "2")])
     path.write_text("timestamp,sog\r\nT1,1.5\rT2,2\r\n", newline="")
     with pytest.raises(AssertionError, match="csv.reader was called"):
-        csv_columns(path)
+        split(path)
 
 
 def test_split_keeps_the_reader_cell_size_limit(tmp_path):
     path = tmp_path / "ship.csv"
     path.write_text("timestamp,note\nT1," + "x" * (csv.field_size_limit() + 1) + "\n")
     # the package names the file; the reader's own error is csv.Error
-    with pytest.raises(IngestError, match=r"ship\.csv:2: field larger than field limit"):
-        csv_columns(path)
+    for n in BLOCK_ROWS:
+        with read_rows(n), pytest.raises(
+                IngestError, match=r"ship\.csv:2: field larger than field limit"):
+            list(csv_blocks(path))
     with pytest.raises(csv.Error, match="field larger than field limit"):
         csv_columns_rows(path)
+    # the line number counts the lines of the blocks before
+    path.write_text("timestamp,note\n" + "T1,a\n" * 4 + "T2," + "x" * (csv.field_size_limit() + 1))
+    for n in BLOCK_ROWS:
+        with read_rows(n), pytest.raises(
+                IngestError, match=r"ship\.csv:6: field larger than field limit"):
+            list(csv_blocks(path))
+
+
+# -- the hindcast grid ----------------------------------------------------------
+
+GRID_UNITS = {"wind_u": "m/s", "wave_dir": "deg", "hs": "m"}
+MASKS = ["M", " M ", "M ", "\tM", "M\x1c"]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", " inf "]
+UNKNOWN = ["x", "1.2.3", "+M", "-M", "MM", "m", "", "1 M", "\x1fx"]
+
+
+@st.composite
+def dirty_grid(draw):
+    """The text of a dirty hindcast grid: masked cells with spaces,
+    non-finite numbers, cells padded with what ``str.strip`` strips and
+    ``float`` does not, an unknown token, short and long lines, blank and
+    comment lines, a missing header or a falling axis, at any place."""
+    names = draw(st.lists(st.sampled_from(list(GRID_UNITS)), min_size=1, max_size=2))
+    nt, ny, nx = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    lats = sorted(draw(st.lists(st.integers(-60, 60), min_size=ny, max_size=ny, unique=True)))
+    if ny > 1 and draw(st.integers(0, 5)) == 0:
+        lats.reverse()
+    header = [f"#var {name} {GRID_UNITS[name]}" for name in names]
+    header += ["#conv wave_dir from"] * draw(st.booleans())
+    header += [
+        "#lat " + ",".join(repr(float(v)) for v in lats),
+        "#lon " + ",".join(repr(2.0 * i) for i in range(nx)),
+        "#time " + ",".join(iso(T0 + 21600 * i) for i in range(nt)),
+    ]
+    if draw(st.integers(0, 7)) == 0:  # a missing header
+        del header[draw(st.integers(0, len(header) - 1))]
+    numbers = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+        st.integers(-100, 100).map(str),
+        # str.strip() strips \x1c-\x1f, float() does not
+        st.sampled_from([" -0 ", "1e-300", "1_000.5", "+7", "\x1c2.5", "3\x1f"]),
+    )
+    tokens = [numbers, numbers, numbers, st.sampled_from(MASKS)]
+    if draw(st.booleans()):
+        tokens.append(st.sampled_from(NON_FINITE))
+    body = [
+        ",".join(draw(st.lists(st.one_of(tokens), min_size=nx, max_size=nx)))
+        for _ in range(len(names) * nt * ny)
+    ]
+    if body and draw(st.integers(0, 3)) == 0:  # an unknown token
+        i = draw(st.integers(0, len(body) - 1))
+        cells = body[i].split(",")
+        cells[draw(st.integers(0, nx - 1))] = draw(st.sampled_from(UNKNOWN))
+        body[i] = ",".join(cells)
+    for _ in range(draw(st.integers(0, 2))):  # a short or a long line
+        if body and draw(st.integers(0, 2)) == 0:
+            i = draw(st.integers(0, len(body) - 1))
+            body[i] = body[i].rsplit(",", 1)[0] if draw(st.booleans()) else body[i] + ",1.5"
+    if body and draw(st.integers(0, 5)) == 0:  # a line too few
+        del body[draw(st.integers(0, len(body) - 1))]
+    lines = header + body
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# note"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def expected_grid(path):
+    """The whole-file grid reader's outcome with the two intended changes: a
+    non-finite number masked (value 0.0) and counted in a note per
+    variable, and an axis or shape error prefixed with the file."""
+    try:
+        with np.errstate(invalid="ignore"):  # the sine of an inf angle
+            grid = load_hindcast_whole(path)
+    except IngestError as exc:
+        text = str(exc)
+        return text if text.startswith(str(path)) else f"{path}: {text}", []
+    variables, notes = [], []
+    for v in grid.variables:
+        bad = ~np.isfinite(v.values) & ~v.mask
+        if bad.any():
+            notes.append(f"variable {v.name}: {int(bad.sum())} non-finite cell(s) -> masked")
+        variables.append(ingest.GridVariable(
+            v.name, v.unit, np.where(bad, 0.0, v.values), v.mask | bad, v.convention))
+    return ingest.HindcastGrid(
+        tuple(variables), grid.latitudes, grid.longitudes, grid.timestamps
+    ), [("ingest:hindcast", notes)] if notes else []
+
+
+def grid_outcome(path):
+    report = ProcessingReport()
+    try:
+        grid = load_hindcast(path, report)
+    except IngestError as exc:
+        grid = str(exc)
+    return grid, [(e.stage, e.notes) for e in report.stage_entries]
+
+
+def assert_same_grid(got, want):
+    for axis in ("latitudes", "longitudes", "timestamps"):
+        assert getattr(got, axis).tobytes() == getattr(want, axis).tobytes()
+    assert len(got.variables) == len(want.variables)
+    for g, w in zip(got.variables, want.variables):
+        assert (g.name, g.unit, g.convention) == (w.name, w.unit, w.convention)
+        assert g.values.tobytes() == w.values.tobytes()
+        assert g.mask.tobytes() == w.mask.tobytes()
+        if w.sin_cos is not None:
+            assert [a.tobytes() for a in g.sin_cos] == [a.tobytes() for a in w.sin_cos]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dirty_grid(), st.sampled_from(BLOCK_ROWS))
+def test_block_grid_reader_matches_line_reader(tmp_path_factory, text, block_rows):
+    path = tmp_path_factory.mktemp("grid") / "grid.txt"
+    path.write_text(text, newline="")
+    with read_rows(block_rows):
+        got, got_entries = grid_outcome(path)
+    want, want_entries = expected_grid(path)
+    assert got_entries == want_entries
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert_same_grid(got, want)

@@ -38,6 +38,14 @@ def hydro_table(paths, rows):
     return table
 
 
+def grid_with_falling_lat_axis(paths):
+    lines = paths["hindcast"].read_text().splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("#lat ")]
+    lines[i] = "#lat " + ",".join(reversed(lines[i][len("#lat "):].split(",")))
+    paths["hindcast"].write_text("\n".join(lines) + "\n")
+    return paths["hindcast"]
+
+
 def ship_csv_with_huge_cell(paths):
     header, first, *rest = paths["ship_csv"].read_text().splitlines()
     first = first.rsplit(",", 1)[0] + "," + "x" * (csv.field_size_limit() + 1)
@@ -65,6 +73,7 @@ BAD_INPUTS = {
     "coefficient_without_area": lambda p: edited(p["res_wind"], "#area 1100\n", ""),
     "coefficient_without_kind": lambda p: edited(p["res_wind"], "#kind wind\n", ""),
     "csv_cell_too_long": ship_csv_with_huge_cell,
+    "grid_falling_axis": grid_with_falling_lat_axis,
     "source_kind": lambda p: appended(p["config"], "source_kind = bogus\n"),
     "unit": lambda p: appended(p["config"], "unit.sog = furlongs\n"),
     "falling_curve": lambda p: appended(p["particulars"], "curve.ballast = 4:900, 2:400\n"),
@@ -160,6 +169,47 @@ class TestFullVoyage:
         ]
         assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[20]
         assert "check:longitudinal_wind" in [e.stage for e in result.report.stage_entries]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_resistance_is_a_flag_not_a_stage_failure(self, tmp_path):
+        # two in-trip rows with a finite but absurd wind speed
+        paths = with_cells(VoyageBuilder(tmp_path, resistance=True).build(),
+                           "rel_wind_speed", {20: 1e306, 21: 1e306})
+        result = run(paths)
+        assert result.exit_code == 0 and result.stage_failures == []
+        (entry,) = [e for e in result.report.stage_entries if e.stage == "resistance"]
+        stamps = result.dataset.timestamps[[20, 21]].tolist()
+        assert [(c.verdict, c.variable, c.timestamp) for c in entry.checks] == [
+            ("overflow", "res_wind_coefficients", t) for t in stamps
+        ]
+        assert entry.flag_counts == {"invalid_range": 2}
+        res = result.dataset.column("res_wind_coefficients")
+        assert np.isnan(res[[20, 21]]).all() and np.isfinite(res[22])
+        assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[[20, 21]].all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_grid_cells_are_masked(self, tmp_path, token):
+        # one lon of every line of the first grid variable holds the token
+        paths = VoyageBuilder(tmp_path).build()
+        lines = paths["hindcast"].read_text().splitlines()
+        body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        n = len(body) // 6  # the lines of wind_u, the first of six variables
+        for i in body[:n]:
+            cells = lines[i].split(",")
+            cells[3] = token
+            lines[i] = ",".join(cells)
+        paths["hindcast"].write_text("\n".join(lines) + "\n")
+        result = run(paths)
+        assert result.exit_code == 0 and result.stage_failures == []
+        (entry,) = [e for e in result.report.stage_entries if e.stage == "ingest:hindcast"]
+        assert entry.notes == [f"variable wind_u: {n} non-finite cell(s) -> masked"]
+        # only finite values are interpolated, and counted
+        hc = [s.name for s in result.dataset.schema if s.name.startswith("hc_")]
+        interpolated = sum(int(np.isfinite(result.dataset.column(name)).sum()) for name in hc)
+        (interp,) = [e for e in result.report.stage_entries if e.stage == "interpolate"]
+        assert interp.summary["samples_interpolated"] == interpolated
+        assert not np.isinf(result.dataset.column("hc_wind_u")).any()
 
     def test_no_fault_voyage_single_iteration(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
