@@ -181,6 +181,24 @@ def _medians(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of one or more values by numpy's 'linear'
+    steps, without its ``numpy.ma`` import: a partition at numpy's indices (a
+    sort can flip a zero's sign), the last value if NaN, else numpy's lerp."""
+    n = len(values)
+    x = (n - 1) * q
+    inside = 0 <= x < n - 1
+    lo = math.floor(x) if inside else 0 if x < 0 else -1  # at or past the top, or NaN: -1
+    hi = lo + 1 if inside else lo
+    v = np.array(values, dtype=float)
+    v.partition(sorted({0, -1, lo, hi}))
+    if np.isnan(v[-1]):
+        return float(v[-1])
+    a, b, t = v[lo], v[hi], x - lo
+    d = b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
+
+
 def quasi_steady_filter(
     dataset: VoyageDataset,
     rpm_params: SteadyFilterParams,
@@ -248,7 +266,8 @@ class PcaDetector:
         """Squared reconstruction error of standardized rows."""
         z = (rows - self.mean) / self.scale
         recon = (z @ self.axes.T) @ self.axes
-        return ((z - recon) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):  # a huge finite value: an inf error
+            return ((z - recon) ** 2).sum(axis=1)
 
 
 def _complete_rows(
@@ -315,7 +334,7 @@ def pca_fit(
         features, k, mean, std, axes, threshold=0.0, quantile=quantile
     )
     train_errors = detector.errors(rows)
-    threshold = float(np.quantile(train_errors, quantile))
+    threshold = linear_quantile(train_errors, quantile)
     return PcaDetector(features, k, mean, std, axes, threshold, quantile)
 
 

@@ -178,12 +178,11 @@ def steady_state_filter(
     vw = np.lib.stride_tricks.sliding_window_view(vv, w)
     tc = tw - tw.mean(axis=1, keepdims=True)
     sxx = (tc * tc).sum(axis=1)
-    sxy = (tc * vw).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # huge: inf, NaN
+        sxy = (tc * vw).sum(axis=1)
         slope = sxy / sxx
-    fit = vw.mean(axis=1, keepdims=True) + slope[:, None] * tc
-    sse = ((vw - fit) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = vw.mean(axis=1, keepdims=True) + slope[:, None] * tc
+        sse = ((vw - fit) ** 2).sum(axis=1)
         se = np.sqrt(sse / (w - 2) / sxx)
 
     crit = t_quantile(1.0 - params.alpha / 2.0, w - 2)

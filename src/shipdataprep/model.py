@@ -549,7 +549,7 @@ def new_dataset(
         if len(values) != n:
             raise DatasetError(f"values for {name!r}: expected {n} entries, got {len(values)}")
     order = np.argsort(stamps, kind="stable")
-    rows = order.tolist()
+    rows = None if all(isinstance(c, np.ndarray) for c in columns.values()) else order.tolist()
     stamps = stamps[order]
     repeated = np.flatnonzero(stamps[1:] == stamps[:-1])
     if len(repeated):
@@ -671,10 +671,10 @@ class ShipParticulars:
 
 def _stamp_texts(checks: Iterable[CheckDetail]) -> dict[int, str]:
     """The text of each distinct timestamp of ``checks`` (a run's last stamp
-    too), formatted in one ``timestamp_cells`` call."""
-    stamps = np.unique(np.array(
-        [t for c in checks for t in (c.timestamp, c.last) if t is not None], dtype=np.int64
-    ))
+    too), formatted in one ``timestamp_cells`` call (``np.unique`` imports numpy.ma)."""
+    stamps = np.array(sorted(
+        {t for c in checks for t in (c.timestamp, c.last) if t is not None}
+    ), dtype=np.int64)
     return dict(zip(stamps.tolist(), timestamp_cells(stamps)))
 
 

@@ -100,7 +100,7 @@ def _bin_means(col: np.ndarray, heads: np.ndarray, circular: bool) -> np.ndarray
         rad = np.deg2rad(values)
         sin, cos = np.sin(rad), np.cos(rad)
     means = np.full(len(heads), np.nan)
-    for count in np.unique(counts[counts > 0]).tolist():
+    for count in sorted(set(counts[counts > 0].tolist())):  # np.unique imports numpy.ma
         bins = np.flatnonzero(counts == count)
         block = first[bins, None] + np.arange(count)
         if circular:  # math's atan2 and degrees: numpy's differ in the last bit

@@ -31,6 +31,16 @@ DIFFERENCE_THRESHOLD = 90.0
 WRAP_BAND = 45.0
 
 
+def median(values: np.ndarray) -> float:
+    """``np.median`` of one or more values by numpy's steps, without its
+    ``numpy.ma`` import: a partition at numpy's indices, the last value if
+    NaN, else the mean of the middle one or two (so -0.0 gives 0.0)."""
+    n = len(values)
+    v = np.array(values, dtype=float)
+    v.partition([n // 2 - 1, n // 2, -1] if n % 2 == 0 else [(n - 1) // 2, -1])
+    return float(v[-1] if np.isnan(v[-1]) else v[(n - 1) // 2 : n // 2 + 1].mean())
+
+
 def shaft_power(n_rev_s: float, torque: float) -> float:
     """Shaft power in W from shaft speed in rev/s and torque in N*m.
 
@@ -149,9 +159,10 @@ def check_speed_power(
     entry.summary["flagged_outside_envelope"] = int(outside.sum())
     if len(deviations):
         dev = np.sort(deviations, kind="stable")  # sorted: order-invariant stats
-        entry.summary["bias_median"] = float(np.median(dev))
+        entry.summary["bias_median"] = median(dev)
         entry.summary["deviation_mean"] = float(dev.mean())
-        entry.summary["deviation_std"] = float(dev.std())
+        with np.errstate(over="ignore"):  # a huge finite deviation: an inf std
+            entry.summary["deviation_std"] = float(dev.std())
     return out
 
 
@@ -174,7 +185,7 @@ def check_stw(
     if good.any():
         r = resid[good]
         entry.summary["residual_mean"] = float(r.mean())
-        entry.summary["residual_median"] = float(np.median(r))
+        entry.summary["residual_median"] = median(r)
         entry.summary["residual_max_abs"] = float(np.abs(r).max())
         beyond = good & (np.abs(resid) > tolerance)
         entry.summary["beyond_tolerance"] = int(beyond.sum())

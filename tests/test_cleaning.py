@@ -267,6 +267,18 @@ class TestPca:
         n_flagged = sum(QualityFlag.CORRELATION_OUTLIER in f for f in f1)
         assert n_flagged <= math.ceil(0.005 * 300) + 1
 
+    @pytest.mark.parametrize("big", [1e306, -1e306])
+    def test_huge_finite_feature_is_an_inf_error_and_an_outlier(self, big):
+        # the squared error overflows to inf, silently
+        ds = correlated_dataset(n=300, seed=5)
+        det = pca_fit(ds, ["a", "b", "c", "d"], k=1, quantile=0.995)
+        cols = {v: ds.column(v).tolist() for v in ("a", "b", "c", "d")}
+        cols["c"][7] = big
+        errors = det.errors(np.column_stack(list(cols.values())))
+        assert errors[7] == np.inf and np.isfinite(np.delete(errors, 7)).all()
+        out = pca_score(det, series_dataset(cols))
+        assert 7 in flagged_rows(out, QualityFlag.CORRELATION_OUTLIER)
+
     def test_joint_speed_fault_detected(self):
         clean = correlated_dataset(n=500, seed=9)
         det = pca_fit(clean, ["a", "b", "c", "d"], quantile=0.995)

@@ -105,6 +105,17 @@ class TestSteadyFilter:
         assert set(np.nonzero(loose.unsteady)[0]) == {19, 21}
         assert loose.retained_by_gradient == 2
 
+    @pytest.mark.parametrize("big", [1e306, -1e306])
+    def test_huge_finite_value_marks_its_windows_without_warning(self, big):
+        # the window sums overflow to inf and the fit to NaN, silently
+        x = np.full(41, 10.0)
+        x[20] = big
+        res = run_filter(x, window=11, alpha=0.01, dt=900.0)
+        assert np.flatnonzero(res.unsteady).tolist() == [15, 16, 17, 18, 19, 21, 22, 23, 24, 25]
+        loose = run_filter(x, window=11, alpha=0.01, tol=1.0, dt=900.0)
+        assert np.flatnonzero(loose.unsteady).tolist() == [19, 21]
+        assert (loose.stage1_rejected, loose.retained_by_gradient) == (10, 8)
+
     def test_missing_values_never_marked(self):
         x = [1.0, None, 1.0, 1.0, 1.0, None, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         vals = np.array([np.nan if v is None else v for v in x])

@@ -51,6 +51,26 @@ class TestNewDataset:
         ds = new_dataset(schema(), np.array([5, 1, 3]), {"sog": np.array([5.0, 1.0, 3.0])})
         assert ds.column("sog").tolist() == [1.0, 3.0, 5.0]
 
+    def test_list_and_array_columns_give_the_same_dataset(self):
+        # list columns are gathered by Python ints, array columns by the order
+        lists = {"sog": [3.0, None, 0.5, 1.5], "heading": [-5.0, 360.0, None, 12.3],
+                 "state": ["c", "a", None, "d"]}
+        arrays = {"sog": np.array([3.0, np.nan, 0.5, 1.5]),
+                  "heading": np.array([-5.0, 360.0, np.nan, 12.3]),
+                  "state": np.array(["c", "a", None, "d"], dtype=object)}
+        kwargs = dict(flags=[{QualityFlag.SPIKE}, (), (), ()], trip_ids=[3, None, 2, 4])
+        stamps = [300, 100, 200, 400]
+        want = new_dataset(schema(), stamps, lists, **kwargs)
+        for columns in (arrays, {**arrays, "state": lists["state"]}):
+            got = new_dataset(schema(), np.array(stamps), columns, **kwargs)
+            assert got.timestamps.tolist() == want.timestamps.tolist() == [100, 200, 300, 400]
+            for name in ("sog", "heading"):
+                assert got.column(name).view(np.int64).tolist() == \
+                    want.column(name).view(np.int64).tolist()
+            assert got.text_column("state").tolist() == want.text_column("state").tolist()
+            assert got.flag_bits.tolist() == want.flag_bits.tolist()
+            assert got.trip_ids.tolist() == want.trip_ids.tolist()
+
     def test_column_length_checked(self):
         with pytest.raises(DatasetError, match="'sog': expected 2 entries, got 1"):
             new_dataset(schema(), [0, 900], {"sog": [1.0]})

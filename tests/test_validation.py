@@ -145,6 +145,19 @@ class TestSpeedPower:
         assert abs(entry.summary["bias_median"]) < 0.15
         assert entry.summary["compared"] == 40
 
+    @pytest.mark.parametrize("big, bias", [(1e306, -0.06939138752045688),
+                                           (-1e306, -0.07690207690207693)])
+    def test_huge_finite_power_gives_an_inf_std_without_warning(self, big, bias):
+        # the squares of the std overflow to inf, silently
+        ds = self.on_curve_dataset().with_values("shaft_power", np.array([5]), [big])
+        report = ProcessingReport()
+        out = check_speed_power(ds, particulars(), report)
+        summary = report.stage_entries[0].summary
+        assert summary["compared"] == 40 and summary["bias_median"] == bias
+        assert summary["deviation_mean"] == np.copysign(1.1263863216266173e300, big)
+        assert summary["deviation_std"] == np.inf
+        assert not out.flagged(QualityFlag.INVALID_RANGE).any()
+
     def test_shifted_power_recovers_bias(self):
         base = ProcessingReport()
         check_speed_power(self.on_curve_dataset(), particulars(), base)
