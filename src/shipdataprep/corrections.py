@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hindcast import SteadyFilterParams, steady_state_filter
+from .hindcast import SteadyFilterParams, cells, steady_state_filter
 from .ingest import IngestError, csv_blocks, parse_number
 from .model import (
     ProcessingReport,
@@ -353,8 +353,10 @@ class HydroTable:
     def lookup(self, draft: np.ndarray, trim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Displacement volume and wetted surface at each (draft, trim) pair:
         bilinear in its grid cell, with each axis clamped to the grid."""
-        i, i1, fx = _cell(self.drafts, draft)
-        j, j1, fy = _cell(self.trims, trim)
+        i, fx, _ = cells(self.drafts, np.clip(draft, self.drafts[0], self.drafts[-1]))
+        j, fy, _ = cells(self.trims, np.clip(trim, self.trims[0], self.trims[-1]))
+        i1 = np.minimum(i + 1, len(self.drafts) - 1)
+        j1 = np.minimum(j + 1, len(self.trims) - 1)
 
         def interp(grid: np.ndarray) -> np.ndarray:
             return (
@@ -365,17 +367,6 @@ class HydroTable:
             )
 
         return interp(self.displacement), interp(self.wsa)
-
-
-def _cell(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes below and above each ``x`` on a sorted ``axis`` and its
-    fraction of the way between them, ``x`` clamped to the axis."""
-    x = np.clip(x, axis[0], axis[-1])
-    if len(axis) == 1:
-        node = np.zeros(len(x), dtype=np.intp)
-        return node, node, np.zeros(len(x))
-    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
-    return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
 def hydrostatics(

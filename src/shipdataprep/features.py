@@ -24,7 +24,7 @@ from .model import (
     add_flags,
     stage_entry,
 )
-from .tables import service_speed_range  # re-exported lookup  # noqa: F401
+from .tables import service_speed_range
 
 EARTH_RADIUS_M = 6_371_000.0
 

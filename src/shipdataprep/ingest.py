@@ -564,12 +564,6 @@ class HindcastGrid:
                     f"grid variable {v.name!r}: shape {v.values.shape} != {shape}"
                 )
 
-    def variable(self, name: str) -> GridVariable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(f"no grid variable {name!r}")
-
 
 def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> HindcastGrid:
     """Parse the plain-text gridded format.

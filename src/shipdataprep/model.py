@@ -138,32 +138,27 @@ class Sample:
     trip_id: int | None = None
 
 
-def iso_timestamp(ts: int) -> str:
-    """Epoch seconds -> ISO-8601 UTC string with Z suffix."""
-    return (
-        datetime.datetime.fromtimestamp(int(ts), tz=datetime.timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ")
-    )
-
-
-# epoch seconds of 1000-01-01T00:00:00 and 9999-12-31T23:59:59
-FOUR_DIGIT_YEARS = (-30610224000, 253402300799)
+# epoch seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59: the stamps
+# whose four-digit-year text ``parse_iso_timestamp`` reads back
+WRITABLE_YEARS = (-62135596800, 253402300799)
 
 
 def timestamp_cells(timestamps: np.ndarray) -> list[str]:
-    """``iso_timestamp`` of each epoch second of an int64 array, formatted
-    by numpy in one call.
-
-    numpy pads every year to four digits, while ``strftime``'s ``%Y`` writes
-    the years 1-999 unpadded (``1-01-01T00:00:00Z``) and ``datetime`` cannot
-    hold years outside 1-9999. So numpy formats an array only when all its
-    stamps lie in the years 1000-9999; any other array is formatted stamp by
-    stamp, with ``iso_timestamp``'s text and its ``ValueError``."""
-    lo, hi = FOUR_DIGIT_YEARS
-    if timestamps.size and (timestamps.min() < lo or timestamps.max() > hi):
-        return [iso_timestamp(t) for t in timestamps.tolist()]
+    """``YYYY-MM-DDTHH:MM:SSZ`` of each epoch second of an int64 array, the
+    year padded to four digits, formatted by numpy in one call. A stamp
+    outside the years 1-9999 raises ValueError, since its text would not
+    read back."""
+    lo, hi = WRITABLE_YEARS
+    outside = (timestamps < lo) | (timestamps > hi)
+    if outside.any():
+        raise ValueError(f"timestamp {timestamps[outside][0]} s lies outside the years 1-9999")
     seconds = timestamps.astype("datetime64[s]")
     return np.datetime_as_string(seconds, unit="s", timezone="UTC").tolist()
+
+
+def iso_timestamp(ts: int) -> str:
+    """Epoch seconds -> ISO-8601 UTC string with Z suffix, as ``timestamp_cells``."""
+    return timestamp_cells(np.array([ts], dtype=np.int64))[0]
 
 
 def parse_iso_timestamp(text: str) -> int:
@@ -711,9 +706,6 @@ class CheckDetail:
     verdict: str
     last: int | None = None
     samples: int | None = None
-
-    def to_dict(self) -> dict:
-        return _check_dicts([self])[0]
 
 
 @dataclass

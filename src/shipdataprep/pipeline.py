@@ -443,22 +443,24 @@ def _pca_stage(
 # -- output artifacts -----------------------------------------------------------
 
 
-def _processed_columns(dataset: VoyageDataset) -> tuple[list[str], list[SharedColumn]]:
-    """The header and the columns of processed.csv, in this order: the
-    timestamp, every variable of the schema, the trip id and one 0/1 column
-    per quality flag. The plot files take their shared cells from these
-    columns."""
+def _processed_header(dataset: VoyageDataset) -> list[str]:
+    """The header of processed.csv, in this order: the timestamp, every
+    variable of the schema, the trip id and one 0/1 column per quality flag."""
     names = [s.name for s in dataset.schema]
-    flags = list(QualityFlag)
-    header = ["timestamp"] + names + ["trip_id"] + [f"flag_{f.value}" for f in flags]
+    return ["timestamp"] + names + ["trip_id"] + [f"flag_{f.value}" for f in QualityFlag]
+
+
+def _processed_columns(dataset: VoyageDataset) -> tuple[list[str], list[SharedColumn]]:
+    """The header and the columns of processed.csv. The plot files take
+    their shared cells from these columns."""
     columns: list[SharedColumn] = [(dataset.timestamps, timestamp_cells)]
     for spec in dataset.schema:
         text = spec.kind == "text"
         values = dataset.text_column(spec.name) if text else dataset.column(spec.name)
         columns.append((values, written_cells))
     columns.append((dataset.trip_ids, trip_cells))
-    columns += [(dataset.flagged(f), flag_cells) for f in flags]
-    return header, columns
+    columns += [(dataset.flagged(f), flag_cells) for f in QualityFlag]
+    return _processed_header(dataset), columns
 
 
 def write_processed_csv(
@@ -525,11 +527,9 @@ def emit_plotdata(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list[CsvFile] = []
-    names = [s.name for s in dataset.schema]
-    # processed.csv's column of each variable, of the trip id and of the fault flag
-    at = {name: k for k, name in enumerate(names, start=1)}
-    trip_col = len(names) + 1
-    fault_col = trip_col + 1 + list(QualityFlag).index(QualityFlag.ANGULAR_AVERAGING_FAULT)
+    # processed.csv's column of each variable, of the trip id and of each flag
+    at = {name: k for k, name in enumerate(_processed_header(dataset))}
+    fault = f"flag_{QualityFlag.ANGULAR_AVERAGING_FAULT.value}"
     none = np.zeros(0, dtype=np.intp)
 
     def add(name: str, header: list[str], rows: np.ndarray, columns: list) -> None:
@@ -568,7 +568,7 @@ def emit_plotdata(
         use = np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
         add(
             "wind_comparison.csv", header, use,
-            [0, (onboard - sog)[use], (hc - sog)[use], fault_col],
+            [0, (onboard - sog)[use], (hc - sog)[use], at[fault]],
         )
     else:
         add("wind_comparison.csv", header, none, [])
@@ -586,7 +586,7 @@ def emit_plotdata(
         "draft_correction.csv",
         ["timestamp", "trip_id"] + draft_cols,
         np.nonzero(has_draft)[0],
-        [0, trip_col] + [at[c] for c in draft_cols],
+        [0, at["trip_id"]] + [at[c] for c in draft_cols],
     )
 
     if processed is None:

@@ -1,9 +1,10 @@
-"""The whole-array cell formatters and parsers against the per-cell code
-they replaced: timestamp cells against ``iso_timestamp``, parsed timestamp
-cells against ``parse_iso_timestamp``, float cells against ``csv_cell``,
-the array curve lookup against the scalar ``power_at``, and the report's
-check timestamps, formatted together."""
+"""The whole-array cell formatters and parsers against independent or
+per-cell oracles: timestamp cells against ``datetime``'s fields, parsed
+timestamp cells against ``parse_iso_timestamp``, float cells against
+``csv_cell``, the array curve lookup against the scalar ``power_at``, and the
+report's check timestamps, formatted together."""
 
+import datetime
 import json
 
 import numpy as np
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from conftest import T0
 from shipdataprep.ingest import csv_cell, csv_cells
 from shipdataprep.model import (
-    FOUR_DIGIT_YEARS,
+    WRITABLE_YEARS,
     CalmWaterCurve,
     ProcessingReport,
+    _check_dicts,
     iso_timestamp,
     parse_iso_timestamp,
     parse_iso_timestamps,
@@ -24,38 +26,48 @@ from shipdataprep.model import (
 )
 from shipdataprep.pipeline import write_report_files
 
-YEAR_1 = -62135596800  # 0001-01-01T00:00:00
-YEAR_9999_END = 253402300799  # 9999-12-31T23:59:59
-LO, HI = FOUR_DIGIT_YEARS
+YEAR_1, YEAR_9999_END = WRITABLE_YEARS  # 0001-01-01T00:00:00, 9999-12-31T23:59:59
+YEAR_1000 = -30610224000  # 1000-01-01T00:00:00
+EPOCH = datetime.datetime(1970, 1, 1)
 
 
-def per_cell(stamps: list[int]):
-    """``iso_timestamp`` of each stamp, or the ``ValueError`` it raises."""
+def fields_oracle(stamps: list[int]):
+    """Each stamp's ``datetime`` fields as ``YYYY-MM-DDTHH:MM:SSZ``, or
+    ``ValueError`` when a stamp lies outside the years ``datetime`` holds."""
     try:
-        return [iso_timestamp(t) for t in stamps]
-    except ValueError as exc:
-        return repr(exc)
+        times = [EPOCH + datetime.timedelta(seconds=t) for t in stamps]
+    except OverflowError:
+        return ValueError
+    return [
+        f"{d.year:04d}-{d.month:02d}-{d.day:02d}T{d.hour:02d}:{d.minute:02d}:{d.second:02d}Z"
+        for d in times
+    ]
 
 
 def array_cells(stamps: list[int]):
     try:
         return timestamp_cells(np.array(stamps, dtype=np.int64))
-    except ValueError as exc:
-        return repr(exc)
+    except ValueError:
+        return ValueError
 
 
 class TestTimestampCells:
-    def test_fast_path_bounds_are_years_1000_and_9999(self):
-        assert iso_timestamp(LO) == "1000-01-01T00:00:00Z"
-        assert iso_timestamp(HI) == "9999-12-31T23:59:59Z"
-        assert iso_timestamp(LO - 1) == "999-12-31T23:59:59Z"  # strftime does not pad
-        assert HI == YEAR_9999_END
+    def test_years_before_1000_are_padded_and_read_back(self):
+        assert iso_timestamp(YEAR_1000) == "1000-01-01T00:00:00Z"
+        assert iso_timestamp(YEAR_9999_END) == "9999-12-31T23:59:59Z"
+        assert iso_timestamp(YEAR_1000 - 1) == "0999-12-31T23:59:59Z"
+        assert iso_timestamp(YEAR_1) == "0001-01-01T00:00:00Z"
+        for t in (YEAR_1, YEAR_1000 - 1):
+            assert parse_iso_timestamp(iso_timestamp(t)) == t
+            stamps, ok = parse_iso_timestamps([iso_timestamp(t)])
+            assert ok.all() and stamps.tolist() == [t]
 
-    @pytest.mark.parametrize("edge", [LO - 1, LO, LO + 1, HI - 1, HI, HI + 1,
+    @pytest.mark.parametrize("edge", [YEAR_1000 - 1, YEAR_1000, YEAR_1000 + 1,
+                                      YEAR_9999_END - 1, YEAR_9999_END, YEAR_9999_END + 1,
                                       YEAR_1 - 1, YEAR_1, YEAR_1 + 1, -1, 0, 1])
     def test_edges_alone_and_among_in_range_stamps(self, edge):
-        for stamps in ([edge], [T0, edge, T0 + 900], [edge, LO, HI]):
-            assert array_cells(stamps) == per_cell(stamps)
+        for stamps in ([edge], [T0, edge, T0 + 900], [edge, YEAR_1000, YEAR_9999_END]):
+            assert array_cells(stamps) == fields_oracle(stamps)
 
     def test_before_year_1_raises_the_same_error(self):
         with pytest.raises(ValueError) as per:
@@ -64,21 +76,28 @@ class TestTimestampCells:
             timestamp_cells(np.array([T0, YEAR_1 - 1]))
         assert str(whole.value) == str(per.value)
 
+    def test_after_year_9999_raises(self):
+        with pytest.raises(ValueError, match="years 1-9999"):
+            iso_timestamp(YEAR_9999_END + 1)
+        with pytest.raises(ValueError, match="years 1-9999"):
+            timestamp_cells(np.array([T0, YEAR_9999_END + 1]))
+
     def test_empty(self):
         assert timestamp_cells(np.zeros(0, dtype=np.int64)) == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
         st.one_of(
-            st.integers(YEAR_1, YEAR_9999_END),  # years 1-9999: mostly mixed arrays
-            st.integers(LO, HI),  # the fast path
+            st.integers(YEAR_1, YEAR_9999_END),  # every writable year
+            st.integers(YEAR_1, YEAR_1000),  # the years 1-999
             st.integers(-(2**31), 0),  # before 1970
-            st.sampled_from([YEAR_1, LO - 1, LO, HI]),
+            st.sampled_from([YEAR_1 - 1, YEAR_1, YEAR_1000 - 1, YEAR_9999_END,
+                             YEAR_9999_END + 1]),
         ),
         max_size=30,
     ))
-    def test_equals_iso_timestamp_per_cell(self, stamps):
-        assert array_cells(stamps) == per_cell(stamps)
+    def test_equals_datetime_fields(self, stamps):
+        assert array_cells(stamps) == fields_oracle(stamps)
 
 
 def canonical(ts: int) -> str:
@@ -242,4 +261,4 @@ class TestReportStamps:
         report = self.report()
         whole = report.to_dict()["stages"]
         assert [e.to_dict() for e in report.stage_entries] == whole
-        assert [c.to_dict() for c in report.stage_entries[0].checks] == whole[0]["checks"]
+        assert [_check_dicts([c])[0] for c in report.stage_entries[0].checks] == whole[0]["checks"]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cleaning_reference as ref
 from conftest import INTERVAL, T0, expand_runs
 from shipdataprep.cleaning import contextual_filter
-from shipdataprep.model import ProcessingReport, VariableSpec, new_dataset
+from shipdataprep.model import ProcessingReport, VariableSpec, _check_dicts, new_dataset
 
 VALUES = [0.0, -0.0, 0.0, 3.3, 5.0, 80.0, math.nan, 1e300, -1e300]
 
@@ -67,7 +67,7 @@ def outcome(fn, ds, measured, repeat_run, dropout_max, spike_scales):
         runs = {"repeated_value", "dropout"}
         assert all((c.samples is not None) == (c.verdict in runs) for c in entry.checks)
     rows = expand_runs(entry.checks, measured.timestamps)
-    checks = repr([c.to_dict() for c in rows])  # repr tells -0.0 from 0.0
+    checks = repr(_check_dicts(rows))  # repr tells -0.0 from 0.0
     return out.flag_bits.tolist(), checks, list(entry.flag_counts.items()), entry.summary
 
 

@@ -35,9 +35,31 @@ class TestTDistribution:
                 )
 
     def test_cdf_matches_scipy(self):
-        for df in (2, 9, 30):
+        for df in (1, 2, 3, 9, 30):
             for t in (-4.0, -1.0, 0.0, 0.5, 2.5, 7.0):
-                assert t_cdf(t, df) == pytest.approx(stats.t.cdf(t, df), abs=1e-10)
+                assert t_cdf(t, df) == pytest.approx(stats.t.cdf(t, df), abs=1e-14)
+
+    # the bisection's results when the CDF was the continued fraction of the
+    # regularized incomplete beta; the filter uses (0.995, 9) and (0.9995, 9)
+    PINNED = {
+        0.9: {1: 3.077683537150733, 2: 1.8856180831207894, 9: 1.3830287383752875,
+              30: 1.310415025393013},
+        0.975: {1: 12.706204736139625, 2: 4.302652729791589, 9: 2.2621571628260426,
+                30: 2.042272456281353},
+        0.995: {1: 63.656741162762046, 2: 9.92484320094809, 9: 3.2498355415882543,
+                30: 2.7499956536339596},
+        0.9995: {1: 636.619248777628, 2: 31.599054575897753, 9: 4.780912585789338,
+                 30: 3.6459586351411417},
+    }
+
+    @pytest.mark.parametrize("p", sorted(PINNED))
+    def test_quantile_keeps_its_bits(self, p):
+        assert {df: t_quantile(p, df) for df in self.PINNED[p]} == self.PINNED[p]
+
+    @pytest.mark.parametrize("df", [0, -1, 2.5])
+    def test_df_must_be_a_whole_number_of_at_least_1(self, df):
+        with pytest.raises(ValueError, match="whole number"):
+            t_cdf(1.0, df)
 
     def test_symmetry(self):
         assert t_quantile(0.25, 7) == pytest.approx(-t_quantile(0.75, 7), abs=1e-10)

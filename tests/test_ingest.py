@@ -186,12 +186,17 @@ GRID_HEADER = (
 )
 
 
+def variable(grid, name):
+    """The variable of ``grid`` called ``name``."""
+    return next(v for v in grid.variables if v.name == name)
+
+
 class TestHindcastGrid:
     def test_all_valid_cells(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(GRID_HEADER + "1,2\n3,4\n5,6\n7,8\n")
         grid = load_hindcast(p)
-        var = grid.variable("wave")
+        var = variable(grid, "wave")
         assert var.values.shape == (2, 2, 2)
         assert not var.mask.any()
         assert var.values[1, 1, 0] == 7.0
@@ -199,7 +204,7 @@ class TestHindcastGrid:
     def test_masked_cell_round_trip(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(GRID_HEADER + "1,2\n3,M\n5,6\n7,8\n")
-        var = load_hindcast(p).variable("wave")
+        var = variable(load_hindcast(p), "wave")
         assert var.mask[0, 1, 1]
         assert var.mask.sum() == 1
 
@@ -242,7 +247,7 @@ class TestHindcastGrid:
             GRID_HEADER.replace("#lon 4.0,5.0", "#lon 4.0,5.0,6.0,7.0")
             + "\n".join(",".join(tokens[i:i + 4]) for i in (0, 4, 0, 4)) + "\n"
         )
-        var = load_hindcast(p).variable("wave")
+        var = variable(load_hindcast(p), "wave")
         # an M, and a number that is not finite (inf), is masked at 0.0
         masked = [t.strip() == "M" or not math.isfinite(float(t)) for t in tokens]
         expected = [0.0 if m else float(t) for t, m in zip(tokens, masked)] * 2
@@ -258,7 +263,7 @@ class TestHindcastGrid:
         )
         report = ProcessingReport()
         grid = load_hindcast(p, report)  # an angle's sine and cosine raise no warning
-        direction, wave = grid.variable("dir"), grid.variable("wave")
+        direction, wave = variable(grid, "dir"), variable(grid, "wave")
         assert direction.mask.ravel().tolist() == [False, True] + [False] * 4 + [True, False]
         assert direction.values.ravel().tolist() == [1.0, 0.0, 3.0, 4.0, 5.0, 6.0, 0.0, 8.0]
         assert np.isfinite(direction.sin_cos).all()

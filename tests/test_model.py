@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shipdataprep.model import (
+    WRITABLE_YEARS,
     DatasetError,
     QualityFlag,
     Sample,
@@ -186,18 +187,30 @@ class TestRoundTrip:
         assert trips.tolist() == ds.trip_ids.tolist()
 
 
+YEAR_1, YEAR_9999_END = WRITABLE_YEARS
+YEAR_1000 = -30610224000  # 1000-01-01T00:00:00
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=0,
+        st.tuples(
+            st.one_of(  # every writable year, its ends and the last second before 1000
+                st.integers(YEAR_1, YEAR_9999_END),
+                st.sampled_from([YEAR_1, YEAR_1000 - 1, YEAR_9999_END]),
+            ),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        ),
         max_size=20,
+        unique_by=lambda row: row[0],
     )
 )
-def test_roundtrip_bit_equality_property(tmp_path_factory, values):
+def test_roundtrip_bit_equality_property(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("rt")
-    ds = new_dataset([VariableSpec("x")], [i * 10 for i in range(len(values))], {"x": values})
+    stamps, values = zip(*sorted(rows)) if rows else ((), ())
+    ds = new_dataset([VariableSpec("x")], list(stamps), {"x": list(values)})
     back, _, _ = write_and_read_processed(ds, tmp / "processed.csv")
+    assert back.timestamps.tolist() == ds.timestamps.tolist()
     assert back.column("x").tobytes() == ds.column("x").tobytes()
 
 
