@@ -467,9 +467,9 @@ def write_csv_files(shared: list[SharedColumn], n_rows: int, files: list[CsvFile
     it; a file's own values go through ``written_cells``. Header names go
     through ``csv_field``. A file is opened at its first row and closed
     after its last, so files whose rows follow one another (the trips) are
-    open one at a time; a file without rows holds its header alone. Lines
-    go to the file one at a time, so no more than one block of cells is
-    held at once."""
+    open one at a time; a file without rows holds its header alone. A
+    file's lines of a block go to it in one write, so no more than one
+    block of cells and lines is held at once."""
 
     def start(f: CsvFile) -> TextIO:
         fh = f.path.open("w", newline="")
@@ -505,7 +505,7 @@ def write_csv_files(shared: list[SharedColumn], n_rows: int, files: list[CsvFile
                     columns.append(pick(block[c]))
                 if a == 0:
                     open_files[k] = start(f)
-                open_files[k].writelines(csv_lines(columns))
+                open_files[k].write("".join(csv_lines(columns)))
                 if b == len(f.rows):
                     open_files.pop(k).close()
     finally:
@@ -577,7 +577,8 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
 
     The file is read ``READ_ROWS`` lines at a time, and the cells of a
     block's data lines are parsed into one array in a single pass before
-    the next block is read; a line's cells are named one by one only when
+    the next block is read, by numpy's text reader, which converts each
+    cell as ``float()`` does; a line's cells are named one by one only when
     the grid is rejected for it.
     """
     path = Path(path)
@@ -595,13 +596,16 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
     with path.open() as fh:
         lineno = 0
         while block := list(itertools.islice(fh, READ_ROWS)):
-            rows = []  # the data lines as read: float() strips a cell itself
+            rows = []  # the data lines as read: the reader strips a cell itself
             for raw in block:
                 lineno += 1
                 line = raw.strip()
                 if not line:
                     continue
-                if line.startswith("#var "):
+                if not line.startswith("#"):
+                    rows.append(raw)
+                    body.append(lineno)
+                elif line.startswith("#var "):
                     parts = line.split()
                     if len(parts) < 3:
                         raise IngestError(f"{path}:{lineno}: malformed #var line")
@@ -621,9 +625,6 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
                     if len(parts) != 3 or parts[2] not in ("from", "toward"):
                         raise IngestError(f"{path}:{lineno}: malformed #conv line")
                     conventions[parts[1]] = parts[2]
-                elif not line.startswith("#"):
-                    rows.append(raw)
-                    body.append(lineno)
             if not rows:
                 continue
             commas += map(str.count, rows, itertools.repeat(","))
@@ -632,16 +633,18 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
                 continue  # the grid is rejected; the lines are only counted
             # a number never holds an "M", so every "M" of a block that parses
             # is a masked cell, read as NaN; a sign before one ("-M") would
-            # read as a number, and is no cell. The lines are split one by one
-            # as the numbers are read, so no list of the block's cells is made.
-            cells = itertools.chain.from_iterable(
-                line.replace(MASK_TOKEN, "nan").split(",") for line in rows
-            )
+            # read as a number, and is no cell. The reader strips a cell as the
+            # line path does and converts it with float()'s own conversion
+            # (PyOS_string_to_double), one line at a time, so no list of the
+            # block's cells is made. A line of another width, an underscore or
+            # a non-ASCII digit fails it, and the line path takes the block.
             try:
-                if any("+M" in line or "-M" in line for line in rows):
+                if any("+M" in line or "-M" in line for line in rows if MASK_TOKEN in line):
                     raise ValueError
-                count = len(rows) + sum(commas[-len(rows):])
-                numbers.append(np.fromiter(map(float, cells), np.float64, count))
+                lines = map(str.replace, rows, itertools.repeat(MASK_TOKEN),
+                            itertools.repeat("nan"))
+                numbers.append(np.loadtxt(lines, np.float64, delimiter=",", comments=None,
+                                          ndmin=2).ravel())
             except ValueError:  # line by line; str.strip() strips more than float()
                 values = []
                 for row, line in enumerate(rows):

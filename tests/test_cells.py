@@ -9,11 +9,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import T0
-from shipdataprep.ingest import csv_cell, csv_cells
+from shipdataprep.ingest import CSV_BLOCK_ROWS, csv_cell, csv_cells
 from shipdataprep.model import (
     WRITABLE_YEARS,
     CalmWaterCurve,
@@ -181,6 +181,9 @@ def float_reference(values: np.ndarray) -> list[str]:
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-300, 3.0,
                   -7.0, 123456789.123, 0.1, float("inf"), float("-inf"), float("nan")]
+# quiet and signalling NaNs of either sign, with and without a payload
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000 - 2**64, 0x7FF0000000000001,
+                 0x7FF8000000000ABC, 0xFFF0000000000ABC - 2**64]).view(np.float64).tolist()
 
 
 class TestFloatCells:
@@ -198,6 +201,31 @@ class TestFloatCells:
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), max_size=40))
     def test_equals_csv_cell_per_cell(self, values):
         values = np.array(values, dtype=np.float64)
+        assert csv_cells(values) == float_reference(values)
+
+    def test_runs_longer_than_a_block(self):
+        values = np.repeat([1.5, -0.0, 0.0, np.inf, -np.inf, 1.5] + NANS, CSV_BLOCK_ROWS + 3)
+        cells = csv_cells(values)
+        assert cells == float_reference(values)
+        assert cells[CSV_BLOCK_ROWS + 2:CSV_BLOCK_ROWS + 4] == ["1.5", "-0.0"]
+        assert set(cells[-len(NANS) * (CSV_BLOCK_ROWS + 3):]) == {""}
+
+    def test_signed_zeros_side_by_side(self):
+        values = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+        assert csv_cells(values) == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "-0.0"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS + NANS)),
+                  st.integers(1, 2 * CSV_BLOCK_ROWS)),
+        max_size=12,
+    ))
+    @example([(0.0, 3), (-0.0, 2), (NANS[1], 4), (NANS[0], 1)])
+    def test_runs_equal_csv_cell_per_cell(self, runs):
+        """Columns of runs of one value: NaN runs of mixed signs and
+        payloads, ``-0.0`` beside ``0.0``, inf runs, runs of one cell."""
+        values = np.repeat(np.array([v for v, _ in runs], dtype=np.float64),
+                           [n for _, n in runs])
         assert csv_cells(values) == float_reference(values)
 
 

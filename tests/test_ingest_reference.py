@@ -346,15 +346,19 @@ def test_split_keeps_the_reader_cell_size_limit(tmp_path):
 GRID_UNITS = {"wind_u": "m/s", "wave_dir": "deg", "hs": "m"}
 MASKS = ["M", " M ", "M ", "\tM", "M\x1c"]
 NON_FINITE = ["nan", "inf", "-inf", "NaN", " inf "]
-UNKNOWN = ["x", "1.2.3", "+M", "-M", "MM", "m", "", "1 M", "\x1fx"]
+UNKNOWN = ["x", "1.2.3", "+M", "-M", "MM", "m", "", "1 M", "\x1fx", "1\x00"]
 
 
 @st.composite
 def dirty_grid(draw):
     """The text of a dirty hindcast grid: masked cells with spaces,
     non-finite numbers, cells padded with what ``str.strip`` strips and
-    ``float`` does not, an unknown token, short and long lines, blank and
-    comment lines, a missing header or a falling axis, at any place."""
+    ``float`` does not, numbers that ``float`` reads and numpy's text reader
+    does not, an unknown token, short and long lines, lines that
+    repeat another (exact copies, all-``M`` rows, copies that differ only in
+    whitespace, copies of a line with an unknown token or a wrong width),
+    blank and comment lines, a missing header or a falling axis, at any
+    place."""
     names = draw(st.lists(st.sampled_from(list(GRID_UNITS)), min_size=1, max_size=2))
     nt, ny, nx = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     lats = sorted(draw(st.lists(st.integers(-60, 60), min_size=ny, max_size=ny, unique=True)))
@@ -372,8 +376,10 @@ def dirty_grid(draw):
     numbers = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
         st.integers(-100, 100).map(str),
-        # str.strip() strips \x1c-\x1f, float() does not
-        st.sampled_from([" -0 ", "1e-300", "1_000.5", "+7", "\x1c2.5", "3\x1f"]),
+        # str.strip() strips \x1c-\x1f, float() does not; float() reads an
+        # underscore and non-ASCII digits, numpy's text reader does not
+        st.sampled_from([" -0 ", "1e-300", "1_000.5", "+7", "\x1c2.5", "3\x1f",
+                         "\u0661\u0662.5", "\uff13", "\u20031.5"]),
     )
     tokens = [numbers, numbers, numbers, st.sampled_from(MASKS)]
     if draw(st.booleans()):
@@ -382,15 +388,32 @@ def dirty_grid(draw):
         ",".join(draw(st.lists(st.one_of(tokens), min_size=nx, max_size=nx)))
         for _ in range(len(names) * nt * ny)
     ]
+    altered = []  # the lines given an unknown token or a wrong width
     if body and draw(st.integers(0, 3)) == 0:  # an unknown token
         i = draw(st.integers(0, len(body) - 1))
         cells = body[i].split(",")
         cells[draw(st.integers(0, nx - 1))] = draw(st.sampled_from(UNKNOWN))
         body[i] = ",".join(cells)
+        altered.append(i)
     for _ in range(draw(st.integers(0, 2))):  # a short or a long line
         if body and draw(st.integers(0, 2)) == 0:
             i = draw(st.integers(0, len(body) - 1))
             body[i] = body[i].rsplit(",", 1)[0] if draw(st.booleans()) else body[i] + ",1.5"
+            altered.append(i)
+    for _ in range(draw(st.integers(0, 4))):  # a line that repeats another
+        if len(body) >= 2:
+            sources = st.sampled_from(altered) if altered else st.nothing()
+            i = draw(st.one_of(st.integers(0, len(body) - 1), sources))
+            j = draw(st.sampled_from([i - 1, i + 1, draw(st.integers(0, len(body) - 1))]))
+            j %= len(body)
+            how = draw(st.sampled_from(["copy", "masked", "spaced"]))
+            if how == "masked":
+                body[i] = body[j] = ",".join([ingest.MASK_TOKEN] * nx)
+            elif how == "copy":
+                body[j] = body[i]
+            else:  # a copy that differs only in whitespace
+                pad = draw(st.sampled_from([" ", "\t", "  "]))
+                body[j] = pad + body[i].replace(",", pad + ",") + pad
     if body and draw(st.integers(0, 5)) == 0:  # a line too few
         del body[draw(st.integers(0, len(body) - 1))]
     lines = header + body
@@ -456,3 +479,4 @@ def test_block_grid_reader_matches_line_reader(tmp_path_factory, text, block_row
         return
     assert not isinstance(got, str), got
     assert_same_grid(got, want)
+
