@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: ``ingest-check`` (parse and summarise the inputs), ``run``
-(full pipeline, writes processed.csv + reports + plot data), ``report``
-(re-run, write only the report files) and ``plotdata`` (re-run, write only
-plot-data files). The pipeline is deterministic, so re-running for a subset
-of artifacts reproduces the same results.
+Subcommands: ``ingest-check`` (read and check the inputs as ``run`` does,
+and summarise them), ``run`` (full pipeline, writes processed.csv + reports
++ plot data), ``report`` (re-run, write only the report files) and
+``plotdata`` (re-run, write only plot-data files). The pipeline is
+deterministic, so re-running for a subset of artifacts reproduces the same
+results.
 
 Exit codes: 0 success, 1 fatal ingest/config problem, 2 stage failure.
 """
@@ -16,16 +17,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .ingest import (
-    ConfigError,
-    IngestError,
-    load_config,
-    load_hindcast,
-    load_particulars,
-    load_ship_csv,
-)
+from .ingest import ConfigError, IngestError, load_config
 from .model import DatasetError, SchemaError
-from .pipeline import emit_plotdata, run_pipeline, write_report_files
+from .pipeline import emit_plotdata, load_inputs, run_pipeline, write_report_files
 
 FATAL = (IngestError, ConfigError, SchemaError, DatasetError, FileNotFoundError, OSError)
 
@@ -59,19 +53,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _ingest_check(config) -> int:
-    dataset = load_ship_csv(
-        config.ship_csv, unit_map=config.unit_map, source_kind=config.source_kind
-    )
+    dataset, particulars, grid, _, _ = load_inputs(config)
     print(f"ship data: {len(dataset)} samples, {len(dataset.schema)} variables")
-    if config.particulars:
-        particulars = load_particulars(config.particulars)
+    if particulars:
         print(
             f"particulars: {particulars.ship_type.value}, "
             f"L={particulars.length} m, B={particulars.beam} m, "
             f"Td={particulars.design_draft} m"
         )
-    if config.hindcast:
-        grid = load_hindcast(config.hindcast)
+    if grid:
         print(
             f"hindcast: {len(grid.variables)} variable(s) on "
             f"{len(grid.timestamps)}x{len(grid.latitudes)}x{len(grid.longitudes)} grid"

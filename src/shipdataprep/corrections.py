@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import onboard_wind
 from .hindcast import SteadyFilterParams, cells, steady_state_filter
 from .ingest import IngestError, csv_blocks, parse_number
 from .model import (
@@ -507,28 +508,16 @@ def resistance_components(
     ``overflow`` check on the column and ``invalid_range`` on the sample."""
     entry = stage_entry(report, "resistance")
     in_trip = dataset.in_trip_or_all()
-    wind_speed_name = (
-        "rel_wind_speed_ref" if dataset.declares("rel_wind_speed_ref") else "rel_wind_speed"
-    )
+    # the wind inputs by the onboard-wind rule, the fixed direction included
+    wind = dict(zip(("rel_wind_speed", "rel_wind_dir"), onboard_wind(dataset)))
 
     out, flagged = dataset, np.zeros(len(dataset), dtype=bool)
     for model in models:
-        available = {
-            key: dataset.has_data(
-                wind_speed_name if key == "rel_wind_speed" else key
-            ) or (key == "rel_wind_dir" and dataset.has_data("fixed_rel_wind_dir"))
-            for key in model.required
-        }
-        if not all(available.values()):
-            missing = sorted(k for k, ok in available.items() if not ok)
-            entry.notes.append(
-                f"model {model.name!r} skipped: missing input(s) {missing}"
-            )
+        inputs = {k: wind[k] if k in wind else dataset.coalesce(k) for k in model.required}
+        missing = sorted(k for k, col in inputs.items() if np.isnan(col).all())
+        if missing:
+            entry.notes.append(f"model {model.name!r} skipped: missing input(s) {missing}")
             continue
-        # the fixed wind direction where the fault detector substituted one
-        sources = {"rel_wind_speed": (wind_speed_name,),
-                   "rel_wind_dir": ("fixed_rel_wind_dir", "rel_wind_dir")}
-        inputs = {key: dataset.coalesce(*sources.get(key, (key,))) for key in model.required}
         rows = in_trip & np.logical_and.reduce([~np.isnan(col) for col in inputs.values()])
         column = np.full(len(dataset), np.nan)
         with np.errstate(over="ignore"):  # an inf from finite inputs is flagged below

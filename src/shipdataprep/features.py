@@ -158,6 +158,16 @@ def heading_series(dataset: VoyageDataset) -> np.ndarray:
     return dataset.coalesce("fixed_heading", "heading", "gps_heading")
 
 
+def onboard_wind(dataset: VoyageDataset, use_fixed: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Onboard relative wind speed and direction (deg off the bow) per sample:
+    ``rel_wind_speed_ref`` if declared, else ``rel_wind_speed``; with
+    ``use_fixed``, ``fixed_rel_wind_dir`` where it has a value, else ``rel_wind_dir``."""
+    ref = dataset.declares("rel_wind_speed_ref")
+    speed = dataset.coalesce("rel_wind_speed_ref" if ref else "rel_wind_speed")
+    names = ("fixed_rel_wind_dir", "rel_wind_dir") if use_fixed else ("rel_wind_dir",)
+    return speed, dataset.coalesce(*names)
+
+
 def resolve_ship_frame(
     dataset: VoyageDataset, report: ProcessingReport | None = None
 ) -> VoyageDataset:

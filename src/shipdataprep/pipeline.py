@@ -142,6 +142,29 @@ def _validate(
     return work, signals
 
 
+def load_inputs(config: PipelineConfig, report: ProcessingReport | None = None) -> tuple[
+    VoyageDataset, ShipParticulars | None, HindcastGrid | None,
+    corrections.HydroTable | None, list[corrections.TableDrivenModel],
+]:
+    """The ship data, particulars, hindcast grid, hydrostatic table and
+    resistance models the config names, read and checked in ``run``'s order
+    (particulars first). An input that cannot be used at all is fatal."""
+    if not config.ship_csv:
+        raise IngestError("config does not name a ship_csv input")
+    particulars = load_particulars(config.particulars, report) if config.particulars else None
+    dataset = load_ship_csv(
+        config.ship_csv, unit_map=config.unit_map, source_kind=config.source_kind, report=report
+    )
+    if len(dataset) == 0:
+        raise IngestError(f"{config.ship_csv}: no row with a parseable timestamp")
+    return (
+        dataset, particulars,
+        load_hindcast(config.hindcast, report) if config.hindcast else None,
+        corrections.HydroTable.from_csv(config.hydro_table) if config.hydro_table else None,
+        [corrections.TableDrivenModel.from_csv(p) for p in config.resistance_tables],
+    )
+
+
 def run_pipeline(
     config: PipelineConfig, report: ProcessingReport | None = None
 ) -> PipelineResult:
@@ -174,21 +197,7 @@ def run_pipeline(
         """The entry of a stage that has nothing to run on, and why."""
         report.stage(stage).notes.append(f"{reason}; stage skipped")
 
-    if not config.ship_csv:
-        raise IngestError("config does not name a ship_csv input")
-    particulars = load_particulars(config.particulars, report) if config.particulars else None
-    dataset = load_ship_csv(
-        config.ship_csv, unit_map=config.unit_map, source_kind=config.source_kind, report=report
-    )
-    if len(dataset) == 0:
-        raise IngestError(f"{config.ship_csv}: no row with a parseable timestamp")
-    grid: HindcastGrid | None = None
-    if config.hindcast:
-        grid = load_hindcast(config.hindcast, report)
-    hydro_table = (
-        corrections.HydroTable.from_csv(config.hydro_table) if config.hydro_table else None
-    )
-    models = [corrections.TableDrivenModel.from_csv(p) for p in config.resistance_tables]
+    dataset, particulars, grid, hydro_table, models = load_inputs(config, report)
     no_particulars = "no ship particulars configured"
 
     # -- uniform time steps ---------------------------------------------------
@@ -559,19 +568,9 @@ def emit_plotdata(
 
     # longitudinal wind comparison: ship-derived vs hindcast (head positive)
     header = ["timestamp", "ship_long_wind", "hindcast_long_wind", "angular_fault"]
-    if dataset.declares("rel_wind_long") and (
-        dataset.declares("rel_wind_speed") or dataset.declares("rel_wind_speed_ref")
-    ):
-        onboard = validation.onboard_longitudinal_wind(dataset)
-        hc = dataset.column("rel_wind_long")
-        sog = dataset.coalesce("sog")
-        use = np.nonzero(~np.isnan(onboard) & ~np.isnan(hc) & ~np.isnan(sog))[0]
-        add(
-            "wind_comparison.csv", header, use,
-            [0, (onboard - sog)[use], (hc - sog)[use], at[fault]],
-        )
-    else:
-        add("wind_comparison.csv", header, none, [])
+    ship, hc = validation.longitudinal_winds(dataset)
+    use = np.flatnonzero(~np.isnan(ship) & ~np.isnan(hc))
+    add("wind_comparison.csv", header, use, [0, ship[use], hc[use], at[fault]])
 
     # draft correction before/after, for samples with any draft value
     draft_cols = [

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import features
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -193,15 +194,16 @@ def check_stw(
         entry.check_rows("suspect", stamps, "stw", expected=est[beyond], observed=stw[beyond])
 
 
-def onboard_longitudinal_wind(dataset: VoyageDataset, use_fixed: bool = True) -> np.ndarray:
-    """Longitudinal relative wind (head positive) from onboard anemometer
-    measurements: speed times the cosine of the relative direction off the
-    bow."""
-    ref = dataset.declares("rel_wind_speed_ref")
-    speed = dataset.coalesce("rel_wind_speed_ref" if ref else "rel_wind_speed")
-    names = ("fixed_rel_wind_dir", "rel_wind_dir") if use_fixed else ("rel_wind_dir",)
-    direction = dataset.coalesce(*names)
-    return speed * np.cos(np.deg2rad(direction))
+def longitudinal_winds(
+    dataset: VoyageDataset, use_fixed: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The true longitudinal wind (head positive) from the ship and from the
+    hindcast: the onboard relative wind (:func:`features.onboard_wind`)
+    along the bow, and ``rel_wind_long``, each minus speed-over-ground; NaN
+    where an input is missing."""
+    speed, direction = features.onboard_wind(dataset, use_fixed)
+    sog = dataset.coalesce("sog")
+    return speed * np.cos(np.deg2rad(direction)) - sog, dataset.coalesce("rel_wind_long") - sog
 
 
 def check_longitudinal_wind(
@@ -210,9 +212,9 @@ def check_longitudinal_wind(
     report: ProcessingReport | None = None,
     use_fixed: bool = True,
 ) -> dict:
-    """Compare the ship-derived true longitudinal wind (onboard relative wind
-    minus speed-over-ground) against the hindcast value, and cross-reference
-    large residuals with angular-averaging-fault flags.
+    """Compare the ship-derived true longitudinal wind against the hindcast
+    value (:func:`longitudinal_winds`), and cross-reference large residuals
+    with angular-averaging-fault flags.
 
     Returns a small summary dict (also written to the report) so the
     pipeline can decide whether an interpolation/derivation error loop is
@@ -227,14 +229,12 @@ def check_longitudinal_wind(
         entry.notes.append("onboard wind, sog or hindcast wind absent; check skipped")
         return result
 
-    sog = dataset.column("sog")
-    onboard_rel = onboard_longitudinal_wind(dataset, use_fixed=use_fixed)
-    hc_rel = dataset.column("rel_wind_long")  # hindcast-derived, head positive
-    # both sides reduced to true longitudinal wind: relative minus motion
-    ship_side = onboard_rel - sog
-    hc_side = hc_rel - sog
+    ship_side, hc_side = longitudinal_winds(dataset, use_fixed)
     resid = ship_side - hc_side
     good = ~np.isnan(resid)
+    if good.any():
+        entry.summary["residual_mean"] = float(resid[good].mean())
+        entry.summary["residual_max_abs"] = float(np.abs(resid[good]).max())
     result["compared"] = int(good.sum())
     big = good & (np.abs(resid) > tolerance)
     result["beyond_tolerance"] = int(big.sum())
@@ -246,10 +246,6 @@ def check_longitudinal_wind(
         expected=hc_side[big], observed=ship_side[big],
     )
     entry.summary.update(result)
-    r = resid[good]
-    if len(r):
-        entry.summary["residual_mean"] = float(r.mean())
-        entry.summary["residual_max_abs"] = float(np.abs(r).max())
     return result
 
 
