@@ -77,9 +77,7 @@ def contextual_filter(
         col_all = measured.column(spec.name)
         # range rule applies everywhere; pattern rules run per trip group
         if spec.valid_min is not None or spec.valid_max is not None:
-            lo = -math.inf if spec.valid_min is None else spec.valid_min
-            hi = math.inf if spec.valid_max is None else spec.valid_max
-            bad = np.flatnonzero((col_all < lo) | (col_all > hi))
+            bad = np.flatnonzero(spec.outside(col_all))
             add(QualityFlag.INVALID_RANGE, bad, dataset.timestamps[bad], spec.name, col_all[bad])
 
         col = np.append(col_all, np.nan)[layout]

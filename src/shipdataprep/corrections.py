@@ -63,6 +63,13 @@ class DraftChangeEvent:
             )
 
 
+def _anchor_values(dataset: VoyageDataset, sensor: str) -> np.ndarray:
+    """The sensor's column without the values that ``clean:contextual``
+    flags ``invalid_range`` (outside the valid range): no mean takes them."""
+    col = dataset.column(sensor)
+    return np.where(dataset.spec(sensor).outside(col), np.nan, col)
+
+
 def _static_anchor(
     dataset: VoyageDataset, col: np.ndarray, idx: np.ndarray, side: str, n_anchor: int
 ) -> float | None:
@@ -98,7 +105,7 @@ def fix_draft_simple(
     for sensor in DRAFT_SENSORS:
         if not out.has_data(sensor):
             continue
-        col = out.column(sensor)
+        col = _anchor_values(out, sensor)
         pre = _static_anchor(out, col, idx, "pre", n_anchor)
         post = _static_anchor(out, col, idx, "post", n_anchor)
         if pre is None and post is None:
@@ -197,7 +204,7 @@ def fix_draft_ramp(
     for sensor in DRAFT_SENSORS:
         if not out.has_data(sensor):
             continue
-        col = out.column(sensor)
+        col = _anchor_values(out, sensor)
         means = [_event_means(out, col, e, idx, n_avg) for e in events]
         if None in means:
             e = events[means.index(None)]

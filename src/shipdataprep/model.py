@@ -125,6 +125,12 @@ class VariableSpec:
                 f"< valid_max {self.valid_max}"
             )
 
+    def outside(self, values: np.ndarray) -> np.ndarray:
+        """Where ``values`` lie outside [valid_min, valid_max]; NaN does not."""
+        lo = -np.inf if self.valid_min is None else self.valid_min
+        hi = np.inf if self.valid_max is None else self.valid_max
+        return (values < lo) | (values > hi)
+
 
 @dataclass(frozen=True)
 class Sample:

@@ -199,11 +199,12 @@ def longitudinal_winds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The true longitudinal wind (head positive) from the ship and from the
     hindcast: the onboard relative wind (:func:`features.onboard_wind`)
-    along the bow, and ``rel_wind_long``, each minus speed-over-ground; NaN
-    where an input is missing."""
+    along the bow, and ``rel_wind_long``, each minus speed-over-ground. NaN
+    where an input is missing; +-inf (never NaN) where finite inputs overflow."""
     speed, direction = features.onboard_wind(dataset, use_fixed)
     sog = dataset.coalesce("sog")
-    return speed * np.cos(np.deg2rad(direction)) - sog, dataset.coalesce("rel_wind_long") - sog
+    with np.errstate(over="ignore"):
+        return speed * np.cos(np.deg2rad(direction)) - sog, dataset.coalesce("rel_wind_long") - sog
 
 
 def check_longitudinal_wind(
@@ -214,7 +215,8 @@ def check_longitudinal_wind(
 ) -> dict:
     """Compare the ship-derived true longitudinal wind against the hindcast
     value (:func:`longitudinal_winds`), and cross-reference large residuals
-    with angular-averaging-fault flags.
+    with angular-averaging-fault flags. A sample with its inputs present is
+    compared; a residual not within ``tolerance`` (inf or NaN too) is a mismatch.
 
     Returns a small summary dict (also written to the report) so the
     pipeline can decide whether an interpolation/derivation error loop is
@@ -230,13 +232,14 @@ def check_longitudinal_wind(
         return result
 
     ship_side, hc_side = longitudinal_winds(dataset, use_fixed)
-    resid = ship_side - hc_side
-    good = ~np.isnan(resid)
-    if good.any():
-        entry.summary["residual_mean"] = float(resid[good].mean())
-        entry.summary["residual_max_abs"] = float(np.abs(resid[good]).max())
+    good = ~np.isnan(ship_side) & ~np.isnan(hc_side)
+    with np.errstate(over="ignore", invalid="ignore"):  # sides of +-inf: inf or NaN
+        resid = ship_side - hc_side
+        if good.any():
+            entry.summary["residual_mean"] = float(resid[good].mean())
+            entry.summary["residual_max_abs"] = float(np.abs(resid[good]).max())
     result["compared"] = int(good.sum())
-    big = good & (np.abs(resid) > tolerance)
+    big = good & ~(np.abs(resid) <= tolerance)
     result["beyond_tolerance"] = int(big.sum())
     faulted = dataset.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)[big]
     result["cross_referenced"] = int(faulted.sum())

@@ -34,10 +34,12 @@ from shipdataprep.pipeline import _hydrostatics_stage
 DT = 900
 
 
-def voyage_with_drafts(pre, post, in_trip, berth_len=6, sensors=("draft_fore",)):
+def voyage_with_drafts(pre, post, in_trip, berth_len=6, sensors=("draft_fore",),
+                       valid=(None, None)):
     """berth_len static samples at ``pre``, len(in_trip) moving samples,
-    berth_len static samples at ``post``: the moving samples are trip 1."""
-    schema = [VariableSpec(s, "m") for s in sensors]
+    berth_len static samples at ``post``: the moving samples are trip 1. The
+    sensors' valid range is ``valid``."""
+    schema = [VariableSpec(s, "m", "linear", *valid) for s in sensors]
     samples = []
     trip_ids = []
     t = 0
@@ -108,6 +110,21 @@ class TestFixDraftSimple:
         for i in out.trips()[1]:
             assert out.column("draft_fore")[i] == pytest.approx(8.0)
         assert any("single-sided" in note for note in report.stage_entries[0].notes)
+
+
+@pytest.mark.parametrize("events", [0, 1])
+def test_out_of_range_drafts_never_enter_a_mean(events):
+    # berth anchors (rows 5 and 42) and event means (rows 20 and 32) skip a
+    # value outside [0, 30], as if it were missing; -1e306 would overflow the ramp
+    in_trip = [8.0] * 15 + [8.0 - 0.2 * k for k in range(11)] + [6.0] * 10
+    clean = voyage_with_drafts(8.0, 6.0, in_trip, valid=(0.0, 30.0))
+    dirty = clean.with_values("draft_fore", [5, 20, 32, 42], [-1e306, 31.0, -0.5, 1e306])
+    start, _ = trip_span(clean)
+    found = [DraftChangeEvent(1, start + 15 * DT, start + 25 * DT)][:events]
+    fixed = [fix_draft_ramp(ds, 1, found, n_avg=5) for ds in (clean, dirty)]
+    trip = clean.trips()[1]
+    assert fixed[0].column("draft_fore")[trip].tolist() == pytest.approx(
+        fixed[1].column("draft_fore")[trip].tolist(), abs=1e-12)
 
 
 class TestFixDraftRamp:

@@ -46,6 +46,13 @@ def grid_with_falling_lat_axis(paths):
     return paths["hindcast"]
 
 
+def ship_csv_without_stamps(paths):
+    header, *rows = paths["ship_csv"].read_text().splitlines()
+    rows = ["2021-02-30T00:00:00Z," + row.split(",", 1)[1] for row in rows]
+    paths["ship_csv"].write_text("\n".join([header, *rows]) + "\n")
+    return paths["ship_csv"]
+
+
 def ship_csv_with_huge_cell(paths):
     header, first, *rest = paths["ship_csv"].read_text().splitlines()
     first = first.rsplit(",", 1)[0] + "," + "x" * (csv.field_size_limit() + 1)
@@ -73,6 +80,7 @@ BAD_INPUTS = {
     "coefficient_without_area": lambda p: edited(p["res_wind"], "#area 1100\n", ""),
     "coefficient_without_kind": lambda p: edited(p["res_wind"], "#kind wind\n", ""),
     "csv_cell_too_long": ship_csv_with_huge_cell,
+    "csv_without_parseable_timestamp": ship_csv_without_stamps,
     "grid_falling_axis": grid_with_falling_lat_axis,
     "source_kind": lambda p: appended(p["config"], "source_kind = bogus\n"),
     "unit": lambda p: appended(p["config"], "unit.sog = furlongs\n"),
@@ -188,6 +196,40 @@ class TestFullVoyage:
         assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[[20, 21]].all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("columns", [None, ("rel_wind_speed",)],
+                             ids=["every_column", "rel_wind_speed"])
+    def test_dbl_max_cells_run_to_exit_zero(self, tmp_path, columns):
+        # the wind sides, residuals and their mean overflow; the plot writer
+        # takes the sides from the wind check's function, not its own arithmetic
+        paths = extreme_voyage(tmp_path, np.finfo(float).max, columns)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out),
+                     "--no-timestamp-header"]) == 0
+        assert (out / "wind_comparison.csv").exists()
+        if columns:
+            result = run(paths)
+            (entry,) = [e for e in result.report.stage_entries
+                        if e.stage == "check:longitudinal_wind"]
+            assert entry.summary["residual_mean"] == -np.inf
+            stamps = {c.timestamp for c in entry.checks if c.verdict == "mismatch"}
+            assert set(result.dataset.timestamps[[12, 30]].tolist()) <= stamps
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_draft_never_anchors_a_correction(self, tmp_path):
+        # a -1e306 berth draft is flagged invalid_range, so it must not enter
+        # the anchor means, whose ramp would overflow
+        paths = extreme_voyage(tmp_path, -1e306)
+        assert main(["run", "--config", str(paths["config"]),
+                     "--out", str(tmp_path / "out")]) == 0
+        result = run(paths)
+        corrected = result.dataset.flagged(QualityFlag.DRAFT_CORRECTED)
+        assert corrected.any()
+        for sensor in ("draft_fore", "draft_aft"):
+            drafts = result.dataset.column(sensor)[corrected]
+            assert np.isfinite(drafts).all()
+            assert not result.dataset.spec(sensor).outside(drafts).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("token", ["inf", "nan"])
     def test_non_finite_grid_cells_are_masked(self, tmp_path, token):
         # one lon of every line of the first grid variable holds the token
@@ -228,6 +270,18 @@ def with_cells(paths, column, cells):
         row[j] = repr(float(value))
         rows[i] = ",".join(row)
     paths["ship_csv"].write_text("\n".join([header, *rows]) + "\n")
+    return paths
+
+
+def extreme_voyage(root, value, columns=None):
+    """A two-trip voyage with the angular wind fault and a resistance table,
+    with ``value`` in data rows 12, 30 (in trip 1) and 55 (at berth) of the
+    ``columns``, or of every numeric column."""
+    paths = VoyageBuilder(root, n_trips=2, trip_len=40, wind_dir_fault=True,
+                          resistance=True).build()
+    header = paths["ship_csv"].read_text().split("\n", 1)[0].split(",")
+    for name in columns or [n for n in header if n not in ("timestamp", "state")]:
+        with_cells(paths, name, dict.fromkeys((12, 30, 55), value))
     return paths
 
 
@@ -686,12 +740,16 @@ class TestCli:
         assert "no row with a parseable timestamp" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-    def test_bad_input_file_is_fatal_without_traceback(self, tmp_path, capsys, case):
+    # ingest-check reads the inputs as run does, so it fails on the same ones
+    @pytest.mark.parametrize("command, case", [
+        pytest.param(command, case, id=case if command == "run" else f"{command}-{case}")
+        for command in ("run", "ingest-check") for case in sorted(BAD_INPUTS)
+    ])
+    def test_bad_input_file_is_fatal_without_traceback(self, tmp_path, capsys, command, case):
         paths = VoyageBuilder(tmp_path, resistance=True).build()
         broken = BAD_INPUTS[case](paths)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 1
+        assert main([command, "--config", str(paths["config"]), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"fatal: {broken}")  # the message names the file
         assert "Traceback" not in err

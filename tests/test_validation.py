@@ -374,6 +374,25 @@ class TestLongitudinalWind:
         result = check_longitudinal_wind(ds, tolerance=4.0, use_fixed=True)
         assert result["beyond_tolerance"] == 0
 
+    def test_overflowed_residual_is_a_mismatch(self):
+        # the ship side overflows to -inf; against a finite hindcast side the
+        # residual is -inf, against a hindcast side of -inf it is NaN
+        big = np.finfo(float).max
+        ds = series_dataset({
+            "sog": [5.0, big, big],
+            "rel_wind_speed": [5.0, big, big],
+            "rel_wind_dir": [0.0, 180.0, 180.0],
+            "rel_wind_long": [5.0, 0.0, -big],
+        })
+        report = ProcessingReport()
+        result = check_longitudinal_wind(ds, tolerance=4.0, report=report)
+        assert result == {"compared": 3, "beyond_tolerance": 2, "cross_referenced": 0}
+        (entry,) = report.stage_entries
+        assert [(c.verdict, c.timestamp, c.observed) for c in entry.checks] == [
+            ("mismatch", t, -np.inf) for t in ds.timestamps[1:].tolist()
+        ]
+        assert np.isnan(entry.summary["residual_mean"])
+
     def test_missing_hindcast_wind_skips(self):
         ds = series_dataset({"sog": [5.0], "rel_wind_speed": [10.0]})
         result = check_longitudinal_wind(ds)
