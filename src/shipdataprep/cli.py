@@ -55,13 +55,13 @@ def _parser() -> argparse.ArgumentParser:
 def _ingest_check(config) -> int:
     dataset, particulars, grid, _, _ = load_inputs(config)
     print(f"ship data: {len(dataset)} samples, {len(dataset.schema)} variables")
-    if particulars:
+    if particulars is not None:
         print(
             f"particulars: {particulars.ship_type.value}, "
             f"L={particulars.length} m, B={particulars.beam} m, "
             f"Td={particulars.design_draft} m"
         )
-    if grid:
+    if grid is not None:
         print(
             f"hindcast: {len(grid.variables)} variable(s) on "
             f"{len(grid.timestamps)}x{len(grid.latitudes)}x{len(grid.longitudes)} grid"
