@@ -6,10 +6,9 @@ the processed dataset, reports and plot-data files.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,7 +120,9 @@ def _validate(
     particulars: ShipParticulars,
     report: ProcessingReport,
     use_fixed: bool,
-) -> tuple[VoyageDataset, dict]:
+    signals: dict,
+) -> VoyageDataset:
+    """The validation checks; ``signals`` gets the error loop's two signals."""
     work = validation.check_power_identity(work, config.power_tolerance, report)
     work = validation.check_speed_power(work, particulars, report)
     pre_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
@@ -135,11 +136,79 @@ def _validate(
     wind = validation.check_longitudinal_wind(
         work, config.wind_tolerance, report, use_fixed=use_fixed
     )
-    signals = {
-        "new_angular_faults": post_fault - pre_fault,
-        "wind_cross_referenced": wind.get("cross_referenced", 0),
-    }
-    return work, signals
+    signals["new_angular_faults"] = post_fault - pre_fault
+    signals["wind_cross_referenced"] = wind.get("cross_referenced", 0)
+    return work
+
+
+def _trips(
+    dataset: VoyageDataset,
+    config: PipelineConfig,
+    particulars: ShipParticulars | None,
+    report: ProcessingReport,
+) -> VoyageDataset:
+    entry = report.stage("trips")
+    try:
+        if config.trip_method == "port_names":
+            # port grouping reports no berth legs
+            dataset, legs = timeline.segment_by_ports(dataset), 0
+        else:
+            if config.trip_method == "state_variable":
+                dataset = timeline.segment_by_state(dataset)
+            else:
+                # the config overrides the particulars, which override the defaults
+                rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
+                if rpm_thr is None:
+                    rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
+                if sog_thr is None:
+                    sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
+                dataset = timeline.segment_by_thresholds(
+                    dataset,
+                    rpm_threshold=rpm_thr,
+                    sog_threshold=sog_thr,
+                    pad_samples=config.pad_samples,
+                )
+            # a berth leg is a run of rows outside every trip
+            legs = len(runs(dataset.trip_ids < 0)[0])
+        entry.summary.update(method=config.trip_method, trips=len(dataset.trips()),
+                             berth_legs=legs)
+    except SegmentationError as exc:
+        entry.notes.append(f"segmentation skipped: {exc}")
+    return dataset
+
+
+def _draft_fix(
+    dataset: VoyageDataset, config: PipelineConfig, report: ProcessingReport
+) -> VoyageDataset:
+    for trip_id in dataset.trips():
+        events = corrections.detect_draft_events(
+            dataset, trip_id, _steady_params(config, "draft_fore")
+        )
+        dataset = corrections.fix_draft_ramp(
+            dataset, trip_id, events, n_avg=config.n_avg, report=report
+        )
+    return dataset
+
+
+def _clean(
+    dataset: VoyageDataset,
+    measured: VoyageDataset,
+    config: PipelineConfig,
+    report: ProcessingReport,
+) -> VoyageDataset:
+    dataset = cleaning.contextual_filter(
+        dataset, measured, repeat_run=config.repeat_run,
+        dropout_max=config.dropout_max, spike_scales=config.spike_scales, report=report,
+    )
+    rpm_params = _steady_params(config, "shaft_rpm")
+    sog = _steady_params(config, "sog")
+    tol = sog.gradient_tolerance
+    sog_params = SteadyFilterParams(
+        sog.window, sog.alpha * SOG_RELAX_ALPHA,
+        None if tol is None else tol * SOG_RELAX_TOLERANCE,
+    )
+    dataset = cleaning.quasi_steady_filter(dataset, rpm_params, sog_params, report)
+    return _pca_stage(dataset, config, report)
 
 
 def load_inputs(config: PipelineConfig, report: ProcessingReport | None = None) -> tuple[
@@ -172,186 +241,104 @@ def run_pipeline(
 
     Fatal input problems raise :class:`IngestError`/:class:`ConfigError`;
     anything recoverable lands in the report and processing continues.
-    Every stage runs inside ``guard``: an unexpected failure is recorded,
-    the later stages still run, and the exit code is 2.
+    Every stage runs through ``stage``, all or nothing: an unexpected
+    failure leaves the dataset and the report as they were before the
+    stage, plus a ``<stage>:failure`` entry; the later stages still run,
+    and the exit code is 2.
     """
     report = report if report is not None else ProcessingReport()
     failures: list[str] = []
-    enabled = set(config.stages)
 
-    @contextmanager
-    def guard(stage: str) -> Iterator[list[Exception]]:
-        """Run the block as ``stage``: an exception it raises becomes the
-        failure ``"<stage>: <exc>"`` and a ``<stage>:failure`` entry, and the
-        run goes on after the block. The yielded list then holds the
-        exception, so the caller can tell that the stage did not finish."""
-        failed: list[Exception] = []
+    def stage(
+        name: str, work: VoyageDataset, run: Callable[[VoyageDataset], VoyageDataset],
+        skipped: str | None = None, note: bool = True,
+    ) -> tuple[VoyageDataset, bool]:
+        """``(run(work), True)``; ``(work, True)`` when the config leaves the
+        stage out or ``skipped`` says why it has nothing to run on (noted when
+        ``note``). If ``run`` raises, the report entries written since the
+        stage began are dropped, the failure ``"<name>: <exc>"`` and a
+        ``<name>:failure`` entry are recorded, and ``(work, False)`` returned."""
+        if name not in config.stages:
+            return work, True
+        if skipped:
+            if note:
+                report.stage(name).notes.append(f"{skipped}; stage skipped")
+            return work, True
+        start = len(report.stage_entries)
         try:
-            yield failed
+            return run(work), True
         except Exception as exc:
-            failures.append(f"{stage}: {exc}")
-            report.stage(f"{stage}:failure").notes.append(str(exc))
-            failed.append(exc)
-
-    def skip(stage: str, reason: str) -> None:
-        """The entry of a stage that has nothing to run on, and why."""
-        report.stage(stage).notes.append(f"{reason}; stage skipped")
+            del report.stage_entries[start:]
+            failures.append(f"{name}: {exc}")
+            report.stage(f"{name}:failure").notes.append(str(exc))
+            return work, False
 
     dataset, particulars, grid, hydro_table, models = load_inputs(config, report)
-    no_particulars = "no ship particulars configured"
+    no_particulars = "no ship particulars configured" if particulars is None else None
 
-    # -- uniform time steps ---------------------------------------------------
-    if "regularize" in enabled:
-        with guard("regularize"):
-            if dataset.source_kind == "ais":
-                dataset = timeline.resample(dataset, config.sampling_interval, report)
-            dataset = timeline.regularize(dataset, config.sampling_interval, report)
-
-    # -- trips ------------------------------------------------------------------
-    if "trips" in enabled:
-        with guard("trips"):
-            entry = report.stage("trips")
-            try:
-                if config.trip_method == "port_names":
-                    # port grouping reports no berth legs
-                    dataset, legs = timeline.segment_by_ports(dataset), 0
-                else:
-                    if config.trip_method == "state_variable":
-                        dataset = timeline.segment_by_state(dataset)
-                    else:
-                        # the config overrides the particulars, which override the defaults
-                        rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
-                        if rpm_thr is None:
-                            rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
-                        if sog_thr is None:
-                            sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
-                        dataset = timeline.segment_by_thresholds(
-                            dataset,
-                            rpm_threshold=rpm_thr,
-                            sog_threshold=sog_thr,
-                            pad_samples=config.pad_samples,
-                        )
-                    # a berth leg is a run of rows outside every trip
-                    legs = len(runs(dataset.trip_ids < 0)[0])
-                entry.summary.update(method=config.trip_method, trips=len(dataset.trips()),
-                                     berth_legs=legs)
-            except SegmentationError as exc:
-                entry.notes.append(f"segmentation skipped: {exc}")
+    # -- uniform time steps, then trips --------------------------------------------
+    dataset, _ = stage("regularize", dataset, lambda d: timeline.regularize(
+        timeline.resample(d, config.sampling_interval, report) if d.source_kind == "ais" else d,
+        config.sampling_interval, report,
+    ))
+    dataset, _ = stage("trips", dataset, lambda d: _trips(d, config, particulars, report))
     # the logged columns on their final rows, for the contextual rules; no
     # later stage changes rows, and their datasets share these arrays
     measured = dataset
 
     # -- GPS cleaning ------------------------------------------------------------
-    if "gps_clean" in enabled:
-        with guard("gps_clean"):
-            dataset = clean_gps(dataset, _steady_params(config, "lat"), report)
+    dataset, _ = stage(
+        "gps_clean", dataset, lambda d: clean_gps(d, _steady_params(config, "lat"), report)
+    )
 
     # -- interpolate + derive + validate, with the error loop --------------------
-    # a failing stage ends the loop with the dataset of the last iteration that
-    # completed, or with the derived one when validation fails
+    # a failing stage ends the loop with the dataset validation last saw, or
+    # with the loop input when validation never ran
     base = final = dataset
-    have_positions = dataset.has_data("lat") and dataset.has_data("lon")
+    positions = grid is not None and dataset.has_data("lat") and dataset.has_data("lon")
+    no_grid = None if positions else "hindcast grid or GPS positions unavailable"
     loop_entry = report.stage("error_loop")
-    iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
-        work = base
+        first = iteration == 1
         signals = {"new_angular_faults": 0, "wind_cross_referenced": 0}
-        if "interpolate" in enabled:
-            with guard("interpolate") as failed:
-                if grid is not None and have_positions:
-                    work = interpolate(
-                        grid, work, order=config.interpolation_order,
-                        mask_policy=config.mask_policy, report=report,
-                    )
-                elif iteration == 1:
-                    skip("interpolate", "hindcast grid or GPS positions unavailable")
-            if failed:
-                break
-        if "derive" in enabled:
-            with guard("derive") as failed:
-                if particulars is not None:
-                    work = _derive(work, config, particulars, report)
-                elif iteration == 1:
-                    skip("derive", no_particulars)
-            if failed:
-                break
-        if "validate" in enabled:
-            with guard("validate") as failed:
-                if particulars is not None:
-                    work, signals = _validate(
-                        work, config, particulars, report, use_fixed=iteration > 1
-                    )
-                elif iteration == 1:
-                    skip("validate", no_particulars)
-            if failed:
-                final = work
-                break
-        final = work
-        errors = signals["new_angular_faults"] > 0 or signals["wind_cross_referenced"] > 0
+        work, ok = stage("interpolate", base, lambda d: interpolate(
+            grid, d, order=config.interpolation_order, mask_policy=config.mask_policy,
+            report=report,
+        ), no_grid, first)
+        if ok:
+            work, ok = stage("derive", work, lambda d: _derive(
+                d, config, particulars, report), no_particulars, first)
+        if ok:
+            final, ok = stage("validate", work, lambda d: _validate(
+                d, config, particulars, report, not first, signals), no_particulars, first)
+        if not ok:
+            break
+        faults, crossed = signals["new_angular_faults"], signals["wind_cross_referenced"]
         loop_entry.notes.append(
-            f"iteration {iteration}: new_angular_faults="
-            f"{signals['new_angular_faults']} wind_cross_referenced="
-            f"{signals['wind_cross_referenced']}"
+            f"iteration {iteration}: new_angular_faults={faults} wind_cross_referenced={crossed}"
         )
-        if not errors:
+        if not (faults > 0 or crossed > 0):
             break
         if iteration == config.max_iterations:
-            loop_entry.notes.append(
-                "processing errors persist after max_iterations; continuing"
-            )
+            loop_entry.notes.append("processing errors persist after max_iterations; continuing")
             break
-        base = _carry_fixed(_copy_flags(base, work), work)
-    loop_entry.summary["iterations"] = iterations
+        base = _carry_fixed(_copy_flags(base, final), final)
+    loop_entry.summary["iterations"] = iteration
     dataset = final
 
-    # -- draft corrections ---------------------------------------------------------
-    if "draft_fix" in enabled:
-        with guard("draft_fix"):
-            drafts = dataset.has_data("draft_fore") or dataset.has_data("draft_aft")
-            trips = list(dataset.trips()) if drafts else []
-            if not trips:
-                skip("draft_fix", "no trips or no draft sensors")
-            for trip_id in trips:
-                events = corrections.detect_draft_events(
-                    dataset, trip_id, _steady_params(config, "draft_fore")
-                )
-                dataset = corrections.fix_draft_ramp(
-                    dataset, trip_id, events, n_avg=config.n_avg, report=report
-                )
-
-    # -- hydrostatics ------------------------------------------------------------------
-    if "hydrostatics" in enabled:
-        with guard("hydrostatics"):
-            if particulars is None:
-                skip("hydrostatics", no_particulars)
-            else:
-                dataset = _hydrostatics_stage(dataset, particulars, hydro_table, config, report)
-
-    # -- resistance ----------------------------------------------------------------------
-    if "resistance" in enabled:
-        with guard("resistance"):
-            if not models:
-                skip("resistance", "no resistance coefficient tables configured")
-            else:
-                dataset = corrections.resistance_components(dataset, models, report)
-
-    # -- cleaning ---------------------------------------------------------------------------
-    if "clean" in enabled:
-        with guard("clean"):
-            dataset = cleaning.contextual_filter(
-                dataset, measured, repeat_run=config.repeat_run,
-                dropout_max=config.dropout_max, spike_scales=config.spike_scales, report=report,
-            )
-            rpm_params = _steady_params(config, "shaft_rpm")
-            sog = _steady_params(config, "sog")
-            tol = sog.gradient_tolerance
-            sog_params = SteadyFilterParams(
-                sog.window, sog.alpha * SOG_RELAX_ALPHA,
-                None if tol is None else tol * SOG_RELAX_TOLERANCE,
-            )
-            dataset = cleaning.quasi_steady_filter(dataset, rpm_params, sog_params, report)
-            dataset = _pca_stage(dataset, config, report)
+    # -- draft corrections, hydrostatics, resistance, cleaning ---------------------
+    drafts = dataset.has_data("draft_fore") or dataset.has_data("draft_aft")
+    dataset, _ = stage(
+        "draft_fix", dataset, lambda d: _draft_fix(d, config, report),
+        None if drafts and dataset.trips() else "no trips or no draft sensors",
+    )
+    dataset, _ = stage("hydrostatics", dataset, lambda d: _hydrostatics_stage(
+        d, particulars, hydro_table, config, report), no_particulars)
+    dataset, _ = stage(
+        "resistance", dataset, lambda d: corrections.resistance_components(d, models, report),
+        None if models else "no resistance coefficient tables configured",
+    )
+    dataset, _ = stage("clean", dataset, lambda d: _clean(d, measured, config, report))
 
     exit_code = 2 if failures else 0
     return PipelineResult(dataset, report, particulars, exit_code, failures)

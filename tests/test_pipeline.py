@@ -500,9 +500,20 @@ STAGE_CALLS = {
 LOOP_STAGES = ("interpolate", "derive", "validate")
 
 
-def crash_on_call(monkeypatch, stage, call=1):
-    """Make ``stage``'s function raise on its ``call``-th call."""
-    module, name, _ = STAGE_CALLS[stage]
+# per stage, a function it calls after it has written report entries, and
+# the call of it that crashes
+MID_STAGE_CALLS = {
+    "validate": (pl.validation, "check_stw", 1),
+    "clean": (pl.cleaning, "quasi_steady_filter", 1),
+    "draft_fix": (pl.corrections, "fix_draft_ramp", 2),
+    "derive": (pl.features, "resolve_ship_frame", 1),
+}
+
+
+def crash_on_call(monkeypatch, stage, call=1, function=None):
+    """Make ``stage``'s function, or the ``function`` (module, name) it
+    calls, raise on its ``call``-th call."""
+    module, name = function or STAGE_CALLS[stage][:2]
     original = getattr(module, name)
     calls = []
 
@@ -547,6 +558,21 @@ class TestStageFailure:
         for s in later:
             prefix = STAGE_CALLS[s][2]
             assert any(e.startswith(prefix) for e in entries[failure + 1:]), s
+
+    @pytest.mark.parametrize("stage", MID_STAGE_CALLS)
+    def test_mid_stage_crash_keeps_exact_flag_counts(self, paths, monkeypatch, stage):
+        # the failed stage's flags and report entries both go
+        module, name, call = MID_STAGE_CALLS[stage]
+        crash_on_call(monkeypatch, stage, call, function=(module, name))
+        result = run(paths)
+        assert result.stage_failures == [f"{stage}: synthetic stage crash"]
+        counted: dict[str, int] = {}
+        for entry in result.report.stage_entries:
+            for flag, n in entry.flag_counts.items():
+                counted[flag] = counted.get(flag, 0) + n
+        pairs = {f.value: int(result.dataset.flagged(f).sum()) for f in QualityFlag}
+        assert counted == {flag: n for flag, n in pairs.items() if n}
+        assert result.report.covers(result.dataset)
 
     @pytest.mark.parametrize("stage", LOOP_STAGES)
     def test_first_iteration_failure_keeps_the_loop_input(
