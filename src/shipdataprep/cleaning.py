@@ -150,7 +150,8 @@ def _spikes(col: np.ndarray, spike_scales: float, group: np.ndarray) -> np.ndarr
     """Positions whose steps in and out both exceed ``spike_scales`` robust
     scales of the steps in their group (``group`` numbers each position's
     group), with opposite signs."""
-    diffs = np.diff(col)
+    with np.errstate(over="ignore"):  # a huge step: +-inf
+        diffs = np.diff(col)
     at = np.flatnonzero(~np.isnan(diffs))
     dd, g = diffs[at], group[at]
     size = int(group.max(initial=-1)) + 1

@@ -399,10 +399,11 @@ def hydrostatics(
         cb = particulars.block_coefficient
         if cb is None:
             raise CorrectionError("block coefficient required without a hydro table")
-        volume = cb * particulars.length * particulars.beam * mean_draft
-        wsa = wetted_surface(
-            particulars.ship_type, volume, mean_draft, particulars.lwl, particulars.lpp
-        )
+        with np.errstate(over="ignore"):  # a huge draft: inf, which is not consistent
+            volume = cb * particulars.length * particulars.beam * mean_draft
+            wsa = wetted_surface(
+                particulars.ship_type, volume, mean_draft, particulars.lwl, particulars.lpp
+            )
     consistent = ~((volume <= 0) | (wsa <= 0) | (wsa <= volume / mean_draft))
     return volume, wsa, consistent
 

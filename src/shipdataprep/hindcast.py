@@ -164,7 +164,8 @@ def steady_state_filter(
     if tol is not None:
         dt = tt[c + 1] - tt[c - 1]
         grad = np.full(len(c), np.inf)
-        np.divide(np.abs(vv[c + 1] - vv[c - 1]), dt, out=grad, where=dt > 0)
+        with np.errstate(over="ignore"):  # a huge step: an inf gradient
+            np.divide(np.abs(vv[c + 1] - vv[c - 1]), dt, out=grad, where=dt > 0)
         keep = ~(grad <= tol)  # a NaN gradient keeps the mark
     unsteady[present[c[keep]]] = True
     return SteadyFilterResult(unsteady, len(c), len(c) - int(keep.sum()))

@@ -292,8 +292,8 @@ def run_pipeline(
     )
 
     # -- interpolate + derive + validate, with the error loop --------------------
-    # a failing stage ends the loop with the dataset validation last saw, or
-    # with the loop input when validation never ran
+    # a failing stage ends the loop with the last validate stage's dataset
+    # (its input, when it failed), or with the loop input when none was reached
     base = final = dataset
     positions = grid is not None and dataset.has_data("lat") and dataset.has_data("lon")
     no_grid = None if positions else "hindcast grid or GPS positions unavailable"
@@ -358,12 +358,14 @@ def _hydrostatics_stage(
     fore = dataset.column("draft_fore")
     aft = dataset.column("draft_aft")
     rows = dataset.in_trip_or_all() & ~np.isnan(fore) & ~np.isnan(aft)
-    t = (fore + aft) / 2.0
-    failed = int((rows & (t <= 0)).sum())
-    rows &= t > 0
+    with np.errstate(over="ignore"):  # huge drafts: an inf mean draft or trim, which fails
+        t, tt = (fore + aft) / 2.0, aft - fore
+    usable = (t > 0) & np.isfinite(t) & np.isfinite(tt)
+    failed = int((rows & ~usable).sum())
+    rows &= usable
     mean_draft, trim, disp, wsa = (np.full(len(dataset), np.nan) for _ in range(4))
     mean_draft[rows] = t[rows]
-    trim[rows] = aft[rows] - fore[rows]
+    trim[rows] = tt[rows]
     computed = 0
     if rows.any():
         try:
@@ -397,9 +399,9 @@ def _hydrostatics_stage(
             " extrapolating"
         )
     if particulars.design_draft and len(got):
-        verdict = corrections.check_draft_ratio(
-            float(np.mean(got)), particulars, config.voyage_kind
-        )
+        with np.errstate(over="ignore"):  # huge drafts: an inf mean
+            mean = float(np.mean(got))
+        verdict = corrections.check_draft_ratio(mean, particulars, config.voyage_kind)
         entry.summary["draft_ratio"] = {
             "ratio": verdict.ratio,
             "reference": verdict.reference,

@@ -173,22 +173,25 @@ def check_stw(
     report: ProcessingReport | None = None,
 ) -> None:
     """Report-only comparison of the measured speed-through-water against
-    its estimate from speed-over-ground minus the longitudinal current."""
+    its estimate from speed-over-ground minus the longitudinal current. A
+    sample with both inputs present is compared; a residual not within
+    ``tolerance`` (inf or NaN too) is suspect."""
     entry = stage_entry(report, "check:stw")
     if not (dataset.has_data("stw") and dataset.has_data("stw_estimate")):
         entry.notes.append("stw or stw_estimate absent; check skipped")
         return
     stw = dataset.column("stw")
     est = dataset.column("stw_estimate")
-    resid = stw - est
-    good = ~np.isnan(resid)
+    good = ~np.isnan(stw) & ~np.isnan(est)
     entry.summary["compared"] = int(good.sum())
     if good.any():
-        r = resid[good]
-        entry.summary["residual_mean"] = float(r.mean())
-        entry.summary["residual_median"] = median(r)
-        entry.summary["residual_max_abs"] = float(np.abs(r).max())
-        beyond = good & (np.abs(resid) > tolerance)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge inputs: inf or NaN
+            resid = stw - est
+            r = resid[good]
+            entry.summary["residual_mean"] = float(r.mean())
+            entry.summary["residual_median"] = median(r)
+            entry.summary["residual_max_abs"] = float(np.abs(r).max())
+        beyond = good & ~(np.abs(resid) <= tolerance)
         entry.summary["beyond_tolerance"] = int(beyond.sum())
         stamps = dataset.timestamps[beyond]
         entry.check_rows("suspect", stamps, "stw", expected=est[beyond], observed=stw[beyond])

@@ -102,6 +102,13 @@ class TestContextualFilter:
         walk[20] += 30.0
         assert 20 in _spikes(walk * scale, 6.0, np.zeros(len(walk), dtype=np.intp)).tolist()
 
+    def test_overflowing_step_is_a_spike_without_warning(self):
+        # the steps into and out of -DBL_MAX at 20 overflow to -inf and +inf
+        walk = np.cumsum(np.random.default_rng(3).normal(0.0, 1.0, 41))
+        walk[19] = np.finfo(float).max
+        walk[20] = -np.finfo(float).max
+        assert 20 in _spikes(walk, 6.0, np.zeros(len(walk), dtype=np.intp)).tolist()
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(

@@ -454,6 +454,25 @@ class TestHydrostatics:
                 report.stage_entries[0].summary["failed"]) == (0, 2)
         assert np.isnan(out.column("mean_draft")).all()
 
+    def test_overflowing_drafts_fail_without_a_warning(self):
+        # rows 0-1: the mean draft or the trim overflows, so the row fails;
+        # rows 2-4: the volume overflows, which is not consistent, and the
+        # mean of their mean drafts overflows
+        big = np.finfo(float).max
+        drafts = [(big, big), (big, -big / 2)] + [(big, 0.0)] * 3
+        ds = rows_dataset(
+            [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")],
+            [Sample(k * DT, {"draft_fore": f, "draft_aft": a}) for k, (f, a) in enumerate(drafts)],
+        )
+        report = ProcessingReport()
+        out = _hydrostatics_stage(ds, particulars(), None, PipelineConfig(), report)
+        summary = report.stage_entries[0].summary
+        assert (summary["computed"], summary["failed"]) == (0, 5)
+        assert np.isnan(out.column("mean_draft")[:2]).all()
+        assert out.column("mean_draft")[2:].tolist() == [big / 2] * 3
+        assert np.isnan(out.column("displacement")).all()
+        assert summary["draft_ratio"]["ratio"] == np.inf
+
 
 def resistance_dataset(**cols):
     n = max(len(v) for v in cols.values())

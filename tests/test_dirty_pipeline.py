@@ -1,18 +1,23 @@
 """The whole pipeline on dirty input: a VoyageBuilder ship CSV with garbage
 and non-finite cells, out-of-range latitudes, and deleted, duplicated,
 cut-short and shuffled rows still runs to the end (exit 0, or 2 for a
-failed stage), and its outputs keep their bookkeeping: one processed row
-per lattice slot, report flag counts equal to the flags written, and every
+failed stage), and one with finite extremes runs to exit 0 under
+warnings as errors. Both keep their bookkeeping: one processed row per
+lattice slot, report flag counts equal to the flags written, and every
 flagged sample covered by the report."""
 
 import csv
 import json
+import math
+import sys
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INTERVAL, VoyageBuilder
 from shipdataprep.cli import main
+from shipdataprep.ingest import default_schema
 from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
@@ -21,6 +26,9 @@ from shipdataprep.model import (
 )
 
 BAD_CELLS = ["abc", "--", "1.2.3", "N/A", "inf", "-inf", "nan", "1e400"]
+DBL_MAX = sys.float_info.max
+EXTREMES = [1e306, -1e306, DBL_MAX, -DBL_MAX, 1e-310, -1e-310, -0.0]
+SPECS = {spec.name: spec for spec in default_schema()}
 
 
 def read_csv(path):
@@ -70,13 +78,45 @@ def test_dirty_voyage_runs_with_exact_bookkeeping(tmp_path_factory, data):
     for i in data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True, max_size=4)):
         rows[i] = rows[i][: data.draw(st.integers(1, len(names) - 1))]
     rows = data.draw(st.permutations(rows))
+    assert run_with_rows(paths, names, rows, root / "out") in (0, 2)
+
+
+def extremes(name):
+    """The finite extremes drawn into the column ``name``: the fixed ones, and
+    each valid bound of the column one ulp either side."""
+    spec = SPECS.get(name)
+    bounds = [b for b in (spec.valid_min, spec.valid_max) if b is not None] if spec else []
+    return EXTREMES + [math.nextafter(b, to) for b in bounds for to in (-math.inf, math.inf)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_finite_extremes_run_to_exit_zero_with_exact_bookkeeping(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("extreme")
+    paths = VoyageBuilder(root, n_trips=2, trip_len=30, berth_len=8,
+                          wind_dir_fault=data.draw(st.booleans()), resistance=True).build()
+    names, rows = read_csv(paths["ship_csv"])
+    n = len(rows)
+    numeric = [k for k, name in enumerate(names) if name not in ("timestamp", "state")]
+    for k in numeric:  # single cells: at most a sixth of each column
+        for i in data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 6)):
+            rows[i][k] = repr(data.draw(st.sampled_from(extremes(names[k]))))
+    for i in data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3)):
+        value = repr(data.draw(st.sampled_from(EXTREMES)))  # a whole row of one extreme
+        for k in numeric:
+            rows[i][k] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_with_rows(paths, names, rows, root / "out") == 0
+
+
+def run_with_rows(paths, names, rows, out):
+    """Run the voyage with its ship CSV rewritten to ``names`` and ``rows``,
+    check the bookkeeping of the outputs in ``out`` and return the exit code."""
     with paths["ship_csv"].open("w", newline="") as fh:
         csv.writer(fh).writerows([names] + rows)
-
-    out = root / "out"
     code = main(["run", "--config", str(paths["config"]), "--out", str(out),
                  "--no-timestamp-header"])
-    assert code in (0, 2)
 
     stamps = {parse_iso_timestamp(r[0]) for r in rows}
     _, written = read_csv(out / "processed.csv")
@@ -88,3 +128,4 @@ def test_dirty_voyage_runs_with_exact_bookkeeping(tmp_path_factory, data):
     pairs = sum(int(flagged.flagged(f).sum()) for f in QualityFlag)
     assert counted == pairs
     assert report.covers(flagged)
+    return code

@@ -138,6 +138,14 @@ class TestSteadyFilter:
         assert np.flatnonzero(loose.unsteady).tolist() == [19, 21]
         assert (loose.stage1_rejected, loose.retained_by_gradient) == (10, 8)
 
+    def test_overflowing_gradient_keeps_the_mark_without_warning(self):
+        # the centred difference at 20 spans -DBL_MAX to DBL_MAX: an inf gradient
+        big = np.finfo(float).max
+        x = np.full(41, 10.0)
+        x[19], x[21] = -big, big
+        res = run_filter(x, window=11, alpha=0.01, tol=1.0, dt=900.0)
+        assert np.flatnonzero(res.unsteady).tolist() == [20]
+
     def test_missing_values_never_marked(self):
         x = [1.0, None, 1.0, 1.0, 1.0, None, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         vals = np.array([np.nan if v is None else v for v in x])

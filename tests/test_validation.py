@@ -314,6 +314,22 @@ class TestStwCheck:
         # report-only: no flags appear on the dataset
         assert not ds.flagged(*QualityFlag).any()
 
+    def test_overflowed_residual_is_suspect(self):
+        # both inputs present: compared; the residuals of rows 1 and 2
+        # overflow to +inf and -inf, so their mean is NaN, without a warning
+        big = np.finfo(float).max
+        ds = series_dataset({"stw": [5.0, big, -big, None], "stw_estimate": [5.0, -big, big, 5.0]})
+        report = ProcessingReport()
+        check_stw(ds, 0.5, report)
+        entry = report.stage_entries[0]
+        assert entry.summary["compared"] == 3
+        assert entry.summary["beyond_tolerance"] == 2
+        assert np.isnan(entry.summary["residual_mean"])
+        assert entry.summary["residual_max_abs"] == np.inf
+        assert [(c.verdict, c.timestamp) for c in entry.checks] == [
+            ("suspect", t) for t in ds.timestamps[1:3].tolist()
+        ]
+
 
 def wind_check_dataset(n=30, faulted=()):
     """Head-wind scenario: heading 0, true wind from north 8 m/s, sog 5.
