@@ -207,22 +207,19 @@ def segment_by_thresholds(
     pad_samples: int = 2,
 ) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
-    threshold; maximal runs are padded by ``pad_samples`` on each side and
-    padded runs that overlap or touch merge. Padding never reaches an at-berth
-    sample of the state variable, when it exists."""
-    have_rpm = dataset.has_data("shaft_rpm")
-    have_sog = dataset.has_data("sog")
-    if not have_rpm and not have_sog:
+    threshold (a value outside the variable's valid range is no motion);
+    maximal runs are padded by ``pad_samples`` on each side and padded runs
+    that overlap or touch merge. Padding never reaches an at-berth sample of
+    the state variable, when it exists."""
+    if not (dataset.has_data("shaft_rpm") or dataset.has_data("sog")):
         raise SegmentationError("neither shaft_rpm nor sog present")
 
     n = len(dataset)
     in_trip = np.zeros(n, dtype=bool)
-    if have_rpm:
-        rpm = dataset.column("shaft_rpm")
-        in_trip |= np.nan_to_num(rpm, nan=-np.inf) > rpm_threshold
-    if have_sog:
-        sog = dataset.column("sog")
-        in_trip |= np.nan_to_num(sog, nan=-np.inf) > sog_threshold
+    for name, threshold in (("shaft_rpm", rpm_threshold), ("sog", sog_threshold)):
+        if dataset.has_data(name):
+            values = dataset.column(name)
+            in_trip |= (values > threshold) & ~dataset.spec(name).outside(values)
 
     berth = np.zeros(0, dtype=np.int64)
     if dataset.has_data("state"):

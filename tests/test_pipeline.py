@@ -206,8 +206,10 @@ class TestFullVoyage:
         assert main(["run", "--config", str(paths["config"]), "--out", str(out),
                      "--no-timestamp-header"]) == 0
         assert (out / "wind_comparison.csv").exists()
+        # an out-of-range rpm or sog at berth (row 55) starts no trip
+        result = run(paths)
+        assert len(result.dataset.trips()) == 2
         if columns:
-            result = run(paths)
             (entry,) = [e for e in result.report.stage_entries
                         if e.stage == "check:longitudinal_wind"]
             assert entry.summary["residual_mean"] == -np.inf

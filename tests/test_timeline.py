@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rows_dataset, series_dataset
-from shipdataprep.model import QualityFlag, Sample, VariableSpec
+from shipdataprep.ingest import default_schema
+from shipdataprep.model import QualityFlag, Sample, VariableSpec, new_dataset
 from shipdataprep.timeline import (
     SegmentationError,
     regularize,
@@ -175,6 +176,17 @@ class TestSegmentByThresholds:
         )
         out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=0)
         assert out.trip_ids.tolist() == [-1, 1, -1]
+
+    def test_value_outside_valid_range_is_no_motion(self):
+        # rpm in [0, 300] and sog in [0, 26]: a value past a bound is a bad
+        # cell, not motion, and starts no trip
+        ds = series_dataset({"shaft_rpm": [0.0, 1e306, 300.0, 0.0, 0.0, 0.0],
+                             "sog": [0.0, 0.0, 0.0, 0.0, 26.5, 26.0]})
+        specs = {s.name: s for s in default_schema()}
+        ds = new_dataset([specs["shaft_rpm"], specs["sog"]], ds.timestamps,
+                         {name: ds.column(name) for name in ("shaft_rpm", "sog")})
+        out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=0)
+        assert out.trip_ids.tolist() == [-1, -1, 1, -1, -1, 2]
 
     def test_both_absent_fatal(self):
         with pytest.raises(SegmentationError):
