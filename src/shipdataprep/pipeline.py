@@ -6,6 +6,7 @@ the processed dataset, reports and plot-data files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -480,6 +481,18 @@ def write_processed_csv(
     write_csv_files(columns, len(dataset), [processed, *plots])
 
 
+def _strict_json(value: object) -> object:
+    """``value`` with each non-finite float as the text "inf", "-inf" or "nan",
+    which strict JSON can hold."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def write_report_files(
     report: ProcessingReport, out_dir: str | Path, timestamp_header: bool = True
 ) -> tuple[Path, Path]:
@@ -488,7 +501,8 @@ def write_report_files(
     txt = out_dir / "report.txt"
     js = out_dir / "report.json"
     txt.write_text(report.to_text(timestamp_header=timestamp_header))
-    js.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    report_json = _strict_json(report.to_dict())
+    js.write_text(json.dumps(report_json, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return txt, js
 
 

@@ -206,6 +206,9 @@ class TestFullVoyage:
         assert main(["run", "--config", str(paths["config"]), "--out", str(out),
                      "--no-timestamp-header"]) == 0
         assert (out / "wind_comparison.csv").exists()
+        # the report is strict JSON: a non-finite number is the text "inf", "-inf" or "nan"
+        text = (out / "report.json").read_text()
+        stages = json.loads(text, parse_constant=non_json_constant)["stages"]
         # an out-of-range rpm or sog at berth (row 55) starts no trip
         result = run(paths)
         assert len(result.dataset.trips()) == 2
@@ -213,6 +216,8 @@ class TestFullVoyage:
             (entry,) = [e for e in result.report.stage_entries
                         if e.stage == "check:longitudinal_wind"]
             assert entry.summary["residual_mean"] == -np.inf
+            (written,) = [s for s in stages if s["stage"] == "check:longitudinal_wind"]
+            assert written["summary"]["residual_mean"] == "-inf"
             stamps = {c.timestamp for c in entry.checks if c.verdict == "mismatch"}
             assert set(result.dataset.timestamps[[12, 30]].tolist()) <= stamps
 
@@ -273,6 +278,10 @@ def with_cells(paths, column, cells):
         rows[i] = ",".join(row)
     paths["ship_csv"].write_text("\n".join([header, *rows]) + "\n")
     return paths
+
+
+def non_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def extreme_voyage(root, value, columns=None):
