@@ -1,6 +1,6 @@
 """The whole-array run finder against the loops it replaced
 (``tests/timeline_reference.py``): threshold segmentation on random in-trip
-and berth masks with padding 0-4, port grouping on label sequences with
+and berth masks, with values past the valid range, and padding 0-4, port grouping on label sequences with
 missing labels (leading ones too), and draft-event detection with the
 overlap merge of per-sensor events. Each must give the same trip ids, or
 the same events. The whole-array ``resample`` must give the
@@ -18,6 +18,7 @@ import timeline_reference as ref
 from conftest import INTERVAL, T0, series_dataset
 from shipdataprep.corrections import detect_draft_events
 from shipdataprep.hindcast import SteadyFilterParams
+from shipdataprep.ingest import default_schema
 from shipdataprep.model import ProcessingReport, QualityFlag, VariableSpec, new_dataset
 from shipdataprep.timeline import (
     AT_BERTH,
@@ -40,8 +41,10 @@ def outcome(segment, dataset, *args):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 30).flatmap(lambda n: st.tuples(
-        st.lists(st.sampled_from([0.0, 50.0, math.nan]), min_size=n, max_size=n),
-        st.lists(st.sampled_from([0.0, 3.0, math.nan]), min_size=n, max_size=n),
+        # rpm in [0, 300] and sog in [0, 26]; a value past a bound is no motion
+        st.lists(st.sampled_from([0.0, 50.0, math.nan, 300.0, 301.0, 1e306]),
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, 3.0, math.nan, 26.5, -1e306]), min_size=n, max_size=n),
         st.lists(st.sampled_from([AT_BERTH, "Sea Passage", None]), min_size=n, max_size=n),
     )),
     st.sampled_from(["rpm", "sog", "both"]),
@@ -55,7 +58,9 @@ def test_thresholds_match_loops(columns, which, with_state, pad):
         values = {"shaft_rpm": rpm} if which == "rpm" else {"sog": sog}
     if with_state:
         values["state"] = state
-    ds = series_dataset(values)
+    specs = {spec.name: spec for spec in default_schema()}
+    stamps = [T0 + i * INTERVAL for i in range(len(state))]
+    ds = new_dataset([specs[name] for name in values], stamps, values)
     assert outcome(segment_by_thresholds, ds, 10.0, 1.54, pad) == outcome(
         ref.segment_by_thresholds, ds, 10.0, 1.54, pad
     )

@@ -40,6 +40,15 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
+def _moving(dataset: VoyageDataset, name: str, threshold: float) -> np.ndarray:
+    """Per sample: the variable is above ``threshold`` and inside its valid range."""
+    spec = dataset.spec(name)
+    lo = -math.inf if spec.valid_min is None else spec.valid_min
+    hi = math.inf if spec.valid_max is None else spec.valid_max
+    return np.array([v > threshold and lo <= v <= hi for v in dataset.column(name).tolist()],
+                    dtype=bool)
+
+
 def _assign_trips(
     dataset: VoyageDataset, trip_runs: list[tuple[int, int]]
 ) -> VoyageDataset:
@@ -56,9 +65,9 @@ def segment_by_thresholds(
     pad_samples: int = 2,
 ) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
-    threshold; maximal runs are padded by ``pad_samples`` on each side and
-    overlapping padded runs merge. Padding never crosses an at-berth leg
-    boundary when a state variable exists."""
+    threshold inside the variable's valid range; maximal runs are padded by
+    ``pad_samples`` on each side and overlapping padded runs merge. Padding
+    never crosses an at-berth leg boundary when a state variable exists."""
     have_rpm = dataset.has_data("shaft_rpm")
     have_sog = dataset.has_data("sog")
     if not have_rpm and not have_sog:
@@ -67,11 +76,9 @@ def segment_by_thresholds(
     n = len(dataset)
     in_trip = np.zeros(n, dtype=bool)
     if have_rpm:
-        rpm = dataset.column("shaft_rpm")
-        in_trip |= np.nan_to_num(rpm, nan=-np.inf) > rpm_threshold
+        in_trip |= _moving(dataset, "shaft_rpm", rpm_threshold)
     if have_sog:
-        sog = dataset.column("sog")
-        in_trip |= np.nan_to_num(sog, nan=-np.inf) > sog_threshold
+        in_trip |= _moving(dataset, "sog", sog_threshold)
 
     berth_mask = np.zeros(n, dtype=bool)
     if dataset.declares("state") and dataset.has_data("state"):
