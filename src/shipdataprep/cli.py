@@ -1,11 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``ingest-check`` (read and check the inputs as ``run`` does,
-and summarise them), ``run`` (full pipeline, writes processed.csv + reports
-+ plot data), ``report`` (re-run, write only the report files) and
-``plotdata`` (re-run, write only plot-data files). The pipeline is
-deterministic, so re-running for a subset of artifacts reproduces the same
-results.
+and summarise them) and ``run`` (full pipeline, writes processed.csv,
+the reports and the plot data). The config file alone chooses the stages.
 
 Exit codes: 0 success, 1 fatal ingest/config problem, 2 stage failure.
 """
@@ -14,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .ingest import ConfigError, IngestError, load_config
 from .model import DatasetError, SchemaError
@@ -33,17 +28,10 @@ def _parser() -> argparse.ArgumentParser:
     for name, helptext in (
         ("ingest-check", "parse all configured inputs and print a summary"),
         ("run", "run the full pipeline and write all artifacts"),
-        ("report", "run the pipeline and write only report.txt/report.json"),
-        ("plotdata", "run the pipeline and write only plot-data files"),
     ):
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="pipeline config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument(
-            "--stages",
-            default=None,
-            help="comma-separated stage subset overriding the config",
-        )
         sp.add_argument(
             "--no-timestamp-header",
             action="store_true",
@@ -74,27 +62,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.stages:
-            config = replace(
-                config,
-                stages=tuple(s.strip() for s in args.stages.split(",") if s.strip()),
-            )
         if args.command == "ingest-check":
             return _ingest_check(config)
 
         result = run_pipeline(config)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         header = not args.no_timestamp_header
-        if args.command in ("run", "report"):
-            write_report_files(result.report, out_dir, timestamp_header=header)
-        if args.command in ("run", "plotdata"):
-            # run writes processed.csv in the pass that writes the plot files
-            processed = out_dir / "processed.csv" if args.command == "run" else None
-            emit_plotdata(
-                result.dataset, out_dir, result.particulars,
-                processed=processed, timestamp_header=header,
-            )
+        write_report_files(result.report, args.out, timestamp_header=header)
+        emit_plotdata(result.dataset, args.out, result.particulars, timestamp_header=header)
         for failure in result.stage_failures:
             print(f"stage failure: {failure}", file=sys.stderr)
         return result.exit_code

@@ -411,6 +411,15 @@ def hydrostatics(
 # -- resistance models ------------------------------------------------------------
 
 
+# per resistance kind: the density, the speed input and the angle input
+# (None: the table is read at angle 0)
+RESISTANCE_KINDS = {
+    "calm_water": (RHO_SEA_WATER, "stw", None),
+    "added_wind": (RHO_AIR, "rel_wind_speed", "rel_wind_dir"),
+    "added_wave": (RHO_SEA_WATER, "stw", "rel_wave_dir"),
+}
+
+
 class TableDrivenModel:
     """One resistance component, ``kind`` 'calm_water', 'added_wind' or
     'added_wave', driven by a coefficient-vs-angle table and scaled by
@@ -427,7 +436,7 @@ class TableDrivenModel:
 
     def __init__(self, name: str, kind: str, area: float,
                  angles: list[float], coefficients: list[float]):
-        if kind not in ("calm_water", "added_wind", "added_wave"):
+        if kind not in RESISTANCE_KINDS:
             raise CorrectionError(f"unknown resistance kind {kind!r}")
         if area <= 0:
             raise CorrectionError("reference area must be strictly positive")
@@ -442,12 +451,7 @@ class TableDrivenModel:
         self.name = name
         self.kind = kind
         self.area = area
-        if kind == "calm_water":
-            self.required = ("stw",)
-        elif kind == "added_wind":
-            self.required = ("rel_wind_speed", "rel_wind_dir")
-        else:
-            self.required = ("stw", "rel_wave_dir")
+        self.required = tuple(k for k in RESISTANCE_KINDS[kind][1:] if k)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TableDrivenModel":
@@ -494,13 +498,9 @@ class TableDrivenModel:
         return out
 
     def evaluate(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        if self.kind == "calm_water":
-            rho, speed = RHO_SEA_WATER, inputs["stw"]
-            angle = np.zeros(len(speed))
-        elif self.kind == "added_wind":
-            rho, speed, angle = RHO_AIR, inputs["rel_wind_speed"], inputs["rel_wind_dir"]
-        else:
-            rho, speed, angle = RHO_SEA_WATER, inputs["stw"], inputs["rel_wave_dir"]
+        rho, speed_input, angle_input = RESISTANCE_KINDS[self.kind]
+        speed = inputs[speed_input]
+        angle = np.zeros(len(speed)) if angle_input is None else inputs[angle_input]
         return 0.5 * rho * self.coefficients_at(angle) * self.area * speed * speed
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .model import (
     KNOT,
+    RPM_THRESHOLD,
+    SOG_THRESHOLD,
     SOURCE_KINDS,
     CalmWaterCurve,
     ProcessingReport,
@@ -758,6 +760,13 @@ def _parse_points(text: str, where: str) -> tuple[tuple[float, float], ...]:
     return tuple(pts)
 
 
+# the keys a particulars file may hold, besides ``curve.<label>``
+PARTICULARS_KEYS = (
+    "ship_type", "lwl", "lpp", "beam", "design_draft", "block_coefficient",
+    "anemometer_height", "wind_reference_height", "envelope",
+)
+
+
 def load_particulars(
     path: str | Path, report: ProcessingReport | None = None
 ) -> ShipParticulars:
@@ -765,11 +774,15 @@ def load_particulars(
 
     Mandatory: ``ship_type``, ``beam``, ``design_draft`` and at least one of
     ``lwl``/``lpp``. A missing block coefficient is filled with the type's
-    table midpoint and the fill is recorded in the report.
+    table midpoint and the fill is recorded in the report. Any other key
+    than ``PARTICULARS_KEYS`` and ``curve.<label>`` is an error.
     """
     path = Path(path)
     kv = _read_kv_file(path)
     entry = stage_entry(report, "ingest:particulars")
+    for key in kv:
+        if key not in PARTICULARS_KEYS and not key.startswith("curve."):
+            raise IngestError(f"{path}: unknown particulars key {key!r}")
 
     try:
         raw_type = kv["ship_type"]
@@ -789,8 +802,6 @@ def load_particulars(
     for key in ("beam", "design_draft"):
         if key not in kv:
             raise IngestError(f"{path}: missing mandatory key {key}")
-    if "lwl" not in kv and "lpp" not in kv:
-        raise IngestError(f"{path}: one of lwl, lpp is mandatory")
 
     cb = fnum("block_coefficient")
     if cb is None:
@@ -819,7 +830,6 @@ def load_particulars(
             wind_reference_height=fnum("wind_reference_height"),
             calm_water_curves=tuple(CalmWaterCurve(k, v) for k, v in curves.items()),
             envelope=envelope,
-            **{k: fnum(k) for k in ("rpm_threshold", "sog_threshold") if k in kv},
         )
     except SchemaError as exc:
         raise IngestError(f"{path}: {exc}") from None
@@ -865,8 +875,8 @@ class PipelineConfig:
     pca_quantile: float = 0.995
     pca_features: tuple[str, ...] = ()
     stages: tuple[str, ...] = PIPELINE_STAGES
-    rpm_threshold: float | None = None
-    sog_threshold: float | None = None
+    rpm_threshold: float = RPM_THRESHOLD
+    sog_threshold: float = SOG_THRESHOLD
     pad_samples: int = 2
     max_iterations: int = 2
     ais_tolerance: float = 0.3
@@ -901,12 +911,13 @@ class PipelineConfig:
         # pca_components (0 = auto) and a trip threshold may be 0
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "float") and f.name != "pca_components":
-                if not 0 < value < math.inf:
-                    raise ConfigError(f"{f.name} must be finite and strictly positive")
-            elif f.type in ("int", "float | None") and value is not None and not (
-                    0 <= value < math.inf):
-                raise ConfigError(f"{f.name} must be finite and not negative")
+            if f.type not in ("int", "float"):
+                continue
+            if f.name in ("pca_components", "rpm_threshold", "sog_threshold"):
+                if not 0 <= value < math.inf:
+                    raise ConfigError(f"{f.name} must be finite and not negative")
+            elif not 0 < value < math.inf:
+                raise ConfigError(f"{f.name} must be finite and strictly positive")
         for name, tol in self.gradient_tolerance.items():
             if not 0 < tol < math.inf:
                 raise ConfigError(
@@ -922,7 +933,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     kv = _read_kv_file(path)
     # number keys parse by their field's annotation, a string in this module
-    types = {"int": int, "float": float, "float | None": float}
+    types = {"int": int, "float": float}
     numbers = {f.name: types[f.type] for f in fields(PipelineConfig) if f.type in types}
     kwargs: dict = {}
     gradient: dict[str, float] = {}

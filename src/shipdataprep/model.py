@@ -221,7 +221,7 @@ def parse_iso_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 def generated_header() -> str:
     """The ``# generated <now>`` first line of written files (no newline)."""
     now = datetime.datetime.now(datetime.timezone.utc)
-    return f"# generated {now.strftime('%Y-%m-%dT%H:%M:%SZ')}"
+    return f"# generated {iso_timestamp(int(now.timestamp()))}"
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -631,8 +631,6 @@ class ShipParticulars:
     wind_reference_height: float | None = None
     calm_water_curves: tuple[CalmWaterCurve, ...] = ()
     envelope: tuple[tuple[float, float], ...] | None = None
-    rpm_threshold: float = RPM_THRESHOLD
-    sog_threshold: float = SOG_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.lwl is None and self.lpp is None:
@@ -642,10 +640,6 @@ class ShipParticulars:
             v = getattr(self, attr)
             if v is not None and not 0 < v < np.inf:
                 raise SchemaError(f"{attr} must be finite and strictly positive, got {v}")
-        for attr in ("rpm_threshold", "sog_threshold"):
-            v = getattr(self, attr)
-            if not 0 <= v < np.inf:
-                raise SchemaError(f"{attr} must be finite and not negative, got {v}")
         cb = self.block_coefficient
         if cb is not None and not 0.0 < cb < 1.0:
             raise SchemaError(f"block coefficient must be in (0, 1), got {cb}")

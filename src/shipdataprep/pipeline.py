@@ -30,8 +30,6 @@ from .ingest import (
     written_cells,
 )
 from .model import (
-    RPM_THRESHOLD,
-    SOG_THRESHOLD,
     ProcessingReport,
     QualityFlag,
     ShipParticulars,
@@ -143,10 +141,7 @@ def _validate(
 
 
 def _trips(
-    dataset: VoyageDataset,
-    config: PipelineConfig,
-    particulars: ShipParticulars | None,
-    report: ProcessingReport,
+    dataset: VoyageDataset, config: PipelineConfig, report: ProcessingReport
 ) -> VoyageDataset:
     entry = report.stage("trips")
     try:
@@ -157,16 +152,10 @@ def _trips(
             if config.trip_method == "state_variable":
                 dataset = timeline.segment_by_state(dataset)
             else:
-                # the config overrides the particulars, which override the defaults
-                rpm_thr, sog_thr = config.rpm_threshold, config.sog_threshold
-                if rpm_thr is None:
-                    rpm_thr = particulars.rpm_threshold if particulars else RPM_THRESHOLD
-                if sog_thr is None:
-                    sog_thr = particulars.sog_threshold if particulars else SOG_THRESHOLD
                 dataset = timeline.segment_by_thresholds(
                     dataset,
-                    rpm_threshold=rpm_thr,
-                    sog_threshold=sog_thr,
+                    rpm_threshold=config.rpm_threshold,
+                    sog_threshold=config.sog_threshold,
                     pad_samples=config.pad_samples,
                 )
             # a berth leg is a run of rows outside every trip
@@ -282,7 +271,7 @@ def run_pipeline(
         timeline.resample(d, config.sampling_interval, report) if d.source_kind == "ais" else d,
         config.sampling_interval, report,
     ))
-    dataset, _ = stage("trips", dataset, lambda d: _trips(d, config, particulars, report))
+    dataset, _ = stage("trips", dataset, lambda d: _trips(d, config, report))
     # the logged columns on their final rows, for the contextual rules; no
     # later stage changes rows, and their datasets share these arrays
     measured = dataset
@@ -293,8 +282,9 @@ def run_pipeline(
     )
 
     # -- interpolate + derive + validate, with the error loop --------------------
-    # a failing stage ends the loop with the last validate stage's dataset
-    # (its input, when it failed), or with the loop input when none was reached
+    # an iteration is all or nothing: a failing stage ends the loop with the
+    # dataset and report entries of the last complete iteration (or of the loop
+    # input), plus the stage's failure entry
     base = final = dataset
     positions = grid is not None and dataset.has_data("lat") and dataset.has_data("lon")
     no_grid = None if positions else "hindcast grid or GPS positions unavailable"
@@ -302,6 +292,7 @@ def run_pipeline(
     for iteration in range(1, config.max_iterations + 1):
         first = iteration == 1
         signals = {"new_angular_faults": 0, "wind_cross_referenced": 0}
+        start = len(report.stage_entries)
         work, ok = stage("interpolate", base, lambda d: interpolate(
             grid, d, order=config.interpolation_order, mask_policy=config.mask_policy,
             report=report,
@@ -310,10 +301,12 @@ def run_pipeline(
             work, ok = stage("derive", work, lambda d: _derive(
                 d, config, particulars, report), no_particulars, first)
         if ok:
-            final, ok = stage("validate", work, lambda d: _validate(
+            work, ok = stage("validate", work, lambda d: _validate(
                 d, config, particulars, report, not first, signals), no_particulars, first)
         if not ok:
+            del report.stage_entries[start:-1]  # all but the failure entry
             break
+        final = work
         faults, crossed = signals["new_angular_faults"], signals["wind_cross_referenced"]
         loop_entry.notes.append(
             f"iteration {iteration}: new_angular_faults={faults} wind_cross_referenced={crossed}"
@@ -449,19 +442,6 @@ def _processed_header(dataset: VoyageDataset) -> list[str]:
     return ["timestamp"] + names + ["trip_id"] + [f"flag_{f.value}" for f in QualityFlag]
 
 
-def _processed_columns(dataset: VoyageDataset) -> tuple[list[str], list[SharedColumn]]:
-    """The header and the columns of processed.csv. The plot files take
-    their shared cells from these columns."""
-    columns: list[SharedColumn] = [(dataset.timestamps, timestamp_cells)]
-    for spec in dataset.schema:
-        text = spec.kind == "text"
-        values = dataset.text_column(spec.name) if text else dataset.column(spec.name)
-        columns.append((values, written_cells))
-    columns.append((dataset.trip_ids, trip_cells))
-    columns += [(dataset.flagged(f), flag_cells) for f in QualityFlag]
-    return _processed_header(dataset), columns
-
-
 def write_processed_csv(
     dataset: VoyageDataset,
     path: str | Path,
@@ -474,7 +454,14 @@ def write_processed_csv(
 
     The ``plots`` files (from ``emit_plotdata``) are written in the same
     pass over the dataset, from the same formatted cells."""
-    header, columns = _processed_columns(dataset)
+    columns: list[SharedColumn] = [(dataset.timestamps, timestamp_cells)]
+    for spec in dataset.schema:
+        text = spec.kind == "text"
+        values = dataset.text_column(spec.name) if text else dataset.column(spec.name)
+        columns.append((values, written_cells))
+    columns.append((dataset.trip_ids, trip_cells))
+    columns += [(dataset.flagged(f), flag_cells) for f in QualityFlag]
+    header = _processed_header(dataset)
     preamble = generated_header() + "\n" if timestamp_header else ""
     rows = np.arange(len(dataset))
     processed = CsvFile(Path(path), header, rows, list(range(len(header))), preamble)
@@ -523,19 +510,19 @@ def emit_plotdata(
     dataset: VoyageDataset,
     out_dir: str | Path,
     particulars: ShipParticulars | None = None,
-    processed: str | Path | None = None,
     timestamp_header: bool = True,
 ) -> list[Path]:
-    """Write plain-CSV plot inputs: one time-series file per trip, a
-    speed-power scatter with curve overlays, the longitudinal wind
-    comparison, and the draft correction before/after series.
+    """Write ``out_dir/processed.csv`` (by ``write_processed_csv``, with
+    ``timestamp_header``) and the plain-CSV plot inputs: one time-series file
+    per trip, a speed-power scatter with curve overlays, the longitudinal
+    wind comparison, and the draft correction before/after series. Returns
+    the paths of the plot files.
 
-    Every plot file is written in one pass over the dataset, a block of
-    rows at a time, and takes its timestamps, variables, trip ids and fault
-    marks from processed.csv's formatted cells (``write_csv_files``); only
-    the curve power and the two wind columns are formatted for the file.
-    With ``processed``, ``write_processed_csv`` writes that file (with
-    ``timestamp_header``) in the same pass."""
+    Every file is written in one pass over the dataset, a block of rows at
+    a time, and the plot files take their timestamps, variables, trip ids
+    and fault marks from processed.csv's formatted cells
+    (``write_csv_files``); only the curve power and the two wind columns
+    are formatted for the file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list[CsvFile] = []
@@ -591,8 +578,5 @@ def emit_plotdata(
         [0, at["trip_id"]] + [at[c] for c in draft_cols],
     )
 
-    if processed is None:
-        write_csv_files(_processed_columns(dataset)[1], len(dataset), files)
-    else:
-        write_processed_csv(dataset, processed, timestamp_header, plots=files)
+    write_processed_csv(dataset, out_dir / "processed.csv", timestamp_header, plots=files)
     return [f.path for f in files]

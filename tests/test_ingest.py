@@ -11,6 +11,7 @@ import pytest
 from conftest import row_values
 from oracle_values import TEN_KNOTS_M_PER_S
 from shipdataprep.ingest import (
+    PARTICULARS_KEYS,
     ConfigError,
     IngestError,
     PipelineConfig,
@@ -326,24 +327,44 @@ class TestParticulars:
 
     @pytest.mark.parametrize("line", [
         "beam = nan", "lpp = inf", "design_draft = -inf", "anemometer_height = nan",
-        "rpm_threshold = -3", "rpm_threshold = nan", "sog_threshold = inf",
     ])
     def test_non_finite_or_negative_number_fatal(self, tmp_path, line):
-        # NaN passes a plain ``<= 0`` check; the thresholds may be 0 but not below
+        # NaN passes a plain ``<= 0`` check
         p = self.base(tmp_path, line + "\n")
         key = line.split(" = ")[0]
         with pytest.raises(IngestError, match=re.escape(f"{p}: {key} must be finite")):
             load_particulars(p)
 
-    def test_explicit_zero_thresholds_kept(self, tmp_path):
-        part = load_particulars(
-            self.base(tmp_path, "rpm_threshold = 0\nsog_threshold = 0\n")
-        )
-        assert (part.rpm_threshold, part.sog_threshold) == (0.0, 0.0)
+    # the trip thresholds are config keys; a misspelt key is no default
+    @pytest.mark.parametrize("line", [
+        "rpm_threshold = 5", "sog_threshold = 0", "block_coeficient = 0.8", "curve = 1:2",
+    ])
+    def test_unknown_key_fatal(self, tmp_path, line):
+        p = self.base(tmp_path, line + "\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(IngestError) as err:
+            load_particulars(p)
+        assert str(err.value) == f"{p}: unknown particulars key {key!r}"
 
-    def test_absent_thresholds_take_defaults(self, tmp_path):
-        part = load_particulars(self.base(tmp_path))
-        assert (part.rpm_threshold, part.sog_threshold) == (10.0, 3.0 * KNOT)
+    def test_every_accepted_key_loads(self, tmp_path):
+        p = tmp_path / "part.txt"
+        p.write_text(
+            "ship_type = ferry\nlwl = 100\nlpp = 98\nbeam = 20\ndesign_draft = 5\n"
+            "block_coefficient = 0.6\nanemometer_height = 30\nwind_reference_height = 10\n"
+            "envelope = 0:0, 100:0, 100:9\ncurve.ballast = 2:400, 4:900\n"
+        )
+        assert sorted(PARTICULARS_KEYS) == sorted(
+            line.split(" = ")[0] for line in p.read_text().splitlines()[:-1]
+        )
+        part = load_particulars(p)
+        assert (part.lpp, part.wind_reference_height, part.curve().label) == (98.0, 10.0, "ballast")
+
+    def test_without_lwl_and_lpp_fatal(self, tmp_path):
+        p = tmp_path / "part.txt"
+        p.write_text("ship_type = ferry\nbeam = 20\ndesign_draft = 5\n")
+        with pytest.raises(IngestError) as err:
+            load_particulars(p)
+        assert str(err.value) == f"{p}: at least one of lwl, lpp is required"
 
     def test_curves_parsed(self, tmp_path):
         part = load_particulars(
@@ -386,8 +407,9 @@ class TestConfig:
             if hint not in (int, float):
                 continue
             p.write_text(f"{name} = 0\n")
-            if name == "pca_components":  # 0 = choose k automatically
-                assert load_config(p).pca_components == 0
+            # 0 components = choose k automatically; a 0 trip threshold = any motion
+            if name in ("pca_components", "rpm_threshold", "sog_threshold"):
+                assert getattr(load_config(p), name) == 0
                 continue
             with pytest.raises(ConfigError, match=name.replace("_", "[_ ]")):
                 load_config(p)
@@ -410,6 +432,12 @@ class TestConfig:
         p.write_text("ship_csv = s.csv\nrpm_threshold = 0\nsog_threshold = 0\n")
         cfg = load_config(p)
         assert (cfg.rpm_threshold, cfg.sog_threshold) == (0.0, 0.0)
+
+    def test_absent_thresholds_take_defaults(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_text("ship_csv = s.csv\n")
+        cfg = load_config(p)
+        assert (cfg.rpm_threshold, cfg.sog_threshold) == (10.0, 3.0 * KNOT)
 
     def test_bad_alpha_rejected(self, tmp_path):
         p = tmp_path / "config.txt"

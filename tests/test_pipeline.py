@@ -85,6 +85,7 @@ BAD_INPUTS = {
     "source_kind": lambda p: appended(p["config"], "source_kind = bogus\n"),
     "unit": lambda p: appended(p["config"], "unit.sog = furlongs\n"),
     "falling_curve": lambda p: appended(p["particulars"], "curve.ballast = 4:900, 2:400\n"),
+    "particulars_threshold": lambda p: appended(p["particulars"], "rpm_threshold = 5\n"),
 }
 
 
@@ -542,6 +543,15 @@ def processed_text(result, path):
     return path.read_text()
 
 
+def entries_but(result, failure=None):
+    """The report entries of ``result`` as dicts, without the error loop's
+    own entry and without the one ``failure`` entry."""
+    got = [e.to_dict() for e in result.report.stage_entries if e.stage != "error_loop"]
+    if failure is not None:
+        assert [e["stage"] for e in got].count(failure) == 1
+    return [e for e in got if e["stage"] != failure]
+
+
 class TestStageFailure:
     @pytest.fixture
     def paths(self, tmp_path):
@@ -585,32 +595,35 @@ class TestStageFailure:
         assert counted == {flag: n for flag, n in pairs.items() if n}
         assert result.report.covers(result.dataset)
 
+    # an iteration is all or nothing: a failure in it keeps the dataset and
+    # the report entries of the loop input, or of the iteration before
     @pytest.mark.parametrize("stage", LOOP_STAGES)
     def test_first_iteration_failure_keeps_the_loop_input(
         self, paths, monkeypatch, stage, tmp_path
     ):
-        # an interpolate or derive failure keeps the dataset the loop started
-        # from; a validate failure keeps the derived one
-        skipped = LOOP_STAGES if stage != "validate" else ("validate",)
-        stages = tuple(s for s in PIPELINE_STAGES if s not in skipped)
-        want = processed_text(run(paths, stages=stages), tmp_path / "want.csv")
+        stages = tuple(s for s in PIPELINE_STAGES if s not in LOOP_STAGES)
+        want = run(paths, stages=stages)
         crash_on_call(monkeypatch, stage)
         result = run(paths)
         assert result.exit_code == 2
-        assert processed_text(result, tmp_path / "got.csv") == want
+        assert processed_text(result, tmp_path / "got.csv") == processed_text(
+            want, tmp_path / "want.csv")
+        assert entries_but(result, f"{stage}:failure") == entries_but(want)
 
-    @pytest.mark.parametrize("stage", ("interpolate", "derive"))
+    @pytest.mark.parametrize("stage", LOOP_STAGES)
     def test_second_iteration_failure_keeps_the_first(
         self, paths, monkeypatch, stage, tmp_path
     ):
-        want = processed_text(run(paths, max_iterations=1), tmp_path / "want.csv")
+        want = run(paths, max_iterations=1)
         crash_on_call(monkeypatch, stage, call=2)
         result = run(paths)
         assert result.exit_code == 2
         assert result.stage_failures == [f"{stage}: synthetic stage crash"]
         loop = [e for e in result.report.stage_entries if e.stage == "error_loop"][-1]
         assert loop.summary["iterations"] == 2
-        assert processed_text(result, tmp_path / "got.csv") == want
+        assert processed_text(result, tmp_path / "got.csv") == processed_text(
+            want, tmp_path / "want.csv")
+        assert entries_but(result, f"{stage}:failure") == entries_but(want)
 
 
 class TestSkipContracts:
@@ -831,24 +844,18 @@ class TestCli:
         assert "ingest check passed" in out
         assert "crude_oil_carrier" in out
 
-    def test_stage_override_flag(self, tmp_path):
+    # run writes every output, and the config alone chooses the stages
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["plotdata"], ["run", "--stages", "regularize,trips"],
+    ])
+    def test_subset_commands_and_flags_are_usage_errors(self, tmp_path, capsys, argv):
         paths = VoyageBuilder(tmp_path).build()
         out = tmp_path / "out"
-        code = main(
-            ["run", "--config", str(paths["config"]), "--out", str(out),
-             "--stages", "regularize,trips"]
-        )
-        assert code == 0
-        header = (out / "processed.csv").read_text().splitlines()[1]
-        assert "hc_wind_u" not in header
-
-    def test_report_subcommand_writes_only_reports(self, tmp_path):
-        paths = VoyageBuilder(tmp_path).build()
-        out = tmp_path / "out"
-        code = main(["report", "--config", str(paths["config"]), "--out", str(out)])
-        assert code == 0
-        assert (out / "report.txt").exists()
-        assert not (out / "processed.csv").exists()
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--config", str(paths["config"]), "--out", str(out)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: shipdataprep")
+        assert not out.exists()
 
 
 class TestPlotData:

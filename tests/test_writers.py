@@ -1,9 +1,8 @@
 """Golden text of every CSV writer on a hand-built dataset: lossless float
 cells, quoting of text, missing cells, trip ids and flags. The expected text
 is fixed, so any change to a written format shows up here. The one block
-pass must write it in any block size, alone or with processed.csv, and the
-same bytes as ``csv.writer`` (``tests/writer_reference.py``) for any header
-and text."""
+pass must write it in any block size, and the same bytes as ``csv.writer``
+(``tests/writer_reference.py``) for any header and text."""
 
 import csv
 import io
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import T0, VoyageBuilder, flags_at, rows_dataset, write_and_read_processed
 from shipdataprep import ingest
 from shipdataprep.cli import main
-from shipdataprep.ingest import csv_field, csv_lines, load_ship_csv
+from shipdataprep.ingest import csv_field, csv_lines, load_config, load_ship_csv
 from shipdataprep.model import (
     KNOT,
     CalmWaterCurve,
@@ -27,7 +26,7 @@ from shipdataprep.model import (
     VariableSpec,
     new_dataset,
 )
-from shipdataprep.pipeline import emit_plotdata, write_processed_csv
+from shipdataprep.pipeline import emit_plotdata, run_pipeline, write_processed_csv
 from writer_reference import processed_rows, write_csv
 
 
@@ -78,8 +77,7 @@ PARTICULARS = ShipParticulars(
 
 
 def write_all(dataset, out):
-    write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
-    emit_plotdata(dataset, out, PARTICULARS)
+    emit_plotdata(dataset, out, PARTICULARS, timestamp_header=False)
     return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
 
 
@@ -140,6 +138,7 @@ def test_writers_match_golden_text_in_small_blocks(tmp_path, monkeypatch, block)
 def test_zero_row_dataset_writes_header_only_files(tmp_path):
     empty = rows_dataset(golden_dataset().schema, [], sampling_interval=900)
     got = write_all(empty, tmp_path)
+    assert got["processed.csv"] == PROCESSED.split("\r\n")[0] + "\r\n"
     assert got["speed_power.csv"] == "timestamp,stw,shaft_power,curve_power\r\n"
     assert got["wind_comparison.csv"] == (
         "timestamp,ship_long_wind,hindcast_long_wind,angular_fault\r\n"
@@ -190,13 +189,14 @@ def read_all(out):
 
 @pytest.mark.parametrize("block", [1, 3, 4096])
 def test_one_pass_writes_the_golden_text(tmp_path, monkeypatch, block):
-    # run's path: processed.csv and the plot files from the same formatted cells
+    # run's path: processed.csv and the plot files from the same formatted
+    # cells, and the generated-at line on processed.csv alone
     monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
-    emit_plotdata(
-        golden_dataset(), tmp_path, PARTICULARS,
-        processed=tmp_path / "processed.csv", timestamp_header=False,
-    )
-    assert read_all(tmp_path) == {
+    emit_plotdata(golden_dataset(), tmp_path, PARTICULARS)
+    got = read_all(tmp_path)
+    first, got["processed.csv"] = got["processed.csv"].split("\n", 1)
+    assert first.startswith("# generated ") and first.endswith("Z")
+    assert got == {
         "draft_correction.csv": DRAFT,
         "processed.csv": PROCESSED,
         "speed_power.csv": SPEED_POWER,
@@ -215,34 +215,22 @@ def test_processed_csv_preamble_is_one_newline_ended_line(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 4096])
 def test_plotdata_and_run_write_the_same_plot_files(tmp_path, monkeypatch, block):
+    # the CLI's run writes what the library's run_pipeline and emit_plotdata write
     monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
     paths = VoyageBuilder(tmp_path, wind="head_east", wind_dir_fault=True,
                           resistance=True).build()
-    got = {}
-    for command in ("run", "plotdata"):
-        out = tmp_path / command
-        args = ["--config", str(paths["config"]), "--out", str(out), "--no-timestamp-header"]
-        assert main([command, *args]) == 0
-        got[command] = {k: v for k, v in read_all(out).items() if not k.startswith(("processed", "report"))}
-    assert got["run"] == got["plotdata"]
-    assert sorted(got["run"]) == [
-        "draft_correction.csv", "speed_power.csv", "trip_001.csv", "trip_002.csv",
-        "trip_003.csv", "wind_comparison.csv",
+    run = tmp_path / "run"
+    args = ["--config", str(paths["config"]), "--out", str(run), "--no-timestamp-header"]
+    assert main(["run", *args]) == 0
+    got = {k: v for k, v in read_all(run).items() if not k.startswith("report")}
+    result = run_pipeline(load_config(paths["config"]))
+    emit_plotdata(result.dataset, tmp_path / "plotdata", result.particulars, False)
+    assert got == read_all(tmp_path / "plotdata")
+    assert sorted(got) == [
+        "draft_correction.csv", "processed.csv", "speed_power.csv", "trip_001.csv",
+        "trip_002.csv", "trip_003.csv", "wind_comparison.csv",
     ]
-    assert all(text.count("\r\n") > 20 for text in got["run"].values())
-
-
-def test_plotdata_and_run_write_the_same_plot_files_for_zero_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", 1)
-    empty = rows_dataset(golden_dataset().schema, [], sampling_interval=900)
-    emit_plotdata(empty, tmp_path / "plotdata", PARTICULARS)
-    emit_plotdata(empty, tmp_path / "run", PARTICULARS,
-                  processed=tmp_path / "run" / "processed.csv", timestamp_header=False)
-    plots = read_all(tmp_path / "run")
-    assert plots.pop("processed.csv") == PROCESSED.split("\r\n")[0] + "\r\n"
-    assert plots == read_all(tmp_path / "plotdata")
-    # a dataset without rows has no trips, so no trip file
-    assert sorted(plots) == ["draft_correction.csv", "speed_power.csv", "wind_comparison.csv"]
+    assert all(text.count("\r\n") > 20 for text in got.values())
 
 
 # text as the writer must quote it: separators, quotes, both line-end
