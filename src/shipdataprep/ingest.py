@@ -10,6 +10,7 @@ conversion is a pure per-column scale factor.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -138,10 +139,11 @@ def load_ship_csv(
     Columns with a blank or an already used name are skipped with a note.
     Of rows sharing a timestamp, the first is kept and flagged ``dropout``.
 
-    The file is read in the blocks of :func:`csv_blocks`, and each block's
-    cells become arrays before the next block is read, so memory follows
-    the columns, not the cells; only the text of text and undeclared
-    columns is kept as strings.
+    The file is read in the blocks of :func:`csv_blocks`, and each block
+    becomes arrays before the next block is read, so memory follows the
+    columns, not the cells; only the text of text and undeclared columns is
+    kept as strings. numpy's text reader reads the stamps and declared numbers
+    of a plain block; the rest, and a block it refuses, go cell by cell.
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
@@ -162,14 +164,29 @@ def load_ship_csv(
     }
     skipped = [k for k, name in enumerate(header) if not name or first_of[name] != k]
     unparsed = set()  # undeclared columns with a cell that is no number
+    # what numpy's text reader reads of a plain block; the rest take the cells
+    numeric = [name for name, kind in kinds.items() if kind not in (None, "text")]
+    usecols = [first_of["timestamp"]] + [first_of[name] for name in numeric]
+    layout = np.dtype([("timestamp", "U21")] + [(name, "f8") for name in numeric])
+    celled = {name: kind for name, kind in kinds.items() if name not in layout.names}
 
-    def arrays(lines: np.ndarray, cells: list[Sequence[str]]) -> dict:
-        """One block's cells as arrays, so that its strings can go."""
+    def arrays(lines: np.ndarray, plain: list[str] | None, split: Callable) -> dict:
+        """One block as arrays, so that its strings can go."""
         out = {"line": lines}
-        out["stamp"], out["stamped"] = parse_iso_timestamps(cells[first_of["timestamp"]])
+        read = None if plain is None else _read_lines(plain, layout, usecols)
+        if read is not None and (read["timestamp"] != read["timestamp"].astype("U20")).any():
+            read = None  # a stamp that fills its 21 characters may have been cut
+        cells = split() if read is None or skipped or celled else None
+        stamps = cells[first_of["timestamp"]] if read is None else read["timestamp"]
+        out["stamp"], out["stamped"] = parse_iso_timestamps(stamps)
+        if read is not None:
+            with np.errstate(over="ignore"):  # to inf, as ``float`` times ``factor``
+                for name in numeric:
+                    out[name, "number"] = read[name] * factors.get(name, 1.0)
+                    out[name, "filled"] = np.ones(len(lines), dtype=bool)
         for k in skipped:
             out[k] = np.array([c.strip() != "" for c in cells[k]], dtype=bool)
-        for name, kind in kinds.items():
+        for name, kind in (kinds if read is None else celled).items():
             column = cells[first_of[name]]
             if kind != "text":
                 out[name, "number"], out[name, "filled"], parsed = _numbers(
@@ -186,7 +203,7 @@ def load_ship_csv(
     # block into arrays of the most rows it can hold (its lines), of which
     # only the pages written take memory
     parts = itertools.starmap(arrays, blocks)
-    joined = next(parts, None) or arrays(np.zeros(0, dtype=np.int64), [()] * len(header))
+    joined = next(parts, None) or arrays(np.zeros(0, np.int64), None, lambda: [()] * len(header))
     second = next(parts, None)
     if second is not None:
         most = _line_ends(path)[0] + 1
@@ -267,19 +284,20 @@ READ_ROWS = 4096
 def csv_blocks(path: Path) -> Iterator:
     """A CSV file without its rows that start with ``#``, read ``READ_ROWS``
     lines at a time: first the header (a list of cells), then, for each
-    block with further rows, the line number of each row (an int array) and
-    the cells of each header column, where a short row's absent cells are
-    empty. A file without a header row is an IngestError.
+    block with further rows, the line number of each row (an int array),
+    its lines as read if the block is plain (else None), and a function that
+    gives the cells of each header column, where a short row's absent cells
+    are empty. A file without a header row is an IngestError.
 
     Without a quote in a block, and with every carriage return part of a
     ``\\r\\n`` line end (read as ``\\n``), a line is a row and a comma ends a
-    cell, so when every row has the header's number of cells (and no line
-    is longer than ``csv.reader`` accepts a cell) the block is split with
-    one ``str.split`` and each column is a strided slice of it. A ragged
-    block is split row by row. A block with a quote or a bare ``\\r``, or a
-    longer line, goes through ``csv.reader``, which reads on past the
-    block's end to close a quoted field; as over the whole text, a ``\\r\\n``
-    inside a quoted field reads as ``\\n`` unless the file has a bare ``\\r``."""
+    cell: with no line longer than ``csv.reader`` accepts a cell, a block
+    of whole rows is split by one ``str.split``, each column a strided slice
+    of it, and a ragged one row by row. It is plain without a ``#`` row, a
+    blank line or a NUL (which a string array drops from a cell's end). Any
+    other block goes through ``csv.reader``, which reads on past the block's
+    end to close a quoted field; as over the whole text, a ``\\r\\n`` inside
+    a quoted field reads as ``\\n`` unless the file has a bare ``\\r``."""
     limit = csv.field_size_limit()
     crlf_only = None  # whether every \r of the file starts a \r\n, once a quote needs it
     header: list[str] | None = None
@@ -291,6 +309,7 @@ def csv_blocks(path: Path) -> Iterator:
             if "\r" in text and text.count("\r") == text.count("\r\n"):
                 text = text.replace("\r\n", "\n")
             split = '"' not in text and "\r" not in text and max(map(len, raw)) <= limit
+            plain = raw if split and "\0" not in text else None
             if split:
                 rows = text.split("\n")
                 if not rows[-1]:
@@ -299,6 +318,7 @@ def csv_blocks(path: Path) -> Iterator:
                 if "" in rows or text.startswith("#") or "\n#" in text:
                     kept = [r[:1] not in ("", "#") for r in rows]
                     lines, rows = lines[kept], list(itertools.compress(rows, kept))
+                    plain = None
             else:
                 if crlf_only is None and '"' in text:
                     crlf_only = _line_ends(path)[1]
@@ -320,20 +340,35 @@ def csv_blocks(path: Path) -> Iterator:
             if header is None and rows:
                 header = rows[0].split(",") if split else rows[0]
                 yield header
-                lines, rows = lines[1:], rows[1:]
-            if not rows:
-                continue
-            width = len(header)
-            if split and set(map(str.count, rows, itertools.repeat(","))) == {width - 1}:
-                cells = ",".join(rows).split(",")
-                yield lines, [cells[k::width] for k in range(width)]
-                continue
-            if split:
-                rows = [r.split(",") for r in rows]
-            columns = list(itertools.islice(itertools.zip_longest(*rows, fillvalue=""), width))
-            yield lines, columns + [("",) * len(rows)] * (width - len(columns))
+                lines, rows, plain = lines[1:], rows[1:], plain and plain[1:]
+            if rows:
+                yield lines, plain, functools.partial(_columns, rows, len(header), split)
     if header is None:
         raise IngestError(f"{path}: empty file, expected a header row")
+
+
+def _columns(rows: list, width: int, split: bool) -> list[Sequence[str]]:
+    """The cells of each of ``width`` columns of rows, lines if ``split``."""
+    if split and set(map(str.count, rows, itertools.repeat(","))) == {width - 1}:
+        cells = ",".join(rows).split(",")
+        return [cells[k::width] for k in range(width)]
+    if split:
+        rows = [r.split(",") for r in rows]
+    columns = list(itertools.islice(itertools.zip_longest(*rows, fillvalue=""), width))
+    return columns + [("",) * len(rows)] * (width - len(columns))
+
+
+def _read_lines(lines: list[str], dtype: np.dtype, usecols=None) -> np.ndarray | None:
+    """Comma-separated lines through numpy's text reader, one row of ``dtype``
+    per line (2-D for a plain dtype); None when it refuses or skips a line.
+    It strips and converts a number as ``str.strip`` and ``float()`` do, but
+    refuses an empty cell, ``1_000`` and a non-ASCII digit; text is unstripped."""
+    try:
+        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=usecols,
+                          ndmin=1 if dtype.names else 2)
+    except ValueError:
+        return None
+    return rows if len(rows) == len(lines) else None
 
 
 def _line_ends(path: Path) -> tuple[int, bool]:
@@ -577,11 +612,9 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
     number that is not finite (``nan``, ``inf``) is masked as well and
     counted in an ``ingest:hindcast`` note.
 
-    The file is read ``READ_ROWS`` lines at a time, and the cells of a
-    block's data lines are parsed into one array in a single pass before
-    the next block is read, by numpy's text reader, which converts each
-    cell as ``float()`` does; a line's cells are named one by one only when
-    the grid is rejected for it.
+    The file is read ``READ_ROWS`` lines at a time, and a block's data
+    lines are parsed by :func:`_read_lines` before the next block is read;
+    a line's cells are named one by one only when the reader refuses it.
     """
     path = Path(path)
     var_decls: list[tuple[str, str]] = []
@@ -635,19 +668,12 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
                 continue  # the grid is rejected; the lines are only counted
             # a number never holds an "M", so every "M" of a block that parses
             # is a masked cell, read as NaN; a sign before one ("-M") would
-            # read as a number, and is no cell. The reader strips a cell as the
-            # line path does and converts it with float()'s own conversion
-            # (PyOS_string_to_double), one line at a time, so no list of the
-            # block's cells is made. A line of another width, an underscore or
-            # a non-ASCII digit fails it, and the line path takes the block.
-            try:
-                if any("+M" in line or "-M" in line for line in rows if MASK_TOKEN in line):
-                    raise ValueError
-                lines = map(str.replace, rows, itertools.repeat(MASK_TOKEN),
-                            itertools.repeat("nan"))
-                numbers.append(np.loadtxt(lines, np.float64, delimiter=",", comments=None,
-                                          ndmin=2).ravel())
-            except ValueError:  # line by line; str.strip() strips more than float()
+            # read as a number, and is no cell
+            signed = any("+M" in line or "-M" in line for line in rows if MASK_TOKEN in line)
+            lines = [line.replace(MASK_TOKEN, "nan") for line in rows]
+            if not signed and (read := _read_lines(lines, np.dtype(np.float64))) is not None:
+                numbers.append(read.ravel())
+            else:  # str.strip() strips more than float()
                 values = []
                 for row, line in enumerate(rows):
                     stripped = [c.strip() for c in line.split(",")]

@@ -178,32 +178,34 @@ def parse_iso_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
-# the canonical stamp, per character the lowest code and how far above it a
-# code may lie: a digit where the pattern has 0, else the pattern's character
-_STAMP_LOW = np.array([ord(c) for c in "0000-00-00T00:00:00Z"], dtype=np.uint32)
+# per character of the canonical stamp but its Z, the lowest code and how far above it
+_STAMP_LOW = np.array([ord(c) for c in "0000-00-00T00:00:00"], dtype=np.uint32)
 _STAMP_SPAN = np.where(_STAMP_LOW == ord("0"), 9, 0).astype(np.uint32)
 
 
-def parse_iso_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def parse_iso_timestamps(cells: Sequence[str] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``parse_iso_timestamp`` of each cell: int64 epoch seconds (0 where a
     cell does not parse) and the mask of the cells that parse.
 
-    Canonical cells, ``YYYY-MM-DDTHH:MM:SSZ`` after the strip with a year of
-    1 or later, are cast by numpy's ``datetime64[s]`` as one batch; numpy
-    rejects the same impossible dates and times as ``datetime`` (Feb 30,
-    ``24:00:00``, ``:60``), and then the whole batch goes the slow way.
-    Every other cell goes through ``parse_iso_timestamp`` one by one."""
-    text = [c.strip() for c in cells]
-    stamps = np.zeros(len(text), dtype=np.int64)
-    ok = np.zeros(len(text), dtype=bool)
-    at = np.flatnonzero(np.fromiter(map(len, text), np.intp, len(text)) == 20)
-    batch = np.array(text, dtype="U20")[at]  # U20 cuts longer cells, none of them in ``at``
-    codes = batch.view(np.uint32).reshape(-1, 20)
-    canonical = ((codes - _STAMP_LOW) <= _STAMP_SPAN).all(axis=1)  # uint32: below wraps high
+    Canonical cells, ``YYYY-MM-DDTHH:MM:SS`` with or without a final ``Z``
+    after the strip and with a year of 1 or later, are cast by numpy's
+    ``datetime64[s]`` as one batch; numpy rejects the same impossible dates
+    and times as ``datetime`` (Feb 30, ``24:00:00``, ``:60``), and then the
+    whole batch goes the slow way. Every other cell goes through
+    ``parse_iso_timestamp`` one by one, as does a padded cell of a string
+    array at most 21 wide, which is not stripped."""
+    text = cells if isinstance(cells, np.ndarray) else [c.strip() for c in cells]
+    stamps, ok = np.zeros(len(text), dtype=np.int64), np.zeros(len(text), dtype=bool)
+    batch = np.array(text, dtype="U21")  # U21 cuts a longer cell, but leaves it 21 long
+    codes = batch.view(np.uint32).reshape(-1, 21)
+    canonical = ((codes[:, :19] - _STAMP_LOW) <= _STAMP_SPAN).all(axis=1)  # below wraps high
+    canonical &= ((codes[:, 19] == ord("Z")) | (codes[:, 19] == 0)) & (codes[:, 20] == 0)
     canonical &= (codes[:, :4] != ord("0")).any(axis=1)  # year 0 is no date
-    at = at[canonical]
+    if not isinstance(cells, np.ndarray):  # a str may end in a NUL, which the array drops
+        canonical &= np.fromiter(map(len, text), np.intp, len(text)) == 19 + (codes[:, 19] != 0)
+    at = np.flatnonzero(canonical)
     try:  # numpy parses a list of str faster than a string array, and without the Z
-        seconds = np.array(batch[canonical].astype("U19").tolist(), dtype="datetime64[s]")
+        seconds = np.array(batch[at].astype("U19").tolist(), dtype="datetime64[s]")
     except ValueError:
         pass
     else:

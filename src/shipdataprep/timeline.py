@@ -107,7 +107,11 @@ def _bin_means(col: np.ndarray, heads: np.ndarray, circular: bool) -> np.ndarray
             pairs = zip(sin[block].mean(axis=1).tolist(), cos[block].mean(axis=1).tolist())
             means[bins] = [math.degrees(math.atan2(s, c)) % 360.0 for s, c in pairs]
         else:
-            means[bins] = values[block].mean(axis=1)
+            # a mean of finite values is finite: an overflowed bin is redone scaled by 2**k
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+                means[bins] = values[block].mean(axis=1)
+                over, scale = ~np.isfinite(means[bins]), 2.0 ** (count.bit_length() + 1)
+                means[bins[over]] = (values[block[over]] / scale).mean(axis=1) * scale
     return means
 
 

@@ -3,7 +3,9 @@ particulars and pipeline configs written to temp directories."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +309,16 @@ class VoyageBuilder:
             text += f"resistance_tables = {paths['res_wind'].name}\n"
         p.write_text(text)
         return p
+
+
+def load_generate():
+    """The benchmark's input generator, ``perfbench/generate.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", Path(__file__).resolve().parent.parent / "perfbench" / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The whole-array cell formatters and parsers against independent or
 per-cell oracles: timestamp cells against ``datetime``'s fields, parsed
-timestamp cells against ``parse_iso_timestamp``, float cells against
+timestamp cells (with or without the Z, in a list or a string array)
+against ``parse_iso_timestamp``, float cells against
 ``csv_cell``, the array curve lookup against the scalar ``power_at``, and the
 report's check timestamps, formatted together."""
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import T0
+from shipdataprep import model
 from shipdataprep.ingest import CSV_BLOCK_ROWS, csv_cell, csv_cells
 from shipdataprep.model import (
     WRITABLE_YEARS,
@@ -102,17 +104,18 @@ class TestTimestampCells:
 
 def canonical(ts: int) -> str:
     """``YYYY-MM-DDTHH:MM:SSZ`` of an epoch second, the year padded to four
-    digits."""
+    digits; without its Z, it is the other canonical form."""
     return str(np.datetime64(ts, "s")) + "Z"
 
 
 def near_misses(text: str) -> list[str]:
-    """Cells that differ from a canonical stamp in one way: some parse the
-    slow way, some parse not at all."""
+    """Cells that differ from a canonical stamp in one way: the Z-less one
+    parses in the batch, some parse the slow way, some parse not at all."""
     return [
         f"  {text}\t", text[:-1] + "z", text[:-1] + "+00:00", text[:-1] + ".5Z",
         text.replace("T", " "), text[:-1], text + "\x00", text + "0", text[1:],
-        text[:-1] + "^", text.replace("-", ".", 1),
+        text[:-1] + "^", text.replace("-", ".", 1), f" {text[:-1]}", text[:-1] + "\x00",
+        text[:-2], text[:-1] + " Z", text[:-1] + "\x00\x00x",
     ]
 
 
@@ -126,6 +129,8 @@ ODD_STAMPS = [
     "2021-01-01X00:00:00Z", "2021/01/01T00:00:00Z", "\u0662021-01-01T00:00:00Z",
     "", "   ", "x" * 20, "yesterday",
 ]
+# each of them without its Z, the other canonical form
+ODD_STAMPS += [c[:-1] for c in ODD_STAMPS if len(c) == 20 and c.endswith("Z")]
 
 
 def per_cell_parse(cells: list[str]) -> list[int | None]:
@@ -139,10 +144,20 @@ def per_cell_parse(cells: list[str]) -> list[int | None]:
 
 
 def array_parse(cells: list[str]) -> list[int | None]:
-    stamps, ok = parse_iso_timestamps(cells)
-    assert stamps.dtype == np.int64 and ok.dtype == bool
-    assert (stamps[~ok] == 0).all()
-    return [t if k else None for t, k in zip(stamps.tolist(), ok.tolist())]
+    """``parse_iso_timestamps`` of a list of cells. Of a string array 21
+    wide, as numpy's text reader gives it, it must parse what the array
+    holds (no final NUL, and no strip) as ``parse_iso_timestamp`` does, cell
+    by cell."""
+
+    def parse(cells):
+        stamps, ok = parse_iso_timestamps(cells)
+        assert stamps.dtype == np.int64 and ok.dtype == bool
+        assert (stamps[~ok] == 0).all()
+        return [t if k else None for t, k in zip(stamps.tolist(), ok.tolist())]
+
+    held = np.array(cells, dtype="U21")
+    assert parse(held) == per_cell_parse(held.tolist()), held
+    return parse(cells)
 
 
 class TestTimestampParsing:
@@ -151,6 +166,16 @@ class TestTimestampParsing:
         for cell in ODD_STAMPS + near_misses(canonical(T0)):
             for cells in ([cell], good + [cell], [cell] + good):
                 assert array_parse(cells) == per_cell_parse(cells), cells
+
+    def test_both_canonical_forms_parse_in_one_batch(self, monkeypatch):
+        def per_cell(text):
+            raise AssertionError(f"{text!r} went cell by cell")
+
+        monkeypatch.setattr(model, "parse_iso_timestamp", per_cell)
+        cells = [canonical(T0), canonical(T0 + 1)[:-1], f" {canonical(YEAR_1)[:-1]}\t"]
+        for given in (cells, np.array(cells[:2], dtype="U21")):
+            stamps, ok = parse_iso_timestamps(given)
+            assert ok.all() and stamps.tolist() == [T0, T0 + 1, YEAR_1][:len(given)]
 
     def test_a_rejected_batch_still_parses_its_good_cells(self):
         cells = [canonical(T0), "2021-02-30T00:00:00Z", canonical(-1)]
@@ -163,6 +188,7 @@ class TestTimestampParsing:
     @given(st.lists(
         st.one_of(
             st.integers(YEAR_1, YEAR_9999_END).map(canonical),
+            st.integers(YEAR_1, YEAR_9999_END).map(canonical).map(lambda c: c[:-1]),  # no Z
             st.integers(-(2**31), 0).map(canonical),  # before 1970
             st.integers(YEAR_1, YEAR_9999_END).map(canonical).map(near_misses).flatmap(
                 st.sampled_from),

@@ -8,7 +8,6 @@ first ``np.median``, ``np.quantile`` or plain ``np.unique`` call (about
 The inputs are built in this process, since ``perfbench/generate.py`` itself
 calls ``np.unique``; only the run happens in the child interpreter."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import VoyageBuilder
+from conftest import VoyageBuilder, load_generate
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hindcast_loop", "long_voyage", "ais_feed")
@@ -38,15 +37,6 @@ def cold_run(config, out) -> dict:
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def load_generate():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_generate", ROOT / "perfbench" / "generate.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -1,9 +1,9 @@
 """The whole pipeline on dirty input: a VoyageBuilder ship CSV with garbage
 and non-finite cells, out-of-range latitudes, and deleted, duplicated,
 cut-short and shuffled rows still runs to the end (exit 0, or 2 for a
-failed stage), and one with finite extremes runs to exit 0 under
-warnings as errors. Both keep their bookkeeping: one processed row per
-lattice slot, report flag counts equal to the flags written, and every
+failed stage), and one with finite extremes, in-service or AIS, runs to
+exit 0 under warnings as errors. Both keep their bookkeeping: one
+processed row per lattice slot, report flag counts equal to the flags written, and every
 flagged sample covered by the report."""
 
 import csv
@@ -105,14 +105,27 @@ def test_finite_extremes_run_to_exit_zero_with_exact_bookkeeping(tmp_path_factor
         value = repr(data.draw(st.sampled_from(EXTREMES)))  # a whole row of one extreme
         for k in numeric:
             rows[i][k] = value
+    interval = INTERVAL
+    if data.draw(st.booleans()):  # AIS input: two rows to a bin, averaged by resample
+        interval = 2 * INTERVAL
+        config = paths["config"].read_text().replace(
+            f"sampling_interval = {INTERVAL}", f"sampling_interval = {interval}")
+        paths["config"].write_text(config + "source_kind = ais\n")
+        bins = [parse_iso_timestamp(r[0]) // interval for r in rows]
+        pairs = [i for i in range(n - 1) if bins[i] == bins[i + 1]]
+        for i in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)):
+            k = data.draw(st.sampled_from(numeric))  # one extreme twice in a bin
+            rows[i][k] = rows[i + 1][k] = repr(data.draw(st.sampled_from(EXTREMES)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_with_rows(paths, names, rows, root / "out") == 0
+        assert run_with_rows(paths, names, rows, root / "out", interval) == 0
 
 
-def run_with_rows(paths, names, rows, out):
+def run_with_rows(paths, names, rows, out, interval=INTERVAL):
     """Run the voyage with its ship CSV rewritten to ``names`` and ``rows``,
-    check the bookkeeping of the outputs in ``out`` and return the exit code."""
+    check the bookkeeping of the outputs in ``out`` and return the exit code.
+    A coarser ``interval`` than the rows' is an AIS feed, whose lattice
+    starts at the bin of its first row."""
     with paths["ship_csv"].open("w", newline="") as fh:
         csv.writer(fh).writerows([names] + rows)
     code = main(["run", "--config", str(paths["config"]), "--out", str(out),
@@ -120,7 +133,8 @@ def run_with_rows(paths, names, rows, out):
 
     stamps = {parse_iso_timestamp(r[0]) for r in rows}
     _, written = read_csv(out / "processed.csv")
-    lattice = list(range(min(stamps), max(stamps) + 1, INTERVAL))
+    start = min(stamps) if interval == INTERVAL else min(stamps) // interval * interval
+    lattice = list(range(start, max(stamps) + 1, interval))
     assert [parse_iso_timestamp(r[0]) for r in written] == lattice
 
     report, flagged = report_and_flags(out)

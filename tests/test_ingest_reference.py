@@ -8,7 +8,12 @@ unparseable bare-minimum columns. Both must give bit-equal columns, the
 same ``ingest:ship_csv`` entry, and the same error, type and message.
 Timestamps are unique and header names distinct: a repeated timestamp or
 name is where the two differ by design. ``csv_blocks`` must split each
-such file as ``csv.reader`` does, on both of its paths.
+such file as ``csv.reader`` does, on both of its paths. One file in three
+is plain, so that numpy's text reader takes its blocks; a table of single
+lines around the reader's choice (garbage, ``1_000``, a non-ASCII digit,
+padded and long stamps, ``\r\n``, comment, blank and whitespace-only lines,
+a NUL) must give the whole-file reader's result, with the line handed to
+the reader exactly when its block is plain.
 
 The block readers are also held against the whole-file readers they
 replaced, with ``READ_ROWS`` at 1, 3 and its default: ``load_ship_csv`` on
@@ -21,6 +26,7 @@ intended changes of the grid: a non-finite number is a masked cell, and an
 axis or shape error names the file."""
 
 import csv
+import io
 from unittest import mock
 
 import numpy as np
@@ -64,6 +70,9 @@ BAD_STAMPS = ["", "  ", "yesterday", "2021-13-45T00:00:00Z", "2021-02-29T00:00:0
               "2021-02-30T00:00:00Z", "2021-01-01T24:00:00Z", "2021-01-01T00:00:60Z",
               "0000-01-01T00:00:00Z", "2021-01-01T00:00:00z"]
 SPECIAL = ["inf", "-inf", "nan", "NaN", "1e400", "-1e400", "1e308", " 4.5 ", "  ", "1_000", "+7", "-0"]
+# finite extremes and subnormals, as written
+EXTREMES = ["1.7976931348623157e+308", "-1.7976931348623157e+308", "2.2250738585072014e-308",
+            "5e-324", "-5e-324", "1e-310", "4.9406564584124654e-324", "-0.0", "1e306"]
 
 
 def cell(kind: str, clean: bool) -> st.SearchStrategy[str]:
@@ -71,6 +80,7 @@ def cell(kind: str, clean: bool) -> st.SearchStrategy[str]:
     numbers = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
         st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(EXTREMES),
     )
     if kind == "text":
         return st.sampled_from(["", " ", "At Berth", " Sea Passage", "x y", "7", "x, y"])
@@ -83,35 +93,42 @@ def cell(kind: str, clean: bool) -> st.SearchStrategy[str]:
     )
 
 
-def timestamp_cell(ts: int) -> st.SearchStrategy[str]:
+def timestamp_cell(ts: int, plain: bool = False) -> st.SearchStrategy[str]:
+    """A cell of the stamp ``ts``; a ``plain`` one in a canonical form."""
     text = iso(ts)
-    return st.sampled_from([text, text[:-1], text[:-1] + "+00:00", f" {text} "])
+    return st.sampled_from([text, text[:-1]] + [text[:-1] + "+00:00", f" {text} "] * (not plain))
 
 
 @st.composite
 def dirty_csv(draw, repeats=False):
     """Rows of a dirty ship CSV, its unit map and its line end. With
     ``repeats``, timestamps and header names may repeat and a name may be
-    blank."""
-    pool = list(COLUMNS) + [""] * repeats
+    blank. One file in three is plain, for numpy's text reader: whole rows
+    of numeric columns, every number cell parses, the stamps canonical
+    but for the rows without a usable one."""
+    plain = draw(st.integers(0, 2)) == 0
+    pool = [name for name in COLUMNS if not plain or COLUMNS[name] != "text"] + [""] * repeats
     names = draw(st.lists(st.sampled_from(pool), unique=not repeats, max_size=6))
     header = list(names)
     header.insert(draw(st.integers(0, len(names))), "timestamp")
     ts_at = header.index("timestamp")
-    clean = draw(st.integers(0, 3)) == 0
+    clean = plain or draw(st.integers(0, 3)) == 0
     most = 8 if repeats else 10**5
     stamps = draw(st.lists(st.integers(0, most), unique=not repeats, max_size=12))
     rows = []
     for t in stamps:
         row = [draw(cell(COLUMNS.get(name, "number"), clean)) if name != "timestamp" else ""
                for name in header]
-        row[ts_at] = draw(timestamp_cell(T0 + 60 * t))
+        row[ts_at] = draw(timestamp_cell(T0 + 60 * t, plain))
         rows.append(row)
     for _ in range(draw(st.integers(0, 2))):  # rows without a usable timestamp
         row = [draw(cell(COLUMNS.get(name, "number"), clean)) if name != "timestamp" else ""
                for name in header]
         row[ts_at] = draw(st.sampled_from(BAD_STAMPS))
         rows.append(row)
+    units = {k: v for k, v in UNITS.items() if draw(st.booleans())}
+    if plain:
+        return [header] + draw(st.permutations(rows)), units, draw(st.sampled_from(["\r\n", "\n"]))
     if names and rows and draw(st.booleans()):  # a bare-minimum column mostly lost
         for row in rows:
             if "stw" in header and draw(st.integers(0, 3)):
@@ -128,7 +145,6 @@ def dirty_csv(draw, repeats=False):
     if draw(st.integers(0, 3)) == 0:  # a blank line
         rows.insert(draw(st.integers(0, len(rows))), [])
     padded = [f" {h} " if draw(st.booleans()) else h for h in header]
-    units = {k: v for k, v in UNITS.items() if draw(st.booleans())}
     return [padded] + rows, units, draw(st.sampled_from(["\r\n", "\n"]))
 
 
@@ -176,7 +192,7 @@ def same_outcome(got, want):
     assert not isinstance(got, Exception), got
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(dirty_csv(), st.sampled_from(["in_service", "ais"]), st.sampled_from(BLOCK_ROWS))
 def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind, block_rows):
     rows, units, terminator = drawn
@@ -197,7 +213,7 @@ def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind
         assert_same(got[0], want[0])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(dirty_csv(repeats=True), st.sampled_from(["in_service", "ais"]),
        st.sampled_from(BLOCK_ROWS))
 def test_block_reader_matches_whole_file_reader(tmp_path_factory, drawn, source_kind,
@@ -229,9 +245,9 @@ def split(path):
         blocks = csv_blocks(path)
         header = next(blocks)
         lines, columns = [], [[] for _ in header]
-        for at, cells in blocks:
+        for at, _, cells in blocks:
             lines += at.tolist()
-            for column, part in zip(columns, cells):
+            for column, part in zip(columns, cells()):
                 column += part
     except IngestError as exc:
         return str(exc)
@@ -247,7 +263,7 @@ def whole(path):
     return list(header), tuple(lines), [tuple(c) for c in cells]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(dirty_csv(), st.booleans(), st.sampled_from(BLOCK_ROWS))
 def test_split_matches_csv_reader(tmp_path_factory, drawn, trailing_newline, block_rows):
     rows, _, terminator = drawn
@@ -339,6 +355,58 @@ def test_split_keeps_the_reader_cell_size_limit(tmp_path):
         with read_rows(n), pytest.raises(
                 IngestError, match=r"ship\.csv:6: field larger than field limit"):
             list(csv_blocks(path))
+
+
+# the lines of a file around one line, and whether numpy's text reader is
+# handed that line: it reads a plain block of whole lines, refuses one with
+# an unparseable or empty cell or a cut stamp (then the block goes cell by
+# cell), and never sees a block with a comment or blank line, a NUL, a quote
+# or a bare carriage return
+READER_CASES = [
+    ("T3,7.5,1.0\n", True),
+    ("T3,abc,1.0\n", True),
+    ("T3,1_000,1.0\n", True),
+    ("T3,\u0661,1.0\n", True),
+    ("T3,\xa01.5,1.0\n", True),
+    ("T3,,1.0\n", True),
+    ("T3,7.5\n", True),
+    ("T3,7.5,1.0,9\n", True),
+    ("   \n", True),
+    ("# note\n", False),
+    ("\n", False),
+    (" T3 ,7.5,1.0\n", True),
+    ("T3+00:00,7.5,1.0\n", True),
+    ("T3,7.5,1.0\r\n", True),
+    ("T3,7.5\x00,1.0\n", False),
+    ("T3\x00,7.5,1.0\n", False),
+    ("T3\x00\x00x,7.5,1.0\n", False),
+    ('T3,"7.5",1.0\n', False),
+    ("T3,7.5,1.0\r", False),
+]
+
+
+@pytest.mark.parametrize("line, read", READER_CASES)
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+@pytest.mark.parametrize("stamp", ["2020-09-13T12:30:00Z", "2020-09-13T12:30:00"])
+def test_text_reader_takes_plain_blocks(tmp_path, line, read, block_rows, stamp):
+    """Each case gives what the whole-file reader gives, at every block size,
+    and numpy's text reader is handed the line exactly when it is plain."""
+    path = tmp_path / "ship.csv"
+    t = [stamp.replace("30:00", f"3{k}:00") for k in range(4)]
+    line = line.replace("T3", t[3])
+    text = f"timestamp,sog,lon\n{t[0]},1.5,2.0\n{t[1]},2.5,-0.0\n{line}{t[2]},4.5,5e-324\n"
+    path.write_text(text, newline="")
+    units = {"sog": "knots"}
+    with read_rows(block_rows), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader:
+        got = outcome(load_ship_csv, path, units)
+    handed = [text_line for call in reader.call_args_list for text_line in call.args[0]]
+    want = outcome(load_ship_csv_whole, path, units)
+    same_outcome(got, want)
+    if not isinstance(want[0], Exception):
+        assert_identical(got[0], want[0])
+    assert (line in handed) == read
+    if block_rows == ingest.READ_ROWS:  # one block: the reader sees all of it or none
+        assert handed == (io.StringIO(text, newline="").readlines()[1:] if read else [])
 
 
 # -- the hindcast grid ----------------------------------------------------------

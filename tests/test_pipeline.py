@@ -4,16 +4,17 @@ skip contracts, artifacts and exit codes."""
 import csv
 import json
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import VoyageBuilder, expand_runs
+from conftest import VoyageBuilder, expand_runs, load_generate
 from shipdataprep import pipeline as pl
 from shipdataprep.cli import main
 from shipdataprep.ingest import PIPELINE_STAGES, load_config, load_ship_csv
-from shipdataprep.model import QualityFlag
+from shipdataprep.model import QualityFlag, parse_iso_timestamp
 from shipdataprep.pipeline import emit_plotdata, run_pipeline, write_processed_csv
 
 
@@ -493,6 +494,35 @@ class TestAisSource:
         diffs = np.diff(result.dataset.timestamps)
         assert (diffs == config.sampling_interval).all()
         assert result.dataset.flagged(QualityFlag.MISSING_INSERTED).any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_finite_extremes_in_one_bin_are_averaged_and_flagged(self, tmp_path):
+        # two DBL_MAX sog messages of the benchmark's AIS feed fall in one
+        # bin: their sum overflows, but their mean is finite, and validation
+        # flags it out of range instead of the run failing
+        plan = load_generate().build("ais_feed", 1, tmp_path / "inputs")
+        ship = plan.config.with_name("ship.csv")
+        lines = ship.read_text().splitlines()
+        sog = lines[0].split(",").index("sog")
+        for i in (5000, 5001):
+            cells = lines[i].split(",")
+            cells[sog] = repr(sys.float_info.max)
+            lines[i] = ",".join(cells)
+        ship.write_text("\n".join(lines) + "\n")
+        config = load_config(plan.config)
+        stamps = [parse_iso_timestamp(lines[i].split(",")[0]) for i in (5000, 5001)]
+        assert len({t // config.sampling_interval for t in stamps}) == 1
+        assert main(["run", "--config", str(plan.config), "--out", str(tmp_path / "out"),
+                     "--no-timestamp-header"]) == 0
+        result = run_pipeline(config)
+        assert result.exit_code == 0 and result.stage_failures == []
+        bin_start = stamps[0] // config.sampling_interval * config.sampling_interval
+        at = int(np.searchsorted(result.dataset.timestamps, bin_start))
+        assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[at]
+        (entry,) = [e for e in result.report.stage_entries if e.stage == "clean:contextual"]
+        (check,) = [c for c in entry.checks if (c.verdict, c.variable, c.timestamp)
+                    == ("invalid_range", "sog", bin_start)]
+        assert 1e307 < check.observed <= sys.float_info.max
 
 
 # per stage, in processing order: the module attribute the stage calls, and

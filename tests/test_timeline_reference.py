@@ -5,8 +5,8 @@ missing labels (leading ones too), and draft-event detection with the
 overlap merge of per-sensor events. Each must give the same trip ids, or
 the same events. The whole-array ``resample`` must give the
 bits of the per-bin loop, over bins of 1, 7-9, 127-129 and more than 8,192
-members, empty and NaN-only bins, ``-0.0``, angles near 0/360 and text
-with missing values."""
+members, empty and NaN-only bins, ``-0.0``, finite values whose sum
+overflows, angles near 0/360 and text with missing values."""
 
 import math
 
@@ -124,7 +124,8 @@ RESAMPLE_SCHEMA = [
 def sporadic_feed(draw):
     """Messages whose bins hold 0 (empty), 1, 7-9 or 127-129 members, and
     at times one bin of more than 8,192; columns with NaN runs, -0.0,
-    angles near 0/360 and text with None, at random magnitudes."""
+    angles near 0/360 and text with None, at random magnitudes, up to
+    ones whose sum overflows."""
     sizes = draw(st.lists(st.sampled_from([0, 1, 1, 7, 8, 9, 127, 128, 129]),
                           min_size=1, max_size=12))
     if draw(st.integers(0, 4)) == 0:
@@ -138,7 +139,8 @@ def sporadic_feed(draw):
         for k, size in enumerate(sizes)
     ]) + T0 // interval * interval + draw(st.integers(0, 3)) * 1_000
     n = len(stamps)
-    x = rng.normal(0.0, 1.0, n) * draw(st.sampled_from([1.0, 1e-3, 1e12, 1e-300]))
+    # at 1e307 a bin's sum overflows, and the bin is averaged again scaled down
+    x = rng.normal(0.0, 1.0, n) * draw(st.sampled_from([1.0, 1e-3, 1e12, 1e-300, 1e307]))
     x[rng.random(n) < 0.1] = -0.0
     heading = np.where(rng.random(n) < 0.5, rng.uniform(-3.0, 3.0, n) % 360.0,
                        rng.uniform(0.0, 360.0, n))

@@ -179,6 +179,17 @@ def _circular_mean(degrees: np.ndarray) -> float:
     return ang % 360.0
 
 
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of a bin's values; when their sum overflows, the mean of
+    the values divided by a power of two above twice their count, times it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        if not math.isfinite(mean):
+            scale = 2.0 ** (len(values).bit_length() + 1)
+            mean = float(np.mean(values / scale)) * scale
+    return mean
+
+
 def resample(
     dataset: VoyageDataset,
     interval_s: int,
@@ -202,7 +213,7 @@ def resample(
         average = (
             (lambda got: got[-1]) if text  # text keeps the last value
             else _circular_mean if spec.kind == "angular"
-            else (lambda got: float(np.mean(got)))
+            else _mean
         )
         spans = zip(starts[filled].tolist(), ends[filled].tolist())
         got = (col[a:b][present[a:b]] for a, b in spans)
