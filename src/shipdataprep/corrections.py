@@ -367,12 +367,10 @@ class HydroTable:
         j1 = np.minimum(j + 1, len(self.trims) - 1)
 
         def interp(grid: np.ndarray) -> np.ndarray:
-            return (
-                (1 - fx) * (1 - fy) * grid[i, j]
-                + (1 - fx) * fy * grid[i, j1]
-                + fx * (1 - fy) * grid[i1, j]
-                + fx * fy * grid[i1, j1]
-            )
+            with np.errstate(over="ignore"):  # a rounded mix of nodes may pass them, even to inf
+                return np.clip((1 - fx) * (1 - fy) * grid[i, j] + (1 - fx) * fy * grid[i, j1]
+                               + fx * (1 - fy) * grid[i1, j] + fx * fy * grid[i1, j1],
+                               grid.min(), grid.max())
 
         return interp(self.displacement), interp(self.wsa)
 
@@ -404,7 +402,8 @@ def hydrostatics(
             wsa = wetted_surface(
                 particulars.ship_type, volume, mean_draft, particulars.lwl, particulars.lpp
             )
-    consistent = ~((volume <= 0) | (wsa <= 0) | (wsa <= volume / mean_draft))
+    with np.errstate(over="ignore"):  # a subnormal draft: an inf bound, which fails
+        consistent = ~((volume <= 0) | (wsa <= 0) | (wsa <= volume / mean_draft))
     return volume, wsa, consistent
 
 

@@ -248,7 +248,10 @@ def cells(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     if n < 2:
         return np.zeros(len(x), dtype=np.intp), np.zeros(len(x)), np.zeros(len(x), dtype=bool)
     i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, n - 2)
-    frac = (x - axis[i]) / (axis[i + 1] - axis[i])
+    a, b = axis[i], axis[i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a cell too wide for a float:
+        frac, wide = (x - a) / (b - a), np.isinf(b - a)  # redone halved, exact for such ends
+    frac[wide] = (x[wide] / 2 - a[wide] / 2) / (b[wide] / 2 - a[wide] / 2)
     return i, frac, (x >= axis[0]) & (x <= axis[-1])
 
 
@@ -262,7 +265,8 @@ def _lon_cells(
     x1 = x0 + 1
     if len(lons) < 2:
         return x0, x1, fx, inside
-    gap = (lons[0] + 360.0) - lons[-1]
+    with np.errstate(over="ignore"):  # -inf, no seam, for an axis wider than the float range
+        gap = (lons[0] + 360.0) - lons[-1]
     if 0 < gap <= 2.0 * float(np.max(np.diff(lons))):
         offset = (lon - lons[-1]) % 360.0
         seam = ~inside & (offset <= gap)

@@ -142,8 +142,9 @@ def load_ship_csv(
     The file is read in the blocks of :func:`csv_blocks`, and each block
     becomes arrays before the next block is read, so memory follows the
     columns, not the cells; only the text of text and undeclared columns is
-    kept as strings. numpy's text reader reads the stamps and declared numbers
-    of a plain block; the rest, and a block it refuses, go cell by cell.
+    kept as strings. In a file of the timestamp and declared numbers alone,
+    numpy's text reader reads each plain block; a block it refuses, and every
+    block of any other file, go cell by cell.
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
@@ -164,29 +165,28 @@ def load_ship_csv(
     }
     skipped = [k for k, name in enumerate(header) if not name or first_of[name] != k]
     unparsed = set()  # undeclared columns with a cell that is no number
-    # what numpy's text reader reads of a plain block; the rest take the cells
-    numeric = [name for name, kind in kinds.items() if kind not in (None, "text")]
-    usecols = [first_of["timestamp"]] + [first_of[name] for name in numeric]
-    layout = np.dtype([("timestamp", "U21")] + [(name, "f8") for name in numeric])
-    celled = {name: kind for name, kind in kinds.items() if name not in layout.names}
+    layout = None  # numpy's text reader takes plain blocks of files of stamps and numbers only
+    if not skipped and {None, "text"}.isdisjoint(kinds.values()):
+        layout = np.dtype([(n, "U21" if n == "timestamp" else "f8") for n in header])
 
     def arrays(lines: np.ndarray, plain: list[str] | None, split: Callable) -> dict:
         """One block as arrays, so that its strings can go."""
         out = {"line": lines}
-        read = None if plain is None else _read_lines(plain, layout, usecols)
+        read = None if layout is None or plain is None else _read_lines(plain, layout)
         if read is not None and (read["timestamp"] != read["timestamp"].astype("U20")).any():
             read = None  # a stamp that fills its 21 characters may have been cut
-        cells = split() if read is None or skipped or celled else None
-        stamps = cells[first_of["timestamp"]] if read is None else read["timestamp"]
-        out["stamp"], out["stamped"] = parse_iso_timestamps(stamps)
         if read is not None:
+            out["stamp"], out["stamped"] = parse_iso_timestamps(read["timestamp"])
             with np.errstate(over="ignore"):  # to inf, as ``float`` times ``factor``
-                for name in numeric:
+                for name in kinds:
                     out[name, "number"] = read[name] * factors.get(name, 1.0)
                     out[name, "filled"] = np.ones(len(lines), dtype=bool)
+            return out
+        cells = split()
+        out["stamp"], out["stamped"] = parse_iso_timestamps(cells[first_of["timestamp"]])
         for k in skipped:
             out[k] = np.array([c.strip() != "" for c in cells[k]], dtype=bool)
-        for name, kind in (kinds if read is None else celled).items():
+        for name, kind in kinds.items():
             column = cells[first_of[name]]
             if kind != "text":
                 out[name, "number"], out[name, "filled"], parsed = _numbers(
@@ -198,22 +198,17 @@ def load_ship_csv(
                 out[name, "text"] = np.array([c.strip() for c in column], dtype=object)
         return out
 
-    # the arrays of a file of one block stand as they are (a file without
-    # rows is one empty block); those of a longer file are copied block by
-    # block into arrays of the most rows it can hold (its lines), of which
-    # only the pages written take memory
-    parts = itertools.starmap(arrays, blocks)
-    joined = next(parts, None) or arrays(np.zeros(0, np.int64), None, lambda: [()] * len(header))
-    second = next(parts, None)
-    if second is not None:
-        most = _line_ends(path)[0] + 1
-        store = {key: np.empty(most, dtype=a.dtype) for key, a in joined.items()}
-        rows = 0
-        for part in itertools.chain([joined, second], parts):
-            for key, a in part.items():
-                store[key][rows:rows + len(a)] = a
-            rows += len(part["line"])
-        joined = {key: store.pop(key)[:rows] for key in list(store)}
+    # each block is copied into arrays of the most rows the file can hold (its lines), of
+    # which only the pages written take memory; an empty block gives their keys and types
+    empty = arrays(np.zeros(0, np.int64), None, lambda: [()] * len(header))
+    most = _line_ends(path)[0] + 1
+    store = {key: np.empty(most, dtype=a.dtype) for key, a in empty.items()}
+    rows = 0
+    for part in itertools.starmap(arrays, blocks):
+        for key, a in part.items():
+            store[key][rows:rows + len(a)] = a
+        rows += len(part["line"])
+    joined = {key: store.pop(key)[:rows] for key in list(store)}  # each freed once used
     stamps, stamped = joined.pop("stamp"), joined.pop("stamped")
     read = np.flatnonzero(stamped)
     first = read[np.unique(stamps[read], return_index=True)[1]]
@@ -358,13 +353,13 @@ def _columns(rows: list, width: int, split: bool) -> list[Sequence[str]]:
     return columns + [("",) * len(rows)] * (width - len(columns))
 
 
-def _read_lines(lines: list[str], dtype: np.dtype, usecols=None) -> np.ndarray | None:
+def _read_lines(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     """Comma-separated lines through numpy's text reader, one row of ``dtype``
     per line (2-D for a plain dtype); None when it refuses or skips a line.
     It strips and converts a number as ``str.strip`` and ``float()`` do, but
     refuses an empty cell, ``1_000`` and a non-ASCII digit; text is unstripped."""
     try:
-        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=usecols,
+        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None,
                           ndmin=1 if dtype.names else 2)
     except ValueError:
         return None
@@ -592,7 +587,7 @@ class HindcastGrid:
     def __post_init__(self) -> None:
         for axis, name in ((self.latitudes, "lat"), (self.longitudes, "lon"),
                            (self.timestamps, "time")):
-            if len(axis) >= 2 and not np.all(np.diff(axis) > 0):
+            if not np.all(axis[1:] > axis[:-1]):
                 raise IngestError(f"{name} axis must be strictly ascending")
         shape = (len(self.timestamps), len(self.latitudes), len(self.longitudes))
         for v in self.variables:

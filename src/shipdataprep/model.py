@@ -169,6 +169,8 @@ def iso_timestamp(ts: int) -> str:
 
 def parse_iso_timestamp(text: str) -> int:
     """ISO-8601 UTC string -> epoch seconds (1 s resolution)."""
+    if "\0" in text:  # datetime reads a stamp up to a NUL, and takes it
+        raise ValueError(f"NUL in timestamp {text!r}")
     cleaned = text.strip()
     if cleaned.endswith("Z"):
         cleaned = cleaned[:-1] + "+00:00"

@@ -184,6 +184,16 @@ class TestTimestampParsing:
     def test_empty(self):
         assert array_parse([]) == []
 
+    def test_a_nul_is_no_part_of_a_stamp(self):
+        # datetime stops reading at a NUL, so a stamp followed by one read as the stamp
+        cells = ["2020-09-13T12:26:40Z\0junk", "2020-09-13T12:26:40\0", "\x002020-09-13T12:26:40Z"]
+        for cell in cells:
+            with pytest.raises(ValueError, match="NUL"):
+                parse_iso_timestamp(cell)
+        assert array_parse(cells + ["2020-09-13T12:26:40Z"]) == [None, None, None, 1600000000]
+        held = np.array(["2020-09-13T12:26:40\0x", "2020-09-13T12:26:40"], dtype="U21")
+        assert parse_iso_timestamps(held)[1].tolist() == [False, True]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
         st.one_of(

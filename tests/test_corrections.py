@@ -378,6 +378,23 @@ class TestHydrostatics:
         assert volume[0] == pytest.approx((60000 + 61000 + 95000 + 96000) / 4)
         assert wsa[0] == pytest.approx((10000 + 10100 + 13000 + 13100) / 4)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_of_finite_extremes_looks_up_finite_values(self):
+        big = np.finfo(float).max
+        # a trim cell wider than the float range still gives its fraction
+        table = HydroTable([2.0, 12.0], [-big, big], [[6e4, 6e4], [1.2e5, 1.2e5]],
+                           [[1e4, 2e4], [1e4, 2e4]])
+        volume, wsa = table.lookup(np.array([7.0]), np.array([0.0]))
+        assert (volume.tolist(), wsa.tolist()) == ([9e4], [1.5e4])
+        # a mix of DBL_MAX nodes, whose rounded sum may overflow, stays DBL_MAX
+        table = HydroTable([2.0, 12.0], [0.0, 1.0], np.full((2, 2), big), np.full((2, 2), big))
+        volume, wsa = table.lookup(np.linspace(2.0, 12.0, 1001), np.full(1001, 0.3))
+        assert (volume == big).all() and (wsa == big).all()
+        # a subnormal mean draft gives an inf bottom-plate bound: not consistent
+        table = HydroTable([2.0, 12.0], [0.0], [[6e4], [9e4]], [[1e4], [1.3e4]])
+        _, _, consistent = hydrostatics(np.array([1e-310, 9.0]), np.zeros(2), particulars(), table)
+        assert consistent.tolist() == [False, True]
+
     def test_repeated_draft_trim_pair_rejected(self, tmp_path):
         # 4 rows for a 2 x 2 grid, but node (6, 1) is never written
         p = tmp_path / "hydro.csv"

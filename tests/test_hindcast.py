@@ -305,6 +305,14 @@ class TestInterpolate:
         assert math.isnan(ds.column("hc_f")[0])
         assert report.stage_entries[0].summary["samples_masked_missing"] == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cell_wider_than_the_float_range(self):
+        # each cell spans 2 x DBL_MAX: the query lies halfway across both
+        big = np.finfo(float).max
+        grid = two_slice_grid([[2.0, 4.0], [6.0, 8.0]], lats=(-big, big), lons=(-big, big))
+        ds = interpolate(grid, query_dataset([(0, 0.0, 0.5)]), order=1)
+        assert ds.column("hc_f")[0] == 5.0
+
     def test_outside_bounding_box_missing_and_counted(self):
         grid = make_grid(lambda la, lo, t: 1.0, LATS, LONS, TIMES)
         report = ProcessingReport()

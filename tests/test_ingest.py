@@ -160,6 +160,20 @@ class TestShipCsv:
         ]
         assert entry.summary["missing_cells"] == {"sog": 1}
 
+    def test_stamp_with_a_nul_is_a_bad_timestamp(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_text(
+            "timestamp,sog\n"
+            "2020-09-13T12:26:40Z\0junk,1.0\n"
+            "2020-09-13T12:41:40\0,2.0\n"
+            "2020-09-13T12:56:40Z,3.0\n"
+        )
+        report = ProcessingReport()
+        ds = load_ship_csv(p, report=report)
+        assert ds.timestamps.tolist() == [1600001800]
+        assert ds.column("sog").tolist() == [3.0]
+        assert report.stage_entries[0].summary["rows_skipped_bad_timestamp"] == 2
+
     def test_unknown_column_auto_declared(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,fuel_temp\n2021-01-01T00:00:00Z,55.5\n")

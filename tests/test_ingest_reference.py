@@ -385,16 +385,15 @@ READER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("line, read", READER_CASES)
-@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
-@pytest.mark.parametrize("stamp", ["2020-09-13T12:30:00Z", "2020-09-13T12:30:00"])
-def test_text_reader_takes_plain_blocks(tmp_path, line, read, block_rows, stamp):
-    """Each case gives what the whole-file reader gives, at every block size,
-    and numpy's text reader is handed the line exactly when it is plain."""
+def reader_case(tmp_path, header, line, block_rows, stamp):
+    """A file of ``header`` with ``line`` among three rows, loaded at
+    ``block_rows``: it must give what the whole-file reader gives. Returns
+    the line, the text of the file and the lines handed to numpy's text
+    reader."""
     path = tmp_path / "ship.csv"
     t = [stamp.replace("30:00", f"3{k}:00") for k in range(4)]
     line = line.replace("T3", t[3])
-    text = f"timestamp,sog,lon\n{t[0]},1.5,2.0\n{t[1]},2.5,-0.0\n{line}{t[2]},4.5,5e-324\n"
+    text = f"{header}\n{t[0]},1.5,2.0\n{t[1]},2.5,-0.0\n{line}{t[2]},4.5,5e-324\n"
     path.write_text(text, newline="")
     units = {"sog": "knots"}
     with read_rows(block_rows), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader:
@@ -404,9 +403,36 @@ def test_text_reader_takes_plain_blocks(tmp_path, line, read, block_rows, stamp)
     same_outcome(got, want)
     if not isinstance(want[0], Exception):
         assert_identical(got[0], want[0])
+    return line, text, handed
+
+
+STAMPS = ["2020-09-13T12:30:00Z", "2020-09-13T12:30:00"]
+
+
+@pytest.mark.parametrize("line, read", READER_CASES)
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+@pytest.mark.parametrize("stamp", STAMPS)
+def test_text_reader_takes_plain_blocks(tmp_path, line, read, block_rows, stamp):
+    """Each case gives what the whole-file reader gives, at every block size,
+    and numpy's text reader is handed the line exactly when it is plain."""
+    line, text, handed = reader_case(tmp_path, "timestamp,sog,lon", line, block_rows, stamp)
     assert (line in handed) == read
     if block_rows == ingest.READ_ROWS:  # one block: the reader sees all of it or none
         assert handed == (io.StringIO(text, newline="").readlines()[1:] if read else [])
+
+
+@pytest.mark.parametrize("header", ["timestamp,sog,state", "timestamp,sog,x_fuel",
+                                    "timestamp,sog,", "timestamp,sog,sog"],
+                         ids=["text", "undeclared", "blank", "repeated"])
+@pytest.mark.parametrize("line", [line for line, _ in READER_CASES])
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+@pytest.mark.parametrize("stamp", STAMPS)
+def test_text_reader_takes_only_stamp_and_number_files(tmp_path, header, line, block_rows,
+                                                       stamp):
+    """A file with a text, an undeclared, a blank-named or a repeated column
+    is read cell by cell, every block of it: numpy's text reader is handed
+    none of its lines, and each case gives what the whole-file reader gives."""
+    assert reader_case(tmp_path, header, line, block_rows, stamp)[2] == []
 
 
 # -- the hindcast grid ----------------------------------------------------------
