@@ -16,7 +16,7 @@ from .ingest import ConfigError, IngestError, load_config
 from .model import DatasetError, SchemaError
 from .pipeline import emit_plotdata, load_inputs, run_pipeline, write_report_files
 
-FATAL = (IngestError, ConfigError, SchemaError, DatasetError, FileNotFoundError, OSError)
+FATAL = (IngestError, ConfigError, SchemaError, DatasetError, OSError)
 
 
 def _parser() -> argparse.ArgumentParser:

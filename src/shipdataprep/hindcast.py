@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import HindcastGrid
+from .ingest import MASK_POLICIES, HindcastGrid
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -341,7 +341,7 @@ def interpolate(
     """
     if order < 1:
         raise ValueError("interpolation order must be >= 1")
-    if mask_policy not in ("zero_fill", "neighbor_mean"):
+    if mask_policy not in MASK_POLICIES:
         raise ValueError(f"unknown mask policy {mask_policy!r}")
     entry = stage_entry(report, "interpolate")
 

@@ -37,6 +37,7 @@ from .model import (
     new_dataset,
     parse_iso_timestamps,
     stage_entry,
+    timestamp_cells,
 )
 from .tables import VOYAGE_KINDS, block_coefficient_midpoint
 
@@ -415,35 +416,6 @@ def _numbers(cells: Sequence[str], factor: float) -> tuple[np.ndarray, np.ndarra
     return np.array(values, dtype=np.float64), np.array(filled, dtype=bool), parsed
 
 
-def csv_cell(value: float | str | int | None) -> str:
-    """One written CSV cell: ``repr`` of a number (lossless round-trip),
-    text as-is, empty for a missing value."""
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else repr(value)
-
-
-def csv_cells(values: np.ndarray) -> list[str]:
-    """``csv_cell`` of each value of a column; NaN and None are written as
-    missing. A float column is formatted with ``repr`` directly, which is
-    what ``csv_cell`` writes for a float; text and object columns go
-    through ``csv_cell``."""
-    if values.dtype.kind == "f":
-        cells = list(map(repr, values.tolist()))
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = ""
-        return cells
-    return [csv_cell(v if v == v else None) for v in values.tolist()]
-
-
-def trip_cells(trip_ids: np.ndarray) -> list[str]:
-    return ["" if t < 0 else str(t) for t in trip_ids.tolist()]
-
-
-def flag_cells(marks: np.ndarray) -> list[str]:
-    return np.where(marks, "1", "0").tolist()
-
-
 def csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes a field (QUOTE_MINIMAL): in double
     quotes, each quote doubled, when it holds a comma, a quote, ``\r`` or
@@ -454,10 +426,24 @@ def csv_field(text: str) -> str:
 
 
 def written_cells(values: np.ndarray) -> list[str]:
-    """``csv_cells`` of a column, each text cell through ``csv_field``; a
-    float cell never needs quotes."""
-    cells = csv_cells(values)
-    return cells if values.dtype.kind == "f" else list(map(csv_field, cells))
+    """The written CSV cells of a column, chosen by its dtype: a float as
+    ``repr`` (lossless round-trip), empty for NaN; a ``datetime64[s]`` stamp
+    as ``timestamp_cells``; an integer as a trip id, empty for -1 (trip ids
+    are the only integer column written); a bool as ``1`` or ``0``; an
+    object as ``csv_field`` of its text, empty for None."""
+    kind = values.dtype.kind
+    if kind == "f":
+        cells = list(map(repr, values.tolist()))
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = ""
+        return cells
+    if kind == "M":
+        return timestamp_cells(values.view(np.int64))
+    if kind == "i":
+        return ["" if t < 0 else str(t) for t in values.tolist()]
+    if kind == "b":
+        return np.where(values, "1", "0").tolist()
+    return ["" if v is None else csv_field(v) for v in values.tolist()]
 
 
 def csv_lines(columns: list[Sequence[str]]) -> Iterator[str]:
@@ -472,11 +458,6 @@ def csv_lines(columns: list[Sequence[str]]) -> Iterator[str]:
 # 0.6 MB at 42 columns) stay well below what the pipeline itself holds
 CSV_BLOCK_ROWS = 256
 
-# a column shared by the files of one pass: its values over every row, and
-# the function that gives the cells of a block of them
-SharedColumn = tuple[np.ndarray, Callable[[np.ndarray], list[str]]]
-
-
 @dataclass
 class CsvFile:
     """One file of :func:`write_csv_files`: its preamble (whole lines), its
@@ -490,13 +471,13 @@ class CsvFile:
     preamble: str = ""
 
 
-def write_csv_files(shared: list[SharedColumn], n_rows: int, files: list[CsvFile]) -> None:
+def write_csv_files(shared: list[np.ndarray], n_rows: int, files: list[CsvFile]) -> None:
     """Write ``files`` in one pass over the rows ``0 .. n_rows - 1``, taken
-    ``CSV_BLOCK_ROWS`` at a time.
+    ``CSV_BLOCK_ROWS`` at a time; ``shared`` holds the columns (a value per
+    row) that files name by index.
 
-    In a block, each shared column that some file uses there is formatted
-    once, over the whole block, and every file takes its rows' cells from
-    it; a file's own values go through ``written_cells``. Header names go
+    Every cell is ``written_cells`` of its column, a shared one formatted
+    once per block for all the files that use it there. Header names go
     through ``csv_field``. A file is opened at its first row and closed
     after its last, so files whose rows follow one another (the trips) are
     open one at a time; a file without rows holds its header alone. A
@@ -532,8 +513,7 @@ def write_csv_files(shared: list[SharedColumn], n_rows: int, files: list[CsvFile
                         columns.append(written_cells(c[a:b]))
                         continue
                     if c not in block:
-                        values, cells = shared[c]
-                        block[c] = cells(values[lo:hi])
+                        block[c] = written_cells(shared[c][lo:hi])
                     columns.append(pick(block[c]))
                 if a == 0:
                     open_files[k] = start(f)
@@ -873,6 +853,10 @@ PIPELINE_STAGES = (
 
 TRIP_METHODS = ("state_variable", "thresholds", "port_names")
 MASK_POLICIES = ("zero_fill", "neighbor_mean")
+# stage-2 retention limits (unit/s) of the steady filters, by the variable each
+# filter is given (lat: the GPS filter, both axes; draft_fore: the draft-event
+# filter, both sensors); a config's gradient_tolerance.default replaces all four
+DEFAULT_GRADIENT_TOLERANCE = {"lat": 5e-4, "draft_fore": 2e-3, "shaft_rpm": 0.05, "sog": 0.02}
 
 
 @dataclass
@@ -939,7 +923,10 @@ class PipelineConfig:
                     raise ConfigError(f"{f.name} must be finite and not negative")
             elif not 0 < value < math.inf:
                 raise ConfigError(f"{f.name} must be finite and strictly positive")
+        known = (*DEFAULT_GRADIENT_TOLERANCE, "default")
         for name, tol in self.gradient_tolerance.items():
+            if name not in known:
+                raise ConfigError(f"unknown key 'gradient_tolerance.{name}'; known: {known}")
             if not 0 < tol < math.inf:
                 raise ConfigError(
                     f"gradient_tolerance.{name} must be finite and strictly positive"

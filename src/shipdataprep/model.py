@@ -253,9 +253,7 @@ def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
         types, text_at = set(map(type, values)), len(values)
         if any(issubclass(t, str) for t in types):
             text_at = next(i for i, v in enumerate(values) if isinstance(v, str))
-        # None -> NaN; a column of only None is common and slow to convert
-        col = (np.full(text_at, np.nan) if types == {type(None)}
-               else np.array(values[:text_at], dtype=np.float64))
+        col = np.array(values[:text_at], dtype=np.float64)  # None -> NaN
     n = len(values)
     inf_at = np.append(np.flatnonzero(np.isinf(col)), n)[0]
     if spec.kind == "angular":
@@ -341,22 +339,6 @@ class VoyageDataset:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VoyageDataset):
-            return NotImplemented
-        meta = ("schema", "sampling_interval", "source_kind")
-        return (
-            all(getattr(self, a) == getattr(other, a) for a in meta)
-            and all(
-                np.array_equal(getattr(self, a), getattr(other, a))
-                for a in ("timestamps", "flag_bits", "trip_ids")
-            )
-            and all(
-                np.array_equal(col, other._columns[name], equal_nan=col.dtype != object)
-                for name, col in self._columns.items()
-            )
-        )
 
     @cached_property
     def spec_map(self) -> dict[str, VariableSpec]:

@@ -16,18 +16,15 @@ import numpy as np
 from . import cleaning, corrections, features, timeline, validation
 from .hindcast import SteadyFilterParams, clean_gps, interpolate
 from .ingest import (
+    DEFAULT_GRADIENT_TOLERANCE,
     CsvFile,
     HindcastGrid,
     IngestError,
     PipelineConfig,
-    SharedColumn,
-    flag_cells,
     load_hindcast,
     load_particulars,
     load_ship_csv,
-    trip_cells,
     write_csv_files,
-    written_cells,
 )
 from .model import (
     ProcessingReport,
@@ -36,19 +33,8 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     generated_header,
-    timestamp_cells,
 )
 from .timeline import SegmentationError, runs
-
-# stage-2 retention limits (unit/s) when the config does not override them
-DEFAULT_GRADIENT_TOLERANCE = {
-    "lat": 5.0e-4,
-    "lon": 5.0e-4,
-    "draft_fore": 2.0e-3,
-    "draft_aft": 2.0e-3,
-    "shaft_rpm": 0.05,
-    "sog": 0.02,
-}
 
 SOG_RELAX_ALPHA = 0.1  # relaxed pass rejects less: alpha scaled down
 SOG_RELAX_TOLERANCE = 4.0  # and retains more: tolerance scaled up
@@ -66,7 +52,7 @@ class PipelineResult:
 def _steady_params(config: PipelineConfig, variable: str) -> SteadyFilterParams:
     tol = config.gradient_tolerance.get(
         variable,
-        config.gradient_tolerance.get("default", DEFAULT_GRADIENT_TOLERANCE.get(variable)),
+        config.gradient_tolerance.get("default", DEFAULT_GRADIENT_TOLERANCE[variable]),
     )
     return SteadyFilterParams(config.steady_window, config.steady_alpha, tol)
 
@@ -192,10 +178,8 @@ def _clean(
     )
     rpm_params = _steady_params(config, "shaft_rpm")
     sog = _steady_params(config, "sog")
-    tol = sog.gradient_tolerance
     sog_params = SteadyFilterParams(
-        sog.window, sog.alpha * SOG_RELAX_ALPHA,
-        None if tol is None else tol * SOG_RELAX_TOLERANCE,
+        sog.window, sog.alpha * SOG_RELAX_ALPHA, sog.gradient_tolerance * SOG_RELAX_TOLERANCE
     )
     dataset = cleaning.quasi_steady_filter(dataset, rpm_params, sog_params, report)
     return _pca_stage(dataset, config, report)
@@ -454,13 +438,10 @@ def write_processed_csv(
 
     The ``plots`` files (from ``emit_plotdata``) are written in the same
     pass over the dataset, from the same formatted cells."""
-    columns: list[SharedColumn] = [(dataset.timestamps, timestamp_cells)]
-    for spec in dataset.schema:
-        text = spec.kind == "text"
-        values = dataset.text_column(spec.name) if text else dataset.column(spec.name)
-        columns.append((values, written_cells))
-    columns.append((dataset.trip_ids, trip_cells))
-    columns += [(dataset.flagged(f), flag_cells) for f in QualityFlag]
+    columns = [dataset.timestamps.astype("datetime64[s]")]
+    columns += [dataset.text_column(s.name) if s.kind == "text" else dataset.column(s.name)
+                for s in dataset.schema]
+    columns += [dataset.trip_ids, *map(dataset.flagged, QualityFlag)]
     header = _processed_header(dataset)
     preamble = generated_header() + "\n" if timestamp_header else ""
     rows = np.arange(len(dataset))

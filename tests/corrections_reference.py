@@ -2,8 +2,10 @@
 ``corrections.fix_draft_ramp`` and ``corrections._apply_draft`` replaced,
 kept verbatim except that their two ``with_values`` calls pass the dicts'
 keys and values, and that a trip's rows and its first and last timestamps
-come from a scan of the trip ids; and a row loop for
-``corrections._static_anchor`` that picks the anchors by timestamp.
+come from a scan of the trip ids; a row loop for
+``corrections._static_anchor`` that picks the anchors by timestamp; and a
+row loop for ``corrections._event_means``, the ramp's means on each side
+of an event.
 
 Reference for hydrostatics and resistance: the scalar ``hydrostatics``
 with its table lookup and ``Hydrostatics`` checks, the sample loop of
@@ -32,7 +34,6 @@ from shipdataprep.corrections import (
     DraftChangeEvent,
     HydroTable,
     TableDrivenModel,
-    _event_means,
     check_draft_ratio,
 )
 from shipdataprep.ingest import PipelineConfig
@@ -142,6 +143,21 @@ def _apply_draft(
     return out.with_values(sensor, list(corrected), list(corrected.values()))
 
 
+def _event_means(
+    dataset: VoyageDataset, col, event: DraftChangeEvent, idx: list[int], n_avg: int
+) -> tuple[float, float] | None:
+    """Mean of the last ``n_avg`` present in-trip values before the event and
+    of the first ``n_avg`` after it; None when either side has none."""
+    ts = dataset.timestamps
+    before = [i for i in idx if ts[i] < event.start and not math.isnan(col[i])]
+    after = [i for i in idx if ts[i] > event.end and not math.isnan(col[i])]
+    if not before or not after:
+        return None
+    pre = float(np.mean([col[i] for i in before[-n_avg:]]))
+    post = float(np.mean([col[i] for i in after[:n_avg]]))
+    return pre, post
+
+
 def fix_draft_ramp(
     dataset: VoyageDataset,
     trip_id: int,
@@ -191,7 +207,7 @@ def fix_draft_ramp(
         base: float | None = None
         usable = True
         for e in events:
-            means = _event_means(out, col, e, np.array(idx, dtype=np.intp), n_avg)
+            means = _event_means(out, col, e, idx, n_avg)
             if means is None:
                 if entry is not None:
                     entry.notes.append(

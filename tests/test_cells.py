@@ -1,11 +1,13 @@
 """The whole-array cell formatters and parsers against independent or
 per-cell oracles: timestamp cells against ``datetime``'s fields, parsed
 timestamp cells (with or without the Z, in a list or a string array)
-against ``parse_iso_timestamp``, float cells against
-``csv_cell``, the array curve lookup against the scalar ``power_at``, and the
-report's check timestamps, formatted together."""
+against ``parse_iso_timestamp``, the written cells of each column dtype
+against a scalar cell formatter, the array curve lookup against the scalar
+``power_at``, and the report's check timestamps, formatted together."""
 
+import csv
 import datetime
+import io
 import json
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import T0
 from shipdataprep import model
-from shipdataprep.ingest import CSV_BLOCK_ROWS, csv_cell, csv_cells
+from shipdataprep.ingest import CSV_BLOCK_ROWS, written_cells
 from shipdataprep.model import (
     WRITABLE_YEARS,
     CalmWaterCurve,
@@ -210,9 +212,21 @@ class TestTimestampParsing:
         assert array_parse(cells) == per_cell_parse(cells)
 
 
-def float_reference(values: np.ndarray) -> list[str]:
-    """The per-cell formatting that ``csv_cells`` replaced."""
-    return [csv_cell(v if v == v else None) for v in values.tolist()]
+def scalar_cell(value) -> str:
+    """One written cell, formatted alone: empty for None and NaN, text as
+    ``csv.writer`` writes a field, ``repr`` of a number."""
+    if value is None or value != value:
+        return ""
+    if isinstance(value, str):
+        line = io.StringIO()
+        csv.writer(line).writerow(["", value])
+        return line.getvalue()[1:-2]  # between the leading comma and the \r\n
+    return repr(value)
+
+
+def scalar_reference(values: np.ndarray) -> list[str]:
+    """``scalar_cell`` of each value, one at a time."""
+    return [scalar_cell(v) for v in values.tolist()]
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-300, 3.0,
@@ -225,30 +239,25 @@ NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000 - 2**64, 0x7FF0000000000
 class TestFloatCells:
     def test_special_floats(self):
         values = np.array(SPECIAL_FLOATS)
-        assert csv_cells(values) == float_reference(values)
-        assert csv_cells(values)[-4:] == ["0.1", "inf", "-inf", ""]
-
-    def test_object_columns(self):
-        values = np.array([None, 'say "hi", then go', "a,b", "", "x"], dtype=object)
-        assert csv_cells(values) == float_reference(values) == ["", 'say "hi", then go',
-                                                                 "a,b", "", "x"]
+        assert written_cells(values) == scalar_reference(values)
+        assert written_cells(values)[-4:] == ["0.1", "inf", "-inf", ""]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), max_size=40))
-    def test_equals_csv_cell_per_cell(self, values):
+    def test_equals_scalar_cell_per_cell(self, values):
         values = np.array(values, dtype=np.float64)
-        assert csv_cells(values) == float_reference(values)
+        assert written_cells(values) == scalar_reference(values)
 
     def test_runs_longer_than_a_block(self):
         values = np.repeat([1.5, -0.0, 0.0, np.inf, -np.inf, 1.5] + NANS, CSV_BLOCK_ROWS + 3)
-        cells = csv_cells(values)
-        assert cells == float_reference(values)
+        cells = written_cells(values)
+        assert cells == scalar_reference(values)
         assert cells[CSV_BLOCK_ROWS + 2:CSV_BLOCK_ROWS + 4] == ["1.5", "-0.0"]
         assert set(cells[-len(NANS) * (CSV_BLOCK_ROWS + 3):]) == {""}
 
     def test_signed_zeros_side_by_side(self):
         values = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
-        assert csv_cells(values) == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "-0.0"]
+        assert written_cells(values) == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "-0.0"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(
@@ -257,12 +266,49 @@ class TestFloatCells:
         max_size=12,
     ))
     @example([(0.0, 3), (-0.0, 2), (NANS[1], 4), (NANS[0], 1)])
-    def test_runs_equal_csv_cell_per_cell(self, runs):
+    def test_runs_equal_scalar_cell_per_cell(self, runs):
         """Columns of runs of one value: NaN runs of mixed signs and
         payloads, ``-0.0`` beside ``0.0``, inf runs, runs of one cell."""
         values = np.repeat(np.array([v for v, _ in runs], dtype=np.float64),
                            [n for _, n in runs])
-        assert csv_cells(values) == float_reference(values)
+        assert written_cells(values) == scalar_reference(values)
+
+
+class TestWrittenCells:
+    """The cells of the other dtypes a written column has."""
+
+    def test_object_columns_are_quoted_text(self):
+        values = np.array([None, 'say "hi", then go', "a,b", "", "x", "two\nlines"],
+                          dtype=object)
+        assert written_cells(values) == scalar_reference(values) == [
+            "", '"say ""hi"", then go"', '"a,b"', "", "x", '"two\nlines"']
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.text()), max_size=30))
+    def test_object_equals_scalar_cell_per_cell(self, values):
+        values = np.array(values + [None], dtype=object)[:-1]  # 1-d even for list values
+        assert written_cells(values) == scalar_reference(values)
+
+    def test_integers_are_trip_ids(self):
+        assert written_cells(np.array([-1, 0, 1, 12, -1], dtype=np.int64)) == [
+            "", "0", "1", "12", ""]
+
+    def test_bools_are_marks(self):
+        assert written_cells(np.array([True, False, False, True])) == ["1", "0", "0", "1"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(YEAR_1, YEAR_9999_END), max_size=20))
+    def test_stamps_equal_their_fields(self, stamps):
+        seconds = np.array(stamps, dtype=np.int64).astype("datetime64[s]")
+        assert written_cells(seconds) == fields_oracle(stamps)
+
+    def test_stamp_outside_the_writable_years_raises(self):
+        with pytest.raises(ValueError, match="outside the years 1-9999"):
+            written_cells(np.array([T0, YEAR_9999_END + 1]).astype("datetime64[s]"))
+
+    def test_empty_columns(self):
+        for dtype in (np.float64, np.int64, bool, object, "datetime64[s]"):
+            assert written_cells(np.zeros(0, dtype=dtype)) == []
 
 
 def scalar_powers(curve: CalmWaterCurve, speeds: np.ndarray) -> np.ndarray:

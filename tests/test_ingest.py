@@ -441,6 +441,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{p}: {key} must be finite")):
             load_config(p)
 
+    def test_only_the_tolerances_a_filter_reads(self):
+        for name in ("lat", "draft_fore", "shaft_rpm", "sog", "default"):
+            assert PipelineConfig(gradient_tolerance={name: 1e-3}).gradient_tolerance == {
+                name: 1e-3}
+        for name in ("lon", "draft_aft", "Lat", ""):
+            with pytest.raises(ConfigError, match=re.escape(f"'gradient_tolerance.{name}'")):
+                PipelineConfig(gradient_tolerance={name: 1e-3})
+
     def test_zero_thresholds_accepted(self, tmp_path):
         p = tmp_path / "config.txt"
         p.write_text("ship_csv = s.csv\nrpm_threshold = 0\nsog_threshold = 0\n")

@@ -111,11 +111,22 @@ class TestNewDataset:
     def test_positional_constructor_transposes_rows(self):
         rows = [Sample(900, {"sog": 2.0}, frozenset({QualityFlag.SPIKE}), 1), Sample(0, {"state": "a"})]
         ds = VoyageDataset(tuple(schema()), rows, 900, "ais")
-        assert ds == new_dataset(
+        want = new_dataset(
             schema(), [900, 0], {"sog": [2.0, None], "state": [None, "a"]}, 900, "ais",
             flags=[{QualityFlag.SPIKE}, ()], trip_ids=[1, None],
         )
-        assert ds.timestamps.tolist() == [0, 900]
+        assert (ds.schema, ds.sampling_interval, ds.source_kind) == (want.schema, 900, "ais")
+        assert ds.timestamps.tolist() == want.timestamps.tolist() == [0, 900]
+        assert ds.flag_bits.tolist() == want.flag_bits.tolist()
+        assert flags_at(ds, 1) == {QualityFlag.SPIKE}
+        assert ds.trip_ids.tolist() == want.trip_ids.tolist() == [-1, 1]
+        for spec in ds.schema:
+            if spec.kind == "text":
+                got = ds.text_column(spec.name).tolist()
+                assert got == want.text_column(spec.name).tolist() == ["a", None]
+            else:  # NaN equals NaN
+                np.testing.assert_array_equal(ds.column(spec.name), want.column(spec.name))
+        np.testing.assert_array_equal(ds.column("sog"), [np.nan, 2.0])
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(SchemaError):

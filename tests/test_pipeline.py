@@ -835,6 +835,36 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # lon and draft_aft had defaults but no filter reads them: the GPS filter
+    # takes lat's limit for both axes, the draft-event filter draft_fore's for both
+    @pytest.mark.parametrize("name", ["lon", "draft_aft", "sgo"])
+    def test_tolerance_no_filter_reads_is_fatal(self, tmp_path, capsys, name):
+        paths = VoyageBuilder(tmp_path).build()
+        appended(paths["config"], f"gradient_tolerance.{name} = 0.001\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"fatal: {paths['config']}: unknown key 'gradient_tolerance.{name}'")
+        assert not out.exists()
+
+    def test_each_tolerance_a_filter_reads(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        config = load_config(paths["config"])
+        assert {v: pl._steady_params(config, v).gradient_tolerance
+                for v in ("lat", "draft_fore", "shaft_rpm", "sog")} == {
+            "lat": 5e-4, "draft_fore": 2e-3, "shaft_rpm": 0.05, "sog": 0.02}
+        appended(paths["config"], "gradient_tolerance.default = 0.5\n")
+        assert {pl._steady_params(load_config(paths["config"]), v).gradient_tolerance
+                for v in ("lat", "draft_fore", "shaft_rpm", "sog")} == {0.5}
+        appended(paths["config"], "".join(
+            f"gradient_tolerance.{v} = {k}\n"
+            for k, v in enumerate(("lat", "draft_fore", "shaft_rpm", "sog"), 1)))
+        config = load_config(paths["config"])
+        assert [pl._steady_params(config, v).gradient_tolerance
+                for v in ("lat", "draft_fore", "shaft_rpm", "sog")] == [1, 2, 3, 4]
+        assert main(["run", "--config", str(paths["config"]),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_duplicated_row_is_dropped_not_fatal(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
         lines = paths["ship_csv"].read_text().splitlines()
