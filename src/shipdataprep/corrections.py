@@ -63,13 +63,6 @@ class DraftChangeEvent:
             )
 
 
-def _anchor_values(dataset: VoyageDataset, sensor: str) -> np.ndarray:
-    """The sensor's column without the values that ``clean:contextual``
-    flags ``invalid_range`` (outside the valid range): no mean takes them."""
-    col = dataset.column(sensor)
-    return np.where(dataset.spec(sensor).outside(col), np.nan, col)
-
-
 def _static_anchor(
     dataset: VoyageDataset, col: np.ndarray, idx: np.ndarray, side: str, n_anchor: int
 ) -> float | None:
@@ -105,7 +98,7 @@ def fix_draft_simple(
     for sensor in DRAFT_SENSORS:
         if not out.has_data(sensor):
             continue
-        col = _anchor_values(out, sensor)
+        col = out.valid(sensor)
         pre = _static_anchor(out, col, idx, "pre", n_anchor)
         post = _static_anchor(out, col, idx, "post", n_anchor)
         if pre is None and post is None:
@@ -204,7 +197,7 @@ def fix_draft_ramp(
     for sensor in DRAFT_SENSORS:
         if not out.has_data(sensor):
             continue
-        col = _anchor_values(out, sensor)
+        col = out.valid(sensor)
         means = [_event_means(out, col, e, idx, n_avg) for e in events]
         if None in means:
             e = events[means.index(None)]
@@ -243,7 +236,7 @@ def detect_draft_events(
     starts, ends = [], []
     sensors = [s for s in DRAFT_SENSORS if dataset.has_data(s)]
     for sensor in sensors:
-        col = dataset.column(sensor)[idx]
+        col = dataset.valid(sensor)[idx]
         a, b = runs(steady_state_filter(ts.astype(float), col, params).unsteady)
         long = b - a + 1 >= params.window / 2.0
         starts.append(ts[a[long]])

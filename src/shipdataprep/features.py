@@ -232,7 +232,8 @@ def ais_speed_consistency(
     Each sample is checked against its forward leg (the last sample against
     its backward leg). For very short legs (< ``MIN_LEG_SECONDS``) the
     implied speed comes from a ``window``-leg average trend instead of the
-    single leg. Originals are preserved under ``raw_sog``.
+    single leg. Originals are preserved under ``raw_sog``. An out-of-range
+    value is missing here (``VoyageDataset.valid``): not checked, no replacement.
     """
     entry = stage_entry(report, "ais_speed_consistency")
     if not dataset.has_data("sog") or not (
@@ -242,7 +243,7 @@ def ais_speed_consistency(
         return dataset
 
     lat, lon, ok = dataset.positions()
-    sog = dataset.column("sog")
+    sog = dataset.valid("sog")
     ts = dataset.timestamps.astype(float)
     n = len(dataset)
 

@@ -185,8 +185,7 @@ def clean_gps(
         return dataset
 
     ts = dataset.timestamps.astype(float)
-    lat = dataset.column("lat")
-    lon = dataset.column("lon")
+    lat, lon = dataset.valid("lat"), dataset.valid("lon")
     irrational = np.zeros(len(dataset), dtype=bool)
     stage1_total = 0
     for idx in dataset.trip_groups():

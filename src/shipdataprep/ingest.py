@@ -910,6 +910,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown voyage kind {self.voyage_kind!r}; known: {VOYAGE_KINDS}")
         if not 0.0 < self.steady_alpha < 1.0:
             raise ConfigError("steady_alpha must lie in (0, 1)")
+        if self.steady_window < 3 or self.steady_window % 2 == 0:
+            raise ConfigError("steady_window must be an odd sample count >= 3")
         if not 0.0 < self.pca_quantile < 1.0:
             raise ConfigError("pca_quantile must lie in (0, 1)")
         # every plain number must be finite and positive, except that

@@ -235,9 +235,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
     """One variable's values as a stored read-only column: float64 for the
-    numeric kinds (None and NaN = missing; angles wrap into [0, 360),
-    longitudes into [-180, 180)), an object array of str for text (None =
-    missing). The first value that breaks a rule raises DatasetError."""
+    numeric kinds (None and NaN = missing; angles wrap into [0, 360), and a
+    longitude with |lon| <= 540 into [-180, 180)), an object array of str for
+    text (None = missing). The first value that breaks a rule raises DatasetError."""
     name = spec.name
     if spec.kind == "text":
         col = np.empty(len(values), dtype=object)
@@ -267,8 +267,8 @@ def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
         if first == inf_at:
             raise DatasetError(f"non-finite value for {name!r}")
         raise DatasetError(f"latitude {float(col[first])} outside [-90, 90]")
-    if name == "lon":  # the wrap is inexact (12.3 -> 12.300000000000011): only where needed
-        wrap = (col < -180.0) | (col >= 180.0)
+    if name == "lon":  # inexact (12.3 -> 12.300000000000011): only where needed, within a turn
+        wrap = ((col < -180.0) | (col >= 180.0)) & (np.abs(col) <= 540.0)
         col[wrap] = ((col[wrap] + 180.0) % 360.0) - 180.0
         col[col == 180.0] = -180.0
     return _frozen(col)
@@ -366,6 +366,13 @@ class VoyageDataset:
             raise TypeError(f"variable {name!r} is text; use text_column()")
         return self._columns[name]
 
+    def valid(self, name: str) -> np.ndarray:
+        """Numeric column as every rule but the range rule reads it: NaN
+        wherever a value lies outside the variable's valid range (flagged
+        ``invalid_range``). The stored column keeps every value as logged."""
+        col = self.column(name)
+        return _frozen(np.where(self.spec(name).outside(col), np.nan, col))
+
     def coalesce(self, *names: str) -> np.ndarray:
         """Per row, the first value present among the named numeric columns;
         NaN where none has one. Undeclared and text columns count as missing."""
@@ -413,10 +420,11 @@ class VoyageDataset:
         return (self.flag_bits & wanted) != 0
 
     def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Latitude and longitude columns (NaN where absent or undeclared) and
-        the mask of usable positions: both present and not flagged
-        ``irrational_position``."""
-        lat, lon = self.coalesce("lat"), self.coalesce("lon")
+        """Latitude and longitude columns as :meth:`valid` reads them (NaN
+        where absent, out of range or undeclared) and the mask of usable
+        positions: both present and not flagged ``irrational_position``."""
+        lat, lon = (self.valid(n) if self.declares(n) else np.full(len(self), np.nan)
+                    for n in ("lat", "lon"))
         ok = ~np.isnan(lat) & ~np.isnan(lon) & ~self.flagged(QualityFlag.IRRATIONAL_POSITION)
         return lat, lon, ok
 
@@ -515,9 +523,10 @@ def new_dataset(
     the trip ``trip_ids[i]`` (None = no trip); by default no row has either.
 
     Sorts the rows stably by timestamp and normalises each column (angles
-    into [0, 360), longitudes into [-180, 180)). Raises on duplicate variable
-    names, columns of another length, duplicate timestamps, values for
-    undeclared variables, and values the normaliser rejects."""
+    into [0, 360), longitudes within a turn into [-180, 180)). Raises on
+    duplicate variable names, columns of another length, duplicate
+    timestamps, values for undeclared variables, and values the normaliser
+    rejects."""
     if source_kind not in SOURCE_KINDS:
         raise DatasetError(f"unknown source kind {source_kind!r}")
     names = [s.name for s in schema]

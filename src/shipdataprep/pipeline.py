@@ -111,9 +111,11 @@ def _validate(
     work = validation.check_power_identity(work, config.power_tolerance, report)
     work = validation.check_speed_power(work, particulars, report)
     pre_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
-    for variable in ("heading", "rel_wind_dir"):
+    references = {"heading": work.coalesce("gps_heading"),
+                  "rel_wind_dir": validation.hindcast_relative_wind_direction(work)}
+    for variable, reference in references.items():
         if work.has_data(variable):
-            work = validation.detect_angular_fault(work, variable, report=report)
+            work = validation.detect_angular_fault(work, variable, reference, report)
     post_fault = int(work.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
     validation.check_stw(work, config.stw_tolerance, report)
     # first pass validates the data as recorded, exposing any fault cluster;
@@ -397,23 +399,22 @@ def _pca_stage(
     dataset: VoyageDataset, config: PipelineConfig, report: ProcessingReport
 ) -> VoyageDataset:
     candidates = config.pca_features or ("shaft_rpm", "shaft_power", "sog", "stw")
-    present = [f for f in candidates if dataset.has_data(f)]
+    text = [f for f in candidates if dataset.declares(f) and dataset.spec(f).kind == "text"]
+    present = [f for f in candidates if f not in text and dataset.has_data(f)]
+    notes = [f"text feature {f!r} left out" for f in text]
     if len(present) < 2:
-        report.stage("clean:pca").notes.append(
-            "fewer than two PCA features have data; detector skipped"
-        )
+        notes.append("fewer than two PCA features have data; detector skipped")
+        report.stage("clean:pca").notes += notes
         return dataset
     try:
-        detector = cleaning.pca_fit(
-            dataset,
-            present,
-            k=config.pca_components or None,
-            quantile=config.pca_quantile,
-        )
+        detector = cleaning.pca_fit(dataset, present, k=config.pca_components or None,
+                                    quantile=config.pca_quantile)
     except cleaning.CleaningError as exc:
-        report.stage("clean:pca").notes.append(f"detector skipped: {exc}")
+        report.stage("clean:pca").notes += [*notes, f"detector skipped: {exc}"]
         return dataset
-    return cleaning.pca_score(detector, dataset, report)
+    dataset = cleaning.pca_score(detector, dataset, report)
+    report.stage_entries[-1].notes += notes  # pca_score's entry
+    return dataset
 
 
 # -- output artifacts -----------------------------------------------------------

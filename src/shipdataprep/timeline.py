@@ -210,8 +210,8 @@ def segment_by_thresholds(
     sog_threshold: float = SOG_THRESHOLD,
     pad_samples: int = 2,
 ) -> VoyageDataset:
-    """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
-    threshold (a value outside the variable's valid range is no motion);
+    """A sample is in-trip when shaft rpm or speed-over-ground, as
+    :meth:`VoyageDataset.valid` reads it, exceeds its threshold;
     maximal runs are padded by ``pad_samples`` on each side and padded runs
     that overlap or touch merge. Padding never reaches an at-berth sample of
     the state variable, when it exists."""
@@ -222,8 +222,7 @@ def segment_by_thresholds(
     in_trip = np.zeros(n, dtype=bool)
     for name, threshold in (("shaft_rpm", rpm_threshold), ("sog", sog_threshold)):
         if dataset.has_data(name):
-            values = dataset.column(name)
-            in_trip |= (values > threshold) & ~dataset.spec(name).outside(values)
+            in_trip |= dataset.valid(name) > threshold
 
     berth = np.zeros(0, dtype=np.int64)
     if dataset.has_data("state"):

@@ -271,29 +271,22 @@ def hindcast_relative_wind_direction(dataset: VoyageDataset) -> np.ndarray:
 def detect_angular_fault(
     dataset: VoyageDataset,
     variable: str,
-    reference: np.ndarray | list | None = None,
+    reference: np.ndarray | list,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Detect time-averaging faults on an angular variable near the 0/360
     wrap and substitute the reference value.
 
-    A sample is flagged when the recorded angle differs from the reference
-    by more than ``DIFFERENCE_THRESHOLD`` degrees while the reference sits
-    within ``WRAP_BAND`` degrees of the wrap (where naive averaging breaks).
-    The substitute value is stored in ``fixed_<variable>``; the recorded one
-    is never modified.
+    A sample is flagged when the recorded angle differs from ``reference``
+    (one angle per row, NaN = none) by more than ``DIFFERENCE_THRESHOLD``
+    degrees while the reference sits within ``WRAP_BAND`` degrees of the
+    wrap (where naive averaging breaks). The substitute value is stored in
+    ``fixed_<variable>``; the recorded one is never modified.
     """
     entry = stage_entry(report, f"check:angular_fault:{variable}")
-    if reference is None:
-        if variable == "heading" and dataset.declares("gps_heading"):
-            reference = dataset.column("gps_heading")
-        elif variable == "rel_wind_dir":
-            reference = hindcast_relative_wind_direction(dataset)
-    reference = None if reference is None else np.asarray(reference, dtype=float)
-    if reference is None or np.isnan(reference).all():
-        entry.notes.append(
-            f"no reference series available for {variable!r}; detector skipped"
-        )
+    reference = np.asarray(reference, dtype=float)
+    if np.isnan(reference).all():
+        entry.notes.append(f"no reference series available for {variable!r}; detector skipped")
         return dataset
     if not dataset.has_data(variable):
         entry.notes.append(f"variable {variable!r} has no data; detector skipped")

@@ -1,9 +1,10 @@
 """Reference for the contextual rules: the loop that ``cleaning.contextual_filter``
 replaced, kept verbatim except that the spike rule compares the signs of the
-two steps (their product underflows to 0 for tiny steps) and that the rules
+two steps (their product underflows to 0 for tiny steps), that the rules
 read the columns and trips of the measured dataset and flag the dataset
-given first. It walks each column per trip group in ``while`` loops, one
-run at a time.
+given first, and that the pattern rules read a value outside the valid
+range as missing (only the range rule reads it as logged). It walks each
+column per trip group in ``while`` loops, one run at a time.
 ``tests/test_cleaning_reference.py`` requires the whole-array rules to give
 the same flags, the same check rows in the same order, and the same flag
 counts and summary.
@@ -53,14 +54,15 @@ def contextual_filter(
 
     numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
-        col_all = measured.column(spec.name)
-        # range rule applies everywhere; pattern rules run per trip group
-        if spec.valid_min is not None or spec.valid_max is not None:
-            lo = -math.inf if spec.valid_min is None else spec.valid_min
-            hi = math.inf if spec.valid_max is None else spec.valid_max
-            bad = (col_all < lo) | (col_all > hi)
-            for i in np.nonzero(bad)[0]:
-                add(int(i), QualityFlag.INVALID_RANGE, spec.name, float(col_all[i]))
+        logged = measured.column(spec.name)
+        # range rule applies everywhere; pattern rules run per trip group, on
+        # the column with every out-of-range value missing
+        lo = -math.inf if spec.valid_min is None else spec.valid_min
+        hi = math.inf if spec.valid_max is None else spec.valid_max
+        bad = (logged < lo) | (logged > hi)
+        for i in np.nonzero(bad)[0]:
+            add(int(i), QualityFlag.INVALID_RANGE, spec.name, float(logged[i]))
+        col_all = np.where(bad, np.nan, logged)
 
         dead = dead_values.get(spec.name, 0.0)
         for idx in groups:

@@ -10,7 +10,9 @@ Two rules differ from the row model as it was:
 
 - It rewrote every longitude as ``((v + 180) % 360) - 180``, which is
   inexact (12.3 became 12.300000000000011); both models here wrap only a
-  longitude outside [-180, 180).
+  longitude outside [-180, 180), and only within one turn of it
+  (|lon| <= 540): a wilder value is stored as logged, outside the valid
+  range, where the range rule flags it.
 - Python's ``%`` rounds a tiny negative angle (above -3e-14) up to 360.0,
   and a longitude just below -180 to 180.0. The row model stored that
   value, and only the next pass through its constructor (in regularize or
@@ -56,7 +58,7 @@ def normalise_value(spec: VariableSpec, name: str, value: float | str):
         v = 0.0 if v == 360.0 else v
     if name == "lat" and not -90.0 <= v <= 90.0:
         raise DatasetError(f"latitude {v} outside [-90, 90]")
-    if name == "lon" and not -180.0 <= v < 180.0:
+    if name == "lon" and not -180.0 <= v < 180.0 and abs(v) <= 540.0:
         v = ((v + 180.0) % 360.0) - 180.0
         v = -180.0 if v == 180.0 else v
     return v

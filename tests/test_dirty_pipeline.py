@@ -5,7 +5,10 @@ failed stage), and one with finite extremes, in-service or AIS, runs to
 exit 0 under warnings as errors. Both keep their bookkeeping: one
 processed row per lattice slot, report flag counts equal to the flags written, and every
 flagged sample covered by the report. On both, flags only grow: each stage
-after trips returns the flags of its input, row by row, and maybe more."""
+after trips returns the flags of its input, row by row, and maybe more. And a
+value outside its column's valid range is missing to every rule but the range
+rule: the run flags that row and leaves every other row's flags as they are
+with the cell empty."""
 
 import contextlib
 import csv
@@ -194,6 +197,66 @@ def test_finite_extremes_run_to_exit_zero_with_exact_bookkeeping(tmp_path_factor
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_with_rows(paths, names, rows, root / "out", interval) == 0
+
+
+def past_the_range(name):
+    """The values drawn into one cell of the column ``name``, each outside its
+    valid range: +-DBL_MAX, +-1e306 and one ulp past each bound. A longitude
+    within one turn of the range (|lon| <= 540) is wrapped into it, so for
+    ``lon`` only the values beyond."""
+    spec = SPECS[name]
+    values = [DBL_MAX, -DBL_MAX, 1e306, -1e306]
+    if name != "lon":
+        values += [math.nextafter(spec.valid_min, -math.inf),
+                   math.nextafter(spec.valid_max, math.inf)]
+    return values
+
+
+BOUNDED = {name for name, spec in SPECS.items() if spec.valid_min is not None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_out_of_range_cell_changes_no_other_row(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("range")
+    paths = VoyageBuilder(root, n_trips=2, trip_len=30, berth_len=8,
+                          wind_dir_fault=data.draw(st.booleans()),
+                          resistance=data.draw(st.booleans())).build()
+    names, rows = read_csv(paths["ship_csv"])
+    k = names.index(data.draw(st.sampled_from(sorted(BOUNDED & set(names)))))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    interval = INTERVAL
+    if data.draw(st.booleans()):  # AIS input, two rows to a bin
+        interval = 2 * INTERVAL
+        config = paths["config"].read_text().replace(
+            f"sampling_interval = {INTERVAL}", f"sampling_interval = {interval}")
+        paths["config"].write_text(config + "source_kind = ais\n")
+        # resample averages the messages of a bin, so beside another message the
+        # value would move the bin's mean instead of reading as missing: the
+        # other message of the drawn one's bin goes, from both runs
+        bins = [parse_iso_timestamp(r[0]) // interval for r in rows]
+        rows = [r for j, r in enumerate(rows) if j == i or bins[j] != bins[i]]
+        i -= bins[:i].count(bins[i])
+    value = data.draw(st.sampled_from(past_the_range(names[k])))
+    codes, flags = [], []
+    for cell in (repr(value), ""):
+        edited = [list(r) for r in rows]
+        edited[i][k] = cell
+        out = root / ("out_past" if cell else "out_empty")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes.append(run_with_rows(paths, names, edited, out, interval))
+        header, written = read_csv(out / "processed.csv")
+        at = [j for j, h in enumerate(header) if h.startswith("flag_")]
+        flags.append({parse_iso_timestamp(r[0]): [r[j] for j in at] for r in written})
+    assert codes[0] == codes[1]
+    # the edited row's processed row: its lattice slot or bin, the last at or before it
+    own = max(t for t in flags[0] if t <= parse_iso_timestamp(rows[i][0]))
+    flagged = flags[0].pop(own)[list(QualityFlag).index(QualityFlag.INVALID_RANGE)]
+    # ingest reads a latitude outside [-90, 90] as missing, so it has no range flag
+    assert flagged == ("0" if names[k] == "lat" else "1")
+    del flags[1][own]
+    assert flags[0] == flags[1]
 
 
 def run_with_rows(paths, names, rows, out, interval=INTERVAL):

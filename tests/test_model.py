@@ -100,6 +100,27 @@ class TestNewDataset:
             12.3, 4.2, -180.0, 179.99999999999997, -180.0, -170.0, 170.0, -180.0,
         ]
 
+    def test_longitude_beyond_one_turn_kept_as_logged(self):
+        # the wrap takes a 0-360 logger's values; a wilder one is a bad cell,
+        # stored as logged and missing to the rules (valid)
+        lons = [-540.0, 540.0, 540.0000000000001, -1e306, 1e306]
+        ds = new_dataset([VariableSpec("lon", valid_min=-180.0, valid_max=180.0)],
+                         range(len(lons)), {"lon": lons})
+        assert ds.column("lon").tolist() == [-180.0, -180.0, 540.0000000000001, -1e306, 1e306]
+        assert ds.valid("lon")[:2].tolist() == [-180.0, -180.0]
+        assert np.isnan(ds.valid("lon")[2:]).all()
+
+    def test_valid_hides_only_values_outside_the_range(self):
+        sog = [0.0, -0.0, 26.0, np.nextafter(26.0, 27.0), -1e-310, None, 3.5]
+        ds = new_dataset([VariableSpec("sog", valid_min=0.0, valid_max=26.0), VariableSpec("x")],
+                         range(len(sog)), {"sog": sog, "x": [1e308] * len(sog)})
+        got = ds.valid("sog")
+        assert got[[0, 1, 2, 6]].tolist() == [0.0, -0.0, 26.0, 3.5]
+        assert np.isnan(got[[3, 4, 5]]).all()
+        assert ds.column("sog")[3] == np.nextafter(26.0, 27.0)  # the stored column keeps it
+        assert ds.valid("x").tolist() == [1e308] * len(sog)  # no bounds: every value
+        assert not got.flags.writeable
+
     def test_nan_becomes_missing(self):
         ds = new_dataset(schema(), [0], {"sog": [float("nan")]})
         assert np.isnan(ds.column("sog")[0])

@@ -847,6 +847,30 @@ class TestCli:
         assert err.startswith(f"fatal: {paths['config']}: unknown key 'gradient_tolerance.{name}'")
         assert not out.exists()
 
+    # the steady filters fit a centred window: an even or one-sample window
+    # failed three stages, one by one, at run time
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_unusable_steady_window_is_fatal(self, tmp_path, capsys, window):
+        paths = VoyageBuilder(tmp_path).build()
+        appended(paths["config"], f"steady_window = {window}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"fatal: {paths['config']}: steady_window must be an odd")
+        assert not out.exists()
+
+    def test_text_pca_feature_left_out_with_a_note(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        appended(paths["config"], "pca_features = state,sog,shaft_rpm\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out", str(out)]) == 0
+        stages = json.loads((out / "report.json").read_text())["stages"]
+        assert not [s["stage"] for s in stages if s["stage"].endswith(":failure")]
+        (pca,) = [s for s in stages if s["stage"] == "clean:pca"]
+        assert pca["notes"] == ["text feature 'state' left out"]
+        assert pca["summary"]["scored"] > 0  # on sog and shaft_rpm
+        assert [s["stage"] for s in stages].count("clean:contextual") == 1
+
     def test_each_tolerance_a_filter_reads(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
         config = load_config(paths["config"])

@@ -22,6 +22,7 @@ from shipdataprep.validation import (
     check_speed_power,
     check_stw,
     detect_angular_fault,
+    hindcast_relative_wind_direction,
     shaft_power,
 )
 
@@ -375,7 +376,7 @@ class TestLongitudinalWind:
 
         ds = resolve_ship_frame(ds)
         # detector first: it flags the angular fault and writes fixed_ values
-        ds = detect_angular_fault(ds, "rel_wind_dir")
+        ds = detect_angular_fault(ds, "rel_wind_dir", hindcast_relative_wind_direction(ds))
         report = ProcessingReport()
         result = check_longitudinal_wind(ds, tolerance=4.0, report=report, use_fixed=False)
         assert result["beyond_tolerance"] == 10
@@ -386,7 +387,7 @@ class TestLongitudinalWind:
         from shipdataprep.features import resolve_ship_frame
 
         ds = resolve_ship_frame(ds)
-        ds = detect_angular_fault(ds, "rel_wind_dir")
+        ds = detect_angular_fault(ds, "rel_wind_dir", hindcast_relative_wind_direction(ds))
         result = check_longitudinal_wind(ds, tolerance=4.0, use_fixed=True)
         assert result["beyond_tolerance"] == 0
 
@@ -440,7 +441,7 @@ class TestAngularFaultDetector:
     def test_no_reference_skips_with_note(self):
         ds = series_dataset({"rel_wind_dir": [10.0]})
         report = ProcessingReport()
-        out = detect_angular_fault(ds, "rel_wind_dir", report=report)
+        out = detect_angular_fault(ds, "rel_wind_dir", [np.nan], report=report)
         assert out is not ds or True  # unchanged dataset is fine
         assert any("skipped" in n for n in report.stage_entries[0].notes)
 
