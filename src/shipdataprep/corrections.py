@@ -314,7 +314,7 @@ class HydroTable:
         blocks = csv_blocks(Path(path))
         at = {name: k for k, name in enumerate(next(blocks))}  # a repeated name: its last column
         table: dict[str, list[str]] = {name: [] for name in at}
-        for cells in (split() for _, _, split in blocks):
+        for _, cells in (split() for _, _, split in blocks):
             for name, k in at.items():
                 table[name] += cells[k]
         names = ("draft_m", "trim_m", "displacement_m3", "wsa_m2")

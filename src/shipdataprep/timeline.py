@@ -140,13 +140,16 @@ def resample(
     heads = starts[filled]
     out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
     for spec in dataset.schema:
-        if spec.kind == "text":  # the last value present in each bin
-            col = dataset.text_column(spec.name)
-            at = np.where(np.not_equal(col, None), np.arange(len(col)), -1)
-            last = np.maximum.reduceat(at, heads)
+        text = spec.kind == "text"
+        col = dataset.text_column(spec.name) if text else dataset.column(spec.name)
+        present = np.not_equal(col, None) if text else ~np.isnan(col)
+        if not present.any():
+            continue  # missing, as taken
+        if text:  # the last value present in each bin
+            last = np.maximum.reduceat(np.where(present, np.arange(len(col)), -1), heads)
             values = np.where(last >= 0, col[last], None)
         else:
-            values = _bin_means(dataset.column(spec.name), heads, spec.kind == "angular")
+            values = _bin_means(col, heads, spec.kind == "angular")
         out = out.with_values(spec.name, filled, values)
     for flag in QualityFlag:
         has = np.logical_or.reduceat(dataset.flagged(flag), heads)

@@ -12,8 +12,10 @@ such file as ``csv.reader`` does, on both of its paths. One file in three
 is plain, so that numpy's text reader takes its blocks; a table of single
 lines around the reader's choice (garbage, ``1_000``, a non-ASCII digit,
 padded and long stamps, ``\r\n``, comment, blank and whitespace-only lines,
-a NUL) must give the whole-file reader's result, with the line handed to
-the reader exactly when its block is plain.
+a NUL, ``#`` copies of rows) must give the whole-file reader's result,
+with the line handed to the reader exactly when its block has no NUL,
+quote or bare carriage return; the reader refuses a block with a comment
+or blank row, which only the cell-by-cell split drops.
 
 The block readers are also held against the whole-file readers they
 replaced, with ``READ_ROWS`` at 1, 3 and its default: ``load_ship_csv`` on
@@ -105,7 +107,8 @@ def dirty_csv(draw, repeats=False):
     ``repeats``, timestamps and header names may repeat and a name may be
     blank. One file in three is plain, for numpy's text reader: whole rows
     of numeric columns, every number cell parses, the stamps canonical
-    but for the rows without a usable one."""
+    but for the rows without a usable one; one plain file in four has
+    blank lines or ``#`` copies of rows as well."""
     plain = draw(st.integers(0, 2)) == 0
     pool = [name for name in COLUMNS if not plain or COLUMNS[name] != "text"] + [""] * repeats
     names = draw(st.lists(st.sampled_from(pool), unique=not repeats, max_size=6))
@@ -128,7 +131,12 @@ def dirty_csv(draw, repeats=False):
         rows.append(row)
     units = {k: v for k, v in UNITS.items() if draw(st.booleans())}
     if plain:
-        return [header] + draw(st.permutations(rows)), units, draw(st.sampled_from(["\r\n", "\n"]))
+        rows = [header] + draw(st.permutations(rows))
+        if draw(st.integers(0, 3)) == 0:  # the header too may follow such a line
+            for _ in range(draw(st.integers(1, 3))):  # a blank line or a "#" copy of a row
+                row = draw(st.sampled_from(rows + [[]]))
+                rows.insert(draw(st.integers(0, len(rows))), row and ["#" + row[0], *row[1:]])
+        return rows, units, draw(st.sampled_from(["\r\n", "\n"]))
     if names and rows and draw(st.booleans()):  # a bare-minimum column mostly lost
         for row in rows:
             if "stw" in header and draw(st.integers(0, 3)):
@@ -245,9 +253,10 @@ def split(path):
         blocks = csv_blocks(path)
         header = next(blocks)
         lines, columns = [], [[] for _ in header]
-        for at, _, cells in blocks:
+        for _, _, cells in blocks:
+            at, parts = cells()
             lines += at.tolist()
-            for column, part in zip(columns, cells()):
+            for column, part in zip(columns, parts):
                 column += part
     except IngestError as exc:
         return str(exc)
@@ -358,10 +367,11 @@ def test_split_keeps_the_reader_cell_size_limit(tmp_path):
 
 
 # the lines of a file around one line, and whether numpy's text reader is
-# handed that line: it reads a plain block of whole lines, refuses one with
-# an unparseable or empty cell or a cut stamp (then the block goes cell by
-# cell), and never sees a block with a comment or blank line, a NUL, a quote
-# or a bare carriage return
+# handed that line: it reads a plain block of whole lines, and refuses one
+# with an unparseable or empty cell, a cut stamp, a blank line (which it
+# skips) or a comment row (a stamp or number that starts with "#"); then the
+# block goes cell by cell, which drops the comment and blank rows. It never
+# sees a block with a NUL, a quote or a bare carriage return
 READER_CASES = [
     ("T3,7.5,1.0\n", True),
     ("T3,abc,1.0\n", True),
@@ -372,8 +382,9 @@ READER_CASES = [
     ("T3,7.5\n", True),
     ("T3,7.5,1.0,9\n", True),
     ("   \n", True),
-    ("# note\n", False),
-    ("\n", False),
+    ("# note\n", True),
+    ("\n", True),
+    ("#T3,7.5,1.0\n", True),
     (" T3 ,7.5,1.0\n", True),
     ("T3+00:00,7.5,1.0\n", True),
     ("T3,7.5,1.0\r\n", True),
@@ -385,15 +396,11 @@ READER_CASES = [
 ]
 
 
-def reader_case(tmp_path, header, line, block_rows, stamp):
-    """A file of ``header`` with ``line`` among three rows, loaded at
-    ``block_rows``: it must give what the whole-file reader gives. Returns
-    the line, the text of the file and the lines handed to numpy's text
+def load_case(tmp_path, text, block_rows):
+    """A file of ``text``, loaded at ``block_rows``: it must give what the
+    whole-file reader gives. Returns the lines handed to numpy's text
     reader."""
     path = tmp_path / "ship.csv"
-    t = [stamp.replace("30:00", f"3{k}:00") for k in range(4)]
-    line = line.replace("T3", t[3])
-    text = f"{header}\n{t[0]},1.5,2.0\n{t[1]},2.5,-0.0\n{line}{t[2]},4.5,5e-324\n"
     path.write_text(text, newline="")
     units = {"sog": "knots"}
     with read_rows(block_rows), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader:
@@ -403,7 +410,22 @@ def reader_case(tmp_path, header, line, block_rows, stamp):
     same_outcome(got, want)
     if not isinstance(want[0], Exception):
         assert_identical(got[0], want[0])
-    return line, text, handed
+    return handed
+
+
+def stamps_of(stamp, n):
+    """``n`` distinct stamps in the form of ``stamp``, a minute apart."""
+    return [stamp.replace("30:00", f"3{k}:00") for k in range(n)]
+
+
+def reader_case(tmp_path, header, line, block_rows, stamp):
+    """A file of ``header`` with ``line`` among three rows, loaded at
+    ``block_rows`` by :func:`load_case`. Returns the line, the text of the
+    file and the lines handed to numpy's text reader."""
+    t = stamps_of(stamp, 4)
+    line = line.replace("T3", t[3])
+    text = f"{header}\n{t[0]},1.5,2.0\n{t[1]},2.5,-0.0\n{line}{t[2]},4.5,5e-324\n"
+    return line, text, load_case(tmp_path, text, block_rows)
 
 
 STAMPS = ["2020-09-13T12:30:00Z", "2020-09-13T12:30:00"]
@@ -419,6 +441,32 @@ def test_text_reader_takes_plain_blocks(tmp_path, line, read, block_rows, stamp)
     assert (line in handed) == read
     if block_rows == ingest.READ_ROWS:  # one block: the reader sees all of it or none
         assert handed == (io.StringIO(text, newline="").readlines()[1:] if read else [])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+@pytest.mark.parametrize("stamp", STAMPS)
+def test_text_reader_refuses_comment_rows_and_blank_lines(tmp_path, block_rows, stamp):
+    """numpy's text reader is handed comment rows and blank lines after the
+    header, and the block that holds one goes cell by cell: a ``#`` copy of
+    a row whose first column is a number, blank lines that end a block
+    (each line its own block at one row a block), and comment lines before
+    the header, which the reader is never handed."""
+    t = stamps_of(stamp, 3)
+    text = f"sog,timestamp,lon\n1.5,{t[0]},2.0\n#2.5,{t[1]},-0.0\n4.5,{t[2]},5e-324\n"
+    assert f"#2.5,{t[1]},-0.0\n" in load_case(tmp_path, text, block_rows)
+
+    n = block_rows
+    lines = ["timestamp,sog,lon\n"] + [f"{iso(T0 + k)[:len(stamp)]},{k}.5,-{k}.0\n"
+                                         for k in range(3 * n)]
+    blanks = {n, 2 * n, 3 * n} - {1}  # the last line of a block but the header
+    for at in blanks:
+        lines[at - 1] = "\n"
+    assert load_case(tmp_path, "".join(lines), n).count("\n") == len(blanks)
+
+    text = f"# made by hand\n#\ttimestamp,sog\n\ntimestamp,sog,lon\n{t[0]},1.5,2.0\n"
+    handed = load_case(tmp_path, text, block_rows)
+    assert handed == [f"{t[0]},1.5,2.0\n"]
 
 
 @pytest.mark.parametrize("header", ["timestamp,sog,state", "timestamp,sog,x_fuel",

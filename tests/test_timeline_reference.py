@@ -117,7 +117,11 @@ RESAMPLE_SCHEMA = [
     VariableSpec("x"),
     VariableSpec("heading", "deg", "angular"),
     VariableSpec("state", kind="text"),
+    VariableSpec("stw"),  # declared, without a value
+    VariableSpec("rel_wind_dir", "deg", "angular"),
+    VariableSpec("port", kind="text"),
 ]
+ABSENT = {"stw": np.nan, "rel_wind_dir": np.nan, "port": None}
 
 
 @st.composite
@@ -125,7 +129,8 @@ def sporadic_feed(draw):
     """Messages whose bins hold 0 (empty), 1, 7-9 or 127-129 members, and
     at times one bin of more than 8,192; columns with NaN runs, -0.0,
     angles near 0/360 and text with None, at random magnitudes, up to
-    ones whose sum overflows."""
+    ones whose sum overflows; and a numeric, an angular and a text column
+    without a value."""
     sizes = draw(st.lists(st.sampled_from([0, 1, 1, 7, 8, 9, 127, 128, 129]),
                           min_size=1, max_size=12))
     if draw(st.integers(0, 4)) == 0:
@@ -155,6 +160,7 @@ def sporadic_feed(draw):
         for r in rng.random(n)
     ]
     columns = {"x": x, "heading": heading, "state": state}
+    columns.update({name: [missing] * n for name, missing in ABSENT.items()})
     return new_dataset(RESAMPLE_SCHEMA, stamps, columns, flags=flags), interval
 
 
@@ -165,9 +171,12 @@ def test_resample_same_bits_as_per_bin_loop(feed):
     got_report, want_report = ProcessingReport(), ProcessingReport()
     got = resample(ds, interval, report=got_report)
     want = ref.resample(ds, interval, report=want_report)
-    for name in ("x", "heading"):
+    for name in ("x", "heading", "stw", "rel_wind_dir"):
         assert np.array_equal(got.column(name).view(np.int64), want.column(name).view(np.int64))
-    assert got.text_column("state").tolist() == want.text_column("state").tolist()
+    for name in ("state", "port"):
+        assert got.text_column(name).tolist() == want.text_column(name).tolist()
+    assert np.isnan(got.column("stw")).all() and np.isnan(got.column("rel_wind_dir")).all()
+    assert set(got.text_column("port").tolist()) == {None}
     for a in ("timestamps", "flag_bits", "trip_ids"):
         assert np.array_equal(getattr(got, a), getattr(want, a))
     assert got.sampling_interval == want.sampling_interval
