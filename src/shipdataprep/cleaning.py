@@ -245,8 +245,7 @@ _TRAINING_EXCLUDED = frozenset(QualityFlag) - {
 
 @dataclass(frozen=True)
 class PcaDetector:
-    """Standardising PCA projector with a frozen reconstruction-error
-    threshold taken at a training-error quantile."""
+    """Standardising PCA projector with a frozen reconstruction-error threshold."""
 
     features: tuple[str, ...]
     k: int
@@ -254,7 +253,6 @@ class PcaDetector:
     scale: np.ndarray
     axes: np.ndarray  # (k, n_features), rows orthonormal
     threshold: float
-    quantile: float
 
     def __post_init__(self) -> None:
         if self.k >= len(self.features):
@@ -265,10 +263,14 @@ class PcaDetector:
 
     def errors(self, rows: np.ndarray) -> np.ndarray:
         """Squared reconstruction error of standardized rows."""
-        z = (rows - self.mean) / self.scale
-        recon = (z @ self.axes.T) @ self.axes
-        with np.errstate(over="ignore"):  # a huge finite value: an inf error
-            return ((z - recon) ** 2).sum(axis=1)
+        return _errors((rows - self.mean) / self.scale, self.axes)
+
+
+def _errors(z: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Squared reconstruction error of rows ``z`` already standardized."""
+    recon = (z @ axes.T) @ axes
+    with np.errstate(over="ignore"):  # a huge finite value: an inf error
+        return ((z - recon) ** 2).sum(axis=1)
 
 
 def _complete_rows(
@@ -331,12 +333,8 @@ def pca_fit(
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    detector = PcaDetector(
-        features, k, mean, std, axes, threshold=0.0, quantile=quantile
-    )
-    train_errors = detector.errors(rows)
-    threshold = linear_quantile(train_errors, quantile)
-    return PcaDetector(features, k, mean, std, axes, threshold, quantile)
+    threshold = linear_quantile(_errors(z, axes), quantile)
+    return PcaDetector(features, k, mean, std, axes, threshold)
 
 
 def pca_score(

@@ -86,27 +86,27 @@ class SteadyFilterParams:
     """Sliding-window t-test on the local slope (stage 1) followed by a
     local-gradient check that retains misidentified samples (stage 2).
 
-    ``gradient_tolerance`` is an absolute rate limit in unit/s; None skips
-    stage 2 entirely (no retention)."""
+    ``gradient_tolerance`` is an absolute rate limit in unit/s."""
 
-    window: int = 11
-    alpha: float = 0.01
-    gradient_tolerance: float | None = None
+    window: int
+    alpha: float
+    gradient_tolerance: float
 
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError("window must be an odd sample count >= 3")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.gradient_tolerance is not None and self.gradient_tolerance <= 0:
+        if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be strictly positive")
 
 
 @dataclass
 class SteadyFilterResult:
+    """The final marks, and how many window centres stage 1 rejected."""
+
     unsteady: np.ndarray  # aligned to the input series, missing -> False
     stage1_rejected: int
-    retained_by_gradient: int
     warning: str | None = None
 
 
@@ -129,7 +129,7 @@ def steady_state_filter(
     w = params.window
     if len(present) < w:
         return SteadyFilterResult(
-            unsteady, 0, 0,
+            unsteady, 0,
             warning=f"series has {len(present)} valid samples, window is {w}; "
             "all samples pass",
         )
@@ -159,16 +159,13 @@ def steady_state_filter(
 
     # the window centres stage 1 rejects; h >= 1, so each has two neighbours
     c = np.flatnonzero(reject) + h
-    keep = np.ones(len(c), dtype=bool)
-    tol = params.gradient_tolerance
-    if tol is not None:
-        dt = tt[c + 1] - tt[c - 1]
-        grad = np.full(len(c), np.inf)
-        with np.errstate(over="ignore"):  # a huge step: an inf gradient
-            np.divide(np.abs(vv[c + 1] - vv[c - 1]), dt, out=grad, where=dt > 0)
-        keep = ~(grad <= tol)  # a NaN gradient keeps the mark
+    dt = tt[c + 1] - tt[c - 1]
+    grad = np.full(len(c), np.inf)
+    with np.errstate(over="ignore"):  # a huge step: an inf gradient
+        np.divide(np.abs(vv[c + 1] - vv[c - 1]), dt, out=grad, where=dt > 0)
+    keep = ~(grad <= params.gradient_tolerance)  # a NaN gradient keeps the mark
     unsteady[present[c[keep]]] = True
-    return SteadyFilterResult(unsteady, len(c), len(c) - int(keep.sum()))
+    return SteadyFilterResult(unsteady, len(c))
 
 
 def clean_gps(
@@ -178,12 +175,9 @@ def clean_gps(
 ) -> VoyageDataset:
     """Flag irrational GPS positions found by the two-stage filter applied
     to the latitude and (unwrapped) longitude series. Coordinates are never
-    altered; flagged positions are simply excluded from interpolation."""
+    altered; flagged positions are simply excluded from interpolation.
+    ``run_pipeline`` skips the stage when lat or lon carries no value."""
     entry = stage_entry(report, "gps_clean")
-    if not (dataset.has_data("lat") and dataset.has_data("lon")):
-        entry.notes.append("lat/lon absent; stage skipped")
-        return dataset
-
     ts = dataset.timestamps.astype(float)
     lat, lon = dataset.valid("lat"), dataset.valid("lon")
     irrational = np.zeros(len(dataset), dtype=bool)

@@ -263,8 +263,10 @@ def run_pipeline(
     measured = dataset
 
     # -- GPS cleaning ------------------------------------------------------------
+    positions = dataset.has_data("lat") and dataset.has_data("lon")
     dataset, _ = stage(
-        "gps_clean", dataset, lambda d: clean_gps(d, _steady_params(config, "lat"), report)
+        "gps_clean", dataset, lambda d: clean_gps(d, _steady_params(config, "lat"), report),
+        None if positions else "lat/lon absent",
     )
 
     # -- interpolate + derive + validate, with the error loop --------------------
@@ -272,8 +274,8 @@ def run_pipeline(
     # dataset and report entries of the last complete iteration (or of the loop
     # input), plus the stage's failure entry
     base = final = dataset
-    positions = grid is not None and dataset.has_data("lat") and dataset.has_data("lon")
-    no_grid = None if positions else "hindcast grid or GPS positions unavailable"
+    no_grid = (None if grid is not None and positions
+               else "hindcast grid or GPS positions unavailable")
     loop_entry = report.stage("error_loop")
     for iteration in range(1, config.max_iterations + 1):
         first = iteration == 1
@@ -312,8 +314,10 @@ def run_pipeline(
         "draft_fix", dataset, lambda d: _draft_fix(d, config, report),
         None if drafts and dataset.trips() else "no trips or no draft sensors",
     )
+    pair = dataset.has_data("draft_fore") and dataset.has_data("draft_aft")
     dataset, _ = stage("hydrostatics", dataset, lambda d: _hydrostatics_stage(
-        d, particulars, hydro_table, config, report), no_particulars)
+        d, particulars, hydro_table, config, report),
+        no_particulars or (None if pair else "draft sensors absent"))
     dataset, _ = stage(
         "resistance", dataset, lambda d: corrections.resistance_components(d, models, report),
         None if models else "no resistance coefficient tables configured",
@@ -332,9 +336,6 @@ def _hydrostatics_stage(
     report: ProcessingReport,
 ) -> VoyageDataset:
     entry = report.stage("hydrostatics")
-    if not (dataset.has_data("draft_fore") and dataset.has_data("draft_aft")):
-        entry.notes.append("draft sensors absent; stage skipped")
-        return dataset
     fore = dataset.column("draft_fore")
     aft = dataset.column("draft_aft")
     rows = dataset.in_trip_or_all() & ~np.isnan(fore) & ~np.isnan(aft)
@@ -378,7 +379,7 @@ def _hydrostatics_stage(
             f" x design draft {particulars.design_draft:.2f} m, largest {beyond.max():.2f} m;"
             " extrapolating"
         )
-    if particulars.design_draft and len(got):
+    if len(got):
         with np.errstate(over="ignore"):  # huge drafts: an inf mean
             mean = float(np.mean(got))
         verdict = corrections.check_draft_ratio(mean, particulars, config.voyage_kind)

@@ -333,9 +333,6 @@ def _hydrostatics_stage(
     report: ProcessingReport,
 ) -> VoyageDataset:
     entry = report.stage("hydrostatics")
-    if not (dataset.has_data("draft_fore") and dataset.has_data("draft_aft")):
-        entry.notes.append("draft sensors absent; stage skipped")
-        return dataset
     fore = dataset.column("draft_fore")
     aft = dataset.column("draft_aft")
     in_trip = dataset.in_trip_or_all()
@@ -377,7 +374,7 @@ def _hydrostatics_stage(
             f" x design draft {particulars.design_draft:.2f} m, largest {max(beyond):.2f} m;"
             " extrapolating"
         )
-    if particulars.design_draft and got:
+    if got:
         verdict = check_draft_ratio(
             float(np.mean(got)), particulars, config.voyage_kind
         )

@@ -241,7 +241,7 @@ def steady_state_filter(
     w = params.window
     if len(present) < w:
         return SteadyFilterResult(
-            unsteady, 0, 0,
+            unsteady, 0,
             warning=f"series has {len(present)} valid samples, window is {w}; "
             "all samples pass",
         )
@@ -271,18 +271,16 @@ def steady_state_filter(
     reject = tstat > crit
 
     stage1 = 0
-    retained = 0
     tol = params.gradient_tolerance
     centers = np.arange(h, len(vv) - h)
     for k, i in enumerate(centers):
         if not reject[k]:
             continue
         stage1 += 1
-        if tol is not None and 0 < i < len(vv) - 1:
+        if 0 < i < len(vv) - 1:
             dt = tt[i + 1] - tt[i - 1]
             grad = abs(vv[i + 1] - vv[i - 1]) / dt if dt > 0 else math.inf
             if grad <= tol:
-                retained += 1
                 continue
         unsteady[present[i]] = True
-    return SteadyFilterResult(unsteady, stage1, retained)
+    return SteadyFilterResult(unsteady, stage1)

@@ -12,6 +12,7 @@ from shipdataprep.cleaning import (
     CleaningError,
     _spikes,
     contextual_filter,
+    linear_quantile,
     pca_fit,
     pca_score,
     quasi_steady_filter,
@@ -195,12 +196,14 @@ class TestQuasiSteady:
         def unsteady_at(alpha):
             out = quasi_steady_filter(
                 ds,
-                SteadyFilterParams(11, alpha),
-                SteadyFilterParams(11, alpha / 10.0),
+                SteadyFilterParams(11, alpha, 1e-9),
+                SteadyFilterParams(11, alpha / 10.0, 1e-9),
             )
             return set(flagged_rows(out, QualityFlag.UNSTEADY))
 
-        # smaller alpha rejects less: flag set shrinks weakly
+        # smaller alpha rejects less: flag set shrinks weakly. The walk's
+        # least centred gradient is 2.9e-6 per s, so the tolerance 1e-9 keeps
+        # every mark of stage 1
         assert unsteady_at(0.001) <= unsteady_at(0.05)
 
 
@@ -261,6 +264,17 @@ class TestPca:
         det = pca_fit(ds, ["a", "b", "c", "d"], k=2)
         err = det.errors(det.mean.reshape(1, -1))
         assert err[0] == pytest.approx(0.0, abs=1e-18)
+
+    def test_threshold_is_the_quantile_of_its_own_training_errors(self):
+        # the training rows: complete (row 3 is not) and not flagged (rows 10-29)
+        ds = correlated_dataset(n=300, seed=4).with_values("b", [3], [None])
+        ds = ds.adding_flags(QualityFlag.SPIKE, np.arange(10, 30))
+        names = ["a", "b", "c", "d"]
+        det = pca_fit(ds, names, k=1, quantile=0.99)
+        rows = np.column_stack([ds.column(v) for v in names])
+        train = np.delete(rows, [3, *range(10, 30)], axis=0)
+        want = linear_quantile(det.errors(train), 0.99)
+        assert np.float64(det.threshold).tobytes() == np.float64(want).tobytes()
 
     def test_score_determinism_against_training(self):
         ds = correlated_dataset(n=300, seed=5)

@@ -65,7 +65,7 @@ class TestTDistribution:
         assert t_quantile(0.25, 7) == pytest.approx(-t_quantile(0.75, 7), abs=1e-10)
 
 
-def run_filter(values, window=11, alpha=0.01, tol=None, dt=1.0):
+def run_filter(values, tol, window=11, alpha=0.01, dt=1.0):
     t = np.arange(len(values), dtype=float) * dt
     return steady_state_filter(
         t, np.asarray(values, dtype=float),
@@ -75,12 +75,14 @@ def run_filter(values, window=11, alpha=0.01, tol=None, dt=1.0):
 
 class TestSteadyFilter:
     def test_constant_series_all_steady(self):
-        res = run_filter([5.0] * 50)
+        # stage 1 rejects no window, so no tolerance can leave a mark
+        res = run_filter([5.0] * 50, tol=1.0)
         assert not res.unsteady.any()
         assert res.stage1_rejected == 0
 
     def test_short_series_passes_with_warning(self):
-        res = run_filter([1.0, 2.0, 3.0], window=11)
+        # fewer samples than the window: neither stage runs, whatever the tolerance
+        res = run_filter([1.0, 2.0, 3.0], tol=1.0, window=11)
         assert not res.unsteady.any()
         assert res.warning is not None
 
@@ -100,7 +102,9 @@ class TestSteadyFilter:
         x = rng.normal(0, 1, 21) + np.arange(21) * 0.8
         t = np.arange(21, dtype=float)
         w, alpha = 21, 0.01
-        res = run_filter(x, window=w, alpha=alpha)
+        # a tolerance below the centred gradient at 10 keeps stage 1's mark there
+        grad = abs(x[11] - x[9]) / 2.0
+        res = run_filter(x, tol=grad / 2.0, window=w, alpha=alpha)
 
         tc = t - t.mean()
         sxx = (tc**2).sum()
@@ -111,32 +115,32 @@ class TestSteadyFilter:
         tstat = abs(slope) / se
         crit = stats.t.ppf(1 - alpha / 2, w - 2)
         assert res.unsteady[10] == (tstat > crit)
+        assert res.stage1_rejected == (tstat > crit)  # the one window is centred at 10
         assert tstat > crit  # the ramp is unambiguous in this fixture
 
     def test_stage2_clears_spike_neighbours_with_loose_tolerance(self):
         # constant series, one spike at i=20; with a trigger-happy alpha the
-        # windows where the spike sits off-centre reject zero slope, marking
-        # {18, 19, 21, 22}. Hand-computed centered gradients: at 18 and 22
-        # the difference skips the spike (|x19-x17|/2 = 0 <= 1) so stage 2
-        # clears them; at 19 and 21 it includes it (|x20-x18|/2 = 10 > 1)
+        # windows where the spike sits off-centre reject zero slope: the four
+        # centred at 18, 19, 21 and 22. Hand-computed centered gradients: at
+        # 18 and 22 the difference skips the spike (|x19-x17|/2 = 0 <= 1) so
+        # stage 2 clears them; at 19 and 21 it includes it (|x20-x18|/2 = 10 > 1)
         x = np.full(41, 10.0)
         x[20] = 30.0
-        stage1_only = run_filter(x, window=5, alpha=0.6, tol=None)
-        assert set(np.nonzero(stage1_only.unsteady)[0]) == {18, 19, 21, 22}
         loose = run_filter(x, window=5, alpha=0.6, tol=1.0)
+        assert loose.stage1_rejected == 4
         assert set(np.nonzero(loose.unsteady)[0]) == {19, 21}
-        assert loose.retained_by_gradient == 2
+        assert loose.stage1_rejected - loose.unsteady.sum() == 2
 
     @pytest.mark.parametrize("big", [1e306, -1e306])
     def test_huge_finite_value_marks_its_windows_without_warning(self, big):
-        # the window sums overflow to inf and the fit to NaN, silently
+        # the window sums overflow to inf and the fit to NaN, silently: stage 1
+        # rejects the ten windows centred at 15-19 and 21-25, and stage 2 clears
+        # all but the two centred differences that span the spike
         x = np.full(41, 10.0)
         x[20] = big
-        res = run_filter(x, window=11, alpha=0.01, dt=900.0)
-        assert np.flatnonzero(res.unsteady).tolist() == [15, 16, 17, 18, 19, 21, 22, 23, 24, 25]
         loose = run_filter(x, window=11, alpha=0.01, tol=1.0, dt=900.0)
         assert np.flatnonzero(loose.unsteady).tolist() == [19, 21]
-        assert (loose.stage1_rejected, loose.retained_by_gradient) == (10, 8)
+        assert (loose.stage1_rejected, loose.stage1_rejected - loose.unsteady.sum()) == (10, 8)
 
     def test_overflowing_gradient_keeps_the_mark_without_warning(self):
         # the centred difference at 20 spans -DBL_MAX to DBL_MAX: an inf gradient
@@ -149,8 +153,9 @@ class TestSteadyFilter:
     def test_missing_values_never_marked(self):
         x = [1.0, None, 1.0, 1.0, 1.0, None, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         vals = np.array([np.nan if v is None else v for v in x])
+        # marks land only on present samples, whatever the tolerance
         res = steady_state_filter(
-            np.arange(len(vals), dtype=float), vals, SteadyFilterParams(5, 0.05)
+            np.arange(len(vals), dtype=float), vals, SteadyFilterParams(5, 0.05, 1e-9)
         )
         assert not res.unsteady[1] and not res.unsteady[5]
 

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every function, method and class the package defines is used by the program
-(``src/`` and ``perfbench/``).
+(``src/`` and ``perfbench/``), and every field of a package dataclass is
+read by it.
 
 Reads the source with ``ast`` only, so it needs nothing but the standard
 library. ``__init__.py`` is left out of the import check: its imports are
@@ -299,11 +300,72 @@ def unreached(
     return missing
 
 
-def test_every_definition_is_reached_by_the_program():
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, int, str]]:
+    """Each annotated field of a dataclass defined in ``tree``: its name,
+    line and class."""
+    def is_dataclass(decorator: ast.AST) -> bool:
+        f = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+
+    return [
+        (child.target.id, child.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        for child in node.body
+        if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name)
+    ]
+
+
+def unread_fields(defining: dict[str, str], reading: dict[str, str]) -> dict[str, str]:
+    """``Class.field -> module:line`` of each dataclass field in the
+    ``defining`` modules whose name none of the ``reading`` modules reads as
+    an attribute, on any receiver (matched by name, like ``NAME_MATCHED``)."""
+    read = {
+        n.attr for source in reading.values() for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return {
+        f"{cls}.{name}": f"{module}:{line}"
+        for module, source in defining.items()
+        for name, line, cls in dataclass_fields(ast.parse(source)) if name not in read
+    }
+
+
+def program_sources() -> tuple[dict[str, str], dict[str, str]]:
+    """The package's sources, and those of the whole program."""
     src = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    program = {**src, **{f"perfbench/{p.name}": p.read_text() for p in PERFBENCH.glob("*.py")}}
-    missing = unreached(src, program)
+    return src, {**src, **{f"perfbench/{p.name}": p.read_text() for p in PERFBENCH.glob("*.py")}}
+
+
+def test_every_definition_is_reached_by_the_program():
+    missing = unreached(*program_sources())
     assert not missing, f"defined in src/, used by no module of src/ or perfbench/: {missing}"
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    unread = unread_fields(*program_sources())
+    assert not unread, f"dataclass fields no module of src/ or perfbench/ reads: {unread}"
+
+
+def test_the_field_check_sees_an_unread_field():
+    a = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    unread: int = 0\n"
+        "@dataclasses.dataclass\n"
+        "class Q:\n"
+        "    other: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    b = "p.read\np.written = 1\nother = 2\n"
+    assert unread_fields({"a.py": a}, {"a.py": a, "b.py": b}) == {
+        "P.written": "a.py:6", "P.unread": "a.py:7", "Q.other": "a.py:10",
+    }
 
 
 def test_the_reach_check_sees_an_unused_definition():
@@ -348,8 +410,7 @@ def test_the_reach_check_resolves_methods_through_their_receiver():
 
 @pytest.mark.parametrize("name", sorted(NAME_MATCHED))
 def test_each_name_matched_method_needs_it(name):
-    src = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    program = {**src, **{f"perfbench/{p.name}": p.read_text() for p in PERFBENCH.glob("*.py")}}
+    src, program = program_sources()
     fewer = {k: v for k, v in NAME_MATCHED.items() if k != name}
     assert name in unreached(src, program, name_matched=fewer)
 

@@ -670,6 +670,23 @@ class TestSkipContracts:
         ]
         assert notes
 
+    def test_runner_notes_absent_positions_and_draft_pair(self, tmp_path):
+        paths = VoyageBuilder(tmp_path, with_gps=False).build()
+        rows = [line.split(",") for line in paths["ship_csv"].read_text().splitlines()]
+        at = rows[0].index("draft_aft")
+        paths["ship_csv"].write_text("".join(",".join(r[:at] + r[at + 1:]) + "\n" for r in rows))
+        result = run(paths)
+        assert result.exit_code == 0
+        notes = {e.stage: e.notes for e in result.report.stage_entries
+                 if e.stage in ("gps_clean", "hydrostatics")}
+        assert notes == {"gps_clean": ["lat/lon absent; stage skipped"],
+                         "hydrostatics": ["draft sensors absent; stage skipped"]}
+        assert not result.dataset.declares("mean_draft")
+        # missing particulars take precedence over a missing draft sensor
+        edited(paths["config"], "particulars = particulars.txt\n", "")
+        (entry,) = [e for e in run(paths).report.stage_entries if e.stage == "hydrostatics"]
+        assert entry.notes == ["no ship particulars configured; stage skipped"]
+
     def test_disabling_late_stage_preserves_earlier_columns(self, tmp_path):
         paths = VoyageBuilder(tmp_path).build()
         full = run(paths)

@@ -100,7 +100,7 @@ def draft_voyage(draw):
     params = SteadyFilterParams(
         draw(st.sampled_from([3, 5, 7])),
         draw(st.sampled_from([0.01, 0.2])),
-        draw(st.sampled_from([None, 1e-4])),
+        draw(st.sampled_from([1e-9, 1e-4])),
     )
     return ds, params
 
