@@ -26,9 +26,9 @@ MIN_EXPLAINED = 0.95  # variance share the automatic PCA component count explain
 def contextual_filter(
     dataset: VoyageDataset,
     measured: VoyageDataset,
-    repeat_run: int = 20,
-    dropout_max: int = 3,
-    spike_scales: float = 6.0,
+    repeat_run: int,
+    dropout_max: int,
+    spike_scales: float,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Flag contextual outliers per measured variable, on ``dataset``.
@@ -286,14 +286,14 @@ def _complete_rows(
 def pca_fit(
     dataset: VoyageDataset,
     features: list[str] | tuple[str, ...],
-    k: int | None = None,
-    quantile: float = 0.995,
+    k: int,
+    quantile: float,
 ) -> PcaDetector:
     """Fit the detector on complete, previously-unflagged samples.
 
     Features are standardized to zero mean and unit scale; the axes are the
-    top-k eigenvectors of the sample correlation matrix. When ``k`` is not
-    given, the smallest k explaining at least ``MIN_EXPLAINED`` of the
+    top-k eigenvectors of the sample correlation matrix. When ``k`` is 0,
+    the smallest k explaining at least ``MIN_EXPLAINED`` of the
     variance (but below the feature count) is chosen. The threshold freezes
     the ``quantile`` of the training reconstruction errors.
     """
@@ -316,7 +316,7 @@ def pca_fit(
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
 
-    if k is None:
+    if k == 0:
         total = float(evals.sum())
         cum = np.cumsum(evals) / total
         k = int(np.searchsorted(cum, MIN_EXPLAINED) + 1)

@@ -81,7 +81,7 @@ def _static_anchor(
 def fix_draft_simple(
     dataset: VoyageDataset,
     trip_id: int,
-    n_anchor: int = 10,
+    n_anchor: int,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Replace the drafts of trip ``trip_id`` with a linear interpolation in
@@ -159,7 +159,7 @@ def fix_draft_ramp(
     dataset: VoyageDataset,
     trip_id: int,
     events: list[DraftChangeEvent],
-    n_avg: int = 10,
+    n_avg: int,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Piecewise-linear draft reconstruction across in-voyage draft change
@@ -267,7 +267,7 @@ class DraftRatioVerdict:
 def check_draft_ratio(
     mean_draft: float,
     particulars: ShipParticulars,
-    voyage_kind: str = "unknown",
+    voyage_kind: str,
 ) -> DraftRatioVerdict:
     """Compare the actual/design draft ratio against its ship-type reference.
 
@@ -275,8 +275,6 @@ def check_draft_ratio(
     suspect; beyond ``REPLACE_BAND`` the recommended action is replacing the
     draft with reference * design draft.
     """
-    if particulars.design_draft <= 0:
-        raise CorrectionError("design draft must be known and positive")
     ratio = mean_draft / particulars.design_draft
     ref = draft_ratio_reference(particulars.ship_type, voyage_kind)
     if voyage_kind == "unknown":

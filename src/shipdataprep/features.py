@@ -220,10 +220,10 @@ def resolve_ship_frame(
 
 def ais_speed_consistency(
     dataset: VoyageDataset,
-    tolerance_fraction: float = 0.3,
-    window: int = 5,
+    tolerance_fraction: float,
+    window: int,
+    particulars: ShipParticulars,
     report: ProcessingReport | None = None,
-    particulars: ShipParticulars | None = None,
 ) -> VoyageDataset:
     """Flag speed-over-ground values inconsistent with the distance actually
     covered between consecutive positions, and replace them with the nearest
@@ -305,23 +305,18 @@ def ais_speed_consistency(
     )
     unreplaced = int(np.isnan(replacements).sum())
     if unreplaced:
-        note = (
+        lo, hi = service_speed_range(particulars.ship_type)
+        entry.notes.append(
             f"{unreplaced} flagged sample(s) had no valid neighbour "
-            f"within {window}; values cleared"
+            f"within {window}; values cleared; service-speed fallback range for "
+            f"{particulars.ship_type.value}: {lo:.3f}-{hi:.3f} m/s"
         )
-        if particulars is not None:
-            lo, hi = service_speed_range(particulars.ship_type)
-            note += (
-                f"; service-speed fallback range for {particulars.ship_type.value}: "
-                f"{lo:.3f}-{hi:.3f} m/s"
-            )
-        entry.notes.append(note)
     return out
 
 
 def ais_status_check(
     dataset: VoyageDataset,
-    port_speed_threshold: float = 0.5,
+    port_speed_threshold: float,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Cross-check the AIS navigation status against the measured speed.

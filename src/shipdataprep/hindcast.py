@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import MASK_POLICIES, HindcastGrid
+from .ingest import HindcastGrid
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -309,8 +309,8 @@ def _lagrange(factors: list[list[np.ndarray]], ys: np.ndarray) -> np.ndarray:
 def interpolate(
     grid: HindcastGrid,
     dataset: VoyageDataset,
-    order: int = 1,
-    mask_policy: str = "neighbor_mean",
+    order: int,
+    mask_policy: str,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Interpolate every grid variable to each sample's position and time.
@@ -332,10 +332,6 @@ def interpolate(
     Results land in new ``hc_*`` variables; direction fields declared with a
     ``toward`` convention are converted to the internal from-convention.
     """
-    if order < 1:
-        raise ValueError("interpolation order must be >= 1")
-    if mask_policy not in MASK_POLICIES:
-        raise ValueError(f"unknown mask policy {mask_policy!r}")
     entry = stage_entry(report, "interpolate")
 
     candidates = np.nonzero(dataset.in_trip_or_all())[0]

@@ -23,8 +23,6 @@ import numpy as np
 
 from .model import (
     KNOT,
-    RPM_THRESHOLD,
-    SOG_THRESHOLD,
     SOURCE_KINDS,
     CalmWaterCurve,
     ProcessingReport,
@@ -127,8 +125,9 @@ def _unit_factor(unit: str) -> float:
 def load_ship_csv(
     path: str | Path,
     schema: list[VariableSpec] | None = None,
-    unit_map: dict[str, str] | None = None,
-    source_kind: str = "in_service",
+    *,
+    unit_map: dict[str, str],
+    source_kind: str,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Parse a ship data CSV into a :class:`VoyageDataset`, column by column.
@@ -157,7 +156,7 @@ def load_ship_csv(
     header = [h.strip() for h in next(blocks)]
     if "timestamp" not in header:
         raise IngestError(f"{path}: missing timestamp column")
-    factors = {col: _unit_factor(unit) for col, unit in (unit_map or {}).items()}
+    factors = {col: _unit_factor(unit) for col, unit in unit_map.items()}
     first_of = {}  # name -> its first column
     for k, name in enumerate(header):
         first_of.setdefault(name, k)
@@ -900,8 +899,9 @@ class PipelineConfig:
     pca_quantile: float = 0.995
     pca_features: tuple[str, ...] = ()
     stages: tuple[str, ...] = PIPELINE_STAGES
-    rpm_threshold: float = RPM_THRESHOLD
-    sog_threshold: float = SOG_THRESHOLD
+    # a sample is in-trip when shaft rpm or speed over ground (m/s) exceeds its threshold
+    rpm_threshold: float = 10.0
+    sog_threshold: float = 3.0 * KNOT
     pad_samples: int = 2
     max_iterations: int = 2
     ais_tolerance: float = 0.3

@@ -35,11 +35,6 @@ import numpy as np
 KNOT = 1852.0 / 3600.0
 """One international knot in m/s."""
 
-RPM_THRESHOLD = 10.0
-"""Default shaft speed (rpm) above which a sample counts as in-trip."""
-SOG_THRESHOLD = 3.0 * KNOT
-"""Default speed over ground (m/s) above which a sample counts as in-trip."""
-
 SOURCE_KINDS = ("in_service", "ais", "noon_report")
 VARIABLE_KINDS = ("linear", "angular", "text")
 

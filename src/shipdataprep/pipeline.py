@@ -89,8 +89,8 @@ def _derive(
             work,
             tolerance_fraction=config.ais_tolerance,
             window=config.ais_window,
-            report=report,
             particulars=particulars,
+            report=report,
         )
     if work.has_data("nav_status"):
         work = features.ais_status_check(
@@ -408,7 +408,7 @@ def _pca_stage(
         report.stage("clean:pca").notes += notes
         return dataset
     try:
-        detector = cleaning.pca_fit(dataset, present, k=config.pca_components or None,
+        detector = cleaning.pca_fit(dataset, present, k=config.pca_components,
                                     quantile=config.pca_quantile)
     except cleaning.CleaningError as exc:
         report.stage("clean:pca").notes += [*notes, f"detector skipped: {exc}"]

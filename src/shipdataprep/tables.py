@@ -131,8 +131,6 @@ def draft_ratio_reference(ship_type: ShipType, voyage_kind: str) -> float:
     ballast, laden = row
     if voyage_kind == "ballast" and ballast is not None:
         return ballast
-    if voyage_kind not in VOYAGE_KINDS:
-        raise ValueError(f"unknown voyage kind {voyage_kind!r}")
     return laden
 
 
@@ -150,6 +148,4 @@ def wetted_surface(ship_type: ShipType, volume, draft, lwl: float | None,
     length = lwl if which == "lwl" else lpp
     if length is None:
         length = lpp if which == "lwl" else lwl
-    if length is None:
-        raise ValueError("a ship length (lwl or lpp) is required")
     return c0 * (volume / draft + c1 * length * draft)

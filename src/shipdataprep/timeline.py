@@ -9,8 +9,6 @@ import math
 import numpy as np
 
 from .model import (
-    RPM_THRESHOLD,
-    SOG_THRESHOLD,
     ProcessingReport,
     QualityFlag,
     VoyageDataset,
@@ -37,8 +35,6 @@ def regularize(
     same point the nearer wins, the slot is flagged ``dropout`` and the loss
     is reported.
     """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be strictly positive")
     entry = stage_entry(report, "regularize")
     if len(dataset) == 0:
         return dataset.with_interval(interval_s)
@@ -209,9 +205,9 @@ def segment_by_state(dataset: VoyageDataset) -> VoyageDataset:
 
 def segment_by_thresholds(
     dataset: VoyageDataset,
-    rpm_threshold: float = RPM_THRESHOLD,
-    sog_threshold: float = SOG_THRESHOLD,
-    pad_samples: int = 2,
+    rpm_threshold: float,
+    sog_threshold: float,
+    pad_samples: int,
 ) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground, as
     :meth:`VoyageDataset.valid` reads it, exceeds its threshold;

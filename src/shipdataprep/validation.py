@@ -52,7 +52,7 @@ def shaft_power(n_rev_s: float, torque: float) -> float:
 
 def check_power_identity(
     dataset: VoyageDataset,
-    rel_tolerance: float = 0.02,
+    rel_tolerance: float,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Validate P = 2*pi*n*tau wherever all three of shaft rpm, torque and
@@ -169,7 +169,7 @@ def check_speed_power(
 
 def check_stw(
     dataset: VoyageDataset,
-    tolerance: float = 1.0,
+    tolerance: float,
     report: ProcessingReport | None = None,
 ) -> None:
     """Report-only comparison of the measured speed-through-water against
@@ -212,7 +212,7 @@ def longitudinal_winds(
 
 def check_longitudinal_wind(
     dataset: VoyageDataset,
-    tolerance: float = 4.0,
+    tolerance: float,
     report: ProcessingReport | None = None,
     use_fixed: bool = True,
 ) -> dict:

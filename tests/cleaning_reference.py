@@ -23,9 +23,9 @@ from shipdataprep.model import ProcessingReport, QualityFlag, VoyageDataset, add
 def contextual_filter(
     dataset: VoyageDataset,
     measured: VoyageDataset,
-    repeat_run: int = 20,
-    dropout_max: int = 3,
-    spike_scales: float = 6.0,
+    repeat_run: int,
+    dropout_max: int,
+    spike_scales: float,
     dead_values: dict[str, float] | None = None,
     in_trip_only: bool = True,
     report: ProcessingReport | None = None,

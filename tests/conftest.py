@@ -11,10 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shipdataprep.model import QualityFlag, VariableSpec, VoyageDataset, new_dataset
+from shipdataprep.ingest import PipelineConfig
+from shipdataprep.model import (
+    QualityFlag,
+    ShipParticulars,
+    ShipType,
+    VariableSpec,
+    VoyageDataset,
+    new_dataset,
+)
 
 INTERVAL = 900
 T0 = 1_600_000_000  # any fixed UTC anchor
+DEFAULTS = PipelineConfig()  # every tunable a stage takes, as the config defaults it
+# particulars for a stage that takes them, where no test value hangs on the ship
+FERRY = ShipParticulars(ShipType.FERRY, beam=20.0, design_draft=6.0, lpp=150.0)
 
 
 def iso(ts: int) -> str:
@@ -49,7 +60,8 @@ def write_and_read_processed(dataset, path: Path):
     from shipdataprep.pipeline import write_processed_csv
 
     write_processed_csv(dataset, path, timestamp_header=False)
-    back = load_ship_csv(path, schema=list(dataset.schema))
+    back = load_ship_csv(path, schema=list(dataset.schema), unit_map=DEFAULTS.unit_map,
+                         source_kind=DEFAULTS.source_kind)
     trips = np.nan_to_num(back.column("trip_id"), nan=-1).astype(np.int64)
     marks = {f: back.column(f"flag_{f.value}") == 1 for f in QualityFlag}
     flags = [frozenset(f for f, m in marks.items() if m[i]) for i in range(len(back))]

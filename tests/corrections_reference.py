@@ -73,7 +73,7 @@ def _static_anchor(
 def fix_draft_simple(
     dataset: VoyageDataset,
     trip_id: int,
-    n_anchor: int = 10,
+    n_anchor: int,
     sensors: tuple[str, ...] = DRAFT_SENSORS,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
@@ -162,7 +162,7 @@ def fix_draft_ramp(
     dataset: VoyageDataset,
     trip_id: int,
     events: list[DraftChangeEvent],
-    n_avg: int = 10,
+    n_avg: int,
     sensors: tuple[str, ...] = DRAFT_SENSORS,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:

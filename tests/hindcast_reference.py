@@ -166,16 +166,12 @@ def _interp_variable_at(
 def interpolate(
     grid: HindcastGrid,
     dataset: VoyageDataset,
-    order: int = 1,
-    mask_policy: str = "neighbor_mean",
+    order: int,
+    mask_policy: str,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Per-sample loop with the signature and outputs of the vectorised
     ``shipdataprep.hindcast.interpolate``."""
-    if order < 1:
-        raise ValueError("interpolation order must be >= 1")
-    if mask_policy not in ("zero_fill", "neighbor_mean"):
-        raise ValueError(f"unknown mask policy {mask_policy!r}")
     entry = report.stage("interpolate") if report is not None else None
 
     candidates = np.nonzero(dataset.in_trip_or_all())[0]

@@ -62,14 +62,15 @@ from shipdataprep.model import (
 def load_ship_csv_rows(
     path: str | Path,
     schema: list[VariableSpec] | None = None,
-    unit_map: dict[str, str] | None = None,
-    source_kind: str = "in_service",
+    *,
+    unit_map: dict[str, str],
+    source_kind: str,
     report: ProcessingReport | None = None,
 ) -> RowDataset:
     """The ship CSV parsed row by row into the row model."""
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
-    unit_map = dict(unit_map or {})
+    unit_map = dict(unit_map)
     entry = report.stage("ingest:ship_csv") if report is not None else StageEntry("ingest")
 
     with path.open(newline="") as fh:
@@ -182,8 +183,9 @@ def csv_columns_rows(path: Path) -> tuple[list[str], tuple[int, ...], list[tuple
 def load_ship_csv_whole(
     path: str | Path,
     schema: list[VariableSpec] | None = None,
-    unit_map: dict[str, str] | None = None,
-    source_kind: str = "in_service",
+    *,
+    unit_map: dict[str, str],
+    source_kind: str,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """``ingest.load_ship_csv`` as it was before block reading: the whole
@@ -205,7 +207,7 @@ def load_ship_csv_whole(
     header = [h.strip() for h in header]
     if "timestamp" not in header:
         raise IngestError(f"{path}: missing timestamp column")
-    factors = {col: _unit_factor(unit) for col, unit in (unit_map or {}).items()}
+    factors = {col: _unit_factor(unit) for col, unit in unit_map.items()}
     first_of = {}  # name -> its first column
     for k, name in enumerate(header):
         first_of.setdefault(name, k)

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import oracle_values as oracle
-from conftest import VoyageBuilder, flagged_rows, rows_dataset, series_dataset
+from conftest import (
+    DEFAULTS,
+    FERRY,
+    VoyageBuilder,
+    flagged_rows,
+    rows_dataset,
+    series_dataset,
+)
 from shipdataprep.cleaning import pca_fit, pca_score
 from shipdataprep.cli import main as cli_main
 from shipdataprep.corrections import DraftChangeEvent, fix_draft_ramp, fix_draft_simple
@@ -158,7 +165,7 @@ def test_criterion_3_interpolation_exactness():
     with criterion(3, "bilinear + order-1 temporal interpolation reproduces a "
                       "random affine field at 1000 interior points within "
                       "1e-9 relative, inside the convex node bounds"):
-        out = interpolate(grid, ds, order=1)
+        out = interpolate(grid, ds, order=1, mask_policy=DEFAULTS.mask_policy)
         col = out.column("hc_f")
         var = grid.variables[0]
         for (t, la, lo), got in zip(pts, col):
@@ -280,7 +287,7 @@ def test_criterion_6_draft_corrections():
             {"draft_fore": 8.0}, {"draft_fore": 7.6},
             [{"draft_fore": 7.2}] * n, ("draft_fore",),
         )
-        out = fix_draft_simple(ds, 1)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
         ts = out.timestamps.astype(float)
         trip = out.trips()[1]
         t0, t1 = ts[trip[0]], ts[trip[-1]]
@@ -331,7 +338,7 @@ def test_criterion_7_pca_outlier_detection():
             latent = rng.normal(0.0, 1.0, n)
             cols = {f: latent + rng.normal(0.0, 0.05, n) for f in features}
             clean = series_dataset({k: list(v) for k, v in cols.items()})
-            detector = pca_fit(clean, features, quantile=0.995)
+            detector = pca_fit(clean, features, k=DEFAULTS.pca_components, quantile=0.995)
 
             injected = rng.choice(n, size=20, replace=False)
             for i in injected:
@@ -383,7 +390,7 @@ def test_criterion_9_ais_consistency():
     )
     with criterion(9, "AIS speed check flags exactly the 5 injected "
                       "irrational speeds and replaces each with a neighbour"):
-        out = ais_speed_consistency(ds, tolerance_fraction=0.3, window=5)
+        out = ais_speed_consistency(ds, tolerance_fraction=0.3, window=5, particulars=FERRY)
         flagged = flagged_rows(out, QualityFlag.IRRATIONAL_SPEED)
         assert flagged == injected
         for i in injected:

@@ -1,5 +1,6 @@
 """Contextual outlier rules, quasi-steady filtering and the PCA detector."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flagged_rows, flags_at, rows_dataset, series_dataset
+from conftest import DEFAULTS, flagged_rows, flags_at, rows_dataset, series_dataset
 from shipdataprep.cleaning import (
     CleaningError,
     _spikes,
@@ -25,6 +26,12 @@ from shipdataprep.model import (
     VariableSpec,
 )
 
+# the config's rule parameters, unless a test gives its own
+contextual = functools.partial(
+    contextual_filter, repeat_run=DEFAULTS.repeat_run, dropout_max=DEFAULTS.dropout_max,
+    spike_scales=DEFAULTS.spike_scales,
+)
+
 
 def test_dropout_in_two_variables_counts_one_pair():
     ds = series_dataset({
@@ -32,7 +39,7 @@ def test_dropout_in_two_variables_counts_one_pair():
         "b": [10.0, 11.0, 12.0, 0.0, 14.0, 15.0, 16.0, 17.0],
     })
     report = ProcessingReport()
-    out = contextual_filter(ds, ds, report=report)
+    out = contextual(ds, ds, report=report)
     assert sorted(f.value for f in flags_at(out, 3)) == ["dropout"]
     entry = report.stage_entries[0]
     assert entry.flag_counts == {"dropout": 1}
@@ -50,7 +57,7 @@ def dataset_with_ranges(values, lo=0.0, hi=200.0, name="shaft_rpm"):
 class TestContextualFilter:
     def test_invalid_range(self):
         ds = dataset_with_ranges([50.0, -5.0, 60.0])
-        out = contextual_filter(ds, ds)
+        out = contextual(ds, ds)
         assert out.flagged(QualityFlag.INVALID_RANGE)[1]
         assert not flags_at(out, 0)
 
@@ -59,33 +66,33 @@ class TestContextualFilter:
         noisy = list(80.0 + rng.normal(0, 1, 30))
         values = noisy[:5] + [90.0] * 30 + noisy[5:]
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, ds, repeat_run=20)
+        out = contextual(ds, ds, repeat_run=20)
         flagged = flagged_rows(out, QualityFlag.REPEATED_VALUE)
         assert flagged == list(range(5, 35))
 
     def test_constant_variable_not_repeated_flagged(self):
         ds = dataset_with_ranges([80.0] * 40)
-        out = contextual_filter(ds, ds, repeat_run=20)
+        out = contextual(ds, ds, repeat_run=20)
         assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_short_step_in_constant_signal_not_repeated_flagged(self):
         # np.var([3.3] * 3) is 1.97e-31, not 0: only distinct values count
         for head in (3.3, 80.0):
             ds = dataset_with_ranges([head] * 3 + [5.0] * 25)
-            out = contextual_filter(ds, ds, repeat_run=20)
+            out = contextual(ds, ds, repeat_run=20)
             assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_single_sample_dropout(self):
         values = [80.0] * 10 + [0.0] + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, ds, dropout_max=3)
+        out = contextual(ds, ds, dropout_max=3)
         assert out.flagged(QualityFlag.DROPOUT)[10]
         assert out.flagged(QualityFlag.DROPOUT).sum() == 1
 
     def test_long_dead_run_is_not_dropout(self):
         values = [80.0] * 10 + [0.0] * 5 + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, ds, dropout_max=3)
+        out = contextual(ds, ds, dropout_max=3)
         assert not out.flagged(QualityFlag.DROPOUT).any()
 
     def test_spike_flagged(self):
@@ -93,7 +100,7 @@ class TestContextualFilter:
         values = list(80.0 + rng.normal(0, 0.5, 41))
         values[20] += 30.0
         ds = dataset_with_ranges(values)
-        out = contextual_filter(ds, ds, spike_scales=6.0)
+        out = contextual(ds, ds, spike_scales=6.0)
         assert out.flagged(QualityFlag.SPIKE)[20]
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
@@ -121,7 +128,7 @@ class TestContextualFilter:
     def test_spike_rule_never_fires_on_monotone_series(self, values):
         values = sorted(values)
         ds = dataset_with_ranges(values, lo=-1.0, hi=101.0)
-        out = contextual_filter(ds, ds)
+        out = contextual(ds, ds)
         assert not out.flagged(QualityFlag.SPIKE).any()
 
 
@@ -132,14 +139,14 @@ class TestContextualFilter:
         derived[20] = 500.0
         ds = measured.adding_variable(VariableSpec("derived_rpm", valid_max=200.0), derived)
         report = ProcessingReport()
-        out = contextual_filter(ds, measured, report=report)
+        out = contextual(ds, measured, report=report)
         assert report.stage_entries[0].checks == []
         assert out.declares("derived_rpm") and not out.flagged(*QualityFlag).any()
 
     def test_measured_rows_must_match(self):
         ds = dataset_with_ranges([80.0] * 5)
         with pytest.raises(CleaningError, match="timestamps"):
-            contextual_filter(ds, dataset_with_ranges([80.0] * 4))
+            contextual(ds, dataset_with_ranges([80.0] * 4))
 
 
 class TestQuasiSteady:
@@ -252,16 +259,16 @@ class TestPca:
     def test_constant_feature_rejected(self):
         ds = series_dataset({"a": [1.0, 2.0, 3.0] * 20, "b": [5.0] * 60})
         with pytest.raises(CleaningError, match="constant"):
-            pca_fit(ds, ["a", "b"], k=1)
+            pca_fit(ds, ["a", "b"], k=1, quantile=DEFAULTS.pca_quantile)
 
     def test_insufficient_samples_rejected(self):
         ds = correlated_dataset(n=15)
         with pytest.raises(CleaningError, match="complete samples"):
-            pca_fit(ds, ["a", "b", "c", "d"], k=2)
+            pca_fit(ds, ["a", "b", "c", "d"], k=2, quantile=DEFAULTS.pca_quantile)
 
     def test_training_mean_scores_zero(self):
         ds = correlated_dataset(n=200, seed=3)
-        det = pca_fit(ds, ["a", "b", "c", "d"], k=2)
+        det = pca_fit(ds, ["a", "b", "c", "d"], k=2, quantile=DEFAULTS.pca_quantile)
         err = det.errors(det.mean.reshape(1, -1))
         assert err[0] == pytest.approx(0.0, abs=1e-18)
 
@@ -302,7 +309,7 @@ class TestPca:
 
     def test_joint_speed_fault_detected(self):
         clean = correlated_dataset(n=500, seed=9)
-        det = pca_fit(clean, ["a", "b", "c", "d"], quantile=0.995)
+        det = pca_fit(clean, ["a", "b", "c", "d"], k=DEFAULTS.pca_components, quantile=0.995)
         faulted = correlated_dataset(n=500, seed=9, faults=range(100, 110))
         out = pca_score(det, faulted)
         hits = flagged_rows(out, QualityFlag.CORRELATION_OUTLIER)
@@ -310,9 +317,23 @@ class TestPca:
         false_pos = [i for i in hits if not 100 <= i < 110]
         assert len(false_pos) <= 10
 
+    def test_k_zero_chooses_the_component_count(self):
+        # the config's code 0 picks the smallest k explaining MIN_EXPLAINED of
+        # the variance; pinned: the k and the threshold bits of that choice
+        rng = np.random.default_rng(7)
+        independent = series_dataset({n: rng.normal(size=300).tolist() for n in "abcd"})
+        for ds, k, threshold in (
+            (correlated_dataset(n=500, seed=9), 1, "0x1.cfe8d98f038f1p-6"),
+            (independent, 3, "0x1.66b4f364750f7p+2"),
+        ):
+            det = pca_fit(ds, ["a", "b", "c", "d"], k=0, quantile=DEFAULTS.pca_quantile)
+            assert (len(det.axes), float(det.threshold).hex()) == (k, threshold)
+            explicit = pca_fit(ds, ["a", "b", "c", "d"], k=k, quantile=DEFAULTS.pca_quantile)
+            assert explicit.threshold == det.threshold
+
     def test_incomplete_sample_skipped_and_counted(self):
         ds = correlated_dataset(n=120, seed=2)
-        det = pca_fit(ds, ["a", "b", "c", "d"], k=1)
+        det = pca_fit(ds, ["a", "b", "c", "d"], k=1, quantile=DEFAULTS.pca_quantile)
         broken = ds.with_values("a", [0], [None])
         report = ProcessingReport()
         pca_score(det, broken, report)
@@ -349,7 +370,7 @@ class TestPca:
 
     def test_projection_in_span_has_zero_error(self):
         ds = correlated_dataset(n=200, seed=6)
-        det = pca_fit(ds, ["a", "b", "c", "d"], k=2)
+        det = pca_fit(ds, ["a", "b", "c", "d"], k=2, quantile=DEFAULTS.pca_quantile)
         z = np.array([0.7, -0.2])  # arbitrary point in the axis span
         point = det.mean + (z @ det.axes) * det.scale
         assert det.errors(point.reshape(1, -1))[0] == pytest.approx(0.0, abs=1e-16)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle_values as oracle
-from conftest import rows_dataset
+from conftest import DEFAULTS, rows_dataset
 from shipdataprep.corrections import (
     CorrectionError,
     DraftChangeEvent,
@@ -68,14 +68,14 @@ def trip_span(ds):
 class TestFixDraftSimple:
     def test_midpoint_of_linear_interpolation(self):
         ds = voyage_with_drafts(8.0, 7.6, [7.2] * 11)
-        out = fix_draft_simple(ds, 1)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
         idx = out.trips()[1]
         mid = idx[len(idx) // 2]
         assert out.column("draft_fore")[mid] == pytest.approx(7.8, abs=1e-12)
 
     def test_constant_anchors_constant_trip(self):
         ds = voyage_with_drafts(9.0, 9.0, [8.0] * 7)
-        out = fix_draft_simple(ds, 1)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
         for i in out.trips()[1]:
             assert out.column("draft_fore")[i] == pytest.approx(9.0, abs=1e-12)
 
@@ -83,7 +83,7 @@ class TestFixDraftSimple:
         # in-trip sensor reads 7.2 while anchors say 8.0 -> 7.8: the raw
         # values must not influence the corrected series at all
         ds = voyage_with_drafts(8.0, 7.8, [7.2] * 9)
-        out = fix_draft_simple(ds, 1)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
         ts = out.timestamps.astype(float)
         t0, t1 = trip_span(ds)
         for i in out.trips()[1]:
@@ -96,7 +96,7 @@ class TestFixDraftSimple:
 
     def test_monotone_when_pre_geq_post(self):
         ds = voyage_with_drafts(8.4, 7.9, [7.0] * 15)
-        out = fix_draft_simple(ds, 1)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
         vals = [out.column("draft_fore")[i] for i in out.trips()[1]]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -106,7 +106,7 @@ class TestFixDraftSimple:
         n = len(ds)
         ds = ds.with_values("draft_fore", np.arange(n - 6, n), [None] * 6)
         report = ProcessingReport()
-        out = fix_draft_simple(ds, 1, report=report)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg, report=report)
         for i in out.trips()[1]:
             assert out.column("draft_fore")[i] == pytest.approx(8.0)
         assert any("single-sided" in note for note in report.stage_entries[0].notes)
@@ -185,7 +185,7 @@ class TestFixDraftRamp:
         ds, event = self.ramp_fixture()
         other = DraftChangeEvent(1, event.start + DT, event.end + DT)
         with pytest.raises(CorrectionError, match="overlapping"):
-            fix_draft_ramp(ds, 1, [event, other])
+            fix_draft_ramp(ds, 1, [event, other], DEFAULTS.n_avg)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_event_outside_the_trip_rows_rejected(self, shift):
@@ -193,15 +193,15 @@ class TestFixDraftRamp:
         ds, _ = self.ramp_fixture()
         start, end = trip_span(ds)
         inside = DraftChangeEvent(1, start, end)
-        fix_draft_ramp(ds, 1, [inside])
+        fix_draft_ramp(ds, 1, [inside], DEFAULTS.n_avg)
         event = DraftChangeEvent(1, start + min(shift, 0), end + max(shift, 0))
         with pytest.raises(CorrectionError, match=rf"outside trip \[{start}, {end}\]"):
-            fix_draft_ramp(ds, 1, [event])
+            fix_draft_ramp(ds, 1, [event], DEFAULTS.n_avg)
 
     def test_event_in_a_trip_without_rows_rejected(self):
         ds, event = self.ramp_fixture()
         with pytest.raises(CorrectionError, match="trip 2 has no rows"):
-            fix_draft_ramp(ds, 2, [DraftChangeEvent(2, event.start, event.end)])
+            fix_draft_ramp(ds, 2, [DraftChangeEvent(2, event.start, event.end)], DEFAULTS.n_avg)
 
     def test_zero_magnitude_event_matches_simple(self):
         ds = voyage_with_drafts(8.0, 8.0, [8.0] * 30)
@@ -227,7 +227,7 @@ class TestDetectDraftEvents:
             means = _event_means(ds, ds.column(sensor), event, rows, 10)
             assert means == pytest.approx(expected, abs=0.05)
         report = ProcessingReport()
-        out = fix_draft_ramp(ds, 1, [event], report=report)
+        out = fix_draft_ramp(ds, 1, [event], DEFAULTS.n_avg, report=report)
         (entry,) = report.stage_entries
         assert entry.stage == "draft_fix:ramp:trip1"
         assert entry.notes == []

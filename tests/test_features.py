@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_values as oracle
-from conftest import flagged_rows, rows_dataset, series_dataset
+from conftest import DEFAULTS, FERRY, flagged_rows, rows_dataset, series_dataset
 from features_reference import angular_difference
 from shipdataprep.features import (
     add_gps_heading,
@@ -277,13 +277,19 @@ class TestAisSpeedConsistency:
         ]
         return rows_dataset(schema, samples, source_kind="ais")
 
+    @staticmethod
+    def check(dataset, report=None):
+        return ais_speed_consistency(
+            dataset, DEFAULTS.ais_tolerance, DEFAULTS.ais_window, FERRY, report
+        )
+
     def test_consistent_track_zero_flags(self):
-        out = ais_speed_consistency(self.build())
+        out = self.check(self.build())
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
     def test_injected_speed_flagged_and_replaced(self):
         report = ProcessingReport()
-        out = ais_speed_consistency(self.build(inject=(10,)), report=report)
+        out = self.check(self.build(inject=(10,)), report)
         flagged = flagged_rows(out, QualityFlag.IRRATIONAL_SPEED)
         assert flagged == [10]
         assert out.column("sog")[10] == pytest.approx(5.0)
@@ -296,7 +302,7 @@ class TestAisSpeedConsistency:
     def test_absurd_speed_flagged_even_when_its_distance_overflows(self, value):
         # 1e306 m/s over 900 s is an inf distance, and inf/inf no mismatch
         report = ProcessingReport()
-        out = ais_speed_consistency(self.build(inject=(10,), value=value), report=report)
+        out = self.check(self.build(inject=(10,), value=value), report)
         assert flagged_rows(out, QualityFlag.IRRATIONAL_SPEED) == [10]
         assert out.column("sog")[10] == pytest.approx(5.0)
         assert out.column("raw_sog")[10] == value
@@ -310,7 +316,7 @@ class TestAisSpeedConsistency:
             Sample(i * 900, {"lat": 10.0, "lon": 4.0, "sog": 0.0}) for i in range(10)
         ]
         ds = rows_dataset(schema, samples)
-        out = ais_speed_consistency(ds)
+        out = self.check(ds)
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
     def test_short_legs_use_window_trend(self):
@@ -321,7 +327,7 @@ class TestAisSpeedConsistency:
             for i in range(30)
         ]
         ds = rows_dataset(schema, samples)
-        out = ais_speed_consistency(ds)
+        out = self.check(ds)
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
 
@@ -343,15 +349,15 @@ class TestAisStatusCheck:
         return rows_dataset(schema, samples)
 
     def test_moored_while_moving_flagged(self):
-        out = ais_status_check(self.build(5.0, 7.0))
+        out = ais_status_check(self.build(5.0, 7.0), DEFAULTS.port_speed_threshold)
         assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_under_way_while_moving_ok(self):
-        out = ais_status_check(self.build(0.0, 7.0))
+        out = ais_status_check(self.build(0.0, 7.0), DEFAULTS.port_speed_threshold)
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_anchored_at_rest_ok(self):
-        out = ais_status_check(self.build(1.0, 0.0))
+        out = ais_status_check(self.build(1.0, 0.0), DEFAULTS.port_speed_threshold)
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_under_way_at_rest_in_port_flagged(self):
@@ -361,6 +367,6 @@ class TestAisStatusCheck:
             Sample(900, {"nav_status": 0.0, "sog": 5.0}, trip_id=1),
         ]
         ds = rows_dataset(schema, samples)
-        out = ais_status_check(ds)
+        out = ais_status_check(ds, DEFAULTS.port_speed_threshold)
         assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[1]

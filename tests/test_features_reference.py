@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import features_reference as ref
-from conftest import INTERVAL, T0, stage_outcome
+from conftest import DEFAULTS, FERRY, INTERVAL, T0, stage_outcome
 from shipdataprep.features import (
     add_gps_heading,
     add_leg_distance,
@@ -28,8 +28,6 @@ from shipdataprep.features import (
 from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
-    ShipParticulars,
-    ShipType,
     VariableSpec,
     new_dataset,
 )
@@ -97,11 +95,14 @@ def test_stages_match_loops_on_a_long_random_voyage(with_trips):
     for name, stage, reference in (("gps_heading", add_gps_heading, ref.add_gps_heading),
                                    ("leg_distance", add_leg_distance, ref.add_leg_distance)):
         assert columns(stage(dataset), name) == columns(reference(dataset), name)
-    assert run_stage(ais_speed_consistency, dataset, ("sog", "raw_sog")) == run_stage(
-        ref.ais_speed_consistency, dataset, ("sog", "raw_sog")
+    kwargs = dict(tolerance_fraction=DEFAULTS.ais_tolerance, window=DEFAULTS.ais_window,
+                  particulars=FERRY)
+    assert run_stage(ais_speed_consistency, dataset, ("sog", "raw_sog"), **kwargs) == run_stage(
+        ref.ais_speed_consistency, dataset, ("sog", "raw_sog"), **kwargs
     )
-    assert run_stage(ais_status_check, dataset, ()) == run_stage(
-        ref.ais_status_check, dataset, ()
+    threshold = DEFAULTS.port_speed_threshold
+    assert run_stage(ais_status_check, dataset, (), port_speed_threshold=threshold) == run_stage(
+        ref.ais_status_check, dataset, (), port_speed_threshold=threshold
     )
 
 
@@ -180,11 +181,9 @@ def run_stage(stage, dataset, names, **kwargs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ais_feeds(), st.sampled_from([0.1, 0.3, 0.5]), st.integers(1, 6), st.booleans())
-def test_speed_consistency_matches_loop(dataset, tolerance, window, with_particulars):
-    particulars = ShipParticulars(ShipType.FERRY, beam=20.0, design_draft=6.0, lpp=150.0) \
-        if with_particulars else None
-    kwargs = dict(tolerance_fraction=tolerance, window=window, particulars=particulars)
+@given(ais_feeds(), st.sampled_from([0.1, 0.3, 0.5]), st.integers(1, 6))
+def test_speed_consistency_matches_loop(dataset, tolerance, window):
+    kwargs = dict(tolerance_fraction=tolerance, window=window, particulars=FERRY)
     names = ("sog", "raw_sog")
     assert run_stage(ais_speed_consistency, dataset, names, **kwargs) == run_stage(
         ref.ais_speed_consistency, dataset, names, **kwargs

@@ -1,13 +1,14 @@
 """Steady-state filter against an independent regression oracle, GPS
 cleaning fixtures, and grid interpolation exactness/mask policies."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import flagged_rows, rows_dataset
+from conftest import DEFAULTS, flagged_rows, rows_dataset
 
 from shipdataprep.hindcast import (
     SteadyFilterParams,
@@ -23,6 +24,11 @@ from shipdataprep.model import (
     QualityFlag,
     Sample,
     VariableSpec,
+)
+
+# the config's interpolation order and mask policy, unless a test gives its own
+interp = functools.partial(
+    interpolate, order=DEFAULTS.interpolation_order, mask_policy=DEFAULTS.mask_policy
 )
 
 
@@ -273,14 +279,14 @@ class TestInterpolate:
     def test_bilinear_reproduces_linear_field(self):
         grid = make_grid(lambda la, lo, t: 2.0 * la + 3.0 * lo, LATS, LONS, TIMES)
         pts = random_points(np.random.default_rng(0), 50)
-        ds = interpolate(grid, query_dataset(pts), order=1)
+        ds = interp(grid, query_dataset(pts), order=1)
         col = ds.column("hc_f")
         for (t, la, lo), got in zip(pts, col):
             assert got == pytest.approx(2.0 * la + 3.0 * lo, abs=1e-9)
 
     def test_time_linear_field(self):
         grid = make_grid(lambda la, lo, t: t / 360.0, LATS, LONS, [0, 3600])
-        ds = interpolate(grid, query_dataset([(1800, 0.0, 0.0)]), order=1)
+        ds = interp(grid, query_dataset([(1800, 0.0, 0.0)]), order=1)
         assert ds.column("hc_f")[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_constant_field_masked_node_neighbor_mean(self):
@@ -306,7 +312,7 @@ class TestInterpolate:
     def test_all_four_masked_yields_missing(self):
         grid = two_slice_grid(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
         report = ProcessingReport()
-        ds = interpolate(grid, query_dataset([(0, 0.5, 0.5)]), report=report)
+        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]), report=report)
         assert math.isnan(ds.column("hc_f")[0])
         assert report.stage_entries[0].summary["samples_masked_missing"] == 1
 
@@ -315,13 +321,13 @@ class TestInterpolate:
         # each cell spans 2 x DBL_MAX: the query lies halfway across both
         big = np.finfo(float).max
         grid = two_slice_grid([[2.0, 4.0], [6.0, 8.0]], lats=(-big, big), lons=(-big, big))
-        ds = interpolate(grid, query_dataset([(0, 0.0, 0.5)]), order=1)
+        ds = interp(grid, query_dataset([(0, 0.0, 0.5)]), order=1)
         assert ds.column("hc_f")[0] == 5.0
 
     def test_outside_bounding_box_missing_and_counted(self):
         grid = make_grid(lambda la, lo, t: 1.0, LATS, LONS, TIMES)
         report = ProcessingReport()
-        ds = interpolate(grid, query_dataset([(0, 50.0, 0.0)]), report=report)
+        ds = interp(grid, query_dataset([(0, 50.0, 0.0)]), report=report)
         assert math.isnan(ds.column("hc_f")[0])
         assert report.stage_entries[0].summary["samples_outside"] == 1
 
@@ -329,7 +335,7 @@ class TestInterpolate:
         lons = [10.0, 11.1, 12.3]
         grid = make_grid(lambda la, lo, t: lo, LATS, lons, TIMES)
         report = ProcessingReport()
-        ds = interpolate(grid, query_dataset([(3600, 0.5, 12.3)]), report=report)
+        ds = interp(grid, query_dataset([(3600, 0.5, 12.3)]), report=report)
         assert ds.column("hc_f")[0] == pytest.approx(12.3, abs=1e-12)
         summary = report.stage_entries[0].summary
         assert summary["samples_outside"] == 0
@@ -340,12 +346,12 @@ class TestInterpolate:
         ds = query_dataset([(0, 0.0, 0.0)]).adding_flags(
             QualityFlag.IRRATIONAL_POSITION, [0]
         )
-        out = interpolate(grid, ds)
+        out = interp(grid, ds)
         assert math.isnan(out.column("hc_f")[0])
 
     def test_temporal_exactness_at_grid_timestamp(self):
         grid = make_grid(lambda la, lo, t: la + lo + t, LATS, LONS, TIMES)
-        ds = interpolate(grid, query_dataset([(3600, 0.25, 0.5)]), order=1)
+        ds = interp(grid, query_dataset([(3600, 0.25, 0.5)]), order=1)
         assert ds.column("hc_f")[0] == pytest.approx(0.25 + 0.5 + 3600.0, rel=1e-12)
 
     def test_convexity_for_order_1(self):
@@ -354,7 +360,7 @@ class TestInterpolate:
             LATS, LONS, TIMES,
         )
         pts = random_points(np.random.default_rng(5), 100)
-        ds = interpolate(grid, query_dataset(pts), order=1)
+        ds = interp(grid, query_dataset(pts), order=1)
         col = ds.column("hc_f")
         var = grid.variables[0]
         for (t, la, lo), got in zip(pts, col):
@@ -377,7 +383,7 @@ class TestInterpolate:
             return math.cos(math.radians(lo))
 
         grid = make_grid(field, lats, lons, times)
-        ds = interpolate(grid, query_dataset([(0, 0.0, 178.0)]), order=1)
+        ds = interp(grid, query_dataset([(0, 0.0, 178.0)]), order=1)
         got = ds.column("hc_f")[0]
         # linear blend between the seam columns at 170 and -170
         f = (178.0 - 170.0) / 20.0
@@ -388,12 +394,12 @@ class TestInterpolate:
 
     def test_angular_variable_interpolated_circularly(self):
         grid = two_slice_grid([[350.0, 10.0], [350.0, 10.0]], unit="deg")
-        ds = interpolate(grid, query_dataset([(0, 0.5, 0.5)]))
+        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]))
         assert ds.column("hc_f")[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_toward_convention_converted(self):
         grid = two_slice_grid(np.full((2, 2), 90.0), unit="deg", convention="toward")
-        ds = interpolate(grid, query_dataset([(0, 0.5, 0.5)]))
+        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]))
         assert ds.column("hc_f")[0] == pytest.approx(270.0, abs=1e-9)
 
 
@@ -403,7 +409,7 @@ class TestOrderCheck:
     @staticmethod
     def orders(grid, pts):
         ds = query_dataset(pts)
-        return [interpolate(grid, ds, order=k).column("hc_f") for k in (1, 2)]
+        return [interp(grid, ds, order=k).column("hc_f") for k in (1, 2)]
 
     def test_time_linear_field_zero_difference(self):
         grid = make_grid(lambda la, lo, t: la + t / 100.0, LATS, LONS, TIMES)

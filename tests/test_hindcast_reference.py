@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import hindcast_reference as reference
-from conftest import rows_dataset
+from conftest import DEFAULTS, rows_dataset
 from shipdataprep import hindcast
 from shipdataprep.hindcast import SteadyFilterParams, interpolate, steady_state_filter
 from shipdataprep.ingest import GridVariable, HindcastGrid
@@ -147,7 +147,7 @@ def test_every_count_on_a_fixed_grid():
     dataset = rows_dataset([VariableSpec("lat"), VariableSpec("lon")], samples)
     for module in (hindcast, reference):
         report = ProcessingReport()
-        module.interpolate(grid, dataset, 1, report=report)
+        module.interpolate(grid, dataset, 1, DEFAULTS.mask_policy, report=report)
         summary = report.stage_entries[0].summary
         assert [summary[f"samples_{k}"] for k in (
             "interpolated", "masked_missing", "outside", "no_position"
@@ -187,8 +187,8 @@ def test_stencil_tie_goes_to_the_past():
         [VariableSpec("lat"), VariableSpec("lon")],
         [Sample(T0 + 5400, {"lat": 0.5, "lon": 0.5})],
     )
-    assert interpolate(grid, dataset, 2).column("hc_lin")[0] == 0.0
-    assert reference.interpolate(grid, dataset, 2).column("hc_lin")[0] == 0.0
+    for stage in (interpolate, reference.interpolate):
+        assert stage(grid, dataset, 2, DEFAULTS.mask_policy).column("hc_lin")[0] == 0.0
 
 
 def scipy_values(grid, var, dataset):
@@ -217,7 +217,7 @@ def test_order_1_unmasked_matches_scipy(data):
     grid = data.draw(grids(min_steps=2, min_nodes=2, masked=False, angular_spread=60.0))
     # inside the box and the time span, off the seam, which scipy does not wrap
     dataset = data.draw(queries(grid, inside=True))
-    got = interpolate(grid, dataset, 1)
+    got = interpolate(grid, dataset, 1, DEFAULTS.mask_policy)
     for var in grid.variables:
         want = scipy_values(grid, var, dataset)
         col = got.column("hc_" + var.name)

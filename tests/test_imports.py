@@ -1,14 +1,17 @@
 """Every name a module of the package imports is used in that module,
 every function, method and class the package defines is used by the program
-(``src/`` and ``perfbench/``), and every field of a package dataclass is
-read by it.
+(``src/`` and ``perfbench/``), every field of a package dataclass is read by
+it, and a parameter that the pipeline passes a config value keeps no default
+of its own.
 
-Reads the source with ``ast`` only, so it needs nothing but the standard
-library. ``__init__.py`` is left out of the import check: its imports are
-the package's exports.
+The first three read the source with ``ast`` only; the last also imports
+``pipeline`` to read its callees' signatures with ``inspect``.
+``__init__.py`` is left out of the import check: its imports are the
+package's exports.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -414,3 +417,85 @@ def test_each_name_matched_method_needs_it(name):
     fewer = {k: v for k, v in NAME_MATCHED.items() if k != name}
     assert name in unreached(src, program, name_matched=fewer)
 
+
+# -- config: every tunable has one default, the one of PipelineConfig ---------
+
+
+def reads_config(node: ast.AST) -> bool:
+    """Whether expression ``node`` reads a ``config.<field>``; a call or a
+    lambda inside it is a call of its own."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
+        return True
+    return not isinstance(node, (ast.Call, ast.Lambda)) and any(
+        map(reads_config, ast.iter_child_nodes(node))
+    )
+
+
+def resolve(node: ast.AST, namespace: dict):
+    """The object a dotted name denotes in ``namespace``, or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = resolve(node.value, namespace)
+        return None if owner is None else getattr(owner, node.attr, None)
+    return None
+
+
+def defaulted_config_parameters(source: str, namespace: dict) -> list[str]:
+    """``callee.parameter`` for each argument of a call in ``source`` that
+    reads ``config.<field>`` and lands on a parameter with a default of its
+    own. The callee is resolved in ``namespace``, a module's globals, and
+    its parameters are read with ``inspect``; a callee that does not resolve
+    there (a local, a builtin name, a method of a value), or that has no
+    signature (a builtin type), is left out."""
+    found = []
+    for call in ast.walk(ast.parse(source)):
+        if not isinstance(call, ast.Call):
+            continue
+        positions = [k for k, a in enumerate(call.args) if reads_config(a)]
+        keywords = [kw.arg for kw in call.keywords if kw.arg and reads_config(kw.value)]
+        callee = resolve(call.func, namespace)
+        if callee is None or not (positions or keywords):
+            continue
+        try:
+            params = inspect.signature(callee).parameters
+        except ValueError:  # a builtin, such as an exception class: no parameters to read
+            continue
+        received = [list(params)[k] for k in positions] + keywords
+        found += [f"{callee.__qualname__}.{name}" for name in received
+                  if params[name].default is not inspect.Parameter.empty]
+    return sorted(found)
+
+
+def test_every_config_value_has_its_one_default_in_the_config():
+    from shipdataprep import pipeline
+
+    source = Path(pipeline.__file__).read_text()
+    defaulted = defaulted_config_parameters(source, vars(pipeline))
+    assert not defaulted, f"parameters passed config.<field> that keep a default: {defaulted}"
+
+
+def test_the_config_default_check_sees_a_second_default():
+    namespace = {}
+    exec(
+        "import types\n"
+        "class Refused(ValueError): pass\n"
+        "def own(a, tol=0.5, *, window=3, report=None): pass\n"
+        "def plain(a, tol, *, window): pass\n"
+        "stage = types.SimpleNamespace(own=own)\n",
+        namespace,
+    )
+    source = (
+        "def run(config, d, report):\n"
+        "    own(d, config.tol, window=config.window or None, report=report)\n"
+        "    stage.own(config.a, tol=config.tol)\n"
+        "    plain(d, config.tol, window=config.window)\n"
+        "    own(d, report=plain(config.a, 1, window=2))\n"
+        "    local = own\n"
+        "    local(d, config.tol)\n"
+        "    range(config.max_iterations + 1)\n"
+        "    raise Refused(f'{config.path}: bad')\n"
+    )
+    assert defaulted_config_parameters(source, namespace) == [
+        "own.tol", "own.tol", "own.window",
+    ]

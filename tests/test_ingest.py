@@ -1,6 +1,7 @@
 """Loaders: unit conversion at the boundary, missing-cell semantics, grid
 format errors with locations, particulars defaults."""
 
+import functools
 import math
 import re
 import typing
@@ -8,7 +9,7 @@ import typing
 import numpy as np
 import pytest
 
-from conftest import row_values
+from conftest import DEFAULTS, row_values
 from oracle_values import TEN_KNOTS_M_PER_S
 from shipdataprep.ingest import (
     PARTICULARS_KEYS,
@@ -22,19 +23,24 @@ from shipdataprep.ingest import (
 )
 from shipdataprep.model import KNOT, ProcessingReport, QualityFlag
 
+# the config's unit map and source kind, unless a test gives its own
+load = functools.partial(
+    load_ship_csv, unit_map=DEFAULTS.unit_map, source_kind=DEFAULTS.source_kind
+)
+
 
 class TestShipCsv:
     def test_knots_converted_to_m_per_s(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,sog\n2021-01-01T00:00:00Z,10.0\n")
-        ds = load_ship_csv(p, unit_map={"sog": "knots"})
+        ds = load(p, unit_map={"sog": "knots"})
         assert ds.column("sog")[0] == pytest.approx(TEN_KNOTS_M_PER_S, abs=1e-4)
         assert ds.column("sog")[0] == pytest.approx(5.1444, abs=1e-4)
 
     def test_empty_file_with_header(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,sog,draft_fore\n")
-        ds = load_ship_csv(p)
+        ds = load(p)
         assert len(ds) == 0
 
     def test_blank_cell_is_missing_and_counted(self, tmp_path):
@@ -45,7 +51,7 @@ class TestShipCsv:
             "2021-01-01T00:15:00Z,5.0,8.1\n"
         )
         report = ProcessingReport()
-        ds = load_ship_csv(p, report=report)
+        ds = load(p, report=report)
         assert "draft_fore" not in row_values(ds, 0)
         assert ds.column("draft_fore")[1] == 8.1
         entry = report.stage_entries[0]
@@ -55,7 +61,7 @@ class TestShipCsv:
         p = tmp_path / "ship.csv"
         p.write_text("time,sog\n2021-01-01T00:00:00Z,5.0\n")
         with pytest.raises(IngestError, match="timestamp"):
-            load_ship_csv(p)
+            load(p)
 
     def test_mostly_unparseable_bare_minimum_column_fatal(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -64,7 +70,7 @@ class TestShipCsv:
             rows.append(f"2021-01-01T00:{i:02d}:00Z,{'bogus' if i < 6 else '4.0'}")
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestError, match="stw"):
-            load_ship_csv(p)
+            load(p)
 
     def test_non_finite_cells_unparseable(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -75,7 +81,7 @@ class TestShipCsv:
             "2021-01-01T00:30:00Z,1e400,-inf\n"
         )
         report = ProcessingReport()
-        ds = load_ship_csv(p, report=report)
+        ds = load(p, report=report)
         assert [row_values(ds, i) for i in range(len(ds))] == [{"heading": 4.0}, {"sog": 5.0}, {}]
         assert report.stage_entries[0].notes == [
             "column heading: 2 unparseable cell(s) -> missing",
@@ -89,7 +95,7 @@ class TestShipCsv:
             rows.append(f"2021-01-01T00:{i:02d}:00Z,{'nan' if i < 6 else '4.0'}")
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestError, match="stw: 6/10"):
-            load_ship_csv(p)
+            load(p)
 
     def test_repeated_timestamp_keeps_first_row_and_flags_dropout(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -104,7 +110,7 @@ class TestShipCsv:
             "2021-01-01T00:00:00Z,\n"
         )
         report = ProcessingReport()
-        ds = load_ship_csv(p, report=report)
+        ds = load(p, report=report)
         assert ds.column("sog").tolist() == [2.0, 1.0, 4.0]
         assert ds.flagged(QualityFlag.DROPOUT).tolist() == [True, True, False]
         entry = report.stage_entries[0]
@@ -122,7 +128,7 @@ class TestShipCsv:
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,sog\n2021-01-01T00:00:00Z,1.0\n2021-01-01T00:15:00Z,2.0\n")
         report = ProcessingReport()
-        load_ship_csv(p, report=report)
+        load(p, report=report)
         assert "rows_dropped_duplicate_timestamp" not in report.stage_entries[0].summary
 
     def test_blank_header_name_skipped_with_note(self, tmp_path):
@@ -134,7 +140,7 @@ class TestShipCsv:
             "bad,3.0,y\n"
         )
         report = ProcessingReport()
-        ds = load_ship_csv(p, report=report)
+        ds = load(p, report=report)
         assert ds.column("sog").tolist() == [1.0, 2.0]
         assert "" not in {s.name for s in ds.schema}
         assert report.stage_entries[0].notes == [
@@ -150,7 +156,7 @@ class TestShipCsv:
             "2021-01-01T00:30:00Z,3.0,4.0,,\n"
         )
         report = ProcessingReport()
-        ds = load_ship_csv(p, report=report)
+        ds = load(p, report=report)
         assert row_values(ds, 0) == {"sog": 1.0, "stw": 4.0}
         assert np.isnan(ds.column("sog")[1])
         entry = report.stage_entries[0]
@@ -169,7 +175,7 @@ class TestShipCsv:
             "2020-09-13T12:56:40Z,3.0\n"
         )
         report = ProcessingReport()
-        ds = load_ship_csv(p, report=report)
+        ds = load(p, report=report)
         assert ds.timestamps.tolist() == [1600001800]
         assert ds.column("sog").tolist() == [3.0]
         assert report.stage_entries[0].summary["rows_skipped_bad_timestamp"] == 2
@@ -177,7 +183,7 @@ class TestShipCsv:
     def test_unknown_column_auto_declared(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,fuel_temp\n2021-01-01T00:00:00Z,55.5\n")
-        ds = load_ship_csv(p)
+        ds = load(p)
         assert ds.column("fuel_temp")[0] == 55.5
 
     def test_unit_map_scales_each_column_into_si(self, tmp_path):
@@ -187,7 +193,7 @@ class TestShipCsv:
             "2021-01-01T00:00:00Z,12.25,8000.5\n"
             "2021-01-01T00:15:00Z,11.0,\n"
         )
-        ds = load_ship_csv(src, unit_map={"sog": "knots", "shaft_power": "kW"})
+        ds = load(src, unit_map={"sog": "knots", "shaft_power": "kW"})
         assert ds.column("sog").tolist() == [12.25 * KNOT, 11.0 * KNOT]
         assert ds.column("shaft_power")[0] == 8000.5 * 1000.0
         assert np.isnan(ds.column("shaft_power")[1])

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, iso
+from conftest import DEFAULTS, T0, iso
 from dataset_reference import assert_same
 from ingest_reference import csv_columns, csv_columns_rows, load_ship_csv_rows, load_ship_csv_whole
 from ingest_reference import load_hindcast as load_hindcast_whole
@@ -162,10 +162,10 @@ def write(path, rows, terminator):
         csv.writer(fh, lineterminator=terminator).writerows(rows)
 
 
-def outcome(load, path, units):
+def outcome(load, path, units, source_kind):
     report = ProcessingReport()
     try:
-        result = load(path, unit_map=units, report=report)
+        result = load(path, unit_map=units, source_kind=source_kind, report=report)
     except (IngestError, DatasetError, SchemaError) as exc:
         result = exc
     return result, [e.to_dict() for e in report.stage_entries]
@@ -207,15 +207,9 @@ def test_columnar_reader_matches_row_reader(tmp_path_factory, drawn, source_kind
     path = tmp_path_factory.mktemp("csv") / "ship.csv"
     write(path, rows, terminator)
 
-    def columnar(p, **kw):
-        return load_ship_csv(p, source_kind=source_kind, **kw)
-
-    def reference(p, **kw):
-        return load_ship_csv_rows(p, source_kind=source_kind, **kw)
-
     with read_rows(block_rows):
-        got = outcome(columnar, path, units)
-    want = outcome(reference, path, units)
+        got = outcome(load_ship_csv, path, units, source_kind)
+    want = outcome(load_ship_csv_rows, path, units, source_kind)
     same_outcome(got, want)
     if not isinstance(want[0], Exception):
         assert_same(got[0], want[0])
@@ -232,15 +226,9 @@ def test_block_reader_matches_whole_file_reader(tmp_path_factory, drawn, source_
     path = tmp_path_factory.mktemp("csv") / "ship.csv"
     write(path, rows, terminator)
 
-    def blocks(p, **kw):
-        return load_ship_csv(p, source_kind=source_kind, **kw)
-
-    def whole_file(p, **kw):
-        return load_ship_csv_whole(p, source_kind=source_kind, **kw)
-
     with read_rows(block_rows):
-        got = outcome(blocks, path, units)
-    want = outcome(whole_file, path, units)
+        got = outcome(load_ship_csv, path, units, source_kind)
+    want = outcome(load_ship_csv_whole, path, units, source_kind)
     same_outcome(got, want)
     if not isinstance(want[0], Exception):
         assert_identical(got[0], want[0])
@@ -404,9 +392,9 @@ def load_case(tmp_path, text, block_rows):
     path.write_text(text, newline="")
     units = {"sog": "knots"}
     with read_rows(block_rows), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader:
-        got = outcome(load_ship_csv, path, units)
+        got = outcome(load_ship_csv, path, units, DEFAULTS.source_kind)
     handed = [text_line for call in reader.call_args_list for text_line in call.args[0]]
-    want = outcome(load_ship_csv_whole, path, units)
+    want = outcome(load_ship_csv_whole, path, units, DEFAULTS.source_kind)
     same_outcome(got, want)
     if not isinstance(want[0], Exception):
         assert_identical(got[0], want[0])

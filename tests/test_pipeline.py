@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import VoyageBuilder, expand_runs, load_generate
+from conftest import DEFAULTS, VoyageBuilder, expand_runs, load_generate
 from shipdataprep import pipeline as pl
 from shipdataprep.cli import main
 from shipdataprep.ingest import PIPELINE_STAGES, load_config, load_ship_csv
@@ -65,6 +65,8 @@ def ship_csv_with_huge_cell(paths):
 BAD_INPUTS = {
     "config_number": lambda p: edited(p["config"], "interval = 900", "interval = abc"),
     "voyage_kind": lambda p: appended(p["config"], "voyage_kind = bogus\n"),
+    "mask_policy": lambda p: appended(p["config"], "mask_policy = bogus\n"),
+    "trip_method": lambda p: appended(p["config"], "trip_method = bogus\n"),
     "particulars_number": lambda p: edited(p["particulars"], "beam = 46", "beam = forty"),
     "particulars_non_finite": lambda p: edited(p["particulars"], "beam = 46", "beam = nan"),
     "config_non_finite": lambda p: appended(p["config"], "power_tolerance = nan\n"),
@@ -362,7 +364,10 @@ class TestContextualScope:
     def test_checks_name_ingested_variables(self, tmp_path):
         paths = with_cells(self.stuck_drafts(tmp_path), "shaft_rpm", {70: 0.0})
         result = run(paths)
-        ingested = {s.name for s in load_ship_csv(paths["ship_csv"]).schema}
+        ingested = load_ship_csv(
+            paths["ship_csv"], unit_map=DEFAULTS.unit_map, source_kind=DEFAULTS.source_kind
+        )
+        ingested = {s.name for s in ingested.schema}
         checks = contextual_checks(result)
         assert {(c.verdict, c.variable) for c in checks} >= {
             ("repeated_value", "draft_fore"), ("repeated_value", "draft_aft"),
@@ -847,7 +852,7 @@ class TestCli:
         broken = BAD_INPUTS[case](paths)
         out = tmp_path / "out"
         assert main([command, "--config", str(paths["config"]), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
+        (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"fatal: {broken}")  # the message names the file
         assert "Traceback" not in err
         assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rows_dataset, series_dataset
+from conftest import DEFAULTS, rows_dataset, series_dataset
 from shipdataprep.ingest import default_schema
 from shipdataprep.model import QualityFlag, Sample, VariableSpec, new_dataset
 from shipdataprep.timeline import (
@@ -162,7 +162,9 @@ class TestSegmentByThresholds:
 
     def test_all_zero_zero_trips(self):
         ds = series_dataset({"shaft_rpm": [0.0] * 5, "sog": [0.0] * 5})
-        out = segment_by_thresholds(ds)
+        out = segment_by_thresholds(
+            ds, DEFAULTS.rpm_threshold, DEFAULTS.sog_threshold, DEFAULTS.pad_samples
+        )
         assert out.trip_ids.tolist() == [-1] * 5
 
     def test_pad_merges_nearby_runs(self):
@@ -190,7 +192,10 @@ class TestSegmentByThresholds:
 
     def test_both_absent_fatal(self):
         with pytest.raises(SegmentationError):
-            segment_by_thresholds(ts_dataset([0, 900]))
+            segment_by_thresholds(
+                ts_dataset([0, 900]), DEFAULTS.rpm_threshold, DEFAULTS.sog_threshold,
+                DEFAULTS.pad_samples,
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle_values as oracle
 import validation_reference
-from conftest import flagged_rows, flags_at, series_dataset
+from conftest import DEFAULTS, flagged_rows, flags_at, series_dataset
 from shipdataprep.model import (
     CalmWaterCurve,
     ProcessingReport,
@@ -36,13 +36,13 @@ class TestPowerIdentity:
         ds = series_dataset(
             {"shaft_rpm": [0.0], "shaft_torque": [0.0], "shaft_power": [0.0]}
         )
-        out = check_power_identity(ds)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance)
         assert not flags_at(out, 0)
 
     def test_third_variable_derived(self):
         # n = 2 rev/s stored as 120 rpm, torque 1000 N*m -> power derived
         ds = series_dataset({"shaft_rpm": [120.0], "shaft_torque": [1000.0]})
-        out = check_power_identity(ds)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance)
         assert out.column("derived_shaft_power")[0] == pytest.approx(
             12_566.4, abs=0.1
         )
@@ -55,7 +55,7 @@ class TestPowerIdentity:
             "shaft_power": [5_000.0, 5_000.0],
         })
         report = ProcessingReport()
-        out = check_power_identity(ds, report=report)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance, report=report)
         assert not any(out.declares(f"derived_shaft_{v}") for v in ("rpm", "torque", "power"))
         assert report.stage_entries[0].summary == {"checked": 0, "failed": 0, "derived": 2}
 
@@ -77,7 +77,7 @@ class TestPowerIdentity:
 
     def test_derivation_is_fixed_point(self):
         ds = series_dataset({"shaft_rpm": [90.0], "shaft_torque": [5_000.0]})
-        out = check_power_identity(ds)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance)
         derived = out.column("derived_shaft_power")[0]
         # feeding the derived power back in passes the identity exactly
         again = series_dataset(
@@ -97,7 +97,7 @@ class TestPowerIdentity:
             "shaft_power": [5_000.0, None, 5e300, 1e300, None],
         })
         report = ProcessingReport()
-        out = check_power_identity(ds, report=report)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance, report=report)
         (entry,) = report.stage_entries
         t = ds.timestamps.tolist()
         assert [(c.verdict, c.variable, c.timestamp) for c in entry.checks] == [
@@ -412,7 +412,7 @@ class TestLongitudinalWind:
 
     def test_missing_hindcast_wind_skips(self):
         ds = series_dataset({"sog": [5.0], "rel_wind_speed": [10.0]})
-        result = check_longitudinal_wind(ds)
+        result = check_longitudinal_wind(ds, DEFAULTS.wind_tolerance)
         assert result["compared"] == 0
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import validation_reference as ref
-from conftest import INTERVAL, T0, stage_outcome
+from conftest import DEFAULTS, INTERVAL, T0, stage_outcome
 from shipdataprep.model import DatasetError, ProcessingReport, VariableSpec, new_dataset
 from shipdataprep.validation import (
     _inside_polygon,
@@ -89,8 +89,9 @@ def test_checks_match_loops_on_many_random_rows():
     dataset = new_dataset([VariableSpec(name) for name in POWER_COLUMNS], stamps,
                           dict(zip(POWER_COLUMNS, (rpm, tau, pwr))))
     names = ("derived_shaft_power", "derived_shaft_rpm", "derived_shaft_torque")
-    assert run_stage(check_power_identity, dataset, names) == run_stage(
-        ref.check_power_identity, dataset, names
+    tolerance = DEFAULTS.power_tolerance
+    assert run_stage(check_power_identity, dataset, names, tolerance) == run_stage(
+        ref.check_power_identity, dataset, names, tolerance
     )
     recorded = rng.uniform(0.0, 360.0, n)
     dataset = new_dataset([VariableSpec("rel_wind_dir", "deg", "angular")], stamps,

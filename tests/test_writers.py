@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, VoyageBuilder, flags_at, rows_dataset, write_and_read_processed
+from conftest import DEFAULTS, T0, VoyageBuilder, flags_at, rows_dataset, write_and_read_processed
 from shipdataprep import ingest
 from shipdataprep.cli import main
 from shipdataprep.ingest import csv_field, csv_lines, load_config, load_ship_csv
@@ -173,7 +173,7 @@ def test_ship_csv_knots_round_trip(tmp_path):
     src.write_text("timestamp,sog\n" + "".join(
         f"2020-09-13T12:{10 + k}:00Z,{c}\n" for k, c in enumerate(cells)
     ))
-    ds = load_ship_csv(src, unit_map={"sog": "knots"})
+    ds = load_ship_csv(src, unit_map={"sog": "knots"}, source_kind=DEFAULTS.source_kind)
     sog = ds.column("sog")
     assert sog[0] == pytest.approx(10.0 * KNOT, rel=1e-15)
     for got, cell in zip(sog[:3] / KNOT, cells):

@@ -15,8 +15,6 @@ import numpy as np
 from shipdataprep.corrections import DRAFT_SENSORS, DraftChangeEvent
 from shipdataprep.hindcast import SteadyFilterParams, steady_state_filter
 from shipdataprep.model import (
-    RPM_THRESHOLD,
-    SOG_THRESHOLD,
     ProcessingReport,
     QualityFlag,
     VoyageDataset,
@@ -60,9 +58,9 @@ def _assign_trips(
 
 def segment_by_thresholds(
     dataset: VoyageDataset,
-    rpm_threshold: float = RPM_THRESHOLD,
-    sog_threshold: float = SOG_THRESHOLD,
-    pad_samples: int = 2,
+    rpm_threshold: float,
+    sog_threshold: float,
+    pad_samples: int,
 ) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground exceeds its
     threshold inside the variable's valid range; maximal runs are padded by

@@ -38,7 +38,7 @@ from shipdataprep.validation import (
 
 def check_power_identity(
     dataset: VoyageDataset,
-    rel_tolerance: float = 0.02,
+    rel_tolerance: float,
     report: ProcessingReport | None = None,
 ) -> VoyageDataset:
     """Validate P = 2*pi*n*tau wherever all three of shaft rpm, torque and
