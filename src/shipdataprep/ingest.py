@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
@@ -143,10 +142,10 @@ def load_ship_csv(
     The file is read in the blocks of :func:`csv_blocks`, and each block
     becomes arrays before the next block is read, so memory follows the
     columns, not the cells; only the text of text and undeclared columns is
-    kept as strings. In a file of the timestamp and declared numbers alone,
-    numpy's text reader is handed each block that may be plain; it refuses a
-    blank or ``#`` row itself. A block it refuses, and every block of any
-    other file, go cell by cell.
+    kept as strings. Blank and ``#`` rows are dropped by :func:`csv_blocks`
+    alone. In a file of the timestamp and declared numbers alone, numpy's
+    text reader is handed the rows kept of each block that may be plain. A
+    block it refuses, and every block of any other file, go cell by cell.
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
@@ -171,23 +170,20 @@ def load_ship_csv(
     if not skipped and {None, "text"}.isdisjoint(kinds.values()):
         layout = np.dtype([(n, "U21" if n == "timestamp" else "f8") for n in header])
 
-    def arrays(first: int, plain: list[str] | None, split: Callable) -> dict:
+    def arrays(lines: np.ndarray, plain: list[str] | None, split: Callable) -> dict:
         """One block as arrays, so that its strings can go."""
         read = None if layout is None or plain is None else _read_lines(plain, layout)
-        if read is not None:  # a stamp that fills its 21 characters may have been cut
-            codes = read["timestamp"].view((np.uint32, 21))
-            if codes[:, -1].any() or header[0] == "timestamp" and (codes[:, 0] == ord("#")).any():
-                read = None  # or, with the timestamp first, it starts a comment row
+        if read is not None and read["timestamp"].view((np.uint32, 21))[:, -1].any():
+            read = None  # a stamp that fills its 21 characters may have been cut
+        out = {"line": lines}
         if read is not None:
-            out = {"line": np.arange(first, first + len(plain))}
             out["stamp"], out["stamped"] = parse_iso_timestamps(read["timestamp"])
             with np.errstate(over="ignore"):  # to inf, as ``float`` times ``factor``
                 for name in kinds:
                     out[name, "number"] = read[name] * factors.get(name, 1.0)
                     out[name, "filled"] = np.ones(len(plain), dtype=bool)
             return out
-        out = {}
-        out["line"], cells = split()
+        cells = split()
         out["stamp"], out["stamped"] = parse_iso_timestamps(cells[first_of["timestamp"]])
         for k in skipped:
             out[k] = np.array([c.strip() != "" for c in cells[k]], dtype=bool)
@@ -205,7 +201,7 @@ def load_ship_csv(
 
     # each block is copied into arrays of the most rows the file can hold (its lines), of
     # which only the pages written take memory; an empty block gives their keys and types
-    empty = arrays(0, None, lambda: (np.zeros(0, np.int64), [()] * len(header)))
+    empty = arrays(np.zeros(0, np.int64), None, lambda: [()] * len(header))
     most = _line_ends(path)[0] + 1
     store = {key: np.empty(most, dtype=a.dtype) for key, a in empty.items()}
     rows = 0
@@ -282,23 +278,24 @@ READ_ROWS = 4096
 
 
 def csv_blocks(path: Path) -> Iterator:
-    """A CSV file without its blank rows and those that start with ``#``,
-    read ``READ_ROWS`` lines at a time: first the header (a list of cells),
-    then, for each block with further lines, the number of its first line
-    past the header, its lines from there if they may be plain (else None),
-    and a function that gives the line number of each row and the cells of
-    each header column, where a short row's absent cells are empty. A file
-    without a header row is an IngestError.
+    """A CSV file read ``READ_ROWS`` lines at a time, without its blank rows
+    and those that start with ``#``: first the header (a list of cells),
+    then, for each block with further rows, the line number of each row,
+    its lines if they may be plain (else None), and a function that gives
+    the cells of each header column, where a short row's absent cells are
+    empty. A file without a header row is an IngestError.
 
     Without a quote in a block, and with every carriage return part of a
     ``\\r\\n`` line end (read as ``\\n``), a line is a row and a comma ends a
     cell: with no line longer than ``csv.reader`` accepts a cell, the block
-    is split by one ``str.split`` when its cells are asked for, each column
-    a strided slice of it, and a ragged one row by row; its lines may be
-    plain unless one holds a NUL (which a string array drops from a cell's
-    end). Any other block goes through ``csv.reader``, which reads on past
-    the block's end to close a quoted field; as over the whole text, a
-    ``\\r\\n`` inside a quoted field reads as ``\\n`` unless the file has a bare ``\\r``."""
+    drops its blank and ``#`` lines once, here, and the lines it keeps are
+    all that numpy's text reader and the split read. They are split by one
+    ``str.split`` when their cells are asked for, each column a strided
+    slice of it, and a ragged one row by row; they may be plain unless the
+    block holds a NUL (which a string array drops from a cell's end). Any
+    other block goes through ``csv.reader``, which reads on past the block's
+    end to close a quoted field; as over the whole text, a ``\\r\\n`` inside
+    a quoted field reads as ``\\n`` unless the file has a bare ``\\r``."""
     limit = csv.field_size_limit()
     crlf_only = None  # whether every \r of the file starts a \r\n, once a quote needs it
     header: list[str] | None = None
@@ -310,17 +307,17 @@ def csv_blocks(path: Path) -> Iterator:
             if "\r" in text and text.count("\r") == text.count("\r\n"):
                 text = text.replace("\r\n", "\n")
             if '"' not in text and "\r" not in text and max(map(len, raw)) <= limit:
-                skip = 0  # the lines up to the header's
-                if header is None:  # a line that starts with \r ends in \r\n
-                    k = next((k for k, line in enumerate(raw) if line[:1] not in "\r\n#"), None)
-                    if k is None:
-                        continue
-                    header, skip = raw[k].rstrip("\r\n").split(","), k + 1
+                lines = np.arange(first, at + 1)
+                # a blank line here is "\n" or "\r\n", and a line that starts with \r ends in \r\n
+                if header is None or "#" in text or "\n" in raw or "\r\n" in raw:
+                    kept = [line[:1] not in "\r\n#" for line in raw]
+                    lines, raw = lines[kept], list(itertools.compress(raw, kept))
+                if header is None and raw:
+                    header, lines, raw = raw[0].rstrip("\r\n").split(","), lines[1:], raw[1:]
                     yield header
-                if skip < len(raw):
-                    plain = raw[skip:] if "\0" not in text else None
-                    cells = functools.partial(_text_columns, text, skip, first + skip, len(header))
-                    yield first + skip, plain, cells
+                if raw:
+                    plain = raw if "\0" not in text else None
+                    yield lines, plain, functools.partial(_text_columns, raw, len(header))
                 continue
             if crlf_only is None and '"' in text:
                 crlf_only = _line_ends(path)[1]
@@ -342,45 +339,37 @@ def csv_blocks(path: Path) -> Iterator:
                 yield header
             if numbered:
                 lines, rows = zip(*numbered)
-                yield first, None, functools.partial(_columns, np.array(lines), rows, len(header))
+                yield np.array(lines), None, functools.partial(_columns, rows, len(header))
     if header is None:
         raise IngestError(f"{path}: empty file, expected a header row")
 
 
-def _text_columns(text: str, skip: int, first: int, width: int) -> tuple[np.ndarray, list]:
-    """:func:`_columns` of the rows of a block's text past its first ``skip``
-    lines, numbered from ``first``, without the blank rows and those that
-    start with ``#``."""
-    rows = text.split("\n")
-    if not rows[-1]:
-        rows.pop()  # the line end of the last line
-    del rows[:skip]
-    lines = np.arange(first, first + len(rows))
-    if "" in rows or "#" in text:  # a search for one character is quicker than for "\n#"
-        kept = [r[:1] not in ("", "#") for r in rows]
-        lines, rows = lines[kept], list(itertools.compress(rows, kept))
+def _text_columns(lines: list[str], width: int) -> list:
+    """:func:`_columns` of the lines :func:`csv_blocks` keeps of a block
+    without a quote or a bare carriage return, so that a line ends in
+    ``\\n``, ``\\r\\n`` or (the file's last) in neither."""
+    rows = list(map(str.rstrip, lines, itertools.repeat("\r\n")))
     if set(map(str.count, rows, itertools.repeat(","))) == {width - 1}:
         cells = ",".join(rows).split(",")
-        return lines, [cells[k::width] for k in range(width)]
-    return _columns(lines, [r.split(",") for r in rows], width)
+        return [cells[k::width] for k in range(width)]
+    return _columns([r.split(",") for r in rows], width)
 
 
-def _columns(lines: np.ndarray, rows: Sequence[list], width: int) -> tuple[np.ndarray, list]:
-    """``lines``, and the cells of each of ``width`` columns of rows of cells."""
+def _columns(rows: Sequence[list], width: int) -> list:
+    """The cells of each of ``width`` columns of rows of cells."""
     columns = list(itertools.islice(itertools.zip_longest(*rows, fillvalue=""), width))
-    return lines, columns + [("",) * len(rows)] * (width - len(columns))
+    return columns + [("",) * len(rows)] * (width - len(columns))
 
 
 def _read_lines(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
-    """Comma-separated lines through numpy's text reader, one row of ``dtype``
-    per line (2-D for a plain dtype); None when it refuses or skips a line, as
-    a blank one. It strips and converts a number as ``str.strip`` and ``float()``
+    """Comma-separated lines, none of them blank (which the reader would
+    skip), through numpy's text reader, one row of ``dtype`` per line (2-D
+    for a plain dtype); None when it refuses a line or gives another count
+    of rows. It strips and converts a number as ``str.strip`` and ``float()``
     do, but refuses an empty cell, ``1_000`` and a non-ASCII digit; text is unstripped."""
     try:
-        with warnings.catch_warnings():  # lines that are all blank hold "no data"
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None,
-                              ndmin=1 if dtype.names else 2)
+        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                          ndmin=1 if dtype.names else 2)
     except ValueError:
         return None
     return rows if len(rows) == len(lines) else None
@@ -935,12 +924,12 @@ class PipelineConfig:
         if not 0.0 < self.pca_quantile < 1.0:
             raise ConfigError("pca_quantile must lie in (0, 1)")
         # every plain number must be finite and positive, except that
-        # pca_components (0 = auto) and a trip threshold may be 0
+        # pca_components (0 = auto), a trip threshold and pad_samples may be 0
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type not in ("int", "float"):
                 continue
-            if f.name in ("pca_components", "rpm_threshold", "sog_threshold"):
+            if f.name in ("pca_components", "rpm_threshold", "sog_threshold", "pad_samples"):
                 if not 0 <= value < math.inf:
                     raise ConfigError(f"{f.name} must be finite and not negative")
             elif not 0 < value < math.inf:

@@ -214,7 +214,8 @@ def check_longitudinal_wind(
     dataset: VoyageDataset,
     tolerance: float,
     report: ProcessingReport | None = None,
-    use_fixed: bool = True,
+    *,
+    use_fixed: bool,
 ) -> dict:
     """Compare the ship-derived true longitudinal wind against the hindcast
     value (:func:`longitudinal_winds`), and cross-reference large residuals

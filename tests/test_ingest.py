@@ -427,8 +427,9 @@ class TestConfig:
             if hint not in (int, float):
                 continue
             p.write_text(f"{name} = 0\n")
-            # 0 components = choose k automatically; a 0 trip threshold = any motion
-            if name in ("pca_components", "rpm_threshold", "sog_threshold"):
+            # 0 components = choose k automatically; a 0 trip threshold = any
+            # motion; 0 pad samples = trips not padded
+            if name in ("pca_components", "rpm_threshold", "sog_threshold", "pad_samples"):
                 assert getattr(load_config(p), name) == 0
                 continue
             with pytest.raises(ConfigError, match=name.replace("_", "[_ ]")):

@@ -13,9 +13,9 @@ is plain, so that numpy's text reader takes its blocks; a table of single
 lines around the reader's choice (garbage, ``1_000``, a non-ASCII digit,
 padded and long stamps, ``\r\n``, comment, blank and whitespace-only lines,
 a NUL, ``#`` copies of rows) must give the whole-file reader's result,
-with the line handed to the reader exactly when its block has no NUL,
-quote or bare carriage return; the reader refuses a block with a comment
-or blank row, which only the cell-by-cell split drops.
+with the line's block handed to the reader exactly when it has no NUL,
+quote or bare carriage return; a comment or blank row is dropped from its
+block before, and the reader is never handed one.
 
 The block readers are also held against the whole-file readers they
 replaced, with ``READ_ROWS`` at 1, 3 and its default: ``load_ship_csv`` on
@@ -241,10 +241,9 @@ def split(path):
         blocks = csv_blocks(path)
         header = next(blocks)
         lines, columns = [], [[] for _ in header]
-        for _, _, cells in blocks:
-            at, parts = cells()
+        for at, _, cells in blocks:
             lines += at.tolist()
-            for column, part in zip(columns, parts):
+            for column, part in zip(columns, cells()):
                 column += part
     except IngestError as exc:
         return str(exc)
@@ -355,11 +354,11 @@ def test_split_keeps_the_reader_cell_size_limit(tmp_path):
 
 
 # the lines of a file around one line, and whether numpy's text reader is
-# handed that line: it reads a plain block of whole lines, and refuses one
-# with an unparseable or empty cell, a cut stamp, a blank line (which it
-# skips) or a comment row (a stamp or number that starts with "#"); then the
-# block goes cell by cell, which drops the comment and blank rows. It never
-# sees a block with a NUL, a quote or a bare carriage return
+# handed that line's block: it reads a plain block of whole lines, and
+# refuses one with an unparseable or empty cell or a cut stamp; then the
+# block goes cell by cell. A comment or blank row (see ``dropped``) is taken
+# out of its block first, and the reader is handed the rest. It never sees
+# a block with a NUL, a quote or a bare carriage return
 READER_CASES = [
     ("T3,7.5,1.0\n", True),
     ("T3,abc,1.0\n", True),
@@ -419,30 +418,38 @@ def reader_case(tmp_path, header, line, block_rows, stamp):
 STAMPS = ["2020-09-13T12:30:00Z", "2020-09-13T12:30:00"]
 
 
+def dropped(line):
+    """Whether ``csv_blocks`` drops ``line`` from a plain block: a blank
+    line or one that starts with ``#``."""
+    return line[:1] in ("\n", "#")
+
+
 @pytest.mark.parametrize("line, read", READER_CASES)
 @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
 @pytest.mark.parametrize("stamp", STAMPS)
 def test_text_reader_takes_plain_blocks(tmp_path, line, read, block_rows, stamp):
     """Each case gives what the whole-file reader gives, at every block size,
-    and numpy's text reader is handed the line exactly when it is plain."""
+    and numpy's text reader is handed the line exactly when it is plain and
+    no comment or blank row, which is never handed to it."""
     line, text, handed = reader_case(tmp_path, "timestamp,sog,lon", line, block_rows, stamp)
-    assert (line in handed) == read
+    assert (line in handed) == (read and not dropped(line))
     if block_rows == ingest.READ_ROWS:  # one block: the reader sees all of it or none
-        assert handed == (io.StringIO(text, newline="").readlines()[1:] if read else [])
+        rows = [r for r in io.StringIO(text, newline="").readlines()[1:] if not dropped(r)]
+        assert handed == (rows if read else [])
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
 @pytest.mark.parametrize("stamp", STAMPS)
 def test_text_reader_refuses_comment_rows_and_blank_lines(tmp_path, block_rows, stamp):
-    """numpy's text reader is handed comment rows and blank lines after the
-    header, and the block that holds one goes cell by cell: a ``#`` copy of
-    a row whose first column is a number, blank lines that end a block
-    (each line its own block at one row a block), and comment lines before
-    the header, which the reader is never handed."""
+    """numpy's text reader is never handed a comment row or a blank line,
+    and is handed the rest of its block: a ``#`` copy of a row whose first
+    column is a number, blank lines that end a block (each line its own
+    block at one row a block), and comment lines before the header."""
     t = stamps_of(stamp, 3)
     text = f"sog,timestamp,lon\n1.5,{t[0]},2.0\n#2.5,{t[1]},-0.0\n4.5,{t[2]},5e-324\n"
-    assert f"#2.5,{t[1]},-0.0\n" in load_case(tmp_path, text, block_rows)
+    handed = load_case(tmp_path, text, block_rows)
+    assert handed == [f"1.5,{t[0]},2.0\n", f"4.5,{t[2]},5e-324\n"]
 
     n = block_rows
     lines = ["timestamp,sog,lon\n"] + [f"{iso(T0 + k)[:len(stamp)]},{k}.5,-{k}.0\n"
@@ -450,11 +457,31 @@ def test_text_reader_refuses_comment_rows_and_blank_lines(tmp_path, block_rows, 
     blanks = {n, 2 * n, 3 * n} - {1}  # the last line of a block but the header
     for at in blanks:
         lines[at - 1] = "\n"
-    assert load_case(tmp_path, "".join(lines), n).count("\n") == len(blanks)
+    assert load_case(tmp_path, "".join(lines), n) == [r for r in lines[1:] if r != "\n"]
 
     text = f"# made by hand\n#\ttimestamp,sog\n\ntimestamp,sog,lon\n{t[0]},1.5,2.0\n"
     handed = load_case(tmp_path, text, block_rows)
     assert handed == [f"{t[0]},1.5,2.0\n"]
+
+
+def test_rows_after_dropped_lines_keep_their_line_numbers(tmp_path):
+    """With four lines a block, the second block starts with a comment row
+    and a blank line, which are dropped, and numpy's text reader reads the
+    rest of it: a repeated stamp on line 7 and a bad one on line 8. The
+    dropout evidence names the file's lines 7 and 11, and the entry is the
+    whole-file reader's."""
+    t = stamps_of(STAMPS[0], 5)
+    text = (f"timestamp,sog,lon\n{t[0]},1.5,2.0\n{t[1]},2.5,3.0\n{t[2]},3.5,4.0\n"
+            f"# note\n\n{t[1]},9.5,9.0\nbad,1.0,1.0\n"
+            f"{t[3]},nan,5.0\n{t[4]},4.5,6.0\n{t[4]},5.5,7.0\n")
+    handed = load_case(tmp_path, text, 4)
+    assert handed == [r for r in text.splitlines(keepends=True)[1:] if not dropped(r)]
+    with read_rows(4):
+        _, (entry,) = outcome(load_ship_csv, tmp_path / "ship.csv", {}, DEFAULTS.source_kind)
+    assert [(c["verdict"], c["observed"]) for c in entry["checks"]] == [("dropout", 7),
+                                                                         ("dropout", 11)]
+    assert entry["summary"]["rows_skipped_bad_timestamp"] == 1
+    assert entry["summary"]["missing_cells"] == {"sog": 1}
 
 
 @pytest.mark.parametrize("header", ["timestamp,sog,state", "timestamp,sog,x_fuel",

@@ -146,6 +146,24 @@ class TestFullVoyage:
         assert wind_entries[-1].summary["beyond_tolerance"] == 0
         assert wind_entries[0].summary["cross_referenced"] > 0
 
+    def test_converged_error_loop_ignores_its_bound(self, tmp_path):
+        # the loop stops after its second iteration, so a bound of 3 writes
+        # the bytes of a bound of 2
+        paths = VoyageBuilder(
+            tmp_path, wind="head_east", wind_dir_fault=True, resistance=True
+        ).build()
+        written = []
+        for bound in (2, 3):
+            config = paths["config"].with_name(f"config_{bound}.txt")
+            config.write_text(paths["config"].read_text() + f"max_iterations = {bound}\n")
+            out = tmp_path / f"out_{bound}"
+            assert main(["run", "--config", str(config), "--out", str(out),
+                         "--no-timestamp-header"]) == 0
+            written.append([(out / name).read_bytes() for name in ("processed.csv", "report.json")])
+        assert written[0] == written[1]
+        (loop,) = [e for e in json.loads(written[0][1])["stages"] if e["stage"] == "error_loop"]
+        assert loop["summary"]["iterations"] == 2
+
     def test_flag_counts_match_dataset_pairs(self, tmp_path):
         # each (sample, flag) pair is counted once, although the second
         # error-loop iteration flags the same angular faults again

@@ -359,7 +359,7 @@ class TestLongitudinalWind:
         from shipdataprep.features import resolve_ship_frame
 
         ds = resolve_ship_frame(ds)
-        return ds, check_longitudinal_wind(ds, tolerance=4.0, report=report)
+        return ds, check_longitudinal_wind(ds, tolerance=4.0, report=report, use_fixed=True)
 
     def test_consistent_fixture_zero_residual(self):
         report = ProcessingReport()
@@ -402,7 +402,7 @@ class TestLongitudinalWind:
             "rel_wind_long": [5.0, 0.0, -big],
         })
         report = ProcessingReport()
-        result = check_longitudinal_wind(ds, tolerance=4.0, report=report)
+        result = check_longitudinal_wind(ds, tolerance=4.0, report=report, use_fixed=True)
         assert result == {"compared": 3, "beyond_tolerance": 2, "cross_referenced": 0}
         (entry,) = report.stage_entries
         assert [(c.verdict, c.timestamp, c.observed) for c in entry.checks] == [
@@ -412,7 +412,7 @@ class TestLongitudinalWind:
 
     def test_missing_hindcast_wind_skips(self):
         ds = series_dataset({"sog": [5.0], "rel_wind_speed": [10.0]})
-        result = check_longitudinal_wind(ds, DEFAULTS.wind_tolerance)
+        result = check_longitudinal_wind(ds, DEFAULTS.wind_tolerance, use_fixed=True)
         assert result["compared"] == 0
 
 
