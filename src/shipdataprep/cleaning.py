@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hindcast import SteadyFilterParams, steady_state_filter
-from .model import ProcessingReport, QualityFlag, VoyageDataset, add_flags, stage_entry
+from .model import ProcessingReport, QualityFlag, VoyageDataset, add_flags
 from .timeline import runs
 
 
@@ -29,7 +29,7 @@ def contextual_filter(
     repeat_run: int,
     dropout_max: int,
     spike_scales: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Flag contextual outliers per measured variable, on ``dataset``.
 
@@ -59,7 +59,7 @@ def contextual_filter(
     """
     if not np.array_equal(dataset.timestamps, measured.timestamps):
         raise CleaningError("measured columns must have the dataset's timestamps")
-    entry = stage_entry(report, "clean:contextual")
+    entry = report.stage("clean:contextual")
     marks: dict[QualityFlag, np.ndarray] = {}
     groups = measured.trip_groups()
     # position p of a laid-out column holds row layout[p], or NaN where that is -1
@@ -202,13 +202,13 @@ def quasi_steady_filter(
     dataset: VoyageDataset,
     rpm_params: SteadyFilterParams,
     sog_params: SteadyFilterParams,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Flag samples recorded during accelerations/decelerations: the steady
     filter on shaft rpm, plus a relaxed pass on speed-over-ground that
     catches dead-signal drops and recoveries. Falls back to sog alone when
     rpm is not recorded."""
-    entry = stage_entry(report, "clean:quasi_steady")
+    entry = report.stage("clean:quasi_steady")
     ts = dataset.timestamps.astype(float)
     unsteady = np.zeros(len(dataset), dtype=bool)
 
@@ -340,12 +340,12 @@ def pca_fit(
 def pca_score(
     detector: PcaDetector,
     dataset: VoyageDataset,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Flag samples whose reconstruction error exceeds the detector's
     threshold; samples incomplete over the detector features are skipped
     and counted."""
-    entry = stage_entry(report, "clean:pca")
+    entry = report.stage("clean:pca")
     cols, ok = _complete_rows(dataset, detector.features, exclude_flagged=False)
     outlier = np.zeros(len(dataset), dtype=bool)
     skipped = int((~ok).sum())

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .ingest import ConfigError, IngestError, load_config
-from .model import DatasetError, SchemaError
+from .model import DatasetError, ProcessingReport, SchemaError
 from .pipeline import emit_plotdata, load_inputs, run_pipeline, write_report_files
 
 FATAL = (IngestError, ConfigError, SchemaError, DatasetError, OSError)
@@ -41,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _ingest_check(config) -> int:
-    dataset, particulars, grid, _, _ = load_inputs(config)
+    dataset, particulars, grid, _, _ = load_inputs(config, ProcessingReport())
     print(f"ship data: {len(dataset)} samples, {len(dataset.schema)} variables")
     if particulars is not None:
         print(

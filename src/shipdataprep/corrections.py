@@ -25,7 +25,6 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 from .tables import draft_ratio_reference, wetted_surface
 from .timeline import merge_spans, runs
@@ -82,13 +81,13 @@ def fix_draft_simple(
     dataset: VoyageDataset,
     trip_id: int,
     n_anchor: int,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Replace the drafts of trip ``trip_id`` with a linear interpolation in
     time between the pre-trip and post-trip static means; originals are
     preserved under ``raw_*`` names and replaced samples flagged
     ``draft_corrected``."""
-    entry = stage_entry(report, f"draft_fix:simple:trip{trip_id}")
+    entry = report.stage(f"draft_fix:simple:trip{trip_id}")
     idx = dataset.trips().get(trip_id)
     out = dataset
     if idx is None:
@@ -160,7 +159,7 @@ def fix_draft_ramp(
     trip_id: int,
     events: list[DraftChangeEvent],
     n_avg: int,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Piecewise-linear draft reconstruction across in-voyage draft change
     operations: constant at the pre-event level, a linear ramp over each
@@ -172,7 +171,7 @@ def fix_draft_ramp(
     """
     if not events:
         return fix_draft_simple(dataset, trip_id, n_anchor=n_avg, report=report)
-    entry = stage_entry(report, f"draft_fix:ramp:trip{trip_id}")
+    entry = report.stage(f"draft_fix:ramp:trip{trip_id}")
 
     events = sorted(events, key=lambda e: e.start)
     for a, b in zip(events, events[1:]):
@@ -370,7 +369,7 @@ def hydrostatics(
     mean_draft: np.ndarray,
     trim: np.ndarray,
     particulars: ShipParticulars,
-    table: HydroTable | None = None,
+    table: HydroTable | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Displacement volume and wetted surface at each loading condition of
     strictly positive mean draft, and which of them are consistent: both
@@ -460,7 +459,11 @@ class TableDrivenModel:
                 if line.startswith("#area"):
                     area = parse_number(line[len("#area"):], where)
                 elif line.startswith("#kind"):
-                    kind = cls.KIND_MAP.get(line[len("#kind"):].strip())
+                    kind = cls.KIND_MAP.get(word := line[len("#kind"):].strip())
+                    if kind is None:
+                        raise IngestError(
+                            f"{where}: unknown #kind {word!r}; known: {', '.join(cls.KIND_MAP)}"
+                        )
                 elif line.startswith("#") or line.lower().startswith("angle"):
                     continue
                 else:
@@ -497,14 +500,14 @@ class TableDrivenModel:
 def resistance_components(
     dataset: VoyageDataset,
     models: list[TableDrivenModel],
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Evaluate each resistance model per in-trip sample into a
     ``res_<name>`` column; a model whose inputs never appear is skipped
     entirely, per-sample gaps stay missing and are counted. A value that
     overflows from finite inputs (an absurd speed) is left missing, with an
     ``overflow`` check on the column and ``invalid_range`` on the sample."""
-    entry = stage_entry(report, "resistance")
+    entry = report.stage("resistance")
     in_trip = dataset.in_trip_or_all()
     # the wind inputs by the onboard-wind rule, the fixed direction included
     wind = dict(zip(("rel_wind_speed", "rel_wind_dir"), onboard_wind(dataset)))

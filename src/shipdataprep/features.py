@@ -22,7 +22,6 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 from .tables import service_speed_range
 
@@ -168,9 +167,7 @@ def onboard_wind(dataset: VoyageDataset, use_fixed: bool = True) -> tuple[np.nda
     return speed, dataset.coalesce(*names)
 
 
-def resolve_ship_frame(
-    dataset: VoyageDataset, report: ProcessingReport | None = None
-) -> VoyageDataset:
+def resolve_ship_frame(dataset: VoyageDataset, report: ProcessingReport) -> VoyageDataset:
     """Resolve hindcast wind/current vectors into the ship frame and derive
     the relative wave direction and a speed-through-water estimate.
 
@@ -178,7 +175,7 @@ def resolve_ship_frame(
     head wind and starboard wind positive), ``rel_wave_dir`` (deg),
     ``stw_estimate`` (m/s).
     """
-    entry = stage_entry(report, "derive:ship_frame")
+    entry = report.stage("derive:ship_frame")
     psi = heading_series(dataset)
     sog = dataset.coalesce("sog")
     rad = np.deg2rad(psi)
@@ -223,7 +220,7 @@ def ais_speed_consistency(
     tolerance_fraction: float,
     window: int,
     particulars: ShipParticulars,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Flag speed-over-ground values inconsistent with the distance actually
     covered between consecutive positions, and replace them with the nearest
@@ -235,7 +232,7 @@ def ais_speed_consistency(
     single leg. Originals are preserved under ``raw_sog``. An out-of-range
     value is missing here (``VoyageDataset.valid``): not checked, no replacement.
     """
-    entry = stage_entry(report, "ais_speed_consistency")
+    entry = report.stage("ais_speed_consistency")
     if not dataset.has_data("sog") or not (
         dataset.has_data("lat") and dataset.has_data("lon")
     ):
@@ -317,7 +314,7 @@ def ais_speed_consistency(
 def ais_status_check(
     dataset: VoyageDataset,
     port_speed_threshold: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Cross-check the AIS navigation status against the measured speed.
 
@@ -326,7 +323,7 @@ def ais_status_check(
     leg, means the manually updated fields are stale; the sample is flagged
     and the draft/destination fields should be treated with suspicion.
     """
-    entry = stage_entry(report, "ais_status_check")
+    entry = report.stage("ais_status_check")
     if not dataset.has_data("nav_status") or not dataset.has_data("sog"):
         entry.notes.append("nav_status or sog absent; check skipped")
         return dataset

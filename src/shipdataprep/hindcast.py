@@ -21,7 +21,6 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 
 
@@ -171,13 +170,13 @@ def steady_state_filter(
 def clean_gps(
     dataset: VoyageDataset,
     params: SteadyFilterParams,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Flag irrational GPS positions found by the two-stage filter applied
     to the latitude and (unwrapped) longitude series. Coordinates are never
     altered; flagged positions are simply excluded from interpolation.
     ``run_pipeline`` skips the stage when lat or lon carries no value."""
-    entry = stage_entry(report, "gps_clean")
+    entry = report.stage("gps_clean")
     ts = dataset.timestamps.astype(float)
     lat, lon = dataset.valid("lat"), dataset.valid("lon")
     irrational = np.zeros(len(dataset), dtype=bool)
@@ -311,7 +310,7 @@ def interpolate(
     dataset: VoyageDataset,
     order: int,
     mask_policy: str,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Interpolate every grid variable to each sample's position and time.
 
@@ -332,7 +331,7 @@ def interpolate(
     Results land in new ``hc_*`` variables; direction fields declared with a
     ``toward`` convention are converted to the internal from-convention.
     """
-    entry = stage_entry(report, "interpolate")
+    entry = report.stage("interpolate")
 
     candidates = np.nonzero(dataset.in_trip_or_all())[0]
     lat, lon, pos_ok = (a[candidates] for a in dataset.positions())

@@ -34,7 +34,6 @@ from .model import (
     add_flags,
     new_dataset,
     parse_iso_timestamps,
-    stage_entry,
     timestamp_cells,
 )
 from .tables import VOYAGE_KINDS, block_coefficient_midpoint
@@ -127,7 +126,7 @@ def load_ship_csv(
     *,
     unit_map: dict[str, str],
     source_kind: str,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Parse a ship data CSV into a :class:`VoyageDataset`, column by column.
 
@@ -149,7 +148,7 @@ def load_ship_csv(
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
-    entry = stage_entry(report, "ingest:ship_csv")
+    entry = report.stage("ingest:ship_csv")
 
     blocks = csv_blocks(path)
     header = [h.strip() for h in next(blocks)]
@@ -304,9 +303,8 @@ def csv_blocks(path: Path) -> Iterator:
         while raw := list(itertools.islice(fh, READ_ROWS)):
             first, at = at + 1, at + len(raw)
             text = "".join(raw)
-            if "\r" in text and text.count("\r") == text.count("\r\n"):
-                text = text.replace("\r\n", "\n")
-            if '"' not in text and "\r" not in text and max(map(len, raw)) <= limit:
+            no_bare_cr = "\r" not in text or text.count("\r") == text.count("\r\n")
+            if '"' not in text and no_bare_cr and max(map(len, raw)) <= limit:
                 lines = np.arange(first, at + 1)
                 # a blank line here is "\n" or "\r\n", and a line that starts with \r ends in \r\n
                 if header is None or "#" in text or "\n" in raw or "\r\n" in raw:
@@ -585,7 +583,7 @@ class HindcastGrid:
                 )
 
 
-def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> HindcastGrid:
+def load_hindcast(path: str | Path, report: ProcessingReport) -> HindcastGrid:
     """Parse the plain-text gridded format.
 
     Header: ``#var <name> <unit>`` (one per variable, in block order),
@@ -724,7 +722,7 @@ def load_hindcast(path: str | Path, report: ProcessingReport | None = None) -> H
         for (name, _), count in zip(var_decls, non_finite.tolist()) if count
     ]
     if notes:
-        stage_entry(report, "ingest:hindcast").notes.extend(notes)
+        report.stage("ingest:hindcast").notes.extend(notes)
     return grid
 
 
@@ -776,9 +774,7 @@ PARTICULARS_KEYS = (
 )
 
 
-def load_particulars(
-    path: str | Path, report: ProcessingReport | None = None
-) -> ShipParticulars:
+def load_particulars(path: str | Path, report: ProcessingReport) -> ShipParticulars:
     """Read a ship-particulars key=value file.
 
     Mandatory: ``ship_type``, ``beam``, ``design_draft`` and at least one of
@@ -788,7 +784,7 @@ def load_particulars(
     """
     path = Path(path)
     kv = _read_kv_file(path)
-    entry = stage_entry(report, "ingest:particulars")
+    entry = report.stage("ingest:particulars")
     for key in kv:
         if key not in PARTICULARS_KEYS and not key.startswith("curve."):
             raise IngestError(f"{path}: unknown particulars key {key!r}")

@@ -308,7 +308,7 @@ class VoyageDataset:
             [s.timestamp for s in samples],
             {name: [s.values.get(name) for s in samples] for name in names},
             sampling_interval,
-            source_kind,
+            source_kind=source_kind,
             flags=[s.flags for s in samples],
             trip_ids=[s.trip_id for s in samples],
         )
@@ -508,7 +508,8 @@ def new_dataset(
     timestamps: Sequence[int],
     columns: Mapping[str, Sequence[float | str | None]],
     sampling_interval: int | None = None,
-    source_kind: str = "in_service",
+    *,
+    source_kind: str,
     flags: Sequence[Iterable[QualityFlag]] | None = None,
     trip_ids: Sequence[int | None] | None = None,
 ) -> VoyageDataset:
@@ -707,15 +708,15 @@ class StageEntry:
     notes: list[str] = field(default_factory=list)
     summary: dict[str, object] = field(default_factory=dict)
 
-    def count_flag(self, flag: QualityFlag, n: int = 1) -> None:
+    def count_flag(self, flag: QualityFlag, n: int) -> None:
         if n:
             self.flag_counts[flag.value] = self.flag_counts.get(flag.value, 0) + n
 
     def check(
         self,
         verdict: str,
-        timestamp: int | None = None,
-        variable: str | None = None,
+        timestamp: int | None,
+        variable: str | None,
         expected: object = None,
         observed: object = None,
     ) -> None:
@@ -802,7 +803,7 @@ class ProcessingReport:
     def to_dict(self) -> dict:
         return {"stages": [e.to_dict() for e in self.stage_entries]}
 
-    def to_text(self, timestamp_header: bool = True) -> str:
+    def to_text(self, timestamp_header: bool) -> str:
         stamps = _stamp_texts(c for e in self.stage_entries for c in e.checks)
         lines: list[str] = [generated_header()] if timestamp_header else []
         lines.append("PROCESSING REPORT")
@@ -829,9 +830,3 @@ class ProcessingReport:
                     f"verdict={c.verdict}{run}"
                 )
         return "\n".join(lines) + "\n"
-
-
-def stage_entry(report: ProcessingReport | None, name: str) -> StageEntry:
-    """``report.stage(name)``, or a detached entry that nothing reads when
-    there is no report: a stage called without one runs the same code."""
-    return report.stage(name) if report is not None else StageEntry(name)

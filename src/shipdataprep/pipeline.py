@@ -187,7 +187,7 @@ def _clean(
     return _pca_stage(dataset, config, report)
 
 
-def load_inputs(config: PipelineConfig, report: ProcessingReport | None = None) -> tuple[
+def load_inputs(config: PipelineConfig, report: ProcessingReport) -> tuple[
     VoyageDataset, ShipParticulars | None, HindcastGrid | None,
     corrections.HydroTable | None, list[corrections.TableDrivenModel],
 ]:
@@ -210,9 +210,7 @@ def load_inputs(config: PipelineConfig, report: ProcessingReport | None = None) 
     )
 
 
-def run_pipeline(
-    config: PipelineConfig, report: ProcessingReport | None = None
-) -> PipelineResult:
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute the configured stages in processing order.
 
     Fatal input problems raise :class:`IngestError`/:class:`ConfigError`;
@@ -222,7 +220,7 @@ def run_pipeline(
     stage, plus a ``<stage>:failure`` entry; the later stages still run,
     and the exit code is 2.
     """
-    report = report if report is not None else ProcessingReport()
+    report = ProcessingReport()
     failures: list[str] = []
 
     def stage(
@@ -431,8 +429,8 @@ def _processed_header(dataset: VoyageDataset) -> list[str]:
 def write_processed_csv(
     dataset: VoyageDataset,
     path: str | Path,
-    timestamp_header: bool = True,
-    plots: Sequence[CsvFile] = (),
+    timestamp_header: bool,
+    plots: Sequence[CsvFile],
 ) -> None:
     """Processed data: original + derived columns, trip ids and one 0/1
     column per quality flag, after a ``# generated`` line unless
@@ -464,7 +462,7 @@ def _strict_json(value: object) -> object:
 
 
 def write_report_files(
-    report: ProcessingReport, out_dir: str | Path, timestamp_header: bool = True
+    report: ProcessingReport, out_dir: str | Path, timestamp_header: bool
 ) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -492,8 +490,8 @@ PLOT_VARIABLES = (
 def emit_plotdata(
     dataset: VoyageDataset,
     out_dir: str | Path,
-    particulars: ShipParticulars | None = None,
-    timestamp_header: bool = True,
+    particulars: ShipParticulars | None,
+    timestamp_header: bool,
 ) -> list[Path]:
     """Write ``out_dir/processed.csv`` (by ``write_processed_csv``, with
     ``timestamp_header``) and the plain-CSV plot inputs: one time-series file

@@ -14,7 +14,6 @@ from .model import (
     VoyageDataset,
     add_flags,
     iso_timestamp,
-    stage_entry,
 )
 
 AT_BERTH = "At Berth"
@@ -24,9 +23,7 @@ class SegmentationError(ValueError):
     """Trip segmentation could not run with the data at hand."""
 
 
-def regularize(
-    dataset: VoyageDataset, interval_s: int, report: ProcessingReport | None = None
-) -> VoyageDataset:
+def regularize(dataset: VoyageDataset, interval_s: int, report: ProcessingReport) -> VoyageDataset:
     """Force a constant timestamp gradient of ``interval_s``.
 
     Samples are snapped to the nearest lattice point anchored at the first
@@ -35,7 +32,7 @@ def regularize(
     same point the nearer wins, the slot is flagged ``dropout`` and the loss
     is reported.
     """
-    entry = stage_entry(report, "regularize")
+    entry = report.stage("regularize")
     if len(dataset) == 0:
         return dataset.with_interval(interval_s)
 
@@ -111,9 +108,7 @@ def _bin_means(col: np.ndarray, heads: np.ndarray, circular: bool) -> np.ndarray
     return means
 
 
-def resample(
-    dataset: VoyageDataset, interval_s: int, report: ProcessingReport | None = None
-) -> VoyageDataset:
+def resample(dataset: VoyageDataset, interval_s: int, report: ProcessingReport) -> VoyageDataset:
     """Down-sample onto a uniform ``interval_s`` lattice by averaging each
     bin: the arithmetic mean for linear variables, the circular mean for
     angular ones (an arithmetic mean of angles would commit the 0/360
@@ -123,7 +118,7 @@ def resample(
     """
     if len(dataset) == 0:
         raise ValueError("cannot resample an empty dataset")
-    entry = stage_entry(report, "resample")
+    entry = report.stage("resample")
 
     ts = dataset.timestamps
     t0 = int(ts[0] // interval_s * interval_s)

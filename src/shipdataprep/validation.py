@@ -21,7 +21,6 @@ from .model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -53,7 +52,7 @@ def shaft_power(n_rev_s: float, torque: float) -> float:
 def check_power_identity(
     dataset: VoyageDataset,
     rel_tolerance: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Validate P = 2*pi*n*tau wherever all three of shaft rpm, torque and
     power are recorded; derive the third variable wherever exactly two are.
@@ -62,7 +61,7 @@ def check_power_identity(
     beyond ``rel_tolerance`` (relative to recorded power) flag the power
     sample as invalid; derivations land in ``derived_*`` variables.
     """
-    entry = stage_entry(report, "check:power_identity")
+    entry = report.stage("check:power_identity")
     n = len(dataset)
     rpm = dataset.coalesce("shaft_rpm")
     tau = dataset.coalesce("shaft_torque")
@@ -126,12 +125,12 @@ def _inside_polygon(x: np.ndarray, y: np.ndarray, polygon) -> np.ndarray:
 def check_speed_power(
     dataset: VoyageDataset,
     particulars: ShipParticulars,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Compare in-trip shaft power against the calm-water curve at the same
     speed-through-water; estimate any constant bias (median relative
     deviation) and flag samples falling outside the engine envelope."""
-    entry = stage_entry(report, "check:speed_power")
+    entry = report.stage("check:speed_power")
     curve = particulars.curve()
     if curve is None or not dataset.has_data("stw") or not dataset.has_data("shaft_power"):
         entry.notes.append("curve, stw or shaft_power unavailable; check skipped")
@@ -170,13 +169,13 @@ def check_speed_power(
 def check_stw(
     dataset: VoyageDataset,
     tolerance: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> None:
     """Report-only comparison of the measured speed-through-water against
     its estimate from speed-over-ground minus the longitudinal current. A
     sample with both inputs present is compared; a residual not within
     ``tolerance`` (inf or NaN too) is suspect."""
-    entry = stage_entry(report, "check:stw")
+    entry = report.stage("check:stw")
     if not (dataset.has_data("stw") and dataset.has_data("stw_estimate")):
         entry.notes.append("stw or stw_estimate absent; check skipped")
         return
@@ -213,7 +212,7 @@ def longitudinal_winds(
 def check_longitudinal_wind(
     dataset: VoyageDataset,
     tolerance: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
     *,
     use_fixed: bool,
 ) -> dict:
@@ -226,7 +225,7 @@ def check_longitudinal_wind(
     pipeline can decide whether an interpolation/derivation error loop is
     warranted.
     """
-    entry = stage_entry(report, "check:longitudinal_wind")
+    entry = report.stage("check:longitudinal_wind")
     result = {"compared": 0, "beyond_tolerance": 0, "cross_referenced": 0}
     needed = ("sog", "rel_wind_long")
     if not all(dataset.has_data(v) for v in needed) or not (
@@ -273,7 +272,7 @@ def detect_angular_fault(
     dataset: VoyageDataset,
     variable: str,
     reference: np.ndarray | list,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Detect time-averaging faults on an angular variable near the 0/360
     wrap and substitute the reference value.
@@ -284,7 +283,7 @@ def detect_angular_fault(
     wrap (where naive averaging breaks). The substitute value is stored in
     ``fixed_<variable>``; the recorded one is never modified.
     """
-    entry = stage_entry(report, f"check:angular_fault:{variable}")
+    entry = report.stage(f"check:angular_fault:{variable}")
     reference = np.asarray(reference, dtype=float)
     if np.isnan(reference).all():
         entry.notes.append(f"no reference series available for {variable!r}; detector skipped")

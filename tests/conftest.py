@@ -13,6 +13,7 @@ import pytest
 
 from shipdataprep.ingest import PipelineConfig
 from shipdataprep.model import (
+    ProcessingReport,
     QualityFlag,
     ShipParticulars,
     ShipType,
@@ -59,9 +60,9 @@ def write_and_read_processed(dataset, path: Path):
     from shipdataprep.ingest import load_ship_csv
     from shipdataprep.pipeline import write_processed_csv
 
-    write_processed_csv(dataset, path, timestamp_header=False)
+    write_processed_csv(dataset, path, timestamp_header=False, plots=())
     back = load_ship_csv(path, schema=list(dataset.schema), unit_map=DEFAULTS.unit_map,
-                         source_kind=DEFAULTS.source_kind)
+                         source_kind=DEFAULTS.source_kind, report=ProcessingReport())
     trips = np.nan_to_num(back.column("trip_id"), nan=-1).astype(np.int64)
     marks = {f: back.column(f"flag_{f.value}") == 1 for f in QualityFlag}
     flags = [frozenset(f for f, m in marks.items() if m[i]) for i in range(len(back))]
@@ -134,7 +135,8 @@ def series_dataset(values_by_name: dict[str, list[float | None]], interval=INTER
     """Quick dataset from aligned per-variable value lists (None = missing)."""
     n = max(len(v) for v in values_by_name.values())
     columns = {name: list(col) + [None] * (n - len(col)) for name, col in values_by_name.items()}
-    return new_dataset(simple_schema(*values_by_name), [t0 + i * interval for i in range(n)], columns)
+    stamps = [t0 + i * interval for i in range(n)]
+    return new_dataset(simple_schema(*values_by_name), stamps, columns, source_kind=source_kind)
 
 
 def rows_dataset(schema, samples, sampling_interval=None, source_kind="in_service"):

@@ -44,7 +44,6 @@ from shipdataprep.model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 from shipdataprep.tables import wetted_surface
 
@@ -421,12 +420,12 @@ def evaluate(model: TableDrivenModel, ctx: dict[str, float]) -> float | None:
 def resistance_components(
     dataset: VoyageDataset,
     models: list[TableDrivenModel],
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Evaluate each resistance model per in-trip sample into a
     ``res_<name>`` column; a model whose inputs never appear is skipped
     entirely, per-sample gaps stay missing and are counted."""
-    entry = stage_entry(report, "resistance")
+    entry = report.stage("resistance")
     in_trip = dataset.in_trip_or_all()
     wind_speed_name = (
         "rel_wind_speed_ref" if dataset.declares("rel_wind_speed_ref") else "rel_wind_speed"

@@ -20,7 +20,6 @@ from shipdataprep.model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 from shipdataprep.tables import service_speed_range
 
@@ -101,7 +100,7 @@ def ais_speed_consistency(
     tolerance_fraction: float,
     window: int,
     particulars: ShipParticulars,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Flag speed-over-ground values inconsistent with the distance actually
     covered between consecutive positions, and replace them with the nearest
@@ -112,7 +111,7 @@ def ais_speed_consistency(
     implied speed comes from a ``window``-leg average trend instead of the
     single leg. Originals are preserved under ``raw_sog``.
     """
-    entry = stage_entry(report, "ais_speed_consistency")
+    entry = report.stage("ais_speed_consistency")
     if not dataset.has_data("sog") or not (
         dataset.has_data("lat") and dataset.has_data("lon")
     ):
@@ -202,7 +201,7 @@ def ais_speed_consistency(
 def ais_status_check(
     dataset: VoyageDataset,
     port_speed_threshold: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Cross-check the AIS navigation status against the measured speed.
 
@@ -211,7 +210,7 @@ def ais_status_check(
     leg, means the manually updated fields are stale; the sample is flagged
     and the draft/destination fields should be treated with suspicion.
     """
-    entry = stage_entry(report, "ais_status_check")
+    entry = report.stage("ais_status_check")
     if not dataset.has_data("nav_status") or not dataset.has_data("sog"):
         entry.notes.append("nav_status or sog absent; check skipped")
         return dataset

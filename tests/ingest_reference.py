@@ -55,7 +55,6 @@ from shipdataprep.model import (
     new_dataset,
     parse_iso_timestamp,
     parse_iso_timestamps,
-    stage_entry,
 )
 
 
@@ -186,7 +185,7 @@ def load_ship_csv_whole(
     *,
     unit_map: dict[str, str],
     source_kind: str,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """``ingest.load_ship_csv`` as it was before block reading: the whole
     file split at once by ``csv_columns``, each column parsed by ``_numbers``.
@@ -201,7 +200,7 @@ def load_ship_csv_whole(
     """
     path = Path(path)
     schema = list(schema) if schema is not None else default_schema()
-    entry = stage_entry(report, "ingest:ship_csv")
+    entry = report.stage("ingest:ship_csv")
 
     header, lines, cells = csv_columns(path)
     header = [h.strip() for h in header]

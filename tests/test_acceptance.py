@@ -33,6 +33,7 @@ from shipdataprep.features import (
 from shipdataprep.hindcast import SteadyFilterParams, interpolate, steady_state_filter
 from shipdataprep.ingest import GridVariable, HindcastGrid
 from shipdataprep.model import (
+    ProcessingReport,
     QualityFlag,
     Sample,
     ShipType,
@@ -165,7 +166,7 @@ def test_criterion_3_interpolation_exactness():
     with criterion(3, "bilinear + order-1 temporal interpolation reproduces a "
                       "random affine field at 1000 interior points within "
                       "1e-9 relative, inside the convex node bounds"):
-        out = interpolate(grid, ds, order=1, mask_policy=DEFAULTS.mask_policy)
+        out = interpolate(grid, ds, order=1, mask_policy=DEFAULTS.mask_policy, report=ProcessingReport())
         col = out.column("hc_f")
         var = grid.variables[0]
         for (t, la, lo), got in zip(pts, col):
@@ -225,7 +226,7 @@ def _binned_direction_fixture(center_deg: float, seed: int = 0):
     ) % 360.0
     fine = series_dataset({"rel_wind_dir": list(instantaneous)}, interval=fine_dt, t0=0)
     recorded = instantaneous.reshape(n_bins, -1).mean(axis=1)
-    reference = resample(fine, bin_s).column("rel_wind_dir")
+    reference = resample(fine, bin_s, report=ProcessingReport()).column("rel_wind_dir")
     return recorded, reference
 
 
@@ -240,7 +241,7 @@ def test_criterion_5_angular_fault_detector():
     with criterion(5, "angular-averaging fault detector flags >= 95% of "
                       "wrap-straddling faults and 0% of a control fixture"):
         assert len(faulted) >= 30  # the fixture really does commit the fault
-        out = detect_angular_fault(ds, "rel_wind_dir", reference=reference)
+        out = detect_angular_fault(ds, "rel_wind_dir", reference=reference, report=ProcessingReport())
         flagged = set(flagged_rows(out, QualityFlag.ANGULAR_AVERAGING_FAULT))
         assert len(flagged & faulted) / len(faulted) >= 0.95
         for i in flagged:
@@ -251,7 +252,7 @@ def test_criterion_5_angular_fault_detector():
         control_rec, control_ref = _binned_direction_fixture(120.0, seed=1)
         control = series_dataset({"rel_wind_dir": list(control_rec)})
         out_control = detect_angular_fault(
-            control, "rel_wind_dir", reference=control_ref
+            control, "rel_wind_dir", reference=control_ref, report=ProcessingReport()
         )
         control_flagged = int(out_control.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT).sum())
         assert control_flagged == 0
@@ -287,7 +288,7 @@ def test_criterion_6_draft_corrections():
             {"draft_fore": 8.0}, {"draft_fore": 7.6},
             [{"draft_fore": 7.2}] * n, ("draft_fore",),
         )
-        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg, report=ProcessingReport())
         ts = out.timestamps.astype(float)
         trip = out.trips()[1]
         t0, t1 = ts[trip[0]], ts[trip[-1]]
@@ -317,7 +318,7 @@ def test_criterion_6_draft_corrections():
         trip = ds.trips()[1]
         start = int(ds.timestamps[trip[0]])
         event = DraftChangeEvent(1, start + e0 * DT, start + e1 * DT)
-        out = fix_draft_ramp(ds, 1, [event], n_avg=5)
+        out = fix_draft_ramp(ds, 1, [event], n_avg=5, report=ProcessingReport())
         worst = 0.0
         for k, i in enumerate(trip):
             for sensor in ("draft_fore", "draft_aft"):
@@ -345,7 +346,7 @@ def test_criterion_7_pca_outlier_detection():
                 cols["sog"][i] -= 2.5
                 cols["stw"][i] -= 2.5
             contaminated = series_dataset({k: list(v) for k, v in cols.items()})
-            out = pca_score(detector, contaminated)
+            out = pca_score(detector, contaminated, report=ProcessingReport())
             flagged = set(flagged_rows(out, QualityFlag.CORRELATION_OUTLIER))
             inj = set(int(i) for i in injected)
             detection_rates.append(len(flagged & inj) / len(inj))
@@ -390,7 +391,7 @@ def test_criterion_9_ais_consistency():
     )
     with criterion(9, "AIS speed check flags exactly the 5 injected "
                       "irrational speeds and replaces each with a neighbour"):
-        out = ais_speed_consistency(ds, tolerance_fraction=0.3, window=5, particulars=FERRY)
+        out = ais_speed_consistency(ds, tolerance_fraction=0.3, window=5, particulars=FERRY, report=ProcessingReport())
         flagged = flagged_rows(out, QualityFlag.IRRATIONAL_SPEED)
         assert flagged == injected
         for i in injected:

@@ -57,7 +57,7 @@ def dataset_with_ranges(values, lo=0.0, hi=200.0, name="shaft_rpm"):
 class TestContextualFilter:
     def test_invalid_range(self):
         ds = dataset_with_ranges([50.0, -5.0, 60.0])
-        out = contextual(ds, ds)
+        out = contextual(ds, ds, report=ProcessingReport())
         assert out.flagged(QualityFlag.INVALID_RANGE)[1]
         assert not flags_at(out, 0)
 
@@ -66,33 +66,33 @@ class TestContextualFilter:
         noisy = list(80.0 + rng.normal(0, 1, 30))
         values = noisy[:5] + [90.0] * 30 + noisy[5:]
         ds = dataset_with_ranges(values)
-        out = contextual(ds, ds, repeat_run=20)
+        out = contextual(ds, ds, repeat_run=20, report=ProcessingReport())
         flagged = flagged_rows(out, QualityFlag.REPEATED_VALUE)
         assert flagged == list(range(5, 35))
 
     def test_constant_variable_not_repeated_flagged(self):
         ds = dataset_with_ranges([80.0] * 40)
-        out = contextual(ds, ds, repeat_run=20)
+        out = contextual(ds, ds, repeat_run=20, report=ProcessingReport())
         assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_short_step_in_constant_signal_not_repeated_flagged(self):
         # np.var([3.3] * 3) is 1.97e-31, not 0: only distinct values count
         for head in (3.3, 80.0):
             ds = dataset_with_ranges([head] * 3 + [5.0] * 25)
-            out = contextual(ds, ds, repeat_run=20)
+            out = contextual(ds, ds, repeat_run=20, report=ProcessingReport())
             assert not out.flagged(QualityFlag.REPEATED_VALUE).any()
 
     def test_single_sample_dropout(self):
         values = [80.0] * 10 + [0.0] + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual(ds, ds, dropout_max=3)
+        out = contextual(ds, ds, dropout_max=3, report=ProcessingReport())
         assert out.flagged(QualityFlag.DROPOUT)[10]
         assert out.flagged(QualityFlag.DROPOUT).sum() == 1
 
     def test_long_dead_run_is_not_dropout(self):
         values = [80.0] * 10 + [0.0] * 5 + [80.0] * 10
         ds = dataset_with_ranges(values)
-        out = contextual(ds, ds, dropout_max=3)
+        out = contextual(ds, ds, dropout_max=3, report=ProcessingReport())
         assert not out.flagged(QualityFlag.DROPOUT).any()
 
     def test_spike_flagged(self):
@@ -100,7 +100,7 @@ class TestContextualFilter:
         values = list(80.0 + rng.normal(0, 0.5, 41))
         values[20] += 30.0
         ds = dataset_with_ranges(values)
-        out = contextual(ds, ds, spike_scales=6.0)
+        out = contextual(ds, ds, spike_scales=6.0, report=ProcessingReport())
         assert out.flagged(QualityFlag.SPIKE)[20]
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
@@ -128,7 +128,7 @@ class TestContextualFilter:
     def test_spike_rule_never_fires_on_monotone_series(self, values):
         values = sorted(values)
         ds = dataset_with_ranges(values, lo=-1.0, hi=101.0)
-        out = contextual(ds, ds)
+        out = contextual(ds, ds, report=ProcessingReport())
         assert not out.flagged(QualityFlag.SPIKE).any()
 
 
@@ -146,7 +146,7 @@ class TestContextualFilter:
     def test_measured_rows_must_match(self):
         ds = dataset_with_ranges([80.0] * 5)
         with pytest.raises(CleaningError, match="timestamps"):
-            contextual(ds, dataset_with_ranges([80.0] * 4))
+            contextual(ds, dataset_with_ranges([80.0] * 4), report=ProcessingReport())
 
 
 class TestQuasiSteady:
@@ -159,7 +159,7 @@ class TestQuasiSteady:
         out = quasi_steady_filter(
             ds,
             SteadyFilterParams(11, 0.01, 0.05),
-            SteadyFilterParams(11, 0.001, 0.2),
+            SteadyFilterParams(11, 0.001, 0.2), report=ProcessingReport(),
         )
         assert not out.flagged(QualityFlag.UNSTEADY).any()
 
@@ -175,7 +175,7 @@ class TestQuasiSteady:
         out = quasi_steady_filter(
             ds,
             SteadyFilterParams(11, 0.01, 1e-5),
-            SteadyFilterParams(11, 0.001, 0.2),
+            SteadyFilterParams(11, 0.001, 0.2), report=ProcessingReport(),
         )
         ramp_flags = out.flagged(QualityFlag.UNSTEADY)[35:55]
         assert np.mean(ramp_flags) > 0.9
@@ -189,7 +189,7 @@ class TestQuasiSteady:
         out = quasi_steady_filter(
             ds,
             SteadyFilterParams(11, 0.01, 0.05),
-            SteadyFilterParams(11, 0.01, 1e-4),
+            SteadyFilterParams(11, 0.01, 1e-4), report=ProcessingReport(),
         )
         region = flagged_rows(out, QualityFlag.UNSTEADY)
         assert region  # the drop/recovery edges are caught
@@ -204,7 +204,7 @@ class TestQuasiSteady:
             out = quasi_steady_filter(
                 ds,
                 SteadyFilterParams(11, alpha, 1e-9),
-                SteadyFilterParams(11, alpha / 10.0, 1e-9),
+                SteadyFilterParams(11, alpha / 10.0, 1e-9), report=ProcessingReport(),
             )
             return set(flagged_rows(out, QualityFlag.UNSTEADY))
 
@@ -286,8 +286,8 @@ class TestPca:
     def test_score_determinism_against_training(self):
         ds = correlated_dataset(n=300, seed=5)
         det = pca_fit(ds, ["a", "b", "c", "d"], k=1, quantile=0.995)
-        out1 = pca_score(det, ds)
-        out2 = pca_score(det, ds)
+        out1 = pca_score(det, ds, report=ProcessingReport())
+        out2 = pca_score(det, ds, report=ProcessingReport())
         f1 = [flags_at(out1, i) for i in range(len(out1))]
         f2 = [flags_at(out2, i) for i in range(len(out2))]
         assert f1 == f2
@@ -304,14 +304,14 @@ class TestPca:
         cols["c"][7] = big
         errors = det.errors(np.column_stack(list(cols.values())))
         assert errors[7] == np.inf and np.isfinite(np.delete(errors, 7)).all()
-        out = pca_score(det, series_dataset(cols))
+        out = pca_score(det, series_dataset(cols), report=ProcessingReport())
         assert 7 in flagged_rows(out, QualityFlag.CORRELATION_OUTLIER)
 
     def test_joint_speed_fault_detected(self):
         clean = correlated_dataset(n=500, seed=9)
         det = pca_fit(clean, ["a", "b", "c", "d"], k=DEFAULTS.pca_components, quantile=0.995)
         faulted = correlated_dataset(n=500, seed=9, faults=range(100, 110))
-        out = pca_score(det, faulted)
+        out = pca_score(det, faulted, report=ProcessingReport())
         hits = flagged_rows(out, QualityFlag.CORRELATION_OUTLIER)
         assert set(range(100, 110)) <= set(hits)
         false_pos = [i for i in hits if not 100 <= i < 110]

@@ -51,7 +51,7 @@ def voyage(draw):
             ids[start:end] = [trip_id] * max(0, end - start)
             start = end
     measured = new_dataset(schema, [T0 + i * INTERVAL for i in range(n)], columns,
-                           trip_ids=ids)
+                           trip_ids=ids, source_kind="in_service")
     derived = VariableSpec("derived", valid_min=0.0, valid_max=6.0)
     ds = measured.adding_variable(derived, draw(column(n)))
     return (ds, measured, draw(st.integers(1, 6)), draw(st.integers(1, 4)),

@@ -68,14 +68,14 @@ def trip_span(ds):
 class TestFixDraftSimple:
     def test_midpoint_of_linear_interpolation(self):
         ds = voyage_with_drafts(8.0, 7.6, [7.2] * 11)
-        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg, report=ProcessingReport())
         idx = out.trips()[1]
         mid = idx[len(idx) // 2]
         assert out.column("draft_fore")[mid] == pytest.approx(7.8, abs=1e-12)
 
     def test_constant_anchors_constant_trip(self):
         ds = voyage_with_drafts(9.0, 9.0, [8.0] * 7)
-        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg, report=ProcessingReport())
         for i in out.trips()[1]:
             assert out.column("draft_fore")[i] == pytest.approx(9.0, abs=1e-12)
 
@@ -83,7 +83,7 @@ class TestFixDraftSimple:
         # in-trip sensor reads 7.2 while anchors say 8.0 -> 7.8: the raw
         # values must not influence the corrected series at all
         ds = voyage_with_drafts(8.0, 7.8, [7.2] * 9)
-        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg, report=ProcessingReport())
         ts = out.timestamps.astype(float)
         t0, t1 = trip_span(ds)
         for i in out.trips()[1]:
@@ -96,7 +96,7 @@ class TestFixDraftSimple:
 
     def test_monotone_when_pre_geq_post(self):
         ds = voyage_with_drafts(8.4, 7.9, [7.0] * 15)
-        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg)
+        out = fix_draft_simple(ds, 1, DEFAULTS.n_avg, report=ProcessingReport())
         vals = [out.column("draft_fore")[i] for i in out.trips()[1]]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -121,7 +121,7 @@ def test_out_of_range_drafts_never_enter_a_mean(events):
     dirty = clean.with_values("draft_fore", [5, 20, 32, 42], [-1e306, 31.0, -0.5, 1e306])
     start, _ = trip_span(clean)
     found = [DraftChangeEvent(1, start + 15 * DT, start + 25 * DT)][:events]
-    fixed = [fix_draft_ramp(ds, 1, found, n_avg=5) for ds in (clean, dirty)]
+    fixed = [fix_draft_ramp(ds, 1, found, n_avg=5, report=ProcessingReport()) for ds in (clean, dirty)]
     trip = clean.trips()[1]
     assert fixed[0].column("draft_fore")[trip].tolist() == pytest.approx(
         fixed[1].column("draft_fore")[trip].tolist(), abs=1e-12)
@@ -145,15 +145,15 @@ class TestFixDraftRamp:
 
     def test_ramp_midpoint(self):
         ds, event = self.ramp_fixture()
-        out = fix_draft_ramp(ds, 1, [event], n_avg=5)
+        out = fix_draft_ramp(ds, 1, [event], n_avg=5, report=ProcessingReport())
         mid_ts = (event.start + event.end) // 2
         i = int(np.nonzero(out.timestamps == mid_ts)[0][0])
         assert out.column("draft_fore")[i] == pytest.approx(7.0, abs=1e-9)
 
     def test_zero_events_reduces_to_simple(self):
         ds = voyage_with_drafts(8.0, 7.6, [7.2] * 9)
-        a = fix_draft_ramp(ds, 1, [], n_avg=5)
-        b = fix_draft_simple(ds, 1, n_anchor=5)
+        a = fix_draft_ramp(ds, 1, [], n_avg=5, report=ProcessingReport())
+        b = fix_draft_simple(ds, 1, n_anchor=5, report=ProcessingReport())
         for va, vb in zip(a.column("draft_fore").tolist(), b.column("draft_fore").tolist()):
             assert va == pytest.approx(vb, abs=1e-9, nan_ok=True)
 
@@ -177,7 +177,7 @@ class TestFixDraftRamp:
             DraftChangeEvent(1, start + 10 * DT, start + 16 * DT),
             DraftChangeEvent(1, start + 35 * DT, start + 41 * DT),
         ]
-        out = fix_draft_ramp(ds, 1, events, n_avg=5)
+        out = fix_draft_ramp(ds, 1, events, n_avg=5, report=ProcessingReport())
         last = out.trips()[1][-1]
         assert out.column("draft_fore")[last] == pytest.approx(8.2, abs=1e-9)
 
@@ -185,7 +185,7 @@ class TestFixDraftRamp:
         ds, event = self.ramp_fixture()
         other = DraftChangeEvent(1, event.start + DT, event.end + DT)
         with pytest.raises(CorrectionError, match="overlapping"):
-            fix_draft_ramp(ds, 1, [event, other], DEFAULTS.n_avg)
+            fix_draft_ramp(ds, 1, [event, other], DEFAULTS.n_avg, report=ProcessingReport())
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_event_outside_the_trip_rows_rejected(self, shift):
@@ -193,22 +193,22 @@ class TestFixDraftRamp:
         ds, _ = self.ramp_fixture()
         start, end = trip_span(ds)
         inside = DraftChangeEvent(1, start, end)
-        fix_draft_ramp(ds, 1, [inside], DEFAULTS.n_avg)
+        fix_draft_ramp(ds, 1, [inside], DEFAULTS.n_avg, report=ProcessingReport())
         event = DraftChangeEvent(1, start + min(shift, 0), end + max(shift, 0))
         with pytest.raises(CorrectionError, match=rf"outside trip \[{start}, {end}\]"):
-            fix_draft_ramp(ds, 1, [event], DEFAULTS.n_avg)
+            fix_draft_ramp(ds, 1, [event], DEFAULTS.n_avg, report=ProcessingReport())
 
     def test_event_in_a_trip_without_rows_rejected(self):
         ds, event = self.ramp_fixture()
         with pytest.raises(CorrectionError, match="trip 2 has no rows"):
-            fix_draft_ramp(ds, 2, [DraftChangeEvent(2, event.start, event.end)], DEFAULTS.n_avg)
+            fix_draft_ramp(ds, 2, [DraftChangeEvent(2, event.start, event.end)], DEFAULTS.n_avg, report=ProcessingReport())
 
     def test_zero_magnitude_event_matches_simple(self):
         ds = voyage_with_drafts(8.0, 8.0, [8.0] * 30)
         start, _ = trip_span(ds)
         event = DraftChangeEvent(1, start + 10 * DT, start + 15 * DT)
-        ramp = fix_draft_ramp(ds, 1, [event], n_avg=5)
-        simple = fix_draft_simple(ds, 1, n_anchor=5)
+        ramp = fix_draft_ramp(ds, 1, [event], n_avg=5, report=ProcessingReport())
+        simple = fix_draft_simple(ds, 1, n_anchor=5, report=ProcessingReport())
         for va, vb in zip(
             ramp.column("draft_fore").tolist(), simple.column("draft_fore").tolist()
         ):
@@ -355,14 +355,14 @@ class TestHydrostatics:
         assert wsa * t / 1e5 == pytest.approx(1.025, rel=1e-6)
 
     def test_block_coefficient_model(self):
-        volume, wsa, consistent = hydrostatics(np.array([10.0]), np.array([0.5]), particulars())
+        volume, wsa, consistent = hydrostatics(np.array([10.0]), np.array([0.5]), particulars(), None)
         assert volume[0] == pytest.approx(0.8 * 270.0 * 46.0 * 10.0)
         assert wsa[0] > volume[0] / 10.0
         assert consistent.tolist() == [True]
 
     def test_wsa_increases_with_draft(self):
         drafts = np.array([6.0, 8.0, 10.0, 12.0])
-        _, wsa, _ = hydrostatics(drafts, np.zeros(4), particulars())
+        _, wsa, _ = hydrostatics(drafts, np.zeros(4), particulars(), None)
         assert np.all(wsa > 0.0)
         assert np.all(np.diff(wsa) > 0)
 
@@ -510,7 +510,7 @@ class TestTableDrivenResistance:
 
     def test_zero_relative_wind_zero_resistance(self):
         ds = resistance_dataset(rel_wind_speed=[0.0], rel_wind_dir=[0.0])
-        out = resistance_components(ds, [self.wind_model()])
+        out = resistance_components(ds, [self.wind_model()], report=ProcessingReport())
         assert out.column("res_wind")[0] == 0.0
 
     def test_table_reproduced_at_defining_points(self):
@@ -522,7 +522,7 @@ class TestTableDrivenResistance:
         ds = resistance_dataset(
             rel_wind_speed=[10.0, 20.0], rel_wind_dir=[45.0, 45.0]
         )
-        out = resistance_components(ds, [self.wind_model()])
+        out = resistance_components(ds, [self.wind_model()], report=ProcessingReport())
         r10 = out.column("res_wind")[0]
         r20 = out.column("res_wind")[1]
         assert r20 == pytest.approx(4.0 * r10, rel=1e-12)
@@ -532,7 +532,7 @@ class TestTableDrivenResistance:
     def test_calm_water_monotone_in_stw(self):
         calm = TableDrivenModel("calm", "calm_water", 500.0, [0.0], [0.002])
         ds = resistance_dataset(stw=[2.0, 4.0, 6.0])
-        out = resistance_components(ds, [calm])
+        out = resistance_components(ds, [calm], report=ProcessingReport())
         vals = out.column("res_calm").tolist()
         assert vals == sorted(vals)
         assert all(v >= 0 for v in vals)
@@ -589,6 +589,13 @@ class TestTableDrivenResistance:
         assert m.kind == "added_wind"
         assert m.area == 1200.0
         assert m.coefficients_at(np.array([0.0]))[0] == 0.9
+
+    def test_from_csv_names_an_unknown_kind(self, tmp_path):
+        p = tmp_path / "breeze.csv"
+        p.write_text("#kind breeze\n#area 1200\nangle_deg,coefficient\n0,0.9\n")
+        with pytest.raises(IngestError, match=r"breeze.csv:1: unknown #kind 'breeze'; "
+                           r"known: calm, wind, wave$"):
+            TableDrivenModel.from_csv(p)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(CorrectionError):

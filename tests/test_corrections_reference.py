@@ -50,7 +50,7 @@ def voyages(draw):
     }
     trip_ids = [1 if before <= i < before + length else None for i in range(n)]
     schema = [VariableSpec(s, "m") for s in DRAFT_SENSORS]
-    dataset = new_dataset(schema, stamps, columns, INTERVAL, trip_ids=trip_ids)
+    dataset = new_dataset(schema, stamps, columns, INTERVAL, trip_ids=trip_ids, source_kind="in_service")
     first, last = stamps[before], stamps[before + length - 1]
     # 0-3 events from sorted distinct instants of the trip, paired in order
     k = draw(st.integers(0, min(3, (last - first + 1) // 2)))
@@ -134,7 +134,7 @@ def test_stages_match_loops_on_many_random_rows():
     stamps = [T0 + i * INTERVAL for i in range(n)]
     trips = [None if t < 0 else int(t) for t in np.repeat(rng.integers(-1, 3, n // 50), 50)]
     schema = [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")]
-    dataset = new_dataset(schema, stamps, {"draft_fore": fore, "draft_aft": aft}, trip_ids=trips)
+    dataset = new_dataset(schema, stamps, {"draft_fore": fore, "draft_aft": aft}, trip_ids=trips, source_kind="in_service")
     particulars = ShipParticulars(ShipType.BULK_CARRIER, beam=46.0, design_draft=15.0,
                                   lwl=270.0, block_coefficient=0.8)
     table = HydroTable([4.0, 9.0, 16.0], [-1.0, 0.5, 2.0], rng.uniform(1e4, 1e5, (3, 3)),
@@ -153,7 +153,7 @@ def test_stages_match_loops_on_many_random_rows():
     for col in columns.values():
         col[rng.random(n) < 0.1] = np.nan
     schema = [VariableSpec(name, "-", kind) for name, kind in RESISTANCE_INPUTS.items()]
-    dataset = new_dataset(schema, stamps, columns, trip_ids=trips)
+    dataset = new_dataset(schema, stamps, columns, trip_ids=trips, source_kind="in_service")
     models = [
         TableDrivenModel(kind, kind, 900.0, rng.uniform(0.0, 360.0, 6).tolist(),
                          rng.uniform(0.0, 1.5, 6).tolist())
@@ -201,7 +201,7 @@ def test_hydrostatics_stage_matches_loop(rows, table, cb, design_draft, voyage_k
     fore, aft, trips = (list(c) for c in zip(*rows))
     schema = [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")]
     stamps = [T0 + i * INTERVAL for i in range(len(rows))]
-    dataset = new_dataset(schema, stamps, {"draft_fore": fore, "draft_aft": aft}, trip_ids=trips)
+    dataset = new_dataset(schema, stamps, {"draft_fore": fore, "draft_aft": aft}, trip_ids=trips, source_kind="in_service")
     particulars = ShipParticulars(ShipType.BULK_CARRIER, beam=46.0, design_draft=design_draft,
                                   lwl=270.0, block_coefficient=cb)
     config = PipelineConfig(voyage_kind=voyage_kind)
@@ -238,7 +238,7 @@ def test_resistance_matches_loop(models, rows, declared):
     columns = {name: col for name, col in zip(RESISTANCE_INPUTS, values) if name in declared}
     schema = [VariableSpec(name, "-", RESISTANCE_INPUTS[name]) for name in columns]
     stamps = [T0 + i * INTERVAL for i in range(len(rows))]
-    dataset = new_dataset(schema, stamps, columns, trip_ids=trips)
+    dataset = new_dataset(schema, stamps, columns, trip_ids=trips, source_kind="in_service")
     names = [f"res_{m.name}" for m in models]
     outcomes = []
     for stage in (resistance_components, ref.resistance_components):

@@ -99,7 +99,7 @@ def test_columnar_dataset_matches_row_model(data):
     ]
     interval = data.draw(st.sampled_from([None, 900]))
     built = same_outcome(
-        lambda: new_dataset(schema, stamps, columns, interval, flags=flags, trip_ids=trips),
+        lambda: new_dataset(schema, stamps, columns, interval, flags=flags, trip_ids=trips, source_kind="in_service"),
         lambda: new_row_dataset(schema, samples, interval),
     )
     if built is None:
@@ -168,13 +168,13 @@ def test_columnar_dataset_matches_row_model(data):
 def test_errors_match_row_model(spec, value, message):
     rows = [Sample(0, {}), Sample(900, {spec.name: value})]
     builds = (
-        lambda: new_dataset([spec], [0, 900], {spec.name: [None, value]}),
+        lambda: new_dataset([spec], [0, 900], {spec.name: [None, value]}, source_kind="in_service"),
         lambda: new_row_dataset([spec], rows),
     )
     for build in builds:
         with pytest.raises(DatasetError, match=message.replace("[", r"\[").replace("]", r"\]")):
             build()
-    empty = new_dataset([], [0, 900], {})
+    empty = new_dataset([], [0, 900], {}, source_kind="in_service")
     with pytest.raises(DatasetError) as got:
         empty.adding_variable(spec, [None, value])
     assert str(got.value) == message

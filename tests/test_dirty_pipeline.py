@@ -94,7 +94,7 @@ def report_and_flags(out):
     stamps = [parse_iso_timestamp(r[0]) for r in rows]
     flag_at = {f: header.index(f"flag_{f.value}") for f in QualityFlag}
     flags = [frozenset(f for f, k in flag_at.items() if r[k] == "1") for r in rows]
-    return report, new_dataset([], stamps, {}, flags=flags)
+    return report, new_dataset([], stamps, {}, flags=flags, source_kind="in_service")
 
 
 @settings(max_examples=30, deadline=None)

@@ -211,24 +211,24 @@ def frame_dataset(heading, sog, wind_u, wind_v, wave_dir=None, cur_u=None, cur_v
 
 class TestResolveShipFrame:
     def test_still_air_head_wind_equals_sog(self):
-        ds = resolve_ship_frame(frame_dataset(0.0, 5.0, 0.0, 0.0))
+        ds = resolve_ship_frame(frame_dataset(0.0, 5.0, 0.0, 0.0), report=ProcessingReport())
         assert ds.column("rel_wind_long")[0] == pytest.approx(5.0)
         assert ds.column("rel_wind_trans")[0] == pytest.approx(0.0)
 
     def test_north_heading_north_wind(self):
         # wind blowing FROM north at 10 m/s = vector (0, -10); stationary ship
-        ds = resolve_ship_frame(frame_dataset(0.0, 0.0, 0.0, -10.0))
+        ds = resolve_ship_frame(frame_dataset(0.0, 0.0, 0.0, -10.0), report=ProcessingReport())
         assert ds.column("rel_wind_long")[0] == pytest.approx(10.0)
         assert abs(np.nan_to_num(ds.column("rel_wind_trans")[0])) < 1e-12
 
     def test_wave_direction_aligned_with_heading(self):
-        ds = resolve_ship_frame(frame_dataset(123.0, 3.0, 0.0, 0.0, wave_dir=123.0))
+        ds = resolve_ship_frame(frame_dataset(123.0, 3.0, 0.0, 0.0, wave_dir=123.0), report=ProcessingReport())
         assert ds.column("rel_wave_dir")[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_stw_estimate_subtracts_following_current(self):
         # heading east, current flowing east at 1 m/s, sog 6 -> stw 5
         ds = resolve_ship_frame(
-            frame_dataset(90.0, 6.0, 0.0, 0.0, cur_u=1.0, cur_v=0.0)
+            frame_dataset(90.0, 6.0, 0.0, 0.0, cur_u=1.0, cur_v=0.0), report=ProcessingReport()
         )
         assert ds.column("stw_estimate")[0] == pytest.approx(5.0)
 
@@ -239,7 +239,7 @@ class TestResolveShipFrame:
         st.floats(min_value=-20, max_value=20),
     )
     def test_zero_sog_preserves_wind_magnitude(self, psi, u, v):
-        ds = resolve_ship_frame(frame_dataset(psi, 0.0, u, v))
+        ds = resolve_ship_frame(frame_dataset(psi, 0.0, u, v), report=ProcessingReport())
         long, trans = (np.nan_to_num(ds.column(n)[0]) for n in ("rel_wind_long", "rel_wind_trans"))
         got = long ** 2 + trans ** 2
         assert got == pytest.approx(u * u + v * v, abs=1e-9)
@@ -247,8 +247,8 @@ class TestResolveShipFrame:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0, 359.99), st.floats(0, 359.99))
     def test_relative_wave_direction_mod_360(self, wave, psi):
-        a = resolve_ship_frame(frame_dataset(psi, 1.0, 0.0, 0.0, wave_dir=wave))
-        b = resolve_ship_frame(frame_dataset(psi, 1.0, 0.0, 0.0, wave_dir=(wave + 360.0) % 360.0))
+        a = resolve_ship_frame(frame_dataset(psi, 1.0, 0.0, 0.0, wave_dir=wave), report=ProcessingReport())
+        b = resolve_ship_frame(frame_dataset(psi, 1.0, 0.0, 0.0, wave_dir=(wave + 360.0) % 360.0), report=ProcessingReport())
         va = a.column("rel_wave_dir")[0]
         vb = b.column("rel_wave_dir")[0]
         assert angular_difference(va, vb) < 1e-9
@@ -278,13 +278,13 @@ class TestAisSpeedConsistency:
         return rows_dataset(schema, samples, source_kind="ais")
 
     @staticmethod
-    def check(dataset, report=None):
+    def check(dataset, report):
         return ais_speed_consistency(
             dataset, DEFAULTS.ais_tolerance, DEFAULTS.ais_window, FERRY, report
         )
 
     def test_consistent_track_zero_flags(self):
-        out = self.check(self.build())
+        out = self.check(self.build(), ProcessingReport())
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
     def test_injected_speed_flagged_and_replaced(self):
@@ -316,7 +316,7 @@ class TestAisSpeedConsistency:
             Sample(i * 900, {"lat": 10.0, "lon": 4.0, "sog": 0.0}) for i in range(10)
         ]
         ds = rows_dataset(schema, samples)
-        out = self.check(ds)
+        out = self.check(ds, ProcessingReport())
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
     def test_short_legs_use_window_trend(self):
@@ -327,7 +327,7 @@ class TestAisSpeedConsistency:
             for i in range(30)
         ]
         ds = rows_dataset(schema, samples)
-        out = self.check(ds)
+        out = self.check(ds, ProcessingReport())
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
 
 
@@ -349,15 +349,15 @@ class TestAisStatusCheck:
         return rows_dataset(schema, samples)
 
     def test_moored_while_moving_flagged(self):
-        out = ais_status_check(self.build(5.0, 7.0), DEFAULTS.port_speed_threshold)
+        out = ais_status_check(self.build(5.0, 7.0), DEFAULTS.port_speed_threshold, report=ProcessingReport())
         assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_under_way_while_moving_ok(self):
-        out = ais_status_check(self.build(0.0, 7.0), DEFAULTS.port_speed_threshold)
+        out = ais_status_check(self.build(0.0, 7.0), DEFAULTS.port_speed_threshold, report=ProcessingReport())
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_anchored_at_rest_ok(self):
-        out = ais_status_check(self.build(1.0, 0.0), DEFAULTS.port_speed_threshold)
+        out = ais_status_check(self.build(1.0, 0.0), DEFAULTS.port_speed_threshold, report=ProcessingReport())
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
 
     def test_under_way_at_rest_in_port_flagged(self):
@@ -367,6 +367,6 @@ class TestAisStatusCheck:
             Sample(900, {"nav_status": 0.0, "sog": 5.0}, trip_id=1),
         ]
         ds = rows_dataset(schema, samples)
-        out = ais_status_check(ds, DEFAULTS.port_speed_threshold)
+        out = ais_status_check(ds, DEFAULTS.port_speed_threshold, report=ProcessingReport())
         assert out.flagged(QualityFlag.STALE_AIS_STATUS)[0]
         assert not out.flagged(QualityFlag.STALE_AIS_STATUS)[1]

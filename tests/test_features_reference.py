@@ -82,7 +82,7 @@ def random_voyage(n, seed):
               VariableSpec("nav_status", "-")]
     columns = {"lat": lat, "lon": lon, "sog": sog, "nav_status": status}
     return new_dataset(schema, stamps.tolist(), columns, flags=flags,
-                       trip_ids=[None if t < 0 else int(t) for t in trips])
+                       trip_ids=[None if t < 0 else int(t) for t in trips], source_kind="in_service")
 
 
 @pytest.mark.parametrize("with_trips", [True, False])
@@ -131,7 +131,7 @@ def tracks(draw):
     schema = [VariableSpec("lat", "deg"), VariableSpec("lon", "deg")]
     stamps = [T0 + i * INTERVAL for i in range(n)]
     return new_dataset(schema, stamps, {"lat": lat, "lon": lon}, INTERVAL,
-                       flags=flags, trip_ids=trips)
+                       flags=flags, trip_ids=trips, source_kind="in_service")
 
 
 def columns(dataset, name):
@@ -171,7 +171,7 @@ def ais_feeds(draw):
     lat = [None if k == 0 else v for v, k in zip(lat, state)]
     flags = [[QualityFlag.IRRATIONAL_POSITION] if k == 1 else [] for k in state]
     schema = [VariableSpec("lat", "deg"), VariableSpec("lon", "deg"), VariableSpec("sog", "m/s")]
-    return new_dataset(schema, stamps, {"lat": lat, "lon": lon, "sog": sog}, flags=flags)
+    return new_dataset(schema, stamps, {"lat": lat, "lon": lon, "sog": sog}, flags=flags, source_kind="in_service")
 
 
 def run_stage(stage, dataset, names, **kwargs):
@@ -210,7 +210,7 @@ def test_status_check_matches_loop(rows, with_trips, threshold):
     schema = [VariableSpec("nav_status", "-"), VariableSpec("sog", "m/s")]
     stamps = [T0 + i * INTERVAL for i in range(len(rows))]
     dataset = new_dataset(schema, stamps, {"nav_status": status, "sog": sog},
-                          trip_ids=trips if with_trips else None)
+                          trip_ids=trips if with_trips else None, source_kind="in_service")
     assert run_stage(ais_status_check, dataset, (), port_speed_threshold=threshold) == run_stage(
         ref.ais_status_check, dataset, (), port_speed_threshold=threshold
     )

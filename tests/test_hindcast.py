@@ -182,7 +182,7 @@ class TestCleanGps:
         n = 60
         lats = [10.0 + 0.001 * i for i in range(n)]
         lons = [4.0 + 0.04 * i for i in range(n)]
-        out = clean_gps(gps_dataset(lats, lons), self.params())
+        out = clean_gps(gps_dataset(lats, lons), self.params(), report=ProcessingReport())
         assert not out.flagged(QualityFlag.IRRATIONAL_POSITION).any()
 
     def test_off_route_excursion_flagged_at_jumps(self):
@@ -214,7 +214,7 @@ class TestCleanGps:
         for i in range(1, n):
             rate = 0.0002 + 0.0001 * math.sin(i / 20.0)
             lons.append(lons[-1] + rate)
-        out = clean_gps(gps_dataset(lats, lons), self.params())
+        out = clean_gps(gps_dataset(lats, lons), self.params(), report=ProcessingReport())
         assert not out.flagged(QualityFlag.IRRATIONAL_POSITION).any()
 
 
@@ -279,14 +279,14 @@ class TestInterpolate:
     def test_bilinear_reproduces_linear_field(self):
         grid = make_grid(lambda la, lo, t: 2.0 * la + 3.0 * lo, LATS, LONS, TIMES)
         pts = random_points(np.random.default_rng(0), 50)
-        ds = interp(grid, query_dataset(pts), order=1)
+        ds = interp(grid, query_dataset(pts), order=1, report=ProcessingReport())
         col = ds.column("hc_f")
         for (t, la, lo), got in zip(pts, col):
             assert got == pytest.approx(2.0 * la + 3.0 * lo, abs=1e-9)
 
     def test_time_linear_field(self):
         grid = make_grid(lambda la, lo, t: t / 360.0, LATS, LONS, [0, 3600])
-        ds = interp(grid, query_dataset([(1800, 0.0, 0.0)]), order=1)
+        ds = interp(grid, query_dataset([(1800, 0.0, 0.0)]), order=1, report=ProcessingReport())
         assert ds.column("hc_f")[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_constant_field_masked_node_neighbor_mean(self):
@@ -294,19 +294,19 @@ class TestInterpolate:
         # masked node takes their mean 4.0 before bilinear weighting
         grid = two_slice_grid([[2.0, 4.0], [6.0, 99.0]], [[False, False], [False, True]])
         ds = interpolate(grid, query_dataset([(0, 0.5, 0.5)]), order=1,
-                         mask_policy="neighbor_mean")
+                         mask_policy="neighbor_mean", report=ProcessingReport())
         expected = 0.25 * (2.0 + 4.0 + 6.0 + 4.0)  # hand-computed weights
         assert ds.column("hc_f")[0] == pytest.approx(expected, abs=1e-12)
 
         ds0 = interpolate(grid, query_dataset([(0, 0.5, 0.5)]), order=1,
-                          mask_policy="zero_fill")
+                          mask_policy="zero_fill", report=ProcessingReport())
         assert ds0.column("hc_f")[0] == pytest.approx(0.25 * (2 + 4 + 6 + 0), abs=1e-12)
 
     def test_policies_agree_when_unmasked(self):
         grid = make_grid(lambda la, lo, t: la * lo + t / 3600.0, LATS, LONS, TIMES)
         pts = [(5000, 0.3, 0.7), (100, -1.2, 2.2)]
-        a = interpolate(grid, query_dataset(pts), order=1, mask_policy="zero_fill")
-        b = interpolate(grid, query_dataset(pts), order=1, mask_policy="neighbor_mean")
+        a = interpolate(grid, query_dataset(pts), order=1, mask_policy="zero_fill", report=ProcessingReport())
+        b = interpolate(grid, query_dataset(pts), order=1, mask_policy="neighbor_mean", report=ProcessingReport())
         assert np.array_equal(a.column("hc_f"), b.column("hc_f"))
 
     def test_all_four_masked_yields_missing(self):
@@ -321,7 +321,7 @@ class TestInterpolate:
         # each cell spans 2 x DBL_MAX: the query lies halfway across both
         big = np.finfo(float).max
         grid = two_slice_grid([[2.0, 4.0], [6.0, 8.0]], lats=(-big, big), lons=(-big, big))
-        ds = interp(grid, query_dataset([(0, 0.0, 0.5)]), order=1)
+        ds = interp(grid, query_dataset([(0, 0.0, 0.5)]), order=1, report=ProcessingReport())
         assert ds.column("hc_f")[0] == 5.0
 
     def test_outside_bounding_box_missing_and_counted(self):
@@ -346,12 +346,12 @@ class TestInterpolate:
         ds = query_dataset([(0, 0.0, 0.0)]).adding_flags(
             QualityFlag.IRRATIONAL_POSITION, [0]
         )
-        out = interp(grid, ds)
+        out = interp(grid, ds, report=ProcessingReport())
         assert math.isnan(out.column("hc_f")[0])
 
     def test_temporal_exactness_at_grid_timestamp(self):
         grid = make_grid(lambda la, lo, t: la + lo + t, LATS, LONS, TIMES)
-        ds = interp(grid, query_dataset([(3600, 0.25, 0.5)]), order=1)
+        ds = interp(grid, query_dataset([(3600, 0.25, 0.5)]), order=1, report=ProcessingReport())
         assert ds.column("hc_f")[0] == pytest.approx(0.25 + 0.5 + 3600.0, rel=1e-12)
 
     def test_convexity_for_order_1(self):
@@ -360,7 +360,7 @@ class TestInterpolate:
             LATS, LONS, TIMES,
         )
         pts = random_points(np.random.default_rng(5), 100)
-        ds = interp(grid, query_dataset(pts), order=1)
+        ds = interp(grid, query_dataset(pts), order=1, report=ProcessingReport())
         col = ds.column("hc_f")
         var = grid.variables[0]
         for (t, la, lo), got in zip(pts, col):
@@ -383,7 +383,7 @@ class TestInterpolate:
             return math.cos(math.radians(lo))
 
         grid = make_grid(field, lats, lons, times)
-        ds = interp(grid, query_dataset([(0, 0.0, 178.0)]), order=1)
+        ds = interp(grid, query_dataset([(0, 0.0, 178.0)]), order=1, report=ProcessingReport())
         got = ds.column("hc_f")[0]
         # linear blend between the seam columns at 170 and -170
         f = (178.0 - 170.0) / 20.0
@@ -394,12 +394,12 @@ class TestInterpolate:
 
     def test_angular_variable_interpolated_circularly(self):
         grid = two_slice_grid([[350.0, 10.0], [350.0, 10.0]], unit="deg")
-        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]))
+        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]), report=ProcessingReport())
         assert ds.column("hc_f")[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_toward_convention_converted(self):
         grid = two_slice_grid(np.full((2, 2), 90.0), unit="deg", convention="toward")
-        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]))
+        ds = interp(grid, query_dataset([(0, 0.5, 0.5)]), report=ProcessingReport())
         assert ds.column("hc_f")[0] == pytest.approx(270.0, abs=1e-9)
 
 
@@ -409,7 +409,7 @@ class TestOrderCheck:
     @staticmethod
     def orders(grid, pts):
         ds = query_dataset(pts)
-        return [interp(grid, ds, order=k).column("hc_f") for k in (1, 2)]
+        return [interp(grid, ds, order=k, report=ProcessingReport()).column("hc_f") for k in (1, 2)]
 
     def test_time_linear_field_zero_difference(self):
         grid = make_grid(lambda la, lo, t: la + t / 100.0, LATS, LONS, TIMES)

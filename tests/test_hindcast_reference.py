@@ -188,7 +188,8 @@ def test_stencil_tie_goes_to_the_past():
         [Sample(T0 + 5400, {"lat": 0.5, "lon": 0.5})],
     )
     for stage in (interpolate, reference.interpolate):
-        assert stage(grid, dataset, 2, DEFAULTS.mask_policy).column("hc_lin")[0] == 0.0
+        got = stage(grid, dataset, 2, DEFAULTS.mask_policy, report=ProcessingReport())
+        assert got.column("hc_lin")[0] == 0.0
 
 
 def scipy_values(grid, var, dataset):
@@ -217,7 +218,7 @@ def test_order_1_unmasked_matches_scipy(data):
     grid = data.draw(grids(min_steps=2, min_nodes=2, masked=False, angular_spread=60.0))
     # inside the box and the time span, off the seam, which scipy does not wrap
     dataset = data.draw(queries(grid, inside=True))
-    got = interpolate(grid, dataset, 1, DEFAULTS.mask_policy)
+    got = interpolate(grid, dataset, 1, DEFAULTS.mask_policy, report=ProcessingReport())
     for var in grid.variables:
         want = scipy_values(grid, var, dataset)
         col = got.column("hc_" + var.name)

@@ -1,11 +1,14 @@
 """Every name a module of the package imports is used in that module,
 every function, method and class the package defines is used by the program
 (``src/`` and ``perfbench/``), every field of a package dataclass is read by
-it, and a parameter that the pipeline passes a config value keeps no default
-of its own.
+it, a parameter that the pipeline passes a config value keeps no default
+of its own, and every default of a package function or method is omitted by
+at least one call of the program (a default that only tests rely on is not
+one the program has).
 
-The first three read the source with ``ast`` only; the last also imports
-``pipeline`` to read its callees' signatures with ``inspect``.
+All but the config check read the source with ``ast`` only; the config
+check also imports ``pipeline`` to read its callees' signatures with
+``inspect``.
 ``__init__.py`` is left out of the import check: its imports are the
 package's exports.
 """
@@ -499,3 +502,98 @@ def test_the_config_default_check_sees_a_second_default():
     assert defaulted_config_parameters(source, namespace) == [
         "own.tol", "own.tol", "own.window",
     ]
+
+
+# -- defaults: every default of the package is one a program call relies on ---
+
+
+def passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether ``call`` passes parameter ``name``, the ``index``-th of the
+    positional ones after the receiver (None: keyword-only); a call with
+    ``*args`` or ``**kwargs`` passes every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        kw.arg is None for kw in call.keywords
+    ):
+        return True
+    return (index is not None and index < len(call.args)) or name in {
+        kw.arg for kw in call.keywords
+    }
+
+
+def unused_defaults(defining: dict[str, str], reading: dict[str, str]) -> dict[str, str]:
+    """``function.parameter -> module:line`` of each default of a module-level
+    function or method in the ``defining`` modules that every call in the
+    ``reading`` modules passes a value for, so that no call relies on it.
+
+    A call is matched to its callee by name, or by attribute name
+    (``x.name(...)``); a class's ``__init__`` is called by the class's name,
+    and a method but a static one gets its first parameter from the receiver.
+    Dataclass fields are not parameters of a ``def``, so their defaults are
+    out of scope."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in reading.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unused = {}
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        functions = [(f, None) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        functions += [
+            (f, c) for c in tree.body if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, ast.FunctionDef)
+        ]
+        for fn, cls in functions:
+            a = fn.args
+            positional = [*a.posonlyargs, *a.args]
+            if cls and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}:
+                positional = positional[1:]
+            defaulted = list(enumerate(positional))[len(positional) - len(a.defaults):]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            owner = f"{cls.name}." if cls else ""
+            for index, param in defaulted:
+                if all(passes(call, param.arg, index) for call in calls.get(name, [])):
+                    unused[f"{owner}{fn.name}.{param.arg}"] = f"{module}:{param.lineno}"
+    return unused
+
+
+def test_every_default_is_omitted_by_a_program_call():
+    unused = unused_defaults(*program_sources())
+    assert not unused, f"defaults that every call in src/ and perfbench/ overrides: {unused}"
+
+
+def test_the_default_check_sees_a_default_only_a_test_omits():
+    a = (
+        "def stage(d, tol=0.5, *, report=None): pass\n"
+        "def used(d, tol=0.5): pass\n"
+        "def spread(d, tol=0.5, *, window=3): pass\n"
+        "class Entry:\n"
+        "    def __init__(self, name, n=1): pass\n"
+        "    def count(self, flag, n=1): pass\n"
+        "    @staticmethod\n"
+        "    def make(n=1): pass\n"
+        "    def note(self, text=''): pass\n"
+    )
+    program = (
+        "import a\n"
+        "a.stage(d, 0.1, report=r)\n"
+        "used(d)\n"
+        "spread(*args)\n"
+        "spread(d, **options)\n"
+        "Entry('x', 2)\n"
+        "entry.count(flag, 2)\n"
+        "Entry.make(2)\n"
+        "entry.note()\n"
+    )
+    test = "stage(d)\nEntry('x')\nentry.count(flag)\nspread(d)\n"
+    assert unused_defaults({"a.py": a}, {"a.py": a, "b.py": program}) == {
+        "stage.tol": "a.py:1", "stage.report": "a.py:1",
+        "spread.tol": "a.py:3", "spread.window": "a.py:3",
+        "Entry.__init__.n": "a.py:5", "Entry.count.n": "a.py:6", "Entry.make.n": "a.py:8",
+    }
+    # a test's call that omits a default would keep it: the gate reads none
+    assert unused_defaults({"a.py": a}, {"a.py": a, "b.py": program, "t.py": test}) == {
+        "Entry.make.n": "a.py:8",
+    }

@@ -33,14 +33,14 @@ class TestShipCsv:
     def test_knots_converted_to_m_per_s(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,sog\n2021-01-01T00:00:00Z,10.0\n")
-        ds = load(p, unit_map={"sog": "knots"})
+        ds = load(p, unit_map={"sog": "knots"}, report=ProcessingReport())
         assert ds.column("sog")[0] == pytest.approx(TEN_KNOTS_M_PER_S, abs=1e-4)
         assert ds.column("sog")[0] == pytest.approx(5.1444, abs=1e-4)
 
     def test_empty_file_with_header(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,sog,draft_fore\n")
-        ds = load(p)
+        ds = load(p, report=ProcessingReport())
         assert len(ds) == 0
 
     def test_blank_cell_is_missing_and_counted(self, tmp_path):
@@ -61,7 +61,7 @@ class TestShipCsv:
         p = tmp_path / "ship.csv"
         p.write_text("time,sog\n2021-01-01T00:00:00Z,5.0\n")
         with pytest.raises(IngestError, match="timestamp"):
-            load(p)
+            load(p, report=ProcessingReport())
 
     def test_mostly_unparseable_bare_minimum_column_fatal(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -70,7 +70,7 @@ class TestShipCsv:
             rows.append(f"2021-01-01T00:{i:02d}:00Z,{'bogus' if i < 6 else '4.0'}")
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestError, match="stw"):
-            load(p)
+            load(p, report=ProcessingReport())
 
     def test_non_finite_cells_unparseable(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -95,7 +95,7 @@ class TestShipCsv:
             rows.append(f"2021-01-01T00:{i:02d}:00Z,{'nan' if i < 6 else '4.0'}")
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(IngestError, match="stw: 6/10"):
-            load(p)
+            load(p, report=ProcessingReport())
 
     def test_repeated_timestamp_keeps_first_row_and_flags_dropout(self, tmp_path):
         p = tmp_path / "ship.csv"
@@ -183,7 +183,7 @@ class TestShipCsv:
     def test_unknown_column_auto_declared(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("timestamp,fuel_temp\n2021-01-01T00:00:00Z,55.5\n")
-        ds = load(p)
+        ds = load(p, report=ProcessingReport())
         assert ds.column("fuel_temp")[0] == 55.5
 
     def test_unit_map_scales_each_column_into_si(self, tmp_path):
@@ -193,7 +193,7 @@ class TestShipCsv:
             "2021-01-01T00:00:00Z,12.25,8000.5\n"
             "2021-01-01T00:15:00Z,11.0,\n"
         )
-        ds = load(src, unit_map={"sog": "knots", "shaft_power": "kW"})
+        ds = load(src, unit_map={"sog": "knots", "shaft_power": "kW"}, report=ProcessingReport())
         assert ds.column("sog").tolist() == [12.25 * KNOT, 11.0 * KNOT]
         assert ds.column("shaft_power")[0] == 8000.5 * 1000.0
         assert np.isnan(ds.column("shaft_power")[1])
@@ -216,7 +216,7 @@ class TestHindcastGrid:
     def test_all_valid_cells(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(GRID_HEADER + "1,2\n3,4\n5,6\n7,8\n")
-        grid = load_hindcast(p)
+        grid = load_hindcast(p, report=ProcessingReport())
         var = variable(grid, "wave")
         assert var.values.shape == (2, 2, 2)
         assert not var.mask.any()
@@ -225,7 +225,7 @@ class TestHindcastGrid:
     def test_masked_cell_round_trip(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(GRID_HEADER + "1,2\n3,M\n5,6\n7,8\n")
-        var = variable(load_hindcast(p), "wave")
+        var = variable(load_hindcast(p, report=ProcessingReport()), "wave")
         assert var.mask[0, 1, 1]
         assert var.mask.sum() == 1
 
@@ -234,19 +234,19 @@ class TestHindcastGrid:
         # declares 2 lats -> 4 rows needed, only 3 given
         p.write_text(GRID_HEADER + "1,2\n3,4\n5,6\n")
         with pytest.raises(IngestError, match="time index 1"):
-            load_hindcast(p)
+            load_hindcast(p, report=ProcessingReport())
 
     def test_row_length_mismatch(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(GRID_HEADER + "1,2\n3,4,9\n5,6\n7,8\n")
         with pytest.raises(IngestError, match="expected 2 values"):
-            load_hindcast(p)
+            load_hindcast(p, report=ProcessingReport())
 
     def test_unknown_token_fatal_with_location(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(GRID_HEADER + "1,2\n3,x\n5,6\n7,8\n")
         with pytest.raises(IngestError, match="'x'"):
-            load_hindcast(p)
+            load_hindcast(p, report=ProcessingReport())
 
     def test_unknown_token_message_names_every_index(self, tmp_path):
         p = tmp_path / "grid.txt"
@@ -255,7 +255,7 @@ class TestHindcastGrid:
             + "1,2\n3,4\n5,6\n7,8\n" + "1,2\n3,4\nM,6\n7, x \n"
         )
         with pytest.raises(IngestError) as err:
-            load_hindcast(p)
+            load_hindcast(p, report=ProcessingReport())
         assert str(err.value) == (
             f"{p}:13: variable 'wave', time index 1, lat index 1, lon index 1: "
             "unknown token 'x'"
@@ -268,7 +268,7 @@ class TestHindcastGrid:
             GRID_HEADER.replace("#lon 4.0,5.0", "#lon 4.0,5.0,6.0,7.0")
             + "\n".join(",".join(tokens[i:i + 4]) for i in (0, 4, 0, 4)) + "\n"
         )
-        var = variable(load_hindcast(p), "wave")
+        var = variable(load_hindcast(p, report=ProcessingReport()), "wave")
         # an M, and a number that is not finite (inf), is masked at 0.0
         masked = [t.strip() == "M" or not math.isfinite(float(t)) for t in tokens]
         expected = [0.0 if m else float(t) for t, m in zip(tokens, masked)] * 2
@@ -308,7 +308,7 @@ class TestHindcastGrid:
             + "1,2\n3,4\n5,6\n7,8\n"
         )
         with pytest.raises(IngestError) as err:
-            load_hindcast(p)
+            load_hindcast(p, report=ProcessingReport())
         assert str(err.value) == f"{p}: lat axis must be strictly ascending"
 
 
@@ -328,7 +328,7 @@ class TestParticulars:
         assert any("midpoint" in c for c in report.stage_entries[0].corrections)
 
     def test_explicit_cb_kept_verbatim(self, tmp_path):
-        part = load_particulars(self.base(tmp_path, "block_coefficient = 0.6\n"))
+        part = load_particulars(self.base(tmp_path, "block_coefficient = 0.6\n"), report=ProcessingReport())
         assert part.block_coefficient == 0.6
 
     def test_negative_design_draft_fatal(self, tmp_path):
@@ -337,13 +337,13 @@ class TestParticulars:
             "ship_type = ferry\nlwl = 100\nbeam = 20\ndesign_draft = -3\n"
         )
         with pytest.raises(IngestError, match="design_draft"):
-            load_particulars(p)
+            load_particulars(p, report=ProcessingReport())
 
     def test_unknown_ship_type_lists_accepted(self, tmp_path):
         p = tmp_path / "part.txt"
         p.write_text("ship_type = submarine\nlwl = 100\nbeam = 20\ndesign_draft = 5\n")
         with pytest.raises(IngestError, match="crude_oil_carrier"):
-            load_particulars(p)
+            load_particulars(p, report=ProcessingReport())
 
     @pytest.mark.parametrize("line", [
         "beam = nan", "lpp = inf", "design_draft = -inf", "anemometer_height = nan",
@@ -353,7 +353,7 @@ class TestParticulars:
         p = self.base(tmp_path, line + "\n")
         key = line.split(" = ")[0]
         with pytest.raises(IngestError, match=re.escape(f"{p}: {key} must be finite")):
-            load_particulars(p)
+            load_particulars(p, report=ProcessingReport())
 
     # the trip thresholds are config keys; a misspelt key is no default
     @pytest.mark.parametrize("line", [
@@ -363,7 +363,7 @@ class TestParticulars:
         p = self.base(tmp_path, line + "\n")
         key = line.split(" = ")[0]
         with pytest.raises(IngestError) as err:
-            load_particulars(p)
+            load_particulars(p, report=ProcessingReport())
         assert str(err.value) == f"{p}: unknown particulars key {key!r}"
 
     def test_every_accepted_key_loads(self, tmp_path):
@@ -376,19 +376,19 @@ class TestParticulars:
         assert sorted(PARTICULARS_KEYS) == sorted(
             line.split(" = ")[0] for line in p.read_text().splitlines()[:-1]
         )
-        part = load_particulars(p)
+        part = load_particulars(p, report=ProcessingReport())
         assert (part.lpp, part.wind_reference_height, part.curve().label) == (98.0, 10.0, "ballast")
 
     def test_without_lwl_and_lpp_fatal(self, tmp_path):
         p = tmp_path / "part.txt"
         p.write_text("ship_type = ferry\nbeam = 20\ndesign_draft = 5\n")
         with pytest.raises(IngestError) as err:
-            load_particulars(p)
+            load_particulars(p, report=ProcessingReport())
         assert str(err.value) == f"{p}: at least one of lwl, lpp is required"
 
     def test_curves_parsed(self, tmp_path):
         part = load_particulars(
-            self.base(tmp_path, "curve.sea_trial = 2:6400, 4:51200, 8:409600\n")
+            self.base(tmp_path, "curve.sea_trial = 2:6400, 4:51200, 8:409600\n"), report=ProcessingReport()
         )
         assert part.curve().label == "sea_trial"
         assert part.curve().power_at(4.0) == 51200

@@ -31,14 +31,14 @@ def schema():
 
 class TestNewDataset:
     def test_empty_sample_list(self):
-        ds = new_dataset(schema(), [], {})
+        ds = new_dataset(schema(), [], {}, source_kind="in_service")
         assert len(ds) == 0
         assert ds.sampling_interval is None
 
     def test_out_of_order_samples_sorted(self):
         ds = new_dataset(
             schema(), [300, 100, 200], {"sog": [3.0, 1.0, None], "state": ["c", "a", None]},
-            flags=[{QualityFlag.SPIKE}, (), ()], trip_ids=[3, None, 2],
+            flags=[{QualityFlag.SPIKE}, (), ()], trip_ids=[3, None, 2], source_kind="in_service",
         )
         assert list(ds.timestamps) == [100, 200, 300]
         assert ds.column("sog")[0] == 1.0
@@ -49,7 +49,7 @@ class TestNewDataset:
         assert ds.trip_ids.tolist() == [-1, 2, 3]
 
     def test_array_columns_sorted(self):
-        ds = new_dataset(schema(), np.array([5, 1, 3]), {"sog": np.array([5.0, 1.0, 3.0])})
+        ds = new_dataset(schema(), np.array([5, 1, 3]), {"sog": np.array([5.0, 1.0, 3.0])}, source_kind="in_service")
         assert ds.column("sog").tolist() == [1.0, 3.0, 5.0]
 
     def test_list_and_array_columns_give_the_same_dataset(self):
@@ -59,7 +59,8 @@ class TestNewDataset:
         arrays = {"sog": np.array([3.0, np.nan, 0.5, 1.5]),
                   "heading": np.array([-5.0, 360.0, np.nan, 12.3]),
                   "state": np.array(["c", "a", None, "d"], dtype=object)}
-        kwargs = dict(flags=[{QualityFlag.SPIKE}, (), (), ()], trip_ids=[3, None, 2, 4])
+        kwargs = dict(flags=[{QualityFlag.SPIKE}, (), (), ()], trip_ids=[3, None, 2, 4],
+                      source_kind="in_service")
         stamps = [300, 100, 200, 400]
         want = new_dataset(schema(), stamps, lists, **kwargs)
         for columns in (arrays, {**arrays, "state": lists["state"]}):
@@ -74,28 +75,28 @@ class TestNewDataset:
 
     def test_column_length_checked(self):
         with pytest.raises(DatasetError, match="'sog': expected 2 entries, got 1"):
-            new_dataset(schema(), [0, 900], {"sog": [1.0]})
+            new_dataset(schema(), [0, 900], {"sog": [1.0]}, source_kind="in_service")
 
     def test_duplicate_timestamp_rejected(self):
         with pytest.raises(DatasetError, match="1970-01-01T00:01:40Z"):
-            new_dataset(schema(), [200, 100, 100], {})
+            new_dataset(schema(), [200, 100, 100], {}, source_kind="in_service")
 
     def test_duplicate_variable_name_rejected(self):
         with pytest.raises(SchemaError, match="sog"):
-            new_dataset([VariableSpec("sog"), VariableSpec("sog")], [], {})
+            new_dataset([VariableSpec("sog"), VariableSpec("sog")], [], {}, source_kind="in_service")
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(DatasetError, match="mystery"):
-            new_dataset(schema(), [0], {"mystery": [1.0]})
+            new_dataset(schema(), [0], {"mystery": [1.0]}, source_kind="in_service")
 
     def test_angular_normalised_into_0_360(self):
-        ds = new_dataset(schema(), [0, 1], {"heading": [-5.0, 360.0]})
+        ds = new_dataset(schema(), [0, 1], {"heading": [-5.0, 360.0]}, source_kind="in_service")
         assert ds.column("heading")[0] == 355.0
         assert ds.column("heading")[1] == 0.0
 
     def test_longitude_wrapped_only_outside_range(self):
         lons = [12.3, 4.2, -180.0, 179.99999999999997, 180.0, 190.0, -190.0, 540.0]
-        ds = new_dataset([VariableSpec("lon")], range(len(lons)), {"lon": lons})
+        ds = new_dataset([VariableSpec("lon")], range(len(lons)), {"lon": lons}, source_kind="in_service")
         assert ds.column("lon").tolist() == [
             12.3, 4.2, -180.0, 179.99999999999997, -180.0, -170.0, 170.0, -180.0,
         ]
@@ -105,7 +106,7 @@ class TestNewDataset:
         # stored as logged and missing to the rules (valid)
         lons = [-540.0, 540.0, 540.0000000000001, -1e306, 1e306]
         ds = new_dataset([VariableSpec("lon", valid_min=-180.0, valid_max=180.0)],
-                         range(len(lons)), {"lon": lons})
+                         range(len(lons)), {"lon": lons}, source_kind="in_service")
         assert ds.column("lon").tolist() == [-180.0, -180.0, 540.0000000000001, -1e306, 1e306]
         assert ds.valid("lon")[:2].tolist() == [-180.0, -180.0]
         assert np.isnan(ds.valid("lon")[2:]).all()
@@ -113,7 +114,7 @@ class TestNewDataset:
     def test_valid_hides_only_values_outside_the_range(self):
         sog = [0.0, -0.0, 26.0, np.nextafter(26.0, 27.0), -1e-310, None, 3.5]
         ds = new_dataset([VariableSpec("sog", valid_min=0.0, valid_max=26.0), VariableSpec("x")],
-                         range(len(sog)), {"sog": sog, "x": [1e308] * len(sog)})
+                         range(len(sog)), {"sog": sog, "x": [1e308] * len(sog)}, source_kind="in_service")
         got = ds.valid("sog")
         assert got[[0, 1, 2, 6]].tolist() == [0.0, -0.0, 26.0, 3.5]
         assert np.isnan(got[[3, 4, 5]]).all()
@@ -122,19 +123,19 @@ class TestNewDataset:
         assert not got.flags.writeable
 
     def test_nan_becomes_missing(self):
-        ds = new_dataset(schema(), [0], {"sog": [float("nan")]})
+        ds = new_dataset(schema(), [0], {"sog": [float("nan")]}, source_kind="in_service")
         assert np.isnan(ds.column("sog")[0])
 
     def test_text_value_on_numeric_variable_rejected(self):
         with pytest.raises(DatasetError):
-            new_dataset(schema(), [0], {"sog": ["fast"]})
+            new_dataset(schema(), [0], {"sog": ["fast"]}, source_kind="in_service")
 
     def test_positional_constructor_transposes_rows(self):
         rows = [Sample(900, {"sog": 2.0}, frozenset({QualityFlag.SPIKE}), 1), Sample(0, {"state": "a"})]
         ds = VoyageDataset(tuple(schema()), rows, 900, "ais")
         want = new_dataset(
-            schema(), [900, 0], {"sog": [2.0, None], "state": [None, "a"]}, 900, "ais",
-            flags=[{QualityFlag.SPIKE}, ()], trip_ids=[1, None],
+            schema(), [900, 0], {"sog": [2.0, None], "state": [None, "a"]}, 900,
+            source_kind="ais", flags=[{QualityFlag.SPIKE}, ()], trip_ids=[1, None],
         )
         assert (ds.schema, ds.sampling_interval, ds.source_kind) == (want.schema, 900, "ais")
         assert ds.timestamps.tolist() == want.timestamps.tolist() == [0, 900]
@@ -156,7 +157,7 @@ class TestNewDataset:
 
 class TestImmutability:
     def test_adding_flags_is_monotone(self):
-        ds = new_dataset(schema(), [0, 900], {"sog": [1.0, None]})
+        ds = new_dataset(schema(), [0, 900], {"sog": [1.0, None]}, source_kind="in_service")
         ds2 = ds.adding_flags(QualityFlag.SPIKE, [0])
         ds3 = ds2.adding_flags(QualityFlag.DROPOUT, [0]).adding_flags(
             QualityFlag.UNSTEADY, np.array([False, True])
@@ -169,7 +170,7 @@ class TestImmutability:
                 assert flags_at(before, i) <= flags_at(after, i)
 
     def test_dataset_attributes_frozen(self):
-        ds = new_dataset(schema(), [], {})
+        ds = new_dataset(schema(), [], {}, source_kind="in_service")
         with pytest.raises(AttributeError):
             ds.timestamps = ()
 
@@ -177,7 +178,7 @@ class TestImmutability:
         # the grouping is made once per trip-ids array: a dataset derived with
         # the same ids shares it, new ids or new rows are grouped afresh
         ds = new_dataset(
-            schema(), [0, 900, 1800, 2700], {"sog": [1.0] * 4}, trip_ids=[2, None, 1, 2]
+            schema(), [0, 900, 1800, 2700], {"sog": [1.0] * 4}, trip_ids=[2, None, 1, 2], source_kind="in_service"
         )
         trips = ds.trips()
         assert {k: v.tolist() for k, v in trips.items()} == {1: [2], 2: [0, 3]}
@@ -190,7 +191,7 @@ class TestImmutability:
         assert {k: v.tolist() for k, v in taken.items()} == {1: [1]}
 
     def test_adding_variable_length_checked(self):
-        ds = new_dataset(schema(), [0, 900], {})
+        ds = new_dataset(schema(), [0, 900], {}, source_kind="in_service")
         with pytest.raises(DatasetError):
             ds.adding_variable(VariableSpec("extra"), [1.0])
 
@@ -207,7 +208,7 @@ class TestRoundTrip:
             },
             sampling_interval=900,
             flags=[{QualityFlag.SPIKE, QualityFlag.UNSTEADY}, (), ()],
-            trip_ids=[2, None, None],
+            trip_ids=[2, None, None], source_kind="in_service",
         )
         back, trips, flags = write_and_read_processed(ds, tmp_path / "processed.csv")
         assert len(back) == len(ds)
@@ -240,7 +241,7 @@ YEAR_1000 = -30610224000  # 1000-01-01T00:00:00
 def test_roundtrip_bit_equality_property(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("rt")
     stamps, values = zip(*sorted(rows)) if rows else ((), ())
-    ds = new_dataset([VariableSpec("x")], list(stamps), {"x": list(values)})
+    ds = new_dataset([VariableSpec("x")], list(stamps), {"x": list(values)}, source_kind="in_service")
     back, _, _ = write_and_read_processed(ds, tmp / "processed.csv")
     assert back.timestamps.tolist() == ds.timestamps.tolist()
     assert back.column("x").tobytes() == ds.column("x").tobytes()
@@ -265,7 +266,7 @@ class TestCheckRows:
         for t, v, e, o in zip(stamps.tolist(), verdicts.tolist(), expected, ints.tolist()):
             one.check(v, timestamp=t, variable="v", expected=e, observed=o)
         for t, o in zip(stamps[1:].tolist(), floats.tolist()):
-            one.check("unsteady", timestamp=t, expected=0.25, observed=o)
+            one.check("unsteady", timestamp=t, variable=None, expected=0.25, observed=o)
         return rows, one
 
     def test_same_checks_as_one_at_a_time(self):

@@ -14,7 +14,7 @@ from conftest import DEFAULTS, VoyageBuilder, expand_runs, load_generate
 from shipdataprep import pipeline as pl
 from shipdataprep.cli import main
 from shipdataprep.ingest import PIPELINE_STAGES, load_config, load_ship_csv
-from shipdataprep.model import QualityFlag, parse_iso_timestamp
+from shipdataprep.model import ProcessingReport, QualityFlag, parse_iso_timestamp
 from shipdataprep.pipeline import emit_plotdata, run_pipeline, write_processed_csv
 
 
@@ -383,7 +383,7 @@ class TestContextualScope:
         paths = with_cells(self.stuck_drafts(tmp_path), "shaft_rpm", {70: 0.0})
         result = run(paths)
         ingested = load_ship_csv(
-            paths["ship_csv"], unit_map=DEFAULTS.unit_map, source_kind=DEFAULTS.source_kind
+            paths["ship_csv"], unit_map=DEFAULTS.unit_map, source_kind=DEFAULTS.source_kind, report=ProcessingReport()
         )
         ingested = {s.name for s in ingested.schema}
         checks = contextual_checks(result)
@@ -592,7 +592,7 @@ def crash_on_call(monkeypatch, stage, call=1, function=None):
 
 
 def processed_text(result, path):
-    write_processed_csv(result.dataset, path, timestamp_header=False)
+    write_processed_csv(result.dataset, path, timestamp_header=False, plots=())
     return path.read_text()
 
 
@@ -987,7 +987,7 @@ class TestPlotData:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths)
         out = tmp_path / "plots"
-        files = emit_plotdata(result.dataset, out, result.particulars)
+        files = emit_plotdata(result.dataset, out, result.particulars, timestamp_header=True)
         names = {f.name for f in files}
         assert {"trip_001.csv", "trip_002.csv", "trip_003.csv"} <= names
         assert {"speed_power.csv", "wind_comparison.csv", "draft_correction.csv"} <= names
@@ -997,7 +997,7 @@ class TestPlotData:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths, stages=("regularize",))
         out = tmp_path / "plots"
-        files = emit_plotdata(result.dataset, out, result.particulars)
+        files = emit_plotdata(result.dataset, out, result.particulars, timestamp_header=True)
         names = {f.name for f in files}
         assert names == {"speed_power.csv", "wind_comparison.csv", "draft_correction.csv"}
 
@@ -1005,6 +1005,6 @@ class TestPlotData:
         paths = VoyageBuilder(tmp_path).build()
         result = run(paths)
         out = tmp_path / "plots"
-        emit_plotdata(result.dataset, out, result.particulars)
+        emit_plotdata(result.dataset, out, result.particulars, timestamp_header=True)
         header = (out / "draft_correction.csv").read_text().splitlines()[0]
         assert "raw_draft_fore" in header and "draft_fore" in header

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import DEFAULTS, rows_dataset, series_dataset
 from shipdataprep.ingest import default_schema
-from shipdataprep.model import QualityFlag, Sample, VariableSpec, new_dataset
+from shipdataprep.model import ProcessingReport, QualityFlag, Sample, VariableSpec, new_dataset
 from shipdataprep.timeline import (
     SegmentationError,
     regularize,
@@ -29,14 +29,14 @@ def ts_dataset(timestamps, values=None):
 
 class TestRegularize:
     def test_single_gap_inserted(self):
-        ds = regularize(ts_dataset([0, 900, 2700]), 900)
+        ds = regularize(ts_dataset([0, 900, 2700]), 900, report=ProcessingReport())
         assert list(ds.timestamps) == [0, 900, 1800, 2700]
         assert np.isnan(ds.column("x")[2])
         assert ds.flagged(QualityFlag.MISSING_INSERTED)[2]
 
     def test_uniform_series_unchanged(self):
         ds0 = ts_dataset([0, 900, 1800], values=[1.0, 2.0, 3.0])
-        ds = regularize(ds0, 900)
+        ds = regularize(ds0, 900, report=ProcessingReport())
         assert list(ds.timestamps) == [0, 900, 1800]
         assert not ds.flagged(*QualityFlag).any()
         assert ds.column("x").tolist() == [1.0, 2.0, 3.0]
@@ -51,7 +51,7 @@ class TestRegularize:
         assert len(snaps) == 2  # 890 and 1805 moved; 0 stayed
 
     def test_half_interval_ties_to_earlier(self):
-        ds = regularize(ts_dataset([0, 450, 1800]), 900)
+        ds = regularize(ts_dataset([0, 450, 1800]), 900, report=ProcessingReport())
         # 450 is exactly half: earlier point 0 wins the tie, collides with 0
         assert list(ds.timestamps) == [0, 900, 1800]
 
@@ -83,7 +83,7 @@ class TestRegularize:
     )
     def test_constant_gradient_property(self, steps):
         interval = 900
-        ds = regularize(ts_dataset(sorted(t * interval for t in steps)), interval)
+        ds = regularize(ts_dataset(sorted(t * interval for t in steps)), interval, report=ProcessingReport())
         diffs = np.diff(ds.timestamps)
         assert (diffs == interval).all()
 
@@ -91,24 +91,24 @@ class TestRegularize:
 class TestResample:
     def test_down_mean_two_point(self):
         ds = series_dataset({"sog": [4.0, 6.0]}, interval=60, t0=60)
-        out = resample(ds, 900)
+        out = resample(ds, 900, report=ProcessingReport())
         assert len(out) == 1
         assert out.column("sog")[0] == 5.0
 
     def test_down_mean_circular_heading(self):
         ds = series_dataset({"heading": [350.0, 10.0]}, interval=60, t0=0)
-        out = resample(ds, 900)
+        out = resample(ds, 900, report=ProcessingReport())
         assert out.column("heading")[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_down_mean_avoids_the_naive_fault(self):
         ds = series_dataset({"heading": [350.0, 10.0]}, interval=60, t0=0)
         # the arithmetic mean of the bin commits the 0/360 fault; resample does not
         assert np.mean(ds.column("heading")) == pytest.approx(180.0)
-        assert resample(ds, 900).column("heading")[0] == pytest.approx(0.0, abs=1e-9)
+        assert resample(ds, 900, report=ProcessingReport()).column("heading")[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_bins_stay_empty(self):
         ds = ts_dataset([0, 2700], values=[1.0, 2.0])
-        out = resample(ds, 900)
+        out = resample(ds, 900, report=ProcessingReport())
         assert len(out) == 4
         assert np.isnan(out.column("x")[1])
         assert out.flagged(QualityFlag.MISSING_INSERTED)[1]
@@ -117,7 +117,7 @@ class TestResample:
     @given(st.floats(min_value=0.0, max_value=359.999), st.integers(2, 8))
     def test_circular_mean_of_equal_angles_is_identity(self, theta, count):
         ds = series_dataset({"heading": [theta] * count}, interval=60, t0=0)
-        out = resample(ds, 3600)
+        out = resample(ds, 3600, report=ProcessingReport())
         got = out.column("heading")[0]
         diff = abs(got - theta) % 360.0
         assert min(diff, 360.0 - diff) < 1e-9
@@ -186,7 +186,7 @@ class TestSegmentByThresholds:
                              "sog": [0.0, 0.0, 0.0, 0.0, 26.5, 26.0]})
         specs = {s.name: s for s in default_schema()}
         ds = new_dataset([specs["shaft_rpm"], specs["sog"]], ds.timestamps,
-                         {name: ds.column(name) for name in ("shaft_rpm", "sog")})
+                         {name: ds.column(name) for name in ("shaft_rpm", "sog")}, source_kind="in_service")
         out = segment_by_thresholds(ds, 10.0, 1.54, pad_samples=0)
         assert out.trip_ids.tolist() == [-1, -1, 1, -1, -1, 2]
 

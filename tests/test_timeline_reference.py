@@ -60,7 +60,7 @@ def test_thresholds_match_loops(columns, which, with_state, pad):
         values["state"] = state
     specs = {spec.name: spec for spec in default_schema()}
     stamps = [T0 + i * INTERVAL for i in range(len(state))]
-    ds = new_dataset([specs[name] for name in values], stamps, values)
+    ds = new_dataset([specs[name] for name in values], stamps, values, source_kind="in_service")
     assert outcome(segment_by_thresholds, ds, 10.0, 1.54, pad) == outcome(
         ref.segment_by_thresholds, ds, 10.0, 1.54, pad
     )
@@ -96,7 +96,7 @@ def draft_voyage(draw):
     ids = [None] * lead + [1] * (n - lead - tail) + [None] * tail
     stamps = [T0 + i * INTERVAL for i in range(n)]
     schema = [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")]
-    ds = new_dataset(schema, stamps, columns, trip_ids=ids)
+    ds = new_dataset(schema, stamps, columns, trip_ids=ids, source_kind="in_service")
     params = SteadyFilterParams(
         draw(st.sampled_from([3, 5, 7])),
         draw(st.sampled_from([0.01, 0.2])),
@@ -161,7 +161,7 @@ def sporadic_feed(draw):
     ]
     columns = {"x": x, "heading": heading, "state": state}
     columns.update({name: [missing] * n for name, missing in ABSENT.items()})
-    return new_dataset(RESAMPLE_SCHEMA, stamps, columns, flags=flags), interval
+    return new_dataset(RESAMPLE_SCHEMA, stamps, columns, flags=flags, source_kind="in_service"), interval
 
 
 @settings(max_examples=120, deadline=None)

@@ -36,13 +36,13 @@ class TestPowerIdentity:
         ds = series_dataset(
             {"shaft_rpm": [0.0], "shaft_torque": [0.0], "shaft_power": [0.0]}
         )
-        out = check_power_identity(ds, DEFAULTS.power_tolerance)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance, report=ProcessingReport())
         assert not flags_at(out, 0)
 
     def test_third_variable_derived(self):
         # n = 2 rev/s stored as 120 rpm, torque 1000 N*m -> power derived
         ds = series_dataset({"shaft_rpm": [120.0], "shaft_torque": [1000.0]})
-        out = check_power_identity(ds, DEFAULTS.power_tolerance)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance, report=ProcessingReport())
         assert out.column("derived_shaft_power")[0] == pytest.approx(
             12_566.4, abs=0.1
         )
@@ -72,18 +72,18 @@ class TestPowerIdentity:
         ds = series_dataset(
             {"shaft_rpm": [120.0], "shaft_torque": [1000.0], "shaft_power": [12_600.0]}
         )
-        out = check_power_identity(ds, rel_tolerance=0.02)
+        out = check_power_identity(ds, rel_tolerance=0.02, report=ProcessingReport())
         assert not flags_at(out, 0)
 
     def test_derivation_is_fixed_point(self):
         ds = series_dataset({"shaft_rpm": [90.0], "shaft_torque": [5_000.0]})
-        out = check_power_identity(ds, DEFAULTS.power_tolerance)
+        out = check_power_identity(ds, DEFAULTS.power_tolerance, report=ProcessingReport())
         derived = out.column("derived_shaft_power")[0]
         # feeding the derived power back in passes the identity exactly
         again = series_dataset(
             {"shaft_rpm": [90.0], "shaft_torque": [5_000.0], "shaft_power": [derived]}
         )
-        out2 = check_power_identity(again, rel_tolerance=1e-12)
+        out2 = check_power_identity(again, rel_tolerance=1e-12, report=ProcessingReport())
         assert not flags_at(out2, 0)
 
 
@@ -355,10 +355,10 @@ def wind_check_dataset(n=30, faulted=()):
 
 
 class TestLongitudinalWind:
-    def run(self, ds, report=None):
+    def run(self, ds, report):
         from shipdataprep.features import resolve_ship_frame
 
-        ds = resolve_ship_frame(ds)
+        ds = resolve_ship_frame(ds, report=ProcessingReport())
         return ds, check_longitudinal_wind(ds, tolerance=4.0, report=report, use_fixed=True)
 
     def test_consistent_fixture_zero_residual(self):
@@ -374,9 +374,9 @@ class TestLongitudinalWind:
         ds = wind_check_dataset(faulted=range(10, 20))
         from shipdataprep.features import resolve_ship_frame
 
-        ds = resolve_ship_frame(ds)
+        ds = resolve_ship_frame(ds, report=ProcessingReport())
         # detector first: it flags the angular fault and writes fixed_ values
-        ds = detect_angular_fault(ds, "rel_wind_dir", hindcast_relative_wind_direction(ds))
+        ds = detect_angular_fault(ds, "rel_wind_dir", hindcast_relative_wind_direction(ds), report=ProcessingReport())
         report = ProcessingReport()
         result = check_longitudinal_wind(ds, tolerance=4.0, report=report, use_fixed=False)
         assert result["beyond_tolerance"] == 10
@@ -386,9 +386,9 @@ class TestLongitudinalWind:
         ds = wind_check_dataset(faulted=range(10, 20))
         from shipdataprep.features import resolve_ship_frame
 
-        ds = resolve_ship_frame(ds)
-        ds = detect_angular_fault(ds, "rel_wind_dir", hindcast_relative_wind_direction(ds))
-        result = check_longitudinal_wind(ds, tolerance=4.0, use_fixed=True)
+        ds = resolve_ship_frame(ds, report=ProcessingReport())
+        ds = detect_angular_fault(ds, "rel_wind_dir", hindcast_relative_wind_direction(ds), report=ProcessingReport())
+        result = check_longitudinal_wind(ds, tolerance=4.0, use_fixed=True, report=ProcessingReport())
         assert result["beyond_tolerance"] == 0
 
     def test_overflowed_residual_is_a_mismatch(self):
@@ -412,7 +412,7 @@ class TestLongitudinalWind:
 
     def test_missing_hindcast_wind_skips(self):
         ds = series_dataset({"sog": [5.0], "rel_wind_speed": [10.0]})
-        result = check_longitudinal_wind(ds, DEFAULTS.wind_tolerance, use_fixed=True)
+        result = check_longitudinal_wind(ds, DEFAULTS.wind_tolerance, use_fixed=True, report=ProcessingReport())
         assert result["compared"] == 0
 
 
@@ -424,18 +424,18 @@ class TestAngularFaultDetector:
 
     def test_fault_near_wrap_flagged_and_fixed(self):
         ds, ref = self.build([180.0], [2.0])
-        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
+        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref, report=ProcessingReport())
         assert out.flagged(QualityFlag.ANGULAR_AVERAGING_FAULT)[0]
         assert out.column("fixed_rel_wind_dir")[0] == pytest.approx(2.0)
 
     def test_agreement_not_flagged(self):
         ds, ref = self.build([90.0], [88.0])
-        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
+        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref, report=ProcessingReport())
         assert not flags_at(out, 0)
 
     def test_reference_away_from_wrap_not_flagged(self):
         ds, ref = self.build([180.0], [175.0])
-        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
+        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref, report=ProcessingReport())
         assert not flags_at(out, 0)
 
     def test_no_reference_skips_with_note(self):
@@ -449,5 +449,5 @@ class TestAngularFaultDetector:
     @given(st.floats(min_value=0.0, max_value=359.999))
     def test_never_fires_when_recorded_equals_reference(self, theta):
         ds, ref = self.build([theta], [theta])
-        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref)
+        out = detect_angular_fault(ds, "rel_wind_dir", reference=ref, report=ProcessingReport())
         assert not flags_at(out, 0)

@@ -41,7 +41,7 @@ def shaft_logs(draw):
     columns = {name: col for name, col in zip(POWER_COLUMNS, (rpm, tau, pwr)) if name in present}
     schema = [VariableSpec(name) for name in columns]
     stamps = [T0 + i * INTERVAL for i in range(len(rows))]
-    return new_dataset(schema, stamps, columns)
+    return new_dataset(schema, stamps, columns, source_kind="in_service")
 
 
 def run_stage(stage, dataset, names, *args, **kwargs):
@@ -60,7 +60,7 @@ def run_stage(stage, dataset, names, *args, **kwargs):
 OVERFLOWING = new_dataset(
     [VariableSpec(name) for name in POWER_COLUMNS], [T0 + i * INTERVAL for i in range(3)],
     dict(zip(POWER_COLUMNS, ([None, 6e307, 1e-310], [1e-310, 1e306, None],
-                             [5_000.0, None, 5e300]))),
+                             [5_000.0, None, 5e300]))), source_kind="in_service",
 )
 
 
@@ -87,7 +87,7 @@ def test_checks_match_loops_on_many_random_rows():
         col[rng.random(n) < 0.02] = 0.0
     stamps = [T0 + i * INTERVAL for i in range(n)]
     dataset = new_dataset([VariableSpec(name) for name in POWER_COLUMNS], stamps,
-                          dict(zip(POWER_COLUMNS, (rpm, tau, pwr))))
+                          dict(zip(POWER_COLUMNS, (rpm, tau, pwr))), source_kind="in_service")
     names = ("derived_shaft_power", "derived_shaft_rpm", "derived_shaft_torque")
     tolerance = DEFAULTS.power_tolerance
     assert run_stage(check_power_identity, dataset, names, tolerance) == run_stage(
@@ -95,7 +95,7 @@ def test_checks_match_loops_on_many_random_rows():
     )
     recorded = rng.uniform(0.0, 360.0, n)
     dataset = new_dataset([VariableSpec("rel_wind_dir", "deg", "angular")], stamps,
-                          {"rel_wind_dir": recorded})
+                          {"rel_wind_dir": recorded}, source_kind="in_service")
     reference = (recorded + rng.normal(0.0, 120.0, n)) % 360.0
     assert run_stage(detect_angular_fault, dataset, ("fixed_rel_wind_dir",), "rel_wind_dir",
                      reference) == run_stage(ref.detect_angular_fault, dataset,
@@ -120,7 +120,7 @@ def test_angular_fault_matches_loop(rows, fixed_before):
         schema.append(VariableSpec("fixed_rel_wind_dir", "deg", "angular"))
         columns["fixed_rel_wind_dir"] = fixed
     stamps = [T0 + i * INTERVAL for i in range(len(rows))]
-    dataset = new_dataset(schema, stamps, columns)
+    dataset = new_dataset(schema, stamps, columns, source_kind="in_service")
     reference = np.array([np.nan if r is None else r for r in reference])
     names = ("fixed_rel_wind_dir",)
     assert run_stage(detect_angular_fault, dataset, names, "rel_wind_dir", reference) == run_stage(

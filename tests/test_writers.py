@@ -19,6 +19,7 @@ from shipdataprep.ingest import csv_field, csv_lines, load_config, load_ship_csv
 from shipdataprep.model import (
     KNOT,
     CalmWaterCurve,
+    ProcessingReport,
     QualityFlag,
     Sample,
     ShipParticulars,
@@ -173,7 +174,7 @@ def test_ship_csv_knots_round_trip(tmp_path):
     src.write_text("timestamp,sog\n" + "".join(
         f"2020-09-13T12:{10 + k}:00Z,{c}\n" for k, c in enumerate(cells)
     ))
-    ds = load_ship_csv(src, unit_map={"sog": "knots"}, source_kind=DEFAULTS.source_kind)
+    ds = load_ship_csv(src, unit_map={"sog": "knots"}, source_kind=DEFAULTS.source_kind, report=ProcessingReport())
     sog = ds.column("sog")
     assert sog[0] == pytest.approx(10.0 * KNOT, rel=1e-15)
     for got, cell in zip(sog[:3] / KNOT, cells):
@@ -192,7 +193,7 @@ def test_one_pass_writes_the_golden_text(tmp_path, monkeypatch, block):
     # run's path: processed.csv and the plot files from the same formatted
     # cells, and the generated-at line on processed.csv alone
     monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", block)
-    emit_plotdata(golden_dataset(), tmp_path, PARTICULARS)
+    emit_plotdata(golden_dataset(), tmp_path, PARTICULARS, timestamp_header=True)
     got = read_all(tmp_path)
     first, got["processed.csv"] = got["processed.csv"].split("\n", 1)
     assert first.startswith("# generated ") and first.endswith("Z")
@@ -206,7 +207,7 @@ def test_one_pass_writes_the_golden_text(tmp_path, monkeypatch, block):
 
 
 def test_processed_csv_preamble_is_one_newline_ended_line(tmp_path):
-    write_processed_csv(golden_dataset(), tmp_path / "processed.csv")
+    write_processed_csv(golden_dataset(), tmp_path / "processed.csv", True, plots=())
     text = (tmp_path / "processed.csv").read_bytes().decode()
     first, rest = text.split("\n", 1)
     assert first.startswith("# generated ") and first.endswith("Z")
@@ -260,9 +261,9 @@ def test_processed_csv_same_bytes_as_csv_writer(tmp_path_factory, names, data):
     cells = st.lists(st.one_of(st.none(), TEXT), min_size=n, max_size=n)
     schema = [VariableSpec(name, kind="text") for name in names]
     columns = {name: data.draw(cells) for name in names}
-    dataset = new_dataset(schema, [T0 + 900 * i for i in range(n)], columns)
+    dataset = new_dataset(schema, [T0 + 900 * i for i in range(n)], columns, source_kind="in_service")
     out = tmp_path_factory.mktemp("out")
-    write_processed_csv(dataset, out / "processed.csv", timestamp_header=False)
+    write_processed_csv(dataset, out / "processed.csv", timestamp_header=False, plots=())
     header, rows = processed_rows(dataset)
     write_csv(out / "reference.csv", [], header, rows)
     assert (out / "processed.csv").read_bytes() == (out / "reference.csv").read_bytes()

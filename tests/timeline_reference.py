@@ -18,7 +18,6 @@ from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
     VoyageDataset,
-    stage_entry,
 )
 from shipdataprep.timeline import AT_BERTH, SegmentationError
 
@@ -191,10 +190,10 @@ def _mean(values: np.ndarray) -> float:
 def resample(
     dataset: VoyageDataset,
     interval_s: int,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """``timeline.resample``, averaging bin by bin."""
-    entry = stage_entry(report, "resample")
+    entry = report.stage("resample")
     ts = dataset.timestamps
     t0 = int(ts[0] // interval_s * interval_s)
     n_bins = int((int(ts[-1]) - t0) // interval_s) + 1

@@ -25,7 +25,6 @@ from shipdataprep.model import (
     VariableSpec,
     VoyageDataset,
     add_flags,
-    stage_entry,
 )
 from shipdataprep.validation import (
     DIFFERENCE_THRESHOLD,
@@ -39,7 +38,7 @@ from shipdataprep.validation import (
 def check_power_identity(
     dataset: VoyageDataset,
     rel_tolerance: float,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Validate P = 2*pi*n*tau wherever all three of shaft rpm, torque and
     power are recorded; derive the third variable wherever exactly two are.
@@ -48,7 +47,7 @@ def check_power_identity(
     beyond ``rel_tolerance`` (relative to recorded power) flag the power
     sample as invalid; derivations land in ``derived_*`` variables.
     """
-    entry = stage_entry(report, "check:power_identity")
+    entry = report.stage("check:power_identity")
     n = len(dataset)
     rpm = dataset.coalesce("shaft_rpm")
     tau = dataset.coalesce("shaft_torque")
@@ -121,9 +120,9 @@ def _point_in_polygon(x: float, y: float, polygon) -> bool:
 def check_speed_power(
     dataset: VoyageDataset,
     particulars: ShipParticulars,
-    report: ProcessingReport | None = None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
-    entry = stage_entry(report, "check:speed_power")
+    entry = report.stage("check:speed_power")
     curve = particulars.curve()
     if curve is None or not dataset.has_data("stw") or not dataset.has_data("shaft_power"):
         entry.notes.append("curve, stw or shaft_power unavailable; check skipped")
@@ -172,8 +171,8 @@ def check_speed_power(
 def detect_angular_fault(
     dataset: VoyageDataset,
     variable: str,
-    reference: np.ndarray | list | None = None,
-    report: ProcessingReport | None = None,
+    reference: np.ndarray | list | None,
+    report: ProcessingReport,
 ) -> VoyageDataset:
     """Detect time-averaging faults on an angular variable near the 0/360
     wrap and substitute the reference value.
@@ -184,7 +183,7 @@ def detect_angular_fault(
     The substitute value is stored in ``fixed_<variable>``; the recorded one
     is never modified.
     """
-    entry = stage_entry(report, f"check:angular_fault:{variable}")
+    entry = report.stage(f"check:angular_fault:{variable}")
     if reference is None:
         if variable == "heading" and dataset.declares("gps_heading"):
             reference = dataset.column("gps_heading")
