@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import onboard_wind
 from .hindcast import SteadyFilterParams, cells, steady_state_filter
-from .ingest import IngestError, csv_blocks, parse_number
+from .ingest import IngestError, csv_blocks, open_input, parse_number
 from .model import (
     ProcessingReport,
     QualityFlag,
@@ -321,10 +321,6 @@ class HydroTable:
         draft, trim, volume, area = (
             [parse_number(c, f"{path}: {name}") for c in table[name]] for name in names
         )
-        # the lookup needs finite, sorted axes and finite nodes
-        for name, column in zip(names, (draft, trim, volume, area)):
-            if not np.isfinite(column).all():
-                raise IngestError(f"{path}: hydro table column {name} holds a non-finite cell")
         drafts, at_draft = np.unique(draft, return_inverse=True)
         trims, at_trim = np.unique(trim, return_inverse=True)
         if not draft or len(draft) != len(drafts) * len(trims):
@@ -450,7 +446,7 @@ class TableDrivenModel:
         kind = None
         angles: list[float] = []
         coeffs: list[float] = []
-        with path.open() as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 where = f"{path}:{lineno}"

@@ -266,12 +266,9 @@ def ais_speed_consistency(
         lo, hi = max(0, int(legs[m]) - half), min(len(leg_dist), int(legs[m]) + half + 1)
         good = ~np.isnan(leg_dist[lo:hi])
         dist[m], dt[m] = leg_dist[lo:hi][good].sum(), leg_dt[lo:hi][good].sum()
-    with np.errstate(over="ignore", invalid="ignore"):
-        reported = sog[checked] * dt
-        larger = np.maximum(np.maximum(reported, dist), DISTANCE_FLOOR_M)
-        mismatch = np.abs(reported - dist) / larger
-    # an absurd speed can overflow the distance, and inf/inf is no mismatch
-    over = (mismatch > tolerance_fraction) | np.isinf(reported)
+    reported = sog[checked] * dt
+    larger = np.maximum(np.maximum(reported, dist), DISTANCE_FLOOR_M)
+    over = np.abs(reported - dist) / larger > tolerance_fraction
     flagged = checked[over]
     implied = dist[over] / dt[over]  # the speed over each flagged sample's leg
 

@@ -15,6 +15,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, fields
+# open_input's codec, imported here since tests/test_cold_run.py lets a run
+# load no module beyond the package and ``locale``
+from encodings import utf_8_sig
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
 
@@ -45,6 +48,11 @@ class IngestError(ValueError):
 
 class ConfigError(ValueError):
     """Fatal problem with the pipeline configuration."""
+
+
+def open_input(path: Path, newline: str | None = None) -> TextIO:
+    """An input file as UTF-8 text whatever the locale: no leading BOM, a bad byte as U+FFFD."""
+    return path.open(encoding=utf_8_sig.getregentry().name, errors="replace", newline=newline)
 
 
 # Multiplicative factors into SI. Angles stay in degrees by design.
@@ -298,7 +306,7 @@ def csv_blocks(path: Path) -> Iterator:
     limit = csv.field_size_limit()
     crlf_only = None  # whether every \r of the file starts a \r\n, once a quote needs it
     header: list[str] | None = None
-    with path.open(newline="") as fh:
+    with open_input(path, newline="") as fh:
         at = 0  # lines read
         while raw := list(itertools.islice(fh, READ_ROWS)):
             first, at = at + 1, at + len(raw)
@@ -391,11 +399,14 @@ def _line_ends(path: Path) -> tuple[int, bool]:
 
 def parse_number(text: str, where: str) -> float:
     """``float(text)``; an IngestError that names ``where`` (the file, and
-    the key or line) when the text is no number."""
+    the key or line) when the text is no number or not a finite one."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise IngestError(f"{where}: {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise IngestError(f"{where}: {text.strip()!r} is not a finite number")
+    return value
 
 
 def _numbers(cells: Sequence[str], factor: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -491,7 +502,7 @@ def write_csv_files(shared: list[np.ndarray], n_rows: int, files: list[CsvFile])
     block of cells and lines is held at once."""
 
     def start(f: CsvFile) -> TextIO:
-        fh = f.path.open("w", newline="")
+        fh = f.path.open("w", encoding="utf-8", newline="")
         fh.write(f.preamble)
         fh.writelines(csv_lines([[csv_field(h)] for h in f.header]))
         return fh
@@ -609,7 +620,7 @@ def load_hindcast(path: str | Path, report: ProcessingReport) -> HindcastGrid:
     masks: list[int] = []  # the M cells of each data line
     bad: tuple[int, str] | None = None  # the first data line with an unknown token
 
-    with path.open() as fh:
+    with open_input(path) as fh:
         lineno = 0
         while block := list(itertools.islice(fh, READ_ROWS)):
             rows = []  # the data lines as read: the reader strips a cell itself
@@ -743,17 +754,20 @@ def _unknown_token(line: str) -> tuple[int, str] | None:
 
 
 def _read_kv_file(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with path.open() as fh:
+    """The ``key = value`` lines of a file; a line without ``=`` or a repeated key is fatal."""
+    out: dict[str, tuple[int, str]] = {}  # key -> its line and value
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise IngestError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+            key, _, value = map(str.strip, line.partition("="))
+            if key in out:
+                raise IngestError(f"{path}:{lineno}: key {key!r} repeats line {out[key][0]}")
+            out[key] = lineno, value
+    return {key: value for key, (_, value) in out.items()}
 
 
 def _parse_points(text: str, where: str) -> tuple[tuple[float, float], ...]:

@@ -468,9 +468,9 @@ def write_report_files(
     out_dir.mkdir(parents=True, exist_ok=True)
     txt = out_dir / "report.txt"
     js = out_dir / "report.json"
-    txt.write_text(report.to_text(timestamp_header=timestamp_header))
-    report_json = _strict_json(report.to_dict())
-    js.write_text(json.dumps(report_json, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    txt.write_text(report.to_text(timestamp_header=timestamp_header), encoding="utf-8")
+    text = json.dumps(_strict_json(report.to_dict()), sort_keys=True, indent=2, allow_nan=False)
+    js.write_text(text + "\n", encoding="utf-8")
     return txt, js
 
 

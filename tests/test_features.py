@@ -23,6 +23,7 @@ from shipdataprep.features import (
     service_speed_range,
     wind_to_reference_height,
 )
+from shipdataprep.ingest import default_schema
 from shipdataprep.model import (
     KNOT,
     ProcessingReport,
@@ -265,12 +266,12 @@ def straight_track(n, speed=5.0, dt=900):
 
 
 class TestAisSpeedConsistency:
-    def build(self, n=40, inject=(), value=25.0):
+    def build(self, n=40, inject=(), value=25.0, sog_spec=VariableSpec("sog")):
         lats, lons = straight_track(n)
         sog = [5.0] * n
         for i in inject:
             sog[i] = value
-        schema = [VariableSpec("lat"), VariableSpec("lon"), VariableSpec("sog")]
+        schema = [VariableSpec("lat"), VariableSpec("lon"), sog_spec]
         samples = [
             Sample(i * 900, {"lat": lats[i], "lon": lons[i], "sog": sog[i]})
             for i in range(n)
@@ -298,17 +299,28 @@ class TestAisSpeedConsistency:
         assert entry.flag_counts["irrational_speed"] == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("value", [1e4, 1e306, -1e306])
-    def test_absurd_speed_flagged_even_when_its_distance_overflows(self, value):
-        # 1e306 m/s over 900 s is an inf distance, and inf/inf no mismatch
+    def test_absurd_speed_flagged_and_replaced(self):
+        # a bare sog spec has no valid range, so 1e4 m/s is checked
         report = ProcessingReport()
-        out = self.check(self.build(inject=(10,), value=value), report)
+        out = self.check(self.build(inject=(10,), value=1e4), report)
         assert flagged_rows(out, QualityFlag.IRRATIONAL_SPEED) == [10]
         assert out.column("sog")[10] == pytest.approx(5.0)
-        assert out.column("raw_sog")[10] == value
+        assert out.column("raw_sog")[10] == 1e4
         (check,) = report.stage_entries[0].checks
-        assert (check.verdict, check.observed) == ("replaced", value)
+        assert (check.verdict, check.observed) == ("replaced", 1e4)
         assert check.expected == pytest.approx(5.0, rel=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e306, -1e306])
+    def test_speed_outside_its_valid_range_is_not_checked(self, value):
+        # ingest's sog spec holds a checked speed to [0, 26] m/s, so no
+        # leg's reported distance can overflow
+        (spec,) = [s for s in default_schema() if s.name == "sog"]
+        report = ProcessingReport()
+        out = self.check(self.build(inject=(10,), value=value, sog_spec=spec), report)
+        assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
+        assert not out.declares("raw_sog")
+        assert out.column("sog")[10] == value  # stored as logged
 
     def test_stationary_vessel_zero_flags(self):
         schema = [VariableSpec("lat"), VariableSpec("lon"), VariableSpec("sog")]

@@ -2,9 +2,10 @@
 every function, method and class the package defines is used by the program
 (``src/`` and ``perfbench/``), every field of a package dataclass is read by
 it, a parameter that the pipeline passes a config value keeps no default
-of its own, and every default of a package function or method is omitted by
+of its own, every default of a package function or method is omitted by
 at least one call of the program (a default that only tests rely on is not
-one the program has).
+one the program has), and every text-mode open, read or write of a file
+in the package names its encoding, which the locale would otherwise choose.
 
 All but the config check read the source with ``ast`` only; the config
 check also imports ``pipeline`` to read its callees' signatures with
@@ -419,6 +420,69 @@ def test_each_name_matched_method_needs_it(name):
     src, program = program_sources()
     fewer = {k: v for k, v in NAME_MATCHED.items() if k != name}
     assert name in unreached(src, program, name_matched=fewer)
+
+
+# -- text files: every text-mode open of the package names its encoding -------
+
+# per call, the position of its mode (None: it has none) and of its encoding
+TEXT_CALLS = {"open": (1, 3), ".open": (0, 2), ".read_text": (None, 0), ".write_text": (None, 1)}
+
+
+def unnamed_encodings(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each call in ``sources`` that opens, reads or
+    writes a file as text without naming its encoding, which the locale then
+    chooses: ``open(...)`` and ``x.open(...)`` unless their mode is a binary
+    one, ``x.read_text(...)`` and ``x.write_text(...)``. The encoding may be
+    passed by keyword or by position; ``*args`` or ``**kwargs`` pass it."""
+    found = []
+    for module, source in sources.items():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else "." + getattr(func, "attr", "")
+            if name not in TEXT_CALLS:
+                continue
+            mode_at, encoding_at = TEXT_CALLS[name]
+            keywords = {kw.arg: kw.value for kw in call.keywords}
+            mode = keywords.get("mode")
+            if mode is None and mode_at is not None and mode_at < len(call.args):
+                mode = call.args[mode_at]
+            if isinstance(mode, ast.Constant) and "b" in str(mode.value):
+                continue
+            named = "encoding" in keywords or None in keywords or encoding_at < len(call.args)
+            if not named and not any(isinstance(a, ast.Starred) for a in call.args):
+                found.append((module, call.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_every_text_file_names_its_encoding():
+    unnamed = unnamed_encodings(program_sources()[0])
+    assert not unnamed, f"text-mode opens in src/ that leave the encoding to the locale: {unnamed}"
+
+
+def test_the_encoding_check_sees_a_text_open_without_one():
+    source = (
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "open(p, mode='wb')\n"
+        "open(p, 'w', -1, 'utf-8')\n"
+        "path.open()\n"
+        "path.open('rb')\n"
+        "path.open('w', encoding='utf-8', newline='')\n"
+        "path.open(newline='')\n"
+        "path.read_text()\n"
+        "path.read_text('utf-8')\n"
+        "path.write_text(text)\n"
+        "path.write_text(text, encoding='utf-8')\n"
+        "path.open(*args)\n"
+        "path.open(mode, **options)\n"
+        "open_input(path)\n"
+        "path.open(mode)\n"
+    )
+    assert unnamed_encodings({"a.py": source}) == [
+        "a.py:1", "a.py:5", "a.py:8", "a.py:9", "a.py:11", "a.py:16",
+    ]
 
 
 # -- config: every tunable has one default, the one of PipelineConfig ---------

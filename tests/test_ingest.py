@@ -57,6 +57,24 @@ class TestShipCsv:
         entry = report.stage_entries[0]
         assert entry.summary["missing_cells"]["draft_fore"] == 1
 
+    def test_byte_order_mark_is_no_part_of_the_header(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_bytes(b"\xef\xbb\xbftimestamp,sog\n2021-01-01T00:00:00Z,5.0\n")
+        assert load(p, report=ProcessingReport()).column("sog").tolist() == [5.0]
+
+    # an undecodable byte reads as U+FFFD, which the cell's own rule judges
+    def test_latin1_byte_is_judged_by_its_cell_rule(self, tmp_path):
+        p = tmp_path / "ship.csv"
+        p.write_bytes(b"timestamp,sog,state\n2021-01-01T00:00:00Z\xb0,5.0,x\n"
+                      b"2021-01-01T00:15:00Z,6.\xb0,At Berth \xb0\n")
+        report = ProcessingReport()
+        ds = load(p, report=report)
+        assert len(ds) == 1 and np.isnan(ds.column("sog")[0])
+        assert ds.text_column("state").tolist() == ["At Berth \ufffd"]
+        entry = report.stage_entries[0]
+        assert entry.summary["rows_skipped_bad_timestamp"] == 1
+        assert entry.notes == ["column sog: 1 unparseable cell(s) -> missing"]
+
     def test_missing_timestamp_column_fatal(self, tmp_path):
         p = tmp_path / "ship.csv"
         p.write_text("time,sog\n2021-01-01T00:00:00Z,5.0\n")
@@ -248,6 +266,25 @@ class TestHindcastGrid:
         with pytest.raises(IngestError, match="'x'"):
             load_hindcast(p, report=ProcessingReport())
 
+    def test_latin1_byte_in_a_cell_is_an_unknown_token(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_bytes(GRID_HEADER.encode() + b"1,2\n3,4\xb0\n5,6\n7,8\n")
+        with pytest.raises(IngestError, match="lon index 1: unknown token '4\ufffd'"):
+            load_hindcast(p, report=ProcessingReport())
+
+    # an infinite end node still ascends, so only the number rule refuses it
+    @pytest.mark.parametrize("axis, line, node", [
+        ("#lat 10.0,11.0", "#lat 10.0,inf", "inf"),
+        ("#lon 4.0,5.0", "#lon -inf,5.0", "-inf"),
+        ("#lat 10.0,11.0", "#lat nan,11.0", "nan"),
+    ])
+    def test_non_finite_axis_node_fatal(self, tmp_path, axis, line, node):
+        p = tmp_path / "grid.txt"
+        p.write_text(GRID_HEADER.replace(axis, line) + "1,2\n3,4\n5,6\n7,8\n")
+        at = 2 if line.startswith("#lat") else 3
+        with pytest.raises(IngestError, match=re.escape(f"{p}:{at}: '{node}' is not a finite")):
+            load_hindcast(p, report=ProcessingReport())
+
     def test_unknown_token_message_names_every_index(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(
@@ -349,10 +386,12 @@ class TestParticulars:
         "beam = nan", "lpp = inf", "design_draft = -inf", "anemometer_height = nan",
     ])
     def test_non_finite_or_negative_number_fatal(self, tmp_path, line):
-        # NaN passes a plain ``<= 0`` check
-        p = self.base(tmp_path, line + "\n")
-        key = line.split(" = ")[0]
-        with pytest.raises(IngestError, match=re.escape(f"{p}: {key} must be finite")):
+        # NaN passes a plain ``<= 0`` check; parse_number refuses it first
+        key, value = line.split(" = ")
+        p = self.base(tmp_path)
+        kept = [k for k in p.read_text().splitlines() if not k.startswith(f"{key} =")]
+        p.write_text("\n".join([*kept, line]) + "\n")
+        with pytest.raises(IngestError, match=re.escape(f"{p}: {key}: {value!r} is not a finite")):
             load_particulars(p, report=ProcessingReport())
 
     # the trip thresholds are config keys; a misspelt key is no default
@@ -386,6 +425,17 @@ class TestParticulars:
             load_particulars(p, report=ProcessingReport())
         assert str(err.value) == f"{p}: at least one of lwl, lpp is required"
 
+    def test_repeated_key_fatal_naming_both_lines(self, tmp_path):
+        p = self.base(tmp_path, "beam = 40\n")
+        with pytest.raises(IngestError, match=re.escape(f"{p}:5: key 'beam' repeats line 3")):
+            load_particulars(p, report=ProcessingReport())
+
+    @pytest.mark.parametrize("key", ["curve.sea_trial", "envelope"])
+    def test_non_finite_point_fatal(self, tmp_path, key):
+        p = self.base(tmp_path, f"{key} = 1:800, nan:6400, 8:409600\n")
+        with pytest.raises(IngestError, match=re.escape(f"{p}: {key}: 'nan' is not a finite")):
+            load_particulars(p, report=ProcessingReport())
+
     def test_curves_parsed(self, tmp_path):
         part = load_particulars(
             self.base(tmp_path, "curve.sea_trial = 2:6400, 4:51200, 8:409600\n"), report=ProcessingReport()
@@ -395,6 +445,25 @@ class TestParticulars:
 
 
 class TestConfig:
+    # a config that a run would read one way and a reader another way is no config
+    def test_repeated_key_fatal_naming_both_lines(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_text("sampling_interval = 900\nship_csv = s.csv\n\nsampling_interval = 1800\n")
+        with pytest.raises(IngestError, match=re.escape(
+                f"{p}:4: key 'sampling_interval' repeats line 1")):
+            load_config(p)
+
+    def test_byte_order_mark_and_latin1_comment_read(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_bytes(b"\xef\xbb\xbfship_csv = s.csv\n# angles in \xb0\nsampling_interval = 600\n")
+        assert load_config(p).sampling_interval == 600
+
+    def test_latin1_byte_in_a_value_is_no_number(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_bytes(b"ship_csv = s.csv\nsampling_interval = 600\xb0\n")
+        with pytest.raises(ConfigError, match="sampling_interval = '600\ufffd' is not a number"):
+            load_config(p)
+
     def test_round_trip_and_validation(self, tmp_path):
         p = tmp_path / "config.txt"
         p.write_text(

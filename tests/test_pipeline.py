@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI behaviour: stage wiring, the error loop,
 skip contracts, artifacts and exit codes."""
 
+import codecs
 import csv
 import json
 import random
@@ -27,8 +28,9 @@ def edited(path, old, new):
 
 
 def appended(path, text):
-    with path.open("a") as fh:
-        fh.write(text)
+    """``path`` with ``text`` added at its end, as UTF-8 or, given bytes, as they are."""
+    with path.open("ab") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode())
     return path
 
 
@@ -47,6 +49,11 @@ def grid_with_falling_lat_axis(paths):
     return paths["hindcast"]
 
 
+def grid_with_infinite_lon_node(paths):
+    # the axis still ascends, so only the number rule refuses it
+    return edited(paths["hindcast"], "#lon -4.0,", "#lon -inf,")
+
+
 def ship_csv_without_stamps(paths):
     header, *rows = paths["ship_csv"].read_text().splitlines()
     rows = ["2021-02-30T00:00:00Z," + row.split(",", 1)[1] for row in rows]
@@ -61,34 +68,75 @@ def ship_csv_with_huge_cell(paths):
     return paths["ship_csv"]
 
 
-# input files that cannot be used at all: each is a fatal error naming the file
+# input files that cannot be used at all: each is a fatal error naming the
+# file, and the message shows that the case met its own refusal, not an
+# earlier one
 BAD_INPUTS = {
-    "config_number": lambda p: edited(p["config"], "interval = 900", "interval = abc"),
-    "voyage_kind": lambda p: appended(p["config"], "voyage_kind = bogus\n"),
-    "mask_policy": lambda p: appended(p["config"], "mask_policy = bogus\n"),
-    "trip_method": lambda p: appended(p["config"], "trip_method = bogus\n"),
-    "particulars_number": lambda p: edited(p["particulars"], "beam = 46", "beam = forty"),
-    "particulars_non_finite": lambda p: edited(p["particulars"], "beam = 46", "beam = nan"),
-    "config_non_finite": lambda p: appended(p["config"], "power_tolerance = nan\n"),
-    "config_negative_threshold": lambda p: appended(p["config"], "rpm_threshold = -5\n"),
-    "hydro_table_repeated_pair": lambda p: hydro_table(
+    "config_number": (lambda p: edited(p["config"], "interval = 900", "interval = abc"),
+                      "'abc' is not a number"),
+    "voyage_kind": (lambda p: appended(p["config"], "voyage_kind = bogus\n"),
+                    "unknown voyage kind 'bogus'"),
+    "mask_policy": (lambda p: appended(p["config"], "mask_policy = bogus\n"),
+                    "unknown mask policy 'bogus'"),
+    "trip_method": (lambda p: edited(p["config"], "trip_method = thresholds", "trip_method = bogus"),
+                    "unknown trip method 'bogus'"),
+    "particulars_number": (lambda p: edited(p["particulars"], "beam = 46", "beam = forty"),
+                           "beam: 'forty' is not a number"),
+    "particulars_non_finite": (lambda p: edited(p["particulars"], "beam = 46", "beam = nan"),
+                               "beam: 'nan' is not a finite number"),
+    "config_non_finite": (lambda p: appended(p["config"], "power_tolerance = nan\n"),
+                          "power_tolerance must be finite"),
+    "config_negative_threshold": (lambda p: appended(p["config"], "rpm_threshold = -5\n"),
+                                  "rpm_threshold must be finite and not negative"),
+    "hydro_table_repeated_pair": (lambda p: hydro_table(
         p, "5,0,40000,9000\n5,0,40000,9000\n5,1,41000,9100\n6,0,50000,9500\n"
-    ),
-    "hydro_table_cell": lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,x\n"),
-    "hydro_table_nan_draft": lambda p: hydro_table(p, "nan,0,60000,10000\n"),
-    "hydro_table_inf_displacement": lambda p: hydro_table(p, "8,0,inf,10000\n12,0,95000,13000\n"),
-    "hydro_table_nan_wsa": lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,nan\n"),
-    "hydro_table_without_rows": lambda p: hydro_table(p, ""),
-    "coefficient_cell": lambda p: edited(p["res_wind"], "90,0.3", "90,zero"),
-    "coefficient_without_area": lambda p: edited(p["res_wind"], "#area 1100\n", ""),
-    "coefficient_without_kind": lambda p: edited(p["res_wind"], "#kind wind\n", ""),
-    "csv_cell_too_long": ship_csv_with_huge_cell,
-    "csv_without_parseable_timestamp": ship_csv_without_stamps,
-    "grid_falling_axis": grid_with_falling_lat_axis,
-    "source_kind": lambda p: appended(p["config"], "source_kind = bogus\n"),
-    "unit": lambda p: appended(p["config"], "unit.sog = furlongs\n"),
-    "falling_curve": lambda p: appended(p["particulars"], "curve.ballast = 4:900, 2:400\n"),
-    "particulars_threshold": lambda p: appended(p["particulars"], "rpm_threshold = 5\n"),
+    ), "repeats the (draft, trim) pair"),
+    "hydro_table_cell": (lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,x\n"),
+                         "wsa_m2: 'x' is not a number"),
+    "hydro_table_nan_draft": (lambda p: hydro_table(p, "nan,0,60000,10000\n"),
+                              "draft_m: 'nan' is not a finite number"),
+    "hydro_table_inf_displacement": (
+        lambda p: hydro_table(p, "8,0,inf,10000\n12,0,95000,13000\n"),
+        "displacement_m3: 'inf' is not a finite number"),
+    "hydro_table_nan_wsa": (lambda p: hydro_table(p, "8,0,60000,10000\n12,0,95000,nan\n"),
+                            "wsa_m2: 'nan' is not a finite number"),
+    "hydro_table_without_rows": (lambda p: hydro_table(p, ""), "got 0 rows"),
+    "coefficient_cell": (lambda p: edited(p["res_wind"], "90,0.3", "90,zero"),
+                         "'zero' is not a number"),
+    "coefficient_without_area": (lambda p: edited(p["res_wind"], "#area 1100\n", ""),
+                                 "needs #area and #kind header lines"),
+    "coefficient_without_kind": (lambda p: edited(p["res_wind"], "#kind wind\n", ""),
+                                 "needs #area and #kind header lines"),
+    "csv_cell_too_long": (ship_csv_with_huge_cell, "field larger than field limit"),
+    "csv_without_parseable_timestamp": (ship_csv_without_stamps,
+                                        "no row with a parseable timestamp"),
+    "grid_falling_axis": (grid_with_falling_lat_axis, "lat axis must be strictly ascending"),
+    "source_kind": (lambda p: appended(p["config"], "source_kind = bogus\n"),
+                    "unknown source kind 'bogus'"),
+    "unit": (lambda p: appended(p["config"], "unit.sog = furlongs\n"),
+             "'furlongs' is not a known unit"),
+    "falling_curve": (lambda p: appended(p["particulars"], "curve.ballast = 4:900, 2:400\n"),
+                      "curve 'ballast' speeds must be strictly increasing"),
+    "particulars_threshold": (lambda p: appended(p["particulars"], "rpm_threshold = 5\n"),
+                              "unknown particulars key 'rpm_threshold'"),
+    "curve_nan_speed": (lambda p: edited(p["particulars"], "1.0:800.0", "nan:800.0"),
+                        "curve.sea_trial: 'nan' is not a finite number"),
+    "envelope_nan_vertex": (
+        lambda p: appended(p["particulars"], "envelope = 0:0, nan:1e7, 120:2e7\n"),
+        "envelope: 'nan' is not a finite number"),
+    "coefficient_area_nan": (lambda p: edited(p["res_wind"], "#area 1100", "#area nan"),
+                             ":2: 'nan' is not a finite number"),
+    "coefficient_area_inf": (lambda p: edited(p["res_wind"], "#area 1100", "#area inf"),
+                             ":2: 'inf' is not a finite number"),
+    "coefficient_nan_angle": (lambda p: edited(p["res_wind"], "90,0.3", "nan,0.3"),
+                              "'nan' is not a finite number"),
+    "coefficient_nan_value": (lambda p: edited(p["res_wind"], "90,0.3", "90,nan"),
+                              "'nan' is not a finite number"),
+    "grid_infinite_axis_node": (grid_with_infinite_lon_node, "'-inf' is not a finite number"),
+    "config_repeated_key": (lambda p: appended(p["config"], "sampling_interval = 1800\n"),
+                            "key 'sampling_interval' repeats line 4"),
+    "config_latin1_value": (lambda p: appended(p["config"], b"mask_policy = zero_fill\xb0\n"),
+                            "unknown mask policy 'zero_fill\ufffd'"),
 }
 
 
@@ -867,11 +915,13 @@ class TestCli:
     ])
     def test_bad_input_file_is_fatal_without_traceback(self, tmp_path, capsys, command, case):
         paths = VoyageBuilder(tmp_path, resistance=True).build()
-        broken = BAD_INPUTS[case](paths)
+        edit, refusal = BAD_INPUTS[case]
+        broken = edit(paths)
         out = tmp_path / "out"
         assert main([command, "--config", str(paths["config"]), "--out", str(out)]) == 1
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"fatal: {broken}")  # the message names the file
+        assert refusal in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -980,6 +1030,60 @@ class TestCli:
         assert exit_.value.code == 2
         assert capsys.readouterr().err.startswith("usage: shipdataprep")
         assert not out.exists()
+
+
+def with_ship_cell(paths, row, column, cell):
+    """The ship CSV with the ``column`` cell of data row ``row`` set to the
+    bytes ``cell``; the row's stamp."""
+    header, *rows = paths["ship_csv"].read_bytes().splitlines()
+    cells = rows[row].split(b",")
+    cells[header.split(b",").index(column.encode())] = cell
+    rows[row] = b",".join(cells)
+    paths["ship_csv"].write_bytes(b"\n".join([header, *rows]) + b"\n")
+    return cells[0].decode()
+
+
+def written(paths, out):
+    """Each file that ``run`` writes for the config of ``paths``, by name."""
+    code = main(["run", "--config", str(paths["config"]), "--out", str(out),
+                 "--no-timestamp-header"])
+    assert code == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestInputText:
+    """Every input file is read as UTF-8 whatever the locale, without a
+    leading byte-order mark; an undecodable byte reads as U+FFFD, which the
+    file's own rules then judge."""
+
+    def test_byte_order_mark_on_every_input_changes_no_output(self, tmp_path):
+        paths = VoyageBuilder(tmp_path, resistance=True).build()
+        paths["hydro"] = hydro_table(
+            paths, "8,0,60000,10000\n8,1,61000,10100\n12,0,95000,13000\n12,1,96000,13100\n")
+        plain = written(paths, tmp_path / "plain")
+        for p in paths.values():
+            p.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+        # read as text, the mark would make each loader refuse its file
+        assert written(paths, tmp_path / "bom") == plain
+
+    def test_latin1_byte_in_a_config_comment_is_usable(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        plain = written(paths, tmp_path / "plain")
+        appended(paths["config"], b"# angles in \xb0, speeds in m/s\n")
+        assert written(paths, tmp_path / "latin1") == plain
+
+    def test_latin1_bytes_in_ship_cells_are_usable(self, tmp_path):
+        paths = VoyageBuilder(tmp_path).build()
+        stamp = with_ship_cell(paths, 5, "sog", b"5.1\xb0")
+        assert with_ship_cell(paths, 5, "state", b"At Berth \xb0") == stamp
+        report = json.loads(written(paths, tmp_path / "out")["report.json"])
+        ingest = next(e for e in report["stages"] if e["stage"] == "ingest:ship_csv")
+        assert "column sog: 1 unparseable cell(s) -> missing" in ingest["notes"]
+        with (tmp_path / "out" / "processed.csv").open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        (row,) = [r for r in rows if r[0] == stamp]
+        assert row[header.index("sog")] == ""
+        assert row[header.index("state")] == "At Berth \ufffd"
 
 
 class TestPlotData:
