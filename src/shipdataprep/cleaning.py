@@ -44,8 +44,8 @@ def contextual_filter(
     Columns corrected in place (drafts, AIS ``sog``) are checked as logged;
     their ``raw_*`` copies hold only the rows a correction replaced.
 
-    invalid_range: value outside the schema's [valid_min, valid_max]; the
-    other rules read ``measured.valid``, where such a value is missing.
+    invalid_range: a value of ``measured.logged`` outside the schema's [valid_min,
+    valid_max]; the other rules read ``measured.column``, where it is missing.
     repeated_value: a run of >= ``repeat_run`` identical values in a variable
     that varies elsewhere (it holds two distinct values outside the run).
     dropout: < ``dropout_max`` consecutive dead values (``DEAD_VALUE``)
@@ -76,11 +76,11 @@ def contextual_filter(
     numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
         # range rule applies everywhere, to the logged column; pattern rules run per trip group
-        col_all = measured.column(spec.name)
+        col_all = measured.logged(spec.name)
         bad = np.flatnonzero(spec.outside(col_all))
         add(QualityFlag.INVALID_RANGE, bad, dataset.timestamps[bad], spec.name, col_all[bad])
 
-        col = np.append(measured.valid(spec.name), np.nan)[layout]
+        col = np.append(measured.column(spec.name), np.nan)[layout]
         spikes = _spikes(col, spike_scales, group)
         found = (_repeated(col, group, repeat_run), _dropouts(col, dropout_max),
                  (spikes, np.ones_like(spikes)))
@@ -222,7 +222,7 @@ def quasi_steady_filter(
         return dataset
 
     for name, params in passes:
-        col = dataset.valid(name)
+        col = dataset.column(name)
         for idx in dataset.trip_groups():
             res = steady_state_filter(ts[idx], col[idx], params)
             if res.warning:
@@ -238,7 +238,7 @@ def quasi_steady_filter(
 # -- PCA reconstruction-error detector ------------------------------------------
 
 # flags that keep a sample out of the training pool; corrections are fine, and
-# an out-of-range feature value is missing to the fit already (VoyageDataset.valid)
+# an out-of-range feature value is missing to the fit already (VoyageDataset.column)
 _TRAINING_EXCLUDED = frozenset(QualityFlag) - {
     QualityFlag.DRAFT_CORRECTED, QualityFlag.INVALID_RANGE}
 
@@ -276,7 +276,7 @@ def _errors(z: np.ndarray, axes: np.ndarray) -> np.ndarray:
 def _complete_rows(
     dataset: VoyageDataset, features: tuple[str, ...], exclude_flagged: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    cols = np.column_stack([dataset.valid(f) for f in features])
+    cols = np.column_stack([dataset.column(f) for f in features])
     ok = ~np.isnan(cols).any(axis=1)
     if exclude_flagged:
         ok &= ~dataset.flagged(*_TRAINING_EXCLUDED)

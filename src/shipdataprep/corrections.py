@@ -97,7 +97,7 @@ def fix_draft_simple(
     for sensor in DRAFT_SENSORS:
         if not out.has_data(sensor):
             continue
-        col = out.valid(sensor)
+        col = out.column(sensor)
         pre = _static_anchor(out, col, idx, "pre", n_anchor)
         post = _static_anchor(out, col, idx, "post", n_anchor)
         if pre is None and post is None:
@@ -137,7 +137,7 @@ def _apply_draft(
             VariableSpec(raw_name, "m", "linear"),
             np.full(len(dataset), np.nan),
         )
-    raw = dataset.column(sensor)[rows]
+    raw = dataset.logged(sensor)[rows]
     out = out.with_values(raw_name, rows[~np.isnan(raw)], raw[~np.isnan(raw)])
     return out.with_values(sensor, rows, corrected)
 
@@ -196,7 +196,7 @@ def fix_draft_ramp(
     for sensor in DRAFT_SENSORS:
         if not out.has_data(sensor):
             continue
-        col = out.valid(sensor)
+        col = out.column(sensor)
         means = [_event_means(out, col, e, idx, n_avg) for e in events]
         if None in means:
             e = events[means.index(None)]
@@ -235,7 +235,7 @@ def detect_draft_events(
     starts, ends = [], []
     sensors = [s for s in DRAFT_SENSORS if dataset.has_data(s)]
     for sensor in sensors:
-        col = dataset.valid(sensor)[idx]
+        col = dataset.column(sensor)[idx]
         a, b = runs(steady_state_filter(ts.astype(float), col, params).unsteady)
         long = b - a + 1 >= params.window / 2.0
         starts.append(ts[a[long]])

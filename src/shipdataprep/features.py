@@ -139,16 +139,13 @@ def add_reference_height_wind(
 ) -> VoyageDataset:
     """Anemometer wind corrected to the reference height, as
     ``rel_wind_speed_ref`` (the factor of :func:`wind_to_reference_height`);
-    missing where the measured speed is missing or negative, and skipped
+    missing where the measured speed is missing or out of range, and skipped
     when either height is unknown."""
     z_ref, z_a = particulars.wind_reference_height, particulars.anemometer_height
     if z_ref is None or z_a is None or not dataset.has_data("rel_wind_speed"):
         return dataset
-    v = dataset.column("rel_wind_speed")
-    return dataset.adding_variable(
-        VariableSpec("rel_wind_speed_ref", "m/s", "linear"),
-        np.where(v >= 0, v * wind_to_reference_height(1.0, z_ref, z_a), np.nan),
-    )
+    speed = dataset.column("rel_wind_speed") * wind_to_reference_height(1.0, z_ref, z_a)
+    return dataset.adding_variable(VariableSpec("rel_wind_speed_ref", "m/s", "linear"), speed)
 
 
 def heading_series(dataset: VoyageDataset) -> np.ndarray:
@@ -230,7 +227,7 @@ def ais_speed_consistency(
     its backward leg). For very short legs (< ``MIN_LEG_SECONDS``) the
     implied speed comes from a ``window``-leg average trend instead of the
     single leg. Originals are preserved under ``raw_sog``. An out-of-range
-    value is missing here (``VoyageDataset.valid``): not checked, no replacement.
+    value is missing here, as everywhere: not checked, no replacement.
     """
     entry = report.stage("ais_speed_consistency")
     if not dataset.has_data("sog") or not (
@@ -240,7 +237,7 @@ def ais_speed_consistency(
         return dataset
 
     lat, lon, ok = dataset.positions()
-    sog = dataset.valid("sog")
+    sog = dataset.column("sog")
     ts = dataset.timestamps.astype(float)
     n = len(dataset)
 

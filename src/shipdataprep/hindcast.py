@@ -178,7 +178,7 @@ def clean_gps(
     ``run_pipeline`` skips the stage when lat or lon carries no value."""
     entry = report.stage("gps_clean")
     ts = dataset.timestamps.astype(float)
-    lat, lon = dataset.valid("lat"), dataset.valid("lon")
+    lat, lon = dataset.column("lat"), dataset.column("lon")
     irrational = np.zeros(len(dataset), dtype=bool)
     stage1_total = 0
     for idx in dataset.trip_groups():
@@ -283,11 +283,13 @@ def _bilinear(
     if policy == "zero_fill":
         values = [np.where(m, 0.0, v) for v, m in zip(values, masked)]
     else:
-        total = np.full(values[0].shape, -0.0)  # -0.0 + v == v, as in np.sum
-        for v, m in zip(values, masked):
-            total = np.where(m, total, total + v)
-        unmasked = sum((~m).astype(int) for m in masked)
-        fill = total / np.maximum(unmasked, 1)
+        total = quarters = np.full(values[0].shape, -0.0)  # -0.0 + v == v, as in np.sum
+        unmasked = np.maximum(sum((~m).astype(int) for m in masked), 1)
+        with np.errstate(over="ignore"):  # huge nodes may overflow the sum, not the mean
+            for v, m in zip(values, masked):
+                total = np.where(m, total, total + v)
+                quarters = np.where(m, quarters, quarters + v / 4)
+            fill = np.where(np.isinf(total), quarters / unmasked * 4, total / unmasked)
         values = [np.where(m, fill, v) for v, m in zip(values, masked)]
     w0, w1, w2, w3 = weights
     return w0 * values[0] + w1 * values[1] + w2 * values[2] + w3 * values[3]

@@ -244,8 +244,6 @@ def load_ship_csv(
             filled = joined.pop((name, "filled"))[keep]
             values = joined.pop((name, "number"))[keep]
             ok = np.isfinite(values)
-            if name == "lat":
-                ok &= (values >= -90.0) & (values <= 90.0)
             values[~ok] = np.nan
             columns[name] = values
         counts[name] = (int(filled.sum()), int(ok.sum()))

@@ -254,14 +254,10 @@ def _normalise_column(spec: VariableSpec, values: Sequence) -> np.ndarray:
     if spec.kind == "angular":
         np.remainder(col, 360.0, out=col, where=np.isfinite(col))
         col[col == 360.0] = 0.0  # % rounds a tiny negative angle up to 360
-    lat_at = np.append(np.flatnonzero((col < -90.0) | (col > 90.0)), n)[0] if name == "lat" else n
-    first = min(text_at, inf_at, lat_at)
-    if first < n:
-        if first == text_at:
-            raise DatasetError(f"numeric variable {name!r} got string {values[first]!r}")
-        if first == inf_at:
-            raise DatasetError(f"non-finite value for {name!r}")
-        raise DatasetError(f"latitude {float(col[first])} outside [-90, 90]")
+    if inf_at < n:  # col holds the values before the first string, so this comes first
+        raise DatasetError(f"non-finite value for {name!r}")
+    if text_at < n:
+        raise DatasetError(f"numeric variable {name!r} got string {values[text_at]!r}")
     if name == "lon":  # inexact (12.3 -> 12.300000000000011): only where needed, within a turn
         wrap = ((col < -180.0) | (col >= 180.0)) & (np.abs(col) <= 540.0)
         col[wrap] = ((col[wrap] + 180.0) % 360.0) - 180.0
@@ -349,32 +345,38 @@ class VoyageDataset:
             raise SchemaError(f"variable {name!r} not declared") from None
 
     def has_data(self, name: str) -> bool:
-        """True when the variable is declared and carries at least one value."""
+        """True when the variable is declared and its column reads at least one value."""
         col = self._columns.get(name)
         if col is None or col.dtype != object:
-            return col is not None and not np.isnan(col).all()
+            return col is not None and not np.isnan(self.column(name)).all()
         return any(v is not None for v in col)
 
     def column(self, name: str) -> np.ndarray:
-        """Numeric column: the stored read-only float64 array, NaN = missing."""
+        """Numeric column as every stage reads it: read-only float64, NaN where a value
+        is missing or out of its valid range; the stored array if none is out of range."""
+        spec = self.spec(name)
+        if spec.kind == "text":
+            raise TypeError(f"variable {name!r} is text; use text_column()")
+        col = self._columns[name]
+        if spec.valid_min is None and spec.valid_max is None:
+            return col
+        outside = spec.outside(col)
+        return _frozen(np.where(outside, np.nan, col)) if outside.any() else col
+
+    def logged(self, name: str) -> np.ndarray:
+        """Numeric column as stored, every value as logged (NaN = missing): for the
+        range rule, the processed-data writer, ``raw_*`` copies and range evidence."""
         if self.spec(name).kind == "text":
             raise TypeError(f"variable {name!r} is text; use text_column()")
         return self._columns[name]
 
-    def valid(self, name: str) -> np.ndarray:
-        """Numeric column as every rule but the range rule reads it: NaN
-        wherever a value lies outside the variable's valid range (flagged
-        ``invalid_range``). The stored column keeps every value as logged."""
-        col = self.column(name)
-        return _frozen(np.where(self.spec(name).outside(col), np.nan, col))
-
     def coalesce(self, *names: str) -> np.ndarray:
-        """Per row, the first value present among the named numeric columns;
-        NaN where none has one. Undeclared and text columns count as missing."""
+        """Per row, the first value :meth:`column` reads among the named numeric
+        columns; NaN where none has one. Undeclared and text columns count as missing."""
         out = np.full(len(self), np.nan)
         for name in names:
             if self.declares(name) and self.spec(name).kind != "text":
-                out = np.where(np.isnan(out), self._columns[name], out)
+                out = np.where(np.isnan(out), self.column(name), out)
         return out
 
     def text_column(self, name: str) -> np.ndarray:
@@ -415,11 +417,10 @@ class VoyageDataset:
         return (self.flag_bits & wanted) != 0
 
     def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Latitude and longitude columns as :meth:`valid` reads them (NaN
+        """Latitude and longitude columns as :meth:`column` reads them (NaN
         where absent, out of range or undeclared) and the mask of usable
         positions: both present and not flagged ``irrational_position``."""
-        lat, lon = (self.valid(n) if self.declares(n) else np.full(len(self), np.nan)
-                    for n in ("lat", "lon"))
+        lat, lon = self.coalesce("lat"), self.coalesce("lon")
         ok = ~np.isnan(lat) & ~np.isnan(lon) & ~self.flagged(QualityFlag.IRRATIONAL_POSITION)
         return lat, lon, ok
 

@@ -334,17 +334,13 @@ def _hydrostatics_stage(
     report: ProcessingReport,
 ) -> VoyageDataset:
     entry = report.stage("hydrostatics")
-    fore = dataset.column("draft_fore")
-    aft = dataset.column("draft_aft")
+    fore, aft = dataset.column("draft_fore"), dataset.column("draft_aft")
     rows = dataset.in_trip_or_all() & ~np.isnan(fore) & ~np.isnan(aft)
-    with np.errstate(over="ignore"):  # huge drafts: an inf mean draft or trim, which fails
-        t, tt = (fore + aft) / 2.0, aft - fore
-    usable = (t > 0) & np.isfinite(t) & np.isfinite(tt)
-    failed = int((rows & ~usable).sum())
-    rows &= usable
+    t, tt = (fore + aft) / 2.0, aft - fore
+    failed = int((rows & ~(t > 0)).sum())
+    rows &= t > 0
     mean_draft, trim, disp, wsa = (np.full(len(dataset), np.nan) for _ in range(4))
-    mean_draft[rows] = t[rows]
-    trim[rows] = tt[rows]
+    mean_draft[rows], trim[rows] = t[rows], tt[rows]
     computed = 0
     if rows.any():
         try:
@@ -378,9 +374,8 @@ def _hydrostatics_stage(
             " extrapolating"
         )
     if len(got):
-        with np.errstate(over="ignore"):  # huge drafts: an inf mean
-            mean = float(np.mean(got))
-        verdict = corrections.check_draft_ratio(mean, particulars, config.voyage_kind)
+        verdict = corrections.check_draft_ratio(float(np.mean(got)), particulars,
+                                                config.voyage_kind)
         entry.summary["draft_ratio"] = {
             "ratio": verdict.ratio,
             "reference": verdict.reference,
@@ -439,7 +434,7 @@ def write_processed_csv(
     The ``plots`` files (from ``emit_plotdata``) are written in the same
     pass over the dataset, from the same formatted cells."""
     columns = [dataset.timestamps.astype("datetime64[s]")]
-    columns += [dataset.text_column(s.name) if s.kind == "text" else dataset.column(s.name)
+    columns += [dataset.text_column(s.name) if s.kind == "text" else dataset.logged(s.name)
                 for s in dataset.schema]
     columns += [dataset.trip_ids, *map(dataset.flagged, QualityFlag)]
     header = _processed_header(dataset)

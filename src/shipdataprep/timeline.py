@@ -114,7 +114,9 @@ def resample(dataset: VoyageDataset, interval_s: int, report: ProcessingReport) 
     angular ones (an arithmetic mean of angles would commit the 0/360
     averaging fault) and the last value present for text. A sample carries
     every flag of its bin. Bins with no source data become empty rows
-    flagged ``missing_inserted``.
+    flagged ``missing_inserted``. The means read :meth:`VoyageDataset.column`,
+    so a bin with a message out of its valid range is flagged ``invalid_range``,
+    with one check per message: the bin's stamp, the variable, the logged value.
     """
     if len(dataset) == 0:
         raise ValueError("cannot resample an empty dataset")
@@ -130,9 +132,16 @@ def resample(dataset: VoyageDataset, interval_s: int, report: ProcessingReport) 
     filled = np.flatnonzero(ends > starts)
     heads = starts[filled]
     out = dataset.take(np.full(n_bins, -1), t0 + np.arange(n_bins) * interval_s)
+    outside = np.zeros(len(dataset), dtype=bool)
     for spec in dataset.schema:
         text = spec.kind == "text"
         col = dataset.text_column(spec.name) if text else dataset.column(spec.name)
+        logged = col if text else dataset.logged(spec.name)
+        if col is not logged:  # a message out of range: the evidence, by message
+            bad = np.flatnonzero(spec.outside(logged))
+            entry.check_rows(QualityFlag.INVALID_RANGE.value, t0 + bins[bad] * interval_s,
+                             spec.name, observed=logged[bad])
+            outside[bad] = True
         present = np.not_equal(col, None) if text else ~np.isnan(col)
         if not present.any():
             continue  # missing, as taken
@@ -145,11 +154,9 @@ def resample(dataset: VoyageDataset, interval_s: int, report: ProcessingReport) 
     for flag in QualityFlag:
         has = np.logical_or.reduceat(dataset.flagged(flag), heads)
         out = out.adding_flags(flag, filled[has])
-    out = out.adding_flags(QualityFlag.MISSING_INSERTED, ends == starts)
-
-    out = out.with_interval(interval_s)
-    n_inserted = int(out.flagged(QualityFlag.MISSING_INSERTED).sum())
-    entry.count_flag(QualityFlag.MISSING_INSERTED, n_inserted)
+    out = add_flags(out, QualityFlag.MISSING_INSERTED, ends == starts, entry)
+    ranged = filled[np.logical_or.reduceat(outside, heads)]
+    out = add_flags(out, QualityFlag.INVALID_RANGE, ranged, entry).with_interval(interval_s)
     entry.summary["mode"] = "down_mean"
     entry.summary["rows_out"] = len(out)
     return out
@@ -205,7 +212,7 @@ def segment_by_thresholds(
     pad_samples: int,
 ) -> VoyageDataset:
     """A sample is in-trip when shaft rpm or speed-over-ground, as
-    :meth:`VoyageDataset.valid` reads it, exceeds its threshold;
+    :meth:`VoyageDataset.column` reads it, exceeds its threshold;
     maximal runs are padded by ``pad_samples`` on each side and padded runs
     that overlap or touch merge. Padding never reaches an at-berth sample of
     the state variable, when it exists."""
@@ -216,7 +223,7 @@ def segment_by_thresholds(
     in_trip = np.zeros(n, dtype=bool)
     for name, threshold in (("shaft_rpm", rpm_threshold), ("sog", sog_threshold)):
         if dataset.has_data(name):
-            in_trip |= dataset.valid(name) > threshold
+            in_trip |= dataset.column(name) > threshold
 
     berth = np.zeros(0, dtype=np.int64)
     if dataset.has_data("state"):

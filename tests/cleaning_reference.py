@@ -54,7 +54,7 @@ def contextual_filter(
 
     numeric = [s for s in measured.schema if s.kind != "text"]
     for spec in numeric:
-        logged = measured.column(spec.name)
+        logged = measured.logged(spec.name)
         # range rule applies everywhere; pattern rules run per trip group, on
         # the column with every out-of-range value missing
         lo = -math.inf if spec.valid_min is None else spec.valid_min

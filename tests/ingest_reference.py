@@ -134,7 +134,7 @@ def load_ship_csv_rows(
                 v = float(cell) * factors.get(col, 1.0)
             except ValueError:
                 v = math.nan
-            if not math.isfinite(v) or (col == "lat" and not -90.0 <= v <= 90.0):
+            if not math.isfinite(v):
                 unparseable[col] = unparseable.get(col, 0) + 1
                 continue
             values[col] = v
@@ -243,8 +243,6 @@ def load_ship_csv_whole(
             filled = filled[keep]
             values = numbers[keep]
             ok = np.isfinite(values)
-            if name == "lat":
-                ok &= (values >= -90.0) & (values <= 90.0)
             columns[name] = np.where(ok, values, np.nan)
         counts[name] = (int(filled.sum()), int(ok.sum()))
 

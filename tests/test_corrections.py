@@ -20,7 +20,7 @@ from shipdataprep.corrections import (
     resistance_components,
 )
 from shipdataprep.hindcast import SteadyFilterParams
-from shipdataprep.ingest import IngestError, PipelineConfig
+from shipdataprep.ingest import IngestError, PipelineConfig, default_schema
 from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
@@ -473,23 +473,26 @@ class TestHydrostatics:
         assert np.isnan(out.column("mean_draft")).all()
 
     def test_overflowing_drafts_fail_without_a_warning(self):
-        # rows 0-1: the mean draft or the trim overflows, so the row fails;
-        # rows 2-4: the volume overflows, which is not consistent, and the
-        # mean of their mean drafts overflows
+        # rows 0-1: ingest's draft specs hold a draft to [0, 30] m, so drafts
+        # whose mean or trim would overflow read as missing: the row is
+        # neither computed nor failed; rows 2-4: a huge beam overflows the
+        # volume, which is not consistent
         big = np.finfo(float).max
-        drafts = [(big, big), (big, -big / 2)] + [(big, 0.0)] * 3
+        drafts = [(big, big), (big, -big / 2)] + [(10.0, 12.0)] * 3
         ds = rows_dataset(
-            [VariableSpec("draft_fore", "m"), VariableSpec("draft_aft", "m")],
+            [s for s in default_schema() if s.name in ("draft_fore", "draft_aft")],
             [Sample(k * DT, {"draft_fore": f, "draft_aft": a}) for k, (f, a) in enumerate(drafts)],
         )
+        huge = ShipParticulars(ShipType.BULK_CARRIER, beam=big, design_draft=15.0, lwl=270.0,
+                               lpp=264.0, block_coefficient=0.8)
         report = ProcessingReport()
-        out = _hydrostatics_stage(ds, particulars(), None, PipelineConfig(), report)
+        out = _hydrostatics_stage(ds, huge, None, PipelineConfig(), report)
         summary = report.stage_entries[0].summary
-        assert (summary["computed"], summary["failed"]) == (0, 5)
+        assert (summary["computed"], summary["failed"]) == (0, 3)
         assert np.isnan(out.column("mean_draft")[:2]).all()
-        assert out.column("mean_draft")[2:].tolist() == [big / 2] * 3
+        assert out.column("mean_draft")[2:].tolist() == [11.0] * 3
         assert np.isnan(out.column("displacement")).all()
-        assert summary["draft_ratio"]["ratio"] == np.inf
+        assert summary["draft_ratio"]["ratio"] == 11.0 / 15.0
 
 
 def resistance_dataset(**cols):

@@ -6,9 +6,11 @@ exit 0 under warnings as errors. Both keep their bookkeeping: one
 processed row per lattice slot, report flag counts equal to the flags written, and every
 flagged sample covered by the report. On both, flags only grow: each stage
 after trips returns the flags of its input, row by row, and maybe more. And a
-value outside its column's valid range is missing to every rule but the range
-rule: the run flags that row and leaves every other row's flags as they are
-with the cell empty."""
+value outside its column's valid range is missing to every stage but the range
+rule and the writers: on a drawn voyage, in-service or AIS, and on seven cells
+of the benchmark's voyages, the run writes the processed.csv and report.json
+of the run with that cell empty, but for that cell, its row's range flag and
+the range evidence."""
 
 import contextlib
 import csv
@@ -18,10 +20,11 @@ import sys
 import warnings
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INTERVAL, VoyageBuilder
+from conftest import INTERVAL, VoyageBuilder, load_generate
 from shipdataprep import corrections, pipeline
 from shipdataprep.cli import main
 from shipdataprep.ingest import default_schema
@@ -29,6 +32,7 @@ from shipdataprep.model import (
     ProcessingReport,
     QualityFlag,
     VoyageDataset,
+    iso_timestamp,
     new_dataset,
     parse_iso_timestamp,
 )
@@ -226,37 +230,133 @@ def test_out_of_range_cell_changes_no_other_row(tmp_path_factory, data):
     k = names.index(data.draw(st.sampled_from(sorted(BOUNDED & set(names)))))
     i = data.draw(st.integers(0, len(rows) - 1))
     interval = INTERVAL
-    if data.draw(st.booleans()):  # AIS input, two rows to a bin
+    if data.draw(st.booleans()):  # AIS input, two rows to a bin, averaged by resample
         interval = 2 * INTERVAL
         config = paths["config"].read_text().replace(
             f"sampling_interval = {INTERVAL}", f"sampling_interval = {interval}")
         paths["config"].write_text(config + "source_kind = ais\n")
-        # resample averages the messages of a bin, so beside another message the
-        # value would move the bin's mean instead of reading as missing: the
-        # other message of the drawn one's bin goes, from both runs
-        bins = [parse_iso_timestamp(r[0]) // interval for r in rows]
-        rows = [r for j, r in enumerate(rows) if j == i or bins[j] != bins[i]]
-        i -= bins[:i].count(bins[i])
     value = data.draw(st.sampled_from(past_the_range(names[k])))
-    codes, flags = [], []
+    codes = []
     for cell in (repr(value), ""):
         edited = [list(r) for r in rows]
         edited[i][k] = cell
-        out = root / ("out_past" if cell else "out_empty")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes.append(run_with_rows(paths, names, edited, out, interval))
-        header, written = read_csv(out / "processed.csv")
-        at = [j for j, h in enumerate(header) if h.startswith("flag_")]
-        flags.append({parse_iso_timestamp(r[0]): [r[j] for j in at] for r in written})
+            codes.append(run_with_rows(paths, names, edited, root / f"out_{bool(cell)}", interval))
     assert codes[0] == codes[1]
     # the edited row's processed row: its lattice slot or bin, the last at or before it
-    own = max(t for t in flags[0] if t <= parse_iso_timestamp(rows[i][0]))
-    flagged = flags[0].pop(own)[list(QualityFlag).index(QualityFlag.INVALID_RANGE)]
-    # ingest reads a latitude outside [-90, 90] as missing, so it has no range flag
-    assert flagged == ("0" if names[k] == "lat" else "1")
-    del flags[1][own]
-    assert flags[0] == flags[1]
+    stamp = parse_iso_timestamp(rows[i][0])
+    own = max(t for t in (parse_iso_timestamp(r[0]) for r in read_csv(
+        root / "out_True" / "processed.csv")[1]) if t <= stamp)
+    assert_only_the_range_evidence_differs(root / "out_True", root / "out_False", names[k],
+                                           iso_timestamp(own))
+
+
+# one cell out of range on a benchmark voyage (seed 1; the row is a 0-based
+# data row of the ship CSV), each of which once moved other cells or flags:
+# a sog of 40 m/s on hindcast_loop set the row's angular fault and the wind
+# fix, and on ais_feed it moved its bin's mean and gave it a spike; a shaft
+# power of 2e8 W dropped the derived_shaft_power column the empty cell gives;
+# a relative wind speed of 100 m/s got a reference-height speed and a wind
+# resistance; an stw of 1000 m/s entered the speed-power comparison; and a
+# latitude of 95 was noted unparseable at ingest and got no range flag
+BENCHMARK_CELLS = [
+    ("hindcast_loop", 200, "sog", 40.0),
+    ("ais_feed", 2000, "sog", 40.0),
+    ("long_voyage", 1000, "shaft_power", 2e8),
+    ("long_voyage", 1000, "rel_wind_speed", 100.0),
+    ("long_voyage", 1000, "stw", 1000.0),
+    ("hindcast_loop", 200, "lat", 95.0),
+    ("ais_feed", 2000, "lat", 95.0),
+]
+
+
+@pytest.fixture(scope="module")
+def benchmark_inputs(tmp_path_factory):
+    """Per workload, the config of its seed-1 inputs, built once."""
+    generate, built = load_generate(), {}
+
+    def inputs(workload):
+        if workload not in built:
+            root = tmp_path_factory.mktemp(workload)
+            built[workload] = generate.build(workload, 1, root).config
+        return built[workload]
+    return inputs
+
+
+@pytest.mark.parametrize("workload,row,name,value", BENCHMARK_CELLS,
+                         ids=[f"{w}-{n}" for w, _, n, _ in BENCHMARK_CELLS])
+def test_benchmark_cell_out_of_range_is_missing_to_every_stage(
+        tmp_path, benchmark_inputs, workload, row, name, value):
+    config = benchmark_inputs(workload)
+    names, rows = read_csv(config.with_name("ship.csv"))
+    lines = config.read_text().splitlines()
+    for tag, cell in (("past", repr(value)), ("empty", "")):  # beside the other inputs
+        rows[row][names.index(name)] = cell
+        with config.with_name(f"ship_{tag}.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([names, *rows])
+        variant = config.with_name(f"config_{tag}.txt")
+        variant.write_text("".join(f"ship_csv = ship_{tag}.csv\n" if line.startswith("ship_csv")
+                                   else line + "\n" for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(variant), "--out", str(tmp_path / tag),
+                         "--no-timestamp-header"]) == 0
+    stamp = parse_iso_timestamp(rows[row][0])
+    slots = [parse_iso_timestamp(r[0]) for r in read_csv(tmp_path / "past" / "processed.csv")[1]]
+    if workload == "ais_feed":  # the message's bin
+        own = max(t for t in slots if t <= stamp)
+    else:  # the nearest lattice point, the earlier at a tie, as regularize snaps
+        own = min(slots, key=lambda t: (abs(t - stamp), t))
+    assert_only_the_range_evidence_differs(tmp_path / "past", tmp_path / "empty", name,
+                                           iso_timestamp(own))
+
+
+def assert_only_the_range_evidence_differs(past, empty, name, own):
+    """The outputs in ``past``, of a run with one ``name`` cell out of range,
+    and in ``empty``, of the run with that cell empty, hold the same
+    processed.csv and report.json but for: the edited row's ``name`` or
+    ``raw_<name>`` cell and its flag_invalid_range, set in ``past`` (the
+    row is the processed row stamped ``own``); ingest's ``missing_cells``;
+    and the range evidence, one invalid_range check of ``name`` at ``own``
+    in clean:contextual or, for an AIS feed, resample, with its flag count
+    and clean:contextual's ``samples_flagged``. Each flag is counted once,
+    by the first stage to set it, so where another stage flags that row in
+    both runs, the count moves to whichever of the two runs first."""
+    (header, got), (empty_header, want) = read_csv(past / "processed.csv"), read_csv(
+        empty / "processed.csv")
+    assert header == empty_header
+    assert [r[0] for r in got] == [r[0] for r in want]
+    flag = header.index("flag_invalid_range")
+    cells = {header.index(h) for h in (name, f"raw_{name}", "flag_invalid_range") if h in header}
+    (row,) = [j for j, r in enumerate(got) if r[0] == own]
+    assert got[row][flag] == "1"
+    fresh = int(want[row][flag] == "0")  # the past run has one invalid_range flag more
+    assert {j for j, (a, b) in enumerate(zip(got[row], want[row])) if a != b} <= cells
+    assert got[:row] + got[row + 1:] == want[:row] + want[row + 1:]
+
+    stages = [json.loads((out / "report.json").read_text())["stages"] for out in (past, empty)]
+    assert [s["stage"] for s in stages[0]] == [s["stage"] for s in stages[1]]
+    evidence = {"timestamp": own, "variable": name, "verdict": "invalid_range"}
+    found, moved = [], {}
+    for p, e in zip(*stages):
+        if p["stage"] == "ingest:ship_csv":
+            del p["summary"]["missing_cells"], e["summary"]["missing_cells"]
+        checks = [c for c in p["checks"] if {k: c[k] for k in evidence} != evidence]
+        if len(checks) < len(p["checks"]):
+            found.append((p["stage"], len(p["checks"]) - len(checks)))
+            p["checks"] = checks
+            if "samples_flagged" in p["summary"]:
+                more = p["summary"]["samples_flagged"] - e["summary"]["samples_flagged"]
+                assert more in (0, 1)
+                p["summary"]["samples_flagged"] -= more
+        n = p["flag_counts"].pop("invalid_range", 0) - e["flag_counts"].pop("invalid_range", 0)
+        if n:
+            moved[p["stage"]] = n
+        assert p == e, p["stage"]
+    assert found in ([("clean:contextual", 1)], [("resample", 1)])
+    assert sum(moved.values()) == fresh
+    assert all(n == (1 if stage == found[0][0] else -1) for stage, n in moved.items())
 
 
 def run_with_rows(paths, names, rows, out, interval=INTERVAL):

@@ -32,6 +32,7 @@ from shipdataprep.model import (
     ShipParticulars,
     ShipType,
     VariableSpec,
+    new_dataset,
 )
 
 coords = st.tuples(
@@ -111,8 +112,11 @@ class TestWindReferenceHeight:
             wind_to_reference_height(5.0, 10.0, -1.0)
 
     def test_column_matches_scalar_and_drops_negative_cells(self):
+        # ingest's spec holds the speed to [0, 90] m/s: a negative cell reads as missing
         speeds = [7.3, 0.0, -1.5, None, 12.25, -0.0, 1e-300]
-        ds = series_dataset({"rel_wind_speed": speeds})
+        (spec,) = [s for s in default_schema() if s.name == "rel_wind_speed"]
+        ds = new_dataset([spec], range(len(speeds)), {"rel_wind_speed": speeds},
+                         source_kind="in_service")
         particulars = ShipParticulars(ShipType.BULK_CARRIER, beam=32.0, design_draft=12.0,
                                       lpp=180.0, anemometer_height=31.0,
                                       wind_reference_height=12.0)
@@ -320,7 +324,7 @@ class TestAisSpeedConsistency:
         out = self.check(self.build(inject=(10,), value=value, sog_spec=spec), report)
         assert not out.flagged(QualityFlag.IRRATIONAL_SPEED).any()
         assert not out.declares("raw_sog")
-        assert out.column("sog")[10] == value  # stored as logged
+        assert out.logged("sog")[10] == value  # stored as logged
 
     def test_stationary_vessel_zero_flags(self):
         schema = [VariableSpec("lat"), VariableSpec("lon"), VariableSpec("sog")]

@@ -302,6 +302,15 @@ class TestInterpolate:
                           mask_policy="zero_fill", report=ProcessingReport())
         assert ds0.column("hc_f")[0] == pytest.approx(0.25 * (2 + 4 + 6 + 0), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_masked_node_beside_huge_nodes_takes_their_mean(self):
+        # the sum of the three DBL_MAX neighbours overflows; their mean does not
+        big = np.finfo(float).max
+        grid = two_slice_grid([[big, big], [big, 0.0]], [[False, False], [False, True]])
+        ds = interpolate(grid, query_dataset([(0, 1.0, 1.0)]), order=1,
+                         mask_policy="neighbor_mean", report=ProcessingReport())
+        assert ds.column("hc_f")[0] == big
+
     def test_policies_agree_when_unmasked(self):
         grid = make_grid(lambda la, lo, t: la * lo + t / 3600.0, LATS, LONS, TIMES)
         pts = [(5000, 0.3, 0.7), (100, -1.2, 2.2)]

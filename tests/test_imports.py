@@ -5,7 +5,8 @@ it, a parameter that the pipeline passes a config value keeps no default
 of its own, every default of a package function or method is omitted by
 at least one call of the program (a default that only tests rely on is not
 one the program has), and every text-mode open, read or write of a file
-in the package names its encoding, which the locale would otherwise choose.
+in the package names its encoding, which the locale would otherwise choose,
+and only four functions of the package read a column as logged.
 
 All but the config check read the source with ``ast`` only; the config
 check also imports ``pipeline`` to read its callees' signatures with
@@ -482,6 +483,64 @@ def test_the_encoding_check_sees_a_text_open_without_one():
     )
     assert unnamed_encodings({"a.py": source}) == [
         "a.py:1", "a.py:5", "a.py:8", "a.py:9", "a.py:11", "a.py:16",
+    ]
+
+
+# -- range policy: four readers of the logged column ---------------------------
+
+# every other read of a numeric column goes through VoyageDataset.column, where
+# a value outside its valid range is missing: the range rule, the processed-data
+# writer, the draft fix's raw_* copy and resample's range evidence read it as logged
+LOGGED_READERS = [
+    "cleaning.py:contextual_filter",
+    "corrections.py:_apply_draft",
+    "pipeline.py:write_processed_csv",
+    "timeline.py:resample",
+]
+
+
+def logged_readers(sources: dict[str, str]) -> list[str]:
+    """``module:function`` of each ``.logged(...)`` call in ``sources``,
+    named by the innermost function around it (``<module>`` at the top
+    level), in module and source order."""
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "logged"):
+                found.append(f"{module}:{where}")
+            visit(child, module, where)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_only_the_four_readers_read_the_logged_column():
+    found = sorted(logged_readers(program_sources()[0]))
+    assert found == LOGGED_READERS, f".logged( calls in src/ beyond the four readers: {found}"
+
+
+def test_the_logged_check_sees_every_other_reader():
+    source = (
+        "def write_processed_csv(d):\n"
+        "    return d.logged('x')\n"
+        "def other(d):\n"
+        "    return d.column('x') + d.logged('x')\n"
+        "class K:\n"
+        "    def resample(self, d):\n"
+        "        return [d.logged(n) for n in d.names], lambda: d.logged('y')\n"
+        "    def logged(self, name):\n"
+        "        return self.stored[name]\n"
+        "top = ds.logged('y')\n"
+    )
+    assert logged_readers({"a.py": source}) == [
+        "a.py:write_processed_csv", "a.py:other", "a.py:resample", "a.py:resample",
+        "a.py:<module>",
     ]
 
 

@@ -103,24 +103,42 @@ class TestNewDataset:
 
     def test_longitude_beyond_one_turn_kept_as_logged(self):
         # the wrap takes a 0-360 logger's values; a wilder one is a bad cell,
-        # stored as logged and missing to the rules (valid)
+        # stored as logged and missing to the rules (column)
         lons = [-540.0, 540.0, 540.0000000000001, -1e306, 1e306]
         ds = new_dataset([VariableSpec("lon", valid_min=-180.0, valid_max=180.0)],
                          range(len(lons)), {"lon": lons}, source_kind="in_service")
-        assert ds.column("lon").tolist() == [-180.0, -180.0, 540.0000000000001, -1e306, 1e306]
-        assert ds.valid("lon")[:2].tolist() == [-180.0, -180.0]
-        assert np.isnan(ds.valid("lon")[2:]).all()
+        assert ds.logged("lon").tolist() == [-180.0, -180.0, 540.0000000000001, -1e306, 1e306]
+        assert ds.column("lon")[:2].tolist() == [-180.0, -180.0]
+        assert np.isnan(ds.column("lon")[2:]).all()
 
-    def test_valid_hides_only_values_outside_the_range(self):
+    def test_latitude_outside_the_range_kept_as_logged(self):
+        # no rule of its own: a latitude follows its schema bounds, as lon does
+        lats = [95.0, -90.5, 1e3, 90.0]
+        ds = new_dataset([VariableSpec("lat", valid_min=-90.0, valid_max=90.0)],
+                         range(len(lats)), {"lat": lats}, source_kind="in_service")
+        assert ds.logged("lat").tolist() == lats
+        assert np.isnan(ds.column("lat")[:3]).all() and ds.column("lat")[3] == 90.0
+        assert np.isnan(ds.positions()[0][:3]).all()
+
+    def test_column_hides_only_values_outside_the_range(self):
         sog = [0.0, -0.0, 26.0, np.nextafter(26.0, 27.0), -1e-310, None, 3.5]
         ds = new_dataset([VariableSpec("sog", valid_min=0.0, valid_max=26.0), VariableSpec("x")],
                          range(len(sog)), {"sog": sog, "x": [1e308] * len(sog)}, source_kind="in_service")
-        got = ds.valid("sog")
+        got = ds.column("sog")
         assert got[[0, 1, 2, 6]].tolist() == [0.0, -0.0, 26.0, 3.5]
         assert np.isnan(got[[3, 4, 5]]).all()
-        assert ds.column("sog")[3] == np.nextafter(26.0, 27.0)  # the stored column keeps it
-        assert ds.valid("x").tolist() == [1e308] * len(sog)  # no bounds: every value
+        assert ds.logged("sog")[3] == np.nextafter(26.0, 27.0)  # the stored column keeps it
+        assert ds.column("x").tolist() == [1e308] * len(sog)  # no bounds: every value
         assert not got.flags.writeable
+
+    def test_has_data_and_coalesce_read_the_in_range_view(self):
+        bounded = VariableSpec("sog", valid_min=0.0, valid_max=26.0)
+        ds = new_dataset([bounded, VariableSpec("x")], [0, 1],
+                         {"sog": [40.0, None], "x": [1.0, 2.0]}, source_kind="in_service")
+        assert not ds.has_data("sog") and ds.has_data("x")
+        assert ds.coalesce("sog", "x").tolist() == [1.0, 2.0]
+        with pytest.raises(TypeError, match="text_column"):
+            new_dataset([VariableSpec("s", kind="text")], [0], {}, source_kind="in_service").logged("s")
 
     def test_nan_becomes_missing(self):
         ds = new_dataset(schema(), [0], {"sog": [float("nan")]}, source_kind="in_service")

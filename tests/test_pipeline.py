@@ -250,9 +250,11 @@ class TestFullVoyage:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_resistance_is_a_flag_not_a_stage_failure(self, tmp_path):
-        # two in-trip rows with a finite but absurd wind speed
+        # an absurd reference area: two in-trip rows of the top valid wind
+        # speed (90 m/s) overflow, the voyage's own speeds do not
         paths = with_cells(VoyageBuilder(tmp_path, resistance=True).build(),
-                           "rel_wind_speed", {20: 1e306, 21: 1e306})
+                           "rel_wind_speed", {20: 90.0, 21: 90.0})
+        edited(paths["res_wind"], "#area 1100", "#area 1e305")
         result = run(paths)
         assert result.exit_code == 0 and result.stage_failures == []
         (entry,) = [e for e in result.report.stage_entries if e.stage == "resistance"]
@@ -266,12 +268,19 @@ class TestFullVoyage:
         assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[[20, 21]].all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("columns", [None, ("rel_wind_speed",)],
-                             ids=["every_column", "rel_wind_speed"])
-    def test_dbl_max_cells_run_to_exit_zero(self, tmp_path, columns):
-        # the wind sides, residuals and their mean overflow; the plot writer
-        # takes the sides from the wind check's function, not its own arithmetic
-        paths = extreme_voyage(tmp_path, np.finfo(float).max, columns)
+    @pytest.mark.parametrize("where", ["every_column", "hindcast_wind"])
+    def test_dbl_max_cells_run_to_exit_zero(self, tmp_path, where):
+        # DBL_MAX in every ship cell of three rows, or in every hindcast
+        # wind_u node, which has no valid range: there the hindcast wind side,
+        # the residuals and their mean overflow; the plot writer takes the
+        # sides from the wind check's function, not its own arithmetic
+        big = np.finfo(float).max
+        if where == "every_column":
+            paths = extreme_voyage(tmp_path, big)
+        else:
+            paths = with_grid_values(VoyageBuilder(
+                tmp_path, n_trips=2, trip_len=40, wind_dir_fault=True, resistance=True,
+            ).build(), "wind_u", -big)
         out = tmp_path / "out"
         assert main(["run", "--config", str(paths["config"]), "--out", str(out),
                      "--no-timestamp-header"]) == 0
@@ -282,13 +291,13 @@ class TestFullVoyage:
         # an out-of-range rpm or sog at berth (row 55) starts no trip
         result = run(paths)
         assert len(result.dataset.trips()) == 2
-        if columns:
-            (entry,) = [e for e in result.report.stage_entries
-                        if e.stage == "check:longitudinal_wind"]
-            assert entry.summary["residual_mean"] == -np.inf
-            (written,) = [s for s in stages if s["stage"] == "check:longitudinal_wind"]
-            assert written["summary"]["residual_mean"] == "-inf"
-            stamps = {c.timestamp for c in entry.checks if c.verdict == "mismatch"}
+        if where == "hindcast_wind":  # each error-loop iteration checks the wind
+            entries = [e for e in result.report.stage_entries
+                       if e.stage == "check:longitudinal_wind"]
+            assert [e.summary["residual_mean"] for e in entries] == [-np.inf] * len(entries)
+            written = [s for s in stages if s["stage"] == "check:longitudinal_wind"]
+            assert [s["summary"]["residual_mean"] for s in written] == ["-inf"] * len(entries)
+            stamps = {c.timestamp for c in entries[0].checks if c.verdict.startswith("mismatch")}
             assert set(result.dataset.timestamps[[12, 30]].tolist()) <= stamps
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -354,15 +363,27 @@ def non_json_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def extreme_voyage(root, value, columns=None):
+def extreme_voyage(root, value):
     """A two-trip voyage with the angular wind fault and a resistance table,
-    with ``value`` in data rows 12, 30 (in trip 1) and 55 (at berth) of the
-    ``columns``, or of every numeric column."""
+    with ``value`` in data rows 12, 30 (in trip 1) and 55 (at berth) of every
+    numeric column."""
     paths = VoyageBuilder(root, n_trips=2, trip_len=40, wind_dir_fault=True,
                           resistance=True).build()
     header = paths["ship_csv"].read_text().split("\n", 1)[0].split(",")
-    for name in columns or [n for n in header if n not in ("timestamp", "state")]:
+    for name in [n for n in header if n not in ("timestamp", "state")]:
         with_cells(paths, name, dict.fromkeys((12, 30, 55), value))
+    return paths
+
+
+def with_grid_values(paths, variable, value):
+    """The voyage with every node of one hindcast variable set to ``value``."""
+    lines = paths["hindcast"].read_text().splitlines()
+    names = [line.split()[1] for line in lines if line.startswith("#var ")]
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    n = len(body) // len(names)  # the lines of one variable
+    for i in body[names.index(variable) * n:(names.index(variable) + 1) * n]:
+        lines[i] = ",".join([repr(float(value))] * len(lines[i].split(",")))
+    paths["hindcast"].write_text("\n".join(lines) + "\n")
     return paths
 
 
@@ -567,17 +588,20 @@ class TestAisSource:
         assert result.dataset.flagged(QualityFlag.MISSING_INSERTED).any()
 
     @pytest.mark.filterwarnings("error")
-    def test_two_finite_extremes_in_one_bin_are_averaged_and_flagged(self, tmp_path):
-        # two DBL_MAX sog messages of the benchmark's AIS feed fall in one
-        # bin: their sum overflows, but their mean is finite, and validation
-        # flags it out of range instead of the run failing
+    @pytest.mark.parametrize("column", ["sog", "extra"])
+    def test_two_finite_extremes_in_one_bin_are_averaged_and_flagged(self, tmp_path, column):
+        # two DBL_MAX messages of the benchmark's AIS feed fall in one bin. In
+        # an auto-declared column (no valid range) their sum overflows, but
+        # their mean is finite; in sog they are out of range, so the bin's
+        # mean is that of its other messages and resample flags the bin
         plan = load_generate().build("ais_feed", 1, tmp_path / "inputs")
         ship = plan.config.with_name("ship.csv")
         lines = ship.read_text().splitlines()
-        sog = lines[0].split(",").index("sog")
+        lines = [f"{line},{'extra' if k == 0 else 1.5}" for k, line in enumerate(lines)]
+        at = lines[0].split(",").index(column)
         for i in (5000, 5001):
             cells = lines[i].split(",")
-            cells[sog] = repr(sys.float_info.max)
+            cells[at] = repr(sys.float_info.max)
             lines[i] = ",".join(cells)
         ship.write_text("\n".join(lines) + "\n")
         config = load_config(plan.config)
@@ -588,12 +612,18 @@ class TestAisSource:
         result = run_pipeline(config)
         assert result.exit_code == 0 and result.stage_failures == []
         bin_start = stamps[0] // config.sampling_interval * config.sampling_interval
-        at = int(np.searchsorted(result.dataset.timestamps, bin_start))
-        assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[at]
-        (entry,) = [e for e in result.report.stage_entries if e.stage == "clean:contextual"]
-        (check,) = [c for c in entry.checks if (c.verdict, c.variable, c.timestamp)
-                    == ("invalid_range", "sog", bin_start)]
-        assert 1e307 < check.observed <= sys.float_info.max
+        row = int(np.searchsorted(result.dataset.timestamps, bin_start))
+        (entry,) = [e for e in result.report.stage_entries if e.stage == "resample"]
+        checks = [(c.verdict, c.variable, c.timestamp, c.observed) for c in entry.checks]
+        if column == "extra":
+            assert 1e307 < result.dataset.column("extra")[row] < sys.float_info.max
+            assert not result.dataset.flagged(QualityFlag.INVALID_RANGE)[row]
+            assert checks == []
+        else:
+            assert 0 <= result.dataset.logged("sog")[row] <= 26
+            assert result.dataset.flagged(QualityFlag.INVALID_RANGE)[row]
+            assert checks == [("invalid_range", "sog", bin_start, sys.float_info.max)] * 2
+            assert entry.flag_counts["invalid_range"] == 1
 
 
 # per stage, in processing order: the module attribute the stage calls, and
